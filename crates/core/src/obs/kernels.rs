@@ -14,9 +14,9 @@
 //! fill runs once per row group), and paying two clock reads plus
 //! shared-cache-line histogram traffic on every one measured at ~25%
 //! of the whole graph leg. Each thread instead times the first of
-//! every [`SAMPLE_EVERY`] launches — the skip path is one thread-local
-//! counter increment — which keeps the observability tax
-//! under the snapshot's 2% gate while the hot families still collect
+//! every [`SAMPLE_EVERY`] launches of each family — the skip path is
+//! one thread-local counter increment — which keeps the observability
+//! tax under the snapshot's 2% gate while the hot families still collect
 //! thousands of latency samples. Histogram `count()` therefore counts
 //! *samples*, not launches.
 //!
@@ -100,32 +100,36 @@ static KERNEL_HISTS: [Histogram; KernelFamily::ALL.len()] = [
 ];
 
 /// The launch-latency histogram of one kernel family (microseconds).
-/// Counts are launch **samples** (1 in [`SAMPLE_EVERY`] per thread),
-/// not total launches.
+/// Counts are launch **samples** (1 in [`SAMPLE_EVERY`] per thread
+/// and family), not total launches.
 pub fn kernel_histogram(family: KernelFamily) -> &'static Histogram {
     &KERNEL_HISTS[family.index()]
 }
 
-/// Each thread times the first of every `SAMPLE_EVERY` launches.
-/// Power of two so the modulo is a mask; 64 bounds the timing overhead
-/// at ~1/64 of the exhaustive cost.
+/// Each thread times the first of every `SAMPLE_EVERY` launches of a
+/// family. Power of two so the modulo is a mask; 64 bounds the timing
+/// overhead at ~1/64 of the exhaustive cost.
 pub const SAMPLE_EVERY: u64 = 64;
 
 thread_local! {
-    /// Per-thread launch tick driving the sampling decision, shared
-    /// across families — one `u64` bump is the entire skip path, and
-    /// each family's sampling rate is proportional to its launch
-    /// share, which is exactly what the histograms should reflect.
-    /// Thread-local on purpose: a shared counter would put one
-    /// contended cache line on every kernel launch of every worker,
-    /// which is most of the overhead sampling exists to avoid.
-    static LAUNCH_TICK: Cell<u64> = const { Cell::new(0) };
+    /// Per-thread, per-family launch ticks driving the sampling
+    /// decision — one `u64` bump is the entire skip path. Each family
+    /// counts its own launches, so every family is sampled 1 in
+    /// [`SAMPLE_EVERY`] of *its* launches: a tick shared across
+    /// families aliases with any periodic launch sequence (a family
+    /// launched at a fixed offset in a period dividing `SAMPLE_EVERY`
+    /// would be skipped every time). Thread-local on purpose: a shared
+    /// counter would put one contended cache line on every kernel
+    /// launch of every worker, which is most of the overhead sampling
+    /// exists to avoid.
+    static LAUNCH_TICKS: [Cell<u64>; KernelFamily::ALL.len()] =
+        const { [const { Cell::new(0) }; KernelFamily::ALL.len()] };
 }
 
 /// A timing-and-forwarding [`Backend`] wrapper: every kernel method
 /// runs on the wrapped backend verbatim, with the wall time of sampled
-/// launches (1 in [`SAMPLE_EVERY`] per thread) folded into that
-/// family's histogram. Bit-invisible by construction.
+/// launches (1 in [`SAMPLE_EVERY`] per thread and family) folded into
+/// that family's histogram. Bit-invisible by construction.
 #[derive(Debug)]
 pub struct Timed {
     inner: BackendHandle,
@@ -143,7 +147,8 @@ impl Timed {
     }
 
     fn time<R>(&self, family: KernelFamily, launch: impl FnOnce() -> R) -> R {
-        let sampled = LAUNCH_TICK.with(|tick| {
+        let sampled = LAUNCH_TICKS.with(|ticks| {
+            let tick = &ticks[family.index()];
             let n = tick.get();
             tick.set(n.wrapping_add(1));
             n % SAMPLE_EVERY == 0
@@ -319,6 +324,36 @@ mod tests {
             kernel_histogram(KernelFamily::NormalFill).count(),
             before + 2,
             "2×SAMPLE_EVERY launches on one fresh thread time exactly 2 samples"
+        );
+    }
+
+    #[test]
+    fn alternating_families_are_each_sampled() {
+        // Two families interleaved with period 2: under one tick shared
+        // by every family (SAMPLE_EVERY is even) the second family
+        // would land on odd ticks and never be timed.
+        let _guard = HIST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let wrapper = timed(backend::active());
+        let fill_before = kernel_histogram(KernelFamily::NormalFill).count();
+        let round_before = kernel_histogram(KernelFamily::F16Round).count();
+        std::thread::spawn(move || {
+            let mut buf = [0.0f32; 8];
+            let mut m = Matrix::zeros(1, 8);
+            for seed in 0..2 * SAMPLE_EVERY {
+                wrapper.normal_fill(seed, &mut buf);
+                wrapper.f16_round(&mut m);
+            }
+        })
+        .join()
+        .expect("launch thread");
+        assert_eq!(
+            kernel_histogram(KernelFamily::NormalFill).count(),
+            fill_before + 2
+        );
+        assert_eq!(
+            kernel_histogram(KernelFamily::F16Round).count(),
+            round_before + 2,
+            "the second family of a periodic sequence must be sampled too"
         );
     }
 }

@@ -85,14 +85,16 @@ impl Snapshot {
     }
 
     /// Publishes one histogram summary under `prefix` as
-    /// `{prefix}.count`, `.p50_us`, `.p99_us`, `.max_us` (skipped
-    /// entirely when the histogram is empty, so quiet families don't
-    /// pad the snapshot with zeros).
+    /// `{prefix}.count`, `.sum_us`, `.p50_us`, `.p99_us`, `.max_us`
+    /// (skipped entirely when the histogram is empty, so quiet families
+    /// don't pad the snapshot with zeros). `sum_us` is the total of the
+    /// recorded samples, so shares of time follow from the registry.
     pub fn set_hist(&mut self, prefix: &str, summary: HistSummary) {
         if summary.count == 0 {
             return;
         }
         self.set_u64(format!("{prefix}.count"), summary.count);
+        self.set_u64(format!("{prefix}.sum_us"), summary.sum);
         self.set_u64(format!("{prefix}.p50_us"), summary.p50);
         self.set_u64(format!("{prefix}.p99_us"), summary.p99);
         self.set_u64(format!("{prefix}.max_us"), summary.max);
@@ -210,6 +212,7 @@ mod tests {
             },
         );
         assert_eq!(s.u64("obs.node.gather.count"), 3);
+        assert_eq!(s.u64("obs.node.gather.sum_us"), 90);
         assert_eq!(s.u64("obs.node.gather.p50_us"), 32);
         assert_eq!(s.u64("obs.node.gather.p99_us"), 64);
         assert_eq!(s.u64("obs.node.gather.max_us"), 40);

@@ -58,22 +58,20 @@ impl ImportanceAnalyzer {
         };
         let (t, m) = (first.rows(), first.cols());
         let mut importance = vec![0.0f32; m];
-        let mut compare_ops: u64 = 0;
         for head in heads {
             assert_eq!(head.rows(), t, "head text-dim mismatch");
             assert_eq!(head.cols(), m, "head image-dim mismatch");
             for i in 0..t {
-                let row = head.row(i);
                 // `ways` max units each take one score per cycle.
-                for (j, &v) in row.iter().enumerate() {
-                    if v > importance[j] {
-                        importance[j] = v;
+                for (imp, &v) in importance.iter_mut().zip(head.row(i)) {
+                    if v > *imp {
+                        *imp = v;
                     }
-                    compare_ops += 1;
-                    let _ = j;
                 }
             }
         }
+        // Every score of every head passes one max unit once.
+        let compare_ops = (heads.len() * t * m) as u64;
         // Each max unit folds one score per cycle; a T×M block over all
         // heads takes ⌈T·M/a⌉ cycles per head (Fig. 5 bottom: v =
         // M(M+T)/a covers the full softmax stream; only the text rows

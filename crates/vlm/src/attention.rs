@@ -120,6 +120,23 @@ impl<'a> AttentionSynthesizer<'a> {
     pub fn text_to_image_head(&self, layer: usize, head: usize, retained: &[usize]) -> Matrix {
         let t_cnt = self.text_tokens;
         let mut out = Matrix::zeros(t_cnt, retained.len());
+        // The per-column logit terms are the same for every text row.
+        let columns: Vec<(f32, f32)> = retained
+            .iter()
+            .map(|&tok| {
+                let patch = self.scene.patch_by_index(tok);
+                let rel_boost = match patch.object {
+                    Some(o) if o == self.prompt.target_object => self.prompt.strength,
+                    Some(_) => 1.2,
+                    None => 0.0,
+                };
+                (rel_boost, 0.8 * patch.saliency)
+            })
+            .collect();
+        // One batched draw per row: `fill_normals` yields exactly the
+        // values (and leaves the generator where) one `next_normal`
+        // per column would.
+        let mut noise = vec![0.0f32; retained.len()];
         for i in 0..t_cnt {
             // Is this text token a content word that binds to the target?
             let h_tok = hash_words(self.seed, &[0x7E, i as u64]);
@@ -139,16 +156,10 @@ impl<'a> AttentionSynthesizer<'a> {
             } else {
                 0.15 + 0.25 * rng.next_unit() as f32
             };
+            rng.fill_normals(&mut noise);
             let row = out.row_mut(i);
-            for (jj, &tok) in retained.iter().enumerate() {
-                let patch = self.scene.patch_by_index(tok);
-                let rel_boost = match patch.object {
-                    Some(o) if o == self.prompt.target_object => self.prompt.strength,
-                    Some(_) => 1.2,
-                    None => 0.0,
-                };
-                let noise = rng.next_normal() * 0.6;
-                row[jj] = rel_boost * affinity + 0.8 * patch.saliency + noise;
+            for ((v, &(rel_boost, saliency)), &n) in row.iter_mut().zip(&columns).zip(&noise) {
+                *v = rel_boost * affinity + saliency + n * 0.6;
             }
             focus_tensor::ops::softmax_in_place(row);
             for v in row.iter_mut() {
@@ -288,6 +299,66 @@ mod tests {
             .any(|t| scene.patch_by_index(t).object == Some(0) && rel[t] == 1.0);
         assert!(has_target);
         assert!(rel.iter().all(|&r| r > 0.0 && r <= 1.0));
+    }
+
+    /// `text_to_image_head` drawn the one-value-at-a-time way: a
+    /// `next_normal` per column, per-column terms recomputed per row.
+    fn one_draw_reference(
+        syn: &AttentionSynthesizer<'_>,
+        layer: usize,
+        head: usize,
+        retained: &[usize],
+    ) -> Matrix {
+        let mut out = Matrix::zeros(syn.text_tokens, retained.len());
+        for i in 0..syn.text_tokens {
+            let is_query = unit(hash_words(syn.seed, &[0x7E, i as u64])) < 0.25;
+            let mut rng = SplitMix64(hash_words(
+                syn.seed,
+                &[0xA77, layer as u64, head as u64, i as u64],
+            ));
+            let (affinity, image_share) = if is_query {
+                let a = 0.7 + 0.6 * rng.next_unit() as f32;
+                (a, 0.55 + 0.25 * rng.next_unit() as f32)
+            } else {
+                let a = 0.05 + 0.25 * rng.next_unit() as f32;
+                (a, 0.15 + 0.25 * rng.next_unit() as f32)
+            };
+            let row = out.row_mut(i);
+            for (jj, &tok) in retained.iter().enumerate() {
+                let patch = syn.scene.patch_by_index(tok);
+                let rel_boost = match patch.object {
+                    Some(o) if o == syn.prompt.target_object => syn.prompt.strength,
+                    Some(_) => 1.2,
+                    None => 0.0,
+                };
+                let noise = rng.next_normal() * 0.6;
+                row[jj] = rel_boost * affinity + 0.8 * patch.saliency + noise;
+            }
+            focus_tensor::ops::softmax_in_place(row);
+            for v in row.iter_mut() {
+                *v *= image_share;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn batched_draws_match_one_draw_reference() {
+        let scene = make_scene(10);
+        let syn = AttentionSynthesizer::new(&scene, Prompt::about_object(1), 21, 3, 10);
+        // Odd lengths and a strided subset exercise the SIMD fill's
+        // tail lanes and non-contiguous retained sets.
+        let strided: Vec<usize> = (0..scene.token_count()).step_by(3).collect();
+        for retained in [strided, (0..scene.token_count()).collect(), vec![4, 9]] {
+            for (layer, head) in [(0, 0), (3, 2), (17, 1)] {
+                let got = syn.text_to_image_head(layer, head, &retained);
+                let want = one_draw_reference(&syn, layer, head, &retained);
+                for i in 0..got.rows() {
+                    let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(got.row(i)), bits(want.row(i)), "layer {layer} row {i}");
+                }
+            }
+        }
     }
 
     #[test]

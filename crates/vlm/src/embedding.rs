@@ -25,14 +25,19 @@ use focus_tensor::backend::{self, BackendHandle, KernelLaunch};
 use focus_tensor::Matrix;
 
 use crate::dataset::RedundancyProfile;
-use crate::scene::{fnv1a_fold, hash_words, ContentKey, Scene, FNV_OFFSET_BASIS};
+use crate::scene::{
+    fnv1a_fold, fnv1a_fold_le, fnv1a_fold_word, hash_words, ContentKey, Scene, FNV_OFFSET_BASIS,
+};
 
 /// FNV-1a for the synthesiser's memo-cache keys. The caches sit on the
 /// row-synthesis hot path and are probed a few times per token row;
 /// SipHash's per-lookup cost is pure overhead there (a memo's hash
 /// function cannot affect synthesised values, only lookup speed; `Eq`
 /// still guards exactness). The fold itself is
-/// [`crate::scene::fnv1a_fold`] — one definition of the constants.
+/// [`crate::scene::fnv1a_fold`] — one definition of the constants —
+/// with integer writes taking the word-at-a-time
+/// `scene::fnv1a_fold_le` (same hash as folding their
+/// little-endian bytes).
 pub struct FnvHasher(u64);
 
 impl Default for FnvHasher {
@@ -45,6 +50,26 @@ impl Hasher for FnvHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
         self.0 = fnv1a_fold(self.0, bytes);
+    }
+
+    #[inline]
+    fn write_u16(&mut self, v: u16) {
+        self.0 = fnv1a_fold_le(self.0, v as u64, 2);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.0 = fnv1a_fold_le(self.0, v as u64, 4);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.0 = fnv1a_fold_word(self.0, v);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.0 = fnv1a_fold_le(self.0, v as u64, std::mem::size_of::<usize>());
     }
 
     #[inline]
@@ -253,15 +278,23 @@ impl StabilityModel {
         let s32 = BLOCK_TIER * sf;
         let s8 = ((sf - s32) / (1.0 - s32)).clamp(0.0, 1.0);
         let stability_seed = key.stable_hash(salt ^ 0xABCD);
+        // Block `b` is stable iff `hash_words(seed, [0x32, b])` draws
+        // below `s32`, group `g` (of an unstable block) iff
+        // `hash_words(seed, [0x8, g])` draws below `s8`; the shared
+        // `(seed, tag)` prefixes fold once, and each block hash once.
+        let block_prefix = hash_words(stability_seed, &[0x32]);
+        let group_prefix = hash_words(stability_seed, &[0x8]);
+        let groups = width / GROUP;
         let groups_per_block = 32 / GROUP;
-        (0..width / GROUP)
-            .map(|g| {
-                let block = g / groups_per_block;
-                let block_stable =
-                    unit_from(hash_words(stability_seed, &[0x32, block as u64])) < s32;
-                block_stable || unit_from(hash_words(stability_seed, &[0x8, g as u64])) < s8
-            })
-            .collect()
+        let mut pattern = Vec::with_capacity(groups);
+        for block in 0..groups.div_ceil(groups_per_block) {
+            let block_stable = unit_from(fnv1a_fold_word(block_prefix, block as u64)) < s32;
+            for g in block * groups_per_block..((block + 1) * groups_per_block).min(groups) {
+                pattern
+                    .push(block_stable || unit_from(fnv1a_fold_word(group_prefix, g as u64)) < s8);
+            }
+        }
+        pattern
     }
 
     /// Column-tile stability at SIC vector granularity `v_len`: a tile
@@ -344,11 +377,6 @@ impl<'a> ActivationSynthesizer<'a> {
     /// The scene this synthesiser reads.
     pub fn scene(&self) -> &Scene {
         self.scene
-    }
-
-    /// Context salt for a (layer, stage) pair.
-    fn context_salt(&self, layer: usize, stage: Stage) -> u64 {
-        hash_words(self.seed, &[0xCC, layer as u64, stage.salt()])
     }
 
     /// The stability law this synthesiser's rows obey (the proof side
@@ -455,12 +483,18 @@ impl<'a> ActivationSynthesizer<'a> {
     ///
     /// Panics if `out.len()` is not a positive multiple of [`GROUP`].
     pub fn token_row(&mut self, token: usize, layer: usize, stage: Stage, out: &mut [f32]) {
+        let salt = self.stability_model().context_salt(layer, stage);
+        self.salted_row(token, layer, salt, out);
+    }
+
+    /// [`ActivationSynthesizer::token_row`] under a precomputed context
+    /// salt, so a matrix fill hashes its (layer, stage) context once.
+    fn salted_row(&mut self, token: usize, layer: usize, salt: u64, out: &mut [f32]) {
         let width = out.len();
         assert!(
             width > 0 && width.is_multiple_of(GROUP),
             "width must be a multiple of {GROUP}"
         );
-        let salt = self.context_salt(layer, stage);
         if salt != self.cache_salt {
             self.appearance_cache.clear();
             self.stability_cache.clear();
@@ -475,13 +509,11 @@ impl<'a> ActivationSynthesizer<'a> {
         // itself — share one memoised pattern. The additive noise below
         // stays strictly per (token, group).
         let key = self.scene.patch_by_index(token).primary;
-        if !self.stability_cache.contains_key(&(key, width)) {
-            let pattern = self
-                .stability_model()
-                .group_pattern_salted(key, layer, salt, width);
-            self.stability_cache.insert((key, width), pattern);
-        }
-        let pattern = &self.stability_cache[&(key, width)];
+        let model = self.stability_model();
+        let pattern = self
+            .stability_cache
+            .entry((key, width))
+            .or_insert_with(|| model.group_pattern_salted(key, layer, salt, width));
         let sigma = self.redundancy.noise_sigma as f32;
         let mut noise = [0.0f32; GROUP];
         // Noise keys off the *global-time* token index: at origin 0 this
@@ -489,10 +521,13 @@ impl<'a> ActivationSynthesizer<'a> {
         // in a scene stream it advances with the window, so unstable
         // groups redraw each wall-clock frame while stable groups stay
         // bit-identical — exactly the cross-window redundancy the
-        // temporal concentrator harvests.
+        // temporal concentrator harvests. Group `g`'s seed is
+        // `hash_words(salt ^ 0x0115E, [noise_token, g])`, its prefix
+        // folded once per row.
         let noise_token = self.scene.global_token(token) as u64;
+        let noise_prefix = hash_words(salt ^ 0x0115E, &[noise_token]);
         for (g, _) in pattern.iter().enumerate().filter(|(_, &stable)| !stable) {
-            let mut rng = SplitMix64(hash_words(salt ^ 0x0115E, &[noise_token, g as u64]));
+            let mut rng = SplitMix64(fnv1a_fold_word(noise_prefix, g as u64));
             rng.fill_normals_with(self.backend, &mut noise);
             for (v, &n) in out[g * GROUP..(g + 1) * GROUP].iter_mut().zip(&noise) {
                 *v += sigma * n;
@@ -533,9 +568,10 @@ impl<'a> ActivationSynthesizer<'a> {
             rows: tokens.len(),
             width,
         });
+        let salt = self.stability_model().context_salt(layer, stage);
+        // Rows are in `tokens` order.
         for (i, &t) in tokens.iter().enumerate() {
-            let row_start = i; // rows are in `tokens` order
-            self.token_row(t, layer, stage, out.row_mut(row_start));
+            self.salted_row(t, layer, salt, out.row_mut(i));
         }
     }
 
@@ -605,6 +641,124 @@ mod tests {
 
     fn profile() -> RedundancyProfile {
         DatasetProfile::for_model(DatasetKind::VideoMme, ModelKind::LlavaVideo7B).redundancy
+    }
+
+    /// Byte-serial FNV-1a over `salt` then `words` — the definition of
+    /// [`hash_words`], with no word fold and no hoisted prefix.
+    fn byte_fold_hash(salt: u64, words: &[u64]) -> u64 {
+        let bytes: Vec<u8> = std::iter::once(salt)
+            .chain(words.iter().copied())
+            .flat_map(u64::to_le_bytes)
+            .collect();
+        crate::scene::fnv1a(&bytes)
+    }
+
+    /// [`ContentKey::stable_hash`] through [`byte_fold_hash`].
+    fn byte_fold_key_hash(key: ContentKey, salt: u64) -> u64 {
+        match key {
+            ContentKey::Scene { epoch } => byte_fold_hash(salt, &[1, epoch as u64]),
+            ContentKey::Background { epoch, r, c } => {
+                byte_fold_hash(salt, &[2, epoch as u64, r as u64, c as u64])
+            }
+            ContentKey::Object {
+                epoch,
+                object,
+                lr,
+                lc,
+            } => byte_fold_hash(
+                salt,
+                &[
+                    3,
+                    epoch as u64,
+                    object as u64,
+                    lr as i64 as u64,
+                    lc as i64 as u64,
+                ],
+            ),
+        }
+    }
+
+    fn byte_fold_context_salt(seed: u64, layer: usize, stage: Stage) -> u64 {
+        byte_fold_hash(seed, &[0xCC, layer as u64, stage.salt()])
+    }
+
+    /// The two-tier stability law group by group, every hash folded
+    /// byte-serially from its full word list.
+    fn reference_group_pattern(
+        seed: u64,
+        layers: usize,
+        key: ContentKey,
+        layer: usize,
+        stage: Stage,
+        width: usize,
+    ) -> Vec<bool> {
+        let salt = byte_fold_context_salt(seed, layer, stage);
+        let z = centered_unit(byte_fold_key_hash(key, seed ^ 0x5F5F));
+        let depth = layer as f64 / layers as f64;
+        let sf = (profile().stable_fraction + 0.24 * z - 0.05 * depth).clamp(0.02, 0.995);
+        let s32 = 0.72 * sf;
+        let s8 = ((sf - s32) / (1.0 - s32)).clamp(0.0, 1.0);
+        let stability_seed = byte_fold_key_hash(key, salt ^ 0xABCD);
+        (0..width / GROUP)
+            .map(|g| {
+                unit_from(byte_fold_hash(stability_seed, &[0x32, (g / 4) as u64])) < s32
+                    || unit_from(byte_fold_hash(stability_seed, &[0x8, g as u64])) < s8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn group_pattern_matches_byte_fold_reference() {
+        let scene = make_scene();
+        let model = StabilityModel::new(profile(), 28, 7);
+        // 72 = 9 groups: a partial last 32-wide block.
+        for (layer, stage, width) in [
+            (0, Stage::Embedding, 256),
+            (5, Stage::OProjOut, 72),
+            (27, Stage::FfnAct, 8),
+        ] {
+            for t in 0..scene.token_count() {
+                let key = scene.patch_by_index(t).primary;
+                assert_eq!(
+                    model.group_pattern(key, layer, stage, width),
+                    reference_group_pattern(7, 28, key, layer, stage, width),
+                    "token {t} at ({layer}, {stage:?}, {width})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn token_row_matches_byte_fold_reference() {
+        let base = make_scene();
+        // A window at a non-zero origin keys noise off global tokens.
+        let window = Scene::synthesize_at(*base.config(), 5);
+        let sigma = profile().noise_sigma as f32;
+        for scene in [&base, &window] {
+            for (layer, stage, width) in [(3, Stage::PvOut, 128), (9, Stage::FfnDownOut, 72)] {
+                let mut syn = ActivationSynthesizer::new(scene, profile(), 28, 7);
+                let mut noise_free = ActivationSynthesizer::new(scene, profile(), 28, 7);
+                let salt = byte_fold_context_salt(7, layer, stage);
+                let mut row = vec![0.0f32; width];
+                let mut expect = vec![0.0f32; width];
+                for t in (0..scene.token_count()).step_by(5) {
+                    syn.token_row(t, layer, stage, &mut row);
+                    noise_free.deterministic_row(t, width, salt, &mut expect);
+                    let key = scene.patch_by_index(t).primary;
+                    let pattern = reference_group_pattern(7, 28, key, layer, stage, width);
+                    let noise_token = scene.global_token(t) as u64;
+                    for (g, _) in pattern.iter().enumerate().filter(|(_, &s)| !s) {
+                        let seed = byte_fold_hash(salt ^ 0x0115E, &[noise_token, g as u64]);
+                        let mut rng = SplitMix64(seed);
+                        for v in &mut expect[g * GROUP..(g + 1) * GROUP] {
+                            *v += sigma * rng.next_normal();
+                        }
+                    }
+                    let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&row), bits(&expect), "token {t} at layer {layer}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,21 +15,44 @@ use crate::dataset::RedundancyProfile;
 
 #[cfg(test)]
 mod hash_tests {
-    use super::{fnv1a, hash_words};
+    use super::{fnv1a, fnv1a_fold, fnv1a_fold_le, hash_words, FNV_OFFSET_BASIS};
+    use proptest::prelude::*;
 
-    #[test]
-    fn streamed_hash_matches_buffered_reference() {
-        for (salt, words) in [
-            (0u64, vec![]),
-            (42, vec![7u64]),
-            (0xDEAD_BEEF, vec![1, 2, 3, u64::MAX]),
-        ] {
+    /// Words from every significant-byte class: 0, then 1…8 significant
+    /// bytes (the top one non-zero), plus the all-ones word.
+    fn any_word() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            (1u32..9, 0u64..=u64::MAX).prop_map(|(bytes, raw)| {
+                let top = 8 * bytes - 1;
+                (raw >> (63 - top)) | (1 << top)
+            }),
+            Just(0u64),
+            Just(u64::MAX),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn streamed_hash_matches_buffered_reference(
+            salt in any_word(),
+            words in proptest::collection::vec(any_word(), 0..6),
+            len in 0usize..9,
+        ) {
             let mut buf = Vec::new();
             buf.extend_from_slice(&salt.to_le_bytes());
             for w in &words {
                 buf.extend_from_slice(&w.to_le_bytes());
             }
-            assert_eq!(hash_words(salt, &words), fnv1a(&buf));
+            prop_assert_eq!(hash_words(salt, &words), fnv1a(&buf));
+            // The truncated-width fold behind the cache hasher's
+            // `write_u16/u32/usize`: the low `len` bytes only.
+            let w = words.first().copied().unwrap_or(salt);
+            prop_assert_eq!(
+                fnv1a_fold_le(FNV_OFFSET_BASIS, w, len),
+                fnv1a_fold(FNV_OFFSET_BASIS, &w.to_le_bytes()[..len])
+            );
         }
     }
 }
@@ -44,6 +67,20 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// The FNV-1a offset basis — the start state of every fold.
 pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// The 64-bit FNV prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// `FNV_PRIME^k` for `k = 0..=8`: folding `k` zero bytes into a state.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
 /// One streaming step of the FNV-1a fold: continues hash state `h`
 /// over `bytes`. `fnv1a`, [`hash_words`] and the synthesiser's cache
 /// hasher all share this single definition of the constants.
@@ -51,22 +88,49 @@ pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 pub fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
 
-/// Convenience: hash a sequence of u64 words with a salt. Streams the
-/// FNV-1a fold over the words' little-endian bytes directly — the hash
-/// is identical to concatenating the bytes first, and this sits on the
-/// row-synthesis hot path (tens of calls per token row), so it must
-/// not allocate.
-pub fn hash_words(salt: u64, words: &[u64]) -> u64 {
-    let mut h = fnv1a_fold(FNV_OFFSET_BASIS, &salt.to_le_bytes());
-    for &w in words {
-        h = fnv1a_fold(h, &w.to_le_bytes());
+/// [`fnv1a_fold`] over the low `len` little-endian bytes of `w`
+/// (`len <= 8`), folding only the significant bytes one at a time.
+///
+/// FNV-1a over a zero byte is `h·P`, and wrapping multiplication is
+/// associative, so a run of `k` trailing (most significant) zero
+/// bytes folds as one multiply by `P^k`. The result is identical to
+/// the byte-serial fold for every `w`; small words — the layer, group
+/// and tag indices the synthesiser hashes — cost one or two multiplies
+/// instead of eight.
+#[inline]
+pub(crate) fn fnv1a_fold_le(mut h: u64, mut w: u64, len: usize) -> u64 {
+    let significant = (8 - w.leading_zeros() as usize / 8).min(len);
+    for _ in 0..significant {
+        h = (h ^ (w & 0xFF)).wrapping_mul(FNV_PRIME);
+        w >>= 8;
     }
-    h
+    h.wrapping_mul(FNV_PRIME_POW[len - significant])
+}
+
+/// Continues hash state `h` over the eight little-endian bytes of `w`.
+/// `hash_words(salt, &[a, b]) == fnv1a_fold_word(hash_words(salt, &[a]), b)`,
+/// which is how hot loops fold an invariant prefix once.
+#[inline]
+pub(crate) fn fnv1a_fold_word(h: u64, w: u64) -> u64 {
+    fnv1a_fold_le(h, w, 8)
+}
+
+/// Convenience: hash a sequence of u64 words with a salt — FNV-1a
+/// over the concatenated little-endian bytes, folded a word at a time
+/// (`fnv1a_fold_word`). This sits on the row-synthesis hot path, so
+/// it must not allocate.
+#[inline]
+pub fn hash_words(salt: u64, words: &[u64]) -> u64 {
+    words
+        .iter()
+        .fold(fnv1a_fold_word(FNV_OFFSET_BASIS, salt), |h, &w| {
+            fnv1a_fold_word(h, w)
+        })
 }
 
 /// The latent identity of what a patch shows.
