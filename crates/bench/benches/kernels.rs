@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use focus_core::sec::{ImportanceAnalyzer, OffsetEncoding, TopKSorter};
 use focus_core::sic::{gather_tile, scatter, ConvLayouter, Fhw, GatherConfig};
 use focus_core::BlockSize;
-use focus_tensor::Matrix;
+use focus_tensor::{backend, Matrix};
 
 /// A 1024×32 tile with a realistic (~35 %) duplicate rate over a
 /// 14×14×f grid.
@@ -29,7 +29,17 @@ fn bench_gather(c: &mut Criterion) {
         block: BlockSize::DEFAULT,
     };
     c.bench_function("sic/gather_tile_1024x32", |b| {
-        b.iter(|| gather_tile(&acts, 0, 1024, 0..32, &positions, &cfg))
+        b.iter(|| {
+            gather_tile(
+                &acts,
+                0..1024,
+                0..32,
+                &positions,
+                &cfg,
+                None,
+                backend::active(),
+            )
+        })
     });
 }
 
@@ -39,7 +49,15 @@ fn bench_scatter(c: &mut Criterion) {
         threshold: 0.9,
         block: BlockSize::DEFAULT,
     };
-    let g = gather_tile(&acts, 0, 1024, 0..32, &positions, &cfg);
+    let g = gather_tile(
+        &acts,
+        0..1024,
+        0..32,
+        &positions,
+        &cfg,
+        None,
+        backend::active(),
+    );
     c.bench_function("sic/scatter_1024x32", |b| {
         b.iter(|| scatter(&g.compact, &g.map))
     });

@@ -15,27 +15,20 @@ use crate::sic::layout::Fhw;
 /// Enumerates the candidate positions a key at `p` is compared against
 /// under `block`, in scan order. Out-of-range positions (negative
 /// coordinates) are skipped; callers additionally filter by tile
-/// residency and retention.
-pub fn candidate_positions(p: Fhw, block: BlockSize) -> Vec<Fhw> {
-    let mut out = Vec::with_capacity(block.cells() - 1);
-    for df in 0..block.f {
-        for dr in 0..block.h {
-            for dc in 0..block.w {
-                if df == 0 && dr == 0 && dc == 0 {
-                    continue;
-                }
-                if df > p.f || dr > p.r || dc > p.c {
-                    continue;
-                }
-                out.push(Fhw {
-                    f: p.f - df,
-                    r: p.r - dr,
-                    c: p.c - dc,
-                });
-            }
-        }
-    }
-    out
+/// residency and retention. The iterator is lazy and allocation-free.
+pub fn candidate_positions(p: Fhw, block: BlockSize) -> impl Iterator<Item = Fhw> {
+    (0..block.f)
+        .flat_map(move |df| {
+            (0..block.h).flat_map(move |dr| (0..block.w).map(move |dc| (df, dr, dc)))
+        })
+        .filter(move |&(df, dr, dc)| {
+            (df, dr, dc) != (0, 0, 0) && df <= p.f && dr <= p.r && dc <= p.c
+        })
+        .map(move |(df, dr, dc)| Fhw {
+            f: p.f - df,
+            r: p.r - dr,
+            c: p.c - dc,
+        })
 }
 
 /// Maximum candidates per key for a block size (7 for 2×2×2).
@@ -49,7 +42,8 @@ mod tests {
 
     #[test]
     fn interior_key_has_seven_candidates() {
-        let c = candidate_positions(Fhw { f: 3, r: 5, c: 5 }, BlockSize::DEFAULT);
+        let c: Vec<Fhw> =
+            candidate_positions(Fhw { f: 3, r: 5, c: 5 }, BlockSize::DEFAULT).collect();
         assert_eq!(c.len(), 7);
         // Contains the immediate spatial and temporal neighbours.
         assert!(c.contains(&Fhw { f: 3, r: 5, c: 4 }));
@@ -59,14 +53,15 @@ mod tests {
 
     #[test]
     fn corner_key_has_none() {
-        let c = candidate_positions(Fhw { f: 0, r: 0, c: 0 }, BlockSize::DEFAULT);
-        assert!(c.is_empty());
+        let mut c = candidate_positions(Fhw { f: 0, r: 0, c: 0 }, BlockSize::DEFAULT);
+        assert!(c.next().is_none());
     }
 
     #[test]
     fn edge_keys_clip() {
         // First frame: only spatial candidates.
-        let c = candidate_positions(Fhw { f: 0, r: 1, c: 1 }, BlockSize::DEFAULT);
+        let c: Vec<Fhw> =
+            candidate_positions(Fhw { f: 0, r: 1, c: 1 }, BlockSize::DEFAULT).collect();
         assert_eq!(c.len(), 3);
         assert!(c.iter().all(|p| p.f == 0));
     }
@@ -86,9 +81,9 @@ mod tests {
 
     #[test]
     fn larger_blocks_enumerate_more_candidates() {
-        let small = candidate_positions(Fhw { f: 5, r: 5, c: 5 }, BlockSize::DEFAULT).len();
+        let small = candidate_positions(Fhw { f: 5, r: 5, c: 5 }, BlockSize::DEFAULT).count();
         let large =
-            candidate_positions(Fhw { f: 5, r: 5, c: 5 }, BlockSize { f: 3, h: 3, w: 3 }).len();
+            candidate_positions(Fhw { f: 5, r: 5, c: 5 }, BlockSize { f: 3, h: 3, w: 3 }).count();
         assert_eq!(small, 7);
         assert_eq!(large, 26);
         assert_eq!(max_candidates(BlockSize { f: 3, h: 3, w: 3 }), 26);
@@ -96,7 +91,8 @@ mod tests {
 
     #[test]
     fn temporal_only_block_looks_back_in_time() {
-        let c = candidate_positions(Fhw { f: 4, r: 2, c: 2 }, BlockSize { f: 3, h: 1, w: 1 });
+        let c: Vec<Fhw> =
+            candidate_positions(Fhw { f: 4, r: 2, c: 2 }, BlockSize { f: 3, h: 1, w: 1 }).collect();
         assert_eq!(c, vec![Fhw { f: 3, r: 2, c: 2 }, Fhw { f: 2, r: 2, c: 2 }]);
     }
 }

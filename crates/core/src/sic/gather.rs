@@ -8,11 +8,23 @@
 //! boundary effect follows directly). Matches reuse their
 //! representative's compact index through the [`SimilarityMap`]; unique
 //! vectors append to the compact buffer.
+//!
+//! Two implementations share these semantics:
+//!
+//! * [`gather_tile`] — the reference: one `(m-tile, column-tile)` pair
+//!   at a time, materialising the compact buffer and the map (scatter
+//!   consumes both). The matrix-level reference loop
+//!   ([`SimilarityConcentrator::gather_matrix`](crate::sic::SimilarityConcentrator::gather_matrix))
+//!   runs it tile by tile.
+//! * [`GatherScratch`]'s row-major sweep — the production matrix
+//!   gather. It walks each m-tile's rows once, scoring every column
+//!   tile of a row while the row is hot, and keeps only the counts the
+//!   matrix statistics need.
 
 use core::ops::Range;
 use std::collections::HashMap;
 
-use focus_tensor::backend::{self, BackendHandle};
+use focus_tensor::backend::BackendHandle;
 use focus_tensor::Matrix;
 
 use crate::config::BlockSize;
@@ -20,6 +32,7 @@ use crate::sic::block::candidate_positions;
 use crate::sic::layout::{Fhw, PositionLookup};
 use crate::sic::map::SimilarityMap;
 use crate::sic::temporal::CarryMask;
+use crate::sic::MatrixGatherStats;
 
 /// Gather parameters (a slice of [`FocusConfig`](crate::FocusConfig)).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -52,12 +65,12 @@ pub struct GatherResult {
     pub dot_ops: u64,
     /// Rows resolved from the temporal cache (carried): bit-exact
     /// replays of the previous frame, excluded from the compact buffer
-    /// and from in-frame candidacy. Always 0 without a temporal probe.
+    /// and from in-frame candidacy. Always 0 without a carry mask.
     pub carried: u64,
     /// Planned in-frame comparisons avoided through carried rows (the
     /// carried rows' own candidate lists plus probes that would have
-    /// targeted a carried candidate). Always 0 without a temporal
-    /// probe; the matrix-level gather folds it into the cache's
+    /// targeted a carried candidate). Always 0 without a carry mask;
+    /// the matrix-level gather folds it into the cache's
     /// `gathers_skipped` counter.
     pub avoided: u64,
 }
@@ -74,141 +87,301 @@ impl GatherResult {
     }
 }
 
-/// Gathers one tile: rows `row_start .. row_start+row_count` of `acts`,
-/// columns `col_range`. `positions[abs_row]` gives each row's decoded
-/// (F,H,W) position; `None` rows (text tokens) are never matched.
+/// The reference tile gather: rows `rows` × columns `cols` of `acts`.
+/// `positions[abs_row]` gives each row's decoded (F,H,W) position;
+/// `None` rows (text tokens) are never matched.
+///
+/// With `carry = Some((mask, col_tile))`, a row the temporal reconcile
+/// pass marked carried at `col_tile` (its bytes proven a bit-exact
+/// replay of its anchored frame) takes no norm, no candidate scoring
+/// and no compact slot, and its planned comparisons count as avoided;
+/// the mask is indexed tile-locally.
+///
+/// Candidate neighbourhoods come from a per-call `HashMap`, independent
+/// of the flat [`PositionLookup`] plan the production sweep replays.
+/// Norms and scores are one tile-wide [`Backend::row_norms`] launch and
+/// one [`Backend::score_pairs`] launch over every live `(row, candidate)`
+/// probe; the sequential best-match walk then reads the precomputed
+/// scores. Matched rows' fidelity is a second batched launch, scored
+/// against each representative's *source* row (byte-identical to its
+/// compact copy).
 ///
 /// # Panics
 ///
-/// Panics if the row/column ranges exceed `acts`.
+/// Panics if the row/column ranges exceed `acts` or `positions`.
+///
+/// [`Backend::row_norms`]: focus_tensor::backend::Backend::row_norms
+/// [`Backend::score_pairs`]: focus_tensor::backend::Backend::score_pairs
 pub fn gather_tile(
     acts: &Matrix,
-    row_start: usize,
-    row_count: usize,
-    col_range: Range<usize>,
+    rows: Range<usize>,
+    cols: Range<usize>,
     positions: &[Option<Fhw>],
     cfg: &GatherConfig,
-) -> GatherResult {
-    gather_tile_on(
-        acts,
-        row_start,
-        row_count,
-        col_range,
-        positions,
-        cfg,
-        backend::active(),
-    )
-}
-
-/// [`gather_tile`] on an explicit kernel [`Backend`] instead of the
-/// process-wide default.
-///
-/// [`Backend`]: focus_tensor::backend::Backend
-pub fn gather_tile_on(
-    acts: &Matrix,
-    row_start: usize,
-    row_count: usize,
-    col_range: Range<usize>,
-    positions: &[Option<Fhw>],
-    cfg: &GatherConfig,
+    carry: Option<(&CarryMask, usize)>,
     backend: BackendHandle,
 ) -> GatherResult {
-    // Position → tile-local row index, for candidate lookup. This is
-    // the reference path: it rebuilds the map per call; the measured
-    // hot path goes through [`gather_tile_planned`] with a recycled
-    // [`GatherScratch`] instead (byte-identical results — the map is
-    // only ever queried, never iterated).
-    assert!(
-        positions.len() >= row_start + row_count,
-        "positions too short"
-    );
+    assert!(rows.end <= acts.rows(), "row range out of bounds");
+    assert!(cols.end <= acts.cols(), "column range out of bounds");
+    assert!(positions.len() >= rows.end, "positions too short");
+    let (row_start, row_count) = (rows.start, rows.len());
+    let width = cols.len();
+    let row_of = |local: usize| -> &[f32] { &acts.row(row_start + local)[cols.clone()] };
+    let carried_at =
+        |local: usize| -> Option<u32> { carry.and_then(|(mask, ct)| mask.carried(local, ct)) };
+
+    // Position → tile-local row index, for candidate lookup.
     let mut pos_to_row: HashMap<Fhw, usize> = HashMap::with_capacity(row_count);
     for local in 0..row_count {
-        if let Some(p) = positions.get(row_start + local).copied().flatten() {
+        if let Some(p) = positions[row_start + local] {
             pos_to_row.insert(p, local);
         }
     }
-    gather_tile_core(
-        acts,
-        row_start,
-        row_count,
-        col_range,
-        cfg,
-        |local, visit| {
-            if let Some(p) = positions[row_start + local] {
-                for cand in candidate_positions(p, cfg.block) {
-                    if let Some(&cand_local) = pos_to_row.get(&cand) {
-                        if cand_local < local {
-                            visit(cand_local);
-                        }
-                    }
-                }
+    let cands_of = |local: usize| {
+        positions[row_start + local]
+            .into_iter()
+            .flat_map(move |p| candidate_positions(p, cfg.block))
+            .filter_map(|cand| pos_to_row.get(&cand).copied())
+            .filter(move |&cand_local| cand_local < local)
+    };
+
+    let mut map = SimilarityMap::with_capacity(row_count);
+    let mut compact_rows: Vec<f32> = Vec::new();
+    let mut fidelity = vec![1.0f32; row_count];
+    let mut comparisons: u64 = 0;
+    let mut matches: u64 = 0;
+    let mut dot_ops: u64 = 0;
+    let mut carried: u64 = 0;
+    let mut avoided: u64 = 0;
+
+    // Batched norms of every live (non-carried) row. Carried rows keep
+    // a 0.0 sentinel (they are never candidates, so it is never read).
+    let mut norms = vec![0.0f32; row_count];
+    let live: Vec<usize> = (0..row_count)
+        .filter(|&l| carried_at(l).is_none())
+        .collect();
+    let live_rows: Vec<&[f32]> = live.iter().map(|&l| row_of(l)).collect();
+    let mut live_norms = vec![0.0f32; live.len()];
+    backend.row_norms(&live_rows, &mut live_norms);
+    for (&l, &n) in live.iter().zip(&live_norms) {
+        norms[l] = n;
+    }
+
+    // Every row's live candidate probes
+    // (`cand_offsets[local]..cand_offsets[local+1]` indexes `cand_idx`),
+    // scored in one launch. A probe is live iff neither endpoint is
+    // carried; dead probes count as avoided.
+    let mut cand_offsets: Vec<usize> = Vec::with_capacity(row_count + 1);
+    let mut cand_idx: Vec<usize> = Vec::new();
+    cand_offsets.push(0);
+    for local in 0..row_count {
+        for cand in cands_of(local) {
+            if carried_at(local).is_some() || carried_at(cand).is_some() {
+                avoided += 1;
+            } else {
+                cand_idx.push(cand);
             }
-        },
-        None,
-        backend,
-    )
+        }
+        cand_offsets.push(cand_idx.len());
+    }
+    let mut scores = vec![0.0f32; cand_idx.len()];
+    {
+        let mut pair_a: Vec<&[f32]> = Vec::with_capacity(cand_idx.len());
+        let mut pair_an: Vec<f32> = Vec::with_capacity(cand_idx.len());
+        let mut pair_b: Vec<&[f32]> = Vec::with_capacity(cand_idx.len());
+        let mut pair_bn: Vec<f32> = Vec::with_capacity(cand_idx.len());
+        for local in 0..row_count {
+            for &cand in &cand_idx[cand_offsets[local]..cand_offsets[local + 1]] {
+                pair_a.push(row_of(local));
+                pair_an.push(norms[local]);
+                pair_b.push(row_of(cand));
+                pair_bn.push(norms[cand]);
+            }
+        }
+        backend.score_pairs(&pair_a, &pair_an, &pair_b, &pair_bn, &mut scores);
+    }
+
+    // The sequential walk: carried replay, best-match selection over
+    // the precomputed scores, compact append. `rep_source[slot]` is the
+    // source row of compact slot `slot`.
+    let mut rep_source: Vec<usize> = Vec::new();
+    // Matched rows' deferred fidelity probes `(local, compact slot)`.
+    let mut fid_pairs: Vec<(usize, u32)> = Vec::new();
+    for local in 0..row_count {
+        dot_ops += width as u64; // the norm pass, or the carried probe slot
+        if let Some(slot) = carried_at(local) {
+            map.push_carried(slot);
+            carried += 1;
+            continue;
+        }
+
+        // Best-match selection in visit order: a strictly better score
+        // wins, a tie keeps the earlier candidate — exactly the
+        // streaming matcher's behaviour.
+        let probes = cand_offsets[local]..cand_offsets[local + 1];
+        let mut best: Option<(usize, f32)> = None;
+        for (&cand, &cos) in cand_idx[probes.clone()].iter().zip(&scores[probes]) {
+            comparisons += 1;
+            dot_ops += width as u64;
+            if cos >= cfg.threshold && best.is_none_or(|(_, b)| cos > b) {
+                best = Some((cand, cos));
+            }
+        }
+
+        match best {
+            Some((cand_local, _)) => {
+                let rep = map.representative(cand_local);
+                map.push_match(rep);
+                matches += 1;
+                fid_pairs.push((local, rep));
+            }
+            None => {
+                map.push_unique();
+                compact_rows.extend_from_slice(row_of(local));
+                rep_source.push(local);
+            }
+        }
+    }
+
+    // Deferred fidelity of the matched rows, one batched launch.
+    if !fid_pairs.is_empty() {
+        let src = |rep: u32| rep_source[rep as usize];
+        let pair_a: Vec<&[f32]> = fid_pairs.iter().map(|&(l, _)| row_of(l)).collect();
+        let pair_an: Vec<f32> = fid_pairs.iter().map(|&(l, _)| norms[l]).collect();
+        let pair_b: Vec<&[f32]> = fid_pairs.iter().map(|&(_, r)| row_of(src(r))).collect();
+        let pair_bn: Vec<f32> = fid_pairs.iter().map(|&(_, r)| norms[src(r)]).collect();
+        let mut fid = vec![0.0f32; fid_pairs.len()];
+        backend.score_pairs(&pair_a, &pair_an, &pair_b, &pair_bn, &mut fid);
+        for (&(l, _), &f) in fid_pairs.iter().zip(&fid) {
+            fidelity[l] = f;
+        }
+    }
+
+    let p = compact_rows.len() / width.max(1);
+    GatherResult {
+        compact: Matrix::from_vec(p, width, compact_rows),
+        map,
+        comparisons,
+        matches,
+        fidelity,
+        // Carried rows occupy a single probe slot; everything else
+        // pays the full block scan.
+        cycles: carried + (row_count as u64 - carried) * cfg.block.cells() as u64,
+        dot_ops,
+        carried,
+        avoided,
+    }
 }
 
-/// [`gather_tile`] over a pre-populated flat [`PositionLookup`]: the
-/// caller registers the tile's rows once per **m-tile** (the lookup is
-/// identical across that tile's column groups) instead of rebuilding a
-/// `HashMap` per `(m-tile, col-tile)` pair, and candidate probes become
-/// array reads instead of `Fhw` hashes.
-pub fn gather_tile_indexed(
-    acts: &Matrix,
-    row_start: usize,
-    row_count: usize,
-    col_range: Range<usize>,
-    positions: &[Option<Fhw>],
-    cfg: &GatherConfig,
-    lookup: &PositionLookup,
-) -> GatherResult {
-    assert!(
-        positions.len() >= row_start + row_count,
-        "positions too short"
-    );
-    gather_tile_core(
-        acts,
-        row_start,
-        row_count,
-        col_range,
-        cfg,
-        |local, visit| {
-            if let Some(p) = positions[row_start + local] {
-                for cand in candidate_positions(p, cfg.block) {
-                    if let Some(cand_local) = lookup.get(cand) {
-                        if cand_local < local {
-                            visit(cand_local);
-                        }
-                    }
-                }
-            }
-        },
-        None,
-        backend::active(),
-    )
-}
-
-/// Recycled scratch for the matrix-level gather sweep: the flat
-/// position lookup plus a **per-m-tile candidate plan**. The candidate
-/// set of every row depends only on positions — not on the column
-/// group — so the plan is resolved once per m-tile and each of the
-/// tile's column groups replays it as flat index reads, skipping the
-/// per-row neighbourhood enumeration (and its allocation) entirely.
+/// Recycled state of the production matrix gather: the flat position
+/// lookup, a **per-m-tile candidate plan**, the temporal carry mask and
+/// the row-major sweep's buffers. The candidate set of every row
+/// depends only on positions — not on the column group — so the plan is
+/// resolved once per m-tile and every column tile replays it.
 #[derive(Clone, Debug)]
 pub struct GatherScratch {
     lookup: PositionLookup,
     /// `offsets[local]..offsets[local+1]` indexes `cands`.
     offsets: Vec<u32>,
     cands: Vec<u32>,
-    /// The `(row_start, row_count)` the current plan was built for;
-    /// [`gather_tile_planned`] refuses a mismatching tile.
+    /// The `(row_start, row_count)` the current plan was built for; the
+    /// sweep refuses a mismatching tile.
     planned: Option<(usize, usize)>,
     /// Recycled per-m-tile temporal carry decisions (filled by
     /// [`TemporalCache::reconcile`](crate::sic::TemporalCache::reconcile)
     /// on temporal sweeps, untouched otherwise).
     pub carry: CarryMask,
+    sweep: Sweep,
+}
+
+/// Buffers of the row-major sweep, reused across calls. Per-segment
+/// arrays are indexed `local * col_tiles + ct` and only ever grow:
+/// every slot a sweep reads was written earlier in the same m-tile.
+#[derive(Clone, Debug, Default)]
+struct Sweep {
+    /// Segment norms (carried segments are never written or read).
+    norms: Vec<f32>,
+    /// Source row of each segment's representative in its column
+    /// tile's walk (the row itself when the segment is unique).
+    rep: Vec<u32>,
+    /// Per row: does any of its segments carry?
+    dirty: Vec<bool>,
+    /// Unique count `p` per column tile.
+    p: Vec<u32>,
+    /// The current row's fidelity per column tile.
+    fid: Vec<f32>,
+    /// The current row's probe scores, `candidate * col_tiles + ct`.
+    scores: Vec<f32>,
+    /// The current row's segments. Like the other pointer arrays it is
+    /// stored empty between calls (see [`recycle`]); only its
+    /// allocation persists.
+    row_segs: Vec<&'static [f32]>,
+    /// Launch operands: a candidate's segments, the compacted pairs of
+    /// launches that skip carried segments, and the deferred fidelity
+    /// pairs.
+    a: Vec<&'static [f32]>,
+    b: Vec<&'static [f32]>,
+    an: Vec<f32>,
+    bn: Vec<f32>,
+    out: Vec<f32>,
+    /// Column tile of each compacted pair.
+    cts: Vec<u32>,
+}
+
+/// Hands an emptied pointer array's allocation back to the scratch.
+/// The in-place `collect` reuses the buffer (same element layout), so
+/// steady-state sweeps never reallocate their launch operands.
+fn recycle(mut v: Vec<&[f32]>) -> Vec<&'static [f32]> {
+    v.clear();
+    v.into_iter()
+        .map(|_| -> &'static [f32] { unreachable!("the vector was cleared") })
+        .collect()
+}
+
+/// Grows `v` to at least `len` elements, leaving existing values.
+fn grow<T: Copy + Default>(v: &mut Vec<T>, len: usize) {
+    if v.len() < len {
+        v.resize(len, T::default());
+    }
+}
+
+/// Calls `launch` once per maximal run of equally wide segments: both
+/// backends take one width per launch, and a ragged last column tile is
+/// narrower than the others.
+fn width_runs(segs: &[&[f32]], mut launch: impl FnMut(Range<usize>)) {
+    let mut start = 0;
+    while start < segs.len() {
+        let w = segs[start].len();
+        let end = segs[start..]
+            .iter()
+            .position(|s| s.len() != w)
+            .map_or(segs.len(), |n| start + n);
+        launch(start..end);
+        start = end;
+    }
+}
+
+/// Scores the compacted pairs in `a`/`b` (width runs launched
+/// separately) into `out`.
+fn score_compacted(
+    backend: BackendHandle,
+    a: &[&[f32]],
+    an: &[f32],
+    b: &[&[f32]],
+    bn: &[f32],
+    out: &mut Vec<f32>,
+) {
+    out.clear();
+    out.resize(a.len(), 0.0);
+    width_runs(a, |run| {
+        backend.score_pairs(
+            &a[run.clone()],
+            &an[run.clone()],
+            &b[run.clone()],
+            &bn[run.clone()],
+            &mut out[run],
+        )
+    });
 }
 
 impl GatherScratch {
@@ -220,18 +393,19 @@ impl GatherScratch {
             cands: Vec::new(),
             planned: None,
             carry: CarryMask::new(),
+            sweep: Sweep::default(),
         }
     }
 
     /// Plans one m-tile: registers its rows and resolves every row's
-    /// in-tile candidate list, in exactly the order the streaming
-    /// sweep enumerates (block scan order, earlier rows only).
+    /// in-tile candidate list, in exactly the order the reference
+    /// enumerates (block scan order, earlier rows only).
     pub fn plan_tile(
         &mut self,
         positions: &[Option<Fhw>],
         row_start: usize,
         row_count: usize,
-        block: crate::config::BlockSize,
+        block: BlockSize,
     ) {
         assert!(
             positions.len() >= row_start + row_count,
@@ -268,349 +442,262 @@ impl GatherScratch {
         let hi = self.offsets[local + 1] as usize;
         &self.cands[lo..hi]
     }
-}
 
-/// [`gather_tile`] over a tile plan prepared by
-/// [`GatherScratch::plan_tile`]: the hot path of the measured phase.
-///
-/// # Panics
-///
-/// Panics if the scratch's current plan is not for exactly this
-/// `(row_start, row_count)` tile — replaying another tile's candidate
-/// lists would silently corrupt the gather statistics.
-pub fn gather_tile_planned(
-    acts: &Matrix,
-    row_start: usize,
-    row_count: usize,
-    col_range: Range<usize>,
-    cfg: &GatherConfig,
-    scratch: &GatherScratch,
-) -> GatherResult {
-    gather_tile_planned_on(
-        acts,
-        row_start,
-        row_count,
-        col_range,
-        cfg,
-        scratch,
-        backend::active(),
-    )
-}
+    /// Gathers the planned m-tile (rows `row_start .. row_start +
+    /// row_count`) across every column tile of `col_ranges` in **one
+    /// row-major pass**, folding the tile's counts into `stats` and
+    /// returning its avoided probes. With `temporal`, the current
+    /// [`GatherScratch::carry`] mask applies.
+    ///
+    /// Each column tile keeps its own best-match walk state: every
+    /// row's representative (as its source row) and the unique count
+    /// `p`. The walks are sequential over rows, so running all column
+    /// tiles inside the row loop takes exactly the decisions the
+    /// tile-by-tile [`gather_tile`] reference takes. Per row the sweep
+    /// launches one [`Backend::row_norms`] over the row's column
+    /// segments, then one [`Backend::score_pairs`] per planned candidate
+    /// over the two rows' segments; both rows' norms are contiguous
+    /// slices of the sweep's buffers. Launches split only where a
+    /// ragged last column tile changes the width. A row or candidate
+    /// with carried segments launches over its live segments only.
+    /// Matches whose representative is not the matched candidate itself
+    /// take one more fidelity launch per row. No compact copy or map is
+    /// built: `p` and the row count give `compressed_bytes` directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the current plan is not for exactly this tile.
+    ///
+    /// [`Backend::row_norms`]: focus_tensor::backend::Backend::row_norms
+    /// [`Backend::score_pairs`]: focus_tensor::backend::Backend::score_pairs
+    #[allow(clippy::too_many_arguments)] // the tile tuple + config, carry switch, backend, sink
+    pub(crate) fn sweep_tile(
+        &mut self,
+        acts: &Matrix,
+        row_start: usize,
+        row_count: usize,
+        col_ranges: &[Range<usize>],
+        cfg: &GatherConfig,
+        temporal: bool,
+        backend: BackendHandle,
+        stats: &mut MatrixGatherStats,
+    ) -> u64 {
+        assert_eq!(
+            self.planned,
+            Some((row_start, row_count)),
+            "scratch plan is for a different tile"
+        );
+        assert!(
+            row_start + row_count <= acts.rows(),
+            "row range out of bounds"
+        );
+        let cols = col_ranges.len();
+        let GatherScratch {
+            offsets,
+            cands,
+            carry,
+            sweep: sw,
+            ..
+        } = self;
 
-/// [`gather_tile_planned`] on an explicit kernel [`Backend`] — what the
-/// matrix-level sweep threads through from the pipeline config.
-///
-/// [`Backend`]: focus_tensor::backend::Backend
-pub fn gather_tile_planned_on(
-    acts: &Matrix,
-    row_start: usize,
-    row_count: usize,
-    col_range: Range<usize>,
-    cfg: &GatherConfig,
-    scratch: &GatherScratch,
-    backend: BackendHandle,
-) -> GatherResult {
-    assert_eq!(
-        scratch.planned,
-        Some((row_start, row_count)),
-        "scratch plan is for a different tile"
-    );
-    gather_tile_core(
-        acts,
-        row_start,
-        row_count,
-        col_range,
-        cfg,
-        |local, visit| {
-            for &cand in scratch.row_candidates(local) {
-                visit(cand as usize);
-            }
-        },
-        None,
-        backend,
-    )
-}
+        grow(&mut sw.norms, row_count * cols);
+        grow(&mut sw.rep, row_count * cols);
+        let mut dirty: Vec<bool> = std::mem::take(&mut sw.dirty);
+        dirty.clear();
+        sw.p.clear();
+        sw.p.resize(cols, 0);
+        sw.fid.clear();
+        sw.fid.resize(cols, 1.0);
+        let mut row_segs: Vec<&[f32]> = std::mem::take(&mut sw.row_segs);
+        let mut a: Vec<&[f32]> = std::mem::take(&mut sw.a);
+        let mut b: Vec<&[f32]> = std::mem::take(&mut sw.b);
 
-/// [`gather_tile_planned`] over the carry decisions a
-/// [`TemporalCache::reconcile`](crate::sic::TemporalCache::reconcile)
-/// pre-pass settled for this m-tile: a row marked carried at
-/// `col_tile` — its bytes proven a bit-exact replay of its anchored
-/// frame — takes no norm, no candidate scoring and no compact slot,
-/// and its planned comparisons are counted as avoided. Everything
-/// else runs the exact per-frame path (same bits as
-/// [`gather_tile_planned`], except that carried rows drop out of the
-/// candidate pool). The gather itself never touches the cache: all
-/// proof-checking happened in the reconcile pass.
-///
-/// # Panics
-///
-/// Panics if the scratch plan is not for exactly this tile.
-#[allow(clippy::too_many_arguments)] // mirrors gather_tile_planned + the carry pair
-pub fn gather_tile_planned_temporal(
-    acts: &Matrix,
-    row_start: usize,
-    row_count: usize,
-    col_range: Range<usize>,
-    cfg: &GatherConfig,
-    scratch: &GatherScratch,
-    mask: &CarryMask,
-    col_tile: usize,
-) -> GatherResult {
-    gather_tile_planned_temporal_on(
-        acts,
-        row_start,
-        row_count,
-        col_range,
-        cfg,
-        scratch,
-        mask,
-        col_tile,
-        backend::active(),
-    )
-}
-
-/// [`gather_tile_planned_temporal`] on an explicit kernel [`Backend`].
-///
-/// [`Backend`]: focus_tensor::backend::Backend
-#[allow(clippy::too_many_arguments)] // mirrors gather_tile_planned + the carry pair
-pub fn gather_tile_planned_temporal_on(
-    acts: &Matrix,
-    row_start: usize,
-    row_count: usize,
-    col_range: Range<usize>,
-    cfg: &GatherConfig,
-    scratch: &GatherScratch,
-    mask: &CarryMask,
-    col_tile: usize,
-    backend: BackendHandle,
-) -> GatherResult {
-    assert_eq!(
-        scratch.planned,
-        Some((row_start, row_count)),
-        "scratch plan is for a different tile"
-    );
-    gather_tile_core(
-        acts,
-        row_start,
-        row_count,
-        col_range,
-        cfg,
-        |local, visit| {
-            for &cand in scratch.row_candidates(local) {
-                visit(cand as usize);
-            }
-        },
-        Some((mask, col_tile)),
-        backend,
-    )
-}
-
-/// The tile sweep itself. `cands_for(local, visit)` must call `visit`
-/// with the tile-local indices of `local`'s candidates, in block scan
-/// order, earlier rows only — the contract every caller above
-/// discharges identically.
-///
-/// All numeric work — norms, candidate scoring, fidelity — dispatches
-/// through `backend`; this function only owns the control flow. Carry
-/// decisions are mask-driven (settled in the temporal reconcile
-/// pre-pass, never by scores), so the whole tile's norms and candidate
-/// probes are known up front: the sweep launches **one**
-/// [`Backend::row_norms`](focus_tensor::backend::Backend::row_norms)
-/// over every live row and **one**
-/// [`Backend::score_pairs`](focus_tensor::backend::Backend::score_pairs)
-/// over every `(row, candidate)` probe (the SIMD backend runs eight
-/// rows/pairs per pass), then the sequential best-match walk just reads
-/// the precomputed scores — comparison counts and tie-breaking are
-/// identical to the historical one-candidate-at-a-time loop. Matched
-/// rows' fidelity is a second batched launch after the walk, scored
-/// against each representative's *source* row (byte-identical to the
-/// compact copy, so the bits cannot differ).
-#[allow(clippy::too_many_arguments)] // the tile tuple + plan/carry context + backend
-fn gather_tile_core(
-    acts: &Matrix,
-    row_start: usize,
-    row_count: usize,
-    col_range: Range<usize>,
-    cfg: &GatherConfig,
-    mut cands_for: impl FnMut(usize, &mut dyn FnMut(usize)),
-    temporal: Option<(&CarryMask, usize)>,
-    backend: BackendHandle,
-) -> GatherResult {
-    assert!(
-        row_start + row_count <= acts.rows(),
-        "row range out of bounds"
-    );
-    assert!(col_range.end <= acts.cols(), "column range out of bounds");
-
-    let width = col_range.len();
-    let row_of = |local: usize| -> &[f32] { &acts.row(row_start + local)[col_range.clone()] };
-    let carried_at = |local: usize| -> Option<u32> {
-        temporal.and_then(|(mask, col_tile)| mask.carried(local, col_tile))
-    };
-
-    let mut map = SimilarityMap::with_capacity(row_count);
-    let mut compact_rows: Vec<f32> = Vec::new();
-    let mut fidelity = vec![1.0f32; row_count];
-    let mut comparisons: u64 = 0;
-    let mut matches: u64 = 0;
-    let mut dot_ops: u64 = 0;
-    let mut carried: u64 = 0;
-    // In-frame comparisons avoided through the temporal cache: the
-    // planned candidates of carried rows, plus probes that would have
-    // targeted a carried (hence compact-less) candidate.
-    let mut avoided: u64 = 0;
-
-    // Pre-pass 1: batched norms of every live (non-carried) row.
-    // Carried rows keep a 0.0 sentinel (they are never candidates, so
-    // their slot is never read).
-    let mut norms = vec![0.0f32; row_count];
-    let live: Vec<u32> = (0..row_count as u32)
-        .filter(|&l| carried_at(l as usize).is_none())
-        .collect();
-    let live_rows: Vec<&[f32]> = live.iter().map(|&l| row_of(l as usize)).collect();
-    let mut live_norms = vec![0.0f32; live.len()];
-    backend.row_norms(&live_rows, &mut live_norms);
-    for (&l, &n) in live.iter().zip(&live_norms) {
-        norms[l as usize] = n;
-    }
-
-    // Pre-pass 2: resolve every row's live candidate probes
-    // (`cand_offsets[local]..cand_offsets[local+1]` indexes `cand_idx`)
-    // and score them all in one batched launch. A probe is live iff
-    // neither endpoint is carried; dead probes count as avoided exactly
-    // where the one-row-at-a-time walk counted them.
-    let mut cand_offsets: Vec<u32> = Vec::with_capacity(row_count + 1);
-    let mut cand_idx: Vec<u32> = Vec::new();
-    cand_offsets.push(0);
-    for local in 0..row_count {
-        if carried_at(local).is_some() {
-            cands_for(local, &mut |_| avoided += 1);
-        } else {
-            cands_for(local, &mut |cand_local| {
-                if carried_at(cand_local).is_some() {
-                    avoided += 1;
-                } else {
-                    cand_idx.push(cand_local as u32);
-                }
-            });
-        }
-        cand_offsets.push(cand_idx.len() as u32);
-    }
-    let mut scores = vec![0.0f32; cand_idx.len()];
-    {
-        let mut pair_a: Vec<&[f32]> = Vec::with_capacity(cand_idx.len());
-        let mut pair_an: Vec<f32> = Vec::with_capacity(cand_idx.len());
-        let mut pair_b: Vec<&[f32]> = Vec::with_capacity(cand_idx.len());
-        let mut pair_bn: Vec<f32> = Vec::with_capacity(cand_idx.len());
+        let (mut comparisons, mut matches, mut carried, mut avoided, mut dot_ops) =
+            (0u64, 0u64, 0u64, 0u64, 0u64);
         for local in 0..row_count {
-            let probes = cand_offsets[local] as usize..cand_offsets[local + 1] as usize;
-            for &cand in &cand_idx[probes] {
-                pair_a.push(row_of(local));
-                pair_an.push(norms[local]);
-                pair_b.push(row_of(cand as usize));
-                pair_bn.push(norms[cand as usize]);
+            let row = acts.row(row_start + local);
+            let row_cands = &cands[offsets[local] as usize..offsets[local + 1] as usize];
+            let seg = local * cols;
+            row_segs.clear();
+            row_segs.extend(col_ranges.iter().map(|range| &row[range.clone()]));
+            dirty.push(temporal && (0..cols).any(|ct| carry.is_carried(local, ct)));
+            // Only rows with a carried segment consult the mask.
+            let carried_at = |r: usize, ct: usize| dirty[r] && carry.is_carried(r, ct);
+            let row_dirty = dirty[local];
+
+            // Norms of the row's live segments.
+            if row_dirty {
+                a.clear();
+                a.extend(
+                    (0..cols)
+                        .filter(|&ct| !carried_at(local, ct))
+                        .map(|ct| row_segs[ct]),
+                );
+                sw.out.clear();
+                sw.out.resize(a.len(), 0.0);
+                width_runs(&a, |run| {
+                    backend.row_norms(&a[run.clone()], &mut sw.out[run])
+                });
+                let live = (0..cols).filter(|&ct| !carried_at(local, ct));
+                for (ct, &n) in live.zip(&sw.out) {
+                    sw.norms[seg + ct] = n;
+                }
+            } else {
+                let norms = &mut sw.norms[seg..seg + cols];
+                width_runs(&row_segs, |run| {
+                    backend.row_norms(&row_segs[run.clone()], &mut norms[run])
+                });
+            }
+
+            // One launch per planned candidate over both rows' live
+            // segments.
+            grow(&mut sw.scores, row_cands.len() * cols);
+            for (j, &cand) in row_cands.iter().enumerate() {
+                let cand = cand as usize;
+                let cand_row = acts.row(row_start + cand);
+                let cseg = cand * cols;
+                let scores = &mut sw.scores[j * cols..(j + 1) * cols];
+                a.clear();
+                b.clear();
+                if !row_dirty && !dirty[cand] {
+                    b.extend(col_ranges.iter().map(|range| &cand_row[range.clone()]));
+                    let (an, bn) = (&sw.norms[seg..seg + cols], &sw.norms[cseg..cseg + cols]);
+                    width_runs(&row_segs, |run| {
+                        backend.score_pairs(
+                            &row_segs[run.clone()],
+                            &an[run.clone()],
+                            &b[run.clone()],
+                            &bn[run.clone()],
+                            &mut scores[run],
+                        )
+                    });
+                    continue;
+                }
+                sw.an.clear();
+                sw.bn.clear();
+                sw.cts.clear();
+                for ct in (0..cols).filter(|&ct| !carried_at(local, ct) && !carried_at(cand, ct)) {
+                    a.push(row_segs[ct]);
+                    sw.an.push(sw.norms[seg + ct]);
+                    b.push(&cand_row[col_ranges[ct].clone()]);
+                    sw.bn.push(sw.norms[cseg + ct]);
+                    sw.cts.push(ct as u32);
+                }
+                score_compacted(backend, &a, &sw.an, &b, &sw.bn, &mut sw.out);
+                for (&ct, &s) in sw.cts.iter().zip(&sw.out) {
+                    scores[ct as usize] = s;
+                }
+            }
+
+            // The per-column-tile best-match walks; matches against a
+            // representative other than the candidate queue a
+            // fidelity pair.
+            a.clear();
+            b.clear();
+            sw.an.clear();
+            sw.bn.clear();
+            sw.cts.clear();
+            for (ct, range) in col_ranges.iter().enumerate() {
+                let width = range.len() as u64;
+                dot_ops += width; // the norm pass, or the carried probe slot
+                if carried_at(local, ct) {
+                    carried += 1;
+                    avoided += row_cands.len() as u64;
+                    sw.fid[ct] = 1.0;
+                    continue;
+                }
+                let mut best: Option<(usize, f32)> = None;
+                for (j, &cand) in row_cands.iter().enumerate() {
+                    let cand = cand as usize;
+                    if carried_at(cand, ct) {
+                        avoided += 1;
+                        continue;
+                    }
+                    let cos = sw.scores[j * cols + ct];
+                    comparisons += 1;
+                    dot_ops += width;
+                    if cos >= cfg.threshold && best.is_none_or(|(_, b)| cos > b) {
+                        best = Some((cand, cos));
+                    }
+                }
+                match best {
+                    Some((cand, cos)) => {
+                        let src = sw.rep[cand * cols + ct];
+                        sw.rep[seg + ct] = src;
+                        matches += 1;
+                        let src = src as usize;
+                        if src == cand {
+                            // The probe already scored this exact pair.
+                            sw.fid[ct] = cos;
+                        } else {
+                            a.push(row_segs[ct]);
+                            sw.an.push(sw.norms[seg + ct]);
+                            b.push(&acts.row(row_start + src)[range.clone()]);
+                            sw.bn.push(sw.norms[src * cols + ct]);
+                            sw.cts.push(ct as u32);
+                        }
+                    }
+                    None => {
+                        sw.rep[seg + ct] = local as u32;
+                        sw.p[ct] += 1;
+                        sw.fid[ct] = 1.0;
+                    }
+                }
+            }
+            score_compacted(backend, &a, &sw.an, &b, &sw.bn, &mut sw.out);
+            for (&ct, &f) in sw.cts.iter().zip(&sw.out) {
+                sw.fid[ct as usize] = f;
+            }
+            // Column-tile order, as the tile-by-tile reference adds.
+            let fidelity = &mut stats.row_fidelity[row_start + local];
+            for &f in &sw.fid {
+                *fidelity += f / cols as f32;
             }
         }
-        backend.score_pairs(&pair_a, &pair_an, &pair_b, &pair_bn, &mut scores);
-    }
+        sw.dirty = dirty;
+        sw.row_segs = recycle(row_segs);
+        sw.a = recycle(a);
+        sw.b = recycle(b);
 
-    // The sequential walk: carried replay, best-match selection over
-    // the precomputed scores, compact append — byte-identical control
-    // flow to the historical loop.
-    //
-    // Compact slot → source row: a compact row is byte-identical to
-    // its source row, so its (deterministic) norm is too — scoring
-    // fidelity against the source row spares the matcher a re-norm
-    // pass per matched row without moving a single bit.
-    let mut rep_source: Vec<u32> = Vec::new();
-    // Matched rows' deferred fidelity probes `(local, compact slot)`.
-    let mut fid_pairs: Vec<(u32, u32)> = Vec::new();
-    for local in 0..row_count {
-        if let Some(slot) = carried_at(local) {
-            // Proven bit-exact replay of the anchored frame: fidelity
-            // is exactly 1.0 and only the reconcile pass's proof check
-            // was paid (no byte compare ever ran).
-            map.push_carried(slot);
-            carried += 1;
-            dot_ops += width as u64;
-            continue;
+        for (range, &p) in col_ranges.iter().zip(&sw.p) {
+            stats.tile_p.push(p as usize);
+            stats.unique_vectors += p as u64;
+            stats.dense_bytes += (row_count * range.len() * 2) as u64;
+            // Compact vectors (FP16) + a 2-byte map entry per row.
+            stats.compressed_bytes += (p as usize * range.len() * 2 + row_count * 2) as u64;
         }
-        dot_ops += width as u64; // the norm's squared-sum pass
-
-        // Best-match selection in visit order: a strictly better score
-        // wins, a tie keeps the earlier candidate — exactly the
-        // streaming matcher's behaviour.
-        let probes = cand_offsets[local] as usize..cand_offsets[local + 1] as usize;
-        let mut best: Option<(usize, f32)> = None;
-        for (&cand, &cos) in cand_idx[probes.clone()].iter().zip(&scores[probes]) {
-            comparisons += 1;
-            dot_ops += width as u64;
-            if cos >= cfg.threshold && best.is_none_or(|(_, b)| cos > b) {
-                best = Some((cand as usize, cos));
-            }
-        }
-
-        match best {
-            Some((cand_local, _)) => {
-                let rep = map.representative(cand_local);
-                map.push_match(rep);
-                matches += 1;
-                fid_pairs.push((local as u32, rep));
-            }
-            None => {
-                map.push_unique();
-                compact_rows.extend_from_slice(row_of(local));
-                rep_source.push(local as u32);
-            }
-        }
-    }
-
-    // Deferred fidelity of the matched rows, one batched launch:
-    // cosine against the representative actually stored (via its
-    // byte-identical source row and that row's norm).
-    if !fid_pairs.is_empty() {
-        let pair_a: Vec<&[f32]> = fid_pairs.iter().map(|&(l, _)| row_of(l as usize)).collect();
-        let pair_an: Vec<f32> = fid_pairs.iter().map(|&(l, _)| norms[l as usize]).collect();
-        let pair_b: Vec<&[f32]> = fid_pairs
-            .iter()
-            .map(|&(_, rep)| row_of(rep_source[rep as usize] as usize))
-            .collect();
-        let pair_bn: Vec<f32> = fid_pairs
-            .iter()
-            .map(|&(_, rep)| norms[rep_source[rep as usize] as usize])
-            .collect();
-        let mut fid = vec![0.0f32; fid_pairs.len()];
-        backend.score_pairs(&pair_a, &pair_an, &pair_b, &pair_bn, &mut fid);
-        for (&(l, _), &f) in fid_pairs.iter().zip(&fid) {
-            fidelity[l as usize] = f;
-        }
-    }
-
-    let p = compact_rows.len() / width.max(1);
-    GatherResult {
-        compact: Matrix::from_vec(p, width, compact_rows),
-        map,
-        comparisons,
-        matches,
-        fidelity,
-        // Carried rows occupy a single probe slot; everything else
-        // pays the full block scan.
-        cycles: carried + (row_count as u64 - carried) * cfg.block.cells() as u64,
-        dot_ops,
-        carried,
-        avoided,
+        let segments = (row_count * cols) as u64;
+        stats.total_vectors += segments;
+        stats.comparisons += comparisons;
+        stats.matches += matches;
+        stats.carried += carried;
+        stats.dot_ops += dot_ops;
+        stats.matcher_cycles += carried + (segments - carried) * cfg.block.cells() as u64;
+        avoided
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use focus_tensor::backend;
 
     fn cfg() -> GatherConfig {
         GatherConfig {
             threshold: 0.9,
             block: BlockSize::DEFAULT,
         }
+    }
+
+    /// The reference gather over the default backend, no carry.
+    fn tile(
+        acts: &Matrix,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        positions: &[Option<Fhw>],
+        cfg: &GatherConfig,
+    ) -> GatherResult {
+        gather_tile(acts, rows, cols, positions, cfg, None, backend::active())
     }
 
     /// Tokens laid out on a 1-frame 2×2 grid; rows 0..4 in scan order.
@@ -631,7 +718,7 @@ mod tests {
             vec![0.0, 1.0, 0.0, 0.0],
             vec![1.0, 0.0, 0.0, 0.0],
         ]);
-        let r = gather_tile(&acts, 0, 4, 0..4, &positions_2x2(), &cfg());
+        let r = tile(&acts, 0..4, 0..4, &positions_2x2(), &cfg());
         assert_eq!(r.p(), 2);
         assert_eq!(r.matches, 2);
         // Rows 1 and 3 map to row 0's compact slot.
@@ -643,7 +730,7 @@ mod tests {
     #[test]
     fn dissimilar_rows_stay_unique() {
         let acts = Matrix::identity(4);
-        let r = gather_tile(&acts, 0, 4, 0..4, &positions_2x2(), &cfg());
+        let r = tile(&acts, 0..4, 0..4, &positions_2x2(), &cfg());
         assert_eq!(r.p(), 4);
         assert_eq!(r.matches, 0);
         assert!(r.comparisons > 0);
@@ -653,10 +740,9 @@ mod tests {
     fn text_rows_never_match() {
         let acts = Matrix::from_rows(&[vec![1.0, 0.0], vec![1.0, 0.0]]);
         let positions = vec![Some(Fhw { f: 0, r: 0, c: 0 }), None];
-        let r = gather_tile(
+        let r = tile(
             &acts,
-            0,
-            2,
+            0..2,
             0..2,
             &positions,
             &GatherConfig {
@@ -673,7 +759,7 @@ mod tests {
         // compact slot (chained reuse, Fig. 6 ④).
         let v = vec![1.0, 1.0, 0.0, 0.0];
         let acts = Matrix::from_rows(&[v.clone(), v.clone(), vec![0.0, 0.0, 5.0, 0.0], v]);
-        let r = gather_tile(&acts, 0, 4, 0..4, &positions_2x2(), &cfg());
+        let r = tile(&acts, 0..4, 0..4, &positions_2x2(), &cfg());
         assert_eq!(r.p(), 2);
         assert_eq!(r.map.representative(3), 0);
     }
@@ -684,7 +770,7 @@ mod tests {
         // in tile 0, so nothing matches even though values repeat.
         let v = vec![2.0, 0.0];
         let acts = Matrix::from_rows(&[v.clone(), v.clone(), v.clone(), v]);
-        let r = gather_tile(&acts, 2, 2, 0..2, &positions_2x2(), &cfg());
+        let r = tile(&acts, 2..4, 0..2, &positions_2x2(), &cfg());
         // Row 2's only block candidate (0,0) lives in tile 0 → unique;
         // row 3 matches row 2 inside the tile → one compact vector.
         assert_eq!(r.matches, 1);
@@ -701,12 +787,11 @@ mod tests {
             Some(Fhw { f: 0, r: 0, c: 0 }),
             Some(Fhw { f: 0, r: 0, c: 1 }),
         ];
-        let strict = gather_tile(&acts, 0, 2, 0..2, &positions, &cfg());
+        let strict = tile(&acts, 0..2, 0..2, &positions, &cfg());
         assert_eq!(strict.matches, 0);
-        let loose = gather_tile(
+        let loose = tile(
             &acts,
-            0,
-            2,
+            0..2,
             0..2,
             &positions,
             &GatherConfig {
@@ -730,12 +815,14 @@ mod tests {
                 })
             })
             .collect();
-        let r = gather_tile(&acts, 0, 16, 0..8, &positions, &cfg());
+        let r = tile(&acts, 0..16, 0..8, &positions, &cfg());
         assert_eq!(r.cycles, 8 * 16);
     }
 
     #[test]
     fn indexed_lookup_path_is_bit_identical() {
+        // The flat-lookup plan the production sweep replays resolves
+        // exactly the reference's HashMap candidates, in the same order.
         use crate::sic::layout::ConvLayouter;
         let layouter = ConvLayouter::new(4, 4);
         let positions: Vec<Option<Fhw>> = (0..32)
@@ -748,34 +835,24 @@ mod tests {
                 }
             })
             .collect();
-        let acts = Matrix::from_fn(32, 16, |r, c| ((r / 2 + c) as f32).sin());
-        let mut lookup = PositionLookup::new(&layouter);
+        let mut scratch = GatherScratch::new(&layouter);
         for (row_start, row_count) in [(0usize, 16usize), (16, 16), (8, 8)] {
-            lookup.begin_tile();
+            scratch.plan_tile(&positions, row_start, row_count, BlockSize::DEFAULT);
+            let mut pos_to_row = HashMap::new();
             for local in 0..row_count {
                 if let Some(p) = positions[row_start + local] {
-                    lookup.insert(p, local);
+                    pos_to_row.insert(p, local);
                 }
             }
-            for col_range in [0..16, 0..8, 8..16] {
-                let reference = gather_tile(
-                    &acts,
-                    row_start,
-                    row_count,
-                    col_range.clone(),
-                    &positions,
-                    &cfg(),
-                );
-                let indexed = gather_tile_indexed(
-                    &acts,
-                    row_start,
-                    row_count,
-                    col_range,
-                    &positions,
-                    &cfg(),
-                    &lookup,
-                );
-                assert_eq!(indexed, reference);
+            for local in 0..row_count {
+                let expect: Vec<u32> = positions[row_start + local]
+                    .into_iter()
+                    .flat_map(|p| candidate_positions(p, BlockSize::DEFAULT))
+                    .filter_map(|cand| pos_to_row.get(&cand).copied())
+                    .filter(|&cand_local| cand_local < local)
+                    .map(|cand_local| cand_local as u32)
+                    .collect();
+                assert_eq!(scratch.row_candidates(local), &expect[..], "row {local}");
             }
         }
     }
@@ -787,8 +864,20 @@ mod tests {
             Some(Fhw { f: 0, r: 0, c: 0 }),
             Some(Fhw { f: 0, r: 0, c: 1 }),
         ];
-        let r = gather_tile(&acts, 0, 2, 0..2, &positions, &cfg());
+        let r = tile(&acts, 0..2, 0..2, &positions, &cfg());
         // 1 unique vector × 2 elems × 2 B + 2 map entries × 2 B.
         assert_eq!(r.compressed_bytes(), 4 + 4);
+    }
+
+    #[test]
+    fn width_runs_split_only_where_the_width_changes() {
+        let (wide, narrow) = ([0.0f32; 4], [0.0f32; 2]);
+        let segs: Vec<&[f32]> = vec![&wide, &wide, &narrow, &wide];
+        let mut runs = Vec::new();
+        width_runs(&segs, |run| runs.push(run));
+        assert_eq!(runs, vec![0..2, 2..3, 3..4]);
+        runs.clear();
+        width_runs(&[], |run| runs.push(run));
+        assert!(runs.is_empty(), "no launch for an empty list");
     }
 }

@@ -93,7 +93,7 @@ mod tests {
             threshold: 0.9,
             block: BlockSize::DEFAULT,
         };
-        let g = gather_tile(&acts, 0, 4, 0..4, &positions, &cfg);
+        let g = gather_tile(&acts, 0..4, 0..4, &positions, &cfg, None, backend::active());
         assert_eq!(g.p(), 1);
         let rebuilt = scatter(&g.compact, &g.map);
         assert_eq!(rebuilt, acts);
@@ -122,7 +122,7 @@ mod tests {
             threshold: 0.9,
             block: BlockSize::DEFAULT,
         };
-        let g = gather_tile(&acts, 0, 4, 0..4, &positions, &cfg);
+        let g = gather_tile(&acts, 0..4, 0..4, &positions, &cfg, None, backend::active());
         let rebuilt = scatter(&g.compact, &g.map);
         for i in 0..4 {
             let cos = focus_tensor::ops::cosine_similarity(rebuilt.row(i), acts.row(i));

@@ -194,6 +194,32 @@ impl CarryMask {
         self.carried.resize(rows * col_tiles, false);
     }
 
+    /// A mask over `rows × col_tiles` carrying exactly the `(row,
+    /// col_tile)` pairs `carried` selects; every row's cache slot is its
+    /// row index.
+    #[cfg(test)]
+    pub(crate) fn from_fn(
+        rows: usize,
+        col_tiles: usize,
+        mut carried: impl FnMut(usize, usize) -> bool,
+    ) -> Self {
+        let mut mask = CarryMask::new();
+        mask.reset(rows, col_tiles);
+        for row in 0..rows {
+            mask.slots[row] = row as u32;
+            for ct in 0..col_tiles {
+                mask.carried[row * col_tiles + ct] = carried(row, ct);
+            }
+        }
+        mask
+    }
+
+    /// Whether tile-local `row` is carried at `col_tile`.
+    #[inline]
+    pub(crate) fn is_carried(&self, row: usize, col_tile: usize) -> bool {
+        self.carried[row * self.col_tiles + col_tile]
+    }
+
     /// The carried slot of tile-local `row` at `col_tile`, or `None`
     /// when the row must take the normal gather path there.
     #[inline]

@@ -6,7 +6,7 @@ use focus_core::sec::{ImportanceAnalyzer, OffsetEncoding, SelectionPolicy};
 use focus_core::sic::block::candidate_positions;
 use focus_core::sic::{gather_tile, ConvLayouter, Fhw, GatherConfig};
 use focus_core::BlockSize;
-use focus_tensor::Matrix;
+use focus_tensor::{backend, Matrix};
 use proptest::prelude::*;
 
 proptest! {
@@ -58,7 +58,7 @@ proptest! {
     ) {
         let block = BlockSize { f: bf, h: bh, w: bw };
         let key = Fhw { f, r, c };
-        let cands = candidate_positions(key, block);
+        let cands: Vec<Fhw> = candidate_positions(key, block).collect();
         prop_assert!(cands.len() < block.cells());
         for cand in cands {
             prop_assert!((cand.f, cand.r, cand.c) < (key.f, key.r, key.c));
@@ -79,7 +79,7 @@ proptest! {
             .map(|t| Some(Fhw { f: t / (grid * grid), r: (t / grid) % grid, c: t % grid }))
             .collect();
         let cfg = GatherConfig { threshold: 0.9, block: BlockSize::DEFAULT };
-        let g = gather_tile(&acts, 0, rows, 0..width, &positions, &cfg);
+        let g = gather_tile(&acts, 0..rows, 0..width, &positions, &cfg, None, backend::active());
         prop_assert_eq!(g.p() + g.matches as usize, rows);
         prop_assert_eq!(g.compact.cols(), width);
         prop_assert_eq!(g.map.len(), rows);

@@ -5,7 +5,7 @@ use focus::core::sec::{OffsetEncoding, TopKSorter};
 use focus::core::sic::{gather_tile, scatter, ConvLayouter, Fhw, GatherConfig};
 use focus::core::BlockSize;
 use focus::tensor::ops::top_k_indices;
-use focus::tensor::{half::round_to_f16, Matrix};
+use focus::tensor::{backend, half::round_to_f16, Matrix};
 use proptest::prelude::*;
 
 proptest! {
@@ -85,7 +85,7 @@ proptest! {
             .map(|t| Some(Fhw { f: t / (grid * grid), r: (t / grid) % grid, c: t % grid }))
             .collect();
         let cfg = GatherConfig { threshold: 0.9, block: BlockSize::DEFAULT };
-        let g = gather_tile(&acts, 0, rows, 0..width, &positions, &cfg);
+        let g = gather_tile(&acts, 0..rows, 0..width, &positions, &cfg, None, backend::active());
         // Map validity: every representative exists in the compact buffer.
         for i in 0..rows {
             prop_assert!((g.map.representative(i) as usize) < g.p());
@@ -118,7 +118,7 @@ proptest! {
         let mut prev_matches = 0;
         for &threshold in &[0.99f32, 0.95, 0.9, 0.8, 0.6] {
             let cfg = GatherConfig { threshold, block: BlockSize::DEFAULT };
-            let g = gather_tile(&acts, 0, rows, 0..width, &positions, &cfg);
+            let g = gather_tile(&acts, 0..rows, 0..width, &positions, &cfg, None, backend::active());
             prop_assert!(g.matches >= prev_matches, "threshold {}", threshold);
             prev_matches = g.matches;
         }
