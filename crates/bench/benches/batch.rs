@@ -1,17 +1,14 @@
-//! Measured-phase throughput: the pre-PR serial-resynthesis baseline
-//! vs the reworked execution engine, plus the original serial-vs-
+//! Measured-phase throughput: the single-threaded reference schedule
+//! vs the production task-graph schedule, plus the sequential-vs-
 //! `BatchRunner` comparison.
 //!
 //! * `batch/serial_*` vs `batch/runner_*` — workload-level batching on
-//!   a batch of tiny workloads (PR 1's win).
-//! * `measured/serial_resynthesis_fig09_grid` — the old measured
-//!   phase: serial stage sweep, a fresh `activation_synthesizer()` and
-//!   per-tile `HashMap` per gather call, one `Engine::new` per result
-//!   after the fact.
-//! * `measured/pipelined_batched_fig09_grid` — the PR 2 phase:
-//!   recycled stage workspaces, flat gather lookups, SEC of layer l+1
-//!   overlapped with the gathers of layer l, and one shared engine
-//!   inside the parallel batch.
+//!   a batch of tiny workloads: one `FocusPipeline::run` after another
+//!   vs one `BatchRunner::run` burst, both on the graph schedule.
+//! * `measured/serial_resynthesis_fig09_grid` — the reference
+//!   schedule: a plain loop of `ExecMode::Serial` runs (serial stage
+//!   sweep, a fresh `activation_synthesizer()` and per-tile `HashMap`
+//!   per gather call) with one `Engine::new` per result.
 //! * `measured/graph_batched_fig09_grid` — the task-graph schedule:
 //!   every workload's `Sec`/`Synth`/`Gather`/`Fold`/`Lower` nodes on
 //!   **one** work-stealing scheduler (depth 2), stages interleaving
@@ -90,43 +87,32 @@ fn fig09_grid_workloads() -> Vec<Workload> {
         .collect()
 }
 
-/// The pre-PR measured phase, faithfully: workloads batched across
-/// cores (run_many existed before this PR) and the four gathers of a
-/// layer concurrent, but every gather call resynthesises from scratch
-/// (`ExecMode::Serial`), layers are barriers, and the cycle engine is
-/// rebuilt and run **serially per result** after the batch — exactly
-/// the `run_focus_many`/`focus_outcome` shape PR 2 replaced.
+/// The reference schedule: one `ExecMode::Serial` run after another
+/// on the calling thread (every gather call resynthesises from
+/// scratch, layers are barriers), the cycle engine rebuilt and run per
+/// result.
 fn serial_resynthesis(wls: &[Workload]) -> Vec<(PipelineResult, SimReport)> {
-    let runner = BatchRunner::new(
-        FocusPipeline::paper().with_exec_mode(ExecMode::Serial),
-        ArchConfig::focus(),
-    );
-    runner
-        .run_many(wls)
-        .into_iter()
-        .map(|r| {
+    let pipeline = FocusPipeline::paper().with_exec_mode(ExecMode::Serial);
+    wls.iter()
+        .map(|wl| {
+            let r = pipeline.run(wl, &ArchConfig::focus());
             let rep = Engine::new(ArchConfig::focus()).run(&r.work_items);
             (r, rep)
         })
         .collect()
 }
 
-/// The PR 2 measured phase: pipelined executor over recycled
-/// workspaces, one shared engine inside the parallel batch.
-fn pipelined_batched(runner: &BatchRunner, wls: &[Workload]) -> Vec<(PipelineResult, SimReport)> {
-    runner.run_many_sim(wls)
-}
-
-/// The task-graph measured phase: all workloads submitted as one
-/// burst into the shared `FocusService`, cross-request interleaving
-/// included.
-fn graph_runner() -> BatchRunner {
-    BatchRunner::new(
-        FocusPipeline::paper().with_exec_mode(ExecMode::Graph {
-            depth: ExecMode::DEFAULT_GRAPH_DEPTH,
-        }),
-        ArchConfig::focus(),
-    )
+/// One graph-schedule job per workload on the Focus architecture. The
+/// pipeline picks up the kernel backend active when this is called
+/// (the `Timed` wrapper while span recording is on).
+fn grid_jobs(wls: &[Workload]) -> Vec<BatchJob> {
+    wls.iter()
+        .map(|wl| BatchJob {
+            pipeline: FocusPipeline::paper(),
+            workload: wl.clone(),
+            arch: ArchConfig::focus(),
+        })
+        .collect()
 }
 
 /// Arrival gap between staggered submissions: small against the ~100ms
@@ -148,9 +134,7 @@ fn staggered_service(wls: &[Workload]) -> Vec<(PipelineResult, SimReport)> {
         .map(|(i, wl)| {
             std::thread::sleep(STAGGER);
             let job = BatchJob {
-                pipeline: FocusPipeline::paper().with_exec_mode(ExecMode::Graph {
-                    depth: ExecMode::DEFAULT_GRAPH_DEPTH,
-                }),
+                pipeline: FocusPipeline::paper(),
                 workload: wl.clone(),
                 arch: ArchConfig::focus(),
             };
@@ -196,9 +180,7 @@ fn stream_frame_workloads() -> Vec<Workload> {
 fn stream_session(wls: &[Workload]) -> Vec<PipelineResult> {
     let mut session = StreamSession::open(
         FocusService::global(),
-        FocusPipeline::paper().with_exec_mode(ExecMode::Graph {
-            depth: ExecMode::DEFAULT_GRAPH_DEPTH,
-        }),
+        FocusPipeline::paper(),
         ArchConfig::focus(),
         StreamConfig {
             window: STREAM_WINDOW,
@@ -244,9 +226,7 @@ fn temporal_session(
 ) -> (Vec<PipelineResult>, SessionStats) {
     let mut session = StreamSession::open(
         FocusService::global(),
-        FocusPipeline::paper().with_exec_mode(ExecMode::Graph {
-            depth: ExecMode::DEFAULT_GRAPH_DEPTH,
-        }),
+        FocusPipeline::paper(),
         ArchConfig::focus(),
         StreamConfig {
             window: 1,
@@ -268,8 +248,8 @@ fn temporal_session(
 /// pair whose gathers actually run, captured once so the synthesis
 /// bench replays exactly the `Synth` node inputs of the grid.
 fn measured_walk(wl: &Workload) -> Vec<(usize, Vec<usize>)> {
-    let pipeline = FocusPipeline::paper().with_exec_mode(ExecMode::Serial);
-    let mut exec = LayerExecutor::new(&pipeline, wl);
+    let pipeline = FocusPipeline::paper();
+    let exec = LayerExecutor::new(&pipeline, wl);
     let mut retained: Vec<usize> = (0..wl.image_tokens_scaled()).collect();
     let mut walk = Vec::new();
     for layer in 0..exec.layers() {
@@ -388,20 +368,9 @@ fn staged_grid_pass(
     (synth, convert, gather)
 }
 
-/// The pipelined-schedule runner, **pinned** — every comparison leg in
-/// this bench names its schedule, so a `FOCUS_EXEC_MODE` override
-/// (honoured by `FocusPipeline::paper()` elsewhere) cannot silently
-/// relabel what a leg measures or what the snapshot records.
-fn pipelined_runner() -> BatchRunner {
-    BatchRunner::new(
-        FocusPipeline::paper().with_exec_mode(ExecMode::Pipelined),
-        ArchConfig::focus(),
-    )
-}
-
 fn bench_serial(c: &mut Criterion) {
     let wls = workloads();
-    let pipeline = FocusPipeline::paper().with_exec_mode(ExecMode::Pipelined);
+    let pipeline = FocusPipeline::paper();
     let arch = ArchConfig::focus();
     c.bench_function("batch/serial_6_tiny_pipelines", |b| {
         b.iter(|| {
@@ -413,10 +382,9 @@ fn bench_serial(c: &mut Criterion) {
 }
 
 fn bench_batch_runner(c: &mut Criterion) {
-    let wls = workloads();
-    let runner = pipelined_runner();
+    let jobs = grid_jobs(&workloads());
     c.bench_function("batch/runner_6_tiny_pipelines", |b| {
-        b.iter(|| runner.run_many(&wls))
+        b.iter(|| BatchRunner::run(&jobs))
     });
 }
 
@@ -427,19 +395,10 @@ fn bench_measured_old(c: &mut Criterion) {
     });
 }
 
-fn bench_measured_new(c: &mut Criterion) {
-    let wls = fig09_grid_workloads();
-    let runner = pipelined_runner();
-    c.bench_function("measured/pipelined_batched_fig09_grid", |b| {
-        b.iter(|| pipelined_batched(&runner, &wls))
-    });
-}
-
 fn bench_measured_graph(c: &mut Criterion) {
-    let wls = fig09_grid_workloads();
-    let runner = graph_runner();
+    let jobs = grid_jobs(&fig09_grid_workloads());
     c.bench_function("measured/graph_batched_fig09_grid", |b| {
-        b.iter(|| runner.run_many_sim(&wls))
+        b.iter(|| BatchRunner::run_sim(&jobs))
     });
 }
 
@@ -572,9 +531,9 @@ fn bench_backend_kernels(c: &mut Criterion) {
 criterion_group! {
     name = batch;
     config = Criterion::default().sample_size(10);
-    targets = bench_serial, bench_batch_runner, bench_measured_old, bench_measured_new,
-        bench_measured_graph, bench_service_throughput, bench_stream_session,
-        bench_temporal_stream, bench_synthesis, bench_backend_kernels
+    targets = bench_serial, bench_batch_runner, bench_measured_old, bench_measured_graph,
+        bench_service_throughput, bench_stream_session, bench_temporal_stream, bench_synthesis,
+        bench_backend_kernels
 }
 
 fn median_secs(samples: &mut [Duration]) -> f64 {
@@ -609,22 +568,20 @@ fn median_secs(samples: &mut [Duration]) -> f64 {
 /// as a percentage of the untraced leg. Gated `< 2%` by the schema
 /// test; small negative values are machine noise and fine.
 ///
-/// `main` forces a pool of ≥ 2 workers before any leg runs: the
-/// cross-layer and cross-request overlap of the pipelined/graph/
-/// service schedules only pays with real concurrency, and the
-/// acceptance tracking compares them under ≥ 2 threads.
+/// `synthesis_share` is the Synth leg's fraction of the graph leg.
+/// `threads` is the machine's available parallelism, which sizes the
+/// global `FocusService` pool every graph leg runs on.
 fn write_snapshot() {
     const SAMPLES: usize = 3;
     let wls = fig09_grid_workloads();
-    let runner = pipelined_runner();
     // The traced twin of the graph leg: constructed while span
-    // recording is on, so `obs::kernel_backend()` hands its pipeline
+    // recording is on, so `obs::kernel_backend()` hands its pipelines
     // the `Timed` wrapper — exactly what a `FOCUS_TRACE=spans` run
     // sees. Recording stays off until this leg's samples run.
     focus_core::obs::spans::set_enabled(true);
-    let traced_graph_runner = graph_runner();
+    let traced_graph_jobs = grid_jobs(&wls);
     focus_core::obs::spans::set_enabled(false);
-    let graph_runner = graph_runner();
+    let graph_jobs = grid_jobs(&wls);
     let (walks, stages, mut ws) = synthesis_fixture(&wls);
     // Backend-staged fixtures for the per-phase kernel comparison:
     // dispatched (`simd`) vs the `scalar` oracle, at both precisions.
@@ -643,7 +600,6 @@ fn write_snapshot() {
         .collect();
 
     let mut old = Vec::with_capacity(SAMPLES);
-    let mut new = Vec::with_capacity(SAMPLES);
     let mut graph = Vec::with_capacity(SAMPLES);
     let mut graph_traced = Vec::with_capacity(SAMPLES);
     let mut service = Vec::with_capacity(SAMPLES);
@@ -664,17 +620,14 @@ fn write_snapshot() {
         criterion::black_box(serial_resynthesis(&wls));
         old.push(t.elapsed());
         let t = Instant::now();
-        criterion::black_box(pipelined_batched(&runner, &wls));
-        new.push(t.elapsed());
-        let t = Instant::now();
-        criterion::black_box(graph_runner.run_many_sim(&wls));
+        criterion::black_box(BatchRunner::run_sim(&graph_jobs));
         graph.push(t.elapsed());
         // The same graph leg with span tracing live: per-node span
         // records into the rings plus the Timed kernel wrapper. The
         // pair bounds the observability tax (`obs_overhead_pct`).
         focus_core::obs::spans::set_enabled(true);
         let t = Instant::now();
-        criterion::black_box(traced_graph_runner.run_many_sim(&wls));
+        criterion::black_box(BatchRunner::run_sim(&traced_graph_jobs));
         graph_traced.push(t.elapsed());
         focus_core::obs::spans::set_enabled(false);
         let t = Instant::now();
@@ -737,13 +690,13 @@ fn write_snapshot() {
     for i in SAMPLES..OBS_SAMPLES {
         let run_untraced = |samples: &mut Vec<Duration>| {
             let t = Instant::now();
-            criterion::black_box(graph_runner.run_many_sim(&wls));
+            criterion::black_box(BatchRunner::run_sim(&graph_jobs));
             samples.push(t.elapsed());
         };
         let run_traced = |samples: &mut Vec<Duration>| {
             focus_core::obs::spans::set_enabled(true);
             let t = Instant::now();
-            criterion::black_box(traced_graph_runner.run_many_sim(&wls));
+            criterion::black_box(BatchRunner::run_sim(&traced_graph_jobs));
             samples.push(t.elapsed());
             focus_core::obs::spans::set_enabled(false);
         };
@@ -770,7 +723,7 @@ fn write_snapshot() {
         .collect();
     obs_ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
     let obs_overhead_pct = 100.0 * (obs_ratios[obs_ratios.len() / 2] - 1.0);
-    let (old_s, new_s) = (median_secs(&mut old), median_secs(&mut new));
+    let old_s = median_secs(&mut old);
     let (graph_s, synth_s) = (median_secs(&mut graph), median_secs(&mut synth));
     let graph_traced_s = median_secs(&mut graph_traced);
     let synth_scalar_s = median_secs(&mut synth_scalar);
@@ -788,8 +741,7 @@ fn write_snapshot() {
     let quantize_kernel_speedup = quantize_phase_scalar_s / quantize_phase_s;
     let service_s = median_secs(&mut service);
     let stream_s = median_secs(&mut stream);
-    let speedup = old_s / new_s;
-    let graph_vs_pipelined = new_s / graph_s;
+    let graph_vs_serial = old_s / graph_s;
     let service_jobs_per_s = wls.len() as f64 / service_s;
     let stream_frames_per_s = STREAM_FRAMES as f64 / stream_s;
     let [t00, t05, t09] = temporal.map(|mut s| STREAM_FRAMES as f64 / median_secs(&mut s));
@@ -823,11 +775,10 @@ fn write_snapshot() {
         service_snap.u64("service.served.low"),
     ];
     let json = format!(
-        "{{\n  \"bench\": \"measured_phase_fig09_grid_tiny\",\n  \"cells\": {},\n  \"threads\": {},\n  \"serial_resynthesis_s\": {:.6},\n  \"pipelined_batched_s\": {:.6},\n  \"graph_batched_s\": {:.6},\n  \"graph_traced_s\": {:.6},\n  \"obs_overhead_pct\": {:.3},\n  \"service_staggered_s\": {:.6},\n  \"service_jobs_per_s\": {:.3},\n  \"service_workers\": {},\n  \"stream_session_s\": {:.6},\n  \"stream_frames\": {},\n  \"stream_window\": {},\n  \"stream_frames_per_s\": {:.3},\n  \"temporal_frames_per_s_c00\": {:.3},\n  \"temporal_frames_per_s_c05\": {:.3},\n  \"temporal_frames_per_s_c09\": {:.3},\n  \"temporal_isolated_frames_per_s\": {:.3},\n  \"temporal_hit_rate_c00\": {:.4},\n  \"temporal_hit_rate_c05\": {:.4},\n  \"temporal_hit_rate_c09\": {:.4},\n  \"temporal_gathers_skipped_c09\": {},\n  \"fair_served_high\": {},\n  \"fair_served_normal\": {},\n  \"fair_served_low\": {},\n  \"synthesis_only_s\": {:.6},\n  \"synthesis_batched_s\": {:.6},\n  \"synthesis_kernel_speedup\": {:.3},\n  \"gather_phase_s\": {:.6},\n  \"gather_phase_scalar_s\": {:.6},\n  \"gather_kernel_speedup\": {:.3},\n  \"gather_share\": {:.4},\n  \"quantize_phase_s\": {:.6},\n  \"quantize_phase_scalar_s\": {:.6},\n  \"quantize_kernel_speedup\": {:.3},\n  \"speedup\": {:.3},\n  \"graph_vs_pipelined\": {:.3},\n  \"synthesis_share\": {:.3}\n}}\n",
+        "{{\n  \"bench\": \"measured_phase_fig09_grid_tiny\",\n  \"cells\": {},\n  \"threads\": {},\n  \"serial_resynthesis_s\": {:.6},\n  \"graph_batched_s\": {:.6},\n  \"graph_traced_s\": {:.6},\n  \"obs_overhead_pct\": {:.3},\n  \"service_staggered_s\": {:.6},\n  \"service_jobs_per_s\": {:.3},\n  \"service_workers\": {},\n  \"stream_session_s\": {:.6},\n  \"stream_frames\": {},\n  \"stream_window\": {},\n  \"stream_frames_per_s\": {:.3},\n  \"temporal_frames_per_s_c00\": {:.3},\n  \"temporal_frames_per_s_c05\": {:.3},\n  \"temporal_frames_per_s_c09\": {:.3},\n  \"temporal_isolated_frames_per_s\": {:.3},\n  \"temporal_hit_rate_c00\": {:.4},\n  \"temporal_hit_rate_c05\": {:.4},\n  \"temporal_hit_rate_c09\": {:.4},\n  \"temporal_gathers_skipped_c09\": {},\n  \"fair_served_high\": {},\n  \"fair_served_normal\": {},\n  \"fair_served_low\": {},\n  \"synthesis_only_s\": {:.6},\n  \"synthesis_batched_s\": {:.6},\n  \"synthesis_kernel_speedup\": {:.3},\n  \"gather_phase_s\": {:.6},\n  \"gather_phase_scalar_s\": {:.6},\n  \"gather_kernel_speedup\": {:.3},\n  \"gather_share\": {:.4},\n  \"quantize_phase_s\": {:.6},\n  \"quantize_phase_scalar_s\": {:.6},\n  \"quantize_kernel_speedup\": {:.3},\n  \"synthesis_share\": {:.3}\n}}\n",
         wls.len(),
-        rayon::current_num_threads(),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         old_s,
-        new_s,
         graph_s,
         graph_traced_s,
         obs_overhead_pct,
@@ -859,15 +810,12 @@ fn write_snapshot() {
         quantize_phase_s,
         quantize_phase_scalar_s,
         quantize_kernel_speedup,
-        speedup,
-        graph_vs_pipelined,
-        synth_s / new_s,
+        synth_s / graph_s,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_batch.json");
     match std::fs::write(path, &json) {
         Ok(()) => println!(
-            "\nBENCH_batch.json snapshot: speedup {speedup:.2}x, \
-             graph vs pipelined {graph_vs_pipelined:.2}x, \
+            "\nBENCH_batch.json snapshot: graph vs serial {graph_vs_serial:.2}x, \
              kernel batched vs scalar {synthesis_kernel_speedup:.2}x, \
              gather kernel {gather_kernel_speedup:.2}x, \
              quantize kernel {quantize_kernel_speedup:.2}x, \
@@ -888,13 +836,6 @@ fn main() {
         // actual measurement there.
         println!("(criterion shim: skipping benchmarks outside `cargo bench`)");
         return;
-    }
-    // Force a pool of ≥ 2 workers *before* the first bench touches the
-    // global `FocusService` (its width is fixed at first use): the
-    // cross-layer and cross-request overlap only pays with real
-    // concurrency, and the snapshot tracks it under ≥ 2 threads.
-    if rayon::current_num_threads() < 2 {
-        std::env::set_var("RAYON_NUM_THREADS", "2");
     }
     batch();
     if !criterion::running_in_test_mode() {

@@ -20,7 +20,6 @@ use focus_vlm::embedding::Stage;
 use focus_vlm::{DatasetKind, ModelKind};
 
 fn main() {
-    focus_bench::announce_exec_mode();
     let wl = workload(ModelKind::LlavaVideo7B, DatasetKind::VideoMme);
 
     // ---------------- D1: tile-local vs global gather ----------------

@@ -1,23 +1,28 @@
 //! Development probe: prints measured sparsity/accuracy per workload
 //! cell for calibration against the paper's Table II. The nine cells
-//! run through [`BatchRunner`] in parallel; output order (and every
-//! number) is identical to the old serial loop.
-use focus_core::exec::BatchRunner;
+//! run through [`BatchRunner::run`] in parallel; output order (and
+//! every number) is identical to a serial loop.
+use focus_core::exec::{BatchJob, BatchRunner};
+use focus_core::pipeline::FocusPipeline;
+use focus_sim::ArchConfig;
 use focus_vlm::{DatasetKind, ModelKind, Workload, WorkloadScale};
 
 fn main() {
-    focus_bench::announce_exec_mode();
     let mut cells = Vec::new();
     for model in ModelKind::VIDEO_MODELS {
         for dataset in DatasetKind::VIDEO {
             cells.push((model, dataset));
         }
     }
-    let workloads: Vec<Workload> = cells
+    let jobs: Vec<BatchJob> = cells
         .iter()
-        .map(|&(m, d)| Workload::new(m, d, WorkloadScale::default_eval(), 42))
+        .map(|&(m, d)| BatchJob {
+            pipeline: FocusPipeline::paper(),
+            workload: Workload::new(m, d, WorkloadScale::default_eval(), 42),
+            arch: ArchConfig::focus(),
+        })
         .collect();
-    let results = BatchRunner::paper().run_many(&workloads);
+    let results = BatchRunner::run(&jobs);
     for ((model, dataset), r) in cells.iter().zip(results) {
         println!(
             "{:10} {:6}  sparsity {:5.2}%  acc {:6.2} (dense {:6.2})  sic_match_rate {:.3}",

@@ -14,7 +14,6 @@ use focus_core::{unit::chip_area_report, FocusConfig};
 use focus_sim::ArchConfig;
 
 fn main() {
-    focus_bench::announce_exec_mode();
     println!("Fig. 9(a) — speedup over the vanilla systolic array\n");
     let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); 5];
     let mut energy_ratios: Vec<Vec<f64>> = vec![Vec::new(); 5];

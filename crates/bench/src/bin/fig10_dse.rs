@@ -10,8 +10,8 @@
 //! (d) scatter accumulator count: 64 is within a few percent of 160.
 //!
 //! Every sweep batches its configurations through
-//! [`focus_core::exec::BatchRunner`], so the whole design space runs
-//! at machine width instead of one config at a time.
+//! [`focus_core::exec::BatchRunner::run`], so the whole design space
+//! runs at machine width instead of one config at a time.
 
 use focus_bench::{print_table, run_focus_jobs, workload};
 use focus_core::exec::{BatchJob, BatchRunner};
@@ -21,7 +21,6 @@ use focus_sim::{ArchConfig, AreaModel};
 use focus_vlm::{DatasetKind, ModelKind};
 
 fn main() {
-    focus_bench::announce_exec_mode();
     let wl = workload(ModelKind::LlavaVideo7B, DatasetKind::VideoMme);
 
     // ---------------- (a) m-tile size ----------------
@@ -96,7 +95,7 @@ fn main() {
         .collect();
     // This sweep needs the raw pipeline results (effective MACs), not
     // just the outcome record.
-    let results = BatchRunner::run_jobs(&jobs);
+    let results = BatchRunner::run(&jobs);
     let rows: Vec<Vec<String>> = vectors
         .iter()
         .zip(&results)

@@ -14,7 +14,6 @@ use focus_core::FocusConfig;
 use focus_vlm::{DatasetKind, ModelKind};
 
 fn main() {
-    focus_bench::announce_exec_mode();
     println!("Fig. 11 — ablation study (Llava-Video-7B, VideoMME)\n");
     let wl = workload(ModelKind::LlavaVideo7B, DatasetKind::VideoMme);
 

@@ -22,7 +22,6 @@ fn activation_bytes(items: &[focus_sim::WorkItem], weight_bytes: u64) -> u64 {
 }
 
 fn main() {
-    focus_bench::announce_exec_mode();
     println!("Fig. 12 — memory access analysis (normalised to dense SA)\n");
     let mut dram_rows = Vec::new();
     let mut act_rows = Vec::new();

@@ -13,7 +13,6 @@ use focus_sim::ArchConfig;
 use focus_vlm::{DatasetKind, ModelKind};
 
 fn main() {
-    focus_bench::announce_exec_mode();
     println!("Fig. 13 — concentrated tile length histogram and utilisation\n");
     let wl = workload(ModelKind::LlavaVideo7B, DatasetKind::VideoMme);
     // The histogram covers the *concentrated* tiles (GEMMs consuming

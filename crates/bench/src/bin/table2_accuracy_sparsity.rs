@@ -14,7 +14,6 @@ use focus_core::pipeline::FocusPipeline;
 use focus_sim::ArchConfig;
 
 fn main() {
-    focus_bench::announce_exec_mode();
     println!("Table II — accuracy and computation sparsity (video VLMs)\n");
     let mut rows = Vec::new();
     let mut focus_sparsities = Vec::new();

@@ -11,11 +11,10 @@ use focus_sim::ArchConfig;
 use focus_tensor::DataType;
 
 fn main() {
-    focus_bench::announce_exec_mode();
     println!("Table IV — influence of INT8 quantization (degradation vs FP16)\n");
     let mut rows = Vec::new();
     // Three pipeline variants per grid cell, all independent: batch
-    // the 27 (pipeline, workload, arch) jobs through one parallel run.
+    // the 27 (pipeline, workload, arch) jobs through one submission.
     let mut int8_pipeline = FocusPipeline::paper();
     int8_pipeline.dtype = DataType::Int8;
     // Dense model under INT8: concentration off, quantisation on.
@@ -43,7 +42,7 @@ fn main() {
             })
         })
         .collect();
-    let results = BatchRunner::run_jobs(&jobs);
+    let results = BatchRunner::run(&jobs);
 
     for (i, (model, dataset)) in grid.iter().enumerate() {
         let (fp16, int8, dense8) = (&results[3 * i], &results[3 * i + 1], &results[3 * i + 2]);

@@ -26,7 +26,6 @@ fn focus_config_for(model: ModelKind) -> FocusConfig {
 }
 
 fn main() {
-    focus_bench::announce_exec_mode();
     println!("Table V — accuracy and speedup on image VLMs\n");
     let mut rows = Vec::new();
     // One parallel map over the six grid cells; each cell runs its

@@ -110,7 +110,6 @@ fn baseline_stream(method: &dyn Concentrator, arch: &ArchConfig, spec: &StreamSp
 }
 
 fn main() {
-    focus_bench::announce_exec_mode();
     println!("Temporal concentration head-to-head — {FRAMES} frames per stream\n");
     let mut rows = Vec::new();
     for correlation in CORRELATIONS {

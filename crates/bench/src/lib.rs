@@ -22,8 +22,8 @@
 //! This library holds the shared plumbing: the standard evaluation
 //! grid, a uniform [`MethodOutcome`] record for every design, plain
 //! text table rendering, and the batched entry points
-//! ([`run_focus_many`], [`run_focus_jobs`]) that fan pipeline runs out
-//! across cores via [`focus_core::exec::BatchRunner`].
+//! ([`run_focus_many`], [`run_focus_jobs`]) that submit pipeline runs
+//! to the shared serving pool via [`focus_core::exec::BatchRunner`].
 
 use std::sync::OnceLock;
 
@@ -37,18 +37,6 @@ use focus_vlm::{DatasetKind, ModelKind, Workload, WorkloadScale};
 
 /// The seed every shipped experiment uses (reports are deterministic).
 pub const EVAL_SEED: u64 = 42;
-
-/// Announces the measured-phase schedule in effect when the
-/// `FOCUS_EXEC_MODE` override is set — every pipeline built through
-/// [`FocusPipeline::paper`]/`with_config` honours it, so any figure
-/// reproduces under `serial`, `pipelined` or `graph[:N]` without code
-/// edits (results are bit-identical; only throughput differs). Silent
-/// when unset: the default schedule needs no banner.
-pub fn announce_exec_mode() {
-    if let Some(mode) = focus_core::exec::ExecMode::from_env() {
-        println!("[exec] measured-phase schedule override: {mode:?}\n");
-    }
-}
 
 /// The shared cycle engine for the Focus architecture. Engines are
 /// immutable during [`Engine::run`], so every runner in the process —
@@ -183,11 +171,16 @@ pub fn run_focus_with(wl: &Workload, pipeline: FocusPipeline) -> MethodOutcome {
 /// parallel**, simulation included in the parallel region (results in
 /// input order, identical to calling [`run_focus`] per workload).
 pub fn run_focus_many(workloads: &[Workload]) -> Vec<MethodOutcome> {
-    BatchRunner::paper()
-        .run_many_sim(workloads)
-        .into_iter()
-        .map(outcome_from_sim)
-        .collect()
+    run_focus_jobs(
+        workloads
+            .iter()
+            .map(|wl| BatchJob {
+                pipeline: FocusPipeline::paper(),
+                workload: wl.clone(),
+                arch: ArchConfig::focus(),
+            })
+            .collect(),
+    )
 }
 
 /// Runs heterogeneous `(pipeline, workload, arch)` jobs **in
@@ -195,7 +188,7 @@ pub fn run_focus_many(workloads: &[Workload]) -> Vec<MethodOutcome> {
 /// architecture shared across the batch. Config sweeps — many
 /// pipeline variants over one workload — batch through here.
 pub fn run_focus_jobs(jobs: Vec<BatchJob>) -> Vec<MethodOutcome> {
-    BatchRunner::run_jobs_sim(&jobs)
+    BatchRunner::run_sim(&jobs)
         .into_iter()
         .map(outcome_from_sim)
         .collect()

@@ -1,10 +1,7 @@
-//! [`LayerExecutor`]: drives the semantic stage and the four
-//! similarity-gather stages through one streaming loop per layer,
-//! optionally pipelining across layers the way the hardware does.
+//! [`LayerExecutor`]: the node inventory of one run's stage graph, and
+//! the single-threaded reference walk over it.
 
 use std::sync::{Arc, Mutex};
-
-use rayon::prelude::*;
 
 use focus_vlm::embedding::Stage;
 use focus_vlm::Workload;
@@ -18,42 +15,25 @@ use crate::pipeline::{FocusPipeline, SecLayerStats};
 use crate::session::{RetentionPlan, SessionGeometry};
 use crate::sic::{ConvLayouter, Fhw, MatrixGatherStats};
 
-/// Environment variable overriding the measured-phase schedule
-/// (`serial`, `pipelined`, `graph` or `graph:N`) for every pipeline
-/// built through [`FocusPipeline::paper`]/`with_config` — so any
-/// figure binary can be reproduced under any schedule without code
-/// edits. Results are bit-identical across schedules; only throughput
-/// differs.
-pub const EXEC_MODE_ENV: &str = "FOCUS_EXEC_MODE";
-
-/// How the executor schedules the stage graph.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// How the measured phase is scheduled. Results are bit-identical
+/// across schedules; only throughput differs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
-    /// The pre-workspace reference schedule, faithful to the code this
-    /// executor replaced: the four gathers of a layer run concurrently
-    /// (as they always have) but each call builds a fresh synthesiser,
-    /// a fresh activation allocation and per-tile hash maps, and every
-    /// layer is a barrier — no cross-layer overlap. Kept as the
-    /// bit-exactness baseline and as the honest pre-PR side of the
-    /// old-vs-new throughput bench.
+    /// The reference oracle: a single-threaded layer loop on the
+    /// calling thread. Each layer runs SEC, then the four gather
+    /// stages in fixed stage order, every gather through
+    /// [`GatherStage::run_fresh`] (fresh synthesiser, fresh activation
+    /// allocation, the tile-by-tile `gather_matrix_on` reference).
     Serial,
-    /// The hand-rolled streaming schedule: the four gather stages of a
-    /// layer run concurrently over recycled workspaces, and the
-    /// semantic stage of layer *l+1* (which only needs the post-prune
-    /// retained set) overlaps the gathers of layer *l* — a fixed
-    /// two-slot software pipeline mirroring one hardware overlap.
-    #[default]
-    Pipelined,
-    /// The general task-graph schedule: every layer decomposes into
-    /// `Sec`, per-stage `Synth` and `Gather`, `Fold` and `Lower` task
-    /// nodes with explicit data dependencies, driven by the
-    /// work-stealing [`crate::exec::TaskScheduler`]. `depth` is the
-    /// number of layers whose synthesis/gather work may be in flight
-    /// at once (each in-flight layer holds one workspace per gather
-    /// stage); the SEC chain and the fold/lowering tail stream ahead
-    /// and behind without further barriers, and
-    /// [`crate::exec::BatchRunner`] feeds many workloads' graphs into
-    /// one scheduler so stages of different requests interleave.
+    /// The production schedule: every layer decomposes into `Sec`,
+    /// per-stage `Synth` and `Gather`, `Fold` and `Lower` task nodes
+    /// with explicit data dependencies, run on the persistent
+    /// [`crate::exec::FocusService`] pool. `depth` is the number of
+    /// layers whose synthesis/gather work may be in flight at once
+    /// (each in-flight layer holds one workspace per gather stage);
+    /// the SEC chain and the fold/lowering tail stream ahead and
+    /// behind without further barriers, and stages of different
+    /// requests interleave on the same workers.
     Graph {
         /// Cross-layer synthesis window (≥ 1); 2 matches the hardware's
         /// double-buffered activation stream.
@@ -61,75 +41,24 @@ pub enum ExecMode {
     },
 }
 
+impl Default for ExecMode {
+    fn default() -> Self {
+        ExecMode::Graph {
+            depth: ExecMode::DEFAULT_GRAPH_DEPTH,
+        }
+    }
+}
+
 impl ExecMode {
-    /// Default pipeline depth of [`ExecMode::Graph`] when none is
-    /// given (`FOCUS_EXEC_MODE=graph`).
+    /// Pipeline depth of the default [`ExecMode::Graph`] schedule.
     pub const DEFAULT_GRAPH_DEPTH: usize = 2;
 
-    /// The schedule forms [`ExecMode::parse`] accepts, for error
-    /// messages.
-    pub const VALID_FORMS: &'static str = "`serial`, `pipelined`, `graph` or `graph:N` (N >= 1)";
-
-    /// Parses a schedule name: `serial`, `pipelined`, `graph` or
-    /// `graph:N` (N ≥ 1). Malformed input — a zero or non-numeric
-    /// depth, trailing junk, an unknown name — is an error naming the
-    /// valid forms, never a silent fallback.
-    pub fn parse(s: &str) -> Result<ExecMode, String> {
-        let trimmed = s.trim();
-        match trimmed {
-            "serial" => Ok(ExecMode::Serial),
-            "pipelined" => Ok(ExecMode::Pipelined),
-            "graph" => Ok(ExecMode::Graph {
-                depth: ExecMode::DEFAULT_GRAPH_DEPTH,
-            }),
-            other => {
-                let Some(depth) = other.strip_prefix("graph:") else {
-                    return Err(format!(
-                        "unknown schedule {other:?}; expected {}",
-                        ExecMode::VALID_FORMS
-                    ));
-                };
-                match depth.parse::<usize>() {
-                    Ok(0) => Err(format!(
-                        "graph depth must be >= 1, got {other:?}; expected {}",
-                        ExecMode::VALID_FORMS
-                    )),
-                    Ok(depth) => Ok(ExecMode::Graph { depth }),
-                    Err(e) => Err(format!(
-                        "bad graph depth {depth:?} ({e}); expected {}",
-                        ExecMode::VALID_FORMS
-                    )),
-                }
-            }
-        }
-    }
-
-    /// The schedule requested via [`EXEC_MODE_ENV`], if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the variable is set but malformed (including
-    /// `graph:0` and trailing junk) — a silently ignored or
-    /// reinterpreted override would fake a measurement.
-    pub fn from_env() -> Option<ExecMode> {
-        let raw = std::env::var(EXEC_MODE_ENV).ok()?;
-        match ExecMode::parse(&raw) {
-            Ok(mode) => Some(mode),
-            Err(why) => panic!("{EXEC_MODE_ENV}={raw:?} rejected: {why}"),
-        }
-    }
-
-    /// [`ExecMode::from_env`] or the default schedule.
-    pub fn env_or_default() -> ExecMode {
-        ExecMode::from_env().unwrap_or_default()
-    }
-
     /// Workspace ring length per gather stage: how many layers' worth
-    /// of synthesis may be in flight under this schedule.
+    /// of synthesis may be in flight under this schedule. The
+    /// reference walk builds its state fresh per call and needs none.
     pub(crate) fn ring(self) -> usize {
         match self {
             ExecMode::Serial => 0,
-            ExecMode::Pipelined => 1,
             ExecMode::Graph { depth } => depth.max(1),
         }
     }
@@ -178,7 +107,7 @@ impl LayerRecord {
 
 /// Folds the four gather stages' statistics into `record` in fixed
 /// stage order — identical arithmetic order to a serial stage sweep,
-/// so every schedule (serial loop, rayon fan-out, task graph) produces
+/// so both schedules (reference loop, task graph) produce
 /// bit-identical records. `retained_len` is the post-prune retained
 /// count of the layer (the fidelity vector's length).
 pub(crate) fn fold_gathers(
@@ -209,46 +138,21 @@ pub(crate) fn fold_gathers(
     record.fidelity = Some(fidelity);
 }
 
-/// A semantic-stage result computed ahead of its layer, while the
-/// previous layer's gathers were still running.
-struct SecAhead {
-    /// The layer the result is for.
-    layer: usize,
-    /// The retained set the stage saw (the post-prune set of the
-    /// previous layer). Checked at redemption time: if the caller
-    /// deviated from the sequential layer walk, the prefetch is
-    /// discarded and the stage re-runs — SEC is pure, so a recompute
-    /// is always safe.
-    input: Vec<usize>,
-    /// The pruning outcome (`None` when the stage skipped).
-    output: Option<(Vec<usize>, SecLayerStats)>,
-}
-
-/// Executes the concentration stage graph of one workload, layer by
-/// layer.
+/// The concentration stage graph of one workload: the semantic stage,
+/// the four gather stages, the measurement plan and the workspace ring.
 ///
-/// Within a layer the flow is streaming and mirrors the hardware:
-/// the semantic stage runs first (it decides which token rows even
-/// exist downstream), then the four gather stages — which are mutually
-/// independent, each reading its own FC output — run **concurrently**
-/// over per-stage [`StageWorkspace`]s. In [`ExecMode::Pipelined`] the
-/// semantic stage of the *next* layer additionally overlaps the
-/// current layer's gathers. Stage outputs are folded in fixed stage
-/// order, so results are bit-identical to a serial sweep
-/// (`tests/batch_determinism.rs` proves it property-style).
-///
-/// Under [`ExecMode::Graph`] the whole measured phase is instead
-/// expressed as one explicit task graph and driven by the
-/// work-stealing [`crate::exec::TaskScheduler`]
-/// (see [`crate::exec::graph`]); this type then serves as the node
-/// inventory — stages, workspaces, measurement predicate — that the
-/// graph builder borrows. Calling [`LayerExecutor::run_layer`]
-/// directly in graph mode degrades gracefully to the pipelined
-/// two-slot schedule.
+/// The task-graph schedule ([`crate::exec::graph`]) borrows it as the
+/// node inventory of each run's graph — stages, workspaces,
+/// measurement predicate — and schedules the nodes itself.
+/// [`LayerExecutor::run_layer`] is the reference walk over the same
+/// nodes ([`ExecMode::Serial`]): the semantic stage first (it decides
+/// which token rows even exist downstream), then the four gather
+/// stages — mutually independent, each reading its own FC output — in
+/// fixed stage order on the calling thread. `tests/batch_determinism.rs` proves the task graph
+/// bit-identical to this walk, property-style.
 pub struct LayerExecutor<'w> {
     workload: &'w Workload,
     layers: usize,
-    mode: ExecMode,
     /// The measurement plan: prune layers, measured-layer predicate,
     /// full-set positions. Derived fresh per run — or shared across
     /// every frame of a [`crate::exec::StreamSession`].
@@ -256,39 +160,30 @@ pub struct LayerExecutor<'w> {
     layouter: ConvLayouter,
     semantic: SemanticStage<'w>,
     gathers: Vec<GatherStage>,
+    /// Workspace ring length per gather stage ([`ExecMode::ring`]).
+    ring: usize,
     /// Workspace ring: `ring` slots per gather stage (flattened
     /// `stage * ring + slot`), lock-per-slot so concurrent stage nodes
-    /// never share mutable state. Pipelined mode uses one slot per
-    /// stage; graph mode keeps `depth` slots so `depth` layers'
-    /// synthesis can be in flight. (The semantic stage needs no
-    /// workspace and runs through its inherent `prune_layer`.)
+    /// never share mutable state; `depth` slots let `depth` layers'
+    /// synthesis be in flight. Empty for the reference walk. (The
+    /// semantic stage needs no workspace and runs through its inherent
+    /// `prune_layer`.)
     gather_ws: Vec<Mutex<StageWorkspace<'w>>>,
-    /// The prefetched semantic result for the next layer, if any.
-    sec_ahead: Option<SecAhead>,
-    /// Speculative SEC prefetches discarded because the caller
-    /// deviated from the sequential layer walk (each one costs a
-    /// recompute). Zero on any in-order walk.
-    discards: u64,
 }
 
 impl<'w> LayerExecutor<'w> {
-    /// Builds the executor for one (pipeline, workload) pair, using the
-    /// pipeline's execution mode.
+    /// The reference executor for one (pipeline, workload) pair: no
+    /// workspace ring, every gather built fresh per call.
     pub fn new(pipeline: &FocusPipeline, workload: &'w Workload) -> Self {
-        LayerExecutor::with_mode(pipeline, workload, pipeline.exec_mode)
+        LayerExecutor::with_parts(pipeline, workload, ExecMode::Serial, None, None)
     }
 
-    /// Builds the executor with an explicit schedule.
-    pub fn with_mode(pipeline: &FocusPipeline, workload: &'w Workload, mode: ExecMode) -> Self {
-        LayerExecutor::with_parts(pipeline, workload, mode, None, None)
-    }
-
-    /// Builds the executor from session-donated parts: a shared
-    /// [`RetentionPlan`] (derived fresh when `None`) and recycled
-    /// [`StageScratch`] sets (`stages × ring`, stage-major, matching
-    /// the workspace indexing; fresh allocations when `None`). The
-    /// warm path of [`crate::exec::StreamSession`]; behaviour is
-    /// bit-identical either way.
+    /// Builds the executor for `mode` from session-donated parts: a
+    /// shared [`RetentionPlan`] (derived fresh when `None`) and
+    /// recycled [`StageScratch`] sets (`stages × ring`, stage-major,
+    /// matching the workspace indexing; fresh allocations when
+    /// `None`). The warm path of [`crate::exec::StreamSession`];
+    /// behaviour is bit-identical either way.
     pub(crate) fn with_parts(
         pipeline: &FocusPipeline,
         workload: &'w Workload,
@@ -308,13 +203,12 @@ impl<'w> LayerExecutor<'w> {
             .iter()
             .map(|&s| GatherStage::new_on(config, s, pipeline.dtype, pipeline.backend))
             .collect();
-        // Serial mode only ever calls `run_fresh`, which builds its own
-        // state — don't charge it idle workspaces (ring = 0).
+        let ring = mode.ring();
         let gather_ws: Vec<Mutex<StageWorkspace<'w>>> = match scratch {
             Some(sets) => {
                 assert_eq!(
                     sets.len(),
-                    gathers.len() * mode.ring(),
+                    gathers.len() * ring,
                     "donated scratch must cover stages x ring"
                 );
                 sets.into_iter()
@@ -330,7 +224,7 @@ impl<'w> LayerExecutor<'w> {
             None => gathers
                 .iter()
                 .flat_map(|_| {
-                    (0..mode.ring())
+                    (0..ring)
                         .map(|_| Mutex::new(StageWorkspace::new_on(workload, pipeline.backend)))
                 })
                 .collect(),
@@ -338,31 +232,18 @@ impl<'w> LayerExecutor<'w> {
         LayerExecutor {
             workload,
             layers: scaled.layers,
-            mode,
             plan,
             layouter: ConvLayouter::new(scaled.grid_h, scaled.grid_w),
             semantic: SemanticStage::new(config, workload),
             gathers,
+            ring,
             gather_ws,
-            sec_ahead: None,
-            discards: 0,
         }
     }
 
     /// Layer count at measured scale.
     pub fn layers(&self) -> usize {
         self.layers
-    }
-
-    /// The schedule in effect.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
-    /// SEC prefetches discarded (and recomputed) so far; stays zero on
-    /// the sequential layer walk.
-    pub fn prefetch_discards(&self) -> u64 {
-        self.discards
     }
 
     /// The stage-graph nodes, semantic first, in fold order.
@@ -387,11 +268,11 @@ impl<'w> LayerExecutor<'w> {
         &self.layouter
     }
 
-    /// The workspace of `stage` at ring slot `slot` (`slot <
-    /// mode.ring()`); exclusive access is the caller's contract
-    /// (dependency edges in graph mode, per-layer sequencing here).
+    /// The workspace of `stage` at ring slot `slot` (`slot < ring`);
+    /// exclusive access is the caller's contract (the task graph's
+    /// dependency edges).
     pub(crate) fn workspace(&self, stage: usize, slot: usize) -> &Mutex<StageWorkspace<'w>> {
-        &self.gather_ws[stage * self.mode.ring() + slot]
+        &self.gather_ws[stage * self.ring + slot]
     }
 
     /// Whether the gather stages measure at `layer` (every stride-th
@@ -419,44 +300,26 @@ impl<'w> LayerExecutor<'w> {
             .collect()
     }
 
-    /// Runs (or redeems a prefetch of) the semantic stage at `layer`.
-    fn semantic_at(
-        &mut self,
-        layer: usize,
-        retained: &[usize],
-    ) -> Option<(Vec<usize>, SecLayerStats)> {
-        if let Some(ahead) = self.sec_ahead.take() {
-            if ahead.layer == layer && ahead.input == retained {
-                return ahead.output;
-            }
-            // Out-of-sequence call: discard and recompute (pure stage).
-            self.discards += 1;
-        }
-        let ctx = LayerCtx {
+    /// Runs one layer of the reference walk, updating `retained` in
+    /// place. Layers may come in any order; the measured phase walks
+    /// them sequentially (`0..layers`).
+    pub fn run_layer(&self, layer: usize, retained: &mut Vec<usize>) -> LayerRecord {
+        let retained_in = retained.len();
+
+        // --- Semantic concentration (attention stage). ---
+        let sec_ctx = LayerCtx {
             workload: self.workload,
             layer,
             retained,
             positions: &[],
         };
-        self.semantic.prune_layer(&ctx)
-    }
-
-    /// Runs one layer of the stage graph, updating `retained` in
-    /// place. Layers are expected in sequential order (`0..layers`);
-    /// any other order still returns correct results, it merely wastes
-    /// the cross-layer prefetch (counted in
-    /// [`LayerExecutor::prefetch_discards`]).
-    pub fn run_layer(&mut self, layer: usize, retained: &mut Vec<usize>) -> LayerRecord {
-        let retained_in = retained.len();
-
-        // --- Semantic concentration (attention stage, streaming). ---
         let mut sec = None;
-        if let Some((kept, stats)) = self.semantic_at(layer, retained) {
+        if let Some((kept, stats)) = self.semantic.prune_layer(&sec_ctx) {
             *retained = kept;
             sec = Some(stats);
         }
 
-        // --- Similarity concentration (FC stages, concurrent). ---
+        // --- Similarity concentration (FC stages). ---
         let measured = self.measures_at(layer);
         let mut record = LayerRecord::empty(retained_in, measured, sec);
         if !measured {
@@ -485,72 +348,13 @@ impl<'w> LayerExecutor<'w> {
             retained,
             positions,
         };
-
-        let outputs: Vec<StageOutput> = match self.mode {
-            // Pre-PR schedule: gathers concurrent (as they always
-            // were), but everything rebuilt fresh per call and a
-            // barrier at the layer boundary.
-            ExecMode::Serial => self.gathers.par_iter().map(|g| g.run_fresh(&ctx)).collect(),
-            ExecMode::Pipelined | ExecMode::Graph { .. } => {
-                // The next layer's semantic stage reads only the
-                // post-prune retained set — exactly what `retained`
-                // holds now — so it can stream alongside this layer's
-                // gathers, as the hardware overlaps SEC(l+1) with the
-                // FC gathers of layer l. (Graph mode reaching here —
-                // a direct `run_layer` call rather than the task
-                // graph — degrades to this same two-slot pipeline,
-                // cycling its deeper workspace ring.)
-                let slot = layer % self.mode.ring();
-                let next = layer + 1;
-                let workload = self.workload;
-                let semantic = &self.semantic;
-                let (outputs, ahead) = rayon::join(
-                    || {
-                        let tasks: Vec<(&GatherStage, &Mutex<StageWorkspace<'w>>)> = self
-                            .gathers
-                            .iter()
-                            .enumerate()
-                            .map(|(si, g)| (g, self.workspace(si, slot)))
-                            .collect();
-                        tasks
-                            .par_iter()
-                            .map(|(g, ws)| g.run(&ctx, &mut lock_clean(ws)))
-                            .collect::<Vec<StageOutput>>()
-                    },
-                    || {
-                        if next >= self.layers {
-                            return None;
-                        }
-                        let next_ctx = LayerCtx {
-                            workload,
-                            layer: next,
-                            retained,
-                            positions: &[],
-                        };
-                        Some(SecAhead {
-                            layer: next,
-                            input: retained.clone(),
-                            output: semantic.prune_layer(&next_ctx),
-                        })
-                    },
-                );
-                self.sec_ahead = ahead;
-                outputs
-            }
-        };
-
-        // Fold in fixed stage order: identical arithmetic order to the
-        // serial loop, so parallel == serial bit-for-bit.
-        fold_gathers(
-            &mut record,
-            outputs.into_iter().map(|out| {
-                let StageOutput::Gathered { stats, .. } = out else {
-                    unreachable!("gather stages always gather");
-                };
-                stats
-            }),
-            retained.len(),
-        );
+        let stats = self.gathers.iter().map(|g| {
+            let StageOutput::Gathered { stats, .. } = g.run_fresh(&ctx) else {
+                unreachable!("gather stages always gather");
+            };
+            stats
+        });
+        fold_gathers(&mut record, stats, retained.len());
         record
     }
 }
@@ -560,49 +364,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn exec_mode_parses_all_schedules() {
-        assert_eq!(ExecMode::parse("serial"), Ok(ExecMode::Serial));
-        assert_eq!(ExecMode::parse("pipelined"), Ok(ExecMode::Pipelined));
-        assert_eq!(
-            ExecMode::parse("graph"),
-            Ok(ExecMode::Graph {
-                depth: ExecMode::DEFAULT_GRAPH_DEPTH
-            })
-        );
-        assert_eq!(ExecMode::parse("graph:4"), Ok(ExecMode::Graph { depth: 4 }));
-        assert_eq!(
-            ExecMode::parse(" graph:1 "),
-            Ok(ExecMode::Graph { depth: 1 })
-        );
-    }
-
-    #[test]
-    fn exec_mode_rejects_malformed_schedules_loudly() {
-        // Every rejection is a hard error that names the valid forms —
-        // the override can never silently fall back or reinterpret.
-        for bad in [
-            "graph:0",   // depth below the floor
-            "graph:",    // missing depth
-            "graph:x",   // non-numeric depth
-            "graph:2x",  // trailing junk inside the depth
-            "graph: 2",  // embedded whitespace is junk too
-            "graph:2:3", // extra component
-            "turbo",     // unknown schedule
-            "",          // empty override
-        ] {
-            let err = ExecMode::parse(bad).expect_err(bad);
-            assert!(
-                err.contains(ExecMode::VALID_FORMS),
-                "{bad:?} error must name the valid forms, got: {err}"
-            );
-        }
-        assert!(ExecMode::parse("graph:0").unwrap_err().contains(">= 1"));
-    }
-
-    #[test]
     fn ring_lengths_follow_the_schedule() {
         assert_eq!(ExecMode::Serial.ring(), 0);
-        assert_eq!(ExecMode::Pipelined.ring(), 1);
         assert_eq!(ExecMode::Graph { depth: 3 }.ring(), 3);
     }
 }

@@ -32,8 +32,7 @@
 //! function of its input slots (write-once [`OnceLock`]s guarded by
 //! the dependency edges), and the two sequential chains pin every
 //! order-sensitive reduction. The scheduler therefore never discards
-//! or recomputes work — [`SchedStats::recomputes`] exists to assert
-//! that, next to the pipelined executor's prefetch-discard counter.
+//! or recomputes work.
 //!
 //! # Scheduler core
 //!
@@ -254,12 +253,6 @@ pub struct SchedStats {
     pub tasks: u64,
     /// Tasks a worker stole from another worker's queue.
     pub stolen: u64,
-    /// Tasks discarded and re-executed. Structurally zero: dependency
-    /// edges are exact, so the scheduler never speculates — unlike the
-    /// pipelined executor's SEC prefetch, whose discards
-    /// [`PipelineResult::prefetch_discards`] counts through the same
-    /// channel.
-    pub recomputes: u64,
 }
 
 /// Flattened node of one admitted job.
@@ -326,7 +319,6 @@ impl JobRun<'_> {
         SchedStats {
             tasks: self.executed.load(Ordering::SeqCst),
             stolen: self.stolen.load(Ordering::SeqCst),
-            recomputes: 0,
         }
     }
 }
@@ -935,10 +927,10 @@ impl Default for TaskScheduler {
 }
 
 impl TaskScheduler {
-    /// A scheduler as wide as the rayon pool
-    /// ([`rayon::current_num_threads`], honouring `RAYON_NUM_THREADS`).
+    /// A scheduler as wide as the machine
+    /// ([`std::thread::available_parallelism`]).
     pub fn new() -> Self {
-        TaskScheduler::with_threads(rayon::current_num_threads())
+        TaskScheduler::with_threads(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
     /// A scheduler with an explicit worker count (≥ 1).
@@ -959,7 +951,7 @@ impl TaskScheduler {
     /// A panic in a task closure fails *its* graph (the rest of that
     /// graph skip-drains; sibling graphs run to completion) and the
     /// first panic payload — in graph submission order — is re-raised
-    /// on the calling thread, like the rayon shim.
+    /// on the calling thread.
     pub fn run(&self, graphs: Vec<TaskGraph<'_>>) -> Vec<SchedStats> {
         let total: usize = graphs.iter().map(TaskGraph::len).sum();
         if total == 0 {
@@ -1406,9 +1398,7 @@ impl<'w> PipelineGraph<'w> {
 
     fn finish_task(&self) {
         let accum = lock_clean(&self.accum).take().expect("finish runs once");
-        // The graph never discards work; the counter is patched from
-        // the scheduler's stats at collection.
-        let (run, buffers) = accum.finish_recycling(self.workload, 0);
+        let (run, buffers) = accum.finish_recycling(self.workload);
         *lock_clean(&self.recycled) = Some(buffers);
         let per_layer: Vec<LayerLowered> = self
             .lowered
@@ -1422,26 +1412,13 @@ impl<'w> PipelineGraph<'w> {
         *lock_clean(&self.result) = Some((result, report));
     }
 
-    /// Extracts the run's result without consuming the state (the
-    /// service path holds the state in an `Arc`): the assembled result
-    /// (and the cycle report if an engine was attached), with the
-    /// scheduler's recompute counter folded into the result's discard
-    /// statistics.
-    pub(crate) fn take_result_parts(
-        &self,
-        stats: SchedStats,
-    ) -> (PipelineResult, Option<SimReport>) {
-        let (mut result, report) = lock_clean(&self.result)
+    /// Extracts the run's result once the graph has completed: the
+    /// assembled result and the cycle report if an engine was
+    /// attached.
+    pub(crate) fn take_result(&self) -> (PipelineResult, Option<SimReport>) {
+        lock_clean(&self.result)
             .take()
-            .expect("scheduler completed the graph");
-        result.prefetch_discards = stats.recomputes;
-        (result, report)
-    }
-
-    /// Consumes the run: [`PipelineGraph::take_result_parts`] for the
-    /// batch path that owns the state outright.
-    pub(crate) fn take_result(self, stats: SchedStats) -> (PipelineResult, Option<SimReport>) {
-        self.take_result_parts(stats)
+            .expect("scheduler completed the graph")
     }
 
     /// Reclaims the frame's recyclable warm state once the job has
@@ -1463,6 +1440,17 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
 
+    /// Shuts the core down when dropped: a failing assertion inside a
+    /// `thread::scope` then fails its test instead of leaving the
+    /// scope waiting forever on parked workers.
+    struct ShutdownOnDrop<'a, 's>(&'a Core<'s>);
+
+    impl Drop for ShutdownOnDrop<'_, '_> {
+        fn drop(&mut self) {
+            self.0.shutdown();
+        }
+    }
+
     #[test]
     fn scheduler_respects_dependencies() {
         // A diamond per graph: root fans out to two middles joined by a
@@ -1479,7 +1467,6 @@ mod tests {
             vec![SchedStats {
                 tasks: 4,
                 stolen: stats[0].stolen,
-                recomputes: 0
             }]
         );
         let order = order.into_inner().unwrap();
@@ -1506,7 +1493,7 @@ mod tests {
             .collect();
         let stats = TaskScheduler::with_threads(3).run(graphs);
         assert_eq!(counter.load(Ordering::Relaxed), 50);
-        assert!(stats.iter().all(|s| s.tasks == 10 && s.recomputes == 0));
+        assert!(stats.iter().all(|s| s.tasks == 10));
     }
 
     #[test]
@@ -1553,6 +1540,7 @@ mod tests {
         }
 
         std::thread::scope(|s| {
+            let _shutdown = ShutdownOnDrop(&core);
             for w in 0..2 {
                 let core = &core;
                 s.spawn(move || core.worker(w));
@@ -1568,7 +1556,6 @@ mod tests {
             assert_eq!(sick_job.stats().tasks, 1, "only the root ran");
             assert!(healthy_job.take_panic().is_none());
             assert_eq!(healthy_job.stats().tasks, 20);
-            core.shutdown();
         });
         assert_eq!(healthy_ran.load(Ordering::SeqCst), 20);
     }
@@ -1616,6 +1603,7 @@ mod tests {
         sick.add(&[], || panic!("genuine payload"));
 
         std::thread::scope(|s| {
+            let _shutdown = ShutdownOnDrop(&core);
             for w in 0..2 {
                 let core = &core;
                 s.spawn(move || core.worker(w));
@@ -1627,7 +1615,6 @@ mod tests {
             assert_eq!(healthy.stats().tasks, 8);
             let payload = sick.take_panic().expect("sick graph panicked");
             assert_eq!(*payload.downcast_ref::<&str>().unwrap(), "genuine payload");
-            core.shutdown();
         });
         assert_eq!(ran.load(Ordering::SeqCst), 8);
     }
@@ -1646,6 +1633,7 @@ mod tests {
             const SUBMITTERS: usize = 4;
             const JOBS_EACH: usize = 32;
             std::thread::scope(|s| {
+                let _shutdown = ShutdownOnDrop(&core);
                 for w in 0..threads {
                     let core = &core;
                     s.spawn(move || core.worker(w));
@@ -1689,7 +1677,6 @@ mod tests {
                     .sum();
                 assert_eq!(total, expect, "{threads} workers");
                 assert_eq!(executed.load(Ordering::SeqCst) as u64, expect);
-                core.shutdown();
             });
         }
     }
@@ -1703,24 +1690,31 @@ mod tests {
         let ran = AtomicU32::new(0);
         let core = Core::new(3, usize::MAX);
         std::thread::scope(|s| {
+            let _shutdown = ShutdownOnDrop(&core);
             for w in 0..3 {
                 let core = &core;
                 s.spawn(move || core.worker(w));
             }
+            // Quiesce: all three workers must end up parked.
+            let quiesce = || {
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while core.parked() != 3 {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "workers failed to park; parked = {}",
+                        core.parked()
+                    );
+                    std::thread::yield_now();
+                }
+            };
+            // Start from a parked pool, so the job's wakeup goes to the
+            // worker that runs it: no notification is still in flight
+            // when the park counter is read below.
+            quiesce();
             let mut g = TaskGraph::new();
             g.add(&[], || {});
             core.inject(g, Priority::Normal).wait_done();
-
-            // Quiesce: all three workers must end up parked.
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            while core.parked() != 3 {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "workers failed to park; parked = {}",
-                    core.parked()
-                );
-                std::thread::yield_now();
-            }
+            quiesce();
             // A parked worker stays parked — no spin (a spinning worker
             // re-enters the park and bumps the counter).
             let parks = core.parks();
@@ -1734,7 +1728,6 @@ mod tests {
             });
             core.inject(g, Priority::High).wait_done();
             assert_eq!(ran.load(Ordering::SeqCst), 1);
-            core.shutdown();
         });
     }
 
@@ -1769,6 +1762,7 @@ mod tests {
         high.add(&[], || seq.lock().unwrap().push("HIGH"));
 
         std::thread::scope(|s| {
+            let _shutdown = ShutdownOnDrop(&core);
             let core = &core;
             s.spawn(move || core.worker(0));
             let low_job = core.inject(low, Priority::Low);
@@ -1776,7 +1770,6 @@ mod tests {
             gate.store(true, Ordering::SeqCst);
             high_job.wait_done();
             low_job.wait_done();
-            core.shutdown();
         });
         let seq = seq.lock().unwrap().clone();
         let pos = seq.iter().position(|s| *s == "HIGH").unwrap();
@@ -1798,9 +1791,12 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         let low_nodes = 6u64;
         let high_done = AtomicU32::new(0);
+        // High nodes served by the time the Low job's last node runs.
+        let high_at_low_finish = AtomicU32::new(0);
         let low_done = AtomicBool::new(false);
         let core = Core::new(1, usize::MAX);
         std::thread::scope(|s| {
+            let _shutdown = ShutdownOnDrop(&core);
             let core = &core;
             s.spawn(move || core.worker(0));
 
@@ -1837,14 +1833,23 @@ mod tests {
             }
             let mut low = TaskGraph::new();
             let mut prev: Option<TaskId> = None;
-            for _ in 0..low_nodes {
+            for i in 0..low_nodes {
                 let deps: Vec<TaskId> = prev.into_iter().collect();
-                prev = Some(low.add(&deps, || {}));
+                let (high_done, high_at_low_finish) = (&high_done, &high_at_low_finish);
+                prev = Some(low.add(&deps, move || {
+                    if i + 1 == low_nodes {
+                        let served = high_done.load(Ordering::SeqCst);
+                        high_at_low_finish.store(served, Ordering::SeqCst);
+                    }
+                }));
             }
             let high_before = high_done.load(Ordering::SeqCst) as u64;
             let low_job = core.inject(low, Priority::Low);
             low_job.wait_done();
-            let high_during = high_done.load(Ordering::SeqCst) as u64 - high_before;
+            // Counted where the Low job finishes, not where this thread
+            // wakes up: under CPU load the waiter can lag the worker by
+            // many High nodes that were not served while Low waited.
+            let high_during = high_at_low_finish.load(Ordering::SeqCst) as u64 - high_before;
             low_done.store(true, Ordering::SeqCst);
             let handles = producer.join().unwrap();
             for h in &handles {
@@ -1863,7 +1868,6 @@ mod tests {
                 high_during <= bound,
                 "Low job waited through {high_during} High nodes (bound {bound})"
             );
-            core.shutdown();
         });
     }
 
@@ -1876,6 +1880,7 @@ mod tests {
         let core = Core::new(2, 4);
         assert_eq!(core.max_inflight(), 4);
         std::thread::scope(|s| {
+            let _shutdown = ShutdownOnDrop(&core);
             for w in 0..2 {
                 let core = &core;
                 s.spawn(move || core.worker(w));
@@ -1911,7 +1916,6 @@ mod tests {
             }
             assert_eq!(executed.load(Ordering::SeqCst), 6 + 32);
             assert_eq!(core.inflight(), 0, "all admissions retired");
-            core.shutdown();
         });
     }
 
@@ -1937,6 +1941,7 @@ mod tests {
             g
         };
         std::thread::scope(|s| {
+            let _shutdown = ShutdownOnDrop(&core);
             for w in 0..2 {
                 let core = &core;
                 s.spawn(move || core.worker(w));
@@ -1969,7 +1974,6 @@ mod tests {
                 job.wait_done();
             }
             assert_eq!(executed.load(Ordering::SeqCst), 3 + 8 + 12);
-            core.shutdown();
         });
     }
 }

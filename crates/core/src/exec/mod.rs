@@ -13,23 +13,25 @@
 //!   activation synthesiser, recycled activation matrix, flat gather
 //!   lookup) so the measured phase never re-allocates or re-hashes on
 //!   its hot path;
-//! * [`LayerExecutor`] — drives SEC plus the four gather stages
-//!   through one streaming loop per layer; in [`ExecMode::Pipelined`]
-//!   (the default) the semantic stage of layer *l+1* overlaps the
-//!   gathers of layer *l*, as the hardware streams;
+//! * [`ExecMode`] — the two schedules: [`ExecMode::Graph`], the
+//!   production default, and [`ExecMode::Serial`], the
+//!   single-threaded reference oracle every test compares against;
+//! * [`LayerExecutor`] — the node inventory of one run (stages,
+//!   workspace ring, measurement plan) and the reference layer walk
+//!   behind [`ExecMode::Serial`];
 //! * [`TaskGraph`] / [`TaskScheduler`] ([`graph`] module) — the
-//!   general schedule behind [`ExecMode::Graph`]: each layer
-//!   decomposes into `Sec`/`Synth`/`Gather`/`Fold`/`Lower` task nodes
-//!   with explicit dependencies, and a work-stealing scheduler
-//!   overlaps layer *l*'s fold/lowering with layer *l+1*'s synthesis
-//!   and SEC at any pipeline depth — across workload boundaries when
-//!   batched;
-//! * [`BatchRunner`] — fans whole `FocusPipeline::run` calls out
-//!   across cores (`run_many` for workload grids, `run_jobs` for
-//!   config sweeps, and the `_sim` variants that carry cycle
-//!   simulation through the parallel region); under graph mode it
-//!   instead submits every workload into the shared service, with
-//!   results still bit-identical to the serial loop;
+//!   schedule behind [`ExecMode::Graph`]: each layer decomposes into
+//!   `Sec`/`Synth`/`Gather`/`Fold`/`Lower` task nodes with explicit
+//!   dependencies, and a work-stealing scheduler overlaps layer *l*'s
+//!   fold/lowering with layer *l+1*'s synthesis and SEC at any
+//!   pipeline depth — across workload boundaries when batched;
+//! * [`BatchRunner`] — the one batch entry point: [`BatchRunner::run`]
+//!   (and [`BatchRunner::run_sim`], which carries the cycle
+//!   simulation) submits every job into the shared service, results
+//!   in submission order and bit-identical to running each alone;
+//! * [`par_map`] — an order-preserving parallel map over scoped
+//!   threads, for sweeps that batch something other than whole
+//!   pipeline runs;
 //! * [`FocusService`] (`service` module) — the persistent serving
 //!   front end: a process-wide worker pool that outlives any batch,
 //!   accepting jobs as they arrive (`submit(job) → JobHandle`) with
@@ -58,7 +60,7 @@ mod stream;
 pub(crate) use graph::PipelineGraph;
 
 pub use batch::{par_map, BatchJob, BatchRunner};
-pub use executor::{ExecMode, LayerExecutor, LayerRecord, EXEC_MODE_ENV};
+pub use executor::{ExecMode, LayerExecutor, LayerRecord};
 pub use graph::{Priority, SchedStats, TaskGraph, TaskId, TaskScheduler};
 pub use service::{FocusService, JobHandle, ServiceConfig, ServiceStats};
 pub use stage::{

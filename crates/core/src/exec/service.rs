@@ -23,7 +23,7 @@
 //! [`crate::exec::BatchRunner`] and graph-mode
 //! [`FocusPipeline::run`](crate::pipeline::FocusPipeline::run) both
 //! submit into the process-wide [`FocusService::global`] instance, so
-//! a fused batch and a stream of single requests share one pool and
+//! a batch and a stream of single requests share one pool and
 //! interleave at stage granularity.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -76,10 +76,10 @@ impl ServiceConfig {
 }
 
 impl Default for ServiceConfig {
-    /// As wide as the rayon pool ([`rayon::current_num_threads`],
-    /// honouring `RAYON_NUM_THREADS`).
+    /// As wide as the machine
+    /// ([`std::thread::available_parallelism`]).
     fn default() -> Self {
-        ServiceConfig::with_threads(rayon::current_num_threads())
+        ServiceConfig::with_threads(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 }
 
@@ -180,7 +180,7 @@ impl ServiceJob {
         // above). The allocation is never mutated, no unique-ownership
         // claim is ever asserted over it (`Arc` moves are pointer
         // copies, unlike `Box` moves), and the forged `'static` never
-        // escapes this struct: `run_node` and `take_result_parts` only
+        // escapes this struct: `run_node` and `take_result` only
         // hand out data the graph state owns. (`warm` is owned data —
         // no borrows to anchor.)
         let graph = unsafe {
@@ -276,7 +276,7 @@ impl JobHandle {
         if let Some(payload) = self.run.take_panic() {
             std::panic::resume_unwind(payload);
         }
-        self.state.graph.take_result_parts(self.run.stats())
+        self.state.graph.take_result()
     }
 
     /// The request's shared state and run record, for the session
@@ -391,7 +391,7 @@ impl FocusService {
     pub(crate) fn graph_depth(job: &BatchJob) -> usize {
         match job.pipeline.exec_mode {
             ExecMode::Graph { depth } => depth,
-            ExecMode::Serial | ExecMode::Pipelined => ExecMode::DEFAULT_GRAPH_DEPTH,
+            ExecMode::Serial => ExecMode::DEFAULT_GRAPH_DEPTH,
         }
     }
 
@@ -595,7 +595,6 @@ mod tests {
                 .run(&job.workload, &job.arch);
             assert_eq!(result.work_items, serial.work_items);
             assert_eq!(result.accuracy, serial.accuracy);
-            assert_eq!(result.prefetch_discards, 0);
         }
 
         // Between jobs the pool parks: both workers end up blocked on

@@ -210,7 +210,7 @@ impl<'w> SemanticStage<'w> {
     /// Prunes one layer's retained set, returning the surviving tokens
     /// and the pass statistics, or `None` when the schedule leaves this
     /// layer alone. The semantic stage needs no scratch workspace, so
-    /// the executor (and its cross-layer prefetch) calls this directly;
+    /// the reference walk and the graph's `Sec` nodes call this directly;
     /// the [`ConcentrationStage`] impl delegates here.
     pub fn prune_layer(&self, ctx: &LayerCtx<'_>) -> Option<(Vec<usize>, SecLayerStats)> {
         let k = self.prune_k(ctx.layer, ctx.retained.len())?;
@@ -301,9 +301,9 @@ impl GatherStage {
     }
 
     /// The pre-workspace reference path: a fresh synthesiser, a fresh
-    /// activation allocation and the per-tile `HashMap` gather. Kept
-    /// for the serial executor mode, the workspace-reuse regression
-    /// test and the old-vs-new throughput bench.
+    /// activation allocation and the per-tile `HashMap` gather. What
+    /// the [`crate::exec::ExecMode::Serial`] reference walk runs, and
+    /// what the workspace-reuse regression test compares against.
     pub fn run_fresh(&self, ctx: &LayerCtx<'_>) -> StageOutput {
         let width = self.stage.width(ctx.workload.scaled_model());
         let mut syn = ctx.workload.activation_synthesizer_on(self.backend);

@@ -26,14 +26,14 @@
 //! * [`sec`] / [`sic`] — the two concentration mechanisms;
 //! * [`exec`] — the execution engine: the
 //!   [`exec::ConcentrationStage`] trait (one stage-node body), the
-//!   [`exec::LayerExecutor`] (the serial/pipelined layer loop), the
-//!   [`exec::TaskGraph`]/[`exec::TaskScheduler`] pair behind
-//!   [`exec::ExecMode::Graph`] (every layer decomposed into
-//!   `Sec`/`Synth`/`Gather`/`Fold`/`Lower` task nodes on a
-//!   work-stealing scheduler, cross-layer and cross-workload overlap
-//!   at any depth), and the [`exec::BatchRunner`] (fans whole
-//!   pipeline runs across cores — or fuses a graph-mode batch into
-//!   one scheduler — with results bit-identical to serial execution);
+//!   [`exec::TaskGraph`]/[`exec::TaskScheduler`] pair behind the
+//!   default [`exec::ExecMode::Graph`] schedule (every layer
+//!   decomposed into `Sec`/`Synth`/`Gather`/`Fold`/`Lower` task nodes
+//!   on a work-stealing scheduler, cross-layer and cross-workload
+//!   overlap at any depth), the [`exec::LayerExecutor`] (the
+//!   single-threaded reference loop behind [`exec::ExecMode::Serial`]),
+//!   and [`exec::BatchRunner::run`] (submits a batch of jobs into the
+//!   shared serving pool, results bit-identical to serial execution);
 //! * [`session`] — per-session warm state for streaming feeds: the
 //!   shared retention plan and the recycled frame allocations behind
 //!   [`exec::StreamSession`]'s per-frame admission;
@@ -75,20 +75,24 @@
 //! Batched, parallel execution over many workloads:
 //!
 //! ```
-//! use focus_core::exec::BatchRunner;
+//! use focus_core::exec::{BatchJob, BatchRunner};
+//! use focus_core::pipeline::FocusPipeline;
+//! use focus_sim::ArchConfig;
 //! use focus_vlm::{DatasetKind, ModelKind, Workload, WorkloadScale};
 //!
-//! let workloads: Vec<Workload> = (0..4)
-//!     .map(|seed| {
-//!         Workload::new(
+//! let jobs: Vec<BatchJob> = (0..4)
+//!     .map(|seed| BatchJob {
+//!         pipeline: FocusPipeline::paper(),
+//!         workload: Workload::new(
 //!             ModelKind::LlavaVideo7B,
 //!             DatasetKind::VideoMme,
 //!             WorkloadScale::tiny(),
 //!             seed,
-//!         )
+//!         ),
+//!         arch: ArchConfig::focus(),
 //!     })
 //!     .collect();
-//! let results = BatchRunner::paper().run_many(&workloads);
+//! let results = BatchRunner::run(&jobs);
 //! assert_eq!(results.len(), 4);
 //! ```
 
@@ -112,3 +116,38 @@ pub use crate::exec::{BatchJob, BatchRunner};
 pub use crate::pipeline::{FocusPipeline, PipelineResult};
 pub use crate::sec::SemanticConcentrator;
 pub use crate::sic::SimilarityConcentrator;
+
+/// The guarantees of [`exec::par_map`] that the experiment binaries'
+/// bit-identical output rests on.
+#[cfg(test)]
+mod tests {
+    use crate::exec::par_map;
+
+    #[test]
+    fn map_collect_preserves_order() {
+        let v: Vec<usize> = (0..1000).collect();
+        let doubled = par_map(&v, |&x| x * 2);
+        assert_eq!(doubled, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
+        // Fewer items than threads, and a single item.
+        assert_eq!(par_map(&[3u8, 1], |&x| x + 1), vec![4, 2]);
+        assert_eq!(par_map(&[7u8], |&x| x), vec![7]);
+    }
+
+    #[test]
+    fn empty_input() {
+        let out: Vec<u32> = par_map(&[] as &[u32], |&x| x);
+        assert!(out.is_empty());
+    }
+
+    /// The caller sees the worker's own payload, not a generic
+    /// join error.
+    #[test]
+    #[should_panic(expected = "item 63 failed")]
+    fn panics_propagate() {
+        let items: Vec<usize> = (0..64).collect();
+        par_map(&items, |&x| {
+            assert!(x != 63, "item {x} failed");
+            x
+        });
+    }
+}

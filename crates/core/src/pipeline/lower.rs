@@ -285,7 +285,7 @@ impl FocusPipeline {
             weight_bytes: weight_bytes_total,
             sic_comparisons: run.sic_comparisons,
             sic_matches: run.sic_matches,
-            prefetch_discards: run.prefetch_discards,
+            prefetch_discards: 0,
         }
     }
 }

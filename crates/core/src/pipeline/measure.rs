@@ -1,16 +1,15 @@
 //! The measured phase: the [`LayerExecutor`] stage graph run over
 //! synthesised activations at [`focus_vlm::WorkloadScale`] resolution.
 //!
-//! The per-layer bookkeeping lives in [`MeasureAccum`] so the loop
-//! schedules (serial, pipelined) and the task-graph schedule's
-//! `Absorb` nodes share one absorption routine — identical arithmetic
-//! order, hence bit-identical results across every
-//! [`crate::exec::ExecMode`]. The *pure* half of the per-layer fold
-//! (reducing the four gather stages' statistics into a
-//! [`LayerRecord`]) is `fold_gathers` in the executor; the graph
-//! schedule runs it in parallel-safe `FoldStats` nodes off the
-//! ordered chain, so only this accumulator's cheap `absorb` is
-//! sequential.
+//! The per-layer bookkeeping lives in [`MeasureAccum`] so the
+//! reference loop and the task-graph schedule's `Absorb` nodes share
+//! one absorption routine — identical arithmetic order, hence
+//! bit-identical results across both [`crate::exec::ExecMode`]s.
+//! The *pure* half of the per-layer fold (reducing the four gather
+//! stages' statistics into a [`LayerRecord`]) is `fold_gathers` in the
+//! executor; the graph schedule runs it in parallel-safe `FoldStats`
+//! nodes off the ordered chain, so only this accumulator's cheap
+//! `absorb` is sequential.
 
 use focus_vlm::accuracy::TokenOutcome;
 use focus_vlm::Workload;
@@ -34,7 +33,7 @@ pub(crate) struct MeasureBuffers {
 /// [`MeasuredRun`] the lowering phase consumes.
 ///
 /// [`MeasureAccum::absorb`] must be called once per layer in layer
-/// order (the loop schedules call it inline; the task graph chains its
+/// order (the reference loop calls it inline; the task graph chains its
 /// `Absorb(l)` nodes on `Absorb(l-1)` to guarantee the same order).
 /// Measurement propagation onto unmeasured layers happens streamingly
 /// at absorption: an unmeasured layer copies the stage statistics of
@@ -133,18 +132,14 @@ impl MeasureAccum {
     }
 
     /// Closes the run: token outcomes from accrued fidelity.
-    pub(crate) fn finish(self, workload: &Workload, prefetch_discards: u64) -> MeasuredRun {
-        self.finish_recycling(workload, prefetch_discards).0
+    pub(crate) fn finish(self, workload: &Workload) -> MeasuredRun {
+        self.finish_recycling(workload).0
     }
 
     /// [`MeasureAccum::finish`] that also hands back the recyclable
     /// buffers, for streaming sessions to seed the next frame's
     /// accumulator with.
-    pub(crate) fn finish_recycling(
-        self,
-        workload: &Workload,
-        prefetch_discards: u64,
-    ) -> (MeasuredRun, MeasureBuffers) {
+    pub(crate) fn finish_recycling(self, workload: &Workload) -> (MeasuredRun, MeasureBuffers) {
         let relevance = workload.relevance();
         let outcomes: Vec<TokenOutcome> = (0..self.m_img)
             .map(|t| TokenOutcome {
@@ -159,7 +154,6 @@ impl MeasureAccum {
             sic_comparisons: self.sic_comparisons,
             sic_matches: self.sic_matches,
             m_img_scaled: self.m_img,
-            prefetch_discards,
         };
         let buffers = MeasureBuffers {
             fid_accum: self.fid_accum,
@@ -170,12 +164,13 @@ impl MeasureAccum {
 }
 
 impl FocusPipeline {
-    /// The measured phase: SEC + SIC over synthesised activations,
-    /// driven by the streaming stage-graph executor's layer loop.
+    /// The measured phase of the reference schedule
+    /// ([`crate::exec::ExecMode::Serial`]): SEC + SIC over synthesised
+    /// activations, one layer at a time on the calling thread.
     /// ([`crate::exec::ExecMode::Graph`] runs never come through here —
     /// [`FocusPipeline::run`] routes them to the task scheduler.)
     pub(crate) fn measure(&self, workload: &Workload) -> MeasuredRun {
-        let mut exec = LayerExecutor::new(self, workload);
+        let exec = LayerExecutor::new(self, workload);
         let layers_n = exec.layers();
         let m_img = workload.image_tokens_scaled();
 
@@ -185,6 +180,6 @@ impl FocusPipeline {
             let record = exec.run_layer(layer, &mut retained);
             accum.absorb(layer, record, &retained);
         }
-        accum.finish(workload, exec.prefetch_discards())
+        accum.finish(workload)
     }
 }

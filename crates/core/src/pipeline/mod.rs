@@ -3,14 +3,17 @@
 //! One [`FocusPipeline::run`] call reproduces a full prefill pass over
 //! a [`Workload`]:
 //!
-//! 1. **Measured phase** ([`measure`] module, at
-//!    [`WorkloadScale`](focus_vlm::WorkloadScale) resolution): the
-//!    [`crate::exec::LayerExecutor`] drives the stage graph layer by
-//!    layer — the SEC prunes tokens at the Table I schedule points
+//! 1. **Measured phase** (at
+//!    [`WorkloadScale`](focus_vlm::WorkloadScale) resolution): layer
+//!    by layer, the SEC prunes tokens at the Table I schedule points
 //!    using synthesised cross-modal attention, and the four SIC gather
-//!    stages concurrently gather the FC outputs of the retained
-//!    tokens' synthesised activations, recording per-tile
-//!    retained-vector ratios and per-token reconstruction fidelity.
+//!    stages gather the FC outputs of the retained tokens' synthesised
+//!    activations, recording per-tile retained-vector ratios and
+//!    per-token reconstruction fidelity. The default
+//!    [`ExecMode::Graph`] schedule runs it as task nodes on the shared
+//!    [`FocusService`] pool; [`ExecMode::Serial`] is the reference
+//!    loop over the [`crate::exec::LayerExecutor`] ([`measure`]
+//!    module).
 //! 2. **Lowering phase** ([`lower`] module, at paper scale): the
 //!    measured ratios are applied to the shared
 //!    [`focus_vlm::trace::layer_lowering`] GEMM table, producing
@@ -22,8 +25,8 @@
 //! Sparsity is therefore *measured* (it comes out of the real gather
 //! code running on synthesised activations), while cycles and energy
 //! are *computed* at paper scale from those measurements (DESIGN.md
-//! §2). Batch many runs with [`crate::exec::BatchRunner`]; stream an
-//! unbounded feed frame by frame — warm per-session state, bounded
+//! §2). Batch many runs with [`crate::exec::BatchRunner::run`]; stream
+//! an unbounded feed frame by frame — warm per-session state, bounded
 //! in-flight window — with [`crate::exec::StreamSession`]. Every
 //! admission path returns results bit-identical to a serial run.
 
@@ -53,7 +56,8 @@ pub struct FocusPipeline {
     /// Operand precision (Table IV runs INT8).
     pub dtype: DataType,
     /// Measured-phase schedule (results are bit-identical across
-    /// modes; only throughput differs).
+    /// modes; only throughput differs). Defaults to
+    /// [`ExecMode::Graph`] at [`ExecMode::DEFAULT_GRAPH_DEPTH`].
     pub exec_mode: ExecMode,
     /// Kernel backend for the hot stage kernels (gather scoring, dtype
     /// conversion, synthesis fill). Results are bit-identical across
@@ -64,31 +68,20 @@ pub struct FocusPipeline {
 }
 
 impl FocusPipeline {
-    /// A pipeline with the Table I configuration. The measured-phase
-    /// schedule defaults to [`ExecMode::Pipelined`] but honours the
-    /// [`crate::exec::EXEC_MODE_ENV`] environment override
-    /// (`FOCUS_EXEC_MODE=serial|pipelined|graph[:N]`), so every figure
-    /// binary can be reproduced under any schedule without code edits
-    /// — results are bit-identical across schedules.
+    /// A pipeline with the Table I configuration on the default
+    /// graph schedule.
     pub fn paper() -> Self {
-        FocusPipeline {
-            focus: FocusConfig::paper(),
-            accuracy: AccuracyModel::default(),
-            dtype: DataType::Fp16,
-            exec_mode: ExecMode::env_or_default(),
-            backend: crate::obs::kernel_backend(),
-        }
+        FocusPipeline::with_config(FocusConfig::paper())
     }
 
-    /// A pipeline with a custom Focus configuration (the schedule
-    /// honours the environment override, as in
-    /// [`FocusPipeline::paper`]).
+    /// A pipeline with a custom Focus configuration on the default
+    /// graph schedule.
     pub fn with_config(focus: FocusConfig) -> Self {
         FocusPipeline {
             focus,
             accuracy: AccuracyModel::default(),
             dtype: DataType::Fp16,
-            exec_mode: ExecMode::env_or_default(),
+            exec_mode: ExecMode::default(),
             backend: crate::obs::kernel_backend(),
         }
     }
@@ -113,8 +106,9 @@ impl FocusPipeline {
     /// serves every graph-mode run, batch and streaming session in
     /// the process, so concurrent callers interleave at stage
     /// granularity (arbitrated by the weighted fair queue) instead of
-    /// each spinning up a scheduler. Results stay bit-identical to the
-    /// loop schedules. For an unbounded per-frame feed, use
+    /// each spinning up a scheduler. Under [`ExecMode::Serial`] it
+    /// runs the reference layer loop on the calling thread; results
+    /// are bit-identical either way. For an unbounded per-frame feed, use
     /// [`crate::exec::StreamSession`] instead of calling this in a
     /// loop — same results, plus windowed backpressure and warm
     /// cross-frame state.
@@ -128,7 +122,7 @@ impl FocusPipeline {
                 };
                 FocusService::global().submit(job, Priority::Normal).wait()
             }
-            ExecMode::Serial | ExecMode::Pipelined => {
+            ExecMode::Serial => {
                 let measured = self.measure(workload);
                 self.lower(workload, arch, measured)
             }
@@ -138,12 +132,12 @@ impl FocusPipeline {
     /// Runs the whole pipeline — measured phase **and** lowering — as
     /// one task graph on a private batch-scoped `scheduler`, at
     /// cross-layer pipeline depth `depth` (see [`ExecMode::Graph`]).
-    /// Bit-identical to [`FocusPipeline::run`] under any mode, for any
-    /// depth, thread count and workload — `tests/batch_determinism.rs`
-    /// proves it property-style. [`FocusPipeline::run`] submits
-    /// graph-mode runs to the shared [`FocusService`] instead; call
-    /// this directly to pin the scheduler width (e.g. in tests and
-    /// benches).
+    /// Bit-identical to [`FocusPipeline::run`] under either mode, for
+    /// any depth, thread count and workload —
+    /// `tests/batch_determinism.rs` proves it property-style.
+    /// [`FocusPipeline::run`] submits graph-mode runs to the shared
+    /// [`FocusService`] instead; call this directly to pin the
+    /// scheduler width (e.g. in tests).
     pub fn run_graph(
         &self,
         workload: &Workload,
@@ -154,8 +148,8 @@ impl FocusPipeline {
         let state = PipelineGraph::new(self, workload, arch, depth, None);
         let mut graph = TaskGraph::new();
         state.build(&mut graph);
-        let stats = scheduler.run(vec![graph]);
-        state.take_result(stats[0]).0
+        scheduler.run(vec![graph]);
+        state.take_result().0
     }
 }
 
@@ -259,6 +253,18 @@ mod tests {
         let dense = FocusPipeline::with_config(dense_cfg).run(&wl, &ArchConfig::vanilla());
         assert!(focus.dram_bytes() < dense.dram_bytes() / 2);
         assert!(focus.weight_bytes < dense.weight_bytes);
+    }
+
+    #[test]
+    fn paper_pipeline_defaults_to_the_graph_schedule() {
+        let graph = ExecMode::Graph {
+            depth: ExecMode::DEFAULT_GRAPH_DEPTH,
+        };
+        assert_eq!(FocusPipeline::paper().exec_mode, graph);
+        assert_eq!(
+            FocusPipeline::with_config(FocusConfig::sec_only()).exec_mode,
+            graph
+        );
     }
 
     #[test]

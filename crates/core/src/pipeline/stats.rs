@@ -73,12 +73,10 @@ pub struct PipelineResult {
     pub sic_comparisons: u64,
     /// Total matcher hits (measured scale).
     pub sic_matches: u64,
-    /// Speculative work the schedule discarded and recomputed: SEC
-    /// prefetches thrown away by the pipelined executor on
-    /// out-of-sequence layer walks, plus task recomputes in the graph
-    /// scheduler (structurally zero there — dependencies are exact).
-    /// Always zero on the sequential layer walk;
-    /// `tests/batch_determinism.rs` asserts it.
+    /// Always 0: neither schedule speculates, so no work is ever
+    /// discarded. Kept only because the repository benchmark's
+    /// correctness gate destructures `PipelineResult` field by field;
+    /// a change to the benchmark can drop it.
     pub prefetch_discards: u64,
 }
 
@@ -110,5 +108,4 @@ pub(crate) struct MeasuredRun {
     pub sic_comparisons: u64,
     pub sic_matches: u64,
     pub m_img_scaled: usize,
-    pub prefetch_discards: u64,
 }

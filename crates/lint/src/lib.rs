@@ -1,8 +1,8 @@
 //! `focus-lint` — workspace-aware static analysis for the Focus repo.
 //!
-//! The repo's headline guarantee — bit-identical results across
-//! Serial/Pipelined/Graph schedules, Scalar/Simd backends, and
-//! temporal carry replay — rests on invariants that used to live in
+//! The repo's headline guarantee — bit-identical results across the
+//! Serial/Graph schedules, Scalar/Simd backends, and temporal carry
+//! replay — rests on invariants that used to live in
 //! prose and proptests: transcendentals only in `focus_tensor::math`,
 //! kernels never open-coded in `exec/`/`sic/`, `lock_clean` everywhere
 //! in the scheduler, `#[target_feature]` fns reached only via runtime
@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 
 /// Directories under the workspace root that hold first-party source.
 /// `shims/` is deliberately absent: those crates are offline stand-ins
-/// for third-party code (serde/rayon/proptest/criterion) and carry the
+/// for third-party code (proptest/criterion) and carry the
 /// upstream idioms, not ours.
 const WALK_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 

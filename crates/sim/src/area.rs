@@ -7,10 +7,8 @@
 //! Focus unit's own area comes from `focus-core`'s sub-component
 //! inventory and is registered as extra components here.
 
-use serde::Serialize;
-
 /// Area density constants.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AreaModel {
     /// One FP16-mul/FP32-acc PE with pipeline registers, µm².
     pub pe_um2: f64,
@@ -49,7 +47,7 @@ impl Default for AreaModel {
 }
 
 /// A named component-area breakdown (Fig. 9(c) left pie).
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct AreaReport {
     components: Vec<(String, f64)>,
 }

@@ -5,13 +5,11 @@
 //! buffer capacity and attached special-purpose logic. The constants
 //! here are the paper's, verbatim.
 
-use serde::Serialize;
-
 /// Size of one on-chip buffer, in bytes.
 pub const KIB: usize = 1024;
 
 /// The accelerator configuration a simulation runs against.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ArchConfig {
     /// Name used in reports ("Focus", "SystolicArray", …).
     pub name: &'static str,

@@ -8,10 +8,8 @@
 //! so the Fig. 9(c) power breakdown (DRAM ≈ 59 % of total) emerges at
 //! Focus's measured traffic and runtime.
 
-use serde::Serialize;
-
 /// DDR4 device + interface model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DramModel {
     /// Sustained bandwidth in bytes/second.
     pub bw_bytes_per_s: f64,

@@ -16,10 +16,8 @@
 //! Energy is accumulated per category so Fig. 9(b)/(c) can report the
 //! same core / buffer / DRAM split the paper plots.
 
-use serde::Serialize;
-
 /// Per-event energy constants (picojoules).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EnergyModel {
     /// One FP16 multiply + FP32 accumulate in a PE.
     pub mac_pj: f64,
@@ -61,7 +59,7 @@ impl Default for EnergyModel {
 }
 
 /// Energy totals by category, in joules.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// PE-array MAC energy.
     pub core_j: f64,

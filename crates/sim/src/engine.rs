@@ -9,8 +9,6 @@
 //! inequalities, asserted in `focus-core`, guarantee it stays off the
 //! critical path) and contributes energy only.
 
-use serde::Serialize;
-
 use crate::config::ArchConfig;
 use crate::dram::DramModel;
 use crate::energy::{EnergyBreakdown, EnergyModel};
@@ -18,7 +16,7 @@ use crate::systolic::{GemmWork, SystolicModel};
 
 /// One schedulable unit: a GEMM plus its memory traffic and the
 /// concurrent special-function / concentrator work.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorkItem {
     /// The GEMM on the array.
     pub gemm: GemmWork,
@@ -61,7 +59,7 @@ impl WorkItem {
 }
 
 /// Aggregate result of a simulation.
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimReport {
     /// Wall-clock cycles (with compute/memory overlap).
     pub cycles: u64,

@@ -9,10 +9,8 @@
 //! is well below peak; irregular (token-pruned) workloads lose a little
 //! more to gather/scatter and ragged tiles.
 
-use serde::Serialize;
-
 /// Roofline description of a GPU.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GpuModel {
     /// Peak FP16 FMA throughput in MAC/s (1 FMA = 1 MAC here).
     pub peak_macs_per_s: f64,
@@ -49,7 +47,7 @@ impl GpuModel {
 }
 
 /// Result of a GPU run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GpuReport {
     /// End-to-end runtime, seconds.
     pub seconds: f64,

@@ -17,10 +17,8 @@
 //! stream — the sub-tile's effective latency is the max of the two
 //! (paper Fig. 10(d)).
 
-use serde::Serialize;
-
 /// Work description of one (possibly batched) GEMM on the array.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GemmWork {
     /// Report label.
     pub label: String,
@@ -118,7 +116,7 @@ impl GemmWork {
 }
 
 /// Timing result of one GEMM.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GemmTiming {
     /// Total cycles including fill/drain and scatter stalls.
     pub cycles: u64,
@@ -134,7 +132,7 @@ pub struct GemmTiming {
 }
 
 /// The array's timing model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SystolicModel {
     /// PE rows (contraction dimension).
     pub pe_rows: usize,

@@ -3,8 +3,8 @@
 //! a deployment would actually tune (Table I ships 0.9).
 //!
 //! The six threshold variants are independent pipeline runs, so they
-//! batch through [`BatchRunner`] — cycle simulation included, sharing
-//! one engine inside the parallel region — and sweep at machine width;
+//! batch through [`BatchRunner::run_sim`] — cycle simulation included,
+//! one engine shared by every job — and sweep at machine width;
 //! results come back in sweep order, identical to a serial loop.
 //!
 //! ```sh
@@ -43,7 +43,7 @@ fn main() {
             }
         })
         .collect();
-    let results = BatchRunner::run_jobs_sim(&jobs);
+    let results = BatchRunner::run_sim(&jobs);
 
     let mut base_seconds = None;
     for (&threshold, (result, rep)) in thresholds.iter().zip(&results) {

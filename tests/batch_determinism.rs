@@ -1,16 +1,14 @@
-//! Determinism of the parallel execution engine: `BatchRunner` results
-//! must be **identical** — sparsity, accuracy, the full work-item
-//! list, DRAM traffic, and every per-layer record — to sequential
-//! `FocusPipeline::run` calls, for any thread count.
-//!
-//! The rayon shim honours `RAYON_NUM_THREADS`, so these tests force a
-//! multi-threaded pool even on single-core CI machines; without that,
-//! a 1-CPU box would silently degenerate to the serial path and prove
-//! nothing.
+//! Determinism of the parallel execution engine: `BatchRunner` and
+//! graph-schedule results must be **identical** — sparsity, accuracy,
+//! the full work-item list, DRAM traffic, and every per-layer record —
+//! to the single-threaded `ExecMode::Serial` reference, for any worker
+//! count. Tests that need real concurrency pin it explicitly
+//! (`TaskScheduler::with_threads`, `ServiceConfig`), so a 1-CPU box
+//! still exercises it.
 
 use focus::core::exec::{
     BatchJob, BatchRunner, ConcentrationStage, ExecMode, FocusService, GatherStage, JobHandle,
-    LayerCtx, LayerExecutor, Priority, ServiceConfig, StageOutput, StageWorkspace, TaskScheduler,
+    LayerCtx, Priority, ServiceConfig, StageOutput, StageWorkspace, TaskScheduler,
 };
 use focus::core::pipeline::{FocusPipeline, PipelineResult};
 use focus::core::sic::{ConvLayouter, Fhw};
@@ -20,11 +18,6 @@ use focus::tensor::DataType;
 use focus::vlm::embedding::Stage;
 use focus::vlm::{DatasetKind, ModelKind, Workload, WorkloadScale};
 use proptest::prelude::*;
-
-/// Forces the shim's thread pool wide open regardless of core count.
-fn force_parallel_pool() {
-    std::env::set_var("RAYON_NUM_THREADS", "4");
-}
 
 fn assert_identical(parallel: &PipelineResult, serial: &PipelineResult, what: &str) {
     // Bitwise float equality is intentional: the engine promises
@@ -56,16 +49,31 @@ fn assert_identical(parallel: &PipelineResult, serial: &PipelineResult, what: &s
         (serial.sic_comparisons, serial.sic_matches),
         "{what}: matcher counters"
     );
-    // Sequential layer walks never waste speculative work, under any
-    // schedule: the pipelined prefetch always redeems, and the graph
-    // scheduler's dependencies are exact.
-    assert_eq!(parallel.prefetch_discards, 0, "{what}: discards");
-    assert_eq!(serial.prefetch_discards, 0, "{what}: serial discards");
+}
+
+/// The reference result of `job`: the same pipeline on the
+/// single-threaded [`ExecMode::Serial`] schedule.
+fn serial_reference(job: &BatchJob) -> PipelineResult {
+    job.pipeline
+        .clone()
+        .with_exec_mode(ExecMode::Serial)
+        .run(&job.workload, &job.arch)
+}
+
+/// One graph-default Table I job per workload on the Focus arch.
+fn paper_jobs(workloads: &[Workload]) -> Vec<BatchJob> {
+    workloads
+        .iter()
+        .map(|wl| BatchJob {
+            pipeline: FocusPipeline::paper(),
+            workload: wl.clone(),
+            arch: ArchConfig::focus(),
+        })
+        .collect()
 }
 
 #[test]
 fn run_many_matches_sequential_over_seeds_and_models() {
-    force_parallel_pool();
     let cells = [
         (ModelKind::LlavaVideo7B, DatasetKind::VideoMme, 1u64),
         (ModelKind::LlavaVideo7B, DatasetKind::Mlvu, 7),
@@ -76,26 +84,46 @@ fn run_many_matches_sequential_over_seeds_and_models() {
         .iter()
         .map(|&(m, d, seed)| Workload::new(m, d, WorkloadScale::tiny(), seed))
         .collect();
+    let jobs = paper_jobs(&workloads);
 
-    let runner = BatchRunner::paper();
-    let batched = runner.run_many(&workloads);
-
-    let pipeline = FocusPipeline::paper();
-    let arch = ArchConfig::focus();
-    assert_eq!(batched.len(), workloads.len());
-    for (i, wl) in workloads.iter().enumerate() {
-        let serial = pipeline.run(wl, &arch);
+    let batched = BatchRunner::run(&jobs);
+    assert_eq!(batched.len(), jobs.len());
+    for (i, job) in jobs.iter().enumerate() {
         assert_identical(
             &batched[i],
-            &serial,
-            &format!("cell {i} (seed {})", wl.seed()),
+            &serial_reference(job),
+            &format!("cell {i} (seed {})", job.workload.seed()),
         );
+    }
+}
+
+/// `Serial`-mode jobs go through the batch path too (the service runs
+/// them at the default graph depth): each result is bit-identical to
+/// that job's own `pipeline.run`, which for a `Serial` pipeline is the
+/// reference loop on the calling thread.
+#[test]
+fn serial_mode_jobs_batch_like_their_own_runs() {
+    let jobs: Vec<BatchJob> = [(ModelKind::LlavaVideo7B, 3u64), (ModelKind::MiniCpmV26, 11)]
+        .into_iter()
+        .map(|(model, seed)| BatchJob {
+            pipeline: FocusPipeline::paper().with_exec_mode(ExecMode::Serial),
+            workload: Workload::new(model, DatasetKind::VideoMme, WorkloadScale::tiny(), seed),
+            arch: ArchConfig::focus(),
+        })
+        .collect();
+    let batched = BatchRunner::run(&jobs);
+    let simulated = BatchRunner::run_sim(&jobs);
+    for (i, job) in jobs.iter().enumerate() {
+        let own = job.pipeline.run(&job.workload, &job.arch);
+        assert_identical(&batched[i], &own, &format!("serial-mode job {i}"));
+        assert_identical(&simulated[i].0, &own, &format!("serial-mode sim job {i}"));
+        let own_rep = focus::sim::Engine::new(job.arch.clone()).run(&own.work_items);
+        assert_eq!(simulated[i].1, own_rep, "serial-mode job report {i}");
     }
 }
 
 #[test]
 fn run_jobs_matches_sequential_over_configs() {
-    force_parallel_pool();
     let wl = Workload::new(
         ModelKind::LlavaVideo7B,
         DatasetKind::VideoMme,
@@ -121,28 +149,20 @@ fn run_jobs_matches_sequential_over_configs() {
         })
         .collect();
 
-    let batched = BatchRunner::run_jobs(&jobs);
+    let batched = BatchRunner::run(&jobs);
     assert_eq!(batched.len(), jobs.len());
     for (i, job) in jobs.iter().enumerate() {
-        let serial = job.pipeline.run(&job.workload, &job.arch);
-        assert_identical(&batched[i], &serial, &format!("config {i}"));
+        assert_identical(&batched[i], &serial_reference(job), &format!("config {i}"));
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Every schedule of the execution engine — the hand-rolled
-    /// cross-layer pipeline (SEC of layer l+1 overlapped with the
-    /// gathers of layer l) and the task-graph scheduler at pipeline
-    /// depths 1..=4 on 1..=4 workers — is **bit-identical** to the
-    /// pre-workspace serial schedule, for arbitrary retention
-    /// schedules, precisions and models, on a forced multi-thread
-    /// pool. (The pool width is set once, like every other test in
-    /// this binary — the env var is process-global, so mutating it per
-    /// case would race with tests running concurrently; the graph
-    /// scheduler's worker count is an explicit parameter instead, so
-    /// it *can* vary per case.)
+    /// The task-graph schedule at pipeline depths 1..=4 on 1..=4
+    /// workers is **bit-identical** to the single-threaded reference
+    /// schedule, for arbitrary retention schedules, precisions and
+    /// models.
     #[test]
     fn all_exec_modes_match_serial_over_schedules(
         prune_layers in proptest::collection::btree_set(1usize..28, 0..6),
@@ -153,8 +173,7 @@ proptest! {
         depth in 1usize..=4,
         threads in 1usize..=4,
     ) {
-        force_parallel_pool();
-        // Assemble a valid schedule: strictly increasing layers with
+            // Assemble a valid schedule: strictly increasing layers with
         // non-increasing retention ratios.
         let layers: Vec<usize> = prune_layers.into_iter().collect();
         let mut ratios = ratios;
@@ -171,12 +190,6 @@ proptest! {
         }
         let arch = ArchConfig::focus();
         let serial = pipeline.clone().with_exec_mode(ExecMode::Serial).run(&wl, &arch);
-        let pipelined = pipeline.clone().with_exec_mode(ExecMode::Pipelined).run(&wl, &arch);
-        assert_identical(
-            &pipelined,
-            &serial,
-            &format!("pipelined, schedule seed {seed}, int8 {int8}"),
-        );
         let graph = pipeline.run_graph(&wl, &arch, depth, &TaskScheduler::with_threads(threads));
         assert_identical(
             &graph,
@@ -188,9 +201,7 @@ proptest! {
     /// Serving-path determinism: jobs with distinct configurations and
     /// architectures, submitted **out of order** at **mixed
     /// priorities** through the one shared [`FocusService`], come back
-    /// bit-identical to [`ExecMode::Serial`] — and sequential walks
-    /// through the service never discard speculative work
-    /// (`assert_identical` pins `prefetch_discards` to zero).
+    /// bit-identical to [`ExecMode::Serial`].
     #[test]
     fn service_submissions_match_serial_for_any_order_and_priority(
         perm in 0usize..24,
@@ -198,8 +209,7 @@ proptest! {
         depth in 1usize..=4,
         seed in 0u64..1000,
     ) {
-        force_parallel_pool();
-        let archs = [
+            let archs = [
             ArchConfig::focus(),
             ArchConfig::vanilla(),
             ArchConfig::adaptiv(),
@@ -267,7 +277,6 @@ proptest! {
 /// *parked* — not spinning, not exited.
 #[test]
 fn shared_service_serves_staggered_mixed_priority_requests() {
-    force_parallel_pool();
     // An owned service so the parked/completion counters are not
     // shared with concurrently running tests.
     let service = FocusService::new(ServiceConfig {
@@ -345,12 +354,12 @@ fn shared_service_serves_staggered_mixed_priority_requests() {
     assert_identical(&again, &serial, "post-idle service request");
 }
 
-/// The graph-mode batch path — every workload's task graph on **one**
-/// scheduler, simulation in the `Finish` nodes — returns exactly what
-/// per-workload serial runs plus fresh engines produce.
+/// The batch path — every workload's task graph on the **one** shared
+/// service, simulation in the `Finish` nodes — returns exactly what
+/// per-workload serial runs plus fresh engines produce, at any mix of
+/// graph depths.
 #[test]
 fn graph_batch_matches_sequential_runs() {
-    force_parallel_pool();
     let workloads: Vec<Workload> = [(1u64), 7, 13]
         .into_iter()
         .map(|seed| {
@@ -362,27 +371,24 @@ fn graph_batch_matches_sequential_runs() {
             )
         })
         .collect();
-    let pipeline = FocusPipeline::paper().with_exec_mode(ExecMode::Graph { depth: 2 });
-    let runner = BatchRunner::new(pipeline.clone(), ArchConfig::focus());
-    let arch = ArchConfig::focus();
-    let serial_pipeline = FocusPipeline::paper().with_exec_mode(ExecMode::Serial);
+    let jobs = paper_jobs(&workloads);
 
-    let batched = runner.run_many_sim(&workloads);
-    assert_eq!(batched.len(), workloads.len());
-    for (i, wl) in workloads.iter().enumerate() {
-        let serial = serial_pipeline.run(wl, &arch);
+    let batched = BatchRunner::run_sim(&jobs);
+    assert_eq!(batched.len(), jobs.len());
+    for (i, job) in jobs.iter().enumerate() {
+        let serial = serial_reference(job);
         let serial_rep = focus::sim::Engine::new(ArchConfig::focus()).run(&serial.work_items);
         assert_identical(&batched[i].0, &serial, &format!("graph batch cell {i}"));
         assert_eq!(batched[i].1, serial_rep, "graph batch report {i}");
     }
 
     // The sim-less path agrees too.
-    let plain = runner.run_many(&workloads);
+    let plain = BatchRunner::run(&jobs);
     for (i, (r, _)) in batched.iter().enumerate() {
-        assert_identical(&plain[i], r, &format!("graph run_many cell {i}"));
+        assert_identical(&plain[i], r, &format!("graph batch cell {i}, no sim"));
     }
 
-    // And heterogeneous all-graph job batches fuse into one scheduler.
+    // And jobs at different graph depths share the one service.
     let jobs: Vec<BatchJob> = workloads
         .iter()
         .zip([1usize, 2, 4])
@@ -392,41 +398,13 @@ fn graph_batch_matches_sequential_runs() {
             arch: ArchConfig::focus(),
         })
         .collect();
-    let job_results = BatchRunner::run_jobs_sim(&jobs);
+    let job_results = BatchRunner::run_sim(&jobs);
     for (i, (job, (r, rep))) in jobs.iter().zip(&job_results).enumerate() {
-        let serial = serial_pipeline.run(&job.workload, &job.arch);
+        let serial = serial_reference(job);
         let serial_rep = focus::sim::Engine::new(job.arch.clone()).run(&serial.work_items);
         assert_identical(r, &serial, &format!("graph job {i}"));
         assert_eq!(*rep, serial_rep, "graph job report {i}");
     }
-}
-
-/// The discard counter is live: an out-of-sequence layer walk throws
-/// the pipelined executor's SEC prefetch away (and recomputes), and
-/// the counter says so — while the sequential walk above stays at
-/// zero.
-#[test]
-fn out_of_sequence_walk_counts_prefetch_discards() {
-    let wl = Workload::new(
-        ModelKind::LlavaVideo7B,
-        DatasetKind::VideoMme,
-        WorkloadScale::tiny(),
-        42,
-    );
-    let pipeline = FocusPipeline::paper().with_exec_mode(ExecMode::Pipelined);
-    let mut exec = LayerExecutor::new(&pipeline, &wl);
-    let m_img = wl.image_tokens_scaled();
-
-    // Layer 0 prefetches SEC(1); jumping to layer 7 must discard it.
-    let mut retained: Vec<usize> = (0..m_img).collect();
-    exec.run_layer(0, &mut retained);
-    assert_eq!(exec.prefetch_discards(), 0);
-    exec.run_layer(7, &mut retained);
-    assert_eq!(
-        exec.prefetch_discards(),
-        1,
-        "the out-of-sequence walk must discard the layer-1 prefetch"
-    );
 }
 
 /// Workspace reuse (resident synthesiser, recycled activation matrix,
@@ -480,7 +458,6 @@ fn workspace_reuse_matches_fresh_synthesizer_stats() {
 
 #[test]
 fn repeated_parallel_runs_are_stable() {
-    force_parallel_pool();
     let workloads: Vec<Workload> = (0..3)
         .map(|seed| {
             Workload::new(
@@ -491,9 +468,9 @@ fn repeated_parallel_runs_are_stable() {
             )
         })
         .collect();
-    let runner = BatchRunner::paper();
-    let first = runner.run_many(&workloads);
-    let second = runner.run_many(&workloads);
+    let jobs = paper_jobs(&workloads);
+    let first = BatchRunner::run(&jobs);
+    let second = BatchRunner::run(&jobs);
     for (i, (a, b)) in first.iter().zip(&second).enumerate() {
         assert_identical(a, b, &format!("repeat {i}"));
     }
@@ -517,7 +494,6 @@ fn kernel_dispatch_paths_agree_end_to_end() {
         }
     }
 
-    force_parallel_pool();
     let cells = [
         (ModelKind::LlavaVideo7B, DatasetKind::VideoMme, 1u64),
         (ModelKind::MiniCpmV26, DatasetKind::Mlvu, 13),

@@ -14,7 +14,7 @@
 use std::path::Path;
 
 /// Extracts a numeric field from the flat one-object snapshot (no
-/// serde_json in this offline workspace; the format is ours).
+/// JSON parser in this offline workspace; the format is ours).
 fn field(json: &str, key: &str) -> f64 {
     let tag = format!("\"{key}\":");
     let at = json
@@ -44,7 +44,6 @@ fn bench_snapshot_has_the_expected_shape() {
         "cells",
         "threads",
         "serial_resynthesis_s",
-        "pipelined_batched_s",
         "graph_batched_s",
         "graph_traced_s",
         "service_staggered_s",
@@ -74,8 +73,6 @@ fn bench_snapshot_has_the_expected_shape() {
         "quantize_phase_s",
         "quantize_phase_scalar_s",
         "quantize_kernel_speedup",
-        "speedup",
-        "graph_vs_pipelined",
         "synthesis_share",
     ] {
         let v = field(&json, key);

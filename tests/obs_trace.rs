@@ -1,7 +1,7 @@
 //! The observability layer's headline guarantee, end to end:
 //! **tracing is bit-invisible**. A run with span recording on must
 //! produce exactly the results of the same run with recording off —
-//! across exec modes (serial, pipelined, graph), worker counts and
+//! across exec modes (serial, graph), worker counts and
 //! pipeline depths (proptest) — because spans are pure metadata: the
 //! recorder observes timestamps around node bodies and the `Timed`
 //! kernel wrapper forwards every launch verbatim.
@@ -35,10 +35,6 @@ fn lock_trace() -> std::sync::MutexGuard<'static, ()> {
     TRACE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-fn force_parallel_pool() {
-    std::env::set_var("RAYON_NUM_THREADS", "4");
-}
-
 fn workload(seed: u64) -> Workload {
     Workload::new(
         ModelKind::LlavaVideo7B,
@@ -50,7 +46,7 @@ fn workload(seed: u64) -> Workload {
 
 /// One full pipeline run under `mode`. Graph mode runs on an owned
 /// service at an explicit worker count so the proptest sweep controls
-/// real concurrency; the loop schedules run inline.
+/// real concurrency; the reference schedule runs inline.
 fn run_once(mode: ExecMode, threads: usize, seed: u64) -> PipelineResult {
     let pipeline = FocusPipeline::paper().with_exec_mode(mode);
     let arch = ArchConfig::focus();
@@ -68,7 +64,7 @@ fn run_once(mode: ExecMode, threads: usize, seed: u64) -> PipelineResult {
             };
             service.submit(job, Priority::Normal).wait()
         }
-        ExecMode::Serial | ExecMode::Pipelined => pipeline.run(&workload(seed), &arch),
+        ExecMode::Serial => pipeline.run(&workload(seed), &arch),
     }
 }
 
@@ -100,14 +96,9 @@ proptest! {
         seed in 0u64..1_000,
         threads in 1usize..4,
         depth in 1usize..4,
-        mode_pick in 0usize..3,
+        mode_pick in 0usize..2,
     ) {
-        force_parallel_pool();
-        let mode = [
-            ExecMode::Serial,
-            ExecMode::Pipelined,
-            ExecMode::Graph { depth },
-        ][mode_pick];
+        let mode = [ExecMode::Serial, ExecMode::Graph { depth }][mode_pick];
         let _guard = lock_trace();
 
         spans::set_enabled(false);
@@ -134,7 +125,6 @@ fn traced_session_matches_untraced_and_spans_satisfy_invariants() {
     const FRAMES: u64 = 3;
     const THREADS: usize = 2;
     const DEPTH: usize = 2;
-    force_parallel_pool();
     let _guard = lock_trace();
 
     let pipeline = || FocusPipeline::paper().with_exec_mode(ExecMode::Graph { depth: DEPTH });
@@ -210,7 +200,6 @@ fn traced_session_matches_untraced_and_spans_satisfy_invariants() {
 /// path is one relaxed load — and no spans).
 #[test]
 fn disabled_tracing_records_nothing() {
-    force_parallel_pool();
     let _guard = lock_trace();
 
     // Ensure the recorder exists, then switch recording off.
