@@ -51,7 +51,7 @@ fn main() {
     });
     let pipeline = FocusPipeline::paper().with_exec_mode(ExecMode::Graph { depth: DEPTH });
     let arch = ArchConfig::focus();
-    let inventory = node_inventory(&pipeline, &frame(0), &arch, DEPTH);
+    let inventory = node_inventory(&pipeline, &frame(0), DEPTH);
 
     let mut session = StreamSession::open(
         &service,

@@ -1,16 +1,19 @@
 //! The task-graph schedule: the measured + lowering phases of a
 //! pipeline run decomposed into explicit task nodes with data
 //! dependencies, driven by a small work-stealing scheduler core that
-//! admits graphs **dynamically** — batches drain through it, and the
-//! persistent [`crate::exec::FocusService`] keeps its workers parked
-//! between requests instead of tearing the pool down.
+//! admits graphs **dynamically**. Its one front end is the persistent
+//! [`crate::exec::FocusService`], whose workers park between requests
+//! instead of tearing the pool down. A [`PipelineGraph`] owns its
+//! inputs (job, engine, plan, stage scratch), and every node closure
+//! holds an `Arc` to it, so an admitted graph outlives the submitting
+//! stack frame without borrowing from it.
 //!
 //! # Node inventory (per transformer layer `l`)
 //!
 //! | node | work | depends on |
 //! |---|---|---|
 //! | `Sec(l)` | semantic pruning → retained set + positions | `Sec(l-1)` |
-//! | `Synth(l,s)` | activation synthesis (Box–Muller) for gather stage `s` | `Sec(l)`, `Gather(l',s)` of the layer `depth` measured-layers back (workspace ring) |
+//! | `Synth(l,s)` | activation synthesis (Box–Muller) for gather stage `s` | `Sec(l)`, `Gather(l',s)` of the layer `depth` measured-layers back (scratch ring) |
 //! | `Gather(l,s)` | similarity gather over the synthesised activations | `Synth(l,s)` |
 //! | `FoldStats(l)` | pure statistics fold of the four gathers (parallel-safe) | `Gather(l,0..4)` |
 //! | `Absorb(l)` | in-order absorption into the measured run | `FoldStats(l)`, `Sec(l)`, `Absorb(l-1)` |
@@ -22,11 +25,11 @@
 //! make results bit-identical to [`ExecMode::Serial`]. The expensive
 //! per-layer statistics reduction (`FoldStats`) floats **outside** the
 //! ordered chain (ROADMAP item (j)): layer *l*'s fold and lowering
-//! overlap layer *l+1*'s synthesis and SEC at any depth, and when
-//! several jobs share one scheduler — a fused batch or the streaming
-//! [`crate::exec::FocusService`] — stages of *different requests*
-//! interleave on the same workers, the streaming-serving shape of the
-//! paper's architecture.
+//! overlap layer *l+1*'s synthesis and SEC at any depth, and since
+//! every job shares the one [`crate::exec::FocusService`] pool — a
+//! batch, a stream's frames, single requests — stages of *different
+//! requests* interleave on the same workers, the streaming-serving
+//! shape of the paper's architecture.
 //!
 //! Determinism does not rest on the schedule: every node is a pure
 //! function of its input slots (write-once [`OnceLock`]s guarded by
@@ -36,12 +39,12 @@
 //!
 //! # Scheduler core
 //!
-//! [`Core`] is the shared engine behind both entry points: per-worker
-//! LIFO deques with FIFO stealing, a **weighted fair** global ready
-//! queue, and a version-counter park/unpark protocol whose sleep
-//! decision happens **under the state lock** (no lost-wakeup window —
-//! every producer publishes its push by bumping the version under the
-//! same lock a parking worker re-checks before it waits). All internal
+//! [`Core`] is the engine behind the service: per-worker LIFO deques
+//! with FIFO stealing, a **weighted fair** global ready queue, and a
+//! version-counter park/unpark protocol whose sleep decision happens
+//! **under the state lock** (no lost-wakeup window — every producer
+//! publishes its push by bumping the version under the same lock a
+//! parking worker re-checks before it waits). All internal
 //! locking recovers from poisoning, so the first panic payload of a
 //! task body is always what propagates — never an opaque
 //! `PoisonError`. A panicked job is *skip-drained*: its remaining
@@ -78,20 +81,21 @@
 
 use std::any::Any;
 use std::collections::{BinaryHeap, VecDeque};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use focus_sim::{ArchConfig, Engine, SimReport};
-use focus_vlm::Workload;
+use focus_sim::{Engine, SimReport};
+use focus_vlm::embedding::Stage;
 
-use crate::exec::executor::{fold_gathers, ExecMode, LayerExecutor, LayerRecord};
-use crate::exec::stage::{LayerCtx, StageScratch};
+use crate::exec::batch::BatchJob;
+use crate::exec::executor::{fold_gathers, gather_stages, ExecMode, LayerRecord};
+use crate::exec::stage::{GatherStage, LayerCtx, SemanticStage, StageScratch, StageWorkspace};
 use crate::obs::spans::{Span, SpanKind, SpanLabel};
 use crate::pipeline::lower::LayerLowered;
 use crate::pipeline::measure::{MeasureAccum, MeasureBuffers};
-use crate::pipeline::{FocusPipeline, PipelineResult, SecLayerStats};
-use crate::session::FrameWarm;
+use crate::pipeline::{PipelineResult, SecLayerStats};
+use crate::session::{FrameWarm, RetentionPlan, SessionGeometry};
 use crate::sic::{Fhw, MatrixGatherStats};
 
 /// Locks `m`, recovering the guard when the mutex was poisoned by a
@@ -171,7 +175,7 @@ impl Priority {
 /// dependencies of later nodes. Only valid within the graph that
 /// returned it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TaskId(usize);
+pub(crate) struct TaskId(usize);
 
 struct TaskNode<'s> {
     run: Box<dyn Fn() + Send + Sync + 's>,
@@ -182,53 +186,38 @@ struct TaskNode<'s> {
 }
 
 /// A directed acyclic graph of tasks. Nodes are closures over shared
-/// state the caller owns; edges declare data dependencies. Build one
-/// per unit of work (e.g. one pipeline run) and hand it to
-/// [`TaskScheduler::run`] (batch) or inject it into a live [`Core`]
-/// (serving) — the scheduler interleaves nodes across graphs freely.
+/// state (a [`PipelineGraph`] behind an `Arc`, in the service); edges
+/// declare data dependencies. Build one per unit of work (e.g. one
+/// pipeline run) and inject it into a live [`Core`] — the scheduler
+/// interleaves nodes across graphs freely.
 #[derive(Default)]
-pub struct TaskGraph<'s> {
+pub(crate) struct TaskGraph<'s> {
     nodes: Vec<TaskNode<'s>>,
 }
 
 impl<'s> TaskGraph<'s> {
     /// An empty graph.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TaskGraph::default()
     }
 
     /// Adds a node that runs `run` once every task in `deps` has
     /// completed. Dependencies must be handles from **this** graph
     /// (later nodes may only depend on earlier ones, so graphs are
-    /// acyclic by construction).
-    pub fn add(&mut self, deps: &[TaskId], run: impl Fn() + Send + Sync + 's) -> TaskId {
-        self.add_inner(deps, None, Box::new(run))
-    }
-
-    /// [`TaskGraph::add`] with a span label: when tracing is on, every
-    /// execution of this node records a [`crate::obs::Span`] carrying
-    /// the label's kind/layer/stage. The pipeline planner labels its
-    /// nodes; unlabelled (plain `add`) nodes run untraced.
-    pub(crate) fn add_labeled(
-        &mut self,
-        deps: &[TaskId],
-        label: SpanLabel,
-        run: impl Fn() + Send + Sync + 's,
-    ) -> TaskId {
-        self.add_inner(deps, Some(label), Box::new(run))
-    }
-
-    fn add_inner(
+    /// acyclic by construction). When tracing is on, every execution
+    /// of a labelled node records a [`crate::obs::Span`] carrying the
+    /// label's kind/layer/stage; unlabelled nodes run untraced.
+    pub(crate) fn add(
         &mut self,
         deps: &[TaskId],
         label: Option<SpanLabel>,
-        run: Box<dyn Fn() + Send + Sync + 's>,
+        run: impl Fn() + Send + Sync + 's,
     ) -> TaskId {
         for d in deps {
             assert!(d.0 < self.nodes.len(), "dependency from another graph");
         }
         self.nodes.push(TaskNode {
-            run,
+            run: Box::new(run),
             deps: deps.iter().map(|d| d.0).collect(),
             label,
         });
@@ -236,30 +225,16 @@ impl<'s> TaskGraph<'s> {
     }
 
     /// Number of nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
     }
-
-    /// Whether the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-}
-
-/// What the scheduler did for one graph.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SchedStats {
-    /// Task nodes executed (= the graph's node count on completion).
-    pub tasks: u64,
-    /// Tasks a worker stole from another worker's queue.
-    pub stolen: u64,
 }
 
 /// Flattened node of one admitted job.
 struct FlatNode<'s> {
     run: Box<dyn Fn() + Send + Sync + 's>,
     dependents: Vec<usize>,
-    /// Observability identity (see [`TaskGraph::add_labeled`]).
+    /// Observability identity (see [`TaskGraph::add`]).
     label: Option<SpanLabel>,
 }
 
@@ -284,8 +259,6 @@ pub(crate) struct JobRun<'s> {
     pending: Vec<AtomicUsize>,
     /// Nodes not yet executed (or skip-drained).
     remaining: AtomicUsize,
-    executed: AtomicU64,
-    stolen: AtomicU64,
     /// Set by the first panicking node; the rest of the job
     /// skip-drains (dependents released, bodies not run).
     panicked: AtomicBool,
@@ -312,14 +285,6 @@ impl JobRun<'_> {
     /// Takes the first panic payload, if a node panicked.
     pub(crate) fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
         lock_clean(&self.panic).take()
-    }
-
-    /// Scheduling statistics of this job so far.
-    pub(crate) fn stats(&self) -> SchedStats {
-        SchedStats {
-            tasks: self.executed.load(Ordering::SeqCst),
-            stolen: self.stolen.load(Ordering::SeqCst),
-        }
     }
 }
 
@@ -396,11 +361,10 @@ struct AdmissionTickets {
     serving: u64,
 }
 
-/// The scheduler core shared by the batch-scoped [`TaskScheduler`] and
-/// the persistent [`crate::exec::FocusService`]: job-tagged tasks,
-/// dynamic graph injection, weighted-fair ready ordering (see the
-/// module docs), bounded in-flight nodes, and workers that park (not
-/// exit) when idle.
+/// The scheduler core behind [`crate::exec::FocusService`]: job-tagged
+/// tasks, dynamic graph injection, weighted-fair ready ordering (see
+/// the module docs), bounded in-flight nodes, and workers that park
+/// (not exit) when idle.
 pub(crate) struct Core<'s> {
     state: Mutex<CoreState<'s>>,
     /// Parked workers wait here; producers notify after bumping
@@ -680,8 +644,6 @@ impl<'s> Core<'s> {
             nodes,
             pending,
             remaining: AtomicUsize::new(total),
-            executed: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
             panicked: AtomicBool::new(false),
             panic: Mutex::new(None),
             done: Mutex::new(false),
@@ -760,17 +722,10 @@ impl<'s> Core<'s> {
     }
 
     /// Steals FIFO from peers' deques (their oldest — and roughly
-    /// lowest-tagged — task), tagging the victim job.
+    /// lowest-tagged — task).
     fn steal(&self, worker: usize) -> Option<Task<'s>> {
         let n = self.locals.len();
-        for i in 1..n {
-            let victim = (worker + i) % n;
-            if let Some(task) = lock_clean(&self.locals[victim]).pop_front() {
-                task.job.stolen.fetch_add(1, Ordering::SeqCst);
-                return Some(task);
-            }
-        }
-        None
+        (1..n).find_map(|i| lock_clean(&self.locals[(worker + i) % n]).pop_front())
     }
 
     /// Runs (or skip-drains) one node, releases its dependents, and
@@ -808,18 +763,13 @@ impl<'s> Core<'s> {
                     t_end_us: crate::obs::clock::now_micros(),
                 });
             }
-            match outcome {
-                Err(payload) => {
-                    let mut slot = lock_clean(&job.panic);
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
-                    drop(slot);
-                    job.panicked.store(true, Ordering::SeqCst);
+            if let Err(payload) = outcome {
+                let mut slot = lock_clean(&job.panic);
+                if slot.is_none() {
+                    *slot = Some(payload);
                 }
-                Ok(()) => {
-                    job.executed.fetch_add(1, Ordering::SeqCst);
-                }
+                drop(slot);
+                job.panicked.store(true, Ordering::SeqCst);
             }
         }
 
@@ -905,83 +855,6 @@ impl<'s> Core<'s> {
     }
 }
 
-/// A small work-stealing scheduler for batches of [`TaskGraph`]s.
-///
-/// Each worker keeps a LIFO deque of ready tasks (tasks it unblocked
-/// run next, data-hot) and steals FIFO from its peers when it runs
-/// dry. Task closures are pure in their declared dependencies, so the
-/// (nondeterministic) execution order cannot affect results —
-/// `tests/batch_determinism.rs` proves the end-to-end claim
-/// property-style. This type is the batch-scoped front end of the
-/// shared scheduler [`Core`]; the process-wide, long-lived front end
-/// is [`crate::exec::FocusService`].
-#[derive(Clone, Copy, Debug)]
-pub struct TaskScheduler {
-    threads: usize,
-}
-
-impl Default for TaskScheduler {
-    fn default() -> Self {
-        TaskScheduler::new()
-    }
-}
-
-impl TaskScheduler {
-    /// A scheduler as wide as the machine
-    /// ([`std::thread::available_parallelism`]).
-    pub fn new() -> Self {
-        TaskScheduler::with_threads(std::thread::available_parallelism().map_or(1, |n| n.get()))
-    }
-
-    /// A scheduler with an explicit worker count (≥ 1).
-    pub fn with_threads(threads: usize) -> Self {
-        TaskScheduler {
-            threads: threads.max(1),
-        }
-    }
-
-    /// Worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs every graph to completion, interleaving nodes across
-    /// graphs, and returns per-graph statistics (in input order).
-    ///
-    /// A panic in a task closure fails *its* graph (the rest of that
-    /// graph skip-drains; sibling graphs run to completion) and the
-    /// first panic payload — in graph submission order — is re-raised
-    /// on the calling thread.
-    pub fn run(&self, graphs: Vec<TaskGraph<'_>>) -> Vec<SchedStats> {
-        let total: usize = graphs.iter().map(TaskGraph::len).sum();
-        if total == 0 {
-            return vec![SchedStats::default(); graphs.len()];
-        }
-        let threads = self.threads.min(total);
-        let core = Core::new(threads, usize::MAX);
-        let jobs: Vec<Arc<JobRun<'_>>> = graphs
-            .into_iter()
-            .map(|g| core.inject(g, Priority::Normal))
-            .collect();
-        std::thread::scope(|s| {
-            for w in 0..threads {
-                let core = &core;
-                s.spawn(move || core.worker(w));
-            }
-            for job in &jobs {
-                job.wait_done();
-            }
-            core.shutdown();
-        });
-        for job in &jobs {
-            if let Some(payload) = job.take_panic() {
-                resume_unwind(payload);
-            }
-        }
-        jobs.iter().map(|job| job.stats()).collect()
-    }
-}
-
 /// The `Sec(l)` node's output slot: everything downstream nodes of the
 /// layer read.
 struct LayerInput {
@@ -1000,10 +873,10 @@ struct LayerInput {
 }
 
 /// One node of a [`PipelineGraph`], identified by role: the unit
-/// [`PipelineGraph::plan`] emits and [`PipelineGraph::run_node`]
-/// dispatches on. Keeping the topology (`plan`) separate from the
-/// bodies lets the borrowed batch path and the owning
-/// [`crate::exec::FocusService`] path wire the same graph.
+/// [`topology`] emits and [`PipelineGraph::run_node`] dispatches on.
+/// The topology depends only on the retention plan and the depth, so
+/// [`crate::exec::node_inventory`] counts nodes without building a
+/// graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum NodeKind {
     /// Semantic pruning of one layer (sequential chain).
@@ -1014,7 +887,7 @@ pub(crate) enum NodeKind {
         layer: usize,
         /// Gather-stage index.
         stage: usize,
-        /// Workspace ring slot.
+        /// Scratch ring slot.
         slot: usize,
     },
     /// Similarity gather over the synthesised activations.
@@ -1023,7 +896,7 @@ pub(crate) enum NodeKind {
         layer: usize,
         /// Gather-stage index.
         stage: usize,
-        /// Workspace ring slot.
+        /// Scratch ring slot.
         slot: usize,
     },
     /// Pure statistics fold of the layer's four gathers — parallel
@@ -1040,7 +913,7 @@ pub(crate) enum NodeKind {
 impl NodeKind {
     /// The observability identity of this node: its public
     /// [`SpanKind`] plus layer/stage coordinates (ring slots are a
-    /// workspace detail and stay out of spans).
+    /// scratch detail and stay out of spans).
     pub(crate) fn span_label(self) -> SpanLabel {
         match self {
             NodeKind::Sec(layer) => SpanLabel {
@@ -1078,19 +951,84 @@ impl NodeKind {
     }
 }
 
-/// One pipeline run expressed as a task graph: the shared state every
-/// node reads and writes, plus the planner that wires the nodes into a
-/// [`TaskGraph`]. [`crate::exec::BatchRunner`] submits one per
-/// workload into the shared [`crate::exec::FocusService`].
-pub(crate) struct PipelineGraph<'w> {
-    pipeline: &'w FocusPipeline,
-    workload: &'w Workload,
-    arch: &'w ArchConfig,
+/// The node topology of one run over `plan` at pipeline depth `depth`
+/// (≥ 1 in-flight measured layers per gather stage): `(dependencies,
+/// kind)` per node, in insertion order — a dependency index always
+/// precedes its dependent, mirroring [`TaskGraph::add`]'s contract.
+pub(crate) fn topology(plan: &RetentionPlan, depth: usize) -> Vec<(Vec<usize>, NodeKind)> {
+    let depth = depth.max(1);
+    let stages_n = Stage::GATHER_POINTS.len();
+    let mut nodes: Vec<(Vec<usize>, NodeKind)> = Vec::new();
+    let mut prev_sec: Option<usize> = None;
+    let mut prev_absorb: Option<usize> = None;
+    // Gather nodes of earlier measured layers, for the scratch ring
+    // edges.
+    let mut measured_gathers: Vec<Vec<usize>> = Vec::new();
+    let mut lower_ids: Vec<usize> = Vec::new();
+    for layer in 0..plan.geometry().layers {
+        let sec = nodes.len();
+        nodes.push((prev_sec.into_iter().collect(), NodeKind::Sec(layer)));
+        let mut absorb_deps: Vec<usize> = vec![sec];
+        if plan.measures_at(layer) {
+            let ord = measured_gathers.len();
+            let slot = ord % depth;
+            // A ring slot frees once the gather `depth` measured
+            // layers back has consumed it.
+            let ring_frees: Vec<Option<usize>> = match ord.checked_sub(depth) {
+                Some(prior) => measured_gathers[prior].iter().map(|&g| Some(g)).collect(),
+                None => vec![None; stages_n],
+            };
+            let mut gathers = Vec::with_capacity(stages_n);
+            for (stage, ring_free) in ring_frees.into_iter().enumerate() {
+                let mut synth_deps = vec![sec];
+                synth_deps.extend(ring_free);
+                let synth = nodes.len();
+                nodes.push((synth_deps, NodeKind::Synth { layer, stage, slot }));
+                let gather = nodes.len();
+                nodes.push((vec![synth], NodeKind::Gather { layer, stage, slot }));
+                gathers.push(gather);
+            }
+            let fold = nodes.len();
+            nodes.push((gathers.clone(), NodeKind::FoldStats(layer)));
+            absorb_deps.push(fold);
+            measured_gathers.push(gathers);
+        }
+        absorb_deps.extend(prev_absorb);
+        let absorb = nodes.len();
+        nodes.push((absorb_deps, NodeKind::Absorb(layer)));
+        let lower = nodes.len();
+        nodes.push((vec![absorb], NodeKind::Lower(layer)));
+        lower_ids.push(lower);
+        prev_sec = Some(sec);
+        prev_absorb = Some(absorb);
+    }
+    nodes.push((lower_ids, NodeKind::Finish));
+    nodes
+}
+
+/// One pipeline run expressed as a task graph: the owned inputs and
+/// the shared state every node reads and writes. The service wraps it
+/// in an `Arc` that every node closure, the [`crate::exec::JobHandle`]
+/// and a stream session's in-flight record share, so no node borrows
+/// from the submitting stack frame.
+pub(crate) struct PipelineGraph {
+    job: BatchJob,
     /// When present, `Finish` also runs the cycle simulation.
-    engine: Option<&'w Engine>,
+    engine: Option<Arc<Engine>>,
+    /// Cross-layer synthesis window (≥ 1): the scratch ring's length
+    /// per gather stage.
     depth: usize,
-    /// Node inventory: stages, workspace ring, measurement predicate.
-    exec: LayerExecutor<'w>,
+    /// The measurement plan: measured-layer predicate, full-set
+    /// positions. Derived fresh per run — or shared across every frame
+    /// of a [`crate::exec::StreamSession`].
+    plan: Arc<RetentionPlan>,
+    gathers: Vec<GatherStage>,
+    /// Scratch ring: `depth` slots per gather stage (flattened
+    /// `stage * depth + slot`). A `Synth`/`Gather` node takes its
+    /// slot's scratch for the call and puts it back; the ring edges of
+    /// [`topology`] give each slot one user at a time. A slot a
+    /// panicking node left empty is refilled on reclaim.
+    ring: Vec<Mutex<Option<StageScratch>>>,
     /// The initial retained set (`0..m_img`), `Sec(0)`'s input.
     initial: Vec<usize>,
     m_img: usize,
@@ -1111,49 +1049,50 @@ pub(crate) struct PipelineGraph<'w> {
     temporal: Option<Arc<crate::sic::TemporalCache>>,
 }
 
-impl<'w> PipelineGraph<'w> {
-    /// Prepares the shared state of one run at pipeline depth `depth`
-    /// (≥ 1 in-flight layers of synthesis per gather stage).
-    pub(crate) fn new(
-        pipeline: &'w FocusPipeline,
-        workload: &'w Workload,
-        arch: &'w ArchConfig,
-        depth: usize,
-        engine: Option<&'w Engine>,
-    ) -> Self {
-        PipelineGraph::with_warm(pipeline, workload, arch, depth, engine, None)
-    }
-
-    /// [`PipelineGraph::new`] over session-donated warm state: the
-    /// shared retention plan plus recycled stage scratch and measure
-    /// buffers. Bit-identical to a cold build — warm state is
-    /// allocation/plan reuse only.
-    pub(crate) fn with_warm(
-        pipeline: &'w FocusPipeline,
-        workload: &'w Workload,
-        arch: &'w ArchConfig,
-        depth: usize,
-        engine: Option<&'w Engine>,
-        warm: Option<FrameWarm>,
-    ) -> Self {
-        let depth = depth.max(1);
+impl PipelineGraph {
+    /// Prepares the state of one run of `job` at its pipeline's graph
+    /// depth ([`ExecMode::DEFAULT_GRAPH_DEPTH`] for a
+    /// [`ExecMode::Serial`] job — the results are the same), over
+    /// session-donated warm state when given: the shared retention
+    /// plan plus recycled stage scratch and measure buffers.
+    /// Bit-identical to a cold build — warm state is allocation/plan
+    /// reuse only.
+    pub(crate) fn new(job: BatchJob, engine: Option<Arc<Engine>>, warm: Option<FrameWarm>) -> Self {
+        let depth = match job.pipeline.exec_mode {
+            ExecMode::Graph { depth } => depth.max(1),
+            ExecMode::Serial => ExecMode::DEFAULT_GRAPH_DEPTH,
+        };
         let (plan, scratch, measure, temporal) = match warm {
             Some(warm) => (Some(warm.plan), warm.scratch, warm.measure, warm.temporal),
             None => (None, None, None, None),
         };
-        let exec =
-            LayerExecutor::with_parts(pipeline, workload, ExecMode::Graph { depth }, plan, scratch);
-        let layers_n = exec.layers();
-        let m_img = workload.image_tokens_scaled();
-        let stages_n = exec.gather_stages().len();
+        let plan = plan
+            .unwrap_or_else(|| Arc::new(RetentionPlan::derive(&job.pipeline.focus, &job.workload)));
+        assert_eq!(
+            plan.geometry(),
+            SessionGeometry::of(&job.workload),
+            "retention plan geometry must match the workload"
+        );
+        let gathers = gather_stages(&job.pipeline);
+        let stages_n = gathers.len();
+        let slots = stages_n * depth;
+        let scratch = scratch.unwrap_or_else(|| {
+            (0..slots)
+                .map(|_| StageScratch::for_workload(&job.workload))
+                .collect()
+        });
+        assert_eq!(
+            scratch.len(),
+            slots,
+            "donated scratch must cover stages x depth"
+        );
+        let layers_n = plan.geometry().layers;
+        let m_img = plan.geometry().m_img;
         let accum = MeasureAccum::with_buffers(m_img, layers_n, measure.unwrap_or_default());
         PipelineGraph {
-            pipeline,
-            workload,
-            arch,
             engine,
             depth,
-            exec,
+            ring: scratch.into_iter().map(|s| Mutex::new(Some(s))).collect(),
             initial: (0..m_img).collect(),
             m_img,
             inputs: (0..layers_n).map(|_| OnceLock::new()).collect(),
@@ -1164,65 +1103,27 @@ impl<'w> PipelineGraph<'w> {
             result: Mutex::new(None),
             recycled: Mutex::new(None),
             temporal,
+            plan,
+            gathers,
+            job,
         }
     }
 
-    /// The run's node topology: `(dependencies, kind)` per node, in
-    /// insertion order (a dependency index always precedes its
-    /// dependent, mirroring [`TaskGraph::add`]'s contract).
-    pub(crate) fn plan(&self) -> Vec<(Vec<usize>, NodeKind)> {
-        let layers_n = self.exec.layers();
-        let stages_n = self.exec.gather_stages().len();
-        let mut nodes: Vec<(Vec<usize>, NodeKind)> = Vec::new();
-        let mut prev_sec: Option<usize> = None;
-        let mut prev_absorb: Option<usize> = None;
-        // Gather nodes of earlier measured layers, for the workspace
-        // ring edges.
-        let mut measured_gathers: Vec<Vec<usize>> = Vec::new();
-        let mut lower_ids: Vec<usize> = Vec::new();
-        for layer in 0..layers_n {
-            let sec = nodes.len();
-            nodes.push((prev_sec.into_iter().collect(), NodeKind::Sec(layer)));
-            let mut absorb_deps: Vec<usize> = vec![sec];
-            if self.exec.measures_at(layer) {
-                let ord = measured_gathers.len();
-                let slot = ord % self.depth;
-                // A ring slot frees once the gather `depth` measured
-                // layers back has consumed it.
-                let ring_frees: Vec<Option<usize>> = match ord.checked_sub(self.depth) {
-                    Some(prior) => measured_gathers[prior].iter().map(|&g| Some(g)).collect(),
-                    None => vec![None; stages_n],
-                };
-                let mut gathers = Vec::with_capacity(stages_n);
-                for (stage, ring_free) in ring_frees.into_iter().enumerate() {
-                    let mut synth_deps = vec![sec];
-                    synth_deps.extend(ring_free);
-                    let synth = nodes.len();
-                    nodes.push((synth_deps, NodeKind::Synth { layer, stage, slot }));
-                    let gather = nodes.len();
-                    nodes.push((vec![synth], NodeKind::Gather { layer, stage, slot }));
-                    gathers.push(gather);
-                }
-                let fold = nodes.len();
-                nodes.push((gathers.clone(), NodeKind::FoldStats(layer)));
-                absorb_deps.push(fold);
-                measured_gathers.push(gathers);
-            }
-            absorb_deps.extend(prev_absorb);
-            let absorb = nodes.len();
-            nodes.push((absorb_deps, NodeKind::Absorb(layer)));
-            let lower = nodes.len();
-            nodes.push((vec![absorb], NodeKind::Lower(layer)));
-            lower_ids.push(lower);
-            prev_sec = Some(sec);
-            prev_absorb = Some(absorb);
+    /// Wires this run's [`topology`] into a task graph whose node
+    /// closures each hold an `Arc` of the run state.
+    pub(crate) fn tasks(self: &Arc<Self>) -> TaskGraph<'static> {
+        let mut graph = TaskGraph::new();
+        let mut ids: Vec<TaskId> = Vec::new();
+        for (deps, kind) in topology(&self.plan, self.depth) {
+            let deps: Vec<TaskId> = deps.iter().map(|&d| ids[d]).collect();
+            let state = Arc::clone(self);
+            ids.push(graph.add(&deps, Some(kind.span_label()), move || state.run_node(kind)));
         }
-        nodes.push((lower_ids, NodeKind::Finish));
-        nodes
+        graph
     }
 
     /// Runs one node body.
-    pub(crate) fn run_node(&self, kind: NodeKind) {
+    fn run_node(&self, kind: NodeKind) {
         match kind {
             NodeKind::Sec(layer) => self.sec_task(layer),
             NodeKind::Synth { layer, stage, slot } => self.synth_task(layer, stage, slot),
@@ -1232,29 +1133,6 @@ impl<'w> PipelineGraph<'w> {
             NodeKind::Lower(layer) => self.lower_task(layer),
             NodeKind::Finish => self.finish_task(),
         }
-    }
-
-    /// Wires this run's nodes into `graph` (the borrowed batch path;
-    /// the service wires the same [`PipelineGraph::plan`] through
-    /// owning closures).
-    pub(crate) fn build<'s>(&'s self, graph: &mut TaskGraph<'s>) {
-        let mut ids: Vec<TaskId> = Vec::new();
-        for (deps, kind) in self.plan() {
-            let deps: Vec<TaskId> = deps.iter().map(|&d| ids[d]).collect();
-            ids.push(graph.add_labeled(&deps, kind.span_label(), move || self.run_node(kind)));
-        }
-    }
-
-    /// Per-[`SpanKind`] node counts of this run's plan — what one
-    /// traced frame contributes to the span rings, for inventory
-    /// assertions (the `trace_run` bin checks recorded spans against
-    /// this).
-    pub(crate) fn span_inventory(&self) -> [(SpanKind, usize); SpanKind::ALL.len()] {
-        let mut counts = SpanKind::ALL.map(|kind| (kind, 0usize));
-        for (_, kind) in self.plan() {
-            counts[kind.span_label().kind.index()].1 += 1;
-        }
-        counts
     }
 
     /// The layer's finished [`LayerInput`] (its `Sec` node ran).
@@ -1269,28 +1147,21 @@ impl<'w> PipelineGraph<'w> {
             &self.input(layer - 1).retained
         };
         let ctx = LayerCtx {
-            workload: self.workload,
+            workload: &self.job.workload,
             layer,
             retained: prev,
             positions: &[],
         };
-        let (retained, sec) = match self.exec.semantic().prune_layer(&ctx) {
+        let semantic = SemanticStage::new(&self.job.pipeline.focus, &self.job.workload);
+        let (retained, sec) = match semantic.prune_layer(&ctx) {
             Some((kept, stats)) => (kept, Some(stats)),
             None => (prev.to_vec(), None),
         };
-        let measured = self.exec.measures_at(layer);
-        let positions: Vec<Option<Fhw>> = if !measured {
-            Vec::new()
-        } else if retained.len() == self.m_img && retained.iter().copied().eq(0..retained.len()) {
-            // The full retained set: copy the plan's position table
-            // (derived once per run — or once per session) instead of
-            // decoding every token again.
-            self.exec.plan().full_positions().to_vec()
+        let measured = self.plan.measures_at(layer);
+        let positions: Vec<Option<Fhw>> = if measured {
+            self.plan.positions(&retained).into_owned()
         } else {
-            retained
-                .iter()
-                .map(|&t| Some(self.exec.layouter().position_of(t)))
-                .collect()
+            Vec::new()
         };
         let set = self.inputs[layer].set(LayerInput {
             retained_in: prev.len(),
@@ -1306,31 +1177,48 @@ impl<'w> PipelineGraph<'w> {
     fn ctx(&self, layer: usize) -> LayerCtx<'_> {
         let input = self.input(layer);
         LayerCtx {
-            workload: self.workload,
+            workload: &self.job.workload,
             layer,
             retained: &input.retained,
             positions: &input.positions,
         }
     }
 
+    /// Runs `f` on a workspace pairing the workload's synthesiser with
+    /// the scratch of ring slot (`stage`, `slot`), then returns the
+    /// scratch to its slot. Only the scratch carries over between
+    /// calls: a fresh synthesiser is bit-identical, because each call
+    /// is a new (layer, stage) context, which flushes its memo anyway.
+    fn with_workspace<R>(
+        &self,
+        stage: usize,
+        slot: usize,
+        f: impl FnOnce(&mut StageWorkspace<'_>) -> R,
+    ) -> R {
+        let cell = &self.ring[stage * self.depth + slot];
+        let scratch = lock_clean(cell)
+            .take()
+            .expect("ring slot holds its scratch");
+        let mut ws =
+            StageWorkspace::with_scratch_on(&self.job.workload, scratch, self.job.pipeline.backend);
+        let out = f(&mut ws);
+        *lock_clean(cell) = Some(ws.scratch);
+        out
+    }
+
     fn synth_task(&self, layer: usize, stage: usize, slot: usize) {
-        let ws = self.exec.workspace(stage, slot);
-        self.exec.gather_stages()[stage].synth(&self.ctx(layer), &mut lock_clean(ws));
+        let ctx = self.ctx(layer);
+        self.with_workspace(stage, slot, |ws| self.gathers[stage].synth(&ctx, ws));
     }
 
     fn gather_task(&self, layer: usize, stage: usize, slot: usize) {
-        let ws = self.exec.workspace(stage, slot);
-        let stats = match &self.temporal {
-            Some(cache) => self.exec.gather_stages()[stage].gather_temporal(
-                &self.ctx(layer),
-                &mut lock_clean(ws),
-                cache,
-                stage,
-            ),
-            None => self.exec.gather_stages()[stage].gather(&self.ctx(layer), &mut lock_clean(ws)),
-        };
-        let stages_n = self.exec.gather_stages().len();
-        *lock_clean(&self.gathered[layer * stages_n + stage]) = Some(stats);
+        let ctx = self.ctx(layer);
+        let gather = &self.gathers[stage];
+        let stats = self.with_workspace(stage, slot, |ws| match &self.temporal {
+            Some(cache) => gather.gather_temporal(&ctx, ws, cache, stage),
+            None => gather.gather(&ctx, ws),
+        });
+        *lock_clean(&self.gathered[layer * self.gathers.len() + stage]) = Some(stats);
     }
 
     /// The pure half of the old `Fold` node: reduces the four gathers'
@@ -1341,7 +1229,7 @@ impl<'w> PipelineGraph<'w> {
     fn fold_stats_task(&self, layer: usize) {
         let input = self.input(layer);
         let mut record = LayerRecord::empty(input.retained_in, true, input.sec.clone());
-        let stages_n = self.exec.gather_stages().len();
+        let stages_n = self.gathers.len();
         let outputs: Vec<MatrixGatherStats> = (0..stages_n)
             .map(|s| {
                 lock_clean(&self.gathered[layer * stages_n + s])
@@ -1385,30 +1273,35 @@ impl<'w> PipelineGraph<'w> {
                 (layer > 0).then(|| layer_stats[layer - 1].clone()),
             )
         };
-        let lowered = self.pipeline.lower_layer(
-            self.workload,
-            self.arch,
-            self.m_img,
-            layer,
-            &stats,
-            prev.as_ref(),
-        );
+        let BatchJob {
+            pipeline,
+            workload,
+            arch,
+        } = &self.job;
+        let lowered =
+            pipeline.lower_layer(workload, arch, self.m_img, layer, &stats, prev.as_ref());
         *lock_clean(&self.lowered[layer]) = Some(lowered);
     }
 
     fn finish_task(&self) {
+        let BatchJob {
+            pipeline,
+            workload,
+            arch,
+        } = &self.job;
         let accum = lock_clean(&self.accum).take().expect("finish runs once");
-        let (run, buffers) = accum.finish_recycling(self.workload);
+        let (run, buffers) = accum.finish_recycling(workload);
         *lock_clean(&self.recycled) = Some(buffers);
         let per_layer: Vec<LayerLowered> = self
             .lowered
             .iter()
             .map(|slot| lock_clean(slot).take().expect("lower node ran"))
             .collect();
-        let result = self
-            .pipeline
-            .assemble(self.workload, self.arch, run, per_layer);
-        let report = self.engine.map(|engine| engine.run(&result.work_items));
+        let result = pipeline.assemble(workload, arch, run, per_layer);
+        let report = self
+            .engine
+            .as_ref()
+            .map(|engine| engine.run(&result.work_items));
         *lock_clean(&self.result) = Some((result, report));
     }
 
@@ -1422,22 +1315,31 @@ impl<'w> PipelineGraph<'w> {
     }
 
     /// Reclaims the frame's recyclable warm state once the job has
-    /// completed (executed **or** skip-drained): the workload-
-    /// independent stage scratch and — when `Finish` actually ran —
-    /// the measure buffers. Recovers from workspace mutexes poisoned
-    /// by a panicked node; the scratch itself is re-planned from zero
-    /// by its next frame, so mid-write contents are harmless.
+    /// completed (executed **or** skip-drained): the stage scratch of
+    /// every ring slot (stage-major, slot-minor — the donation order
+    /// [`PipelineGraph::new`] expects) and — when `Finish` actually
+    /// ran — the measure buffers. A slot a panicking node left empty
+    /// is refilled fresh, so a failed frame still donates a full set;
+    /// scratch is re-planned from zero by its next frame, so
+    /// mid-write contents are harmless.
     pub(crate) fn reclaim_warm(&self) -> (Vec<StageScratch>, Option<MeasureBuffers>) {
-        (
-            self.exec.reclaim_scratch(),
-            lock_clean(&self.recycled).take(),
-        )
+        let scratch = self
+            .ring
+            .iter()
+            .map(|cell| {
+                lock_clean(cell)
+                    .take()
+                    .unwrap_or_else(|| StageScratch::for_workload(&self.job.workload))
+            })
+            .collect();
+        (scratch, lock_clean(&self.recycled).take())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::resume_unwind;
     use std::sync::atomic::AtomicU32;
 
     /// Shuts the core down when dropped: a failing assertion inside a
@@ -1451,25 +1353,32 @@ mod tests {
         }
     }
 
+    /// Runs `body` with one scoped thread per worker slot of `core`,
+    /// shutting the core down afterwards (also when `body` panics).
+    fn with_workers<R>(core: &Core<'_>, body: impl FnOnce() -> R) -> R {
+        std::thread::scope(|s| {
+            let _shutdown = ShutdownOnDrop(core);
+            for w in 0..core.threads() {
+                s.spawn(move || core.worker(w));
+            }
+            body()
+        })
+    }
+
     #[test]
     fn scheduler_respects_dependencies() {
-        // A diamond per graph: root fans out to two middles joined by a
-        // sink that checks both ran.
+        // A diamond: root fans out to two middles joined by a sink that
+        // runs last.
         let order = Mutex::new(Vec::<u32>::new());
         let mut graph = TaskGraph::new();
-        let root = graph.add(&[], || order.lock().unwrap().push(0));
-        let a = graph.add(&[root], || order.lock().unwrap().push(1));
-        let b = graph.add(&[root], || order.lock().unwrap().push(2));
-        graph.add(&[a, b], || order.lock().unwrap().push(3));
-        let stats = TaskScheduler::with_threads(4).run(vec![graph]);
-        assert_eq!(
-            stats,
-            vec![SchedStats {
-                tasks: 4,
-                stolen: stats[0].stolen,
-            }]
-        );
-        let order = order.into_inner().unwrap();
+        let root = graph.add(&[], None, || order.lock().unwrap().push(0));
+        let a = graph.add(&[root], None, || order.lock().unwrap().push(1));
+        let b = graph.add(&[root], None, || order.lock().unwrap().push(2));
+        graph.add(&[a, b], None, || order.lock().unwrap().push(3));
+        let core = Core::new(4, usize::MAX);
+        with_workers(&core, || core.inject(graph, Priority::Normal).wait_done());
+        assert_eq!(core.jobs_done(), 1);
+        let order = order.lock().unwrap().clone();
         assert_eq!(order.len(), 4);
         assert_eq!(order[0], 0);
         assert_eq!(order[3], 3);
@@ -1477,43 +1386,60 @@ mod tests {
 
     #[test]
     fn scheduler_interleaves_many_graphs() {
-        let counter = AtomicU32::new(0);
-        let graphs: Vec<TaskGraph<'_>> = (0..5)
-            .map(|_| {
-                let mut g = TaskGraph::new();
-                let mut prev = None;
-                for _ in 0..10 {
-                    let deps: Vec<TaskId> = prev.into_iter().collect();
-                    prev = Some(g.add(&deps, || {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    }));
-                }
-                g
-            })
-            .collect();
-        let stats = TaskScheduler::with_threads(3).run(graphs);
-        assert_eq!(counter.load(Ordering::Relaxed), 50);
-        assert!(stats.iter().all(|s| s.tasks == 10));
+        let counters: Vec<AtomicU32> = (0..5).map(|_| AtomicU32::new(0)).collect();
+        let core = Core::new(3, usize::MAX);
+        with_workers(&core, || {
+            let jobs: Vec<_> = counters
+                .iter()
+                .map(|counter| {
+                    let mut g = TaskGraph::new();
+                    let mut prev = None;
+                    for _ in 0..10 {
+                        let deps: Vec<TaskId> = prev.into_iter().collect();
+                        prev = Some(g.add(&deps, None, || {
+                            counter.fetch_add(1, Ordering::Relaxed);
+                        }));
+                    }
+                    core.inject(g, Priority::Normal)
+                })
+                .collect();
+            for job in &jobs {
+                job.wait_done();
+            }
+        });
+        assert!(counters.iter().all(|c| c.load(Ordering::Relaxed) == 10));
     }
 
     #[test]
     fn empty_batch_is_fine() {
-        assert!(TaskScheduler::new().run(Vec::new()).is_empty());
+        let core = Core::new(1, usize::MAX);
+        let job = core.inject(TaskGraph::new(), Priority::Normal);
+        assert!(job.is_done(), "an empty graph completes on admission");
+        assert_eq!(core.jobs_done(), 1);
+        assert_eq!(core.inflight(), 0);
     }
 
     #[test]
     #[should_panic(expected = "task boom")]
     fn task_panics_propagate() {
         let mut graph = TaskGraph::new();
-        let root = graph.add(&[], || {});
-        graph.add(&[root], || panic!("task boom"));
+        let root = graph.add(&[], None, || {});
+        graph.add(&[root], None, || panic!("task boom"));
         // A sibling chain that must not deadlock while the panic
         // skip-drains the graph.
         let mut prev = root;
         for _ in 0..4 {
-            prev = graph.add(&[prev], || {});
+            prev = graph.add(&[prev], None, || {});
         }
-        TaskScheduler::with_threads(2).run(vec![graph]);
+        let core = Core::new(2, usize::MAX);
+        let job = with_workers(&core, || {
+            let job = core.inject(graph, Priority::Normal);
+            job.wait_done();
+            job
+        });
+        if let Some(payload) = job.take_panic() {
+            resume_unwind(payload);
+        }
     }
 
     /// A panicking job must not take sibling jobs down with it: the
@@ -1523,18 +1449,23 @@ mod tests {
     #[test]
     fn sibling_job_completes_when_another_panics() {
         let healthy_ran = AtomicU32::new(0);
+        let sick_ran = AtomicU32::new(0);
         let core = Core::new(2, usize::MAX);
 
         let mut sick = TaskGraph::new();
-        let root = sick.add(&[], || {});
-        let boom = sick.add(&[root], || panic!("sick job"));
-        sick.add(&[boom], || unreachable!("runs after the panic"));
+        let root = sick.add(&[], None, || {
+            sick_ran.fetch_add(1, Ordering::SeqCst);
+        });
+        let boom = sick.add(&[root], None, || panic!("sick job"));
+        sick.add(&[boom], None, || {
+            sick_ran.fetch_add(1, Ordering::SeqCst);
+        });
 
         let mut healthy = TaskGraph::new();
         let mut prev: Option<TaskId> = None;
         for _ in 0..20 {
             let deps: Vec<TaskId> = prev.into_iter().collect();
-            prev = Some(healthy.add(&deps, || {
+            prev = Some(healthy.add(&deps, None, || {
                 healthy_ran.fetch_add(1, Ordering::SeqCst);
             }));
         }
@@ -1553,10 +1484,9 @@ mod tests {
             // carries none and executed everything.
             let payload = sick_job.take_panic().expect("sick job panicked");
             assert_eq!(*payload.downcast_ref::<&str>().unwrap(), "sick job");
-            assert_eq!(sick_job.stats().tasks, 1, "only the root ran");
             assert!(healthy_job.take_panic().is_none());
-            assert_eq!(healthy_job.stats().tasks, 20);
         });
+        assert_eq!(sick_ran.load(Ordering::SeqCst), 1, "only the root ran");
         assert_eq!(healthy_ran.load(Ordering::SeqCst), 20);
     }
 
@@ -1593,14 +1523,14 @@ mod tests {
         let mut prev: Option<TaskId> = None;
         for _ in 0..8 {
             let deps: Vec<TaskId> = prev.into_iter().collect();
-            prev = Some(graph.add(&deps, || {
+            prev = Some(graph.add(&deps, None, || {
                 ran.fetch_add(1, Ordering::SeqCst);
             }));
         }
         // …and a panicking graph re-raises its own payload, not the
         // poison.
         let mut sick = TaskGraph::new();
-        sick.add(&[], || panic!("genuine payload"));
+        sick.add(&[], None, || panic!("genuine payload"));
 
         std::thread::scope(|s| {
             let _shutdown = ShutdownOnDrop(&core);
@@ -1612,7 +1542,6 @@ mod tests {
             let sick = core.inject(sick, Priority::Normal);
             healthy.wait_done();
             sick.wait_done();
-            assert_eq!(healthy.stats().tasks, 8);
             let payload = sick.take_panic().expect("sick graph panicked");
             assert_eq!(*payload.downcast_ref::<&str>().unwrap(), "genuine payload");
         });
@@ -1651,7 +1580,7 @@ mod tests {
                                 let mut prev: Option<TaskId> = None;
                                 for _ in 0..(1 + (i + j) % 3) {
                                     let deps: Vec<TaskId> = prev.into_iter().collect();
-                                    prev = Some(g.add(&deps, || {
+                                    prev = Some(g.add(&deps, None, || {
                                         executed.fetch_add(1, Ordering::SeqCst);
                                     }));
                                 }
@@ -1667,16 +1596,20 @@ mod tests {
                             for job in &jobs {
                                 job.wait_done();
                             }
-                            jobs.iter().map(|j| j.stats().tasks).sum::<u64>()
                         })
                     })
                     .collect();
-                let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+                for handle in handles {
+                    handle.join().unwrap();
+                }
                 let expect: u64 = (0..SUBMITTERS)
                     .flat_map(|i| (0..JOBS_EACH).map(move |j| (1 + (i + j) % 3) as u64))
                     .sum();
-                assert_eq!(total, expect, "{threads} workers");
-                assert_eq!(executed.load(Ordering::SeqCst) as u64, expect);
+                assert_eq!(
+                    executed.load(Ordering::SeqCst) as u64,
+                    expect,
+                    "{threads} workers"
+                );
             });
         }
     }
@@ -1712,7 +1645,7 @@ mod tests {
             // when the park counter is read below.
             quiesce();
             let mut g = TaskGraph::new();
-            g.add(&[], || {});
+            g.add(&[], None, || {});
             core.inject(g, Priority::Normal).wait_done();
             quiesce();
             // A parked worker stays parked — no spin (a spinning worker
@@ -1723,7 +1656,7 @@ mod tests {
 
             // And parked ≠ exited: new work still runs.
             let mut g = TaskGraph::new();
-            g.add(&[], || {
+            g.add(&[], None, || {
                 ran.fetch_add(1, Ordering::SeqCst);
             });
             core.inject(g, Priority::High).wait_done();
@@ -1747,7 +1680,7 @@ mod tests {
         for i in 0..10 {
             let deps: Vec<TaskId> = prev.into_iter().collect();
             let (seq, gate) = (&seq, &gate);
-            prev = Some(low.add(&deps, move || {
+            prev = Some(low.add(&deps, None, move || {
                 if i == 0 {
                     // Hold the worker inside the first node until the
                     // high-priority job has been injected.
@@ -1759,7 +1692,7 @@ mod tests {
             }));
         }
         let mut high = TaskGraph::new();
-        high.add(&[], || seq.lock().unwrap().push("HIGH"));
+        high.add(&[], None, || seq.lock().unwrap().push("HIGH"));
 
         std::thread::scope(|s| {
             let _shutdown = ShutdownOnDrop(&core);
@@ -1794,6 +1727,7 @@ mod tests {
         // High nodes served by the time the Low job's last node runs.
         let high_at_low_finish = AtomicU32::new(0);
         let low_done = AtomicBool::new(false);
+        let low_ran = AtomicU32::new(0);
         let core = Core::new(1, usize::MAX);
         std::thread::scope(|s| {
             let _shutdown = ShutdownOnDrop(&core);
@@ -1817,8 +1751,8 @@ mod tests {
                         std::thread::yield_now();
                     }
                     let mut g = TaskGraph::new();
-                    let a = g.add(&[], || {});
-                    g.add(&[a], || {
+                    let a = g.add(&[], None, || {});
+                    g.add(&[a], None, || {
                         high_done.fetch_add(1, Ordering::SeqCst);
                     });
                     handles.push(core.inject(g, Priority::High));
@@ -1836,7 +1770,9 @@ mod tests {
             for i in 0..low_nodes {
                 let deps: Vec<TaskId> = prev.into_iter().collect();
                 let (high_done, high_at_low_finish) = (&high_done, &high_at_low_finish);
-                prev = Some(low.add(&deps, move || {
+                let low_ran = &low_ran;
+                prev = Some(low.add(&deps, None, move || {
+                    low_ran.fetch_add(1, Ordering::SeqCst);
                     if i + 1 == low_nodes {
                         let served = high_done.load(Ordering::SeqCst);
                         high_at_low_finish.store(served, Ordering::SeqCst);
@@ -1855,7 +1791,7 @@ mod tests {
             for h in &handles {
                 h.wait_done();
             }
-            assert_eq!(low_job.stats().tasks, low_nodes);
+            assert_eq!(low_ran.load(Ordering::SeqCst) as u64, low_nodes);
             // Aging bound: each Low node (quantum 4) lets roughly
             // weight-ratio High nodes (quantum 1) pass, plus the
             // already-admitted backlog. Generous 4x slack keeps the
@@ -1890,7 +1826,7 @@ mod tests {
             let mut prev: Option<TaskId> = None;
             for _ in 0..6 {
                 let deps: Vec<TaskId> = prev.into_iter().collect();
-                prev = Some(big.add(&deps, || {
+                prev = Some(big.add(&deps, None, || {
                     executed.fetch_add(1, Ordering::SeqCst);
                 }));
             }
@@ -1902,10 +1838,10 @@ mod tests {
             let jobs: Vec<_> = (0..16)
                 .map(|_| {
                     let mut g = TaskGraph::new();
-                    let a = g.add(&[], || {
+                    let a = g.add(&[], None, || {
                         executed.fetch_add(1, Ordering::SeqCst);
                     });
-                    g.add(&[a], || {
+                    g.add(&[a], None, || {
                         executed.fetch_add(1, Ordering::SeqCst);
                     });
                     core.inject(g, Priority::Normal)
@@ -1933,7 +1869,7 @@ mod tests {
             for _ in 0..len {
                 let deps: Vec<TaskId> = prev.into_iter().collect();
                 let executed = &executed;
-                prev = Some(g.add(&deps, move || {
+                prev = Some(g.add(&deps, None, move || {
                     executed.fetch_add(1, Ordering::SeqCst);
                     std::thread::yield_now();
                 }));
@@ -1953,7 +1889,7 @@ mod tests {
             let big = s.spawn(|| {
                 let big = core.inject(chain(8), Priority::Normal);
                 big.wait_done();
-                big.stats().tasks
+                big.is_done()
             });
             // Give the big submission time to take its admission
             // ticket before the small stream arrives behind it (bounded
@@ -1968,7 +1904,7 @@ mod tests {
             let trailing: Vec<_> = (0..6)
                 .map(|_| core.inject(chain(2), Priority::Normal))
                 .collect();
-            assert_eq!(big.join().unwrap(), 8, "the oversized job completed");
+            assert!(big.join().unwrap(), "the oversized job completed");
             head.wait_done();
             for job in &trailing {
                 job.wait_done();

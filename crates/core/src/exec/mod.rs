@@ -16,15 +16,15 @@
 //! * [`ExecMode`] — the two schedules: [`ExecMode::Graph`], the
 //!   production default, and [`ExecMode::Serial`], the
 //!   single-threaded reference oracle every test compares against;
-//! * [`LayerExecutor`] — the node inventory of one run (stages,
-//!   workspace ring, measurement plan) and the reference layer walk
-//!   behind [`ExecMode::Serial`];
-//! * [`TaskGraph`] / [`TaskScheduler`] ([`graph`] module) — the
-//!   schedule behind [`ExecMode::Graph`]: each layer decomposes into
+//! * [`LayerExecutor`] — the reference layer walk behind
+//!   [`ExecMode::Serial`];
+//! * the task graph (`graph` module) — the schedule behind
+//!   [`ExecMode::Graph`]: each layer decomposes into
 //!   `Sec`/`Synth`/`Gather`/`Fold`/`Lower` task nodes with explicit
-//!   dependencies, and a work-stealing scheduler overlaps layer *l*'s
-//!   fold/lowering with layer *l+1*'s synthesis and SEC at any
-//!   pipeline depth — across workload boundaries when batched;
+//!   dependencies over a pipeline graph that owns its inputs, and a
+//!   work-stealing scheduler core overlaps layer *l*'s fold/lowering
+//!   with layer *l+1*'s synthesis and SEC at any pipeline depth —
+//!   across workload boundaries when several jobs are in flight;
 //! * [`BatchRunner`] — the one batch entry point: [`BatchRunner::run`]
 //!   (and [`BatchRunner::run_sim`], which carries the cycle
 //!   simulation) submits every job into the shared service, results
@@ -32,8 +32,8 @@
 //! * [`par_map`] — an order-preserving parallel map over scoped
 //!   threads, for sweeps that batch something other than whole
 //!   pipeline runs;
-//! * [`FocusService`] (`service` module) — the persistent serving
-//!   front end: a process-wide worker pool that outlives any batch,
+//! * [`FocusService`] (`service` module) — the scheduler's one front
+//!   end: a persistent worker pool that outlives any batch,
 //!   accepting jobs as they arrive (`submit(job) → JobHandle`) with
 //!   per-request [`Priority`] (a *weight* in the scheduler's fair
 //!   queue — no class can starve another), bounded in-flight nodes
@@ -52,16 +52,14 @@
 
 mod batch;
 mod executor;
-pub mod graph;
+mod graph;
 mod service;
 mod stage;
 mod stream;
 
-pub(crate) use graph::PipelineGraph;
-
 pub use batch::{par_map, BatchJob, BatchRunner};
 pub use executor::{ExecMode, LayerExecutor, LayerRecord};
-pub use graph::{Priority, SchedStats, TaskGraph, TaskId, TaskScheduler};
+pub use graph::Priority;
 pub use service::{FocusService, JobHandle, ServiceConfig, ServiceStats};
 pub use stage::{
     ConcentrationStage, GatherStage, LayerCtx, SemanticStage, StageOutput, StageScratch,
@@ -72,12 +70,17 @@ pub use stream::{FrameHandle, SessionStats, StreamConfig, StreamSession};
 /// Per-[`crate::obs::SpanKind`] node counts of one pipeline run's task
 /// graph at pipeline depth `depth` — the inventory a traced frame is
 /// expected to contribute to the span rings. The trace-smoke CI job
-/// asserts recorded span counts against this.
+/// asserts recorded span counts against this. Counts the graph's
+/// topology without building one.
 pub fn node_inventory(
     pipeline: &crate::pipeline::FocusPipeline,
     workload: &focus_vlm::Workload,
-    arch: &focus_sim::ArchConfig,
     depth: usize,
 ) -> [(crate::obs::SpanKind, usize); crate::obs::SpanKind::ALL.len()] {
-    PipelineGraph::new(pipeline, workload, arch, depth, None).span_inventory()
+    let plan = crate::session::RetentionPlan::derive(&pipeline.focus, workload);
+    let mut counts = crate::obs::SpanKind::ALL.map(|kind| (kind, 0usize));
+    for (_, kind) in graph::topology(&plan, depth) {
+        counts[kind.span_label().kind.index()].1 += 1;
+    }
+    counts
 }

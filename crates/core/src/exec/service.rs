@@ -1,20 +1,22 @@
-//! [`FocusService`]: the persistent serving front end of the task
-//! scheduler — a long-lived, process-wide worker pool that accepts
-//! pipeline runs as they arrive.
+//! [`FocusService`]: the one front end of the task scheduler — a
+//! long-lived worker pool that accepts pipeline runs as they arrive.
 //!
-//! The batch-scoped [`crate::exec::TaskScheduler`] builds, drains and
-//! tears its workers down per call; a serving system cannot. Here the
-//! pool outlives any one request: [`FocusService::submit`] admits a
-//! [`BatchJob`]'s task graph into the shared scheduler
-//! [`Core`](crate::exec::graph) at a caller-chosen [`Priority`] and
-//! returns a [`JobHandle`] immediately; workers park (not exit)
-//! between requests and wake on admission. Admission control bounds
-//! the in-flight node count — a submission past the bound blocks
-//! until running requests retire nodes (backpressure), so a burst of
-//! large requests cannot queue unboundedly ahead of the workers.
+//! The pool outlives any one request: [`FocusService::submit`] moves a
+//! [`BatchJob`] into an owned pipeline graph, admits its task nodes
+//! into the scheduler core at a caller-chosen [`Priority`] and returns
+//! a [`JobHandle`] immediately; workers park (not exit) between
+//! requests and wake on admission. Because the graph owns its inputs
+//! and every node holds an `Arc` of it, a request needs no borrow of
+//! the submitting stack frame. Tests that need a particular width
+//! start an owned pool with [`ServiceConfig::with_threads`].
+//! Admission control bounds the in-flight node count — a submission
+//! past the bound blocks until running requests retire nodes
+//! (backpressure), so a burst of large requests cannot queue
+//! unboundedly ahead of the workers.
 //!
 //! [`JobHandle::wait`] returns the same bit-identical
-//! [`PipelineResult`] as [`ExecMode::Serial`]
+//! [`PipelineResult`] as
+//! [`ExecMode::Serial`](crate::exec::ExecMode::Serial)
 //! (`tests/batch_determinism.rs` proves it property-style across
 //! submission orders and priorities), and a panic inside one request
 //! fails only that request — its handle re-raises the original
@@ -33,8 +35,7 @@ use std::thread::JoinHandle;
 use focus_sim::{Engine, SimReport};
 
 use crate::exec::batch::BatchJob;
-use crate::exec::graph::{lock_clean, Core, JobRun, PipelineGraph, Priority, TaskGraph, TaskId};
-use crate::exec::ExecMode;
+use crate::exec::graph::{lock_clean, Core, JobRun, PipelineGraph, Priority};
 use crate::pipeline::PipelineResult;
 use crate::session::FrameWarm;
 use crate::sic::TemporalSnapshot;
@@ -141,72 +142,12 @@ pub struct ServiceStats {
     pub temporal_gathers_skipped: u64,
 }
 
-/// The owned inputs of one in-flight request. Boxed behind
-/// [`ServiceJob`] so the graph state can borrow them for the job's
-/// whole lifetime.
-struct ServiceInputs {
-    job: BatchJob,
-    engine: Option<Arc<Engine>>,
-}
-
-/// One admitted request: the pipeline-graph state plus the owned
-/// inputs it borrows. The node closures and the [`JobHandle`] share
-/// it through an `Arc`, which is what lets the worker pool outlive
-/// the submitting scope (and what lets a [`crate::exec::StreamSession`]
-/// keep a reference for warm-state reclamation after completion).
-pub(crate) struct ServiceJob {
-    /// Borrows `inputs`; declared first so it drops first.
-    pub(crate) graph: PipelineGraph<'static>,
-    /// The shared allocation `graph` points into. Kept in an `Arc`
-    /// (not a `Box`) deliberately: moving an `Arc` copies a plain
-    /// pointer without asserting unique ownership of the pointee, so
-    /// the references forged below stay valid when the `Arc` — and
-    /// `ServiceJob` itself — move. Never mutated while the job lives.
-    _inputs: Arc<ServiceInputs>,
-}
-
-impl ServiceJob {
-    fn new(
-        job: BatchJob,
-        depth: usize,
-        engine: Option<Arc<Engine>>,
-        warm: Option<FrameWarm>,
-    ) -> Self {
-        let inputs = Arc::new(ServiceInputs { job, engine });
-        // SAFETY: `graph` borrows only from the shared allocation
-        // behind `inputs`, whose address is stable and which stays
-        // alive until the last `Arc` clone drops — and `ServiceJob`
-        // holds one, dropped strictly after `graph` (field order
-        // above). The allocation is never mutated, no unique-ownership
-        // claim is ever asserted over it (`Arc` moves are pointer
-        // copies, unlike `Box` moves), and the forged `'static` never
-        // escapes this struct: `run_node` and `take_result` only
-        // hand out data the graph state owns. (`warm` is owned data —
-        // no borrows to anchor.)
-        let graph = unsafe {
-            let anchored: &'static ServiceInputs = &*Arc::as_ptr(&inputs);
-            PipelineGraph::with_warm(
-                &anchored.job.pipeline,
-                &anchored.job.workload,
-                &anchored.job.arch,
-                depth,
-                anchored.engine.as_deref(),
-                warm,
-            )
-        };
-        ServiceJob {
-            graph,
-            _inputs: inputs,
-        }
-    }
-}
-
 /// Completion handle of a submitted request.
 ///
 /// Dropping the handle without waiting is fine — the request still
 /// runs to completion on the pool; only the result is discarded.
 pub struct JobHandle {
-    state: Arc<ServiceJob>,
+    graph: Arc<PipelineGraph>,
     run: Arc<JobRun<'static>>,
     priority: Priority,
 }
@@ -262,8 +203,9 @@ impl JobHandle {
 
     /// Blocks until the request completes and returns its result —
     /// bit-identical to running the same job under
-    /// [`ExecMode::Serial`]. Re-raises the original payload if a node
-    /// of **this** request panicked (the pool itself keeps serving).
+    /// [`ExecMode::Serial`](crate::exec::ExecMode::Serial). Re-raises
+    /// the original payload if a node of **this** request panicked
+    /// (the pool itself keeps serving).
     pub fn wait(self) -> PipelineResult {
         self.wait_sim().0
     }
@@ -276,13 +218,13 @@ impl JobHandle {
         if let Some(payload) = self.run.take_panic() {
             std::panic::resume_unwind(payload);
         }
-        self.state.graph.take_result()
+        self.graph.take_result()
     }
 
-    /// The request's shared state and run record, for the session
+    /// The request's graph state and run record, for the session
     /// layer's window tracking and warm-state reclamation.
-    pub(crate) fn parts(&self) -> (Arc<ServiceJob>, Arc<JobRun<'static>>) {
-        (Arc::clone(&self.state), Arc::clone(&self.run))
+    pub(crate) fn parts(&self) -> (Arc<PipelineGraph>, Arc<JobRun<'static>>) {
+        (Arc::clone(&self.graph), Arc::clone(&self.run))
     }
 }
 
@@ -346,22 +288,23 @@ impl FocusService {
     /// immediately (unless admission control applies backpressure —
     /// then the call blocks until the pool has drained enough nodes).
     /// The cross-layer pipeline depth is taken from the job pipeline's
-    /// [`ExecMode::Graph`] depth, or [`ExecMode::DEFAULT_GRAPH_DEPTH`]
-    /// for jobs configured with a loop schedule.
+    /// [`crate::exec::ExecMode::Graph`] depth, or
+    /// [`crate::exec::ExecMode::DEFAULT_GRAPH_DEPTH`] for jobs
+    /// configured with the serial schedule.
     ///
     /// The request takes the job by value: it must own its inputs for
     /// as long as it runs, which is independent of the submitting
     /// stack frame. Callers holding borrows clone — a scene-descriptor
     /// copy, negligible against the job's measured-phase work.
     pub fn submit(&self, job: BatchJob, priority: Priority) -> JobHandle {
-        self.submit_inner(job, priority, None)
+        self.submit_with(job, priority, None, None)
     }
 
     /// Like [`FocusService::submit`], additionally running the cycle
     /// simulation in the request's `Finish` node against `engine`
     /// (shareable across requests — it is immutable during runs).
     pub fn submit_sim(&self, job: BatchJob, engine: Arc<Engine>, priority: Priority) -> JobHandle {
-        self.submit_inner(job, priority, Some(engine))
+        self.submit_with(job, priority, Some(engine), None)
     }
 
     /// Like [`FocusService::submit`], additionally threading a
@@ -378,23 +321,6 @@ impl FocusService {
         self.submit_with(job, priority, engine, Some(warm))
     }
 
-    fn submit_inner(
-        &self,
-        job: BatchJob,
-        priority: Priority,
-        engine: Option<Arc<Engine>>,
-    ) -> JobHandle {
-        self.submit_with(job, priority, engine, None)
-    }
-
-    /// The pipeline depth a job's graph runs at when submitted here.
-    pub(crate) fn graph_depth(job: &BatchJob) -> usize {
-        match job.pipeline.exec_mode {
-            ExecMode::Graph { depth } => depth,
-            ExecMode::Serial => ExecMode::DEFAULT_GRAPH_DEPTH,
-        }
-    }
-
     fn submit_with(
         &self,
         job: BatchJob,
@@ -402,21 +328,11 @@ impl FocusService {
         engine: Option<Arc<Engine>>,
         warm: Option<FrameWarm>,
     ) -> JobHandle {
-        let depth = FocusService::graph_depth(&job);
-        let state = Arc::new(ServiceJob::new(job, depth, engine, warm));
-        let mut graph: TaskGraph<'static> = TaskGraph::new();
-        let mut ids: Vec<TaskId> = Vec::new();
-        for (deps, kind) in state.graph.plan() {
-            let deps: Vec<TaskId> = deps.iter().map(|&d| ids[d]).collect();
-            let node_state = Arc::clone(&state);
-            ids.push(graph.add_labeled(&deps, kind.span_label(), move || {
-                node_state.graph.run_node(kind)
-            }));
-        }
+        let graph = Arc::new(PipelineGraph::new(job, engine, warm));
         self.jobs_submitted.fetch_add(1, Ordering::SeqCst);
-        let run = self.core.inject(graph, priority);
+        let run = self.core.inject(graph.tasks(), priority);
         JobHandle {
-            state,
+            graph,
             run,
             priority,
         }
@@ -551,6 +467,7 @@ impl Drop for FocusService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecMode;
     use crate::pipeline::FocusPipeline;
     use focus_sim::ArchConfig;
     use focus_vlm::{DatasetKind, ModelKind, Workload, WorkloadScale};

@@ -76,13 +76,6 @@ impl StageScratch {
         let scaled = workload.scaled_model();
         StageScratch::new(&ConvLayouter::new(scaled.grid_h, scaled.grid_w))
     }
-
-    /// A minimal stand-in left behind when warm scratch is reclaimed
-    /// out of a finished frame (the frame's workspace is never used
-    /// again; the placeholder only keeps the struct well-formed).
-    pub(crate) fn placeholder() -> Self {
-        StageScratch::new(&ConvLayouter::new(1, 1))
-    }
 }
 
 /// Thread-reusable scratch state for one stage-graph node: the
@@ -90,10 +83,12 @@ impl StageScratch {
 /// workload-independent [`StageScratch`] (recycled activation matrix,
 /// flat gather position lookup).
 ///
-/// One workspace serves one stage across every layer of a run; the
-/// executor keeps one per node so the four gather stages can run
-/// concurrently without sharing mutable state. Streaming sessions
-/// additionally recycle the [`StageScratch`] half across frames.
+/// A workspace can serve one stage across every layer of a run. The
+/// task graph keeps only the [`StageScratch`] half resident — one per
+/// gather stage and ring slot, so the four gather stages run
+/// concurrently without sharing mutable state — and pairs it with a
+/// fresh synthesiser per node; streaming sessions additionally recycle
+/// that half across frames.
 pub struct StageWorkspace<'w> {
     /// The resident activation synthesiser.
     pub syn: ActivationSynthesizer<'w>,
@@ -132,13 +127,6 @@ impl<'w> StageWorkspace<'w> {
             syn: workload.activation_synthesizer_on(backend),
             scratch,
         }
-    }
-
-    /// Takes the workload-independent scratch out of the workspace,
-    /// leaving a placeholder. For reclamation from finished frames
-    /// only — the workspace must not run any further stage calls.
-    pub(crate) fn take_scratch(&mut self) -> StageScratch {
-        std::mem::replace(&mut self.scratch, StageScratch::placeholder())
     }
 }
 

@@ -44,8 +44,8 @@ use focus_vlm::Workload;
 use focus_vlm::embedding::Stage;
 
 use crate::exec::batch::BatchJob;
-use crate::exec::graph::{JobRun, Priority};
-use crate::exec::service::{FocusService, JobHandle, ServiceJob};
+use crate::exec::graph::{JobRun, PipelineGraph, Priority};
+use crate::exec::service::{FocusService, JobHandle};
 use crate::exec::stage::StageScratch;
 use crate::pipeline::measure::MeasureBuffers;
 use crate::pipeline::{FocusPipeline, PipelineResult};
@@ -131,7 +131,7 @@ pub struct SessionStats {
 /// for window tracking and warm-state reclamation (independent of the
 /// caller's [`FrameHandle`], which may be waited or dropped freely).
 struct InflightFrame {
-    state: Arc<ServiceJob>,
+    graph: Arc<PipelineGraph>,
     run: Arc<JobRun<'static>>,
 }
 
@@ -465,8 +465,8 @@ impl<'s> StreamSession<'s> {
         let handle = self
             .service
             .submit_warm(job, self.config.priority, None, warm);
-        let (state, run) = handle.parts();
-        self.inflight.push_back(InflightFrame { state, run });
+        let (graph, run) = handle.parts();
+        self.inflight.push_back(InflightFrame { graph, run });
         let frame = self.frames_pushed;
         self.frames_pushed += 1;
         FrameHandle { handle, frame }
@@ -483,12 +483,13 @@ impl<'s> StreamSession<'s> {
 
     /// Waits for one frame and pulls its recyclable allocations into
     /// the warm pool. Completion includes skip-drained (panicked)
-    /// frames: their scratch is reclaimed too (it is re-planned from
-    /// zero by the next frame), so one bad frame never cools the
+    /// frames: their scratch is reclaimed too — a slot the panicking
+    /// node held is refilled fresh, and the rest is re-planned from
+    /// zero by the next frame — so one bad frame never cools the
     /// session down.
     fn retire(&mut self, frame: InflightFrame) {
         frame.run.wait_done();
-        let (scratch, measure) = frame.state.graph.reclaim_warm();
+        let (scratch, measure) = frame.graph.reclaim_warm();
         self.pool.push(FrameAllocs { scratch, measure });
         self.frames_retired += 1;
         self.sync_temporal();

@@ -26,14 +26,15 @@
 //! * [`sec`] / [`sic`] — the two concentration mechanisms;
 //! * [`exec`] — the execution engine: the
 //!   [`exec::ConcentrationStage`] trait (one stage-node body), the
-//!   [`exec::TaskGraph`]/[`exec::TaskScheduler`] pair behind the
-//!   default [`exec::ExecMode::Graph`] schedule (every layer
-//!   decomposed into `Sec`/`Synth`/`Gather`/`Fold`/`Lower` task nodes
-//!   on a work-stealing scheduler, cross-layer and cross-workload
-//!   overlap at any depth), the [`exec::LayerExecutor`] (the
-//!   single-threaded reference loop behind [`exec::ExecMode::Serial`]),
-//!   and [`exec::BatchRunner::run`] (submits a batch of jobs into the
-//!   shared serving pool, results bit-identical to serial execution);
+//!   [`exec::FocusService`] pool behind the default
+//!   [`exec::ExecMode::Graph`] schedule (every layer decomposed into
+//!   `Sec`/`Synth`/`Gather`/`Fold`/`Lower` task nodes of an owned
+//!   pipeline graph on a work-stealing scheduler, cross-layer and
+//!   cross-workload overlap at any depth), the [`exec::LayerExecutor`]
+//!   (the single-threaded reference loop behind
+//!   [`exec::ExecMode::Serial`]), and [`exec::BatchRunner::run`]
+//!   (submits a batch of jobs into the shared serving pool, results
+//!   bit-identical to serial execution);
 //! * [`session`] — per-session warm state for streaming feeds: the
 //!   shared retention plan and the recycled frame allocations behind
 //!   [`exec::StreamSession`]'s per-frame admission;
@@ -96,11 +97,7 @@
 //! assert_eq!(results.len(), 4);
 //! ```
 
-// Every unsafe operation must sit in an explicit `unsafe {}` block even
-// inside `unsafe fn`, so the `focus-lint` S1 pass (SAFETY comments on
-// every unsafe span) audits the true unsafe surface, not whole fn
-// bodies.
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod exec;

@@ -1,8 +1,8 @@
 //! The workspace's **single** wall-clock seam.
 //!
 //! Every timestamp the observability layer takes — span starts and
-//! ends in [`crate::exec::graph`], kernel-launch timing in the
-//! [`super::kernels::Timed`] backend wrapper — routes through
+//! ends in the scheduler core (`exec/graph.rs`), kernel-launch timing
+//! in the [`super::kernels::Timed`] backend wrapper — routes through
 //! [`now_micros`], and this file is the only non-test first-party
 //! source the `focus-lint` D1-wallclock rule allows `Instant::now` in
 //! (the rest of `crates/core/src/obs/` is **not** allowlisted — a

@@ -1,6 +1,6 @@
 //! Structured span recording for scheduler node executions.
 //!
-//! Every node a [`crate::exec::graph`] worker executes — `Sec`,
+//! Every node a [`crate::exec::FocusService`] worker executes — `Sec`,
 //! `Synth`, `Gather`, `FoldStats`, `Absorb`, `Lower`, `Finish` —
 //! records one [`Span`] `{job, kind, layer, stage, worker, priority,
 //! tag, t_start, t_end}` into that worker's [`SpanRing`]: a fixed-

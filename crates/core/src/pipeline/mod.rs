@@ -43,8 +43,7 @@ use focus_vlm::accuracy::AccuracyModel;
 use focus_vlm::Workload;
 
 use crate::config::FocusConfig;
-use crate::exec::graph::{TaskGraph, TaskScheduler};
-use crate::exec::{BatchJob, ExecMode, FocusService, PipelineGraph, Priority};
+use crate::exec::{BatchJob, ExecMode, FocusService, Priority};
 
 /// The configured pipeline.
 #[derive(Clone, Debug)]
@@ -127,29 +126,6 @@ impl FocusPipeline {
                 self.lower(workload, arch, measured)
             }
         }
-    }
-
-    /// Runs the whole pipeline — measured phase **and** lowering — as
-    /// one task graph on a private batch-scoped `scheduler`, at
-    /// cross-layer pipeline depth `depth` (see [`ExecMode::Graph`]).
-    /// Bit-identical to [`FocusPipeline::run`] under either mode, for
-    /// any depth, thread count and workload —
-    /// `tests/batch_determinism.rs` proves it property-style.
-    /// [`FocusPipeline::run`] submits graph-mode runs to the shared
-    /// [`FocusService`] instead; call this directly to pin the
-    /// scheduler width (e.g. in tests).
-    pub fn run_graph(
-        &self,
-        workload: &Workload,
-        arch: &ArchConfig,
-        depth: usize,
-        scheduler: &TaskScheduler,
-    ) -> PipelineResult {
-        let state = PipelineGraph::new(self, workload, arch, depth, None);
-        let mut graph = TaskGraph::new();
-        state.build(&mut graph);
-        scheduler.run(vec![graph]);
-        state.take_result().0
     }
 }
 

@@ -28,6 +28,7 @@
 //! run cold under [`crate::exec::ExecMode::Serial`]
 //! (`tests/stream_sessions.rs` proves it property-style).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use focus_vlm::Workload;
@@ -86,6 +87,8 @@ pub(crate) struct RetentionPlan {
     /// `0..m_img`, in token order: the positions every frame's
     /// unpruned early layers would otherwise re-derive token by token.
     full_positions: Vec<Option<Fhw>>,
+    /// Maps pruned retained sets to positions.
+    layouter: ConvLayouter,
 }
 
 impl RetentionPlan {
@@ -112,6 +115,7 @@ impl RetentionPlan {
             geometry,
             measured,
             full_positions,
+            layouter,
         }
     }
 
@@ -125,9 +129,18 @@ impl RetentionPlan {
         self.measured[layer]
     }
 
-    /// Positions of the full retained set `0..m_img`, token-ordered.
-    pub(crate) fn full_positions(&self) -> &[Option<Fhw>] {
-        &self.full_positions
+    /// The `(frame, row, col)` positions of `retained`. The full
+    /// retained set borrows the plan's table (derived once per run — or
+    /// once per session); only genuinely pruned sets decode here.
+    pub(crate) fn positions(&self, retained: &[usize]) -> Cow<'_, [Option<Fhw>]> {
+        if retained.len() == self.geometry.m_img && retained.iter().copied().eq(0..retained.len()) {
+            Cow::Borrowed(&self.full_positions)
+        } else {
+            retained
+                .iter()
+                .map(|&t| Some(self.layouter.position_of(t)))
+                .collect()
+        }
     }
 }
 

@@ -2,13 +2,13 @@
 //! graph-schedule results must be **identical** — sparsity, accuracy,
 //! the full work-item list, DRAM traffic, and every per-layer record —
 //! to the single-threaded `ExecMode::Serial` reference, for any worker
-//! count. Tests that need real concurrency pin it explicitly
-//! (`TaskScheduler::with_threads`, `ServiceConfig`), so a 1-CPU box
-//! still exercises it.
+//! count. Tests that need real concurrency pin it explicitly on an
+//! owned service (`ServiceConfig::with_threads`), so a 1-CPU box still
+//! exercises it.
 
 use focus::core::exec::{
     BatchJob, BatchRunner, ConcentrationStage, ExecMode, FocusService, GatherStage, JobHandle,
-    LayerCtx, Priority, ServiceConfig, StageOutput, StageWorkspace, TaskScheduler,
+    LayerCtx, Priority, ServiceConfig, StageOutput, StageWorkspace,
 };
 use focus::core::pipeline::{FocusPipeline, PipelineResult};
 use focus::core::sic::{ConvLayouter, Fhw};
@@ -159,10 +159,10 @@ fn run_jobs_matches_sequential_over_configs() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The task-graph schedule at pipeline depths 1..=4 on 1..=4
-    /// workers is **bit-identical** to the single-threaded reference
-    /// schedule, for arbitrary retention schedules, precisions and
-    /// models.
+    /// The task-graph schedule at pipeline depths 1..=4 on an owned
+    /// service of 1..=4 workers is **bit-identical** to the
+    /// single-threaded reference schedule, for arbitrary retention
+    /// schedules, precisions and models.
     #[test]
     fn all_exec_modes_match_serial_over_schedules(
         prune_layers in proptest::collection::btree_set(1usize..28, 0..6),
@@ -190,7 +190,13 @@ proptest! {
         }
         let arch = ArchConfig::focus();
         let serial = pipeline.clone().with_exec_mode(ExecMode::Serial).run(&wl, &arch);
-        let graph = pipeline.run_graph(&wl, &arch, depth, &TaskScheduler::with_threads(threads));
+        let service = FocusService::new(ServiceConfig::with_threads(threads));
+        let job = BatchJob {
+            pipeline: pipeline.with_exec_mode(ExecMode::Graph { depth }),
+            workload: wl,
+            arch,
+        };
+        let graph = service.submit(job, Priority::Normal).wait();
         assert_identical(
             &graph,
             &serial,

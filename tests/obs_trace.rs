@@ -185,7 +185,7 @@ fn traced_session_matches_untraced_and_spans_satisfy_invariants() {
         assert_eq!(span.priority, 1, "all frames were Normal: {span:?}");
         counts[span.kind.index()] += 1;
     }
-    let inventory = node_inventory(&pipeline(), &workload(0), &ArchConfig::focus(), DEPTH);
+    let inventory = node_inventory(&pipeline(), &workload(0), DEPTH);
     for (kind, per_frame) in inventory {
         assert_eq!(
             counts[kind.index()],

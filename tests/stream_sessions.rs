@@ -5,6 +5,9 @@
 //!   frame counts × window sizes × worker counts (proptest).
 //! * **Warm state** — after the window fills, every admitted frame
 //!   reuses a retired frame's allocations, with results unchanged.
+//! * **Failure isolation** — a panicking frame fails only its own
+//!   handle; the session keeps admitting on reclaimed scratch and the
+//!   service keeps serving bit-identical results.
 //! * **Fairness** — a saturating stream of High-priority jobs must not
 //!   stall a Low job beyond the fair queue's aging bound (regression
 //!   for the strict-priority starvation ROADMAP item (k)).
@@ -13,6 +16,7 @@
 //! still exercises real concurrency.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use focus::core::exec::{
@@ -21,6 +25,7 @@ use focus::core::exec::{
 };
 use focus::core::pipeline::{FocusPipeline, PipelineResult};
 use focus::core::sic::TemporalCacheConfig;
+use focus::core::FocusConfig;
 use focus::sim::ArchConfig;
 use focus::vlm::scene::SceneStream;
 use focus::vlm::{DatasetKind, ModelKind, Workload, WorkloadScale};
@@ -195,6 +200,66 @@ fn warm_scratch_recycles_across_frames() {
 
     drop(session);
     assert_eq!(service.stats().sessions_open, 0);
+}
+
+/// One bad frame never cools the session down: frames whose graph
+/// panics (a zero `tile_m` divides by zero in the first `Gather`
+/// node's m-tile sweep) re-raise the payload through their own
+/// handles, the session keeps admitting on scratch reclaimed from the
+/// failed frames — the right count per frame, or admission would
+/// assert — and a healthy job served afterwards is bit-identical to
+/// the serial reference.
+#[test]
+fn panicking_frames_keep_the_session_warm() {
+    let service = FocusService::new(ServiceConfig::with_threads(2));
+    let mut broken = FocusConfig::paper();
+    broken.tile_m = 0;
+    let mut session = StreamSession::open(
+        &service,
+        FocusPipeline::with_config(broken).with_exec_mode(ExecMode::Graph { depth: 2 }),
+        ArchConfig::focus(),
+        StreamConfig::default(),
+    );
+    const FRAMES: u64 = 5;
+    let mut warm_reuses = Vec::new();
+    for frame in 0..FRAMES {
+        let handle = session.push_frame(frame_workload(0, frame));
+        warm_reuses.push(session.stats().warm_reuses);
+        let payload = catch_unwind(AssertUnwindSafe(|| handle.wait()))
+            .expect_err("a zero tile height must fail the frame");
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(
+            message.contains("divide by zero"),
+            "frame {frame}: {message:?}"
+        );
+    }
+    // Window 2: frames 0 and 1 allocate fresh; every later admission
+    // draws the scratch a failed frame gave back.
+    assert_eq!(warm_reuses, vec![0, 0, 1, 2, 3]);
+    session.flush();
+    let stats = session.stats();
+    assert_eq!(
+        (stats.frames_pushed, stats.frames_retired),
+        (FRAMES, FRAMES)
+    );
+    drop(session);
+
+    let workload = frame_workload(1, 0);
+    let job = BatchJob {
+        pipeline: graph_pipeline(),
+        workload: workload.clone(),
+        arch: ArchConfig::focus(),
+    };
+    let healthy = service.submit(job, Priority::Normal).wait();
+    assert_identical(
+        &healthy,
+        &serial_reference(&workload),
+        "healthy job after panicking frames",
+    );
 }
 
 /// A frame whose geometry (model grid/layer count) diverges from the
