@@ -2,7 +2,7 @@
 //! the similarity matcher path (gather), the streaming top-k sorter,
 //! the importance analyzer, offset coding and the numeric substrate.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use focus_core::sec::{ImportanceAnalyzer, OffsetEncoding, TopKSorter};
 use focus_core::sic::{gather_tile, scatter, ConvLayouter, Fhw, GatherConfig};
 use focus_core::BlockSize;
@@ -41,6 +41,34 @@ fn bench_gather(c: &mut Criterion) {
             )
         })
     });
+}
+
+/// `Backend::segment_scores` over two contiguous rows with every
+/// 32-wide segment listed — the production gather sweep's
+/// per-(row, candidate) launch — at widths 512 and 2688 (an FFN
+/// activation row at evaluation scale), on the dispatched `simd` path
+/// and the `scalar` oracle. One sample is 100 launches, so the clock
+/// reads do not dominate a sub-microsecond launch.
+fn bench_segment_scores(c: &mut Criterion) {
+    for width in [512usize, 2688] {
+        let row =
+            |k: usize| -> Vec<f32> { (0..width).map(|i| ((i * k) % 257) as f32 - 128.0).collect() };
+        let (a, b, segs): (_, _, Vec<usize>) = (row(131), row(17), (0..width / 32).collect());
+        for (name, be) in [("simd", backend::simd()), ("scalar", backend::scalar_ref())] {
+            let mut an = vec![0.0; segs.len()];
+            let (mut bn, mut out) = (an.clone(), an.clone());
+            be.segment_norms(&a, 32, &segs, &mut an);
+            be.segment_norms(&b, 32, &segs, &mut bn);
+            c.bench_function(&format!("gather/segment_scores_{name}_{width}x32"), |bch| {
+                bch.iter(|| {
+                    for _ in 0..100 {
+                        be.segment_scores(black_box(&a), &b, 32, &segs, &an, &bn, &mut out);
+                    }
+                    black_box(&out);
+                })
+            });
+        }
+    }
 }
 
 fn bench_scatter(c: &mut Criterion) {
@@ -124,7 +152,7 @@ fn bench_matmul(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_gather, bench_scatter, bench_topk, bench_importance,
+    targets = bench_gather, bench_segment_scores, bench_scatter, bench_topk, bench_importance,
               bench_offset_coding, bench_layouter, bench_matmul
 }
 criterion_main!(kernels);

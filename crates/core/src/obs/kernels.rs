@@ -18,14 +18,16 @@
 //! one thread-local counter increment — which keeps the observability
 //! tax under the snapshot's 2% gate while the hot families still collect
 //! thousands of latency samples. Histogram `count()` therefore counts
-//! *samples*, not launches.
+//! *samples*, not launches; [`kernel_launches`] counts every launch, so
+//! a family's total kernel time can be estimated as its sampled mean
+//! times its launches.
 //!
 //! The stage workspaces pick their backend through
 //! [`super::kernel_backend`], which returns `timed(active())` when span
 //! tracing is on and the bare backend when it is off, so the untraced
 //! path never pays even the virtual-call indirection.
 
-use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use focus_tensor::backend::{Backend, BackendHandle, KernelLaunch};
@@ -39,9 +41,9 @@ use super::hist::Histogram;
 /// [`focus_tensor::backend::KernelLaunch`] plus the row-norm pre-pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum KernelFamily {
-    /// Compact-norm kernels (`row_norm`, `row_norms`).
+    /// Compact-norm kernels (`segment_norms`, `row_norms`).
     Norms,
-    /// Gather scoring (`score_candidates`, `score_pairs`).
+    /// Gather scoring (`segment_scores`, `score_pairs`).
     Score,
     /// INT8 fake-quantise round trips.
     FakeQuantize,
@@ -111,19 +113,47 @@ pub fn kernel_histogram(family: KernelFamily) -> &'static Histogram {
 /// overhead at ~1/64 of the exhaustive cost.
 pub const SAMPLE_EVERY: u64 = 64;
 
+/// One thread's launch counters, one per family. Only the owning
+/// thread writes them (a plain load and store, never a read-modify-write
+/// on a shared cache line); [`kernel_launches`] sums every thread's.
+type LaunchCounters = [AtomicU64; KernelFamily::ALL.len()];
+
+/// Every thread's counters, registered at its first timed launch. The
+/// counters are leaked, so a finished thread's launches stay counted.
+static LAUNCH_COUNTERS: Mutex<Vec<&'static LaunchCounters>> = Mutex::new(Vec::new());
+
 thread_local! {
-    /// Per-thread, per-family launch ticks driving the sampling
-    /// decision — one `u64` bump is the entire skip path. Each family
-    /// counts its own launches, so every family is sampled 1 in
+    /// Per-thread, per-family launch ticks: the launch count and the
+    /// sampling decision in one `u64` bump, the entire skip path. Each
+    /// family counts its own launches, so every family is sampled 1 in
     /// [`SAMPLE_EVERY`] of *its* launches: a tick shared across
     /// families aliases with any periodic launch sequence (a family
     /// launched at a fixed offset in a period dividing `SAMPLE_EVERY`
-    /// would be skipped every time). Thread-local on purpose: a shared
+    /// would be skipped every time). Per thread on purpose: a shared
     /// counter would put one contended cache line on every kernel
     /// launch of every worker, which is most of the overhead sampling
     /// exists to avoid.
-    static LAUNCH_TICKS: [Cell<u64>; KernelFamily::ALL.len()] =
-        const { [const { Cell::new(0) }; KernelFamily::ALL.len()] };
+    static LAUNCH_TICKS: &'static LaunchCounters = {
+        let counters: &'static LaunchCounters = Box::leak(Box::default());
+        // Every update is one push, so a poisoned list is still whole.
+        LAUNCH_COUNTERS
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .push(counters);
+        counters
+    };
+}
+
+/// Every launch of `family` through a [`Timed`] wrapper so far, summed
+/// over all threads (statistics only: relaxed reads, so a launch in
+/// progress on another thread may or may not be included).
+pub fn kernel_launches(family: KernelFamily) -> u64 {
+    LAUNCH_COUNTERS
+        .lock()
+        .unwrap_or_else(|p| p.into_inner())
+        .iter()
+        .map(|counters| counters[family.index()].load(Ordering::Relaxed))
+        .sum()
 }
 
 /// A timing-and-forwarding [`Backend`] wrapper: every kernel method
@@ -149,8 +179,8 @@ impl Timed {
     fn time<R>(&self, family: KernelFamily, launch: impl FnOnce() -> R) -> R {
         let sampled = LAUNCH_TICKS.with(|ticks| {
             let tick = &ticks[family.index()];
-            let n = tick.get();
-            tick.set(n.wrapping_add(1));
+            let n = tick.load(Ordering::Relaxed);
+            tick.store(n.wrapping_add(1), Ordering::Relaxed);
             n % SAMPLE_EVERY == 0
         });
         if !sampled {
@@ -179,21 +209,25 @@ impl Backend for Timed {
         self.inner.take_launches()
     }
 
-    fn row_norm(&self, row: &[f32]) -> f32 {
-        self.time(KernelFamily::Norms, || self.inner.row_norm(row))
+    fn segment_norms(&self, row: &[f32], seg: usize, segs: &[usize], out: &mut [f32]) {
+        self.time(KernelFamily::Norms, || {
+            self.inner.segment_norms(row, seg, segs, out)
+        })
     }
 
-    fn score_candidates(
+    fn segment_scores(
         &self,
-        row: &[f32],
-        norm: f32,
-        cands: &[&[f32]],
-        cand_norms: &[f32],
-        scores: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        seg: usize,
+        segs: &[usize],
+        a_norms: &[f32],
+        b_norms: &[f32],
+        out: &mut [f32],
     ) {
         self.time(KernelFamily::Score, || {
             self.inner
-                .score_candidates(row, norm, cands, cand_norms, scores)
+                .segment_scores(a, b, seg, segs, a_norms, b_norms, out)
         })
     }
 
@@ -280,10 +314,10 @@ mod tests {
         let inner = backend::active();
         let wrapper = timed(inner);
         let row = [1.0f32, -2.0, 3.0, 0.5];
-        assert_eq!(
-            wrapper.row_norm(&row).to_bits(),
-            inner.row_norm(&row).to_bits()
-        );
+        let (mut got, mut want) = ([0.0f32; 2], [0.0f32; 2]);
+        wrapper.segment_norms(&row, 2, &[0, 1], &mut got);
+        inner.segment_norms(&row, 2, &[0, 1], &mut want);
+        assert_eq!(got.map(f32::to_bits), want.map(f32::to_bits));
 
         let before = kernel_histogram(KernelFamily::NormalFill).count();
         let mut a = [0.0f32; 64];
@@ -324,6 +358,33 @@ mod tests {
             kernel_histogram(KernelFamily::NormalFill).count(),
             before + 2,
             "2×SAMPLE_EVERY launches on one fresh thread time exactly 2 samples"
+        );
+    }
+
+    #[test]
+    fn launches_count_every_call_while_samples_thin_them() {
+        let _guard = HIST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let wrapper = timed(backend::active());
+        let calls = 2 * SAMPLE_EVERY + 5;
+        let samples_before = kernel_histogram(KernelFamily::NormalFill).count();
+        let launches_before = kernel_launches(KernelFamily::NormalFill);
+        std::thread::spawn(move || {
+            let mut buf = [0.0f32; 8];
+            for seed in 0..calls {
+                wrapper.normal_fill(seed, &mut buf);
+            }
+        })
+        .join()
+        .expect("launch thread");
+        assert_eq!(
+            kernel_launches(KernelFamily::NormalFill),
+            launches_before + calls,
+            "every launch is counted"
+        );
+        assert_eq!(
+            kernel_histogram(KernelFamily::NormalFill).count(),
+            samples_before + calls.div_ceil(SAMPLE_EVERY),
+            "one sample per SAMPLE_EVERY launches, the first included"
         );
     }
 

@@ -52,8 +52,9 @@ pub fn kernel_backend() -> BackendHandle {
 }
 
 /// Publishes the observability layer's own counters into `snap` under
-/// `obs.*`: span recorder totals plus the non-empty node-kind and
-/// kernel-family histogram summaries.
+/// `obs.*`: span recorder totals, the non-empty node-kind and
+/// kernel-family histogram summaries, and each launched kernel
+/// family's exact launch count (`obs.kernel.<family>.launches`).
 pub fn publish_obs(snap: &mut Snapshot) {
     if let Some(rec) = spans::recorder() {
         snap.set_u64("obs.spans.offered", rec.offered());
@@ -67,9 +68,11 @@ pub fn publish_obs(snap: &mut Snapshot) {
         }
     }
     for family in KernelFamily::ALL {
-        snap.set_hist(
-            &format!("obs.kernel.{}", family.name()),
-            kernels::kernel_histogram(family).summary(),
-        );
+        let prefix = format!("obs.kernel.{}", family.name());
+        snap.set_hist(&prefix, kernels::kernel_histogram(family).summary());
+        let launches = kernels::kernel_launches(family);
+        if launches > 0 {
+            snap.set_u64(format!("{prefix}.launches"), launches);
+        }
     }
 }

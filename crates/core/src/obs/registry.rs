@@ -15,7 +15,7 @@
 //!   (`session.frames_submitted`, `session.temporal.prefetch_hits`, …);
 //! * `obs.*` — the observability layer about itself
 //!   (`obs.spans.recorded`, `obs.node.gather.p99_us`,
-//!   `obs.kernel.score.count`, …).
+//!   `obs.kernel.score.count`, `obs.kernel.score.launches`, …).
 //!
 //! Values are deliberately only counters, gauges and small strings —
 //! a snapshot is a point-in-time *reading*, not a live handle.

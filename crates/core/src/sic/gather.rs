@@ -310,32 +310,21 @@ struct Sweep {
     p: Vec<u32>,
     /// The current row's fidelity per column tile.
     fid: Vec<f32>,
-    /// The current row's probe scores, `candidate * col_tiles + ct`.
+    /// The current launch's scores, per column tile.
     scores: Vec<f32>,
-    /// The current row's segments. Like the other pointer arrays it is
-    /// stored empty between calls (see [`recycle`]); only its
-    /// allocation persists.
-    row_segs: Vec<&'static [f32]>,
-    /// Launch operands: a candidate's segments, the compacted pairs of
-    /// launches that skip carried segments, and the deferred fidelity
-    /// pairs.
-    a: Vec<&'static [f32]>,
-    b: Vec<&'static [f32]>,
-    an: Vec<f32>,
-    bn: Vec<f32>,
-    out: Vec<f32>,
-    /// Column tile of each compacted pair.
-    cts: Vec<u32>,
-}
-
-/// Hands an emptied pointer array's allocation back to the scratch.
-/// The in-place `collect` reuses the buffer (same element layout), so
-/// steady-state sweeps never reallocate their launch operands.
-fn recycle(mut v: Vec<&[f32]>) -> Vec<&'static [f32]> {
-    v.clear();
-    v.into_iter()
-        .map(|_| -> &'static [f32] { unreachable!("the vector was cleared") })
-        .collect()
+    /// The current row's best score per column tile so far, and its
+    /// candidate row. `NEG_INFINITY` marks no match yet: every score is
+    /// a clamped cosine or NaN, so any accepted score exceeds it.
+    best_cos: Vec<f32>,
+    best_cand: Vec<u32>,
+    /// Every column tile, `0..col_tiles`: a clean launch's segments.
+    all: Vec<usize>,
+    /// The live segments of a launch that skips carried ones, or the
+    /// column tiles of one fidelity launch.
+    live: Vec<usize>,
+    /// The current row's deferred fidelity probes
+    /// `(representative source row, column tile)`.
+    fid_queue: Vec<(usize, usize)>,
 }
 
 /// Grows `v` to at least `len` elements, leaving existing values.
@@ -343,45 +332,6 @@ fn grow<T: Copy + Default>(v: &mut Vec<T>, len: usize) {
     if v.len() < len {
         v.resize(len, T::default());
     }
-}
-
-/// Calls `launch` once per maximal run of equally wide segments: both
-/// backends take one width per launch, and a ragged last column tile is
-/// narrower than the others.
-fn width_runs(segs: &[&[f32]], mut launch: impl FnMut(Range<usize>)) {
-    let mut start = 0;
-    while start < segs.len() {
-        let w = segs[start].len();
-        let end = segs[start..]
-            .iter()
-            .position(|s| s.len() != w)
-            .map_or(segs.len(), |n| start + n);
-        launch(start..end);
-        start = end;
-    }
-}
-
-/// Scores the compacted pairs in `a`/`b` (width runs launched
-/// separately) into `out`.
-fn score_compacted(
-    backend: BackendHandle,
-    a: &[&[f32]],
-    an: &[f32],
-    b: &[&[f32]],
-    bn: &[f32],
-    out: &mut Vec<f32>,
-) {
-    out.clear();
-    out.resize(a.len(), 0.0);
-    width_runs(a, |run| {
-        backend.score_pairs(
-            &a[run.clone()],
-            &an[run.clone()],
-            &b[run.clone()],
-            &bn[run.clone()],
-            &mut out[run],
-        )
-    });
 }
 
 impl GatherScratch {
@@ -449,27 +399,31 @@ impl GatherScratch {
     /// returning its avoided probes. With `temporal`, the current
     /// [`GatherScratch::carry`] mask applies.
     ///
-    /// Each column tile keeps its own best-match walk state: every
-    /// row's representative (as its source row) and the unique count
-    /// `p`. The walks are sequential over rows, so running all column
-    /// tiles inside the row loop takes exactly the decisions the
-    /// tile-by-tile [`gather_tile`] reference takes. Per row the sweep
-    /// launches one [`Backend::row_norms`] over the row's column
-    /// segments, then one [`Backend::score_pairs`] per planned candidate
-    /// over the two rows' segments; both rows' norms are contiguous
-    /// slices of the sweep's buffers. Launches split only where a
-    /// ragged last column tile changes the width. A row or candidate
-    /// with carried segments launches over its live segments only.
-    /// Matches whose representative is not the matched candidate itself
-    /// take one more fidelity launch per row. No compact copy or map is
-    /// built: `p` and the row count give `compressed_bytes` directly.
+    /// Each column tile keeps its own best-match walk state: the
+    /// current row's best match so far, every row's representative (as
+    /// its source row) and the unique count `p`. Each candidate's scores
+    /// fold into every column tile's best match as soon as they land.
+    /// The walks are sequential over rows and candidates, so running
+    /// all column tiles inside the row loop takes exactly the decisions
+    /// the tile-by-tile [`gather_tile`] reference takes. Every launch is
+    /// segment-addressed over whole contiguous rows, the column tiles
+    /// being the rows' `vector_len`-wide segments: per row one
+    /// [`Backend::segment_norms`], then one [`Backend::segment_scores`]
+    /// per planned candidate, writing straight into the sweep's
+    /// per-segment norm and score buffers. A clean row lists every
+    /// segment; a row or candidate with carried segments lists only the
+    /// live ones, so carried segments launch no kernel work. Matches
+    /// whose representative is not the matched candidate itself take
+    /// one more scoring launch per distinct representative. No compact
+    /// copy or map is built: `p` and the row count give
+    /// `compressed_bytes` directly.
     ///
     /// # Panics
     ///
     /// Panics if the current plan is not for exactly this tile.
     ///
-    /// [`Backend::row_norms`]: focus_tensor::backend::Backend::row_norms
-    /// [`Backend::score_pairs`]: focus_tensor::backend::Backend::score_pairs
+    /// [`Backend::segment_norms`]: focus_tensor::backend::Backend::segment_norms
+    /// [`Backend::segment_scores`]: focus_tensor::backend::Backend::segment_scores
     #[allow(clippy::too_many_arguments)] // the tile tuple + config, carry switch, backend, sink
     pub(crate) fn sweep_tile(
         &mut self,
@@ -492,6 +446,9 @@ impl GatherScratch {
             "row range out of bounds"
         );
         let cols = col_ranges.len();
+        // Column tiles are `vector_ranges`: equal segments from column
+        // 0, the last one possibly ragged.
+        let seg = col_ranges.first().map_or(1, |range| range.len());
         let GatherScratch {
             offsets,
             cands,
@@ -508,145 +465,134 @@ impl GatherScratch {
         sw.p.resize(cols, 0);
         sw.fid.clear();
         sw.fid.resize(cols, 1.0);
-        let mut row_segs: Vec<&[f32]> = std::mem::take(&mut sw.row_segs);
-        let mut a: Vec<&[f32]> = std::mem::take(&mut sw.a);
-        let mut b: Vec<&[f32]> = std::mem::take(&mut sw.b);
+        sw.scores.clear();
+        sw.scores.resize(cols, 0.0);
+        sw.all.clear();
+        sw.all.extend(0..cols);
+        let segments_of = |r: usize| r * cols..(r + 1) * cols;
 
         let (mut comparisons, mut matches, mut carried, mut avoided, mut dot_ops) =
             (0u64, 0u64, 0u64, 0u64, 0u64);
         for local in 0..row_count {
             let row = acts.row(row_start + local);
             let row_cands = &cands[offsets[local] as usize..offsets[local + 1] as usize];
-            let seg = local * cols;
-            row_segs.clear();
-            row_segs.extend(col_ranges.iter().map(|range| &row[range.clone()]));
+            let base = local * cols;
             dirty.push(temporal && (0..cols).any(|ct| carry.is_carried(local, ct)));
             // Only rows with a carried segment consult the mask.
             let carried_at = |r: usize, ct: usize| dirty[r] && carry.is_carried(r, ct);
             let row_dirty = dirty[local];
 
-            // Norms of the row's live segments.
-            if row_dirty {
-                a.clear();
-                a.extend(
-                    (0..cols)
-                        .filter(|&ct| !carried_at(local, ct))
-                        .map(|ct| row_segs[ct]),
-                );
-                sw.out.clear();
-                sw.out.resize(a.len(), 0.0);
-                width_runs(&a, |run| {
-                    backend.row_norms(&a[run.clone()], &mut sw.out[run])
-                });
-                let live = (0..cols).filter(|&ct| !carried_at(local, ct));
-                for (ct, &n) in live.zip(&sw.out) {
-                    sw.norms[seg + ct] = n;
-                }
+            // One norm launch over the row's live segments.
+            let live: &[usize] = if row_dirty {
+                sw.live.clear();
+                sw.live
+                    .extend((0..cols).filter(|&ct| !carried_at(local, ct)));
+                &sw.live
             } else {
-                let norms = &mut sw.norms[seg..seg + cols];
-                width_runs(&row_segs, |run| {
-                    backend.row_norms(&row_segs[run.clone()], &mut norms[run])
-                });
-            }
+                &sw.all
+            };
+            backend.segment_norms(row, seg, live, &mut sw.norms[segments_of(local)]);
 
             // One launch per planned candidate over both rows' live
-            // segments.
-            grow(&mut sw.scores, row_cands.len() * cols);
-            for (j, &cand) in row_cands.iter().enumerate() {
+            // segments, folded at once into every column tile's walk in
+            // candidate order: a strictly better score wins, a tie keeps
+            // the earlier candidate — the streaming matcher's rule.
+            sw.best_cos.clear();
+            sw.best_cos.resize(cols, f32::NEG_INFINITY);
+            sw.best_cand.resize(cols, 0);
+            dot_ops += row.len() as u64; // per segment: the norm pass, or the carried probe slot
+            for &cand in row_cands {
                 let cand = cand as usize;
-                let cand_row = acts.row(row_start + cand);
-                let cseg = cand * cols;
-                let scores = &mut sw.scores[j * cols..(j + 1) * cols];
-                a.clear();
-                b.clear();
-                if !row_dirty && !dirty[cand] {
-                    b.extend(col_ranges.iter().map(|range| &cand_row[range.clone()]));
-                    let (an, bn) = (&sw.norms[seg..seg + cols], &sw.norms[cseg..cseg + cols]);
-                    width_runs(&row_segs, |run| {
-                        backend.score_pairs(
-                            &row_segs[run.clone()],
-                            &an[run.clone()],
-                            &b[run.clone()],
-                            &bn[run.clone()],
-                            &mut scores[run],
-                        )
-                    });
-                    continue;
-                }
-                sw.an.clear();
-                sw.bn.clear();
-                sw.cts.clear();
-                for ct in (0..cols).filter(|&ct| !carried_at(local, ct) && !carried_at(cand, ct)) {
-                    a.push(row_segs[ct]);
-                    sw.an.push(sw.norms[seg + ct]);
-                    b.push(&cand_row[col_ranges[ct].clone()]);
-                    sw.bn.push(sw.norms[cseg + ct]);
-                    sw.cts.push(ct as u32);
-                }
-                score_compacted(backend, &a, &sw.an, &b, &sw.bn, &mut sw.out);
-                for (&ct, &s) in sw.cts.iter().zip(&sw.out) {
-                    scores[ct as usize] = s;
+                let clean = !row_dirty && !dirty[cand];
+                let live: &[usize] = if clean {
+                    &sw.all
+                } else {
+                    sw.live.clear();
+                    sw.live.extend(
+                        (0..cols).filter(|&ct| !carried_at(local, ct) && !carried_at(cand, ct)),
+                    );
+                    &sw.live
+                };
+                backend.segment_scores(
+                    row,
+                    acts.row(row_start + cand),
+                    seg,
+                    live,
+                    &sw.norms[segments_of(local)],
+                    &sw.norms[segments_of(cand)],
+                    &mut sw.scores,
+                );
+                comparisons += live.len() as u64;
+                avoided += (cols - live.len()) as u64;
+                dot_ops += if clean {
+                    row.len() as u64
+                } else {
+                    live.iter().map(|&ct| col_ranges[ct].len() as u64).sum()
+                };
+                let fold = |cos: f32, best_cos: &mut f32, best_cand: &mut u32| {
+                    if cos >= cfg.threshold && cos > *best_cos {
+                        (*best_cos, *best_cand) = (cos, cand as u32);
+                    }
+                };
+                if clean {
+                    let best = sw.best_cos.iter_mut().zip(&mut sw.best_cand);
+                    for (&cos, (best_cos, best_cand)) in sw.scores.iter().zip(best) {
+                        fold(cos, best_cos, best_cand);
+                    }
+                } else {
+                    for &ct in live {
+                        fold(sw.scores[ct], &mut sw.best_cos[ct], &mut sw.best_cand[ct]);
+                    }
                 }
             }
 
-            // The per-column-tile best-match walks; matches against a
-            // representative other than the candidate queue a
-            // fidelity pair.
-            a.clear();
-            b.clear();
-            sw.an.clear();
-            sw.bn.clear();
-            sw.cts.clear();
-            for (ct, range) in col_ranges.iter().enumerate() {
-                let width = range.len() as u64;
-                dot_ops += width; // the norm pass, or the carried probe slot
-                if carried_at(local, ct) {
+            // Each column tile's outcome; matches against a
+            // representative other than the candidate queue a fidelity
+            // probe.
+            sw.fid_queue.clear();
+            // Candidates are earlier rows, so their representatives sit
+            // before this row's in `rep`.
+            let (earlier, reps) = sw.rep.split_at_mut(base);
+            let outcomes = reps[..cols].iter_mut().zip(&mut sw.p).zip(&mut sw.fid);
+            for (ct, ((rep, p), fid)) in outcomes.enumerate() {
+                if row_dirty && carry.is_carried(local, ct) {
                     carried += 1;
-                    avoided += row_cands.len() as u64;
-                    sw.fid[ct] = 1.0;
+                    *fid = 1.0;
                     continue;
                 }
-                let mut best: Option<(usize, f32)> = None;
-                for (j, &cand) in row_cands.iter().enumerate() {
-                    let cand = cand as usize;
-                    if carried_at(cand, ct) {
-                        avoided += 1;
-                        continue;
-                    }
-                    let cos = sw.scores[j * cols + ct];
-                    comparisons += 1;
-                    dot_ops += width;
-                    if cos >= cfg.threshold && best.is_none_or(|(_, b)| cos > b) {
-                        best = Some((cand, cos));
-                    }
+                let cos = sw.best_cos[ct];
+                if cos == f32::NEG_INFINITY {
+                    *rep = local as u32;
+                    *p += 1;
+                    *fid = 1.0;
+                    continue;
                 }
-                match best {
-                    Some((cand, cos)) => {
-                        let src = sw.rep[cand * cols + ct];
-                        sw.rep[seg + ct] = src;
-                        matches += 1;
-                        let src = src as usize;
-                        if src == cand {
-                            // The probe already scored this exact pair.
-                            sw.fid[ct] = cos;
-                        } else {
-                            a.push(row_segs[ct]);
-                            sw.an.push(sw.norms[seg + ct]);
-                            b.push(&acts.row(row_start + src)[range.clone()]);
-                            sw.bn.push(sw.norms[src * cols + ct]);
-                            sw.cts.push(ct as u32);
-                        }
-                    }
-                    None => {
-                        sw.rep[seg + ct] = local as u32;
-                        sw.p[ct] += 1;
-                        sw.fid[ct] = 1.0;
-                    }
+                let cand = sw.best_cand[ct] as usize;
+                *rep = earlier[cand * cols + ct];
+                matches += 1;
+                if *rep as usize == cand {
+                    // The probe already scored this exact pair.
+                    *fid = cos;
+                } else {
+                    sw.fid_queue.push((*rep as usize, ct));
                 }
             }
-            score_compacted(backend, &a, &sw.an, &b, &sw.bn, &mut sw.out);
-            for (&ct, &f) in sw.cts.iter().zip(&sw.out) {
-                sw.fid[ct as usize] = f;
+            // Deferred fidelity: one launch per distinct representative,
+            // over the column tiles it represents, straight into `fid`.
+            sw.fid_queue.sort_unstable();
+            for run in sw.fid_queue.chunk_by(|x, y| x.0 == y.0) {
+                let src = run[0].0;
+                sw.live.clear();
+                sw.live.extend(run.iter().map(|&(_, ct)| ct));
+                backend.segment_scores(
+                    row,
+                    acts.row(row_start + src),
+                    seg,
+                    &sw.live,
+                    &sw.norms[segments_of(local)],
+                    &sw.norms[segments_of(src)],
+                    &mut sw.fid,
+                );
             }
             // Column-tile order, as the tile-by-tile reference adds.
             let fidelity = &mut stats.row_fidelity[row_start + local];
@@ -655,9 +601,6 @@ impl GatherScratch {
             }
         }
         sw.dirty = dirty;
-        sw.row_segs = recycle(row_segs);
-        sw.a = recycle(a);
-        sw.b = recycle(b);
 
         for (range, &p) in col_ranges.iter().zip(&sw.p) {
             stats.tile_p.push(p as usize);
@@ -867,17 +810,5 @@ mod tests {
         let r = tile(&acts, 0..2, 0..2, &positions, &cfg());
         // 1 unique vector × 2 elems × 2 B + 2 map entries × 2 B.
         assert_eq!(r.compressed_bytes(), 4 + 4);
-    }
-
-    #[test]
-    fn width_runs_split_only_where_the_width_changes() {
-        let (wide, narrow) = ([0.0f32; 4], [0.0f32; 2]);
-        let segs: Vec<&[f32]> = vec![&wide, &wide, &narrow, &wide];
-        let mut runs = Vec::new();
-        width_runs(&segs, |run| runs.push(run));
-        assert_eq!(runs, vec![0..2, 2..3, 3..4]);
-        runs.clear();
-        width_runs(&[], |run| runs.push(run));
-        assert!(runs.is_empty(), "no launch for an empty list");
     }
 }

@@ -542,33 +542,36 @@ mod tests {
         }
     }
 
-    /// Delegates to [`backend::simd`] and counts the rows and pairs the
-    /// gather hands to the norm and scoring kernels.
+    /// Delegates to [`backend::simd`] and counts the segments the gather
+    /// hands to the norm and scoring kernels.
     #[derive(Debug, Default)]
     struct Counting {
-        norm_rows: AtomicUsize,
-        pairs: AtomicUsize,
+        norm_segs: AtomicUsize,
+        scored_segs: AtomicUsize,
     }
 
     impl Backend for Counting {
         fn name(&self) -> &'static str {
             "counting"
         }
-        fn row_norm(&self, row: &[f32]) -> f32 {
-            backend::simd().row_norm(row)
+        fn segment_norms(&self, row: &[f32], seg: usize, segs: &[usize], out: &mut [f32]) {
+            self.norm_segs.fetch_add(segs.len(), Ordering::Relaxed);
+            backend::simd().segment_norms(row, seg, segs, out)
         }
-        fn score_candidates(
+        fn segment_scores(
             &self,
-            row: &[f32],
-            norm: f32,
-            cands: &[&[f32]],
-            cand_norms: &[f32],
-            scores: &mut [f32],
+            a: &[f32],
+            b: &[f32],
+            seg: usize,
+            segs: &[usize],
+            a_norms: &[f32],
+            b_norms: &[f32],
+            out: &mut [f32],
         ) {
-            backend::simd().score_candidates(row, norm, cands, cand_norms, scores)
+            self.scored_segs.fetch_add(segs.len(), Ordering::Relaxed);
+            backend::simd().segment_scores(a, b, seg, segs, a_norms, b_norms, out)
         }
         fn row_norms(&self, rows: &[&[f32]], out: &mut [f32]) {
-            self.norm_rows.fetch_add(rows.len(), Ordering::Relaxed);
             backend::simd().row_norms(rows, out)
         }
         fn score_pairs(
@@ -579,7 +582,6 @@ mod tests {
             b_norms: &[f32],
             scores: &mut [f32],
         ) {
-            self.pairs.fetch_add(a.len(), Ordering::Relaxed);
             backend::simd().score_pairs(a, a_norms, b, b_norms, scores)
         }
         fn fake_quantize(&self, m: &mut Matrix) {
@@ -610,8 +612,8 @@ mod tests {
             random_masks(0, col_tiles, 4),
             counting,
         );
-        assert_eq!(counting.norm_rows.load(Ordering::Relaxed), 0);
-        assert_eq!(counting.pairs.load(Ordering::Relaxed), 0);
+        assert_eq!(counting.norm_segs.load(Ordering::Relaxed), 0);
+        assert_eq!(counting.scored_segs.load(Ordering::Relaxed), 0);
         assert_eq!(stats.carried, (40 * col_tiles) as u64);
         assert_eq!((stats.comparisons, stats.unique_vectors), (0, 0));
         // Every planned probe was avoided, exactly as the reference counts.
@@ -628,11 +630,11 @@ mod tests {
         // Without a carry every segment is normed once.
         conc.sweep(&acts, &positions, &mut scratch, |_, _, _| false, counting);
         assert_eq!(
-            counting.norm_rows.load(Ordering::Relaxed),
+            counting.norm_segs.load(Ordering::Relaxed),
             40 * col_tiles,
             "one norm per live segment"
         );
-        assert!(counting.pairs.load(Ordering::Relaxed) > 0);
+        assert!(counting.scored_segs.load(Ordering::Relaxed) > 0);
     }
 
     #[test]

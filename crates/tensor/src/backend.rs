@@ -10,8 +10,10 @@
 //! * [`ScalarRef`] — the pre-trait code paths verbatim, kept as the
 //!   bit-exactness oracle;
 //! * [`Simd`] — the runtime-dispatched AVX2/F16C kernels from
-//!   [`crate::math`], extended with tile-batched gather scoring and
-//!   norms (eight independent pairs/rows per register pass via
+//!   [`crate::math`], extended with segment-addressed gather scoring
+//!   and norms (eight segments of two contiguous rows per register
+//!   pass via [`crate::math::segment_dots`]; the reference tile gather's
+//!   pair launches batch eight pairs or rows the same way through
 //!   [`crate::math::dot_pairs_chunked`] and
 //!   [`crate::math::l2_norms_chunked`]) and whole-row fake-quantise
 //!   ([`crate::quant::fake_quantize_in_place_batched`]). **Bit-identical
@@ -108,31 +110,47 @@ pub trait Backend: fmt::Debug + Sync {
         Vec::new()
     }
 
-    /// L2 norm of one activation row (the gather compact-norm kernel).
-    fn row_norm(&self, row: &[f32]) -> f32;
-
-    /// Scores `row` against each candidate:
-    /// `scores[i] = cosine(row, cands[i])` using the precomputed norms
-    /// and the zero-norm conventions of
-    /// [`math::cosine_with_norms_chunked`].
+    /// L2 norms of the listed `seg`-wide segments of `row` (the last
+    /// segment ragged when `seg` does not divide the width):
+    /// `out[s] = ‖row[s·seg..(s+1)·seg]‖` for every index `s` in `segs`,
+    /// one slot per segment, unlisted slots untouched — the production
+    /// gather sweep's one norm launch per row. See
+    /// [`math::segment_norms`].
     ///
     /// # Panics
     ///
-    /// Panics if `cands`, `cand_norms` and `scores` differ in length,
-    /// or any candidate differs in length from `row`.
-    fn score_candidates(
+    /// Panics if `seg` is 0, `out` does not hold exactly one slot per
+    /// segment, or an index is out of range.
+    fn segment_norms(&self, row: &[f32], seg: usize, segs: &[usize], out: &mut [f32]);
+
+    /// Cosine scores of the listed segment pairs of two equally wide
+    /// rows: `out[s] = cosine(a segment s, b segment s)` from the
+    /// per-segment norms `a_norms[s]`, `b_norms[s]`, with the zero-norm
+    /// and clamp conventions of [`math::cosine_from_dot`]. Unlisted
+    /// slots stay untouched; see [`math::segment_cosines`]. The
+    /// production gather sweep's one scoring launch per (row,
+    /// candidate).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` and `b` differ in length, `seg` is 0, the norm
+    /// slices or `out` do not hold exactly one slot per segment, or an
+    /// index is out of range.
+    #[allow(clippy::too_many_arguments)] // two rows, their norms, the segment list and the sink
+    fn segment_scores(
         &self,
-        row: &[f32],
-        norm: f32,
-        cands: &[&[f32]],
-        cand_norms: &[f32],
-        scores: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        seg: usize,
+        segs: &[usize],
+        a_norms: &[f32],
+        b_norms: &[f32],
+        out: &mut [f32],
     );
 
-    /// Batched L2 norms of equally-wide rows:
-    /// `out[i] = row_norm(rows[i])` in one launch — the tile-level
-    /// compact-norm pre-pass, where the SIMD backend keeps eight rows'
-    /// accumulator chains in flight per pass.
+    /// Batched L2 norms of equally-wide rows in one launch — the
+    /// reference tile gather's compact-norm pre-pass, where the SIMD
+    /// backend keeps eight rows' accumulator chains in flight per pass.
     ///
     /// # Panics
     ///
@@ -143,9 +161,9 @@ pub trait Backend: fmt::Debug + Sync {
     /// Batched cosine scores of independent equally-wide pairs:
     /// `scores[i] = cosine(a[i], b[i])` with caller-supplied norms and
     /// the zero-norm conventions of
-    /// [`math::cosine_with_norms_chunked`] — the tile-level gather
-    /// scoring launch, covering every `(row, candidate)` probe of a
-    /// tile at once.
+    /// [`math::cosine_with_norms_chunked`] — the reference tile
+    /// gather's scoring launch, covering every `(row, candidate)` probe
+    /// of a tile at once.
     ///
     /// # Panics
     ///
@@ -188,14 +206,6 @@ fn scatter_rows_copy(partial: &Matrix, reps: &[u32], out: &mut Matrix) {
     }
 }
 
-fn assert_score_shapes(row: &[f32], cands: &[&[f32]], cand_norms: &[f32], scores: &[f32]) {
-    assert_eq!(cands.len(), cand_norms.len(), "one norm per candidate");
-    assert_eq!(cands.len(), scores.len(), "one score slot per candidate");
-    for cand in cands {
-        assert_eq!(row.len(), cand.len(), "candidate width mismatch");
-    }
-}
-
 fn assert_pair_shapes(
     a: &[&[f32]],
     a_norms: &[f32],
@@ -225,24 +235,21 @@ impl Backend for ScalarRef {
         "scalar"
     }
 
-    fn row_norm(&self, row: &[f32]) -> f32 {
-        // focus-lint: allow(D1-libm) — IEEE 754 sqrt is correctly rounded; the oracle keeps
-        // the exact frozen op order of math::l2_norms_chunked (chunked dot, then sqrt).
-        math::dot_chunked_scalar(row, row).sqrt()
+    fn segment_norms(&self, row: &[f32], seg: usize, segs: &[usize], out: &mut [f32]) {
+        math::segment_norms_scalar(row, seg, segs, out);
     }
 
-    fn score_candidates(
+    fn segment_scores(
         &self,
-        row: &[f32],
-        norm: f32,
-        cands: &[&[f32]],
-        cand_norms: &[f32],
-        scores: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        seg: usize,
+        segs: &[usize],
+        a_norms: &[f32],
+        b_norms: &[f32],
+        out: &mut [f32],
     ) {
-        assert_score_shapes(row, cands, cand_norms, scores);
-        for ((cand, &cnorm), score) in cands.iter().zip(cand_norms).zip(scores.iter_mut()) {
-            *score = math::cosine_with_norms_chunked_scalar(row, norm, cand, cnorm);
-        }
+        math::segment_cosines_scalar(a, b, seg, segs, a_norms, b_norms, out);
     }
 
     fn row_norms(&self, rows: &[&[f32]], out: &mut [f32]) {
@@ -282,8 +289,8 @@ impl Backend for ScalarRef {
 
 /// The runtime-dispatched fast backend: AVX2/F16C when the CPU has
 /// them, the chunked-scalar fallback otherwise — always bit-identical
-/// to [`ScalarRef`]. Gather norms and scoring batch eight rows or
-/// pairs per pass and fake-quantise runs whole rows at once.
+/// to [`ScalarRef`]. Gather norms and scoring batch eight segments,
+/// rows or pairs per pass and fake-quantise runs whole rows at once.
 #[derive(Debug)]
 pub struct Simd;
 
@@ -292,32 +299,21 @@ impl Backend for Simd {
         "simd"
     }
 
-    fn row_norm(&self, row: &[f32]) -> f32 {
-        math::l2_norm_chunked(row)
+    fn segment_norms(&self, row: &[f32], seg: usize, segs: &[usize], out: &mut [f32]) {
+        math::segment_norms(row, seg, segs, out);
     }
 
-    fn score_candidates(
+    fn segment_scores(
         &self,
-        row: &[f32],
-        norm: f32,
-        cands: &[&[f32]],
-        cand_norms: &[f32],
-        scores: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        seg: usize,
+        segs: &[usize],
+        a_norms: &[f32],
+        b_norms: &[f32],
+        out: &mut [f32],
     ) {
-        assert_score_shapes(row, cands, cand_norms, scores);
-        // Batched dots first (eight candidates per pass), then the
-        // zero-norm conventions — for a zero norm the dot is ignored,
-        // so computing it eagerly cannot change any score.
-        math::dot_multi_chunked(row, cands, scores);
-        for (score, &cnorm) in scores.iter_mut().zip(cand_norms) {
-            *score = if norm == 0.0 && cnorm == 0.0 {
-                1.0
-            } else if norm == 0.0 || cnorm == 0.0 {
-                0.0
-            } else {
-                (*score / (norm * cnorm)).clamp(-1.0, 1.0)
-            };
-        }
+        math::segment_cosines(a, b, seg, segs, a_norms, b_norms, out);
     }
 
     fn row_norms(&self, rows: &[&[f32]], out: &mut [f32]) {
@@ -338,14 +334,7 @@ impl Backend for Simd {
         // ignored, so computing it eagerly cannot change any score.
         math::dot_pairs_chunked(a, b, scores);
         for (i, score) in scores.iter_mut().enumerate() {
-            let (na, nb) = (a_norms[i], b_norms[i]);
-            *score = if na == 0.0 && nb == 0.0 {
-                1.0
-            } else if na == 0.0 || nb == 0.0 {
-                0.0
-            } else {
-                (*score / (na * nb)).clamp(-1.0, 1.0)
-            };
+            *score = math::cosine_from_dot(*score, a_norms[i], b_norms[i]);
         }
     }
 
@@ -405,20 +394,25 @@ impl Backend for Trace {
         std::mem::take(&mut *self.launches.lock().unwrap())
     }
 
-    fn row_norm(&self, _row: &[f32]) -> f32 {
-        0.0
+    fn segment_norms(&self, _row: &[f32], _seg: usize, segs: &[usize], out: &mut [f32]) {
+        for &s in segs {
+            out[s] = 0.0;
+        }
     }
 
-    fn score_candidates(
+    fn segment_scores(
         &self,
-        row: &[f32],
-        _norm: f32,
-        cands: &[&[f32]],
-        cand_norms: &[f32],
-        scores: &mut [f32],
+        _a: &[f32],
+        _b: &[f32],
+        _seg: usize,
+        segs: &[usize],
+        _a_norms: &[f32],
+        _b_norms: &[f32],
+        out: &mut [f32],
     ) {
-        assert_score_shapes(row, cands, cand_norms, scores);
-        scores.fill(0.0);
+        for &s in segs {
+            out[s] = 0.0;
+        }
     }
 
     fn row_norms(&self, rows: &[&[f32]], out: &mut [f32]) {
@@ -599,7 +593,9 @@ mod tests {
         t.fake_quantize(&mut m);
         t.f16_round(&mut m);
         assert_eq!(m, before, "trace must leave values untouched");
-        assert_eq!(t.row_norm(&[3.0, 4.0]), 0.0);
+        let mut norms = [9.0f32; 2];
+        t.segment_norms(&[3.0, 4.0], 1, &[1], &mut norms);
+        assert_eq!(norms, [9.0, 0.0], "only the listed slot is written");
         let mut noise = [7.0f32; 4];
         t.normal_fill(9, &mut noise);
         assert_eq!(noise, [0.0; 4]);
@@ -610,12 +606,16 @@ mod tests {
         let row: Vec<f32> = (0..37).map(|i| (i as f32 * 0.37).sin()).collect();
         let cand: Vec<f32> = (0..37).map(|i| (i as f32 * 0.21).cos()).collect();
         let (s, f) = (scalar_ref(), simd());
-        let (na, nb) = (s.row_norm(&row), s.row_norm(&cand));
-        assert_eq!(na.to_bits(), f.row_norm(&row).to_bits());
-        let mut a = [0.0f32];
-        let mut b = [0.0f32];
-        s.score_candidates(&row, na, &[&cand], &[nb], &mut a);
-        f.score_candidates(&row, na, &[&cand], &[nb], &mut b);
-        assert_eq!(a[0].to_bits(), b[0].to_bits());
+        let all: Vec<usize> = (0..5).collect();
+        let (mut na, mut nb, mut nf) = ([0.0f32; 5], [0.0f32; 5], [0.0f32; 5]);
+        s.segment_norms(&row, 8, &all, &mut na);
+        s.segment_norms(&cand, 8, &all, &mut nb);
+        f.segment_norms(&row, 8, &all, &mut nf);
+        assert_eq!(na.map(f32::to_bits), nf.map(f32::to_bits));
+        let mut a = [0.0f32; 5];
+        let mut b = [0.0f32; 5];
+        s.segment_scores(&row, &cand, 8, &all, &na, &nb, &mut a);
+        f.segment_scores(&row, &cand, 8, &all, &na, &nb, &mut b);
+        assert_eq!(a.map(f32::to_bits), b.map(f32::to_bits));
     }
 }

@@ -436,9 +436,9 @@ fn reduce_lanes(l: [f32; 8]) -> f32 {
 /// dispatch and ymm spill/`vzeroupper` overhead dominates a handful of
 /// 8-wide passes (measured crossover ≈ 256 lanes on an AVX2 host).
 /// Both paths are bit-identical, so the cutoff is pure scheduling;
-/// batched kernels ([`dot_multi_chunked`], [`dot_pairs_chunked`],
-/// [`l2_norms_chunked`]) amortise that overhead over eight rows and
-/// win at every width.
+/// batched kernels ([`segment_dots`], [`dot_pairs_chunked`],
+/// [`l2_norms_chunked`]) amortise that overhead over eight rows or
+/// segments and win at every width.
 const DOT_SIMD_MIN_LEN: usize = 256;
 
 /// Lane-chunked dot product, runtime-dispatched like
@@ -508,91 +508,196 @@ pub fn l2_norm_chunked(a: &[f32]) -> f32 {
     dot_chunked(a, a).sqrt()
 }
 
-/// Lane-chunked cosine similarity with caller-supplied norms, with the
-/// same degenerate-input conventions as
+/// The cosine of two vectors from their dot product and caller-supplied
+/// norms, with the degenerate-input conventions of
 /// `focus_tensor::ops::cosine_similarity_with_norms`: two zero norms
 /// are perfectly similar, one zero norm is orthogonal, and the result
-/// is clamped into `[-1, 1]`.
+/// is clamped into `[-1, 1]` (a NaN quotient stays NaN). Every scoring
+/// kernel finishes through this one function.
+#[inline]
+pub fn cosine_from_dot(dot: f32, na: f32, nb: f32) -> f32 {
+    if na == 0.0 && nb == 0.0 {
+        1.0
+    } else if na == 0.0 || nb == 0.0 {
+        0.0
+    } else {
+        (dot / (na * nb)).clamp(-1.0, 1.0)
+    }
+}
+
+/// Lane-chunked cosine similarity with caller-supplied norms:
+/// [`cosine_from_dot`] of [`dot_chunked`].
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
 pub fn cosine_with_norms_chunked(a: &[f32], na: f32, b: &[f32], nb: f32) -> f32 {
-    assert_eq!(a.len(), b.len(), "cosine of mismatched lengths");
-    if na == 0.0 && nb == 0.0 {
-        return 1.0;
-    }
-    if na == 0.0 || nb == 0.0 {
-        return 0.0;
-    }
-    (dot_chunked(a, b) / (na * nb)).clamp(-1.0, 1.0)
+    cosine_from_dot(dot_chunked(a, b), na, nb)
 }
 
 /// The explicitly chunked-scalar path of [`cosine_with_norms_chunked`]
 /// (same conventions, [`dot_chunked_scalar`] underneath) — the scalar
 /// backend's candidate-scoring reference.
 pub fn cosine_with_norms_chunked_scalar(a: &[f32], na: f32, b: &[f32], nb: f32) -> f32 {
-    assert_eq!(a.len(), b.len(), "cosine of mismatched lengths");
-    if na == 0.0 && nb == 0.0 {
-        return 1.0;
-    }
-    if na == 0.0 || nb == 0.0 {
-        return 0.0;
-    }
-    (dot_chunked_scalar(a, b) / (na * nb)).clamp(-1.0, 1.0)
+    cosine_from_dot(dot_chunked_scalar(a, b), na, nb)
 }
 
-/// Multi-candidate dot kernel: `out[i] = dot_chunked(a, bs[i])` for
-/// every candidate row, with candidates processed eight at a time on
-/// the SIMD path so each 8-wide chunk of `a` is loaded once per group
-/// instead of once per candidate (and the eight accumulator chains run
-/// independently). Every candidate's accumulation executes the frozen
-/// [`dot_chunked`] order — lane `j` sums indices `≡ j (mod 8)`, shared
-/// scalar tail, fixed reduction tree — so the batching is bit-invisible
-/// per candidate.
+/// A last group of fewer full-width segments than this takes
+/// single chunked-scalar dots instead of a padded eight-segment pass:
+/// one pass of 32-wide segments costs about as much as four to five
+/// single dots (measured on an AVX2 Xeon at 2.1 GHz). Both paths are
+/// bit-identical, so the cutoff is pure scheduling.
+const SEGMENT_GROUP_MIN: usize = 4;
+
+/// The segment kernels' shared body: checks the shape contract, then
+/// writes `out[s] = finish(s, dot of segment s)` for every listed `s`,
+/// on the dispatched path when `dispatch` and the chunked-scalar one
+/// otherwise. Finishing at the write keeps a repeated index idempotent.
+fn segment_map(
+    a: &[f32],
+    b: &[f32],
+    seg: usize,
+    segs: &[usize],
+    out: &mut [f32],
+    dispatch: bool,
+    finish: impl Fn(usize, f32) -> f32,
+) {
+    assert_eq!(a.len(), b.len(), "dot of mismatched lengths");
+    assert!(seg > 0, "segment width must be positive");
+    let n = a.len();
+    let count = n.div_ceil(seg);
+    assert_eq!(out.len(), count, "one output slot per segment");
+    let checked = |s: usize| {
+        assert!(s < count, "segment {s} out of range ({count} segments)");
+        s
+    };
+    let range = |s: usize| s * seg..((s + 1) * seg).min(n);
+    let single = |s: usize| dot_chunked_scalar(&a[range(s)], &b[range(s)]);
+    #[cfg(target_arch = "x86_64")]
+    if dispatch && seg.is_multiple_of(8) && simd_active() {
+        let pass = |group: &[usize; 8], out: &mut [f32]| {
+            // SAFETY: `simd_active` implies AVX2; `seg` is a multiple of
+            // 8 and every grouped segment is in range and full width
+            // (checked above and below).
+            let dots = unsafe { segment_dots8_avx2_raw(a, b, seg, group) };
+            for (&s, &d) in group.iter().zip(&dots) {
+                out[s] = finish(s, d);
+            }
+        };
+        let mut group = [0usize; 8];
+        let mut k = 0;
+        for s in segs.iter().map(|&s| checked(s)) {
+            if (s + 1) * seg > n {
+                out[s] = finish(s, single(s));
+                continue;
+            }
+            group[k] = s;
+            k += 1;
+            if k == 8 {
+                pass(&group, out);
+                k = 0;
+            }
+        }
+        if k >= SEGMENT_GROUP_MIN {
+            // Pad the short last group by repeating its last index.
+            let last = group[k - 1];
+            group[k..].fill(last);
+            pass(&group, out);
+        } else {
+            for &s in &group[..k] {
+                out[s] = finish(s, single(s));
+            }
+        }
+        return;
+    }
+    let _ = dispatch; // read by the x86-64 path only
+    for s in segs.iter().map(|&s| checked(s)) {
+        out[s] = finish(s, single(s));
+    }
+}
+
+/// Segment-addressed dot kernel. `a` and `b` are cut into `seg`-wide
+/// segments (the last one ragged when `seg` does not divide the width)
+/// and, for every listed segment index `s`,
+/// `out[s] = dot_chunked(&a[r], &b[r])` with
+/// `r = s·seg .. min((s+1)·seg, len)`. Slots of unlisted segments are
+/// left untouched, and an index may be listed more than once.
+///
+/// With AVX2 (unless [`force_scalar`]) and `seg` a multiple of 8, the
+/// full-width segments run eight to a pass: eight independent
+/// accumulator registers over their chunks, then one reduction of all
+/// eight with two `hadd` levels and one 128-bit lane add. That adds the
+/// same operand pairs in the same tree as [`reduce_lanes`], so every
+/// result equals its own [`dot_chunked_scalar`] bit for bit (addition
+/// is commutative; NaNs produced from non-NaN inputs are the one
+/// default NaN on either path). A ragged segment, a last group of
+/// fewer than four, and every segment of a width that is not a multiple
+/// of 8 take the chunked-scalar dot.
 ///
 /// # Panics
 ///
-/// Panics if `bs` and `out` differ in length, or any candidate differs
-/// in length from `a`.
-pub fn dot_multi_chunked(a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
-    assert_eq!(bs.len(), out.len(), "one output slot per candidate");
-    for b in bs {
-        assert_eq!(a.len(), b.len(), "dot of mismatched lengths");
-    }
-    let full = a.len() / 8 * 8;
-    let mut idx = 0;
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        while idx + 8 <= bs.len() {
-            let group: &[&[f32]; 8] = bs[idx..idx + 8].try_into().unwrap();
-            let mut lanes = [[0.0f32; 8]; 8];
-            // SAFETY: `simd_active` implies AVX2 was detected at
-            // runtime; lengths were asserted above.
-            unsafe { dot8_lanes_avx2_raw(&a[..full], group, &mut lanes) };
-            for (c, l) in lanes.iter_mut().enumerate() {
-                let b = bs[idx + c];
-                for (j, i) in (full..a.len()).enumerate() {
-                    l[j] += a[i] * b[i];
-                }
-                out[idx + c] = reduce_lanes(*l);
-            }
-            idx += 8;
-        }
-    }
-    for c in idx..bs.len() {
-        out[c] = dot_chunked(a, bs[c]);
-    }
+/// Panics if `a` and `b` differ in length, `seg` is 0, `out` does not
+/// hold exactly one slot per segment, or an index is out of range.
+pub fn segment_dots(a: &[f32], b: &[f32], seg: usize, segs: &[usize], out: &mut [f32]) {
+    segment_map(a, b, seg, segs, out, true, |_, dot| dot);
 }
 
-/// The chunked-scalar path of [`dot_multi_chunked`]: one
-/// [`dot_chunked_scalar`] per candidate, for the bit-identity property
-/// tests and the scalar backend.
-pub fn dot_multi_chunked_scalar(a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
-    assert_eq!(bs.len(), out.len(), "one output slot per candidate");
-    for (b, o) in bs.iter().zip(out) {
-        *o = dot_chunked_scalar(a, b);
-    }
+/// Segment-addressed L2 norms: `out[s]` is the square root of segment
+/// `s`'s self-dot, for every listed `s` ([`segment_dots`] with `row` as
+/// both operands).
+pub fn segment_norms(row: &[f32], seg: usize, segs: &[usize], out: &mut [f32]) {
+    segment_map(row, row, seg, segs, out, true, |_, dot| dot.sqrt());
+}
+
+/// The chunked-scalar path of [`segment_norms`], for the scalar backend.
+pub fn segment_norms_scalar(row: &[f32], seg: usize, segs: &[usize], out: &mut [f32]) {
+    segment_map(row, row, seg, segs, out, false, |_, dot| dot.sqrt());
+}
+
+/// Segment-addressed cosines: `out[s] = cosine_from_dot(dot of segment
+/// s, a_norms[s], b_norms[s])` for every listed `s`, through
+/// [`segment_dots`].
+///
+/// # Panics
+///
+/// As [`segment_dots`], and if a norm slice does not hold exactly one
+/// norm per segment.
+pub fn segment_cosines(
+    a: &[f32],
+    b: &[f32],
+    seg: usize,
+    segs: &[usize],
+    a_norms: &[f32],
+    b_norms: &[f32],
+    out: &mut [f32],
+) {
+    let finish = cosine_finish(a_norms, b_norms, out.len());
+    segment_map(a, b, seg, segs, out, true, finish);
+}
+
+/// The chunked-scalar path of [`segment_cosines`], for the scalar
+/// backend.
+pub fn segment_cosines_scalar(
+    a: &[f32],
+    b: &[f32],
+    seg: usize,
+    segs: &[usize],
+    a_norms: &[f32],
+    b_norms: &[f32],
+    out: &mut [f32],
+) {
+    let finish = cosine_finish(a_norms, b_norms, out.len());
+    segment_map(a, b, seg, segs, out, false, finish);
+}
+
+fn cosine_finish<'a>(
+    a_norms: &'a [f32],
+    b_norms: &'a [f32],
+    count: usize,
+) -> impl Fn(usize, f32) -> f32 + 'a {
+    assert_eq!(a_norms.len(), count, "one left norm per segment");
+    assert_eq!(b_norms.len(), count, "one right norm per segment");
+    move |s, dot| cosine_from_dot(dot, a_norms[s], b_norms[s])
 }
 
 fn assert_pair_widths(pa: &[&[f32]], pb: &[&[f32]], out: &[f32]) -> usize {
@@ -607,8 +712,7 @@ fn assert_pair_widths(pa: &[&[f32]], pb: &[&[f32]], out: &[f32]) -> usize {
 }
 
 /// Independent-pair dot kernel: `out[i] = dot_chunked(pa[i], pb[i])`
-/// for equally-wide pairs, eight pairs per SIMD pass. Unlike
-/// [`dot_multi_chunked`] nothing is shared between the pairs — the
+/// for equally-wide pairs, eight pairs per SIMD pass. The
 /// batching amortises the per-call dispatch overhead that makes the
 /// single-dot path a loss below [`DOT_SIMD_MIN_LEN`], and keeps eight
 /// independent accumulator chains in flight. Every pair executes the
@@ -658,49 +762,24 @@ pub fn dot_pairs_chunked_scalar(pa: &[&[f32]], pb: &[&[f32]], out: &mut [f32]) {
     }
 }
 
-/// Batched L2 norms of equally-wide rows, eight rows per SIMD pass:
-/// `out[i] = l2_norm_chunked(rows[i])` bit for bit (self-dot in the
-/// frozen lane order, then `sqrt`), with the whole row group's chunk
-/// loop amortising the dispatch overhead a norm-per-call loop pays.
+/// Batched L2 norms of equally-wide rows: `out[i]` is the square root
+/// of `rows[i]`'s self-dot, through [`dot_pairs_chunked`] (eight rows
+/// per SIMD pass), so bit for bit `l2_norm_chunked(rows[i])`.
 ///
 /// # Panics
 ///
 /// Panics if `rows` and `out` differ in length or any row differs in
 /// width from the first.
 pub fn l2_norms_chunked(rows: &[&[f32]], out: &mut [f32]) {
-    let n = assert_pair_widths(rows, rows, out);
-    let full = n / 8 * 8;
-    let mut idx = 0;
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        while idx + 8 <= rows.len() {
-            let group: &[&[f32]; 8] = rows[idx..idx + 8].try_into().unwrap();
-            let mut lanes = [[0.0f32; 8]; 8];
-            // SAFETY: `simd_active` implies AVX2 was detected at
-            // runtime; widths were asserted above.
-            unsafe { norms8_lanes_avx2_raw(group, full, &mut lanes) };
-            for (r, l) in lanes.iter_mut().enumerate() {
-                let row = group[r];
-                for (j, i) in (full..n).enumerate() {
-                    l[j] += row[i] * row[i];
-                }
-                out[idx + r] = reduce_lanes(*l).sqrt();
-            }
-            idx += 8;
-        }
-    }
-    for r in idx..rows.len() {
-        out[r] = dot_chunked(rows[r], rows[r]).sqrt();
-    }
+    dot_pairs_chunked(rows, rows, out);
+    out.iter_mut().for_each(|o| *o = o.sqrt());
 }
 
 /// The chunked-scalar path of [`l2_norms_chunked`], for the
 /// bit-identity property tests and the scalar backend.
 pub fn l2_norms_chunked_scalar(rows: &[&[f32]], out: &mut [f32]) {
-    assert_pair_widths(rows, rows, out);
-    for (row, o) in rows.iter().zip(out) {
-        *o = dot_chunked_scalar(row, row).sqrt();
-    }
+    dot_pairs_chunked_scalar(rows, rows, out);
+    out.iter_mut().for_each(|o| *o = o.sqrt());
 }
 
 // ---------------------------------------------------------------------
@@ -1030,52 +1109,71 @@ mod avx2 {
         }
     }
 
-    /// Eight-candidate dot batch: per candidate `c`, the 8-lane partial
-    /// sums of `a · bs[c]` accumulated in the frozen [`dot_chunked`]
-    /// lane order (`super::dot_chunked`). Each 8-wide chunk of `a` is
-    /// loaded once and shared across the eight independent accumulator
-    /// registers. The caller finishes each candidate with the shared
-    /// scalar tail + reduction tree. `a.len()` must be a multiple of 8
-    /// and every `bs[c]` at least as long as `a`.
+    /// Eight-segment dot batch of `segment_map`: per grouped segment
+    /// `s`, the frozen-lane-order dot of `a` and `b` over
+    /// `s·seg .. (s+1)·seg`, in group order. The eight accumulator
+    /// registers are reduced together: `hadd` pairs lanes (0,1), (2,3),
+    /// (4,5), (6,7) of two registers, a second `hadd` adds those pairs
+    /// into `(0..4)` and `(4..8)` sums per register, and one 128-bit add
+    /// joins the two halves — exactly the operand pairs of
+    /// `reduce_lanes`.
     ///
     /// # Safety
-    /// Requires AVX2.
+    /// Requires AVX2, `seg` a multiple of 8, and `(s+1)·seg` at most
+    /// the length of `a` and of `b` for every grouped `s`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot8_lanes_avx2_raw(
+    pub(super) unsafe fn segment_dots8_avx2_raw(
         a: &[f32],
-        bs: &[&[f32]; 8],
-        lanes: &mut [[f32; 8]; 8],
-    ) {
-        debug_assert_eq!(a.len() % 8, 0);
-        for b in bs {
-            debug_assert!(b.len() >= a.len());
+        b: &[f32],
+        seg: usize,
+        group: &[usize; 8],
+    ) -> [f32; 8] {
+        debug_assert_eq!(seg % 8, 0);
+        for &s in group {
+            debug_assert!((s + 1) * seg <= a.len().min(b.len()));
         }
         let mut acc = [_mm256_setzero_ps(); 8];
-        for (v, l) in acc.iter_mut().zip(lanes.iter()) {
-            // SAFETY: each `l` is a `[f32; 8]` — one full register.
-            *v = unsafe { _mm256_loadu_ps(l.as_ptr()) };
-        }
-        for ci in 0..a.len() / 8 {
-            // SAFETY: `a.len()` is a multiple of 8 (debug-asserted),
-            // so lanes `ci*8..ci*8+8` are in bounds.
-            let va = unsafe { _mm256_loadu_ps(a.as_ptr().add(ci * 8)) };
-            for (v, b) in acc.iter_mut().zip(bs.iter()) {
-                // SAFETY: every `bs[c]` is at least as long as `a`
-                // (debug-asserted), so the same lanes are in bounds.
-                let vb = unsafe { _mm256_loadu_ps(b.as_ptr().add(ci * 8)) };
+        for ci in 0..seg / 8 {
+            for (v, &s) in acc.iter_mut().zip(group) {
+                let at = s * seg + ci * 8;
+                // SAFETY: `ci*8 + 8 <= seg` and `(s+1)·seg` is within
+                // both slices (the caller's contract), so the eight
+                // lanes at `at` are in bounds of both.
+                let (va, vb) = unsafe {
+                    (
+                        _mm256_loadu_ps(a.as_ptr().add(at)),
+                        _mm256_loadu_ps(b.as_ptr().add(at)),
+                    )
+                };
                 *v = _mm256_add_ps(*v, _mm256_mul_ps(va, vb));
             }
         }
-        for (v, l) in acc.iter().zip(lanes.iter_mut()) {
-            // SAFETY: each `l` is a `[f32; 8]` — one full register.
-            unsafe { _mm256_storeu_ps(l.as_mut_ptr(), *v) };
+        let q0 = _mm256_hadd_ps(
+            _mm256_hadd_ps(acc[0], acc[1]),
+            _mm256_hadd_ps(acc[2], acc[3]),
+        );
+        let q1 = _mm256_hadd_ps(
+            _mm256_hadd_ps(acc[4], acc[5]),
+            _mm256_hadd_ps(acc[6], acc[7]),
+        );
+        let mut dots = [0.0f32; 8];
+        // SAFETY: `dots` is a `[f32; 8]`: two 4-lane stores at 0 and 4.
+        unsafe {
+            _mm_storeu_ps(
+                dots.as_mut_ptr(),
+                _mm_add_ps(_mm256_castps256_ps128(q0), _mm256_extractf128_ps::<1>(q0)),
+            );
+            _mm_storeu_ps(
+                dots.as_mut_ptr().add(4),
+                _mm_add_ps(_mm256_castps256_ps128(q1), _mm256_extractf128_ps::<1>(q1)),
+            );
         }
+        dots
     }
 
     /// Eight-pair dot batch: per pair `i`, the 8-lane partial sums of
     /// `pa[i] · pb[i]` accumulated in the frozen `dot_chunked` lane
-    /// order. Unlike [`dot8_lanes_avx2_raw`] nothing is shared between
-    /// the pairs; the batching keeps eight independent accumulator
+    /// order. Nothing is shared between the pairs; the batching keeps eight independent accumulator
     /// registers in flight and amortises the call overhead. The caller
     /// finishes each pair with the shared scalar tail + reduction
     /// tree. `len8` must be a multiple of 8 and no slice shorter.
@@ -1110,44 +1208,6 @@ mod avx2 {
                     )
                 };
                 *v = _mm256_add_ps(*v, _mm256_mul_ps(va, vb));
-            }
-        }
-        for (v, l) in acc.iter().zip(lanes.iter_mut()) {
-            // SAFETY: each `l` is a `[f32; 8]` — one full register.
-            unsafe { _mm256_storeu_ps(l.as_mut_ptr(), *v) };
-        }
-    }
-
-    /// Eight-row squared-norm batch: per row `r`, the 8-lane partial
-    /// sums of `rows[r] · rows[r]` in the frozen `dot_chunked` lane
-    /// order — [`dot8_pairs_avx2_raw`] with one load per chunk instead
-    /// of two. The caller adds the scalar tail, reduces and takes the
-    /// square root. `len8` must be a multiple of 8 and no row shorter.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn norms8_lanes_avx2_raw(
-        rows: &[&[f32]; 8],
-        len8: usize,
-        lanes: &mut [[f32; 8]; 8],
-    ) {
-        debug_assert_eq!(len8 % 8, 0);
-        for row in rows {
-            debug_assert!(row.len() >= len8);
-        }
-        let mut acc = [_mm256_setzero_ps(); 8];
-        for (v, l) in acc.iter_mut().zip(lanes.iter()) {
-            // SAFETY: each `l` is a `[f32; 8]` — one full register.
-            *v = unsafe { _mm256_loadu_ps(l.as_ptr()) };
-        }
-        for ci in 0..len8 / 8 {
-            for (v, row) in acc.iter_mut().zip(rows.iter()) {
-                // SAFETY: `len8` is a multiple of 8 and no row is
-                // shorter (debug-asserted), so lanes `ci*8..ci*8+8`
-                // are in bounds.
-                let vr = unsafe { _mm256_loadu_ps(row.as_ptr().add(ci * 8)) };
-                *v = _mm256_add_ps(*v, _mm256_mul_ps(vr, vr));
             }
         }
         for (v, l) in acc.iter().zip(lanes.iter_mut()) {
@@ -1234,9 +1294,9 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 use avx2::{
-    absmax_avx2_raw, box_muller_fill_avx2_raw, cos_fill_avx2_raw, dot8_lanes_avx2_raw,
-    dot8_pairs_avx2_raw, dot_lanes_avx2_raw, f16_round_fill_f16c_raw, int8_round_fill_avx2_raw,
-    ln_fill_avx2_raw, norms8_lanes_avx2_raw,
+    absmax_avx2_raw, box_muller_fill_avx2_raw, cos_fill_avx2_raw, dot8_pairs_avx2_raw,
+    dot_lanes_avx2_raw, f16_round_fill_f16c_raw, int8_round_fill_avx2_raw, ln_fill_avx2_raw,
+    segment_dots8_avx2_raw,
 };
 
 #[cfg(test)]

@@ -16,11 +16,11 @@
 
 use focus_tensor::math::{
     box_muller_fill, box_muller_fill_scalar, cos_phase24_fill, cos_phase24_fill_scalar,
-    cosine_with_norms_chunked, dot_chunked, dot_chunked_scalar, dot_multi_chunked,
-    dot_multi_chunked_scalar, dot_pairs_chunked, dot_pairs_chunked_scalar, f16_round_fill,
-    f16_round_fill_scalar, fixed_ln, force_scalar, int8_round_fill, int8_round_fill_scalar,
-    l2_norm_chunked, l2_norms_chunked, l2_norms_chunked_scalar, ln_fill, ln_fill_scalar,
-    normal_from_raw, quant_absmax, quant_absmax_scalar, splitmix_mix, GAMMA,
+    cosine_with_norms_chunked, dot_chunked, dot_chunked_scalar, dot_pairs_chunked,
+    dot_pairs_chunked_scalar, f16_round_fill, f16_round_fill_scalar, fixed_ln, force_scalar,
+    int8_round_fill, int8_round_fill_scalar, l2_norm_chunked, l2_norms_chunked,
+    l2_norms_chunked_scalar, ln_fill, ln_fill_scalar, normal_from_raw, quant_absmax,
+    quant_absmax_scalar, segment_dots, segment_norms, segment_norms_scalar, splitmix_mix, GAMMA,
 };
 use proptest::prelude::*;
 
@@ -169,41 +169,53 @@ proptest! {
         }
     }
 
-    /// Scalar ≡ dispatched for the candidate-batched multi-dot the
-    /// gather matcher scores with: every candidate's dot must equal the
-    /// single-candidate chunked-scalar kernel bit for bit, across every
-    /// width tail, candidate count (sweeping the 8-candidate group
-    /// boundary) and a wide magnitude spread.
+    /// Scalar ≡ dispatched for the segment-addressed dot the gather
+    /// sweep scores with: every listed segment's dot must equal the
+    /// single chunked-scalar kernel on that segment bit for bit, across
+    /// every width tail, segment widths around the 8-lane chunk (ragged
+    /// last segments, segment counts sweeping the 8-segment group
+    /// boundary), random index lists, and a wide magnitude spread;
+    /// unlisted slots stay untouched.
     #[test]
-    fn dot_multi_paths_are_bit_identical(
-        row in proptest::collection::vec(-8.0f32..8.0, 0..70),
-        n_cands in 0usize..20,
+    fn segment_dot_paths_are_bit_identical(
+        row in proptest::collection::vec(-8.0f32..8.0, 0..300),
+        seg_pick in 0usize..6,
         seed in 0u32..1000,
         exp in -20i32..20,
+        every in 1usize..4,
     ) {
+        const UNTOUCHED: f32 = 0.125;
+        let seg = [1usize, 5, 8, 16, 32, 33][seg_pick];
         let scale = (exp as f32).exp2();
         let width = row.len();
-        let cands: Vec<Vec<f32>> = (0..n_cands)
-            .map(|c| {
-                (0..width)
-                    .map(|i| {
-                        let h = (c * 131 + i * 31 + seed as usize) % 97;
-                        (h as f32 / 48.5 - 1.0) * scale
-                    })
-                    .collect()
+        let other: Vec<f32> = (0..width)
+            .map(|i| {
+                let h = (i * 31 + seed as usize) % 97;
+                (h as f32 / 48.5 - 1.0) * scale
             })
             .collect();
-        let views: Vec<&[f32]> = cands.iter().map(|c| c.as_slice()).collect();
+        let count = width.div_ceil(seg);
+        // Every `every`-th segment, last first, so groups mix ragged
+        // and full segments in either order.
+        let segs: Vec<usize> = (0..count).rev().filter(|s| s % every == 0).collect();
 
-        let mut scalar = vec![0.0f32; n_cands];
-        dot_multi_chunked_scalar(&row, &views, &mut scalar);
-        for (c, got) in scalar.iter().enumerate() {
-            prop_assert_eq!(got.to_bits(), dot_chunked_scalar(&row, views[c]).to_bits());
+        let mut dispatched = vec![UNTOUCHED; count];
+        segment_dots(&row, &other, seg, &segs, &mut dispatched);
+        for (s, got) in dispatched.iter().enumerate() {
+            let want = if segs.contains(&s) {
+                let r = s * seg..((s + 1) * seg).min(width);
+                dot_chunked_scalar(&row[r.clone()], &other[r])
+            } else {
+                UNTOUCHED
+            };
+            prop_assert_eq!(got.to_bits(), want.to_bits());
         }
 
-        let mut dispatched = vec![0.0f32; n_cands];
-        dot_multi_chunked(&row, &views, &mut dispatched);
-        assert_bits_eq(&dispatched, &scalar, "multi-dot dispatched vs scalar");
+        let mut norms = vec![UNTOUCHED; count];
+        segment_norms(&row, seg, &segs, &mut norms);
+        let mut norms_scalar = vec![UNTOUCHED; count];
+        segment_norms_scalar(&row, seg, &segs, &mut norms_scalar);
+        assert_bits_eq(&norms, &norms_scalar, "segment norms dispatched vs scalar");
     }
 
     /// Scalar ≡ dispatched for the independent-pair dot batch and the

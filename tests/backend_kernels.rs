@@ -1,11 +1,12 @@
 //! The [`Backend`] contract, property-tested end to end:
 //!
 //! * **Bit-identity** — the `Simd` backend must match the `ScalarRef`
-//!   oracle bit for bit on every kernel family (compact norms, gather
-//!   candidate scoring, INT8 fake-quantise, FP16 rounding, scatter
-//!   replay), across widths sweeping every SIMD tail length, slice
-//!   alignments, candidate counts sweeping the 8-candidate group
-//!   boundary, and wide magnitude spreads. A whole measured pipeline
+//!   oracle bit for bit on every kernel family (segment and batched
+//!   compact norms, segment and pair gather scoring, INT8
+//!   fake-quantise, FP16 rounding, scatter replay), across widths
+//!   sweeping every SIMD tail length, segment widths, slice
+//!   alignments, counts sweeping the 8-wide group boundary, and wide
+//!   magnitude spreads. A whole measured pipeline
 //!   run on either backend must therefore produce identical results.
 //! * **Dispatch completeness** — a `Trace` backend run does no numeric
 //!   work but observes every stage-level kernel launch, proving the
@@ -53,11 +54,46 @@ fn synth_values(n: usize, salt: usize, scale: f32) -> Vec<f32> {
         .collect()
 }
 
+/// Segment widths around the 8-lane chunk: below, at, and past it.
+const SEG_WIDTHS: [usize; 6] = [1, 5, 8, 16, 32, 33];
+
+/// A `width`-wide row of `seg`-wide segments: segment `i` is all zero
+/// when `i % zero_mod == 2`, overflows (its squares exceed `f32::MAX`)
+/// when `i % 7 == 3`, and holds [`synth_values`] otherwise.
+fn segmented_row(width: usize, seg: usize, salt: usize, scale: f32, zero_mod: usize) -> Vec<f32> {
+    synth_values(width, salt, scale)
+        .into_iter()
+        .enumerate()
+        .map(|(k, v)| match k / seg {
+            i if i % zero_mod == 2 => 0.0,
+            i if i % 7 == 3 => 1e30 * v.signum(),
+            _ => v,
+        })
+        .collect()
+}
+
+/// Segment indices into `count` segments: all of them in order for
+/// `kind` 0, otherwise a shuffled two-thirds subset, with its first
+/// index repeated for `kind` 2.
+fn index_list(count: usize, salt: usize, kind: usize) -> Vec<usize> {
+    if kind == 0 {
+        return (0..count).collect();
+    }
+    let mix = |s: usize| (s.wrapping_mul(2_654_435_761) ^ salt.wrapping_mul(40_503)) % 1009;
+    let mut list: Vec<usize> = (0..count).filter(|&s| mix(s) % 3 != 0).collect();
+    list.sort_by_key(|&s| mix(7 * s + 1));
+    if kind == 2 {
+        list.extend(list.first().copied());
+    }
+    list
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `Simd` ≡ `ScalarRef` bit for bit on norms and gather scoring,
-    /// for every width tail, slice alignment and candidate count.
+    /// `Simd` ≡ `ScalarRef` bit for bit on segment norms and gather
+    /// scoring of one row against each candidate, for every width tail,
+    /// segment width, slice alignment and candidate count.
     #[test]
     fn gather_scoring_backends_are_bit_identical(
         width in 1usize..70,
@@ -65,38 +101,124 @@ proptest! {
         n_cands in 0usize..20,
         salt in 0usize..1000,
         exp in -20i32..20,
+        seg_pick in 0usize..6,
     ) {
         let scale = (exp as f32).exp2();
+        let seg = SEG_WIDTHS[seg_pick];
+        let count = width.div_ceil(seg);
+        let all: Vec<usize> = (0..count).collect();
         // Over-allocate and sub-slice so the row starts at every
         // alignment relative to the allocation.
         let backing = synth_values(width + offset, salt, scale);
         let row = &backing[offset..];
-        let cands: Vec<Vec<f32>> = (0..n_cands)
-            .map(|c| synth_values(width, salt + 7 * c + 1, scale))
-            .collect();
-        let views: Vec<&[f32]> = cands.iter().map(|c| c.as_slice()).collect();
         let (s, f) = (scalar_ref(), simd());
 
-        let norm = s.row_norm(row);
-        prop_assert_eq!(norm.to_bits(), f.row_norm(row).to_bits());
-        let cand_norms: Vec<f32> = views.iter().map(|c| s.row_norm(c)).collect();
-        for (c, &n) in cand_norms.iter().enumerate() {
-            prop_assert_eq!(n.to_bits(), f.row_norm(views[c]).to_bits());
+        let mut norm = vec![0.0f32; count];
+        s.segment_norms(row, seg, &all, &mut norm);
+        let mut norm_f = vec![0.0f32; count];
+        f.segment_norms(row, seg, &all, &mut norm_f);
+        assert_bits_eq(&norm_f, &norm, "row segment_norms simd vs scalar");
+        for c in 0..n_cands {
+            let cand = synth_values(width, salt + 7 * c + 1, scale);
+            let mut cand_norm = vec![0.0f32; count];
+            s.segment_norms(&cand, seg, &all, &mut cand_norm);
+            let mut cand_norm_f = vec![0.0f32; count];
+            f.segment_norms(&cand, seg, &all, &mut cand_norm_f);
+            assert_bits_eq(&cand_norm_f, &cand_norm, "candidate segment_norms simd vs scalar");
+
+            let mut scalar = vec![0.0f32; count];
+            s.segment_scores(row, &cand, seg, &all, &norm, &cand_norm, &mut scalar);
+            let mut dispatched = vec![0.0f32; count];
+            f.segment_scores(row, &cand, seg, &all, &norm, &cand_norm, &mut dispatched);
+            assert_bits_eq(&dispatched, &scalar, "segment_scores simd vs scalar");
+            for &cos in &scalar {
+                prop_assert!((-1.0..=1.0).contains(&cos), "cosine {cos} out of range");
+            }
+        }
+    }
+
+    /// The segment-addressed kernels bit for bit: `Simd` ≡ `ScalarRef`,
+    /// and every listed segment ≡ its own one-pair `row_norms` /
+    /// `score_pairs` launch (the reference gather's kernels). Covers
+    /// widths 1..=300 against segment widths around the 8-lane chunk
+    /// (ragged last segments, segment counts off the 8-segment group),
+    /// all-zero segments on one or both sides (the 1.0 / 0.0 rules),
+    /// shrunken caller norms that push the quotient past ±1 (the
+    /// clamp), overflowing segments whose quotient is NaN, and random
+    /// index lists with repeats, whose unlisted slots stay untouched.
+    #[test]
+    fn segment_kernels_match_the_oracle_and_per_segment_launches(
+        width in 1usize..=300,
+        seg_pick in 0usize..6,
+        salt in 0usize..1000,
+        exp in -20i32..20,
+        kind in 0usize..3,
+    ) {
+        const UNTOUCHED: f32 = -7.25;
+        let scale = (exp as f32).exp2();
+        let seg = SEG_WIDTHS[seg_pick];
+        let count = width.div_ceil(seg);
+        let a = segmented_row(width, seg, salt, scale, 5);
+        let b = segmented_row(width, seg, salt + 1, scale, 4);
+        let segs = index_list(count, salt, kind);
+        let listed = |i: usize| segs.contains(&i);
+        let range = |i: usize| i * seg..((i + 1) * seg).min(width);
+        let (s, f) = (scalar_ref(), simd());
+
+        let mut norms = Vec::new();
+        for row in [&a, &b] {
+            let mut scalar = vec![UNTOUCHED; count];
+            s.segment_norms(row, seg, &segs, &mut scalar);
+            let mut dispatched = vec![UNTOUCHED; count];
+            f.segment_norms(row, seg, &segs, &mut dispatched);
+            assert_bits_eq(&dispatched, &scalar, "segment_norms simd vs scalar");
+            for (i, &n) in scalar.iter().enumerate() {
+                let want = if listed(i) {
+                    let mut one = [0.0f32];
+                    s.row_norms(&[&row[range(i)]], &mut one);
+                    one[0]
+                } else {
+                    UNTOUCHED
+                };
+                prop_assert!(n.to_bits() == want.to_bits(), "norm of segment {i}: {n} vs {want}");
+            }
+            // Shrink every fourth norm so the quotient passes ±1.
+            norms.push(
+                scalar
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &n)| if i % 4 == 1 { n * 0.25 } else { n })
+                    .collect::<Vec<f32>>(),
+            );
         }
 
-        let mut scalar = vec![0.0f32; n_cands];
-        s.score_candidates(row, norm, &views, &cand_norms, &mut scalar);
-        let mut dispatched = vec![0.0f32; n_cands];
-        f.score_candidates(row, norm, &views, &cand_norms, &mut dispatched);
-        assert_bits_eq(&dispatched, &scalar, "score_candidates simd vs scalar");
-        for &c in &scalar {
-            prop_assert!((-1.0..=1.0).contains(&c), "cosine {c} out of range");
+        let (an, bn) = (&norms[0], &norms[1]);
+        let mut scalar = vec![UNTOUCHED; count];
+        s.segment_scores(&a, &b, seg, &segs, an, bn, &mut scalar);
+        let mut dispatched = vec![UNTOUCHED; count];
+        f.segment_scores(&a, &b, seg, &segs, an, bn, &mut dispatched);
+        assert_bits_eq(&dispatched, &scalar, "segment_scores simd vs scalar");
+        for (i, &c) in scalar.iter().enumerate() {
+            let want = if listed(i) {
+                let mut one = [0.0f32];
+                s.score_pairs(&[&a[range(i)]], &[an[i]], &[&b[range(i)]], &[bn[i]], &mut one);
+                one[0]
+            } else {
+                UNTOUCHED
+            };
+            prop_assert!(c.to_bits() == want.to_bits(), "score of segment {i}: {c} vs {want}");
+            if listed(i) {
+                let overflow = i % 7 == 3 && i % 5 != 2 && i % 4 != 2;
+                prop_assert!(c.is_nan() == overflow, "segment {i} scored {c}");
+                prop_assert!(c.is_nan() || (-1.0..=1.0).contains(&c), "cosine {c} out of range");
+            }
         }
     }
 
     /// `Simd` ≡ `ScalarRef` bit for bit on the tile-batched launches
     /// (`row_norms`, `score_pairs`), which must in turn match the
-    /// one-row kernels — the batching is bit-invisible. Zero rows are
+    /// one-segment launches of the segment kernels — the batching is
+    /// bit-invisible. Zero rows are
     /// sprinkled in so the zero-norm conventions are exercised on the
     /// batched path too.
     #[test]
@@ -129,7 +251,9 @@ proptest! {
         f.row_norms(&pa, &mut an_f);
         assert_bits_eq(&an_f, &an, "row_norms simd vs scalar");
         for p in 0..n_pairs {
-            prop_assert_eq!(an[p].to_bits(), s.row_norm(pa[p]).to_bits());
+            let mut one = [0.0f32];
+            s.segment_norms(pa[p], width, &[0], &mut one);
+            prop_assert_eq!(an[p].to_bits(), one[0].to_bits());
         }
 
         let mut bn = vec![0.0f32; n_pairs];
@@ -142,7 +266,7 @@ proptest! {
         for (p, &c) in scalar.iter().enumerate() {
             prop_assert!((-1.0..=1.0).contains(&c), "cosine {c} out of range");
             let mut one = [0.0f32];
-            s.score_candidates(pa[p], an[p], &[pb[p]], &[bn[p]], &mut one);
+            s.segment_scores(pa[p], pb[p], width, &[0], &an[p..=p], &bn[p..=p], &mut one);
             prop_assert_eq!(c.to_bits(), one[0].to_bits());
         }
     }
@@ -208,19 +332,31 @@ proptest! {
     }
 }
 
-/// The zero-norm conventions survive the batched scoring path: two
-/// zero rows are "identical" (cosine 1), one zero row matches nothing
-/// (cosine 0), on both numeric backends.
+/// The zero-norm conventions survive the batched scoring paths: two
+/// zero segments are "identical" (cosine 1), one zero segment matches
+/// nothing (cosine 0), on both numeric backends and both launch shapes.
 #[test]
 fn zero_norm_conventions_hold_on_both_backends() {
     let zero = vec![0.0f32; 11];
     let unit: Vec<f32> = (0..11).map(|i| (i == 3) as u32 as f32).collect();
+    let a = [zero.clone(), zero.clone()].concat();
+    let b = [zero.clone(), unit.clone()].concat();
     for backend in [scalar_ref(), simd()] {
-        let cands: Vec<&[f32]> = vec![&zero, &unit];
-        let norms = [backend.row_norm(&zero), backend.row_norm(&unit)];
+        let (mut an, mut bn) = ([0.0f32; 2], [0.0f32; 2]);
+        backend.segment_norms(&a, 11, &[0, 1], &mut an);
+        backend.segment_norms(&b, 11, &[0, 1], &mut bn);
         let mut scores = [9.0f32; 2];
-        backend.score_candidates(&zero, norms[0], &cands, &norms, &mut scores);
-        assert_eq!(scores, [1.0, 0.0], "{} zero-row scores", backend.name());
+        backend.segment_scores(&a, &b, 11, &[0, 1], &an, &bn, &mut scores);
+        assert_eq!(scores, [1.0, 0.0], "{} zero-segment scores", backend.name());
+        let mut pairs = [9.0f32; 2];
+        backend.score_pairs(
+            &[&zero, &zero],
+            &[0.0; 2],
+            &[&zero, &unit],
+            &[0.0, 1.0],
+            &mut pairs,
+        );
+        assert_eq!(pairs, [1.0, 0.0], "{} zero-row pair scores", backend.name());
     }
 }
 

@@ -332,32 +332,43 @@ fn shared_service_serves_staggered_mixed_priority_requests() {
         assert_identical(&result, &serial, "staggered service request");
     }
 
+    let serial0 = jobs[0]
+        .pipeline
+        .clone()
+        .with_exec_mode(ExecMode::Serial)
+        .run(&jobs[0].workload, &jobs[0].arch);
     // Quiesce: all workers park (blocked on the condvar).
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while service.stats().parked != 3 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "workers failed to park between jobs: {:?}",
-            service.stats()
-        );
-        std::thread::yield_now();
-    }
+    let quiesce = || {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while service.stats().parked != 3 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "workers failed to park between jobs: {:?}",
+                service.stats()
+            );
+            std::thread::yield_now();
+        }
+    };
+    quiesce();
+    assert_eq!(service.stats().jobs_completed, cells.len() as u64);
+    // Start the park-counter check from a parked pool: one tiny request
+    // whose wakeups go to the workers that run it, then quiesce again,
+    // so no notification from the staggered burst is still in flight
+    // when the counter is sampled.
+    let tiny = service.submit(jobs[0].clone(), Priority::Normal).wait();
+    assert_identical(&tiny, &serial0, "quiescing service request");
+    quiesce();
     // Parked means parked: the cumulative park counter stops moving (a
     // spinning worker would keep re-entering the park).
     let stats = service.stats();
-    assert_eq!(stats.jobs_completed, cells.len() as u64);
+    assert_eq!(stats.jobs_completed, cells.len() as u64 + 1);
     assert_eq!(stats.inflight_nodes, 0);
     std::thread::sleep(std::time::Duration::from_millis(30));
     assert_eq!(service.stats().parks, stats.parks, "workers must not spin");
 
     // And parked ≠ exited: the same pool serves a follow-up request.
     let again = service.submit(jobs[0].clone(), Priority::Normal).wait();
-    let serial = jobs[0]
-        .pipeline
-        .clone()
-        .with_exec_mode(ExecMode::Serial)
-        .run(&jobs[0].workload, &jobs[0].arch);
-    assert_identical(&again, &serial, "post-idle service request");
+    assert_identical(&again, &serial0, "post-idle service request");
 }
 
 /// The batch path — every workload's task graph on the **one** shared
