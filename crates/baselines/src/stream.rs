@@ -2,7 +2,7 @@
 //!
 //! The temporal head-to-head needs every method on the *same* feed:
 //! Focus's streaming sessions carry bit-identical rows across frames
-//! ([`focus_core`]'s temporal cache), while the token-level baselines
+//! (`focus-core`'s temporal cache), while the token-level baselines
 //! have no cross-frame state at all — they re-concentrate every frame
 //! from scratch. This harness makes that contrast measurable: it
 //! replays one [`SceneStream`] frame by frame through any

@@ -4,7 +4,7 @@
 use focus_vlm::embedding::Stage;
 use focus_vlm::Workload;
 
-use crate::exec::stage::{ConcentrationStage, GatherStage, LayerCtx, SemanticStage, StageOutput};
+use crate::exec::stage::{GatherStage, LayerCtx, SemanticStage};
 use crate::pipeline::{FocusPipeline, SecLayerStats};
 use crate::session::RetentionPlan;
 use crate::sic::MatrixGatherStats;
@@ -20,7 +20,8 @@ pub enum ExecMode {
     /// allocation, the tile-by-tile `gather_matrix_on` reference).
     Serial,
     /// The production schedule: every layer decomposes into `Sec`,
-    /// per-stage `Synth` and `Gather`, `Fold` and `Lower` task nodes
+    /// per-stage `Synth` and `Gather`, `FoldStats`, `Absorb` and
+    /// `Lower` task nodes
     /// with explicit data dependencies, run on the persistent
     /// [`crate::exec::FocusService`] pool. `depth` is the number of
     /// layers whose synthesis/gather work may be in flight at once
@@ -46,6 +47,16 @@ impl Default for ExecMode {
 impl ExecMode {
     /// Pipeline depth of the default [`ExecMode::Graph`] schedule.
     pub const DEFAULT_GRAPH_DEPTH: usize = 2;
+
+    /// The depth a job of this mode runs at on the service: its own
+    /// graph depth (≥ 1), or [`ExecMode::DEFAULT_GRAPH_DEPTH`] for a
+    /// [`ExecMode::Serial`] job — the results are the same.
+    pub(crate) fn graph_depth(self) -> usize {
+        match self {
+            ExecMode::Graph { depth } => depth.max(1),
+            ExecMode::Serial => ExecMode::DEFAULT_GRAPH_DEPTH,
+        }
+    }
 }
 
 /// What one layer's pass through the stage graph produced. Counters
@@ -164,13 +175,6 @@ impl<'w> LayerExecutor<'w> {
         self.plan.geometry().layers
     }
 
-    /// The stage-graph nodes, semantic first, in fold order.
-    pub fn stages(&self) -> Vec<&dyn ConcentrationStage> {
-        let mut v: Vec<&dyn ConcentrationStage> = vec![&self.semantic];
-        v.extend(self.gathers.iter().map(|g| g as &dyn ConcentrationStage));
-        v
-    }
-
     /// Runs one layer of the reference walk, updating `retained` in
     /// place. Layers may come in any order; the measured phase walks
     /// them sequentially (`0..layers`).
@@ -203,12 +207,7 @@ impl<'w> LayerExecutor<'w> {
             retained,
             positions: &positions,
         };
-        let stats = self.gathers.iter().map(|g| {
-            let StageOutput::Gathered { stats, .. } = g.run_fresh(&ctx) else {
-                unreachable!("gather stages always gather");
-            };
-            stats
-        });
+        let stats = self.gathers.iter().map(|g| g.run_fresh(&ctx));
         fold_gathers(&mut record, stats, retained.len());
         record
     }

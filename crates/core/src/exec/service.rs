@@ -2,13 +2,14 @@
 //! long-lived worker pool that accepts pipeline runs as they arrive.
 //!
 //! The pool outlives any one request: [`FocusService::submit`] moves a
-//! [`BatchJob`] into an owned pipeline graph, admits its task nodes
-//! into the scheduler core at a caller-chosen [`Priority`] and returns
-//! a [`JobHandle`] immediately; workers park (not exit) between
-//! requests and wake on admission. Because the graph owns its inputs
-//! and every node holds an `Arc` of it, a request needs no borrow of
-//! the submitting stack frame. Tests that need a particular width
-//! start an owned pool with [`ServiceConfig::with_threads`].
+//! [`BatchJob`] into an owned pipeline graph, admits it into the
+//! scheduler core — its shared topology plus one dispatch holding an
+//! `Arc` of the graph — at a caller-chosen [`Priority`] and returns a
+//! [`JobHandle`] immediately; workers park (not exit) between
+//! requests and wake on admission. Because the graph owns its inputs,
+//! a request needs no borrow of the submitting stack frame. Tests
+//! that need a particular width start an owned pool with
+//! [`ServiceConfig::with_threads`].
 //! Admission control bounds the in-flight node count — a submission
 //! past the bound blocks until running requests retire nodes
 //! (backpressure), so a burst of large requests cannot queue
@@ -35,7 +36,8 @@ use std::thread::JoinHandle;
 use focus_sim::{Engine, SimReport};
 
 use crate::exec::batch::BatchJob;
-use crate::exec::graph::{lock_clean, Core, JobRun, PipelineGraph, Priority};
+use crate::exec::graph::PipelineGraph;
+use crate::exec::scheduler::{lock_clean, Core, JobRun, Priority};
 use crate::pipeline::PipelineResult;
 use crate::session::FrameWarm;
 use crate::sic::TemporalSnapshot;
@@ -104,26 +106,22 @@ pub struct ServiceStats {
     /// The admission bound.
     pub max_inflight_nodes: usize,
     /// Tasks currently waiting in the global fair queue, per priority
-    /// class (`Priority::ALL` order reversed — index by
-    /// [`Priority::index`]: High, Normal, Low).
+    /// class, indexed High, Normal, Low (`Priority::ALL` reversed).
     pub queued_by_priority: [usize; Priority::LEVELS],
     /// Nodes executed (or skip-drained) per priority class, cumulative
-    /// ([`Priority::index`] order). The weighted-fair shares show up
-    /// here: under sustained mixed load the per-class rates track the
+    /// (High, Normal, Low). The weighted-fair shares show up here:
+    /// under sustained mixed load the per-class rates track the
     /// [`Priority::weight`] ratios.
     pub served_by_priority: [u64; Priority::LEVELS],
     /// Per-class fair-queue *deficit*: how far (in virtual time) each
     /// class's oldest queued task trails the virtual clock — the live
-    /// aging debt owed to that class ([`Priority::index`] order). Zero
+    /// aging debt owed to that class (High, Normal, Low). Zero
     /// when the class has nothing queued; bounded by the weight ratios
     /// times the admitted backlog, never unbounded (that's the
     /// no-starvation guarantee). Read from per-class min-tag counters
     /// the scheduler maintains incrementally — O(1), off the state
     /// lock, so polling stats at kHz rates never contends with
-    /// workers. (The original PR 5 implementation *did* scan the heap
-    /// under the state lock; PR 6 replaced that with the min-tag
-    /// mirrors, and this field has been a lock-free read since.)
-    /// Published in the metrics registry as
+    /// workers. Published in the metrics registry as
     /// `service.deficit.{high,normal,low}`.
     pub deficit_by_priority: [u64; Priority::LEVELS],
     /// Streaming sessions currently open against this service.
@@ -148,7 +146,7 @@ pub struct ServiceStats {
 /// runs to completion on the pool; only the result is discarded.
 pub struct JobHandle {
     graph: Arc<PipelineGraph>,
-    run: Arc<JobRun<'static>>,
+    run: Arc<JobRun>,
     priority: Priority,
 }
 
@@ -223,7 +221,7 @@ impl JobHandle {
 
     /// The request's graph state and run record, for the session
     /// layer's window tracking and warm-state reclamation.
-    pub(crate) fn parts(&self) -> (Arc<PipelineGraph>, Arc<JobRun<'static>>) {
+    pub(crate) fn parts(&self) -> (Arc<PipelineGraph>, Arc<JobRun>) {
         (Arc::clone(&self.graph), Arc::clone(&self.run))
     }
 }
@@ -233,7 +231,7 @@ impl JobHandle {
 /// [`FocusService::new`] for an owned pool or use the process-wide
 /// [`FocusService::global`].
 pub struct FocusService {
-    core: Arc<Core<'static>>,
+    core: Arc<Core>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     jobs_submitted: AtomicU64,
     /// Streaming sessions currently open ([`crate::exec::StreamSession`]
@@ -330,7 +328,12 @@ impl FocusService {
     ) -> JobHandle {
         let graph = Arc::new(PipelineGraph::new(job, engine, warm));
         self.jobs_submitted.fetch_add(1, Ordering::SeqCst);
-        let run = self.core.inject(graph.tasks(), priority);
+        let body = Arc::clone(&graph);
+        let run = self.core.inject(
+            Arc::clone(graph.topology()),
+            Box::new(move |node| body.run_node(node)),
+            priority,
+        );
         JobHandle {
             graph,
             run,
@@ -340,12 +343,10 @@ impl FocusService {
 
     /// The unified metrics snapshot of this service: every counter
     /// under `service.*` (the per-priority arrays fanned out as
-    /// `.high`/`.normal`/`.low` by [`Priority::index`] order), plus the
-    /// observability layer's own `obs.*` entries (span totals,
-    /// per-node-kind and per-kernel-family latency summaries). This is
-    /// the registry seam ROADMAP direction 4 rolls per-shard stats up
-    /// through; [`FocusService::stats`] and the bench serializer both
-    /// read it.
+    /// `.high`/`.normal`/`.low`), plus the observability layer's own
+    /// `obs.*` entries (span totals, per-node-kind and
+    /// per-kernel-family latency summaries). [`FocusService::stats`]
+    /// and the bench serializer both read it.
     pub fn snapshot(&self) -> crate::obs::Snapshot {
         const CLASS: [&str; Priority::LEVELS] = ["high", "normal", "low"];
         let mut snap = crate::obs::Snapshot::new();

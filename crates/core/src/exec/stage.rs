@@ -1,12 +1,12 @@
-//! The [`ConcentrationStage`] trait and its two implementations: the
-//! semantic (token-pruning) stage and the four similarity-gather
-//! stages.
+//! The two concentration stages whose methods are the node bodies of
+//! the pipeline DAG: the semantic (token-pruning) stage and the four
+//! similarity-gather stages.
 //!
-//! A stage is a pure function of its [`LayerCtx`]: it borrows the
-//! workload, synthesises whatever activations it needs, and returns a
-//! [`StageOutput`]. Purity is what lets the executor run the four
-//! gather stages of a layer concurrently with results bit-identical to
-//! a serial sweep — there is no shared mutable state to race on.
+//! A stage method is a pure function of its [`LayerCtx`]: it borrows
+//! the workload and synthesises whatever activations it needs. Purity
+//! is what lets the graph run the four gather stages of a layer
+//! concurrently with results bit-identical to a serial sweep — there
+//! is no shared mutable state to race on.
 //!
 //! Stages do not *own* scratch state; they borrow a [`StageWorkspace`]
 //! per call. The workspace is pure memo + recycled buffers (activation
@@ -130,37 +130,6 @@ impl<'w> StageWorkspace<'w> {
     }
 }
 
-/// What one stage produced for one layer.
-pub enum StageOutput {
-    /// The semantic stage pruned the retained token set.
-    Pruned {
-        /// Surviving scene-global token indices, in stream order.
-        kept: Vec<usize>,
-        /// Hardware statistics of the pruning pass.
-        stats: SecLayerStats,
-    },
-    /// A similarity stage gathered one FC output.
-    Gathered {
-        /// Which gather point was measured.
-        stage: Stage,
-        /// Tile-level gather statistics.
-        stats: MatrixGatherStats,
-    },
-    /// The stage had nothing to do at this layer.
-    Skipped,
-}
-
-/// One node of the streaming stage graph. Implementations must be
-/// `Sync`: the executor fans independent stages out across threads,
-/// each with its own [`StageWorkspace`].
-pub trait ConcentrationStage: Sync {
-    /// Short name for logs and benches.
-    fn label(&self) -> &'static str;
-
-    /// Processes one layer using (and updating) `ws`.
-    fn run(&self, ctx: &LayerCtx<'_>, ws: &mut StageWorkspace<'_>) -> StageOutput;
-}
-
 /// The semantic concentration stage: prompt-aware token pruning at the
 /// Table I schedule points.
 pub struct SemanticStage<'w> {
@@ -198,8 +167,8 @@ impl<'w> SemanticStage<'w> {
     /// Prunes one layer's retained set, returning the surviving tokens
     /// and the pass statistics, or `None` when the schedule leaves this
     /// layer alone. The semantic stage needs no scratch workspace, so
-    /// the reference walk and the graph's `Sec` nodes call this directly;
-    /// the [`ConcentrationStage`] impl delegates here.
+    /// the reference walk and the graph's `Sec` nodes call this
+    /// directly.
     pub fn prune_layer(&self, ctx: &LayerCtx<'_>) -> Option<(Vec<usize>, SecLayerStats)> {
         let k = self.prune_k(ctx.layer, ctx.retained.len())?;
         let heads = self.att.all_heads(ctx.layer, ctx.retained);
@@ -218,19 +187,6 @@ impl<'w> SemanticStage<'w> {
             offset_bytes: outcome.offsets.storage_bytes(),
         };
         Some((kept, stats))
-    }
-}
-
-impl ConcentrationStage for SemanticStage<'_> {
-    fn label(&self) -> &'static str {
-        "sec"
-    }
-
-    fn run(&self, ctx: &LayerCtx<'_>, _ws: &mut StageWorkspace<'_>) -> StageOutput {
-        match self.prune_layer(ctx) {
-            Some((kept, stats)) => StageOutput::Pruned { kept, stats },
-            None => StageOutput::Skipped,
-        }
     }
 }
 
@@ -292,7 +248,7 @@ impl GatherStage {
     /// activation allocation and the per-tile `HashMap` gather. What
     /// the [`crate::exec::ExecMode::Serial`] reference walk runs, and
     /// what the workspace-reuse regression test compares against.
-    pub fn run_fresh(&self, ctx: &LayerCtx<'_>) -> StageOutput {
+    pub fn run_fresh(&self, ctx: &LayerCtx<'_>) -> MatrixGatherStats {
         let width = self.stage.width(ctx.workload.scaled_model());
         let mut syn = ctx.workload.activation_synthesizer_on(self.backend);
         let mut acts = syn.activations(ctx.retained, ctx.layer, self.stage, width);
@@ -300,37 +256,10 @@ impl GatherStage {
             DataType::Fp16 => self.backend.f16_round(&mut acts),
             DataType::Int8 => self.backend.fake_quantize(&mut acts),
         }
-        let stats = self
-            .concentrator
-            .gather_matrix_on(&acts, ctx.positions, self.backend);
-        StageOutput::Gathered {
-            stage: self.stage,
-            stats,
-        }
-    }
-}
-
-impl ConcentrationStage for GatherStage {
-    fn label(&self) -> &'static str {
-        match self.stage {
-            Stage::PvOut => "sic/pv_out",
-            Stage::OProjOut => "sic/o_proj_out",
-            Stage::FfnAct => "sic/ffn_act",
-            Stage::FfnDownOut => "sic/ffn_down_out",
-            Stage::Embedding => "sic/embedding",
-        }
+        self.concentrator
+            .gather_matrix_on(&acts, ctx.positions, self.backend)
     }
 
-    fn run(&self, ctx: &LayerCtx<'_>, ws: &mut StageWorkspace<'_>) -> StageOutput {
-        self.synth(ctx, ws);
-        StageOutput::Gathered {
-            stage: self.stage,
-            stats: self.gather(ctx, ws),
-        }
-    }
-}
-
-impl GatherStage {
     /// The *Synth* node of the task graph: synthesises (and quantises)
     /// this stage's activations for the layer into the workspace's
     /// recycled buffer. The synthesiser's memo cache stays warm across
@@ -374,9 +303,9 @@ impl GatherStage {
 
     /// The *Gather* node of the task graph: runs the similarity gather
     /// over the activations a prior [`GatherStage::synth`] call left in
-    /// `ws.acts`. Split from [`ConcentrationStage::run`] so the
-    /// graph scheduler can overlap one layer's gathers with another
-    /// layer's synthesis at any pipeline depth.
+    /// `ws.acts`. Split from synthesis so the graph scheduler can
+    /// overlap one layer's gathers with another layer's synthesis at
+    /// any pipeline depth.
     pub fn gather(&self, ctx: &LayerCtx<'_>, ws: &mut StageWorkspace<'_>) -> MatrixGatherStats {
         self.concentrator.gather_matrix_with_on(
             &ws.scratch.acts,

@@ -5,9 +5,8 @@
 //! arriving indefinitely — but a service that only accepts whole
 //! pipeline runs forces the caller to chop an unbounded feed into
 //! unrelated jobs: no state carries across frames, and nothing bounds
-//! how far a fast producer runs ahead of the pool (ROADMAP (l)). A
-//! `StreamSession` makes the **frame within a session** the unit of
-//! admission:
+//! how far a fast producer runs ahead of the pool. A `StreamSession`
+//! makes the **frame within a session** the unit of admission:
 //!
 //! * [`StreamSession::push_frame`] admits one pipeline graph per frame
 //!   and returns a [`FrameHandle`] immediately; frames of the same
@@ -20,9 +19,10 @@
 //!   an unbounded feed ahead of the workers.
 //! * **Warm per-session state** rides across frames: the retention
 //!   plan (prune layers, measured-layer schedule, full-set position
-//!   table) is derived once per feed geometry (once per session on a
-//!   well-formed single-shape feed), and each retired frame's
-//!   workload-independent allocations — stage workspaces'
+//!   table) and the node topology over it are built once per feed
+//!   geometry (once per session on a well-formed single-shape feed)
+//!   and shared by every frame of that geometry, and each retired
+//!   frame's workload-independent allocations — stage workspaces'
 //!   [`StageScratch`] and the measure accumulator's buffers — are
 //!   reclaimed into a pool the next admitted frame draws from, so
 //!   frame *t+1* skips re-deriving and re-allocating what frame *t*
@@ -44,12 +44,13 @@ use focus_vlm::Workload;
 use focus_vlm::embedding::Stage;
 
 use crate::exec::batch::BatchJob;
-use crate::exec::graph::{JobRun, PipelineGraph, Priority};
+use crate::exec::graph::PipelineGraph;
+use crate::exec::scheduler::{JobRun, Priority};
 use crate::exec::service::{FocusService, JobHandle};
 use crate::exec::stage::StageScratch;
 use crate::pipeline::measure::MeasureBuffers;
 use crate::pipeline::{FocusPipeline, PipelineResult};
-use crate::session::{FrameWarm, RetentionPlan, SessionGeometry};
+use crate::session::{FrameWarm, SessionGeometry, SharedPlan};
 use crate::sic::{TemporalCache, TemporalCacheConfig, TemporalSnapshot};
 
 /// Shape of one streaming session.
@@ -103,11 +104,10 @@ pub struct SessionStats {
     /// fresh and seed it).
     pub warm_reuses: u64,
     /// Times the feed's geometry diverged mid-session to a shape the
-    /// session had **not** seen before, forcing a fresh
-    /// [`RetentionPlan`] derivation. Zero on a well-formed
-    /// single-shape feed; a steadily climbing value means the caller
-    /// is funnelling unrelated feeds through one session and paying a
-    /// cold start per frame.
+    /// session had **not** seen before, forcing a fresh retention-plan
+    /// derivation. Zero on a well-formed single-shape feed; a steadily
+    /// climbing value means the caller is funnelling unrelated feeds
+    /// through one session and paying a cold start per frame.
     pub warm_rederives: u64,
     /// Mid-session geometry divergences resolved from the session's
     /// plan cache (a previously seen shape returned): the allocation
@@ -132,7 +132,7 @@ pub struct SessionStats {
 /// caller's [`FrameHandle`], which may be waited or dropped freely).
 struct InflightFrame {
     graph: Arc<PipelineGraph>,
-    run: Arc<JobRun<'static>>,
+    run: Arc<JobRun>,
 }
 
 /// One retired frame's recyclable allocations.
@@ -197,15 +197,17 @@ pub struct StreamSession<'s> {
     pipeline: FocusPipeline,
     arch: ArchConfig,
     config: StreamConfig,
-    /// Derived from the first frame and shared by every frame of the
-    /// same geometry; swapped (window drained, pool dropped) when the
-    /// feed's geometry diverges mid-session.
-    plan: Option<Arc<RetentionPlan>>,
-    /// Every plan this session has derived, by geometry: a feed that
-    /// alternates between a few shapes re-derives each plan **once**
-    /// (subsequent returns are [`SessionStats::plan_cache_hits`]).
-    /// Linear scan — sessions see a handful of shapes at most.
-    plans: Vec<(SessionGeometry, Arc<RetentionPlan>)>,
+    /// The current feed shape's plan and topology: built for the
+    /// first frame and shared by every frame of the same geometry;
+    /// swapped (window drained, pool dropped) when the feed's geometry
+    /// diverges mid-session.
+    plan: Option<SharedPlan>,
+    /// Every plan this session has built, one per geometry: a feed that
+    /// alternates between a few shapes derives each plan and topology
+    /// **once** (subsequent returns are
+    /// [`SessionStats::plan_cache_hits`]). Linear scan — sessions see
+    /// a handful of shapes at most.
+    plans: Vec<SharedPlan>,
     /// The cross-frame temporal cache (geometry-bound; dropped with
     /// the plan on divergence). The session holds its own `Arc`; each
     /// admitted frame's graph gets a clone via [`FrameWarm`].
@@ -268,13 +270,12 @@ impl<'s> StreamSession<'s> {
     /// first frame, updated if the feed diverges), if any frame
     /// arrived yet.
     pub fn geometry(&self) -> Option<SessionGeometry> {
-        self.plan.as_ref().map(|plan| plan.geometry())
+        self.plan.as_ref().map(|shared| shared.plan.geometry())
     }
 
     /// The unified metrics snapshot of this session: every counter
     /// under `session.*`, through the same registry seam as
-    /// [`FocusService::snapshot`] (ROADMAP direction 4's per-shard
-    /// rollups concatenate these with a shard prefix).
+    /// [`FocusService::snapshot`].
     pub fn snapshot(&self) -> crate::obs::Snapshot {
         let t = self.temporal_totals();
         let mut snap = crate::obs::Snapshot::new();
@@ -373,9 +374,9 @@ impl<'s> StreamSession<'s> {
         let matches = self
             .plan
             .as_ref()
-            .is_some_and(|plan| plan.geometry() == geometry);
-        let plan = if matches {
-            Arc::clone(self.plan.as_ref().expect("geometry just matched"))
+            .is_some_and(|shared| shared.plan.geometry() == geometry);
+        let shared = if matches {
+            self.plan.clone().expect("geometry just matched")
         } else {
             let diverged = self.plan.is_some();
             if diverged {
@@ -386,24 +387,28 @@ impl<'s> StreamSession<'s> {
                 self.pool.clear();
                 self.drop_temporal();
             }
-            let plan = match self.plans.iter().find(|(g, _)| *g == geometry) {
-                Some((_, cached)) => {
+            let cached = self
+                .plans
+                .iter()
+                .find(|shared| shared.plan.geometry() == geometry);
+            let shared = match cached {
+                Some(cached) => {
                     if diverged {
                         self.plan_cache_hits += 1;
                     }
-                    Arc::clone(cached)
+                    cached.clone()
                 }
                 None => {
                     if diverged {
                         self.warm_rederives += 1;
                     }
-                    let plan = Arc::new(RetentionPlan::derive(&self.pipeline.focus, &workload));
-                    self.plans.push((geometry, Arc::clone(&plan)));
-                    plan
+                    let shared = SharedPlan::derive(&self.pipeline, &workload);
+                    self.plans.push(shared.clone());
+                    shared
                 }
             };
-            self.plan = Some(Arc::clone(&plan));
-            plan
+            self.plan = Some(shared.clone());
+            shared
         };
 
         let temporal = match self.config.temporal {
@@ -452,7 +457,7 @@ impl<'s> StreamSession<'s> {
             None => (None, None),
         };
         let warm = FrameWarm {
-            plan,
+            shared,
             scratch,
             measure,
             temporal,
@@ -504,5 +509,61 @@ impl Drop for StreamSession<'_> {
         self.flush();
         self.sync_temporal();
         self.service.session_closed();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::{ServiceConfig, Topology};
+    use focus_vlm::{DatasetKind, ModelKind, WorkloadScale};
+
+    fn frame(stride: usize, seed: u64) -> Workload {
+        let scale = WorkloadScale {
+            measured_layer_stride: stride,
+            ..WorkloadScale::tiny()
+        };
+        Workload::new(ModelKind::LlavaVideo7B, DatasetKind::VideoMme, scale, seed)
+    }
+
+    /// The topology of the newest admitted frame.
+    fn newest_topology(session: &StreamSession<'_>) -> Arc<Topology> {
+        let newest = session.inflight.back().expect("a frame in flight");
+        Arc::clone(newest.graph.topology())
+    }
+
+    /// Frames of one geometry share one topology, and a geometry that
+    /// returns from the plan cache reuses its cached topology.
+    #[test]
+    fn frames_share_their_geometry_topology() {
+        let service = FocusService::new(ServiceConfig::with_threads(2));
+        let config = StreamConfig {
+            window: 2,
+            ..StreamConfig::default()
+        };
+        let mut session = StreamSession::open(
+            &service,
+            FocusPipeline::paper(),
+            ArchConfig::focus(),
+            config,
+        );
+        let mut handles = vec![session.push_frame(frame(7, 0))];
+        let first = newest_topology(&session);
+        handles.push(session.push_frame(frame(7, 1)));
+        assert!(Arc::ptr_eq(&first, &newest_topology(&session)));
+
+        // A different stride is a different geometry: its own topology.
+        handles.push(session.push_frame(frame(3, 2)));
+        let other = newest_topology(&session);
+        assert!(!Arc::ptr_eq(&first, &other));
+
+        // The first shape returns: plan cache hit, same topology.
+        handles.push(session.push_frame(frame(7, 3)));
+        assert!(Arc::ptr_eq(&first, &newest_topology(&session)));
+        let stats = session.stats();
+        assert_eq!((stats.plan_cache_hits, stats.warm_rederives), (1, 1));
+        for handle in handles {
+            handle.wait();
+        }
     }
 }

@@ -24,20 +24,19 @@
 //! * [`config`] — the Table I configuration ([`FocusConfig`],
 //!   [`RetentionSchedule`], [`BlockSize`]);
 //! * [`sec`] / [`sic`] — the two concentration mechanisms;
-//! * [`exec`] — the execution engine: the
-//!   [`exec::ConcentrationStage`] trait (one stage-node body), the
-//!   [`exec::FocusService`] pool behind the default
-//!   [`exec::ExecMode::Graph`] schedule (every layer decomposed into
-//!   `Sec`/`Synth`/`Gather`/`Fold`/`Lower` task nodes of an owned
-//!   pipeline graph on a work-stealing scheduler, cross-layer and
-//!   cross-workload overlap at any depth), the [`exec::LayerExecutor`]
-//!   (the single-threaded reference loop behind
-//!   [`exec::ExecMode::Serial`]), and [`exec::BatchRunner::run`]
-//!   (submits a batch of jobs into the shared serving pool, results
-//!   bit-identical to serial execution);
+//! * [`exec`] — the execution engine: the [`exec::FocusService`] pool
+//!   behind the default [`exec::ExecMode::Graph`] schedule (every layer
+//!   decomposed into `Sec`/`Synth`/`Gather`/`FoldStats`/`Absorb`/`Lower`
+//!   nodes of one shared topology, built once per retention plan; each
+//!   run is that topology plus a pipeline graph owning the run's state,
+//!   on a work-stealing scheduler with cross-layer and cross-workload
+//!   overlap at any depth), the [`exec::LayerExecutor`] (the
+//!   single-threaded reference loop behind [`exec::ExecMode::Serial`]),
+//!   and [`exec::BatchRunner::run`] (submits a batch of jobs into the
+//!   shared serving pool, results bit-identical to serial execution);
 //! * [`session`] — per-session warm state for streaming feeds: the
-//!   shared retention plan and the recycled frame allocations behind
-//!   [`exec::StreamSession`]'s per-frame admission;
+//!   shared retention plan and topology and the recycled frame
+//!   allocations behind [`exec::StreamSession`]'s per-frame admission;
 //! * [`pipeline`] — the pipeline phases split by concern:
 //!   `measure` (per-layer absorption shared by every schedule),
 //!   `lower` (the shared [`focus_vlm::trace::layer_lowering`] GEMM
@@ -49,7 +48,7 @@
 //!   (`FOCUS_TRACE_OUT=path`), per-phase and per-kernel latency
 //!   histograms, and the unified metrics registry every `stats()`
 //!   surface reads through;
-//! * [`unit`] — the hardware inventory (area shares, overlap
+//! * [`unit`](mod@unit) — the hardware inventory (area shares, overlap
 //!   guarantees).
 //!
 //! [`pipeline::FocusPipeline`] runs the whole stack over a synthetic

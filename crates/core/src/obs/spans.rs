@@ -13,8 +13,8 @@
 //! **Activation.** Tracing is compiled in but off: the disabled path
 //! is the single relaxed atomic load in [`enabled`]. It turns on via
 //! `FOCUS_TRACE=spans` (or `spans:CAPACITY` for a per-worker ring
-//! capacity), via [`ServiceConfig::trace`]
-//! (`crate::exec::ServiceConfig`), or programmatically with
+//! capacity), via
+//! [`ServiceConfig::trace`](crate::exec::ServiceConfig::trace), or programmatically with
 //! [`activate`]/[`set_enabled`] (the bench's traced-vs-untraced leg).
 //!
 //! **Bit-invisibility.** Recording is pure metadata — no numeric path

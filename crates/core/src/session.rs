@@ -9,18 +9,20 @@
 //! this module holds the session-lifetime state those per-frame graphs
 //! share:
 //!
-//! * [`SessionGeometry`] — the feed's fixed shape (layers, frame grid,
-//!   scaled token count). Every frame of a session must match it; the
-//!   session derives it from the first frame and rejects strays.
-//! * [`RetentionPlan`] — the measurement plan: which layers prune
+//! * [`SessionGeometry`] — the feed's shape (layers, frame grid,
+//!   scaled token count, measured-layer stride). Warm state is keyed
+//!   by it: a frame of a new shape gets that shape's plan.
+//! * `RetentionPlan` — the measurement plan: which layers prune
 //!   (retention schedule), which layers the gather stages measure, and
 //!   the full-retained-set position table. Pure functions of
 //!   `(config, geometry)`, identical for every frame, derived once per
-//!   session and shared by `Arc`.
-//! * [`FrameWarm`] — the recycled allocations handed to the next
-//!   admitted frame: the workload-independent halves of the stage
-//!   workspaces ([`StageScratch`]: activation matrices + gather
-//!   lookups/plans) and the measure-phase accumulator buffers.
+//!   geometry and shared by `Arc` — together with the node topology
+//!   the scheduler runs over it.
+//! * `FrameWarm` — what the next admitted frame receives: the shared
+//!   plan and topology plus the recycled allocations, the
+//!   workload-independent halves of the stage workspaces
+//!   ([`StageScratch`]: activation matrices + gather lookups/plans)
+//!   and the measure-phase accumulator buffers.
 //!
 //! **Determinism contract:** warm state is allocation + plan reuse
 //! only — every value is reset or re-derived per frame — so a frame
@@ -34,8 +36,9 @@ use std::sync::Arc;
 use focus_vlm::Workload;
 
 use crate::config::FocusConfig;
-use crate::exec::StageScratch;
+use crate::exec::{StageScratch, Topology};
 use crate::pipeline::measure::MeasureBuffers;
+use crate::pipeline::FocusPipeline;
 use crate::sic::{ConvLayouter, Fhw, TemporalCache};
 
 /// The fixed shape of one streaming feed: what must agree across every
@@ -51,7 +54,7 @@ pub struct SessionGeometry {
     /// Image tokens at measured scale (`frames_scaled × grid`).
     pub m_img: usize,
     /// Measured-layer stride of the workload scale (≥ 1). Part of the
-    /// geometry because the shared [`RetentionPlan`] bakes it into the
+    /// geometry because the shared retention plan bakes it into the
     /// measured-layer schedule: a frame with the same dimensions but a
     /// different stride must be rejected, not silently measured on the
     /// first frame's schedule.
@@ -144,13 +147,35 @@ impl RetentionPlan {
     }
 }
 
-/// Warm state donated to one admitted frame: the shared plan plus
-/// whatever recycled allocations the session has reclaimed from
+/// One feed shape's shared per-run structure: the retention plan and
+/// the node topology over it at the pipeline's graph depth. Both are
+/// pure functions of `(pipeline, geometry)`, so one derivation serves
+/// every run of the shape, shared by `Arc`.
+#[derive(Clone)]
+pub(crate) struct SharedPlan {
+    /// The measurement plan.
+    pub(crate) plan: Arc<RetentionPlan>,
+    /// The DAG the scheduler runs over `plan`.
+    pub(crate) topology: Arc<Topology>,
+}
+
+impl SharedPlan {
+    /// Derives the plan and topology for `pipeline` over `workload`'s
+    /// geometry.
+    pub(crate) fn derive(pipeline: &FocusPipeline, workload: &Workload) -> Self {
+        let plan = Arc::new(RetentionPlan::derive(&pipeline.focus, workload));
+        let topology = Arc::new(Topology::of(&plan, pipeline.exec_mode.graph_depth()));
+        SharedPlan { plan, topology }
+    }
+}
+
+/// Warm state donated to one admitted frame: the shared plan and
+/// topology plus whatever recycled allocations the session has reclaimed from
 /// completed frames (absent for the first `window` frames, which
 /// allocate fresh and seed the pool).
 pub(crate) struct FrameWarm {
-    /// The session's shared measurement plan.
-    pub(crate) plan: Arc<RetentionPlan>,
+    /// The session's plan and topology for the frame's geometry.
+    pub(crate) shared: SharedPlan,
     /// Recycled workload-independent stage scratch, one entry per
     /// `(gather stage, ring slot)` — or `None` to allocate fresh.
     pub(crate) scratch: Option<Vec<StageScratch>>,

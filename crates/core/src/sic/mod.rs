@@ -3,7 +3,7 @@
 //! Vector-level redundancy removal aligned with GEMM tiling: the
 //! [`gather`] pass deduplicates each output tile's vectors within
 //! spatiotemporal blocks, the [`layout`] module recovers positions and
-//! guarantees conflict-free bank access, and the [`scatter`] pass
+//! guarantees conflict-free bank access, and the [`scatter`](mod@scatter) pass
 //! reconstructs full tiles from concentrated partial sums in the next
 //! GEMM. [`SimilarityConcentrator`] applies gathering across a whole
 //! activation matrix and aggregates the statistics the pipeline and the

@@ -302,7 +302,7 @@ impl Plane {
     }
 }
 
-/// The per-session cross-frame cache: one [`Plane`] per
+/// The per-session cross-frame cache: one plane per
 /// `(layer, gather-stage)`, a frame clock, the signature record and
 /// shared counters.
 #[derive(Debug)]

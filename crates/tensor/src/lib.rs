@@ -5,7 +5,7 @@
 //! FP16 and under INT8 quantisation. This crate provides the numeric
 //! building blocks the rest of the workspace is written against:
 //!
-//! * [`f16`] — a software-emulated IEEE 754 binary16 value, so that the
+//! * [`f16`](struct@f16) — a software-emulated IEEE 754 binary16 value, so that the
 //!   pipeline rounds activations exactly where the hardware would;
 //! * [`quant`] — symmetric INT8 quantisation used by the Table IV
 //!   ("synergy with quantization") experiment;
@@ -25,7 +25,7 @@
 //!   launch-recording `trace` backend (`FOCUS_BACKEND`).
 //!
 //! Everything is deterministic: no global RNG, no time sources. Workload
-//! synthesis seeds [`rand::rngs::StdRng`] explicitly.
+//! synthesis seeds `rand::rngs::StdRng` explicitly.
 //!
 //! # Examples
 //!

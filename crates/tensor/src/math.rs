@@ -65,7 +65,7 @@ pub fn splitmix_mix(mut z: u64) -> u64 {
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
 /// Forces (or releases) the scalar fallback for every dispatched fill
-/// in this process. See [`FORCE_SCALAR`].
+/// in this process. See `FORCE_SCALAR`.
 pub fn force_scalar(on: bool) {
     FORCE_SCALAR.store(on, Ordering::SeqCst);
 }
@@ -165,7 +165,7 @@ fn sin_poly(w: f32) -> f32 {
 /// Fixed-polynomial natural log of a positive normal `f32`.
 ///
 /// Exponent extraction and the `m ≥ 4/3` range narrowing happen in
-/// integer space; the mantissa path is the shared [`ln1p_core`]. The
+/// integer space; the mantissa path is the shared `ln1p_core`. The
 /// absolute error stays within a few f32 ulps over the normal range.
 /// Non-positive, subnormal or non-finite inputs produce unspecified
 /// (but still deterministic, path-identical) values.
@@ -444,7 +444,7 @@ const DOT_SIMD_MIN_LEN: usize = 256;
 /// Lane-chunked dot product, runtime-dispatched like
 /// [`box_muller_fill`]: AVX2 where detected (unless [`force_scalar`])
 /// and the row is wide enough to pay for the dispatch
-/// ([`DOT_SIMD_MIN_LEN`]), chunked scalar otherwise, bit-identical
+/// (`DOT_SIMD_MIN_LEN`), chunked scalar otherwise, bit-identical
 /// either way.
 ///
 /// # Panics
@@ -627,7 +627,7 @@ fn segment_map(
 /// full-width segments run eight to a pass: eight independent
 /// accumulator registers over their chunks, then one reduction of all
 /// eight with two `hadd` levels and one 128-bit lane add. That adds the
-/// same operand pairs in the same tree as [`reduce_lanes`], so every
+/// same operand pairs in the same tree as `reduce_lanes`, so every
 /// result equals its own [`dot_chunked_scalar`] bit for bit (addition
 /// is commutative; NaNs produced from non-NaN inputs are the one
 /// default NaN on either path). A ragged segment, a last group of
@@ -714,7 +714,7 @@ fn assert_pair_widths(pa: &[&[f32]], pb: &[&[f32]], out: &[f32]) -> usize {
 /// Independent-pair dot kernel: `out[i] = dot_chunked(pa[i], pb[i])`
 /// for equally-wide pairs, eight pairs per SIMD pass. The
 /// batching amortises the per-call dispatch overhead that makes the
-/// single-dot path a loss below [`DOT_SIMD_MIN_LEN`], and keeps eight
+/// single-dot path a loss below `DOT_SIMD_MIN_LEN`, and keeps eight
 /// independent accumulator chains in flight. Every pair executes the
 /// frozen [`dot_chunked`] order (lane `j` sums indices `≡ j (mod 8)`,
 /// shared scalar tail, fixed reduction tree), so the batching is

@@ -13,7 +13,7 @@
 //!   stage graph routes all five kernel families through the trait
 //!   (nothing is open-coded behind its back).
 
-use focus::core::exec::{ConcentrationStage, GatherStage, LayerCtx, StageOutput, StageWorkspace};
+use focus::core::exec::{GatherStage, LayerCtx, StageWorkspace};
 use focus::core::pipeline::{FocusPipeline, PipelineResult};
 use focus::core::sic::{scatter_on, ConvLayouter, Fhw, SimilarityMap};
 use focus::core::FocusConfig;
@@ -426,9 +426,8 @@ fn trace_backend_records_the_stage_launch_sequence() {
                 retained: &retained,
                 positions: &positions,
             };
-            let StageOutput::Gathered { .. } = gather.run(&ctx, &mut ws) else {
-                panic!("gather stages always gather");
-            };
+            gather.synth(&ctx, &mut ws);
+            gather.gather(&ctx, &mut ws);
             expected.push(KernelLaunch::SynthFill { rows, width });
             expected.push(match dtype {
                 DataType::Fp16 => KernelLaunch::F16Round { rows, cols: width },

@@ -7,8 +7,8 @@
 //! exercises it.
 
 use focus::core::exec::{
-    BatchJob, BatchRunner, ConcentrationStage, ExecMode, FocusService, GatherStage, JobHandle,
-    LayerCtx, Priority, ServiceConfig, StageOutput, StageWorkspace,
+    BatchJob, BatchRunner, ExecMode, FocusService, GatherStage, JobHandle, LayerCtx, Priority,
+    ServiceConfig, StageWorkspace,
 };
 use focus::core::pipeline::{FocusPipeline, PipelineResult};
 use focus::core::sic::{ConvLayouter, Fhw};
@@ -457,13 +457,9 @@ fn workspace_reuse_matches_fresh_synthesizer_stats() {
                     retained: &retained,
                     positions: &positions,
                 };
-                let (
-                    StageOutput::Gathered { stats: fresh, .. },
-                    StageOutput::Gathered { stats: reused, .. },
-                ) = (gather.run_fresh(&ctx), gather.run(&ctx, &mut ws))
-                else {
-                    panic!("gather stages always gather");
-                };
+                let fresh = gather.run_fresh(&ctx);
+                gather.synth(&ctx, &mut ws);
+                let reused = gather.gather(&ctx, &mut ws);
                 assert_eq!(
                     reused, fresh,
                     "stats diverged at layer {layer}, stage {stage:?}, {dtype}"
