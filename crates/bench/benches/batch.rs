@@ -19,8 +19,8 @@
 //!   isolating the formerly RNG-bound share of the measured phase
 //!   (ROADMAP item (e)).
 //! * `synthesis/activation_synthesis_fig09_grid_scalar` — the same
-//!   walk with the kernel's SIMD dispatch forced onto the chunked-
-//!   scalar fallback (bit-identical values, only slower): the
+//!   walk on stages and workspaces pinned to the `scalar_ref()` oracle
+//!   backend (bit-identical values, only slower): the
 //!   batched-vs-scalar comparison behind the snapshot's
 //!   `synthesis_kernel_speedup`.
 //! * `service_throughput/staggered_fig09_grid` — the serving shape:
@@ -265,17 +265,17 @@ fn measured_walk(wl: &Workload) -> Vec<(usize, Vec<usize>)> {
 /// plus fp16 rounding — of one workload's measured walk.
 fn synthesis_pass(
     wl: &Workload,
-    walk: &[(usize, Vec<usize>)],
+    walk: &StagedWalk,
     stages: &[GatherStage],
     ws: &mut [StageWorkspace<'_>],
 ) {
-    for (layer, retained) in walk {
+    for (layer, retained, positions) in walk {
         for (si, stage) in stages.iter().enumerate() {
             let ctx = LayerCtx {
                 workload: wl,
                 layer: *layer,
                 retained,
-                positions: &[],
+                positions,
             };
             stage.synth(&ctx, &mut ws[si]);
         }
@@ -423,52 +423,28 @@ fn bench_temporal_stream(c: &mut Criterion) {
     });
 }
 
-/// The synthesis-only fixture: the grid's measured walks, the four
-/// gather stages at paper config/fp16, and one workspace set per
-/// workload. One constructor serves both the criterion leg and the
-/// snapshot so they can never drift apart.
-#[allow(clippy::type_complexity)]
-fn synthesis_fixture(
-    wls: &[Workload],
-) -> (
-    Vec<Vec<(usize, Vec<usize>)>>,
-    Vec<GatherStage>,
-    Vec<Vec<StageWorkspace<'_>>>,
-) {
-    let walks = wls.iter().map(measured_walk).collect();
-    let stages: Vec<GatherStage> = Stage::GATHER_POINTS
-        .iter()
-        .map(|&s| GatherStage::new(&FocusConfig::paper(), s, DataType::Fp16))
-        .collect();
-    let ws = wls
-        .iter()
-        .map(|wl| stages.iter().map(|_| StageWorkspace::new(wl)).collect())
-        .collect();
-    (walks, stages, ws)
-}
-
+/// The synthesis legs: the `Synth` node work over the grid's measured
+/// walks on fp16 stages pinned to each backend. The snapshot builds
+/// its synthesis fixtures with the same `staged_fixture`, so the two
+/// can never drift apart.
 fn bench_synthesis(c: &mut Criterion) {
     let wls = fig09_grid_workloads();
-    let (walks, stages, mut ws) = synthesis_fixture(&wls);
-    c.bench_function("synthesis/activation_synthesis_fig09_grid", |b| {
-        b.iter(|| {
-            for ((wl, walk), ws) in wls.iter().zip(&walks).zip(ws.iter_mut()) {
-                synthesis_pass(wl, walk, &stages, ws);
-            }
-        })
-    });
-    // The same Synth work on the kernel's chunked-scalar fallback —
-    // values are bit-identical (proptest-enforced), so the pair
-    // measures exactly the SIMD dispatch win and nothing else.
-    focus_tensor::math::force_scalar(true);
-    c.bench_function("synthesis/activation_synthesis_fig09_grid_scalar", |b| {
-        b.iter(|| {
-            for ((wl, walk), ws) in wls.iter().zip(&walks).zip(ws.iter_mut()) {
-                synthesis_pass(wl, walk, &stages, ws);
-            }
-        })
-    });
-    focus_tensor::math::force_scalar(false);
+    // The same Synth work on the dispatched backend and on the scalar
+    // oracle — values are bit-identical (proptest-enforced), so the
+    // pair measures exactly the SIMD dispatch win and nothing else.
+    for (suffix, backend) in [("", simd()), ("_scalar", scalar_ref())] {
+        let (walks, stages, mut ws) = staged_fixture(&wls, DataType::Fp16, backend);
+        c.bench_function(
+            &format!("synthesis/activation_synthesis_fig09_grid{suffix}"),
+            |b| {
+                b.iter(|| {
+                    for ((wl, walk), ws) in wls.iter().zip(&walks).zip(ws.iter_mut()) {
+                        synthesis_pass(wl, walk, &stages, ws);
+                    }
+                })
+            },
+        );
+    }
 }
 
 /// The backend-kernel micro legs, paired dispatched-vs-scalar: gather
@@ -582,7 +558,8 @@ fn write_snapshot() {
     let traced_graph_jobs = grid_jobs(&wls);
     focus_core::obs::spans::set_enabled(false);
     let graph_jobs = grid_jobs(&wls);
-    let (walks, stages, mut ws) = synthesis_fixture(&wls);
+    let (walks, stages, mut ws) = staged_fixture(&wls, DataType::Fp16, simd());
+    let (sc_walks, sc_stages, mut sc_ws) = staged_fixture(&wls, DataType::Fp16, scalar_ref());
     // Backend-staged fixtures for the per-phase kernel comparison:
     // dispatched (`simd`) vs the `scalar` oracle, at both precisions.
     let (fp16_walks, fp16_stages, mut fp16_ws) = staged_fixture(&wls, DataType::Fp16, simd());
@@ -654,15 +631,13 @@ fn write_snapshot() {
             synthesis_pass(wl, walk, &stages, ws);
         }
         synth.push(t.elapsed());
-        // The identical Synth work on the chunked-scalar fallback:
-        // the batched-vs-scalar kernel comparison.
-        focus_tensor::math::force_scalar(true);
+        // The identical Synth work on the scalar oracle backend: the
+        // batched-vs-scalar kernel comparison.
         let t = Instant::now();
-        for ((wl, walk), ws) in wls.iter().zip(&walks).zip(ws.iter_mut()) {
-            synthesis_pass(wl, walk, &stages, ws);
+        for ((wl, walk), ws) in wls.iter().zip(&sc_walks).zip(sc_ws.iter_mut()) {
+            synthesis_pass(wl, walk, &sc_stages, ws);
         }
         synth_scalar.push(t.elapsed());
-        focus_tensor::math::force_scalar(false);
         // Per-phase kernel times on the dispatched backend vs the
         // scalar oracle: gather scoring (fp16 legs) and the INT8
         // fake-quantise (int8 legs).

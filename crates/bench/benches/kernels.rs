@@ -143,16 +143,10 @@ fn bench_layouter(c: &mut Criterion) {
     });
 }
 
-fn bench_matmul(c: &mut Criterion) {
-    let a = Matrix::from_fn(256, 256, |r, cc| ((r + cc) % 17) as f32 - 8.0);
-    let bm = Matrix::from_fn(256, 256, |r, cc| ((r * 3 + cc) % 13) as f32 - 6.0);
-    c.bench_function("tensor/matmul_256", |b| b.iter(|| a.matmul(&bm)));
-}
-
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
     targets = bench_gather, bench_segment_scores, bench_scatter, bench_topk, bench_importance,
-              bench_offset_coding, bench_layouter, bench_matmul
+              bench_offset_coding, bench_layouter
 }
 criterion_main!(kernels);

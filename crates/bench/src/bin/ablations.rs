@@ -1,4 +1,4 @@
-//! Ablation benches for the design decisions DESIGN.md §4 calls out —
+//! Ablation benches for the design decisions of the reproduction —
 //! beyond the paper's Fig. 11, these isolate *why* each choice is in
 //! the design:
 //!

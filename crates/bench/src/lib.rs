@@ -1,8 +1,8 @@
 //! Experiment harness for the Focus reproduction.
 //!
 //! One binary per paper table/figure regenerates the corresponding
-//! rows/series (see DESIGN.md §5 for the index and EXPERIMENTS.md for
-//! paper-vs-measured):
+//! rows/series (README "Reproducing paper artefacts" shows how to run
+//! them):
 //!
 //! | target | artefact |
 //! |---|---|
@@ -210,14 +210,6 @@ fn outcome_from_sim((r, rep): (PipelineResult, SimReport)) -> MethodOutcome {
         accuracy: r.accuracy,
         report: Some(rep),
     }
-}
-
-/// Runs the Focus pipeline and also returns the pipeline result (for
-/// binaries that need layer records or outcomes).
-pub fn run_focus_detailed(wl: &Workload, pipeline: FocusPipeline) -> (PipelineResult, SimReport) {
-    let r = pipeline.run(wl, &ArchConfig::focus());
-    let rep = focus_engine().run(&r.work_items);
-    (r, rep)
 }
 
 /// Runs the dense model on the edge GPU.

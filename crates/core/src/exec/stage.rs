@@ -109,15 +109,11 @@ impl<'w> StageWorkspace<'w> {
     }
 
     /// A workspace pairing `workload`'s synthesiser with donated
-    /// `scratch` — the warm-reuse path of streaming sessions. The
-    /// scratch must have been built for the same frame grid (the
-    /// session enforces geometry compatibility at `push_frame`).
-    pub fn with_scratch(workload: &'w Workload, scratch: StageScratch) -> Self {
-        StageWorkspace::with_scratch_on(workload, scratch, crate::obs::kernel_backend())
-    }
-
-    /// [`StageWorkspace::with_scratch`] on an explicit kernel backend:
-    /// the synthesiser's noise-fill kernel dispatches through `backend`.
+    /// `scratch` — the warm-reuse path of streaming sessions — on an
+    /// explicit kernel backend: the synthesiser's noise-fill kernel
+    /// dispatches through `backend`. The scratch must have been built
+    /// for the same frame grid (the session enforces geometry
+    /// compatibility at `push_frame`).
     pub fn with_scratch_on(
         workload: &'w Workload,
         scratch: StageScratch,

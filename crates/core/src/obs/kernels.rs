@@ -1,13 +1,13 @@
-//! Kernel-launch timing: a forwarding [`Backend`] wrapper that samples
-//! kernel launches into per-family log2 histograms.
+//! Kernel-launch timing and counting: a forwarding [`Backend`] wrapper
+//! that counts every kernel launch per family and samples launch
+//! latencies into per-family log2 histograms.
 //!
-//! [`Timed`] is the timing analogue of the tensor crate's `Trace`
-//! backend: where `Trace` records *which* launches happen and does no
-//! numeric work, `Timed` forwards every call to a real backend
-//! unchanged and records *how long* that family of launches takes
-//! (through the single [`super::clock`] seam). Because the wrapped
-//! backend does the numeric work verbatim, a `Timed(Simd)` run is
-//! bit-identical to a bare `Simd` run — timing is observation only.
+//! [`Timed`] is the workspace's one record of kernel launches. It
+//! forwards every call to a real backend unchanged and records *how
+//! many* launches each family makes and *how long* they take (through
+//! the single [`super::clock`] seam). Because the wrapped backend does
+//! the numeric work verbatim, a `Timed(Simd)` run is bit-identical to a
+//! bare `Simd` run — timing is observation only.
 //!
 //! Timing is **sampled**, not exhaustive: a traced run executes
 //! hundreds of thousands of kernel launches per frame (the synthesis
@@ -30,15 +30,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use focus_tensor::backend::{Backend, BackendHandle, KernelLaunch};
+use focus_tensor::backend::{Backend, BackendHandle};
 use focus_tensor::matrix::Matrix;
 
 use super::clock;
 use super::hist::Histogram;
 
 /// The kernel families timed individually — one histogram per family,
-/// matching the launch taxonomy of
-/// [`focus_tensor::backend::KernelLaunch`] plus the row-norm pre-pass.
+/// each covering the [`Backend`] methods named on its variant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum KernelFamily {
     /// Compact-norm kernels (`segment_norms`, `row_norms`).
@@ -199,14 +198,6 @@ impl Backend for Timed {
         // behaviour, and callers that branch on the name (tests, the
         // bench banner) must not see a different backend.
         self.inner.name()
-    }
-
-    fn record(&self, launch: KernelLaunch) {
-        self.inner.record(launch);
-    }
-
-    fn take_launches(&self) -> Vec<KernelLaunch> {
-        self.inner.take_launches()
     }
 
     fn segment_norms(&self, row: &[f32], seg: usize, segs: &[usize], out: &mut [f32]) {

@@ -24,10 +24,10 @@
 //!
 //! Sparsity is therefore *measured* (it comes out of the real gather
 //! code running on synthesised activations), while cycles and energy
-//! are *computed* at paper scale from those measurements (DESIGN.md
-//! §2). Batch many runs with [`crate::exec::BatchRunner::run`]; stream
-//! an unbounded feed frame by frame — warm per-session state, bounded
-//! in-flight window — with [`crate::exec::StreamSession`]. Every
+//! are *computed* at paper scale from those measurements. Batch many
+//! runs with [`crate::exec::BatchRunner::run`]; stream an unbounded
+//! feed frame by frame — warm per-session state, bounded in-flight
+//! window — with [`crate::exec::StreamSession`]. Every
 //! admission path returns results bit-identical to a serial run.
 
 pub(crate) mod lower;

@@ -32,7 +32,7 @@ pub use temporal::{
 
 use core::ops::Range;
 
-use focus_tensor::backend::{self, BackendHandle, KernelLaunch};
+use focus_tensor::backend::{self, BackendHandle};
 use focus_tensor::ops::vector_ranges;
 use focus_tensor::Matrix;
 
@@ -210,16 +210,9 @@ impl SimilarityConcentrator {
     fn each_m_tile(
         &self,
         acts: &Matrix,
-        backend: BackendHandle,
         mut tile: impl FnMut(usize, usize, &[Range<usize>], &mut MatrixGatherStats) -> u64,
     ) -> (MatrixGatherStats, u64) {
         let width = acts.cols();
-        // One coarse launch record for the whole matrix sweep (the
-        // numeric backends drop it; the trace backend logs it).
-        backend.record(KernelLaunch::GatherScore {
-            rows: acts.rows(),
-            width,
-        });
         let col_ranges = vector_ranges(width, self.v_len(width));
         let m_tiles = acts.rows().div_ceil(self.tile_m).max(1);
         let mut stats = MatrixGatherStats {
@@ -251,7 +244,7 @@ impl SimilarityConcentrator {
         backend: BackendHandle,
     ) -> (MatrixGatherStats, u64) {
         let mut mask = CarryMask::new();
-        self.each_m_tile(acts, backend, |row_start, row_count, col_ranges, stats| {
+        self.each_m_tile(acts, |row_start, row_count, col_ranges, stats| {
             let temporal = settle(row_start, row_count, &mut mask);
             let rows = row_start..row_start + row_count;
             let mut avoided = 0;
@@ -295,7 +288,7 @@ impl SimilarityConcentrator {
         mut settle: impl FnMut(usize, usize, &mut CarryMask) -> bool,
         backend: BackendHandle,
     ) -> (MatrixGatherStats, u64) {
-        self.each_m_tile(acts, backend, |row_start, row_count, col_ranges, stats| {
+        self.each_m_tile(acts, |row_start, row_count, col_ranges, stats| {
             scratch.plan_tile(positions, row_start, row_count, self.gather.block);
             let temporal = settle(row_start, row_count, &mut scratch.carry);
             scratch.sweep_tile(

@@ -4,7 +4,7 @@
 //! traffic is a long sequential activation/weight stream, for which an
 //! analytic model — sustained-bandwidth transfer time plus
 //! energy-per-byte with a row-activation surcharge — reproduces the same
-//! aggregate behaviour (DESIGN.md §2). The energy constant is calibrated
+//! aggregate behaviour. The energy constant is calibrated
 //! so the Fig. 9(c) power breakdown (DRAM ≈ 59 % of total) emerges at
 //! Focus's measured traffic and runtime.
 

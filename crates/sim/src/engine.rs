@@ -140,11 +140,6 @@ impl Engine {
         &self.arch
     }
 
-    /// The energy model in use.
-    pub fn energy_model(&self) -> &EnergyModel {
-        &self.energy
-    }
-
     /// Runs the work list and produces the aggregate report.
     pub fn run(&self, items: &[WorkItem]) -> SimReport {
         let mut report = SimReport::default();

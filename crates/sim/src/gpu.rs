@@ -4,7 +4,7 @@
 //! with and without the FrameFusion pruning algorithm. That comparison
 //! is throughput-level, so a roofline model — effective compute rate
 //! capped by achievable utilisation, memory time from LPDDR5 bandwidth,
-//! energy from board power × runtime — reproduces it (DESIGN.md §2).
+//! energy from board power × runtime — reproduces it.
 //! Tensor-core utilisation on prefill-style GEMMs at edge power budgets
 //! is well below peak; irregular (token-pruned) workloads lose a little
 //! more to gather/scatter and ragged tiles.

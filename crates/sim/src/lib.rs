@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates Focus with a SCALE-sim-v2-based cycle-accurate
 //! simulator, DRAMsim3 device energy, and post-synthesis 28 nm
-//! area/power. This crate rebuilds that stack analytically (DESIGN.md
-//! §2 documents each substitution):
+//! area/power. This crate rebuilds that stack analytically; each
+//! module's docs name the substitution it makes:
 //!
 //! * [`config`] — the Table I / Table III architecture configurations;
 //! * [`systolic`] — weight-stationary tiled-GEMM timing with

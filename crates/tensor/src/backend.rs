@@ -5,9 +5,9 @@
 //! lists), compact-norm computation, the INT8 fake-quantise round trip,
 //! scatter row replay, and the activation-synthesis fill. This module
 //! puts all five behind one [`Backend`] trait — the InfiniNN
-//! `VirtualMachine` pattern — with three implementations:
+//! `VirtualMachine` pattern — with two implementations:
 //!
-//! * [`ScalarRef`] — the pre-trait code paths verbatim, kept as the
+//! * [`ScalarRef`] — the chunked-scalar reference paths, kept as the
 //!   bit-exactness oracle;
 //! * [`Simd`] — the runtime-dispatched AVX2/F16C kernels from
 //!   [`crate::math`], extended with segment-addressed gather scoring
@@ -19,96 +19,40 @@
 //!   ([`crate::quant::fake_quantize_in_place_batched`]). **Bit-identical
 //!   to [`ScalarRef`]** lane for lane under the frozen-op-order
 //!   discipline (proptest-enforced in `tests/backend_kernels.rs`), so
-//!   swapping backends never changes a result, only throughput;
-//! * [`Trace`] — a launch recorder that does no numeric work, for
-//!   schedule-level tests that only care *which* kernels run in *what*
-//!   order.
+//!   swapping backends never changes a result, only throughput.
 //!
-//! The process-wide default is selected once via the
-//! [`BACKEND_ENV`] environment variable (`FOCUS_BACKEND=scalar|simd|trace`)
-//! and cached by [`active`]; pipelines can also carry an explicit
-//! handle. Note `trace` as a process-wide default produces garbage
-//! numerics by design — it exists for targeted tests, not for figures.
+//! A [`BackendHandle`] is the one place a kernel implementation is
+//! chosen: callers that want the scalar path pass [`scalar_ref`]. The
+//! process-wide default is selected once via the [`BACKEND_ENV`]
+//! environment variable (`FOCUS_BACKEND=scalar|simd`) and cached by
+//! [`active`]; pipelines, stages and workspaces can also carry an
+//! explicit handle. Launches are counted and timed by wrapping a
+//! handle (`focus_core::obs::kernels::Timed`), not by the backends.
 
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use crate::math;
 use crate::matrix::Matrix;
 use crate::quant;
 
 /// Environment variable selecting the process-wide default backend
-/// (`scalar`, `simd` or `trace`). Unset means `simd` — which is safe
-/// as a default precisely because it is bit-identical to `scalar`.
+/// (`scalar` or `simd`). Unset means `simd` — which is safe as a
+/// default precisely because it is bit-identical to `scalar`.
 pub const BACKEND_ENV: &str = "FOCUS_BACKEND";
 
 /// How backends are passed around: a `'static` trait-object reference,
-/// so handles are `Copy`, and test-local [`Trace`] instances can be
-/// created with `Box::leak`.
+/// so handles are `Copy`, and test-local wrappers (a counting backend,
+/// say) can be created with `Box::leak`.
 pub type BackendHandle = &'static dyn Backend;
-
-/// One recorded kernel launch (coarse granularity: one entry per
-/// stage-level kernel call, not per row). Only [`Trace`] keeps these;
-/// the numeric backends drop them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelLaunch {
-    /// One matrix-gather scoring pass: `rows` activation rows against
-    /// their planned candidates, `width` columns per vector tile.
-    GatherScore {
-        /// Activation rows scored.
-        rows: usize,
-        /// Vector length per column tile.
-        width: usize,
-    },
-    /// One whole-matrix INT8 fake-quantise round trip.
-    FakeQuantize {
-        /// Matrix rows.
-        rows: usize,
-        /// Matrix columns.
-        cols: usize,
-    },
-    /// One whole-matrix FP16 rounding pass.
-    F16Round {
-        /// Matrix rows.
-        rows: usize,
-        /// Matrix columns.
-        cols: usize,
-    },
-    /// One scatter replay of compact rows to full positions.
-    Scatter {
-        /// Output (full) rows.
-        rows: usize,
-        /// Matrix columns.
-        cols: usize,
-    },
-    /// One activation-synthesis fill.
-    SynthFill {
-        /// Token rows synthesised.
-        rows: usize,
-        /// Hidden width.
-        width: usize,
-    },
-}
 
 /// The stage-kernel surface. Every method is a whole kernel launch,
 /// not a helper: callers hand the backend complete rows/matrices and
-/// never open-code the inner loops, so the numeric backend can batch
-/// however it likes and [`Trace`] can skip the work entirely.
+/// never open-code the inner loops, so a backend can batch however
+/// it likes.
 pub trait Backend: fmt::Debug + Sync {
-    /// Stable lower-case name (`"scalar"`, `"simd"`, `"trace"`).
+    /// Stable lower-case name (`"scalar"`, `"simd"`).
     fn name(&self) -> &'static str;
-
-    /// Records a stage-level launch emitted by a call site that owns a
-    /// composite kernel (gather scoring, synthesis fill). No-op on the
-    /// numeric backends.
-    fn record(&self, launch: KernelLaunch) {
-        let _ = launch;
-    }
-
-    /// Drains the recorded launch log. Empty on the numeric backends.
-    fn take_launches(&self) -> Vec<KernelLaunch> {
-        Vec::new()
-    }
 
     /// L2 norms of the listed `seg`-wide segments of `row` (the last
     /// segment ragged when `seg` does not divide the width):
@@ -225,8 +169,8 @@ fn assert_pair_shapes(
 }
 
 /// The explicitly-scalar reference backend: every kernel runs the
-/// chunked-scalar path regardless of the [`math::force_scalar`] switch
-/// or CPU features. The bit-exactness oracle [`Simd`] is tested against.
+/// chunked-scalar path regardless of CPU features. The bit-exactness
+/// oracle [`Simd`] is tested against.
 #[derive(Debug)]
 pub struct ScalarRef;
 
@@ -355,113 +299,8 @@ impl Backend for Simd {
     }
 }
 
-/// The launch-recording backend: numeric methods are no-ops (zero
-/// fills where a value is required) and every kernel call lands in an
-/// internal log, drained by [`Backend::take_launches`]. Schedule tests
-/// construct their own instance (`Box::leak(Box::new(Trace::new()))`)
-/// so parallel tests never share a log. The log is unbounded — drain
-/// it; don't run figures on it.
-#[derive(Debug)]
-pub struct Trace {
-    launches: Mutex<Vec<KernelLaunch>>,
-}
-
-impl Trace {
-    /// An empty trace log.
-    pub const fn new() -> Self {
-        Trace {
-            launches: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-impl Default for Trace {
-    fn default() -> Self {
-        Trace::new()
-    }
-}
-
-impl Backend for Trace {
-    fn name(&self) -> &'static str {
-        "trace"
-    }
-
-    fn record(&self, launch: KernelLaunch) {
-        self.launches.lock().unwrap().push(launch);
-    }
-
-    fn take_launches(&self) -> Vec<KernelLaunch> {
-        std::mem::take(&mut *self.launches.lock().unwrap())
-    }
-
-    fn segment_norms(&self, _row: &[f32], _seg: usize, segs: &[usize], out: &mut [f32]) {
-        for &s in segs {
-            out[s] = 0.0;
-        }
-    }
-
-    fn segment_scores(
-        &self,
-        _a: &[f32],
-        _b: &[f32],
-        _seg: usize,
-        segs: &[usize],
-        _a_norms: &[f32],
-        _b_norms: &[f32],
-        out: &mut [f32],
-    ) {
-        for &s in segs {
-            out[s] = 0.0;
-        }
-    }
-
-    fn row_norms(&self, rows: &[&[f32]], out: &mut [f32]) {
-        assert_eq!(rows.len(), out.len(), "one norm slot per row");
-        out.fill(0.0);
-    }
-
-    fn score_pairs(
-        &self,
-        a: &[&[f32]],
-        a_norms: &[f32],
-        b: &[&[f32]],
-        b_norms: &[f32],
-        scores: &mut [f32],
-    ) {
-        assert_pair_shapes(a, a_norms, b, b_norms, scores);
-        scores.fill(0.0);
-    }
-
-    fn fake_quantize(&self, m: &mut Matrix) {
-        self.record(KernelLaunch::FakeQuantize {
-            rows: m.rows(),
-            cols: m.cols(),
-        });
-    }
-
-    fn f16_round(&self, m: &mut Matrix) {
-        self.record(KernelLaunch::F16Round {
-            rows: m.rows(),
-            cols: m.cols(),
-        });
-    }
-
-    fn scatter_rows(&self, partial: &Matrix, reps: &[u32], out: &mut Matrix) {
-        assert_eq!(reps.len(), out.rows(), "one representative per output row");
-        self.record(KernelLaunch::Scatter {
-            rows: out.rows(),
-            cols: partial.cols(),
-        });
-    }
-
-    fn normal_fill(&self, _seed: u64, out: &mut [f32]) {
-        out.fill(0.0);
-    }
-}
-
 static SCALAR_REF: ScalarRef = ScalarRef;
 static SIMD: Simd = Simd;
-static TRACE: Trace = Trace::new();
 
 /// The [`ScalarRef`] oracle backend.
 pub fn scalar_ref() -> BackendHandle {
@@ -473,13 +312,6 @@ pub fn simd() -> BackendHandle {
     &SIMD
 }
 
-/// The process-wide shared [`Trace`] instance (what
-/// `FOCUS_BACKEND=trace` selects). Tests that assert launch sequences
-/// should leak their own [`Trace`] instead, to avoid sharing the log.
-pub fn trace() -> BackendHandle {
-    &TRACE
-}
-
 /// Which backend implementation a name selects.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackendKind {
@@ -488,13 +320,11 @@ pub enum BackendKind {
     /// [`Simd`].
     #[default]
     Simd,
-    /// [`Trace`].
-    Trace,
 }
 
 impl BackendKind {
     /// The names [`BackendKind::parse`] accepts, for error messages.
-    pub const VALID_FORMS: &'static str = "`scalar`, `simd` or `trace`";
+    pub const VALID_FORMS: &'static str = "`scalar` or `simd`";
 
     /// Parses a backend name. Unknown names are an error naming the
     /// valid forms, never a silent fallback.
@@ -502,7 +332,6 @@ impl BackendKind {
         match raw {
             "scalar" => Ok(BackendKind::Scalar),
             "simd" => Ok(BackendKind::Simd),
-            "trace" => Ok(BackendKind::Trace),
             other => Err(format!(
                 "unknown backend `{other}`; valid forms: {}",
                 BackendKind::VALID_FORMS
@@ -526,7 +355,6 @@ impl BackendKind {
         match self {
             BackendKind::Scalar => scalar_ref(),
             BackendKind::Simd => simd(),
-            BackendKind::Trace => trace(),
         }
     }
 }
@@ -543,62 +371,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_accepts_the_three_names() {
+    fn parse_accepts_the_two_names() {
         assert_eq!(BackendKind::parse("scalar"), Ok(BackendKind::Scalar));
         assert_eq!(BackendKind::parse("simd"), Ok(BackendKind::Simd));
-        assert_eq!(BackendKind::parse("trace"), Ok(BackendKind::Trace));
-        let err = BackendKind::parse("avx512").unwrap_err();
-        assert!(err.contains("avx512") && err.contains("scalar"), "{err}");
+        for bad in ["trace", "avx512"] {
+            let err = BackendKind::parse(bad).unwrap_err();
+            assert!(
+                err.contains(bad) && err.contains("`scalar` or `simd`"),
+                "{err}"
+            );
+        }
     }
 
     #[test]
     fn handles_report_their_names() {
         assert_eq!(BackendKind::Scalar.handle().name(), "scalar");
         assert_eq!(BackendKind::Simd.handle().name(), "simd");
-        assert_eq!(BackendKind::Trace.handle().name(), "trace");
         assert_eq!(BackendKind::default(), BackendKind::Simd);
-    }
-
-    #[test]
-    fn numeric_backends_drop_records() {
-        scalar_ref().record(KernelLaunch::Scatter { rows: 1, cols: 1 });
-        simd().record(KernelLaunch::Scatter { rows: 1, cols: 1 });
-        assert!(scalar_ref().take_launches().is_empty());
-        assert!(simd().take_launches().is_empty());
-    }
-
-    #[test]
-    fn trace_records_and_drains_in_order() {
-        let t = Trace::new();
-        let mut m = Matrix::zeros(3, 5);
-        t.fake_quantize(&mut m);
-        t.f16_round(&mut m);
-        t.record(KernelLaunch::GatherScore { rows: 3, width: 5 });
-        assert_eq!(
-            t.take_launches(),
-            vec![
-                KernelLaunch::FakeQuantize { rows: 3, cols: 5 },
-                KernelLaunch::F16Round { rows: 3, cols: 5 },
-                KernelLaunch::GatherScore { rows: 3, width: 5 },
-            ]
-        );
-        assert!(t.take_launches().is_empty(), "drain must empty the log");
-    }
-
-    #[test]
-    fn trace_does_no_numeric_work() {
-        let t = Trace::new();
-        let mut m = Matrix::from_fn(2, 4, |r, c| (r + c) as f32 + 0.3);
-        let before = m.clone();
-        t.fake_quantize(&mut m);
-        t.f16_round(&mut m);
-        assert_eq!(m, before, "trace must leave values untouched");
-        let mut norms = [9.0f32; 2];
-        t.segment_norms(&[3.0, 4.0], 1, &[1], &mut norms);
-        assert_eq!(norms, [9.0, 0.0], "only the listed slot is written");
-        let mut noise = [7.0f32; 4];
-        t.normal_fill(9, &mut noise);
-        assert_eq!(noise, [0.0; 4]);
     }
 
     #[test]

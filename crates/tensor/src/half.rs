@@ -206,14 +206,6 @@ pub fn round_to_f16(value: f32) -> f32 {
     f16::from_f32(value).to_f32()
 }
 
-/// Rounds every element of a slice through binary16 in place.
-///
-/// Delegates to the batched [`crate::math::f16_round_fill`] kernel,
-/// which is bit-identical to applying [`round_to_f16`] per element.
-pub fn round_slice_to_f16(values: &mut [f32]) {
-    crate::math::f16_round_fill(values);
-}
-
 /// The largest finite magnitude representable in binary16.
 pub const fn max_finite() -> f32 {
     MAX_FINITE_F32

@@ -9,11 +9,10 @@
 //!   pipeline rounds activations exactly where the hardware would;
 //! * [`quant`] — symmetric INT8 quantisation used by the Table IV
 //!   ("synergy with quantization") experiment;
-//! * [`Matrix`] — a dense row-major `f32` matrix with the blocked GEMM,
-//!   tiling helpers and transformer kernels (softmax, RMSNorm) the
-//!   workload generator and the reference pipeline need;
-//! * [`ops`] — vector kernels (dot, L2 norm, cosine similarity) that the
-//!   similarity concentrator models reuse;
+//! * [`Matrix`] — the dense row-major `f32` activation buffer the
+//!   workload generator fills and the pipeline stages read;
+//! * [`ops`] — vector kernels (dot, L2 norm, cosine similarity,
+//!   softmax, top-k) that the concentrator models reuse;
 //! * [`math`] — the batched, bit-deterministic transcendental kernel
 //!   (fixed-polynomial `ln`/`cos`, `box_muller_fill`) behind all
 //!   activation synthesis, with a runtime-dispatched SIMD path that is
@@ -21,8 +20,8 @@
 //! * [`backend`] — the pluggable [`Backend`] trait putting the hot
 //!   stage kernels (gather scoring, compact norms, fake-quantise, FP16
 //!   rounding, scatter, synthesis fill) behind one dispatch surface,
-//!   with bit-identical `scalar`/`simd` implementations and a
-//!   launch-recording `trace` backend (`FOCUS_BACKEND`).
+//!   with bit-identical `scalar`/`simd` implementations chosen by a
+//!   [`BackendHandle`] (`FOCUS_BACKEND` picks the process default).
 //!
 //! Everything is deterministic: no global RNG, no time sources. Workload
 //! synthesis seeds `rand::rngs::StdRng` explicitly.
@@ -30,13 +29,13 @@
 //! # Examples
 //!
 //! ```
-//! use focus_tensor::{Matrix, ops};
+//! use focus_tensor::{backend, ops, Matrix};
 //!
 //! let a = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32);
-//! let b = Matrix::identity(3);
-//! let c = a.matmul(&b);
-//! assert_eq!(c, a);
-//! assert!((ops::cosine_similarity(c.row(0), a.row(0)) - 1.0).abs() < 1e-6);
+//! let mut b = a.clone();
+//! backend::simd().f16_round(&mut b); // small integers are exact in FP16
+//! assert_eq!(b, a);
+//! assert!((ops::cosine_similarity(b.row(0), a.row(0)) - 1.0).abs() < 1e-6);
 //! ```
 //!
 //! [HPCA 2026]: https://arxiv.org/abs/2512.14661
@@ -54,7 +53,7 @@ pub mod matrix;
 pub mod ops;
 pub mod quant;
 
-pub use crate::backend::{Backend, BackendHandle, BackendKind, KernelLaunch};
+pub use crate::backend::{Backend, BackendHandle, BackendKind};
 pub use crate::half::f16;
-pub use crate::matrix::{Matrix, TileIter, TileSpec};
+pub use crate::matrix::Matrix;
 pub use crate::quant::{DataType, QuantParams, QuantizedTensor};

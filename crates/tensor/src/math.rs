@@ -41,7 +41,6 @@
 //! sequential generator would produce, so filling N values and then
 //! drawing one-by-one continues the same stream.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 #[cfg(target_arch = "x86_64")]
 use std::sync::OnceLock;
 
@@ -58,31 +57,19 @@ pub fn splitmix_mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// When set, [`box_muller_fill`] (and the other dispatched fills) take
-/// the chunked-scalar path even where SIMD is available. Values are
-/// bit-identical either way — this is a *performance* switch for the
-/// batched-vs-scalar bench comparison, never a correctness one.
-static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
-
-/// Forces (or releases) the scalar fallback for every dispatched fill
-/// in this process. See `FORCE_SCALAR`.
-pub fn force_scalar(on: bool) {
-    FORCE_SCALAR.store(on, Ordering::SeqCst);
-}
-
-/// Whether the dispatched fills currently take a SIMD path.
-pub fn simd_active() -> bool {
-    !FORCE_SCALAR.load(Ordering::SeqCst) && avx2_available()
-}
-
+/// Whether the dispatched kernels take a SIMD path: AVX2 detected at
+/// runtime, checked once and cached. Callers that want the scalar path
+/// regardless of the CPU pass the scalar backend
+/// ([`crate::backend::scalar_ref`]) instead.
 #[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
+pub fn simd_active() -> bool {
     static AVX2: OnceLock<bool> = OnceLock::new();
     *AVX2.get_or_init(|| std::is_x86_feature_detected!("avx2"))
 }
 
+/// Whether the dispatched kernels take a SIMD path: never, off x86-64.
 #[cfg(not(target_arch = "x86_64"))]
-fn avx2_available() -> bool {
+pub fn simd_active() -> bool {
     false
 }
 
@@ -254,9 +241,8 @@ pub fn normal_from_raw(r1: u64, r2: u64) -> f32 {
 /// is **position-addressable** — splitting a fill at any offset `n`
 /// and continuing with seed `seed + 2n·γ` reproduces the same values.
 ///
-/// Runtime-dispatched: AVX2 eight lanes at a time where detected
-/// (unless [`force_scalar`]), chunked scalar otherwise — bit-identical
-/// either way.
+/// Runtime-dispatched: AVX2 eight lanes at a time where detected,
+/// chunked scalar otherwise — bit-identical either way.
 pub fn box_muller_fill(seed: u64, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if simd_active() {
@@ -282,7 +268,7 @@ pub fn box_muller_fill_scalar(seed: u64, out: &mut [f32]) {
 /// host lacks AVX2.
 #[cfg(target_arch = "x86_64")]
 pub fn box_muller_fill_avx2(seed: u64, out: &mut [f32]) -> bool {
-    if !avx2_available() {
+    if !simd_active() {
         return false;
     }
     // SAFETY: AVX2 detected above.
@@ -314,7 +300,7 @@ pub fn ln_fill_scalar(xs: &[f32], out: &mut [f32]) {
 #[cfg(target_arch = "x86_64")]
 pub fn ln_fill_avx2(xs: &[f32], out: &mut [f32]) -> bool {
     assert_eq!(xs.len(), out.len(), "ln_fill length mismatch");
-    if !avx2_available() {
+    if !simd_active() {
         return false;
     }
     // SAFETY: AVX2 detected.
@@ -346,7 +332,7 @@ pub fn cos_phase24_fill_scalar(ps: &[u32], out: &mut [f32]) {
 #[cfg(target_arch = "x86_64")]
 pub fn cos_phase24_fill_avx2(ps: &[u32], out: &mut [f32]) -> bool {
     assert_eq!(ps.len(), out.len(), "cos_phase24_fill length mismatch");
-    if !avx2_available() {
+    if !simd_active() {
         return false;
     }
     // SAFETY: AVX2 detected.
@@ -389,7 +375,7 @@ pub fn f16_round_fill_scalar(values: &mut [f32]) {
 /// untouched) when the host lacks AVX2 or F16C.
 #[cfg(target_arch = "x86_64")]
 pub fn f16_round_fill_f16c(values: &mut [f32]) -> bool {
-    if !avx2_available() || !f16c_available() {
+    if !simd_active() || !f16c_available() {
         return false;
     }
     // SAFETY: AVX2 and F16C detected above.
@@ -442,10 +428,9 @@ fn reduce_lanes(l: [f32; 8]) -> f32 {
 const DOT_SIMD_MIN_LEN: usize = 256;
 
 /// Lane-chunked dot product, runtime-dispatched like
-/// [`box_muller_fill`]: AVX2 where detected (unless [`force_scalar`])
-/// and the row is wide enough to pay for the dispatch
-/// (`DOT_SIMD_MIN_LEN`), chunked scalar otherwise, bit-identical
-/// either way.
+/// [`box_muller_fill`]: AVX2 where detected and the row is wide
+/// enough to pay for the dispatch (`DOT_SIMD_MIN_LEN`), chunked scalar
+/// otherwise, bit-identical either way.
 ///
 /// # Panics
 ///
@@ -490,7 +475,7 @@ pub fn dot_chunked_scalar(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(target_arch = "x86_64")]
 pub fn dot_chunked_avx2(a: &[f32], b: &[f32]) -> Option<f32> {
     assert_eq!(a.len(), b.len(), "dot of mismatched lengths");
-    if !avx2_available() {
+    if !simd_active() {
         return None;
     }
     let full = a.len() / 8 * 8;
@@ -510,7 +495,7 @@ pub fn l2_norm_chunked(a: &[f32]) -> f32 {
 
 /// The cosine of two vectors from their dot product and caller-supplied
 /// norms, with the degenerate-input conventions of
-/// `focus_tensor::ops::cosine_similarity_with_norms`: two zero norms
+/// [`crate::ops::cosine_similarity`]: two zero norms
 /// are perfectly similar, one zero norm is orthogonal, and the result
 /// is clamped into `[-1, 1]` (a NaN quotient stays NaN). Every scoring
 /// kernel finishes through this one function.
@@ -623,16 +608,16 @@ fn segment_map(
 /// `r = s·seg .. min((s+1)·seg, len)`. Slots of unlisted segments are
 /// left untouched, and an index may be listed more than once.
 ///
-/// With AVX2 (unless [`force_scalar`]) and `seg` a multiple of 8, the
-/// full-width segments run eight to a pass: eight independent
-/// accumulator registers over their chunks, then one reduction of all
-/// eight with two `hadd` levels and one 128-bit lane add. That adds the
-/// same operand pairs in the same tree as `reduce_lanes`, so every
-/// result equals its own [`dot_chunked_scalar`] bit for bit (addition
-/// is commutative; NaNs produced from non-NaN inputs are the one
-/// default NaN on either path). A ragged segment, a last group of
-/// fewer than four, and every segment of a width that is not a multiple
-/// of 8 take the chunked-scalar dot.
+/// With AVX2 and `seg` a multiple of 8, the full-width segments run
+/// eight to a pass: eight independent accumulator registers over their
+/// chunks, then one reduction of all eight with two `hadd` levels and
+/// one 128-bit lane add. That adds the same operand pairs in the same
+/// tree as `reduce_lanes`, so every result equals its own
+/// [`dot_chunked_scalar`] bit for bit (addition is commutative; NaNs
+/// produced from non-NaN inputs are the one default NaN on either
+/// path). A ragged segment, a last group of fewer than four, and every
+/// segment of a width that is not a multiple of 8 take the
+/// chunked-scalar dot.
 ///
 /// # Panics
 ///

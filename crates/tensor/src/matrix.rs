@@ -1,12 +1,6 @@
-//! Dense row-major `f32` matrices with the tiling helpers the accelerator
-//! model is built around.
-//!
-//! The Focus paper executes every layer as tiled GEMM: input `M×K`, weight
-//! `K×N`, output `M×N`, cut into `m×n` output tiles (`m = 1024`, `n = 32`
-//! in the shipped configuration) and `k = 32` deep sub-tiles. [`TileSpec`]
-//! and [`TileIter`] reproduce that decomposition exactly, including the
-//! ragged edge tiles, so the cycle model and the algorithm model agree on
-//! tile boundaries by construction.
+//! Dense row-major `f32` matrices: the activation buffers the
+//! synthesiser fills, the stage kernels convert and the similarity
+//! gather reads row by row.
 
 /// A dense row-major matrix of `f32` values.
 ///
@@ -17,7 +11,7 @@
 ///
 /// let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
 /// assert_eq!(m[(1, 0)], 3.0);
-/// assert_eq!(m.transpose()[(0, 1)], 3.0);
+/// assert_eq!(m.row(1), &[3.0, 4.0]);
 /// ```
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct Matrix {
@@ -162,115 +156,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its row-major storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
-    /// Returns the transpose.
-    pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
-    }
-
-    /// Extracts the sub-matrix `rows_range × cols_range` as a new matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ranges exceed the matrix bounds.
-    pub fn submatrix(
-        &self,
-        row_start: usize,
-        row_count: usize,
-        col_start: usize,
-        col_count: usize,
-    ) -> Matrix {
-        assert!(
-            row_start + row_count <= self.rows,
-            "row range out of bounds"
-        );
-        assert!(
-            col_start + col_count <= self.cols,
-            "col range out of bounds"
-        );
-        Matrix::from_fn(row_count, col_count, |r, c| {
-            self[(row_start + r, col_start + c)]
-        })
-    }
-
-    /// Builds a matrix from a subset of this matrix's rows, in the order of
-    /// `indices`. Used for token pruning / gather operations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn select_rows(&self, indices: &[usize]) -> Matrix {
-        let mut data = Vec::with_capacity(indices.len() * self.cols);
-        for &i in indices {
-            data.extend_from_slice(self.row(i));
-        }
-        Matrix {
-            rows: indices.len(),
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Stacks `self` on top of `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column counts differ.
-    pub fn vstack(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "column mismatch in vstack");
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Matrix {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Dense blocked matrix multiply: `self (M×K) · rhs (K×N) → M×N`.
-    ///
-    /// Blocked over K for cache friendliness; results are exact f32
-    /// accumulation (the accelerator accumulates in FP32 too).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions disagree.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul inner dimension mismatch: {}×{} · {}×{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        let mut out = vec![0.0f32; m * n];
-        const KB: usize = 64;
-        for k0 in (0..k).step_by(KB) {
-            let k1 = (k0 + KB).min(k);
-            for i in 0..m {
-                let a_row = &self.data[i * k..(i + 1) * k];
-                let out_row = &mut out[i * n..(i + 1) * n];
-                for (kk, &a) in a_row.iter().enumerate().take(k1).skip(k0) {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let b_row = &rhs.data[kk * n..(kk + 1) * n];
-                    for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                        *o += a * b;
-                    }
-                }
-            }
-        }
-        Matrix {
-            rows: m,
-            cols: n,
-            data: out,
-        }
-    }
-
     /// Rounds every element through binary16, modelling FP16 storage.
     ///
     /// Delegates to the batched [`crate::math::f16_round_fill`] kernel,
@@ -278,37 +163,6 @@ impl Matrix {
     /// per element.
     pub fn round_to_f16(&mut self) {
         crate::math::f16_round_fill(&mut self.data);
-    }
-
-    /// Frobenius norm (root of the sum of squared elements).
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data
-            .iter()
-            .map(|v| (*v as f64).powi(2))
-            .sum::<f64>()
-            // focus-lint: allow(D1-libm) — IEEE 754 sqrt is correctly rounded:
-            // bit-deterministic on every conforming platform.
-            .sqrt() as f32
-    }
-
-    /// Mean absolute difference against another matrix of the same shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn mean_abs_diff(&self, other: &Matrix) -> f32 {
-        assert_eq!(self.rows, other.rows, "row mismatch");
-        assert_eq!(self.cols, other.cols, "col mismatch");
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs() as f64)
-            .sum();
-        (sum / self.data.len() as f64) as f32
     }
 }
 
@@ -330,211 +184,9 @@ impl core::ops::IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-/// One tile of a 2-D tiling: the half-open row/column ranges it covers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct TileSpec {
-    /// First row covered by the tile.
-    pub row_start: usize,
-    /// Number of rows in the tile (may be short on the ragged edge).
-    pub row_count: usize,
-    /// First column covered by the tile.
-    pub col_start: usize,
-    /// Number of columns in the tile (may be short on the ragged edge).
-    pub col_count: usize,
-}
-
-impl TileSpec {
-    /// Number of elements in the tile.
-    pub fn len(&self) -> usize {
-        self.row_count * self.col_count
-    }
-
-    /// Returns `true` if the tile is degenerate (zero area).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Iterator over the output tiles of an `M×N` matrix cut into `m×n`
-/// blocks, row-major over tiles — the order the systolic array produces
-/// them and the order the similarity gather consumes them.
-///
-/// # Examples
-///
-/// ```
-/// use focus_tensor::TileIter;
-///
-/// // A 5×3 matrix in 2×2 tiles yields 3×2 = 6 tiles, the last row/col short.
-/// let tiles: Vec<_> = TileIter::new(5, 3, 2, 2).collect();
-/// assert_eq!(tiles.len(), 6);
-/// assert_eq!(tiles[5].row_count, 1);
-/// assert_eq!(tiles[5].col_count, 1);
-/// ```
-#[derive(Clone, Debug)]
-pub struct TileIter {
-    rows: usize,
-    cols: usize,
-    tile_rows: usize,
-    tile_cols: usize,
-    next_row: usize,
-    next_col: usize,
-}
-
-impl TileIter {
-    /// Creates a tiling of an `rows × cols` matrix into `tile_rows ×
-    /// tile_cols` blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either tile dimension is zero.
-    pub fn new(rows: usize, cols: usize, tile_rows: usize, tile_cols: usize) -> Self {
-        assert!(tile_rows > 0, "tile_rows must be positive");
-        assert!(tile_cols > 0, "tile_cols must be positive");
-        TileIter {
-            rows,
-            cols,
-            tile_rows,
-            tile_cols,
-            next_row: 0,
-            next_col: 0,
-        }
-    }
-
-    /// Total number of tiles the iteration will produce.
-    pub fn tile_count(&self) -> usize {
-        self.rows.div_ceil(self.tile_rows) * self.cols.div_ceil(self.tile_cols)
-    }
-}
-
-impl Iterator for TileIter {
-    type Item = TileSpec;
-
-    fn next(&mut self) -> Option<TileSpec> {
-        if self.next_row >= self.rows || self.cols == 0 {
-            return None;
-        }
-        let spec = TileSpec {
-            row_start: self.next_row,
-            row_count: self.tile_rows.min(self.rows - self.next_row),
-            col_start: self.next_col,
-            col_count: self.tile_cols.min(self.cols - self.next_col),
-        };
-        self.next_col += self.tile_cols;
-        if self.next_col >= self.cols {
-            self.next_col = 0;
-            self.next_row += self.tile_rows;
-        }
-        Some(spec)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.rows(), b.cols());
-        for i in 0..a.rows() {
-            for j in 0..b.cols() {
-                let mut acc = 0.0;
-                for k in 0..a.cols() {
-                    acc += a[(i, k)] * b[(k, j)];
-                }
-                out[(i, j)] = acc;
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn matmul_matches_naive_on_rectangular_shapes() {
-        let a = Matrix::from_fn(7, 13, |r, c| ((r * 31 + c * 17) % 11) as f32 - 5.0);
-        let b = Matrix::from_fn(13, 5, |r, c| ((r * 7 + c * 3) % 13) as f32 - 6.0);
-        let fast = a.matmul(&b);
-        let slow = naive_matmul(&a, &b);
-        for i in 0..fast.rows() {
-            for j in 0..fast.cols() {
-                assert!((fast[(i, j)] - slow[(i, j)]).abs() < 1e-4);
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_identity_is_noop() {
-        let a = Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f32);
-        assert_eq!(a.matmul(&Matrix::identity(4)), a);
-        assert_eq!(Matrix::identity(4).matmul(&a), a);
-    }
-
-    #[test]
-    #[should_panic(expected = "inner dimension mismatch")]
-    fn matmul_rejects_mismatched_shapes() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(4, 2);
-        let _ = a.matmul(&b);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = Matrix::from_fn(3, 5, |r, c| (r * 5 + c) as f32);
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose()[(4, 2)], a[(2, 4)]);
-    }
-
-    #[test]
-    fn select_rows_gathers_in_order() {
-        let a = Matrix::from_fn(5, 2, |r, _| r as f32);
-        let picked = a.select_rows(&[4, 0, 2]);
-        assert_eq!(picked.row(0), &[4.0, 4.0]);
-        assert_eq!(picked.row(1), &[0.0, 0.0]);
-        assert_eq!(picked.row(2), &[2.0, 2.0]);
-    }
-
-    #[test]
-    fn submatrix_extracts_block() {
-        let a = Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f32);
-        let s = a.submatrix(1, 2, 2, 2);
-        assert_eq!(s.row(0), &[6.0, 7.0]);
-        assert_eq!(s.row(1), &[10.0, 11.0]);
-    }
-
-    #[test]
-    fn vstack_concatenates() {
-        let a = Matrix::from_fn(2, 3, |_, c| c as f32);
-        let b = Matrix::from_fn(1, 3, |_, c| 10.0 + c as f32);
-        let s = a.vstack(&b);
-        assert_eq!(s.rows(), 3);
-        assert_eq!(s.row(2), &[10.0, 11.0, 12.0]);
-    }
-
-    #[test]
-    fn tiling_covers_matrix_exactly_once() {
-        let (rows, cols, tr, tc) = (10, 7, 4, 3);
-        let mut covered = vec![0u32; rows * cols];
-        for t in TileIter::new(rows, cols, tr, tc) {
-            for r in t.row_start..t.row_start + t.row_count {
-                for c in t.col_start..t.col_start + t.col_count {
-                    covered[r * cols + c] += 1;
-                }
-            }
-        }
-        assert!(
-            covered.iter().all(|&c| c == 1),
-            "each cell covered exactly once"
-        );
-        assert_eq!(TileIter::new(rows, cols, tr, tc).tile_count(), 9);
-    }
-
-    #[test]
-    fn tiling_handles_exact_and_empty_shapes() {
-        assert_eq!(TileIter::new(8, 8, 4, 4).count(), 4);
-        assert_eq!(TileIter::new(0, 8, 4, 4).count(), 0);
-        assert_eq!(TileIter::new(8, 0, 4, 4).count(), 0);
-        // Tile larger than matrix: one (short) tile.
-        let tiles: Vec<_> = TileIter::new(3, 2, 100, 100).collect();
-        assert_eq!(tiles.len(), 1);
-        assert_eq!((tiles[0].row_count, tiles[0].col_count), (3, 2));
-    }
 
     #[test]
     fn resize_reuses_storage_and_zeroes_growth() {
@@ -553,19 +205,5 @@ mod tests {
         a.round_to_f16();
         assert_ne!(a[(0, 0)], 0.1);
         assert_eq!(a[(0, 1)], 2.0);
-    }
-
-    #[test]
-    fn frobenius_norm_of_known_matrix() {
-        let a = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn mean_abs_diff_is_zero_on_self() {
-        let a = Matrix::from_fn(3, 3, |r, c| (r + c) as f32);
-        assert_eq!(a.mean_abs_diff(&a), 0.0);
-        let b = Matrix::from_fn(3, 3, |r, c| (r + c) as f32 + 1.0);
-        assert!((a.mean_abs_diff(&b) - 1.0).abs() < 1e-6);
     }
 }

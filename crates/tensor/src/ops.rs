@@ -1,12 +1,10 @@
-//! Vector and transformer kernels shared across the workspace.
+//! Vector kernels shared across the workspace.
 //!
 //! The similarity concentrator (paper §VI-A) compares 32-element vectors
 //! with cosine similarity computed from a dot product and two precomputed
 //! L2 norms; the semantic concentrator (paper §V-A) consumes softmax
 //! attention rows. These are the reference implementations both the
 //! algorithm pipeline and the hardware models call.
-
-use crate::matrix::Matrix;
 
 /// Dot product of two equal-length slices. Delegates to the
 /// runtime-dispatched chunked kernel ([`crate::math::dot_chunked`]), so
@@ -49,17 +47,6 @@ pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
     crate::math::cosine_with_norms_chunked(a, l2_norm(a), b, l2_norm(b))
 }
 
-/// Cosine similarity using a caller-supplied precomputed norm for each
-/// operand, mirroring the hardware matcher that buffers L2 norms per
-/// vector (paper §VI-A: "each token can precompute its L2-norm").
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn cosine_similarity_with_norms(a: &[f32], na: f32, b: &[f32], nb: f32) -> f32 {
-    crate::math::cosine_with_norms_chunked(a, na, b, nb)
-}
-
 /// Numerically stable softmax over a slice, in place.
 ///
 /// An empty slice is left untouched. All-(-inf) rows become uniform.
@@ -83,58 +70,6 @@ pub fn softmax_in_place(row: &mut [f32]) {
     }
     for v in row.iter_mut() {
         *v /= sum;
-    }
-}
-
-/// Row-wise softmax over a matrix, returning a new matrix.
-pub fn softmax_rows(m: &Matrix) -> Matrix {
-    let mut out = m.clone();
-    for r in 0..out.rows() {
-        softmax_in_place(out.row_mut(r));
-    }
-    out
-}
-
-/// Row-wise *causal* softmax: entries with column index greater than the
-/// row's `query_offset + row` are masked to zero probability. Used by the
-/// reference attention in the workload generator.
-pub fn causal_softmax_rows(m: &Matrix, query_offset: usize) -> Matrix {
-    let mut out = m.clone();
-    let cols = out.cols();
-    for r in 0..out.rows() {
-        let limit = (query_offset + r + 1).min(cols);
-        let row = out.row_mut(r);
-        for v in row[limit..].iter_mut() {
-            *v = f32::NEG_INFINITY;
-        }
-        softmax_in_place(&mut row[..limit]);
-        row[limit..].fill(0.0);
-    }
-    out
-}
-
-/// RMSNorm (root-mean-square layer normalisation) of a row, in place,
-/// with unit gain: `x ← x / sqrt(mean(x²) + eps)`.
-pub fn rmsnorm_in_place(row: &mut [f32], eps: f32) {
-    if row.is_empty() {
-        return;
-    }
-    let ms = row.iter().map(|v| v * v).sum::<f32>() / row.len() as f32;
-    // focus-lint: allow(D1-libm) — IEEE 754 sqrt is correctly rounded: bit-deterministic on
-    // every conforming platform, unlike the true libm transcendentals.
-    let scale = 1.0 / (ms + eps).sqrt();
-    for v in row.iter_mut() {
-        *v *= scale;
-    }
-}
-
-/// SiLU activation `x·σ(x)` applied element-wise in place (the gate
-/// non-linearity of Qwen2-style FFNs, which back all three paper models).
-pub fn silu_in_place(row: &mut [f32]) {
-    for v in row.iter_mut() {
-        // focus-lint: allow(D1-libm) — reference transformer op: one definition feeds every
-        // schedule and backend identically; platform libm variance re-pins goldens only.
-        *v = *v / (1.0 + (-*v).exp());
     }
 }
 
@@ -177,14 +112,6 @@ pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
     idx
 }
 
-/// Empirical CDF evaluation: the fraction of `values` that are `<= x`.
-pub fn empirical_cdf(values: &[f32], x: f32) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().filter(|&&v| v <= x).count() as f64 / values.len() as f64
-}
-
 /// Geometric mean of a slice of positive values; returns 0 for an empty
 /// slice.
 pub fn geometric_mean(values: &[f64]) -> f64 {
@@ -217,15 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn cosine_with_norms_matches_direct() {
-        let a = [0.3, -1.2, 4.5, 0.0];
-        let b = [2.0, 0.7, -0.3, 1.1];
-        let direct = cosine_similarity(&a, &b);
-        let precomp = cosine_similarity_with_norms(&a, l2_norm(&a), &b, l2_norm(&b));
-        assert!((direct - precomp).abs() < 1e-6);
-    }
-
-    #[test]
     fn softmax_is_a_probability_distribution() {
         let mut row = vec![1.0, 2.0, 3.0, 4.0];
         softmax_in_place(&mut row);
@@ -244,34 +162,6 @@ mod tests {
             assert!((x - y).abs() < 1e-5);
             assert!(x.is_finite());
         }
-    }
-
-    #[test]
-    fn causal_softmax_masks_future() {
-        let m = Matrix::from_fn(2, 4, |_, _| 1.0);
-        let p = causal_softmax_rows(&m, 1);
-        // Row 0 sees columns 0..=1, row 1 sees 0..=2.
-        assert_eq!(p[(0, 2)], 0.0);
-        assert_eq!(p[(0, 3)], 0.0);
-        assert!((p[(0, 0)] - 0.5).abs() < 1e-6);
-        assert_eq!(p[(1, 3)], 0.0);
-        assert!((p[(1, 0)] - 1.0 / 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn rmsnorm_produces_unit_rms() {
-        let mut row = vec![3.0, -4.0, 12.0, 0.0];
-        rmsnorm_in_place(&mut row, 0.0);
-        let ms: f32 = row.iter().map(|v| v * v).sum::<f32>() / row.len() as f32;
-        assert!((ms - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn silu_fixed_points() {
-        let mut row = vec![0.0, 10.0];
-        silu_in_place(&mut row);
-        assert_eq!(row[0], 0.0);
-        assert!((row[1] - 10.0).abs() < 1e-3, "large x ≈ identity");
     }
 
     #[test]
@@ -299,10 +189,7 @@ mod tests {
     }
 
     #[test]
-    fn cdf_and_geomean() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(empirical_cdf(&v, 2.5), 0.5);
-        assert_eq!(empirical_cdf(&[], 0.0), 0.0);
+    fn geometric_mean_of_known_values() {
         assert!((geometric_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-9);
         assert_eq!(geometric_mean(&[]), 0.0);
     }

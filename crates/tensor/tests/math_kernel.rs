@@ -17,10 +17,10 @@
 use focus_tensor::math::{
     box_muller_fill, box_muller_fill_scalar, cos_phase24_fill, cos_phase24_fill_scalar,
     cosine_with_norms_chunked, dot_chunked, dot_chunked_scalar, dot_pairs_chunked,
-    dot_pairs_chunked_scalar, f16_round_fill, f16_round_fill_scalar, fixed_ln, force_scalar,
-    int8_round_fill, int8_round_fill_scalar, l2_norm_chunked, l2_norms_chunked,
-    l2_norms_chunked_scalar, ln_fill, ln_fill_scalar, normal_from_raw, quant_absmax,
-    quant_absmax_scalar, segment_dots, segment_norms, segment_norms_scalar, splitmix_mix, GAMMA,
+    dot_pairs_chunked_scalar, f16_round_fill, f16_round_fill_scalar, fixed_ln, int8_round_fill,
+    int8_round_fill_scalar, l2_norm_chunked, l2_norms_chunked, l2_norms_chunked_scalar, ln_fill,
+    ln_fill_scalar, normal_from_raw, quant_absmax, quant_absmax_scalar, segment_dots,
+    segment_norms, segment_norms_scalar, splitmix_mix, GAMMA,
 };
 use proptest::prelude::*;
 
@@ -336,20 +336,6 @@ proptest! {
             }
         }
     }
-}
-
-/// The `force_scalar` performance switch must not change a single bit
-/// of output. (The switch is process-global; flipping it mid-test is
-/// safe for concurrently running tests *because* of this property.)
-#[test]
-fn force_scalar_switch_is_bit_invisible() {
-    let mut default_path = vec![0.0f32; 1024];
-    box_muller_fill(0x5EED, &mut default_path);
-    force_scalar(true);
-    let mut forced = vec![0.0f32; 1024];
-    box_muller_fill(0x5EED, &mut forced);
-    force_scalar(false);
-    assert_bits_eq(&forced, &default_path, "forced scalar vs default dispatch");
 }
 
 /// Distribution sanity: the kernel's output is still a standard

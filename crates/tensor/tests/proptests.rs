@@ -5,7 +5,7 @@ use focus_tensor::ops::{
     cosine_similarity, geometric_mean, l2_norm, softmax_in_place, top_k_indices, vector_ranges,
 };
 use focus_tensor::quant::{fake_quantize, QuantParams};
-use focus_tensor::{f16, Matrix, TileIter};
+use focus_tensor::{f16, Matrix};
 use proptest::prelude::*;
 
 proptest! {
@@ -82,42 +82,6 @@ proptest! {
         let ca = cosine_similarity(&c, &a);
         prop_assert!((ac - ca).abs() < 1e-5);
         prop_assert!((-1.0..=1.0).contains(&ac));
-    }
-
-    /// Matmul distributes over addition: A(B+C) = AB + AC.
-    #[test]
-    fn matmul_distributes(m in 1usize..6, k in 1usize..6, n in 1usize..6, seed in 0u64..50) {
-        let gen = |salt: u64, rows: usize, cols: usize| {
-            Matrix::from_fn(rows, cols, |r, c| {
-                (((r * 13 + c * 7) as u64 ^ (seed + salt)) % 11) as f32 - 5.0
-            })
-        };
-        let a = gen(1, m, k);
-        let b = gen(2, k, n);
-        let c = gen(3, k, n);
-        let sum = Matrix::from_fn(k, n, |r, cc| b[(r, cc)] + c[(r, cc)]);
-        let lhs = a.matmul(&sum);
-        let rhs_b = a.matmul(&b);
-        let rhs_c = a.matmul(&c);
-        for r in 0..m {
-            for cc in 0..n {
-                prop_assert!((lhs[(r, cc)] - rhs_b[(r, cc)] - rhs_c[(r, cc)]).abs() < 1e-3);
-            }
-        }
-    }
-
-    /// Tiling covers every cell exactly once for arbitrary shapes.
-    #[test]
-    fn tiling_partitions(rows in 1usize..40, cols in 1usize..40, tr in 1usize..12, tc in 1usize..12) {
-        let mut covered = vec![0u8; rows * cols];
-        for t in TileIter::new(rows, cols, tr, tc) {
-            for r in t.row_start..t.row_start + t.row_count {
-                for c in t.col_start..t.col_start + t.col_count {
-                    covered[r * cols + c] += 1;
-                }
-            }
-        }
-        prop_assert!(covered.iter().all(|&x| x == 1));
     }
 
     /// vector_ranges partitions the width exactly.

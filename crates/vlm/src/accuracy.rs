@@ -1,7 +1,7 @@
 //! Proxy accuracy model.
 //!
 //! Real benchmark accuracy cannot be measured here (no models, no
-//! datasets — DESIGN.md §2), so each concentration method is scored by
+//! datasets), so each concentration method is scored by
 //! the mechanism the paper's accuracy results reflect: **how much
 //! prompt-relevant signal reaches the language model, and how faithfully
 //! merged tokens reconstruct it**. Every token receives a per-run

@@ -12,8 +12,7 @@
 //! cycle model) and a [`WorkloadScale`] that shrinks the *measured* part
 //! of the pipeline (activation synthesis + concentration) while keeping
 //! every ratio that drives sparsity — tokens per frame, schedule
-//! fractions, vector length, tile geometry — identical. DESIGN.md §2
-//! records this substitution.
+//! fractions, vector length, tile geometry — identical.
 
 /// Identifies one of the evaluated VLMs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -11,7 +11,7 @@
 //! every concentration method — background stability, object motion,
 //! scene cuts and sub-token noise. The redundancy numbers are calibrated
 //! so the measured sparsity of each method lands in the paper's band
-//! (see EXPERIMENTS.md for paper-vs-measured).
+//! (`table2_accuracy_sparsity` prints paper and measured side by side).
 
 use crate::config::ModelKind;
 

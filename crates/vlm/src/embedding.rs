@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use focus_tensor::backend::{self, BackendHandle, KernelLaunch};
+use focus_tensor::backend::{self, BackendHandle};
 use focus_tensor::Matrix;
 
 use crate::dataset::RedundancyProfile;
@@ -188,9 +188,8 @@ impl SplitMix64 {
 
     /// [`SplitMix64::fill_normals`] through an explicit [`Backend`]
     /// handle — the synthesis-fill kernel the stage pipeline
-    /// dispatches. The generator advances identically whatever the
-    /// backend does (the trace backend zero-fills without numeric
-    /// work; the numeric backends are bit-identical to each other).
+    /// dispatches. The generator advances identically on every
+    /// backend, and the backends fill bit-identical values.
     ///
     /// [`Backend`]: focus_tensor::backend::Backend
     #[inline]
@@ -564,10 +563,6 @@ impl<'a> ActivationSynthesizer<'a> {
         out: &mut Matrix,
     ) {
         out.resize(tokens.len(), width);
-        self.backend.record(KernelLaunch::SynthFill {
-            rows: tokens.len(),
-            width,
-        });
         let salt = self.stability_model().context_salt(layer, stage);
         // Rows are in `tokens` order.
         for (i, &t) in tokens.iter().enumerate() {

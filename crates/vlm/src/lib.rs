@@ -5,7 +5,7 @@
 //! LLaVA-OneVision, MiniCPM-V 2.6, Qwen2.5-VL) over six benchmarks.
 //! Neither the models nor the datasets can run in this environment, so
 //! this crate synthesises the *statistics* every concentration method
-//! actually consumes (see DESIGN.md §2 for the substitution table):
+//! actually consumes:
 //!
 //! * [`config`] — exact transformer shapes of the evaluated models and
 //!   the [`config::WorkloadScale`] downscaling scheme;

@@ -2,7 +2,7 @@
 //!
 //! Real benchmark videos are unavailable in this environment, so scenes
 //! are synthesised from the statistics that actually drive every
-//! concentration method (DESIGN.md §2): a **static background** whose
+//! concentration method: a **static background** whose
 //! patch appearances persist across frames until a scene cut, and a set
 //! of **moving foreground objects** whose interior patches translate
 //! with sub-patch velocities — the source of the paper's "motion-aware"

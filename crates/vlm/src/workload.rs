@@ -6,8 +6,7 @@
 //! configurations, token counts, the activation and attention
 //! synthesisers, and ground-truth relevance. The *measured* pipeline
 //! runs at [`WorkloadScale`] resolution; cycle/energy numbers are then
-//! computed analytically at paper scale from the measured ratios
-//! (DESIGN.md §2).
+//! computed analytically at paper scale from the measured ratios.
 
 use crate::attention::{relevance, AttentionSynthesizer, Prompt};
 use crate::config::{ModelConfig, ModelKind, WorkloadScale};
@@ -181,11 +180,6 @@ impl Workload {
     /// Total sequence length at paper scale.
     pub fn sequence_full(&self) -> usize {
         self.image_tokens_full() + self.text_tokens()
-    }
-
-    /// Total sequence length at measured scale.
-    pub fn sequence_scaled(&self) -> usize {
-        self.image_tokens_scaled() + self.text_tokens()
     }
 
     /// An activation synthesiser borrowing this workload's scene.

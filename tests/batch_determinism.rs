@@ -14,6 +14,7 @@ use focus::core::pipeline::{FocusPipeline, PipelineResult};
 use focus::core::sic::{ConvLayouter, Fhw};
 use focus::core::{FocusConfig, RetentionSchedule};
 use focus::sim::ArchConfig;
+use focus::tensor::backend::{scalar_ref, simd};
 use focus::tensor::DataType;
 use focus::vlm::embedding::Stage;
 use focus::vlm::{DatasetKind, ModelKind, Workload, WorkloadScale};
@@ -489,24 +490,14 @@ fn repeated_parallel_runs_are_stable() {
     }
 }
 
-/// The synthesis kernel's dispatch paths, swept end to end: a full
-/// pipeline run with the SIMD path forcibly disabled is identical —
-/// every counter, every float — to the default runtime dispatch, for
-/// several (model, dataset) cells and both serial and graph modes.
-/// This is the whole-pipeline corollary of the per-fill bit-identity
-/// proptests in `crates/tensor/tests/math_kernel.rs`; it holds even
-/// with other tests running concurrently on the SIMD path, *because*
-/// the paths are bit-identical. (The force flag is restored even on
-/// assertion failure so one broken cell cannot cascade.)
+/// The kernel dispatch paths, swept end to end: a full pipeline run on
+/// the scalar reference backend is identical — every counter, every
+/// float — to the SIMD backend, for several (model, dataset) cells,
+/// both serial and graph modes, and both precisions. This is the
+/// whole-pipeline corollary of the per-kernel bit-identity proptests in
+/// `tests/backend_kernels.rs`.
 #[test]
 fn kernel_dispatch_paths_agree_end_to_end() {
-    struct ScalarGuard;
-    impl Drop for ScalarGuard {
-        fn drop(&mut self) {
-            focus::tensor::math::force_scalar(false);
-        }
-    }
-
     let cells = [
         (ModelKind::LlavaVideo7B, DatasetKind::VideoMme, 1u64),
         (ModelKind::MiniCpmV26, DatasetKind::Mlvu, 13),
@@ -515,18 +506,17 @@ fn kernel_dispatch_paths_agree_end_to_end() {
     for (model, dataset, seed) in cells {
         let wl = Workload::new(model, dataset, WorkloadScale::tiny(), seed);
         for mode in [ExecMode::Serial, ExecMode::Graph { depth: 2 }] {
-            let pipeline = FocusPipeline::paper().with_exec_mode(mode);
-            let dispatched = pipeline.run(&wl, &arch);
-            let forced = {
-                let _guard = ScalarGuard;
-                focus::tensor::math::force_scalar(true);
-                pipeline.run(&wl, &arch)
-            };
-            assert_identical(
-                &forced,
-                &dispatched,
-                &format!("forced-scalar vs dispatched, {model:?}/{dataset:?} {mode:?}"),
-            );
+            for dtype in [DataType::Fp16, DataType::Int8] {
+                let mut pipeline = FocusPipeline::paper().with_exec_mode(mode);
+                pipeline.dtype = dtype;
+                let dispatched = pipeline.clone().with_backend(simd()).run(&wl, &arch);
+                let scalar = pipeline.with_backend(scalar_ref()).run(&wl, &arch);
+                assert_identical(
+                    &scalar,
+                    &dispatched,
+                    &format!("scalar vs SIMD, {model:?}/{dataset:?} {mode:?} {dtype}"),
+                );
+            }
         }
     }
 }

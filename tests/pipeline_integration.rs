@@ -1,6 +1,6 @@
 //! End-to-end integration: the full stack (workload synthesis → SEC +
 //! SIC → lowering → cycle simulation) must reproduce the paper's
-//! headline *shapes* (DESIGN.md §5). Run at `tiny` scale so debug-mode
+//! headline *shapes*. Run at `tiny` scale so debug-mode
 //! CI stays fast; the shipped experiment binaries use the larger
 //! default scale.
 

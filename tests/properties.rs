@@ -1,5 +1,5 @@
-//! Cross-crate property tests (proptest): the invariants DESIGN.md §7
-//! lists, exercised over randomised inputs.
+//! Cross-crate property tests (proptest): cross-crate invariants of the
+//! concentration units, exercised over randomised inputs.
 
 use focus::core::sec::{OffsetEncoding, TopKSorter};
 use focus::core::sic::{gather_tile, scatter, ConvLayouter, Fhw, GatherConfig};
