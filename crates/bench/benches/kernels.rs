@@ -6,7 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion
 use focus_core::sec::{ImportanceAnalyzer, OffsetEncoding, TopKSorter};
 use focus_core::sic::{gather_tile, scatter, ConvLayouter, Fhw, GatherConfig};
 use focus_core::BlockSize;
-use focus_tensor::{backend, Matrix};
+use focus_tensor::{backend, f16, Matrix, RowRef};
 
 /// A 1024×32 tile with a realistic (~35 %) duplicate rate over a
 /// 14×14×f grid.
@@ -47,26 +47,36 @@ fn bench_gather(c: &mut Criterion) {
 /// 32-wide segment listed — the production gather sweep's
 /// per-(row, candidate) launch — at widths 512 and 2688 (an FFN
 /// activation row at evaluation scale), on the dispatched `simd` path
-/// and the `scalar` oracle. One sample is 100 launches, so the clock
-/// reads do not dominate a sub-microsecond launch.
+/// and the `scalar` oracle, over f32 rows and over the FP16 rows an
+/// FP16 stage stores (`_f16_` legs, widened on load). One sample is
+/// 100 launches, so the clock reads do not dominate a sub-microsecond
+/// launch.
 fn bench_segment_scores(c: &mut Criterion) {
     for width in [512usize, 2688] {
         let row =
             |k: usize| -> Vec<f32> { (0..width).map(|i| ((i * k) % 257) as f32 - 128.0).collect() };
         let (a, b, segs): (_, _, Vec<usize>) = (row(131), row(17), (0..width / 32).collect());
+        let encode = |v: &[f32]| -> Vec<f16> { v.iter().map(|&x| f16::from_f32(x)).collect() };
+        let (a16, b16) = (encode(&a), encode(&b));
         for (name, be) in [("simd", backend::simd()), ("scalar", backend::scalar_ref())] {
-            let mut an = vec![0.0; segs.len()];
-            let (mut bn, mut out) = (an.clone(), an.clone());
-            be.segment_norms(&a, 32, &segs, &mut an);
-            be.segment_norms(&b, 32, &segs, &mut bn);
-            c.bench_function(&format!("gather/segment_scores_{name}_{width}x32"), |bch| {
-                bch.iter(|| {
-                    for _ in 0..100 {
-                        be.segment_scores(black_box(&a), &b, 32, &segs, &an, &bn, &mut out);
-                    }
-                    black_box(&out);
-                })
-            });
+            for (elem, ra, rb) in [
+                ("", RowRef::F32(&a), RowRef::F32(&b)),
+                ("f16_", RowRef::F16(&a16), RowRef::F16(&b16)),
+            ] {
+                let mut an = vec![0.0; segs.len()];
+                let (mut bn, mut out) = (an.clone(), an.clone());
+                be.segment_norms(ra, 32, &segs, &mut an);
+                be.segment_norms(rb, 32, &segs, &mut bn);
+                let id = format!("gather/segment_scores_{name}_{elem}{width}x32");
+                c.bench_function(&id, |bch| {
+                    bch.iter(|| {
+                        for _ in 0..100 {
+                            be.segment_scores(black_box(ra), rb, 32, &segs, &an, &bn, &mut out);
+                        }
+                        black_box(&out);
+                    })
+                });
+            }
         }
     }
 }

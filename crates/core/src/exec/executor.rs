@@ -165,7 +165,7 @@ impl<'w> LayerExecutor<'w> {
         LayerExecutor {
             workload,
             plan: RetentionPlan::derive(&pipeline.focus, workload),
-            semantic: SemanticStage::new(&pipeline.focus, workload),
+            semantic: SemanticStage::new_on(&pipeline.focus, workload, pipeline.backend),
             gathers: gather_stages(pipeline),
         }
     }

@@ -399,7 +399,8 @@ impl PipelineGraph {
             retained: prev,
             positions: &[],
         };
-        let semantic = SemanticStage::new(&self.job.pipeline.focus, &self.job.workload);
+        let pipeline = &self.job.pipeline;
+        let semantic = SemanticStage::new_on(&pipeline.focus, &self.job.workload, pipeline.backend);
         let (retained, sec) = match semantic.prune_layer(&ctx) {
             Some((kept, stats)) => (kept, Some(stats)),
             None => (prev.to_vec(), None),
@@ -559,6 +560,15 @@ impl PipelineGraph {
         lock_clean(&self.result)
             .take()
             .expect("scheduler completed the graph")
+    }
+
+    /// Activation bytes held by the scratch ring slots that are in
+    /// place (a running node's taken slot is skipped).
+    pub(crate) fn scratch_bytes(&self) -> usize {
+        self.ring
+            .iter()
+            .filter_map(|cell| lock_clean(cell).as_ref().map(|s| s.acts.held_bytes()))
+            .sum()
     }
 
     /// Reclaims the frame's recyclable warm state once the job has

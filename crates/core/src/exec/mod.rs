@@ -68,7 +68,7 @@ pub use executor::{ExecMode, LayerExecutor, LayerRecord};
 pub(crate) use graph::Topology;
 pub use scheduler::Priority;
 pub use service::{FocusService, JobHandle, ServiceConfig, ServiceStats};
-pub use stage::{GatherStage, LayerCtx, SemanticStage, StageScratch, StageWorkspace};
+pub use stage::{GatherStage, LayerCtx, SemanticStage, StageActs, StageScratch, StageWorkspace};
 pub use stream::{FrameHandle, SessionStats, StreamConfig, StreamSession};
 
 /// Per-[`crate::obs::SpanKind`] node counts of one pipeline run's

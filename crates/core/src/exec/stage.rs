@@ -19,7 +19,7 @@
 
 use focus_tensor::backend::BackendHandle;
 use focus_tensor::quant::DataType;
-use focus_tensor::Matrix;
+use focus_tensor::{f16, Element, Matrix};
 use focus_vlm::attention::AttentionSynthesizer;
 use focus_vlm::embedding::{ActivationSynthesizer, Stage};
 use focus_vlm::Workload;
@@ -45,17 +45,61 @@ pub struct LayerCtx<'a> {
     pub positions: &'a [Option<Fhw>],
 }
 
+/// A gather stage's recycled activation buffer, stored at the stage's
+/// datapath precision: FP16 bits under [`DataType::Fp16`] — half the
+/// bytes of f32, rounded as synthesis stores each row — and f32 under
+/// [`DataType::Int8`], because INT8 fake-quantised values are not
+/// FP16-exact. Both are one element-generic [`Matrix`], read by one
+/// generic gather sweep.
+#[derive(Debug)]
+pub enum StageActs {
+    /// Full-precision values (INT8 stages fake-quantise them in place).
+    F32(Matrix),
+    /// FP16 bits.
+    F16(Matrix<f16>),
+}
+
+impl Default for StageActs {
+    fn default() -> Self {
+        StageActs::F16(Matrix::default())
+    }
+}
+
+impl StageActs {
+    /// The buffer of the element type `dtype` stores, retyped (its old
+    /// allocation dropped) if it held the other one. A scratch serves
+    /// one stage, so it retypes at most once.
+    fn for_dtype(&mut self, dtype: DataType) -> &mut StageActs {
+        match (dtype, &*self) {
+            (DataType::Fp16, StageActs::F32(_)) => *self = StageActs::F16(Matrix::default()),
+            (DataType::Int8, StageActs::F16(_)) => *self = StageActs::F32(Matrix::default()),
+            _ => {}
+        }
+        self
+    }
+
+    /// Bytes of activation storage held: the allocation's capacity,
+    /// which recycling keeps at the largest shape the buffer served.
+    pub fn held_bytes(&self) -> usize {
+        match self {
+            StageActs::F32(m) => m.held_bytes(),
+            StageActs::F16(m) => m.held_bytes(),
+        }
+    }
+}
+
 /// The **workload-independent** half of a [`StageWorkspace`]: the
-/// recycled activation matrix and the flat gather lookup + per-m-tile
+/// recycled activation buffer and the flat gather lookup + per-m-tile
 /// candidate plan. Unlike the activation synthesiser (which borrows
 /// one workload's scene), this scratch carries no per-scene state —
-/// the lookup is epoch-stamped and the matrix fully overwritten per
+/// the lookup is epoch-stamped and the buffer fully overwritten per
 /// call — so a [`crate::exec::StreamSession`] keeps it resident
 /// *across frames* of a feed (same grid geometry), byte-identical to
 /// building it fresh.
 pub struct StageScratch {
-    /// Recycled activation buffer (`retained × stage width`).
-    pub acts: Matrix,
+    /// Recycled activation buffer (`retained × stage width`) at the
+    /// stage's datapath precision.
+    pub acts: StageActs,
     /// Recycled gather scratch: flat position lookup + per-m-tile
     /// candidate plan. Sized by the frame grid; reusable across any
     /// workloads sharing that grid.
@@ -66,7 +110,7 @@ impl StageScratch {
     /// Fresh scratch for stages gathering on `layouter`'s frame grid.
     pub fn new(layouter: &ConvLayouter) -> Self {
         StageScratch {
-            acts: Matrix::zeros(0, 0),
+            acts: StageActs::default(),
             gather: GatherScratch::new(layouter),
         }
     }
@@ -80,7 +124,7 @@ impl StageScratch {
 
 /// Thread-reusable scratch state for one stage-graph node: the
 /// activation synthesiser (with its content-appearance memo) plus the
-/// workload-independent [`StageScratch`] (recycled activation matrix,
+/// workload-independent [`StageScratch`] (recycled activation buffer,
 /// flat gather position lookup).
 ///
 /// A workspace can serve one stage across every layer of a run. The
@@ -137,12 +181,20 @@ pub struct SemanticStage<'w> {
 }
 
 impl<'w> SemanticStage<'w> {
-    /// Builds the stage for one workload.
+    /// Builds the stage for one workload, on the process-wide active
+    /// kernel backend.
     pub fn new(config: &FocusConfig, workload: &'w Workload) -> Self {
+        SemanticStage::new_on(config, workload, crate::obs::kernel_backend())
+    }
+
+    /// [`SemanticStage::new`] on an explicit kernel backend: the
+    /// attention synthesiser's logit-noise fills dispatch through
+    /// `backend`.
+    pub fn new_on(config: &FocusConfig, workload: &'w Workload, backend: BackendHandle) -> Self {
         SemanticStage {
             config: config.clone(),
             sec: SemanticConcentrator::new(config.analyzer_ways),
-            att: workload.attention_synthesizer(),
+            att: workload.attention_synthesizer_on(backend),
             m_img: workload.image_tokens_scaled(),
         }
     }
@@ -241,9 +293,12 @@ impl GatherStage {
     }
 
     /// The pre-workspace reference path: a fresh synthesiser, a fresh
-    /// activation allocation and the per-tile `HashMap` gather. What
+    /// full-precision activation allocation rounded in place (FP16) or
+    /// fake-quantised (INT8), and the per-tile `HashMap` gather. What
     /// the [`crate::exec::ExecMode::Serial`] reference walk runs, and
-    /// what the workspace-reuse regression test compares against.
+    /// what the workspace-reuse regression test compares against — an
+    /// oracle independent of the FP16 store the production path
+    /// writes.
     pub fn run_fresh(&self, ctx: &LayerCtx<'_>) -> MatrixGatherStats {
         let width = self.stage.width(ctx.workload.scaled_model());
         let mut syn = ctx.workload.activation_synthesizer_on(self.backend);
@@ -256,12 +311,12 @@ impl GatherStage {
             .gather_matrix_on(&acts, ctx.positions, self.backend)
     }
 
-    /// The *Synth* node of the task graph: synthesises (and quantises)
-    /// this stage's activations for the layer into the workspace's
-    /// recycled buffer. The synthesiser's memo cache stays warm across
-    /// calls, bit-identical to a fresh build: rows are pure functions
-    /// of (scene, seed, layer, stage) and every row is fully
-    /// overwritten. Value generation runs through the batched
+    /// The *Synth* node of the task graph: synthesises this stage's
+    /// activations for the layer into the workspace's recycled buffer
+    /// at the stage's datapath precision. The synthesiser's memo cache
+    /// stays warm across calls, bit-identical to a fresh build: rows
+    /// are pure functions of (scene, seed, layer, stage) and every row
+    /// is fully overwritten. Value generation runs through the batched
     /// fixed-polynomial Box–Muller kernel (`focus_tensor::math`),
     /// whose SIMD and scalar paths are bit-identical — so the node's
     /// output does not depend on which machine or dispatch path ran
@@ -272,43 +327,45 @@ impl GatherStage {
     }
 
     /// The synthesis half of [`GatherStage::synth`]: fills the
-    /// workspace's recycled buffer with this stage's full-precision
-    /// activations, without the dtype pass. Split out so the bench can
-    /// time synthesis and conversion separately.
+    /// workspace's recycled buffer with this stage's activations at
+    /// the buffer's element type. An FP16 stage stores FP16 bits,
+    /// encoding each row as it is produced (one
+    /// [`Backend::f16_encode`] launch per row), so its rounding happens
+    /// here; an INT8 stage stores full-precision f32 for
+    /// [`GatherStage::convert`] to fake-quantise. Split out so the
+    /// bench can time synthesis and conversion separately.
+    ///
+    /// [`Backend::f16_encode`]: focus_tensor::backend::Backend::f16_encode
     pub fn synth_raw(&self, ctx: &LayerCtx<'_>, ws: &mut StageWorkspace<'_>) {
         let width = self.stage.width(ctx.workload.scaled_model());
-        ws.syn.activations_into(
-            ctx.retained,
-            ctx.layer,
-            self.stage,
-            width,
-            &mut ws.scratch.acts,
-        );
+        let (tokens, layer, stage) = (ctx.retained, ctx.layer, self.stage);
+        match ws.scratch.acts.for_dtype(self.dtype) {
+            StageActs::F32(acts) => ws.syn.activations_into(tokens, layer, stage, width, acts),
+            StageActs::F16(acts) => ws.syn.activations_into(tokens, layer, stage, width, acts),
+        }
     }
 
-    /// The dtype half of [`GatherStage::synth`]: applies this stage's
-    /// datapath precision to the synthesised buffer through the
-    /// backend's whole-matrix conversion kernel (FP16 rounding or INT8
-    /// fake-quantisation).
+    /// The dtype half of [`GatherStage::synth`]: an INT8 stage
+    /// fake-quantises the synthesised buffer in place through the
+    /// backend's whole-matrix kernel. An FP16 stage does **no work**
+    /// here: its FP16 store already rounded every row as
+    /// [`GatherStage::synth_raw`] wrote it, so the rounding cost is
+    /// part of synthesis and a timing of this call alone reads ≈ 0.
     pub fn convert(&self, ws: &mut StageWorkspace<'_>) {
-        match self.dtype {
-            DataType::Fp16 => self.backend.f16_round(&mut ws.scratch.acts),
-            DataType::Int8 => self.backend.fake_quantize(&mut ws.scratch.acts),
+        match ws.scratch.acts.for_dtype(self.dtype) {
+            StageActs::F32(acts) => self.backend.fake_quantize(acts),
+            StageActs::F16(_) => {}
         }
     }
 
     /// The *Gather* node of the task graph: runs the similarity gather
     /// over the activations a prior [`GatherStage::synth`] call left in
-    /// `ws.acts`. Split from synthesis so the graph scheduler can
-    /// overlap one layer's gathers with another layer's synthesis at
-    /// any pipeline depth.
+    /// `ws.scratch.acts`, reading FP16 rows directly (the kernels
+    /// widen them exactly on load). Split from synthesis so the graph
+    /// scheduler can overlap one layer's gathers with another layer's
+    /// synthesis at any pipeline depth.
     pub fn gather(&self, ctx: &LayerCtx<'_>, ws: &mut StageWorkspace<'_>) -> MatrixGatherStats {
-        self.concentrator.gather_matrix_with_on(
-            &ws.scratch.acts,
-            ctx.positions,
-            &mut ws.scratch.gather,
-            self.backend,
-        )
+        self.sweep(ctx, ws, None)
     }
 
     /// [`GatherStage::gather`] with a cross-frame temporal probe:
@@ -325,15 +382,43 @@ impl GatherStage {
         cache: &TemporalCache,
         stage_index: usize,
     ) -> MatrixGatherStats {
-        self.concentrator.gather_matrix_temporal_on(
-            &ws.scratch.acts,
-            ctx.positions,
-            ctx.retained,
-            &mut ws.scratch.gather,
-            cache,
-            ctx.layer,
-            stage_index,
-            self.backend,
-        )
+        self.sweep(ctx, ws, Some((cache, stage_index)))
+    }
+
+    /// The production gather over the buffer's element type, with the
+    /// temporal probe when `temporal` names a cache and its plane.
+    fn sweep(
+        &self,
+        ctx: &LayerCtx<'_>,
+        ws: &mut StageWorkspace<'_>,
+        temporal: Option<(&TemporalCache, usize)>,
+    ) -> MatrixGatherStats {
+        match &ws.scratch.acts {
+            StageActs::F32(acts) => self.sweep_on(acts, ctx, &mut ws.scratch.gather, temporal),
+            StageActs::F16(acts) => self.sweep_on(acts, ctx, &mut ws.scratch.gather, temporal),
+        }
+    }
+
+    fn sweep_on<E: Element>(
+        &self,
+        acts: &Matrix<E>,
+        ctx: &LayerCtx<'_>,
+        scratch: &mut GatherScratch,
+        temporal: Option<(&TemporalCache, usize)>,
+    ) -> MatrixGatherStats {
+        let conc = &self.concentrator;
+        match temporal {
+            Some((cache, stage_index)) => conc.gather_matrix_temporal_on(
+                acts,
+                ctx.positions,
+                ctx.retained,
+                scratch,
+                cache,
+                ctx.layer,
+                stage_index,
+                self.backend,
+            ),
+            None => conc.gather_matrix_with_on(acts, ctx.positions, scratch, self.backend),
+        }
     }
 }

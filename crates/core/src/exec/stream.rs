@@ -39,6 +39,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use focus_sim::ArchConfig;
+use focus_tensor::DataType;
 use focus_vlm::Workload;
 
 use focus_vlm::embedding::Stage;
@@ -65,13 +66,24 @@ pub struct StreamConfig {
     /// each other.
     pub priority: Priority,
     /// Cross-frame temporal concentration: when set, the session keeps
-    /// a [`TemporalCache`] of compact vectors across frames and the
-    /// gather stages resolve bit-identical rows to **carried**
-    /// representatives instead of re-gathering them. Temporal frames
-    /// chain value state (frame *t+1* probes what frame *t*
-    /// committed), so the session runs them one at a time — the
-    /// in-flight window effectively becomes 1. `None` (the default)
-    /// keeps the stateless per-frame loop.
+    /// a [`TemporalCache`] of per-token metadata across frames — content
+    /// signatures, anchor frames and stability memos, never activation
+    /// bytes — and the gather stages resolve column tiles that provably
+    /// replay their anchored frame to **carried** representatives
+    /// instead of re-gathering them. Temporal frames chain cache state
+    /// (frame *t+1* probes what frame *t* anchored), so the session
+    /// runs them one at a time — the in-flight window effectively
+    /// becomes 1. `None` (the default) keeps the stateless per-frame
+    /// loop.
+    ///
+    /// **INT8 pipelines never carry.** The carry proof covers the
+    /// synthesised bytes of a stable tile, but INT8 fake-quantisation
+    /// scales each row by its absmax, and the absmax includes the
+    /// row's noisy groups: a provably stable tile still changes bytes
+    /// from frame to frame. An INT8 session therefore advances the
+    /// cache's frame clock without signatures
+    /// ([`TemporalCache::begin_frame`]), which carries nothing, and
+    /// every frame is bit-identical to the per-frame loop.
     pub temporal: Option<TemporalCacheConfig>,
 }
 
@@ -290,7 +302,27 @@ impl<'s> StreamSession<'s> {
         snap.set_u64("session.temporal.misses", t.misses);
         snap.set_u64("session.temporal.evictions", t.evictions);
         snap.set_u64("session.temporal.gathers_skipped", t.gathers_skipped);
+        snap.set_u64("session.scratch_bytes", self.scratch_bytes() as u64);
         snap
+    }
+
+    /// Activation bytes held by the session's stage-scratch rings: the
+    /// warm pool plus the in-flight frames' ring slots (a slot a
+    /// running node has taken out is not counted, so the figure is
+    /// exact once the session is flushed).
+    fn scratch_bytes(&self) -> usize {
+        let pooled: usize = self
+            .pool
+            .iter()
+            .flat_map(|allocs| &allocs.scratch)
+            .map(|scratch| scratch.acts.held_bytes())
+            .sum();
+        let inflight: usize = self
+            .inflight
+            .iter()
+            .map(|frame| frame.graph.scratch_bytes())
+            .sum();
+        pooled + inflight
     }
 
     /// Session statistics (window occupancy, warm-reuse and temporal
@@ -436,8 +468,15 @@ impl<'s> StreamSession<'s> {
                 // workload's stability model are everything reconcile
                 // needs to *prove* which column tiles replay the
                 // anchored frame bit-for-bit (no bytes are compared).
-                let (key, sigs) = workload.temporal_signatures();
-                cache.begin_frame_with(key, &sigs, workload.stability_model());
+                // The proof does not survive INT8's per-row scaling,
+                // so INT8 frames run unsigned: nothing carries.
+                match self.pipeline.dtype {
+                    DataType::Fp16 => {
+                        let (key, sigs) = workload.temporal_signatures();
+                        cache.begin_frame_with(key, &sigs, workload.stability_model());
+                    }
+                    DataType::Int8 => cache.begin_frame(),
+                }
                 Some(cache)
             }
             None => None,

@@ -30,7 +30,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use focus_tensor::backend::{Backend, BackendHandle};
+use focus_tensor::backend::{Backend, BackendHandle, RowRef};
+use focus_tensor::f16;
 use focus_tensor::matrix::Matrix;
 
 use super::clock;
@@ -46,7 +47,8 @@ pub enum KernelFamily {
     Score,
     /// INT8 fake-quantise round trips.
     FakeQuantize,
-    /// FP16 rounding passes.
+    /// FP16 rounding passes and FP16 row encodes (`f16_round`,
+    /// `f16_encode`).
     F16Round,
     /// Scatter row replay.
     Scatter,
@@ -200,7 +202,7 @@ impl Backend for Timed {
         self.inner.name()
     }
 
-    fn segment_norms(&self, row: &[f32], seg: usize, segs: &[usize], out: &mut [f32]) {
+    fn segment_norms(&self, row: RowRef<'_>, seg: usize, segs: &[usize], out: &mut [f32]) {
         self.time(KernelFamily::Norms, || {
             self.inner.segment_norms(row, seg, segs, out)
         })
@@ -208,8 +210,8 @@ impl Backend for Timed {
 
     fn segment_scores(
         &self,
-        a: &[f32],
-        b: &[f32],
+        a: RowRef<'_>,
+        b: RowRef<'_>,
         seg: usize,
         segs: &[usize],
         a_norms: &[f32],
@@ -245,6 +247,10 @@ impl Backend for Timed {
 
     fn f16_round(&self, m: &mut Matrix) {
         self.time(KernelFamily::F16Round, || self.inner.f16_round(m))
+    }
+
+    fn f16_encode(&self, src: &[f32], dst: &mut [f16]) {
+        self.time(KernelFamily::F16Round, || self.inner.f16_encode(src, dst))
     }
 
     fn scatter_rows(&self, partial: &Matrix, reps: &[u32], out: &mut Matrix) {
@@ -306,8 +312,8 @@ mod tests {
         let wrapper = timed(inner);
         let row = [1.0f32, -2.0, 3.0, 0.5];
         let (mut got, mut want) = ([0.0f32; 2], [0.0f32; 2]);
-        wrapper.segment_norms(&row, 2, &[0, 1], &mut got);
-        inner.segment_norms(&row, 2, &[0, 1], &mut want);
+        wrapper.segment_norms(RowRef::F32(&row), 2, &[0, 1], &mut got);
+        inner.segment_norms(RowRef::F32(&row), 2, &[0, 1], &mut want);
         assert_eq!(got.map(f32::to_bits), want.map(f32::to_bits));
 
         let before = kernel_histogram(KernelFamily::NormalFill).count();

@@ -11,8 +11,9 @@
 //!
 //! * `service.*` — scheduler-wide counters (`service.jobs_done`,
 //!   `service.queued.high`, `service.deficit.low`, …);
-//! * `session.*` — per-stream-session counters
-//!   (`session.frames_submitted`, `session.temporal.prefetch_hits`, …);
+//! * `session.*` — per-stream-session counters and gauges
+//!   (`session.frames_pushed`, `session.temporal.hits`,
+//!   `session.scratch_bytes`, …);
 //! * `obs.*` — the observability layer about itself
 //!   (`obs.spans.recorded`, `obs.node.gather.p99_us`,
 //!   `obs.kernel.score.count`, `obs.kernel.score.launches`, …).

@@ -90,14 +90,14 @@ impl ImportanceAnalyzer {
 mod tests {
     use super::*;
 
-    fn head_from(rows: &[Vec<f32>]) -> Matrix {
-        Matrix::from_rows(rows)
+    fn head_from(rows: &[[f32; 3]]) -> Matrix {
+        Matrix::from_vec(rows.len(), 3, rows.concat())
     }
 
     #[test]
     fn importance_is_max_over_rows_and_heads() {
-        let h0 = head_from(&[vec![0.1, 0.5, 0.0], vec![0.3, 0.2, 0.9]]);
-        let h1 = head_from(&[vec![0.4, 0.1, 0.2], vec![0.0, 0.6, 0.1]]);
+        let h0 = head_from(&[[0.1, 0.5, 0.0], [0.3, 0.2, 0.9]]);
+        let h1 = head_from(&[[0.4, 0.1, 0.2], [0.0, 0.6, 0.1]]);
         let (imp, _) = ImportanceAnalyzer::new(4).analyze(&[h0, h1]);
         assert_eq!(imp, vec![0.4, 0.6, 0.9]);
     }

@@ -99,7 +99,7 @@ mod tests {
     #[test]
     fn prune_keeps_highest_importance_tokens_in_stream_order() {
         // One head, one text row: importance = that row.
-        let head = Matrix::from_rows(&[vec![0.1, 0.9, 0.3, 0.8, 0.05]]);
+        let head = Matrix::from_vec(1, 5, vec![0.1, 0.9, 0.3, 0.8, 0.05]);
         let globals = [10usize, 20, 30, 40, 50];
         let sec = SemanticConcentrator::new(4);
         let out = sec.prune(&[head], &globals, 2);
@@ -113,12 +113,12 @@ mod tests {
         // Round 1 keeps 3 of 5; round 2 keeps 1 of those 3; the offset
         // encoding must still carry *global* indices.
         let sec = SemanticConcentrator::new(2);
-        let h1 = Matrix::from_rows(&[vec![0.5, 0.1, 0.4, 0.3, 0.2]]);
+        let h1 = Matrix::from_vec(1, 5, vec![0.5, 0.1, 0.4, 0.3, 0.2]);
         let globals: Vec<usize> = (0..5).map(|i| i * 7).collect();
         let r1 = sec.prune(&[h1], &globals, 3);
         assert_eq!(r1.kept_local, vec![0, 2, 3]);
         let g2: Vec<usize> = r1.kept_local.iter().map(|&i| globals[i]).collect();
-        let h2 = Matrix::from_rows(&[vec![0.0, 1.0, 0.5]]);
+        let h2 = Matrix::from_vec(1, 3, vec![0.0, 1.0, 0.5]);
         let r2 = sec.prune(&[h2], &g2, 1);
         assert_eq!(r2.offsets.decode(), vec![14]); // global index of local 2
     }

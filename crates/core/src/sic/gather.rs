@@ -25,7 +25,7 @@ use core::ops::Range;
 use std::collections::HashMap;
 
 use focus_tensor::backend::BackendHandle;
-use focus_tensor::Matrix;
+use focus_tensor::{Element, Matrix};
 
 use crate::config::BlockSize;
 use crate::sic::block::candidate_positions;
@@ -425,9 +425,9 @@ impl GatherScratch {
     /// [`Backend::segment_norms`]: focus_tensor::backend::Backend::segment_norms
     /// [`Backend::segment_scores`]: focus_tensor::backend::Backend::segment_scores
     #[allow(clippy::too_many_arguments)] // the tile tuple + config, carry switch, backend, sink
-    pub(crate) fn sweep_tile(
+    pub(crate) fn sweep_tile<E: Element>(
         &mut self,
-        acts: &Matrix,
+        acts: &Matrix<E>,
         row_start: usize,
         row_count: usize,
         col_ranges: &[Range<usize>],
@@ -491,7 +491,12 @@ impl GatherScratch {
             } else {
                 &sw.all
             };
-            backend.segment_norms(row, seg, live, &mut sw.norms[segments_of(local)]);
+            backend.segment_norms(
+                E::row_ref(row),
+                seg,
+                live,
+                &mut sw.norms[segments_of(local)],
+            );
 
             // One launch per planned candidate over both rows' live
             // segments, folded at once into every column tile's walk in
@@ -514,8 +519,8 @@ impl GatherScratch {
                     &sw.live
                 };
                 backend.segment_scores(
-                    row,
-                    acts.row(row_start + cand),
+                    E::row_ref(row),
+                    E::row_ref(acts.row(row_start + cand)),
                     seg,
                     live,
                     &sw.norms[segments_of(local)],
@@ -585,8 +590,8 @@ impl GatherScratch {
                 sw.live.clear();
                 sw.live.extend(run.iter().map(|&(_, ct)| ct));
                 backend.segment_scores(
-                    row,
-                    acts.row(row_start + src),
+                    E::row_ref(row),
+                    E::row_ref(acts.row(row_start + src)),
                     seg,
                     &sw.live,
                     &sw.norms[segments_of(local)],
@@ -655,11 +660,12 @@ mod tests {
 
     #[test]
     fn identical_neighbours_deduplicate() {
-        let acts = Matrix::from_rows(&[
-            vec![1.0, 0.0, 0.0, 0.0],
-            vec![1.0, 0.0, 0.0, 0.0],
-            vec![0.0, 1.0, 0.0, 0.0],
-            vec![1.0, 0.0, 0.0, 0.0],
+        #[rustfmt::skip]
+        let acts = Matrix::from_vec(4, 4, vec![
+            1.0, 0.0, 0.0, 0.0,
+            1.0, 0.0, 0.0, 0.0,
+            0.0, 1.0, 0.0, 0.0,
+            1.0, 0.0, 0.0, 0.0,
         ]);
         let r = tile(&acts, 0..4, 0..4, &positions_2x2(), &cfg());
         assert_eq!(r.p(), 2);
@@ -672,7 +678,7 @@ mod tests {
 
     #[test]
     fn dissimilar_rows_stay_unique() {
-        let acts = Matrix::identity(4);
+        let acts = Matrix::from_fn(4, 4, |r, c| (r == c) as u32 as f32);
         let r = tile(&acts, 0..4, 0..4, &positions_2x2(), &cfg());
         assert_eq!(r.p(), 4);
         assert_eq!(r.matches, 0);
@@ -681,7 +687,7 @@ mod tests {
 
     #[test]
     fn text_rows_never_match() {
-        let acts = Matrix::from_rows(&[vec![1.0, 0.0], vec![1.0, 0.0]]);
+        let acts = Matrix::from_vec(2, 2, vec![1.0, 0.0, 1.0, 0.0]);
         let positions = vec![Some(Fhw { f: 0, r: 0, c: 0 }), None];
         let r = tile(
             &acts,
@@ -700,8 +706,8 @@ mod tests {
     fn representative_chains_resolve_to_roots() {
         // Row 1 matches row 0; row 3 matches row 1 → must map to row 0's
         // compact slot (chained reuse, Fig. 6 ④).
-        let v = vec![1.0, 1.0, 0.0, 0.0];
-        let acts = Matrix::from_rows(&[v.clone(), v.clone(), vec![0.0, 0.0, 5.0, 0.0], v]);
+        let v = [1.0, 1.0, 0.0, 0.0];
+        let acts = Matrix::from_vec(4, 4, [v, v, [0.0, 0.0, 5.0, 0.0], v].concat());
         let r = tile(&acts, 0..4, 0..4, &positions_2x2(), &cfg());
         assert_eq!(r.p(), 2);
         assert_eq!(r.map.representative(3), 0);
@@ -711,8 +717,7 @@ mod tests {
     fn tile_locality_blocks_cross_tile_matches() {
         // Rows 2,3 form their own tile: row 2's spatial neighbours are
         // in tile 0, so nothing matches even though values repeat.
-        let v = vec![2.0, 0.0];
-        let acts = Matrix::from_rows(&[v.clone(), v.clone(), v.clone(), v]);
+        let acts = Matrix::from_vec(4, 2, [2.0, 0.0].repeat(4));
         let r = tile(&acts, 2..4, 0..2, &positions_2x2(), &cfg());
         // Row 2's only block candidate (0,0) lives in tile 0 → unique;
         // row 3 matches row 2 inside the tile → one compact vector.
@@ -723,9 +728,7 @@ mod tests {
     #[test]
     fn threshold_is_respected() {
         // cos(a,b) ≈ 0.894 < 0.9 → no match; at 0.85 → match.
-        let a = vec![1.0, 0.0];
-        let b = vec![2.0, 1.0];
-        let acts = Matrix::from_rows(&[a, b]);
+        let acts = Matrix::from_vec(2, 2, vec![1.0, 0.0, 2.0, 1.0]);
         let positions = vec![
             Some(Fhw { f: 0, r: 0, c: 0 }),
             Some(Fhw { f: 0, r: 0, c: 1 }),
@@ -802,7 +805,7 @@ mod tests {
 
     #[test]
     fn compressed_bytes_account_vectors_and_map() {
-        let acts = Matrix::from_rows(&[vec![1.0, 0.0], vec![1.0, 0.0]]);
+        let acts = Matrix::from_vec(2, 2, vec![1.0, 0.0, 1.0, 0.0]);
         let positions = vec![
             Some(Fhw { f: 0, r: 0, c: 0 }),
             Some(Fhw { f: 0, r: 0, c: 1 }),

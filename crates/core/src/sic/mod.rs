@@ -34,7 +34,7 @@ use core::ops::Range;
 
 use focus_tensor::backend::{self, BackendHandle};
 use focus_tensor::ops::vector_ranges;
-use focus_tensor::Matrix;
+use focus_tensor::{Element, Matrix};
 
 use crate::config::FocusConfig;
 
@@ -150,10 +150,12 @@ impl SimilarityConcentrator {
     /// flat position lookup, then one row-major sweep gathers every
     /// column tile of the m-tile (see [`GatherScratch`]). Statistics are
     /// identical to [`SimilarityConcentrator::gather_matrix_on`] field
-    /// by field.
-    pub fn gather_matrix_with_on(
+    /// by field — also over an FP16 store, whose rows the kernels
+    /// widen to exactly the values an f32 buffer rounded through FP16
+    /// holds.
+    pub fn gather_matrix_with_on<E: Element>(
         &self,
-        acts: &Matrix,
+        acts: &Matrix<E>,
         positions: &[Option<Fhw>],
         scratch: &mut GatherScratch,
         backend: BackendHandle,
@@ -174,9 +176,9 @@ impl SimilarityConcentrator {
     /// statistics are identical to the per-frame path except for the
     /// probe counters.
     #[allow(clippy::too_many_arguments)]
-    pub fn gather_matrix_temporal_on(
+    pub fn gather_matrix_temporal_on<E: Element>(
         &self,
-        acts: &Matrix,
+        acts: &Matrix<E>,
         positions: &[Option<Fhw>],
         tokens: &[usize],
         scratch: &mut GatherScratch,
@@ -207,9 +209,9 @@ impl SimilarityConcentrator {
     /// row_count, col_ranges, stats)` gathers one non-empty m-tile into
     /// `stats` and returns its avoided probes. Returns the statistics
     /// and the matrix's avoided-probe total.
-    fn each_m_tile(
+    fn each_m_tile<E: Element>(
         &self,
-        acts: &Matrix,
+        acts: &Matrix<E>,
         mut tile: impl FnMut(usize, usize, &[Range<usize>], &mut MatrixGatherStats) -> u64,
     ) -> (MatrixGatherStats, u64) {
         let width = acts.cols();
@@ -280,9 +282,9 @@ impl SimilarityConcentrator {
 
     /// The production sweep, with the same `settle` contract as
     /// [`SimilarityConcentrator::reference`] (the mask is the scratch's).
-    fn sweep(
+    fn sweep<E: Element>(
         &self,
-        acts: &Matrix,
+        acts: &Matrix<E>,
         positions: &[Option<Fhw>],
         scratch: &mut GatherScratch,
         mut settle: impl FnMut(usize, usize, &mut CarryMask) -> bool,
@@ -317,7 +319,8 @@ pub fn matcher_overlap_ratio(k: usize, pe_rows: usize, block_cells: usize) -> f6
 mod tests {
     use super::*;
     use crate::config::BlockSize;
-    use focus_tensor::backend::Backend;
+    use focus_tensor::backend::{Backend, RowRef};
+    use focus_tensor::{f16, Element};
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -408,7 +411,7 @@ mod tests {
     #[test]
     fn fidelity_is_one_for_unique_rows() {
         let positions = grid_positions(1, 2, 2);
-        let acts = Matrix::identity(4);
+        let acts = Matrix::from_fn(4, 4, |r, c| (r == c) as u32 as f32);
         let stats = concentrator(1024, 4).gather_matrix(&acts, &positions);
         assert!(stats.row_fidelity.iter().all(|&f| (f - 1.0).abs() < 1e-6));
     }
@@ -489,9 +492,9 @@ mod tests {
     proptest! {
         /// The row-major production sweep takes exactly the decisions of
         /// the tile-by-tile reference loop, field by field, on both
-        /// numeric backends — with and without carry masks, for ragged
-        /// and token-wise column tiles, text rows, partial m-tiles and
-        /// thresholds across [0, 1].
+        /// numeric backends — with and without carry masks, over f32
+        /// and FP16 stores, for ragged and token-wise column tiles,
+        /// text rows, partial m-tiles and thresholds across [0, 1].
         #[test]
         fn row_major_sweep_matches_the_tile_reference(
             seed in 0u64..10_000,
@@ -531,6 +534,27 @@ mod tests {
                 prop_assert_eq!(swept.0.matcher_cycles, reference.0.matcher_cycles);
                 prop_assert_eq!(swept.0.dot_ops, reference.0.dot_ops);
                 prop_assert_eq!(&swept, &reference);
+
+                // An FP16 store: the sweep over the encoded rows takes
+                // the reference's decisions over the f32 rows rounded
+                // through FP16 in place.
+                let mut rounded = acts.clone();
+                be.f16_round(&mut rounded);
+                let mut stored: Matrix<f16> = Matrix::default();
+                stored.resize(rows, width);
+                for r in 0..rows {
+                    f16::store(acts.row(r), stored.row_mut(r), be);
+                }
+                let reference =
+                    conc.reference(&rounded, &positions, random_masks(seed, col_tiles, level), be);
+                let swept = conc.sweep(
+                    &stored,
+                    &positions,
+                    &mut scratch,
+                    random_masks(seed, col_tiles, level),
+                    be,
+                );
+                prop_assert_eq!(&swept, &reference);
             }
         }
     }
@@ -547,14 +571,14 @@ mod tests {
         fn name(&self) -> &'static str {
             "counting"
         }
-        fn segment_norms(&self, row: &[f32], seg: usize, segs: &[usize], out: &mut [f32]) {
+        fn segment_norms(&self, row: RowRef<'_>, seg: usize, segs: &[usize], out: &mut [f32]) {
             self.norm_segs.fetch_add(segs.len(), Ordering::Relaxed);
             backend::simd().segment_norms(row, seg, segs, out)
         }
         fn segment_scores(
             &self,
-            a: &[f32],
-            b: &[f32],
+            a: RowRef<'_>,
+            b: RowRef<'_>,
             seg: usize,
             segs: &[usize],
             a_norms: &[f32],
@@ -582,6 +606,9 @@ mod tests {
         }
         fn f16_round(&self, m: &mut Matrix) {
             backend::simd().f16_round(m)
+        }
+        fn f16_encode(&self, src: &[f32], dst: &mut [f16]) {
+            backend::simd().f16_encode(src, dst)
         }
         fn scatter_rows(&self, partial: &Matrix, reps: &[u32], out: &mut Matrix) {
             backend::simd().scatter_rows(partial, reps, out)

@@ -65,7 +65,7 @@ mod tests {
 
     #[test]
     fn scatter_replays_partial_rows() {
-        let partial = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let partial = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let map = SimilarityMap::new(vec![0, 0, 1, 0], 2);
         let full = scatter(&partial, &map);
         assert_eq!(full.rows(), 4);
@@ -78,8 +78,7 @@ mod tests {
     #[test]
     fn gather_then_scatter_is_exact_for_duplicates() {
         // With exact duplicate rows, scatter(gather(x)) == x.
-        let v = vec![0.5, -1.0, 2.0, 0.25];
-        let acts = Matrix::from_rows(&[v.clone(), v.clone(), v.clone(), v.clone()]);
+        let acts = Matrix::from_vec(4, 4, [0.5, -1.0, 2.0, 0.25].repeat(4));
         let positions: Vec<Option<Fhw>> = (0..4)
             .map(|i| {
                 Some(Fhw {
@@ -103,11 +102,12 @@ mod tests {
     fn gather_then_scatter_bounds_error_by_threshold() {
         // Near-duplicates: every reconstructed row must stay within the
         // cosine threshold of its original.
-        let acts = Matrix::from_rows(&[
-            vec![1.0, 0.00, 0.0, 0.0],
-            vec![1.0, 0.05, 0.0, 0.0],
-            vec![1.0, 0.00, 0.06, 0.0],
-            vec![0.0, 0.00, 0.0, 9.0],
+        #[rustfmt::skip]
+        let acts = Matrix::from_vec(4, 4, vec![
+            1.0, 0.00, 0.0, 0.0,
+            1.0, 0.05, 0.0, 0.0,
+            1.0, 0.00, 0.06, 0.0,
+            0.0, 0.00, 0.0, 9.0,
         ]);
         let positions: Vec<Option<Fhw>> = (0..4)
             .map(|i| {

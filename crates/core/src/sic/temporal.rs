@@ -61,7 +61,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
-use focus_tensor::Matrix;
+use focus_tensor::{Element, Matrix};
 use focus_vlm::embedding::{StabilityModel, Stage};
 use focus_vlm::scene::{ContentKey, TokenSig};
 
@@ -471,11 +471,11 @@ impl TemporalCache {
     /// Counters are batched locally and folded into the shared atomics
     /// once per call.
     #[allow(clippy::too_many_arguments)]
-    pub fn reconcile(
+    pub fn reconcile<E: Element>(
         &self,
         layer: usize,
         stage: usize,
-        acts: &Matrix,
+        acts: &Matrix<E>,
         row_start: usize,
         row_count: usize,
         v_len: usize,

@@ -2,10 +2,11 @@
 //!
 //! The measured phase spends its time in five kernel families: gather
 //! candidate scoring (dot + cosine-with-norms over planned candidate
-//! lists), compact-norm computation, the INT8 fake-quantise round trip,
-//! scatter row replay, and the activation-synthesis fill. This module
-//! puts all five behind one [`Backend`] trait — the InfiniNN
-//! `VirtualMachine` pattern — with two implementations:
+//! lists), compact-norm computation, the dtype kernels (INT8
+//! fake-quantise round trip, FP16 rounding and the FP16 store's row
+//! encode), scatter row replay, and the activation-synthesis fill.
+//! This module puts all five behind one [`Backend`] trait — the
+//! InfiniNN `VirtualMachine` pattern — with two implementations:
 //!
 //! * [`ScalarRef`] — the chunked-scalar reference paths, kept as the
 //!   bit-exactness oracle;
@@ -32,6 +33,7 @@
 use std::fmt;
 use std::sync::OnceLock;
 
+use crate::half::f16;
 use crate::math;
 use crate::matrix::Matrix;
 use crate::quant;
@@ -46,6 +48,18 @@ pub const BACKEND_ENV: &str = "FOCUS_BACKEND";
 /// say) can be created with `Box::leak`.
 pub type BackendHandle = &'static dyn Backend;
 
+/// One row operand of the segment kernels at its stored precision:
+/// full-precision `f32`, or FP16 bits that the kernels widen exactly on
+/// load. A row of any [`Matrix`] element type borrows as one through
+/// [`Element::row_ref`](crate::matrix::Element::row_ref).
+#[derive(Clone, Copy, Debug)]
+pub enum RowRef<'a> {
+    /// A row of `f32` values.
+    F32(&'a [f32]),
+    /// A row of FP16 bits.
+    F16(&'a [f16]),
+}
+
 /// The stage-kernel surface. Every method is a whole kernel launch,
 /// not a helper: callers hand the backend complete rows/matrices and
 /// never open-code the inner loops, so a backend can batch however
@@ -58,33 +72,34 @@ pub trait Backend: fmt::Debug + Sync {
     /// segment ragged when `seg` does not divide the width):
     /// `out[s] = ‖row[s·seg..(s+1)·seg]‖` for every index `s` in `segs`,
     /// one slot per segment, unlisted slots untouched — the production
-    /// gather sweep's one norm launch per row. See
-    /// [`math::segment_norms`].
+    /// gather sweep's one norm launch per row. An FP16 row is widened
+    /// exactly on load, so its norms equal those of its widened f32
+    /// copy. See [`math::segment_norms`].
     ///
     /// # Panics
     ///
     /// Panics if `seg` is 0, `out` does not hold exactly one slot per
     /// segment, or an index is out of range.
-    fn segment_norms(&self, row: &[f32], seg: usize, segs: &[usize], out: &mut [f32]);
+    fn segment_norms(&self, row: RowRef<'_>, seg: usize, segs: &[usize], out: &mut [f32]);
 
     /// Cosine scores of the listed segment pairs of two equally wide
-    /// rows: `out[s] = cosine(a segment s, b segment s)` from the
-    /// per-segment norms `a_norms[s]`, `b_norms[s]`, with the zero-norm
-    /// and clamp conventions of [`math::cosine_from_dot`]. Unlisted
-    /// slots stay untouched; see [`math::segment_cosines`]. The
-    /// production gather sweep's one scoring launch per (row,
-    /// candidate).
+    /// rows of one element type: `out[s] = cosine(a segment s, b
+    /// segment s)` from the per-segment norms `a_norms[s]`,
+    /// `b_norms[s]`, with the zero-norm and clamp conventions of
+    /// [`math::cosine_from_dot`]. Unlisted slots stay untouched; see
+    /// [`math::segment_cosines`]. The production gather sweep's one
+    /// scoring launch per (row, candidate).
     ///
     /// # Panics
     ///
-    /// Panics if `a` and `b` differ in length, `seg` is 0, the norm
-    /// slices or `out` do not hold exactly one slot per segment, or an
-    /// index is out of range.
+    /// Panics if `a` and `b` differ in length or element type, `seg` is
+    /// 0, the norm slices or `out` do not hold exactly one slot per
+    /// segment, or an index is out of range.
     #[allow(clippy::too_many_arguments)] // two rows, their norms, the segment list and the sink
     fn segment_scores(
         &self,
-        a: &[f32],
-        b: &[f32],
+        a: RowRef<'_>,
+        b: RowRef<'_>,
         seg: usize,
         segs: &[usize],
         a_norms: &[f32],
@@ -125,8 +140,19 @@ pub trait Backend: fmt::Debug + Sync {
     /// In-place per-row INT8 fake-quantise round trip.
     fn fake_quantize(&self, m: &mut Matrix);
 
-    /// In-place FP16 rounding of every element.
+    /// In-place FP16 rounding of every element: the reference path's
+    /// dtype pass over a full-precision buffer.
     fn f16_round(&self, m: &mut Matrix);
+
+    /// Encodes one row to FP16 bits, `dst[i] = f16::from_f32(src[i])`:
+    /// the FP16 store's write kernel, one launch per synthesised row.
+    /// Widened, the bits equal what [`Backend::f16_round`] leaves in
+    /// place (see [`math::f16_encode_fill`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    fn f16_encode(&self, src: &[f32], dst: &mut [f16]);
 
     /// Replays compact rows to full positions: row `i` of `out` becomes
     /// row `reps[i]` of `partial`.
@@ -140,6 +166,48 @@ pub trait Backend: fmt::Debug + Sync {
     /// Fills `out` with the deterministic standard normals of the
     /// stream seeded at `seed` (the synthesis noise kernel).
     fn normal_fill(&self, seed: u64, out: &mut [f32]);
+}
+
+/// Runs `math`'s segment-norm kernel on `row` at its element type,
+/// dispatched (`simd`) or chunked-scalar.
+fn segment_norms_of(row: RowRef<'_>, seg: usize, segs: &[usize], out: &mut [f32], simd: bool) {
+    match (row, simd) {
+        (RowRef::F32(row), true) => math::segment_norms(row, seg, segs, out),
+        (RowRef::F32(row), false) => math::segment_norms_scalar(row, seg, segs, out),
+        (RowRef::F16(row), true) => math::segment_norms(row, seg, segs, out),
+        (RowRef::F16(row), false) => math::segment_norms_scalar(row, seg, segs, out),
+    }
+}
+
+/// Runs `math`'s segment-cosine kernel on two rows of one element
+/// type, dispatched (`simd`) or chunked-scalar.
+#[allow(clippy::too_many_arguments)] // the kernel's arguments plus the path switch
+fn segment_scores_of(
+    a: RowRef<'_>,
+    b: RowRef<'_>,
+    seg: usize,
+    segs: &[usize],
+    a_norms: &[f32],
+    b_norms: &[f32],
+    out: &mut [f32],
+    simd: bool,
+) {
+    let (an, bn) = (a_norms, b_norms);
+    match (a, b, simd) {
+        (RowRef::F32(a), RowRef::F32(b), true) => {
+            math::segment_cosines(a, b, seg, segs, an, bn, out)
+        }
+        (RowRef::F32(a), RowRef::F32(b), false) => {
+            math::segment_cosines_scalar(a, b, seg, segs, an, bn, out)
+        }
+        (RowRef::F16(a), RowRef::F16(b), true) => {
+            math::segment_cosines(a, b, seg, segs, an, bn, out)
+        }
+        (RowRef::F16(a), RowRef::F16(b), false) => {
+            math::segment_cosines_scalar(a, b, seg, segs, an, bn, out)
+        }
+        _ => panic!("segment scores of mixed element types"),
+    }
 }
 
 fn scatter_rows_copy(partial: &Matrix, reps: &[u32], out: &mut Matrix) {
@@ -179,21 +247,21 @@ impl Backend for ScalarRef {
         "scalar"
     }
 
-    fn segment_norms(&self, row: &[f32], seg: usize, segs: &[usize], out: &mut [f32]) {
-        math::segment_norms_scalar(row, seg, segs, out);
+    fn segment_norms(&self, row: RowRef<'_>, seg: usize, segs: &[usize], out: &mut [f32]) {
+        segment_norms_of(row, seg, segs, out, false);
     }
 
     fn segment_scores(
         &self,
-        a: &[f32],
-        b: &[f32],
+        a: RowRef<'_>,
+        b: RowRef<'_>,
         seg: usize,
         segs: &[usize],
         a_norms: &[f32],
         b_norms: &[f32],
         out: &mut [f32],
     ) {
-        math::segment_cosines_scalar(a, b, seg, segs, a_norms, b_norms, out);
+        segment_scores_of(a, b, seg, segs, a_norms, b_norms, out, false);
     }
 
     fn row_norms(&self, rows: &[&[f32]], out: &mut [f32]) {
@@ -222,6 +290,10 @@ impl Backend for ScalarRef {
         math::f16_round_fill_scalar(m.as_mut_slice());
     }
 
+    fn f16_encode(&self, src: &[f32], dst: &mut [f16]) {
+        math::f16_encode_fill_scalar(src, dst);
+    }
+
     fn scatter_rows(&self, partial: &Matrix, reps: &[u32], out: &mut Matrix) {
         scatter_rows_copy(partial, reps, out);
     }
@@ -243,21 +315,21 @@ impl Backend for Simd {
         "simd"
     }
 
-    fn segment_norms(&self, row: &[f32], seg: usize, segs: &[usize], out: &mut [f32]) {
-        math::segment_norms(row, seg, segs, out);
+    fn segment_norms(&self, row: RowRef<'_>, seg: usize, segs: &[usize], out: &mut [f32]) {
+        segment_norms_of(row, seg, segs, out, true);
     }
 
     fn segment_scores(
         &self,
-        a: &[f32],
-        b: &[f32],
+        a: RowRef<'_>,
+        b: RowRef<'_>,
         seg: usize,
         segs: &[usize],
         a_norms: &[f32],
         b_norms: &[f32],
         out: &mut [f32],
     ) {
-        math::segment_cosines(a, b, seg, segs, a_norms, b_norms, out);
+        segment_scores_of(a, b, seg, segs, a_norms, b_norms, out, true);
     }
 
     fn row_norms(&self, rows: &[&[f32]], out: &mut [f32]) {
@@ -288,6 +360,10 @@ impl Backend for Simd {
 
     fn f16_round(&self, m: &mut Matrix) {
         math::f16_round_fill(m.as_mut_slice());
+    }
+
+    fn f16_encode(&self, src: &[f32], dst: &mut [f16]) {
+        math::f16_encode_fill(src, dst);
     }
 
     fn scatter_rows(&self, partial: &Matrix, reps: &[u32], out: &mut Matrix) {
@@ -397,14 +473,15 @@ mod tests {
         let (s, f) = (scalar_ref(), simd());
         let all: Vec<usize> = (0..5).collect();
         let (mut na, mut nb, mut nf) = ([0.0f32; 5], [0.0f32; 5], [0.0f32; 5]);
-        s.segment_norms(&row, 8, &all, &mut na);
-        s.segment_norms(&cand, 8, &all, &mut nb);
-        f.segment_norms(&row, 8, &all, &mut nf);
+        let (row, cand) = (RowRef::F32(&row), RowRef::F32(&cand));
+        s.segment_norms(row, 8, &all, &mut na);
+        s.segment_norms(cand, 8, &all, &mut nb);
+        f.segment_norms(row, 8, &all, &mut nf);
         assert_eq!(na.map(f32::to_bits), nf.map(f32::to_bits));
         let mut a = [0.0f32; 5];
         let mut b = [0.0f32; 5];
-        s.segment_scores(&row, &cand, 8, &all, &na, &nb, &mut a);
-        f.segment_scores(&row, &cand, 8, &all, &na, &nb, &mut b);
+        s.segment_scores(row, cand, 8, &all, &na, &nb, &mut a);
+        f.segment_scores(row, cand, 8, &all, &na, &nb, &mut b);
         assert_eq!(a.map(f32::to_bits), b.map(f32::to_bits));
     }
 }

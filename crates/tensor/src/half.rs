@@ -27,6 +27,7 @@
 /// ```
 #[allow(non_camel_case_types)]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+#[repr(transparent)] // the SIMD kernels load rows of these as raw `u16` lanes
 pub struct f16(u16);
 
 const FRAC_BITS: u32 = 10;

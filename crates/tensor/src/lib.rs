@@ -9,8 +9,9 @@
 //!   pipeline rounds activations exactly where the hardware would;
 //! * [`quant`] — symmetric INT8 quantisation used by the Table IV
 //!   ("synergy with quantization") experiment;
-//! * [`Matrix`] — the dense row-major `f32` activation buffer the
-//!   workload generator fills and the pipeline stages read;
+//! * [`Matrix`] — the dense row-major activation buffer the workload
+//!   generator fills and the pipeline stages read, storing `f32` or
+//!   FP16 bits ([`Element`]);
 //! * [`ops`] — vector kernels (dot, L2 norm, cosine similarity,
 //!   softmax, top-k) that the concentrator models reuse;
 //! * [`math`] — the batched, bit-deterministic transcendental kernel
@@ -19,7 +20,7 @@
 //!   bit-identical to its scalar fallback;
 //! * [`backend`] — the pluggable [`Backend`] trait putting the hot
 //!   stage kernels (gather scoring, compact norms, fake-quantise, FP16
-//!   rounding, scatter, synthesis fill) behind one dispatch surface,
+//!   rounding and encode, scatter, synthesis fill) behind one dispatch surface,
 //!   with bit-identical `scalar`/`simd` implementations chosen by a
 //!   [`BackendHandle`] (`FOCUS_BACKEND` picks the process default).
 //!
@@ -53,7 +54,7 @@ pub mod matrix;
 pub mod ops;
 pub mod quant;
 
-pub use crate::backend::{Backend, BackendHandle, BackendKind};
+pub use crate::backend::{Backend, BackendHandle, BackendKind, RowRef};
 pub use crate::half::f16;
-pub use crate::matrix::Matrix;
+pub use crate::matrix::{Element, Matrix};
 pub use crate::quant::{DataType, QuantParams, QuantizedTensor};

@@ -44,6 +44,9 @@
 #[cfg(target_arch = "x86_64")]
 use std::sync::OnceLock;
 
+use crate::half::f16;
+use crate::matrix::Element;
+
 /// SplitMix64's additive constant (γ).
 pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -77,6 +80,14 @@ pub fn simd_active() -> bool {
 fn f16c_available() -> bool {
     static F16C: OnceLock<bool> = OnceLock::new();
     *F16C.get_or_init(|| std::is_x86_feature_detected!("f16c"))
+}
+
+/// Whether the kernels that convert FP16 on the fly (the FP16 encode
+/// and the segment kernels, which load FP16 rows through `vcvtph2ps`)
+/// take their SIMD path: AVX2 and F16C both detected.
+#[cfg(target_arch = "x86_64")]
+fn f16c_active() -> bool {
+    simd_active() && f16c_available()
 }
 
 // ---------------------------------------------------------------------
@@ -356,7 +367,7 @@ pub fn cos_phase24_fill_avx2(ps: &[u32], out: &mut [f32]) -> bool {
 /// finite ones.
 pub fn f16_round_fill(values: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if simd_active() && f16c_available() {
+    if f16c_active() {
         // SAFETY: AVX2 and F16C detected at runtime.
         unsafe { f16_round_fill_f16c_raw(values) };
         return;
@@ -375,12 +386,50 @@ pub fn f16_round_fill_scalar(values: &mut [f32]) {
 /// untouched) when the host lacks AVX2 or F16C.
 #[cfg(target_arch = "x86_64")]
 pub fn f16_round_fill_f16c(values: &mut [f32]) -> bool {
-    if !simd_active() || !f16c_available() {
+    if !f16c_active() {
         return false;
     }
     // SAFETY: AVX2 and F16C detected above.
     unsafe { f16_round_fill_f16c_raw(values) };
     true
+}
+
+/// Encodes `src` to IEEE binary16 bits, `dst[i] = f16::from_f32(src[i])`
+/// — the FP16 store's write kernel. Widening the result gives exactly
+/// the bits [`f16_round_fill`] leaves in place, so a stage that stores
+/// FP16 reads the values an f32 buffer rounded in place would hold.
+///
+/// Runtime-dispatched: `vcvtps2ph` with an explicit round-to-nearest-even
+/// immediate where AVX2 and F16C are detected, the software conversion
+/// otherwise. NaN lanes are canonicalised to `sign | 0x7FC0_0000`
+/// before the hardware conversion, which then yields the software
+/// path's `sign | 0x7E00` for every NaN payload, so the two paths are
+/// bit-identical on every input.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn f16_encode_fill(src: &[f32], dst: &mut [f16]) {
+    assert_eq!(src.len(), dst.len(), "encode of mismatched lengths");
+    #[cfg(target_arch = "x86_64")]
+    if f16c_active() {
+        // SAFETY: AVX2 and F16C detected at runtime; lengths match.
+        unsafe { f16_encode_f16c_raw(src, dst) };
+        return;
+    }
+    f16_encode_fill_scalar(src, dst);
+}
+
+/// Portable scalar path of [`f16_encode_fill`].
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn f16_encode_fill_scalar(src: &[f32], dst: &mut [f16]) {
+    assert_eq!(src.len(), dst.len(), "encode of mismatched lengths");
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = f16::from_f32(v);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -399,12 +448,13 @@ pub fn f16_round_fill_f16c(values: &mut [f32]) -> bool {
 // ---------------------------------------------------------------------
 
 /// Full-chunk lane accumulation of the chunked-scalar path: lane `j`
-/// gathers products `a[8k+j]·b[8k+j]`, exactly like one AVX2 register.
+/// gathers products `a[8k+j]·b[8k+j]` of the widened elements, exactly
+/// like one AVX2 register.
 #[inline]
-fn dot_lanes_scalar(a: &[f32], b: &[f32], lanes: &mut [f32; 8]) {
+fn dot_lanes_scalar<E: Element>(a: &[E], b: &[E], lanes: &mut [f32; 8]) {
     for (ca, cb) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
         for j in 0..8 {
-            lanes[j] += ca[j] * cb[j];
+            lanes[j] += ca[j].widen() * cb[j].widen();
         }
     }
 }
@@ -458,14 +508,15 @@ pub fn dot_chunked(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// The portable chunked-scalar path of [`dot_chunked`], for the
-/// bit-identity property tests.
-pub fn dot_chunked_scalar(a: &[f32], b: &[f32]) -> f32 {
+/// bit-identity property tests. Over [`f16`](struct@f16) rows it widens each
+/// element on load, so it equals the f32 dot of the widened rows.
+pub fn dot_chunked_scalar<E: Element>(a: &[E], b: &[E]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot of mismatched lengths");
     let full = a.len() / 8 * 8;
     let mut lanes = [0.0f32; 8];
     dot_lanes_scalar(&a[..full], &b[..full], &mut lanes);
     for (j, i) in (full..a.len()).enumerate() {
-        lanes[j] += a[i] * b[i];
+        lanes[j] += a[i].widen() * b[i].widen();
     }
     reduce_lanes(lanes)
 }
@@ -538,9 +589,9 @@ const SEGMENT_GROUP_MIN: usize = 4;
 /// writes `out[s] = finish(s, dot of segment s)` for every listed `s`,
 /// on the dispatched path when `dispatch` and the chunked-scalar one
 /// otherwise. Finishing at the write keeps a repeated index idempotent.
-fn segment_map(
-    a: &[f32],
-    b: &[f32],
+fn segment_map<E: Element>(
+    a: &[E],
+    b: &[E],
     seg: usize,
     segs: &[usize],
     out: &mut [f32],
@@ -559,11 +610,11 @@ fn segment_map(
     let range = |s: usize| s * seg..((s + 1) * seg).min(n);
     let single = |s: usize| dot_chunked_scalar(&a[range(s)], &b[range(s)]);
     #[cfg(target_arch = "x86_64")]
-    if dispatch && seg.is_multiple_of(8) && simd_active() {
+    if dispatch && seg.is_multiple_of(8) && f16c_active() {
         let pass = |group: &[usize; 8], out: &mut [f32]| {
-            // SAFETY: `simd_active` implies AVX2; `seg` is a multiple of
-            // 8 and every grouped segment is in range and full width
-            // (checked above and below).
+            // SAFETY: `f16c_active` implies AVX2 and F16C; `seg` is a
+            // multiple of 8 and every grouped segment is in range and
+            // full width (checked above and below).
             let dots = unsafe { segment_dots8_avx2_raw(a, b, seg, group) };
             for (&s, &d) in group.iter().zip(&dots) {
                 out[s] = finish(s, d);
@@ -608,34 +659,39 @@ fn segment_map(
 /// `r = s·seg .. min((s+1)·seg, len)`. Slots of unlisted segments are
 /// left untouched, and an index may be listed more than once.
 ///
-/// With AVX2 and `seg` a multiple of 8, the full-width segments run
-/// eight to a pass: eight independent accumulator registers over their
-/// chunks, then one reduction of all eight with two `hadd` levels and
-/// one 128-bit lane add. That adds the same operand pairs in the same
-/// tree as `reduce_lanes`, so every result equals its own
-/// [`dot_chunked_scalar`] bit for bit (addition is commutative; NaNs
-/// produced from non-NaN inputs are the one default NaN on either
-/// path). A ragged segment, a last group of fewer than four, and every
-/// segment of a width that is not a multiple of 8 take the
-/// chunked-scalar dot.
+/// The rows may be `f32` or [`f16`](struct@f16) bits. FP16 elements are widened
+/// exactly on load (`vcvtph2ps`, or the software widening), so a dot
+/// over FP16 rows equals the dot over their widened f32 copies bit for
+/// bit.
+///
+/// With AVX2 and F16C and `seg` a multiple of 8, the full-width
+/// segments run eight to a pass: eight independent accumulator
+/// registers over their chunks, then one reduction of all eight with
+/// two `hadd` levels and one 128-bit lane add. That adds the same
+/// operand pairs in the same tree as `reduce_lanes`, so every result
+/// equals its own [`dot_chunked_scalar`] bit for bit (addition is
+/// commutative; NaNs produced from non-NaN inputs are the one default
+/// NaN on either path). A ragged segment, a last group of fewer than
+/// four, and every segment of a width that is not a multiple of 8 take
+/// the chunked-scalar dot.
 ///
 /// # Panics
 ///
 /// Panics if `a` and `b` differ in length, `seg` is 0, `out` does not
 /// hold exactly one slot per segment, or an index is out of range.
-pub fn segment_dots(a: &[f32], b: &[f32], seg: usize, segs: &[usize], out: &mut [f32]) {
+pub fn segment_dots<E: Element>(a: &[E], b: &[E], seg: usize, segs: &[usize], out: &mut [f32]) {
     segment_map(a, b, seg, segs, out, true, |_, dot| dot);
 }
 
 /// Segment-addressed L2 norms: `out[s]` is the square root of segment
 /// `s`'s self-dot, for every listed `s` ([`segment_dots`] with `row` as
 /// both operands).
-pub fn segment_norms(row: &[f32], seg: usize, segs: &[usize], out: &mut [f32]) {
+pub fn segment_norms<E: Element>(row: &[E], seg: usize, segs: &[usize], out: &mut [f32]) {
     segment_map(row, row, seg, segs, out, true, |_, dot| dot.sqrt());
 }
 
 /// The chunked-scalar path of [`segment_norms`], for the scalar backend.
-pub fn segment_norms_scalar(row: &[f32], seg: usize, segs: &[usize], out: &mut [f32]) {
+pub fn segment_norms_scalar<E: Element>(row: &[E], seg: usize, segs: &[usize], out: &mut [f32]) {
     segment_map(row, row, seg, segs, out, false, |_, dot| dot.sqrt());
 }
 
@@ -647,9 +703,9 @@ pub fn segment_norms_scalar(row: &[f32], seg: usize, segs: &[usize], out: &mut [
 ///
 /// As [`segment_dots`], and if a norm slice does not hold exactly one
 /// norm per segment.
-pub fn segment_cosines(
-    a: &[f32],
-    b: &[f32],
+pub fn segment_cosines<E: Element>(
+    a: &[E],
+    b: &[E],
     seg: usize,
     segs: &[usize],
     a_norms: &[f32],
@@ -662,9 +718,9 @@ pub fn segment_cosines(
 
 /// The chunked-scalar path of [`segment_cosines`], for the scalar
 /// backend.
-pub fn segment_cosines_scalar(
-    a: &[f32],
-    b: &[f32],
+pub fn segment_cosines_scalar<E: Element>(
+    a: &[E],
+    b: &[E],
     seg: usize,
     segs: &[usize],
     a_norms: &[f32],
@@ -1094,6 +1150,36 @@ mod avx2 {
         }
     }
 
+    /// # Safety
+    /// Requires AVX2 and F16C, and `dst` at least as long as `src`.
+    #[target_feature(enable = "avx2", enable = "f16c")]
+    pub(super) unsafe fn f16_encode_f16c_raw(src: &[f32], dst: &mut [f16]) {
+        debug_assert!(dst.len() >= src.len());
+        let sign_bit = _mm256_set1_epi32(0x8000_0000u32 as i32);
+        // A quiet NaN with an empty payload converts to sign | 0x7E00,
+        // the one NaN the software conversion produces.
+        let canon_nan = _mm256_set1_epi32(0x7FC0_0000);
+        let chunks = src.len() / 8;
+        for ci in 0..chunks {
+            // SAFETY: `ci < src.len() / 8`, so lanes `ci*8..ci*8+8` are
+            // in bounds of `src`.
+            let x = unsafe { _mm256_loadu_ps(src.as_ptr().add(ci * 8)) };
+            let xi = _mm256_castps_si256(x);
+            let canon =
+                _mm256_castsi256_ps(_mm256_or_si256(_mm256_and_si256(xi, sign_bit), canon_nan));
+            let is_nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x);
+            let h =
+                _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(_mm256_blendv_ps(x, canon, is_nan));
+            // SAFETY: `dst` is at least as long as `src` (the caller's
+            // contract), so its eight `repr(transparent)` u16 elements
+            // at `ci*8` are one in-bounds 128-bit store.
+            unsafe { _mm_storeu_si128(dst.as_mut_ptr().add(ci * 8) as *mut __m128i, h) };
+        }
+        for (d, &v) in dst[chunks * 8..].iter_mut().zip(&src[chunks * 8..]) {
+            *d = f16::from_f32(v);
+        }
+    }
+
     /// Eight-segment dot batch of `segment_map`: per grouped segment
     /// `s`, the frozen-lane-order dot of `a` and `b` over
     /// `s·seg .. (s+1)·seg`, in group order. The eight accumulator
@@ -1103,13 +1189,18 @@ mod avx2 {
     /// joins the two halves — exactly the operand pairs of
     /// `reduce_lanes`.
     ///
+    /// FP16 rows load eight elements (one 128-bit load) and widen
+    /// them exactly with `vcvtph2ps`; f32 rows load directly. The
+    /// branch is on a constant, so each element type compiles to its
+    /// own straight-line loop.
+    ///
     /// # Safety
-    /// Requires AVX2, `seg` a multiple of 8, and `(s+1)·seg` at most
-    /// the length of `a` and of `b` for every grouped `s`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn segment_dots8_avx2_raw(
-        a: &[f32],
-        b: &[f32],
+    /// Requires AVX2 and F16C, `seg` a multiple of 8, and `(s+1)·seg`
+    /// at most the length of `a` and of `b` for every grouped `s`.
+    #[target_feature(enable = "avx2", enable = "f16c")]
+    pub(super) unsafe fn segment_dots8_avx2_raw<E: Element>(
+        a: &[E],
+        b: &[E],
         seg: usize,
         group: &[usize; 8],
     ) -> [f32; 8] {
@@ -1123,12 +1214,22 @@ mod avx2 {
                 let at = s * seg + ci * 8;
                 // SAFETY: `ci*8 + 8 <= seg` and `(s+1)·seg` is within
                 // both slices (the caller's contract), so the eight
-                // lanes at `at` are in bounds of both.
+                // elements at `at` are in bounds of both; an `f16` is
+                // a `repr(transparent)` `u16`, so eight of them are
+                // exactly one unaligned 128-bit load.
                 let (va, vb) = unsafe {
-                    (
-                        _mm256_loadu_ps(a.as_ptr().add(at)),
-                        _mm256_loadu_ps(b.as_ptr().add(at)),
-                    )
+                    let (pa, pb) = (a.as_ptr().add(at), b.as_ptr().add(at));
+                    if E::IS_F16 {
+                        (
+                            _mm256_cvtph_ps(_mm_loadu_si128(pa as *const __m128i)),
+                            _mm256_cvtph_ps(_mm_loadu_si128(pb as *const __m128i)),
+                        )
+                    } else {
+                        (
+                            _mm256_loadu_ps(pa as *const f32),
+                            _mm256_loadu_ps(pb as *const f32),
+                        )
+                    }
                 };
                 *v = _mm256_add_ps(*v, _mm256_mul_ps(va, vb));
             }
@@ -1280,8 +1381,8 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 use avx2::{
     absmax_avx2_raw, box_muller_fill_avx2_raw, cos_fill_avx2_raw, dot8_pairs_avx2_raw,
-    dot_lanes_avx2_raw, f16_round_fill_f16c_raw, int8_round_fill_avx2_raw, ln_fill_avx2_raw,
-    segment_dots8_avx2_raw,
+    dot_lanes_avx2_raw, f16_encode_f16c_raw, f16_round_fill_f16c_raw, int8_round_fill_avx2_raw,
+    ln_fill_avx2_raw, segment_dots8_avx2_raw,
 };
 
 #[cfg(test)]

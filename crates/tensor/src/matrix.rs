@@ -1,23 +1,103 @@
-//! Dense row-major `f32` matrices: the activation buffers the
-//! synthesiser fills, the stage kernels convert and the similarity
-//! gather reads row by row.
+//! Dense row-major matrices: the activation buffers the synthesiser
+//! fills, the stage kernels convert and the similarity gather reads row
+//! by row.
+//!
+//! The element type is the stored precision. `Matrix` alone means
+//! `Matrix<f32>`, the full-precision buffer every reference path uses;
+//! `Matrix<f16>` holds FP16 bits, half the bytes, for stages whose
+//! datapath precision is FP16. Both go through one [`Element`]-generic
+//! store: a row of either type is a kernel operand ([`RowRef`]) that
+//! the segment kernels widen exactly on load.
 
-/// A dense row-major matrix of `f32` values.
+use core::fmt;
+
+use crate::backend::{Backend, RowRef};
+use crate::half::f16;
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f32 {}
+    impl Sealed for crate::half::f16 {}
+}
+
+/// An element type a [`Matrix`] can store: `f32`, or [`f16`](struct@f16) bits at
+/// the FP16 datapath's precision. Sealed: the kernels know exactly
+/// these two.
+pub trait Element:
+    Copy + Default + PartialEq + fmt::Debug + Send + Sync + 'static + sealed::Sealed
+{
+    /// Whether the element is FP16 bits. The SIMD kernels load such
+    /// rows through `vcvtph2ps`, eight elements per 128-bit load.
+    const IS_F16: bool;
+
+    /// The stored value as the f32 the datapath computes with. Exact:
+    /// every binary16 value is an f32.
+    fn widen(self) -> f32;
+
+    /// Borrows a row of these elements as a kernel operand.
+    fn row_ref(row: &[Self]) -> RowRef<'_>;
+
+    /// Stores one datapath row `src` into `dst` at this element's
+    /// precision: a copy for `f32`, and for [`f16`](struct@f16) one
+    /// [`Backend::f16_encode`] launch, whose bits widen back to
+    /// exactly what [`Backend::f16_round`] would have left in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    fn store(src: &[f32], dst: &mut [Self], backend: &dyn Backend);
+}
+
+impl Element for f32 {
+    const IS_F16: bool = false;
+
+    #[inline]
+    fn widen(self) -> f32 {
+        self
+    }
+
+    fn row_ref(row: &[f32]) -> RowRef<'_> {
+        RowRef::F32(row)
+    }
+
+    fn store(src: &[f32], dst: &mut [f32], _backend: &dyn Backend) {
+        dst.copy_from_slice(src);
+    }
+}
+
+impl Element for f16 {
+    const IS_F16: bool = true;
+
+    #[inline]
+    fn widen(self) -> f32 {
+        self.to_f32()
+    }
+
+    fn row_ref(row: &[f16]) -> RowRef<'_> {
+        RowRef::F16(row)
+    }
+
+    fn store(src: &[f32], dst: &mut [f16], backend: &dyn Backend) {
+        backend.f16_encode(src, dst);
+    }
+}
+
+/// A dense row-major matrix of `E` values (`f32` by default).
 ///
 /// # Examples
 ///
 /// ```
 /// use focus_tensor::Matrix;
 ///
-/// let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+/// let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
 /// assert_eq!(m[(1, 0)], 3.0);
 /// assert_eq!(m.row(1), &[3.0, 4.0]);
 /// ```
 #[derive(Clone, Debug, PartialEq, Default)]
-pub struct Matrix {
+pub struct Matrix<E = f32> {
     rows: usize,
     cols: usize,
-    data: Vec<f32>,
+    data: Vec<E>,
 }
 
 impl Matrix {
@@ -57,34 +137,9 @@ impl Matrix {
         );
         Matrix { rows, cols, data }
     }
+}
 
-    /// Creates a matrix from row slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows have inconsistent lengths.
-    pub fn from_rows(rows: &[Vec<f32>]) -> Self {
-        if rows.is_empty() {
-            return Matrix::zeros(0, 0);
-        }
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(r.len(), cols, "row {i} has length {} != {}", r.len(), cols);
-            data.extend_from_slice(r);
-        }
-        Matrix {
-            rows: rows.len(),
-            cols,
-            data,
-        }
-    }
-
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        Matrix::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
-    }
-
+impl<E: Element> Matrix<E> {
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -109,6 +164,13 @@ impl Matrix {
         self.data.is_empty()
     }
 
+    /// Bytes of element storage the matrix holds: its allocation's
+    /// capacity, which [`Matrix::resize`] keeps at the high-water
+    /// shape.
+    pub fn held_bytes(&self) -> usize {
+        self.data.capacity() * core::mem::size_of::<E>()
+    }
+
     /// Reshapes the matrix to `rows × cols` in place, reusing the
     /// existing allocation where possible. Elements beyond the old
     /// total length are zero; all others keep their raw storage values
@@ -119,7 +181,7 @@ impl Matrix {
     pub fn resize(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
-        self.data.resize(rows * cols, 0.0);
+        self.data.resize(rows * cols, E::default());
     }
 
     /// Borrows row `r` as a slice.
@@ -128,7 +190,7 @@ impl Matrix {
     ///
     /// Panics if `r` is out of bounds.
     #[inline]
-    pub fn row(&self, r: usize) -> &[f32] {
+    pub fn row(&self, r: usize) -> &[E] {
         assert!(r < self.rows, "row {r} out of bounds ({} rows)", self.rows);
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
@@ -139,46 +201,37 @@ impl Matrix {
     ///
     /// Panics if `r` is out of bounds.
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
+    pub fn row_mut(&mut self, r: usize) -> &mut [E] {
         assert!(r < self.rows, "row {r} out of bounds ({} rows)", self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Borrows the underlying row-major storage.
     #[inline]
-    pub fn as_slice(&self) -> &[f32] {
+    pub fn as_slice(&self) -> &[E] {
         &self.data
     }
 
     /// Mutably borrows the underlying row-major storage.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+    pub fn as_mut_slice(&mut self) -> &mut [E] {
         &mut self.data
-    }
-
-    /// Rounds every element through binary16, modelling FP16 storage.
-    ///
-    /// Delegates to the batched [`crate::math::f16_round_fill`] kernel,
-    /// which is bit-identical to applying [`crate::half::round_to_f16`]
-    /// per element.
-    pub fn round_to_f16(&mut self) {
-        crate::math::f16_round_fill(&mut self.data);
     }
 }
 
-impl core::ops::Index<(usize, usize)> for Matrix {
-    type Output = f32;
+impl<E> core::ops::Index<(usize, usize)> for Matrix<E> {
+    type Output = E;
 
     #[inline]
-    fn index(&self, (r, c): (usize, usize)) -> &f32 {
+    fn index(&self, (r, c): (usize, usize)) -> &E {
         debug_assert!(r < self.rows && c < self.cols);
         &self.data[r * self.cols + c]
     }
 }
 
-impl core::ops::IndexMut<(usize, usize)> for Matrix {
+impl<E> core::ops::IndexMut<(usize, usize)> for Matrix<E> {
     #[inline]
-    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f32 {
+    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut E {
         debug_assert!(r < self.rows && c < self.cols);
         &mut self.data[r * self.cols + c]
     }
@@ -187,6 +240,7 @@ impl core::ops::IndexMut<(usize, usize)> for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend;
 
     #[test]
     fn resize_reuses_storage_and_zeroes_growth() {
@@ -202,8 +256,23 @@ mod tests {
     #[test]
     fn fp16_rounding_applies_elementwise() {
         let mut a = Matrix::from_vec(1, 2, vec![0.1, 2.0]);
-        a.round_to_f16();
+        backend::scalar_ref().f16_round(&mut a);
         assert_ne!(a[(0, 0)], 0.1);
         assert_eq!(a[(0, 1)], 2.0);
+    }
+
+    #[test]
+    fn fp16_store_holds_half_the_bytes_and_widens_to_the_rounded_values() {
+        let src = Matrix::from_fn(3, 8, |r, c| (r * 8 + c) as f32 * 0.1 - 1.0);
+        let mut rounded = src.clone();
+        backend::scalar_ref().f16_round(&mut rounded);
+        let mut stored: Matrix<f16> = Matrix::default();
+        stored.resize(3, 8);
+        for r in 0..3 {
+            f16::store(src.row(r), stored.row_mut(r), backend::simd());
+        }
+        let widened: Vec<f32> = stored.as_slice().iter().map(|h| h.widen()).collect();
+        assert_eq!(widened, rounded.as_slice());
+        assert_eq!(stored.held_bytes() * 2, rounded.held_bytes());
     }
 }

@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn per_row_scaling_isolates_outliers() {
         // A huge value in row 0 must not destroy row 1's precision.
-        let m = Matrix::from_rows(&[vec![1000.0, 1.0], vec![0.01, 0.02]]);
+        let m = Matrix::from_vec(2, 2, vec![1000.0, 1.0, 0.01, 0.02]);
         let q = fake_quantize(&m);
         assert!((q[(1, 0)] - 0.01).abs() < 0.001);
         assert!((q[(1, 1)] - 0.02).abs() < 0.001);

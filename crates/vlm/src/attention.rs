@@ -10,6 +10,7 @@
 //! the Fig. 2(a) behaviour where attention mass moves with the question
 //! (dog → flower) rather than with any static metric.
 
+use focus_tensor::backend::{self, BackendHandle};
 use focus_tensor::Matrix;
 
 use crate::embedding::SplitMix64;
@@ -76,6 +77,8 @@ pub struct AttentionSynthesizer<'a> {
     text_tokens: usize,
     heads: usize,
     seed: u64,
+    /// Kernel backend the per-row logit noise fills dispatch through.
+    backend: BackendHandle,
 }
 
 impl<'a> AttentionSynthesizer<'a> {
@@ -94,7 +97,15 @@ impl<'a> AttentionSynthesizer<'a> {
             text_tokens,
             heads,
             seed,
+            backend: backend::active(),
         }
+    }
+
+    /// Replaces the kernel backend (the process-wide
+    /// [`backend::active`] by default).
+    pub fn with_backend(mut self, backend: BackendHandle) -> Self {
+        self.backend = backend;
+        self
     }
 
     /// Number of attention heads.
@@ -133,9 +144,9 @@ impl<'a> AttentionSynthesizer<'a> {
                 (rel_boost, 0.8 * patch.saliency)
             })
             .collect();
-        // One batched draw per row: `fill_normals` yields exactly the
-        // values (and leaves the generator where) one `next_normal`
-        // per column would.
+        // One batched draw per row through the backend's fill kernel:
+        // it yields exactly the values (and leaves the generator where)
+        // one `next_normal` per column would.
         let mut noise = vec![0.0f32; retained.len()];
         for i in 0..t_cnt {
             // Is this text token a content word that binds to the target?
@@ -156,7 +167,7 @@ impl<'a> AttentionSynthesizer<'a> {
             } else {
                 0.15 + 0.25 * rng.next_unit() as f32
             };
-            rng.fill_normals(&mut noise);
+            rng.fill_normals_with(self.backend, &mut noise);
             let row = out.row_mut(i);
             for ((v, &(rel_boost, saliency)), &n) in row.iter_mut().zip(&columns).zip(&noise) {
                 *v = rel_boost * affinity + saliency + n * 0.6;

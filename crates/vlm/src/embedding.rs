@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use focus_tensor::backend::{self, BackendHandle};
-use focus_tensor::Matrix;
+use focus_tensor::{Element, Matrix};
 
 use crate::dataset::RedundancyProfile;
 use crate::scene::{
@@ -163,7 +163,7 @@ impl SplitMix64 {
 
     /// Standard normal sample (Box–Muller over the fixed-polynomial
     /// kernel, one value per call). Bit-identical to the corresponding
-    /// position of a [`SplitMix64::fill_normals`] batch.
+    /// position of a [`SplitMix64::fill_normals_with`] batch.
     #[inline]
     pub fn next_normal(&mut self) -> f32 {
         let r1 = self.next_u64();
@@ -171,25 +171,13 @@ impl SplitMix64 {
         focus_tensor::math::normal_from_raw(r1, r2)
     }
 
-    /// Fills `out` with standard normal samples, consuming exactly two
-    /// raw words per value — the batched form of
-    /// [`SplitMix64::next_normal`]. The fill runs through
-    /// [`focus_tensor::math::box_muller_fill`]'s runtime-dispatched
-    /// SIMD kernel, and the generator advances as if each value had
-    /// been drawn one call at a time, so batched and sequential draws
-    /// produce interchangeable streams.
-    #[inline]
-    pub fn fill_normals(&mut self, out: &mut [f32]) {
-        focus_tensor::math::box_muller_fill(self.0, out);
-        self.0 = self
-            .0
-            .wrapping_add(focus_tensor::math::GAMMA.wrapping_mul(2 * out.len() as u64));
-    }
-
-    /// [`SplitMix64::fill_normals`] through an explicit [`Backend`]
-    /// handle — the synthesis-fill kernel the stage pipeline
-    /// dispatches. The generator advances identically on every
-    /// backend, and the backends fill bit-identical values.
+    /// Fills `out` with standard normal samples through the
+    /// synthesis-fill kernel of an explicit [`Backend`] handle,
+    /// consuming exactly two raw words per value — the batched form of
+    /// [`SplitMix64::next_normal`]. The generator advances as if each
+    /// value had been drawn one call at a time, so batched and
+    /// sequential draws produce interchangeable streams, and the
+    /// backends fill bit-identical values.
     ///
     /// [`Backend`]: focus_tensor::backend::Backend
     #[inline]
@@ -347,6 +335,9 @@ pub struct ActivationSynthesizer<'a> {
     /// every token showing that content (flushed with the context,
     /// like the appearance memo).
     stability_cache: HashMap<(ContentKey, usize), Vec<bool>, FnvBuild>,
+    /// The full-precision row a matrix fill synthesises before storing
+    /// it at the buffer's precision (recycled across rows and calls).
+    row: Vec<f32>,
 }
 
 impl<'a> ActivationSynthesizer<'a> {
@@ -363,6 +354,7 @@ impl<'a> ActivationSynthesizer<'a> {
             cache_salt: u64::MAX,
             appearance_cache: HashMap::default(),
             stability_cache: HashMap::default(),
+            row: Vec::new(),
         }
     }
 
@@ -554,20 +546,29 @@ impl<'a> ActivationSynthesizer<'a> {
     /// a recycled buffer yields values bit-identical to a fresh
     /// allocation; together with the memo cache this makes the
     /// synthesiser safe to keep resident across layers and stages.
-    pub fn activations_into(
+    ///
+    /// `out` stores at its element's precision: each row is produced
+    /// in f32 and stored as it is produced ([`Element::store`]), so an
+    /// FP16 buffer receives one encode launch per row and never holds
+    /// a full-precision copy of the matrix.
+    pub fn activations_into<E: Element>(
         &mut self,
         tokens: &[usize],
         layer: usize,
         stage: Stage,
         width: usize,
-        out: &mut Matrix,
+        out: &mut Matrix<E>,
     ) {
         out.resize(tokens.len(), width);
         let salt = self.stability_model().context_salt(layer, stage);
+        let mut row = std::mem::take(&mut self.row);
+        row.resize(width, 0.0);
         // Rows are in `tokens` order.
         for (i, &t) in tokens.iter().enumerate() {
-            self.salted_row(t, layer, salt, out.row_mut(i));
+            self.salted_row(t, layer, salt, &mut row);
+            E::store(&row, out.row_mut(i), self.backend);
         }
+        self.row = row;
     }
 
     /// Cosine-similarity samples between temporally adjacent tokens at
@@ -956,7 +957,7 @@ mod tests {
     fn fill_normals_matches_sequential_draws() {
         let mut batched = SplitMix64(123);
         let mut buf = vec![0.0f32; 19];
-        batched.fill_normals(&mut buf);
+        batched.fill_normals_with(backend::active(), &mut buf);
         let mut sequential = SplitMix64(123);
         for (i, &v) in buf.iter().enumerate() {
             assert_eq!(

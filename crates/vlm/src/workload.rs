@@ -213,6 +213,15 @@ impl Workload {
         )
     }
 
+    /// [`Workload::attention_synthesizer`] with an explicit kernel
+    /// backend instead of the process-wide default.
+    pub fn attention_synthesizer_on(
+        &self,
+        backend: focus_tensor::BackendHandle,
+    ) -> AttentionSynthesizer<'_> {
+        self.attention_synthesizer().with_backend(backend)
+    }
+
     /// Ground-truth prompt relevance per image token (measured scale).
     pub fn relevance(&self) -> Vec<f64> {
         relevance(&self.scene, &self.prompt)
@@ -404,6 +413,65 @@ mod tests {
             }
         }
         assert!(proved > 20, "theorem exercised on {proved} tiles only");
+    }
+
+    #[test]
+    fn int8_fake_quantize_breaks_the_carry_proof_on_a_stable_tile() {
+        // The carry theorem covers synthesised bytes only. INT8
+        // fake-quantisation scales each row by its absmax, which the
+        // row's unstable (noisy) groups take part in, so a proved-stable
+        // tile of a signature-stable token can still change bytes from
+        // one frame to the next once quantised. Probe for such a tile
+        // instead of naming one: INT8 sessions must not carry.
+        use crate::embedding::Stage;
+        use focus_tensor::{quant, Matrix};
+        let stream = SceneStream {
+            seed: 11,
+            correlation: 1.0,
+        };
+        let mk = |index| {
+            Workload::stream_frame(
+                ModelKind::LlavaVideo7B,
+                DatasetKind::VideoMme,
+                WorkloadScale::tiny(),
+                stream,
+                index,
+            )
+        };
+        let (a, b) = (mk(0), mk(1));
+        let (_, sigs_a) = a.temporal_signatures();
+        let (_, sigs_b) = b.temporal_signatures();
+        let model = b.stability_model();
+        let mut syn_a = a.activation_synthesizer();
+        let mut syn_b = b.activation_synthesizer();
+        let (width, v_len) = (64, 32);
+        let (mut ra, mut rb) = (vec![0.0; width], vec![0.0; width]);
+        let same = |x: &[f32], y: &[f32]| x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits());
+        let mut broken = None;
+        'probe: for (layer, stage) in [(0, Stage::PvOut), (2, Stage::FfnAct)] {
+            for t in 0..a.image_tokens_scaled() {
+                if sigs_a[t] != sigs_b[t] {
+                    continue;
+                }
+                syn_a.token_row(t, layer, stage, &mut ra);
+                syn_b.token_row(t, layer, stage, &mut rb);
+                let qa = quant::fake_quantize(&Matrix::from_vec(1, width, ra.clone()));
+                let qb = quant::fake_quantize(&Matrix::from_vec(1, width, rb.clone()));
+                let tiles = model.tile_pattern(sigs_a[t].primary, layer, stage, width, v_len);
+                for (ct, &stable) in tiles.iter().enumerate() {
+                    let cols = ct * v_len..((ct + 1) * v_len).min(width);
+                    if stable && !same(&qa.row(0)[cols.clone()], &qb.row(0)[cols.clone()]) {
+                        assert!(same(&ra[cols.clone()], &rb[cols]), "raw bytes held");
+                        broken = Some((t, layer, ct));
+                        break 'probe;
+                    }
+                }
+            }
+        }
+        assert!(
+            broken.is_some(),
+            "no proved-stable tile changed under INT8; the carry stand-aside may be lifted"
+        );
     }
 
     #[test]

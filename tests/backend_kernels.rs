@@ -11,18 +11,19 @@
 //!   for several cells, both schedules and both precisions.
 //! * **Dispatch completeness** — a counting backend that forwards to
 //!   `Simd` sees every stage-level kernel family launched through the
-//!   trait, proving the stage graph routes all five through it
-//!   (nothing is open-coded behind its back).
+//!   trait, SEC's attention noise included, proving the stage graph
+//!   routes all five through it (nothing is open-coded behind its
+//!   back).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use focus::core::exec::{GatherStage, LayerCtx, StageWorkspace};
+use focus::core::exec::{GatherStage, LayerCtx, SemanticStage, StageWorkspace};
 use focus::core::pipeline::{FocusPipeline, PipelineResult};
 use focus::core::sic::{scatter_on, ConvLayouter, Fhw, SimilarityMap};
 use focus::core::FocusConfig;
 use focus::sim::ArchConfig;
-use focus::tensor::backend::{scalar_ref, simd, Backend};
-use focus::tensor::{DataType, Matrix};
+use focus::tensor::backend::{scalar_ref, simd, Backend, RowRef, RowRef::F32};
+use focus::tensor::{f16, DataType, Matrix};
 use focus::vlm::embedding::Stage;
 use focus::vlm::{DatasetKind, ModelKind, Workload, WorkloadScale};
 use proptest::prelude::*;
@@ -75,6 +76,34 @@ fn segmented_row(width: usize, seg: usize, salt: usize, scale: f32, zero_mod: us
         .collect()
 }
 
+/// Probe patterns for the FP16 encode, from one raw word: the raw bits
+/// themselves, a value in the FP16 normal range, one on the FP16
+/// subnormal grid or below it (underflow to ±0), or an edge pattern —
+/// each with the word's sign and mantissa bits.
+fn f16_probe(raw: u32) -> f32 {
+    const EDGES: [u32; 10] = [
+        0x0000_0000, // ±0
+        0x7F80_0000, // ±inf
+        0x7FC0_0000, // quiet NaN
+        0x7F80_0001, // signalling NaN
+        0x7FFF_FFFF, // NaN, full payload
+        0x477F_F000, // 65520: the overflow midpoint (→ inf)
+        0x477F_E000, // 65504: the largest finite FP16
+        0x3380_0000, // 2⁻²⁴: the smallest FP16 subnormal
+        0x3300_0000, // 2⁻²⁵: a tie that rounds to zero
+        0x3380_1000, // ties-to-even on the subnormal grid
+    ];
+    let sign = raw & 0x8000_0000;
+    let mant = raw & 0x007F_FFFF;
+    let pick = (raw >> 23) & 0xFF;
+    f32::from_bits(match pick % 4 {
+        0 => raw,
+        1 => sign | ((113 + pick % 30) << 23) | mant,
+        2 => sign | ((100 + pick % 14) << 23) | mant,
+        _ => sign | EDGES[mant as usize % EDGES.len()],
+    })
+}
+
 /// Segment indices into `count` segments: all of them in order for
 /// `kind` 0, otherwise a shuffled two-thirds subset, with its first
 /// index repeated for `kind` 2.
@@ -117,22 +146,22 @@ proptest! {
         let (s, f) = (scalar_ref(), simd());
 
         let mut norm = vec![0.0f32; count];
-        s.segment_norms(row, seg, &all, &mut norm);
+        s.segment_norms(F32(row), seg, &all, &mut norm);
         let mut norm_f = vec![0.0f32; count];
-        f.segment_norms(row, seg, &all, &mut norm_f);
+        f.segment_norms(F32(row), seg, &all, &mut norm_f);
         assert_bits_eq(&norm_f, &norm, "row segment_norms simd vs scalar");
         for c in 0..n_cands {
             let cand = synth_values(width, salt + 7 * c + 1, scale);
             let mut cand_norm = vec![0.0f32; count];
-            s.segment_norms(&cand, seg, &all, &mut cand_norm);
+            s.segment_norms(F32(&cand), seg, &all, &mut cand_norm);
             let mut cand_norm_f = vec![0.0f32; count];
-            f.segment_norms(&cand, seg, &all, &mut cand_norm_f);
+            f.segment_norms(F32(&cand), seg, &all, &mut cand_norm_f);
             assert_bits_eq(&cand_norm_f, &cand_norm, "candidate segment_norms simd vs scalar");
 
             let mut scalar = vec![0.0f32; count];
-            s.segment_scores(row, &cand, seg, &all, &norm, &cand_norm, &mut scalar);
+            s.segment_scores(F32(row), F32(&cand), seg, &all, &norm, &cand_norm, &mut scalar);
             let mut dispatched = vec![0.0f32; count];
-            f.segment_scores(row, &cand, seg, &all, &norm, &cand_norm, &mut dispatched);
+            f.segment_scores(F32(row), F32(&cand), seg, &all, &norm, &cand_norm, &mut dispatched);
             assert_bits_eq(&dispatched, &scalar, "segment_scores simd vs scalar");
             for &cos in &scalar {
                 prop_assert!((-1.0..=1.0).contains(&cos), "cosine {cos} out of range");
@@ -171,9 +200,9 @@ proptest! {
         let mut norms = Vec::new();
         for row in [&a, &b] {
             let mut scalar = vec![UNTOUCHED; count];
-            s.segment_norms(row, seg, &segs, &mut scalar);
+            s.segment_norms(F32(row), seg, &segs, &mut scalar);
             let mut dispatched = vec![UNTOUCHED; count];
-            f.segment_norms(row, seg, &segs, &mut dispatched);
+            f.segment_norms(F32(row), seg, &segs, &mut dispatched);
             assert_bits_eq(&dispatched, &scalar, "segment_norms simd vs scalar");
             for (i, &n) in scalar.iter().enumerate() {
                 let want = if listed(i) {
@@ -197,9 +226,9 @@ proptest! {
 
         let (an, bn) = (&norms[0], &norms[1]);
         let mut scalar = vec![UNTOUCHED; count];
-        s.segment_scores(&a, &b, seg, &segs, an, bn, &mut scalar);
+        s.segment_scores(F32(&a), F32(&b), seg, &segs, an, bn, &mut scalar);
         let mut dispatched = vec![UNTOUCHED; count];
-        f.segment_scores(&a, &b, seg, &segs, an, bn, &mut dispatched);
+        f.segment_scores(F32(&a), F32(&b), seg, &segs, an, bn, &mut dispatched);
         assert_bits_eq(&dispatched, &scalar, "segment_scores simd vs scalar");
         for (i, &c) in scalar.iter().enumerate() {
             let want = if listed(i) {
@@ -255,7 +284,7 @@ proptest! {
         assert_bits_eq(&an_f, &an, "row_norms simd vs scalar");
         for p in 0..n_pairs {
             let mut one = [0.0f32];
-            s.segment_norms(pa[p], width, &[0], &mut one);
+            s.segment_norms(F32(pa[p]), width, &[0], &mut one);
             prop_assert_eq!(an[p].to_bits(), one[0].to_bits());
         }
 
@@ -269,7 +298,7 @@ proptest! {
         for (p, &c) in scalar.iter().enumerate() {
             prop_assert!((-1.0..=1.0).contains(&c), "cosine {c} out of range");
             let mut one = [0.0f32];
-            s.segment_scores(pa[p], pb[p], width, &[0], &an[p..=p], &bn[p..=p], &mut one);
+            s.segment_scores(F32(pa[p]), F32(pb[p]), width, &[0], &an[p..=p], &bn[p..=p], &mut one);
             prop_assert_eq!(c.to_bits(), one[0].to_bits());
         }
     }
@@ -299,6 +328,84 @@ proptest! {
         let mut dispatched = m;
         simd().f16_round(&mut dispatched);
         assert_matrix_bits_eq(&dispatched, &scalar, "f16_round simd vs scalar");
+    }
+
+    /// The FP16 store's row encode, bit for bit: `Simd` ≡ `ScalarRef`,
+    /// and widening the encoded bits gives exactly what `f16_round`
+    /// leaves in place — over raw f32 patterns, the FP16 normal range,
+    /// the subnormal grid and underflow, and edge patterns (±0, ±inf,
+    /// NaNs with any payload, which encode to the canonical
+    /// `sign | 0x7E00`, the overflow midpoint and the rounding ties),
+    /// at every SIMD tail length.
+    #[test]
+    fn f16_encode_reproduces_f16_round_on_both_backends(
+        raw in proptest::collection::vec(0u32..u32::MAX, 0..40),
+    ) {
+        let xs: Vec<f32> = raw.iter().map(|&r| f16_probe(r)).collect();
+        let mut scalar = vec![f16::ZERO; xs.len()];
+        scalar_ref().f16_encode(&xs, &mut scalar);
+        let mut dispatched = vec![f16::from_bits(0x5555); xs.len()];
+        simd().f16_encode(&xs, &mut dispatched);
+        let mut rounded = Matrix::from_vec(1, xs.len(), xs.clone());
+        scalar_ref().f16_round(&mut rounded);
+        for (i, &x) in xs.iter().enumerate() {
+            let (bits, h) = (x.to_bits(), scalar[i].to_bits());
+            prop_assert!(dispatched[i].to_bits() == h, "encode simd vs scalar of {bits:#010x}");
+            prop_assert!(
+                scalar[i].to_f32().to_bits() == rounded.as_slice()[i].to_bits(),
+                "widened encode vs f16_round of {bits:#010x}"
+            );
+            if x.is_nan() {
+                let sign = (bits >> 16) as u16 & 0x8000;
+                prop_assert!(h == sign | 0x7E00, "NaN {bits:#010x} encoded to {h:#06x}");
+            }
+        }
+    }
+
+    /// The segment kernels over FP16 rows equal the f32 kernels over
+    /// the widened rows, bit for bit, on both backends: FP16 elements
+    /// widen exactly on load, so the gather sweep may read the FP16
+    /// store directly. Same shapes as the f32 oracle test above.
+    #[test]
+    fn f16_row_segment_kernels_match_f32_kernels_on_widened_rows(
+        width in 1usize..=300,
+        seg_pick in 0usize..6,
+        salt in 0usize..1000,
+        exp in -20i32..20,
+        kind in 0usize..3,
+    ) {
+        const UNTOUCHED: f32 = -7.25;
+        let scale = (exp as f32).exp2();
+        let seg = SEG_WIDTHS[seg_pick];
+        let count = width.div_ceil(seg);
+        let encode = |row: &[f32]| {
+            let mut bits = vec![f16::ZERO; row.len()];
+            simd().f16_encode(row, &mut bits);
+            let widened: Vec<f32> = bits.iter().map(|h| h.to_f32()).collect();
+            (bits, widened)
+        };
+        let (a16, a) = encode(&segmented_row(width, seg, salt, scale, 5));
+        let (b16, b) = encode(&segmented_row(width, seg, salt + 1, scale, 4));
+        let segs = index_list(count, salt, kind);
+        for backend in [scalar_ref(), simd()] {
+            let name = backend.name();
+            let mut norms = Vec::new();
+            for (row16, row) in [(&a16, &a), (&b16, &b)] {
+                let mut half = vec![UNTOUCHED; count];
+                backend.segment_norms(RowRef::F16(row16), seg, &segs, &mut half);
+                let mut full = vec![UNTOUCHED; count];
+                backend.segment_norms(F32(row), seg, &segs, &mut full);
+                assert_bits_eq(&half, &full, &format!("{name} segment_norms f16 vs widened"));
+                norms.push(full);
+            }
+            let mut half = vec![UNTOUCHED; count];
+            backend.segment_scores(
+                RowRef::F16(&a16), RowRef::F16(&b16), seg, &segs, &norms[0], &norms[1], &mut half,
+            );
+            let mut full = vec![UNTOUCHED; count];
+            backend.segment_scores(F32(&a), F32(&b), seg, &segs, &norms[0], &norms[1], &mut full);
+            assert_bits_eq(&half, &full, &format!("{name} segment_scores f16 vs widened"));
+        }
     }
 
     /// `Simd` ≡ `ScalarRef` bit for bit on scatter row replay, for any
@@ -346,10 +453,10 @@ fn zero_norm_conventions_hold_on_both_backends() {
     let b = [zero.clone(), unit.clone()].concat();
     for backend in [scalar_ref(), simd()] {
         let (mut an, mut bn) = ([0.0f32; 2], [0.0f32; 2]);
-        backend.segment_norms(&a, 11, &[0, 1], &mut an);
-        backend.segment_norms(&b, 11, &[0, 1], &mut bn);
+        backend.segment_norms(F32(&a), 11, &[0, 1], &mut an);
+        backend.segment_norms(F32(&b), 11, &[0, 1], &mut bn);
         let mut scores = [9.0f32; 2];
-        backend.segment_scores(&a, &b, 11, &[0, 1], &an, &bn, &mut scores);
+        backend.segment_scores(F32(&a), F32(&b), 11, &[0, 1], &an, &bn, &mut scores);
         assert_eq!(scores, [1.0, 0.0], "{} zero-segment scores", backend.name());
         let mut pairs = [9.0f32; 2];
         backend.score_pairs(
@@ -413,6 +520,7 @@ struct Counting {
     segment_scores: AtomicUsize,
     fake_quantize: AtomicUsize,
     f16_round: AtomicUsize,
+    f16_encode: AtomicUsize,
     scatter_rows: AtomicUsize,
     normal_fill: AtomicUsize,
 }
@@ -429,14 +537,14 @@ impl Backend for Counting {
     fn name(&self) -> &'static str {
         "counting"
     }
-    fn segment_norms(&self, row: &[f32], seg: usize, segs: &[usize], out: &mut [f32]) {
+    fn segment_norms(&self, row: RowRef<'_>, seg: usize, segs: &[usize], out: &mut [f32]) {
         bump(&self.segment_norms);
         simd().segment_norms(row, seg, segs, out)
     }
     fn segment_scores(
         &self,
-        a: &[f32],
-        b: &[f32],
+        a: RowRef<'_>,
+        b: RowRef<'_>,
         seg: usize,
         segs: &[usize],
         a_norms: &[f32],
@@ -467,6 +575,10 @@ impl Backend for Counting {
         bump(&self.f16_round);
         simd().f16_round(m)
     }
+    fn f16_encode(&self, src: &[f32], dst: &mut [f16]) {
+        bump(&self.f16_encode);
+        simd().f16_encode(src, dst)
+    }
     fn scatter_rows(&self, partial: &Matrix, reps: &[u32], out: &mut Matrix) {
         bump(&self.scatter_rows);
         simd().scatter_rows(partial, reps, out)
@@ -478,11 +590,13 @@ impl Backend for Counting {
 }
 
 /// A counting backend observes every kernel family of a two-layer,
-/// two-stage walk: synthesis fills, exactly one dtype conversion per
-/// `synth` (FP16 rounding or INT8 fake-quantise, by the stage's
-/// precision), segment norms and scores from the gather, and exactly
-/// one scatter replay per `scatter_on`. All five families dispatch
-/// through the trait.
+/// two-stage walk: synthesis fills, the dtype kernels by the stage's
+/// precision — an FP16 stage encodes each synthesised row as it is
+/// stored (one `f16_encode` per row, no whole-matrix `f16_round`), an
+/// INT8 stage fake-quantises exactly once per `synth` — segment norms
+/// and scores from the gather, the SEC attention synthesiser's noise
+/// fills, and exactly one scatter replay per `scatter_on`. All five
+/// families dispatch through the trait.
 #[test]
 fn counting_backend_sees_every_stage_kernel_family() {
     let counting: &'static Counting = Box::leak(Box::default());
@@ -509,21 +623,51 @@ fn counting_backend_sees_every_stage_kernel_family() {
                 retained: &retained,
                 positions: &positions,
             };
-            let converts = [count(&counting.f16_round), count(&counting.fake_quantize)];
+            let dtype_kernels = || {
+                [
+                    count(&counting.f16_round),
+                    count(&counting.f16_encode),
+                    count(&counting.fake_quantize),
+                ]
+            };
+            let [round, encode, quantize] = dtype_kernels();
             gather.synth(&ctx, &mut ws);
             let want = match dtype {
-                DataType::Fp16 => [converts[0] + 1, converts[1]],
-                DataType::Int8 => [converts[0], converts[1] + 1],
+                DataType::Fp16 => [round, encode + retained.len(), quantize],
+                DataType::Int8 => [round, encode, quantize + 1],
             };
-            let got = [count(&counting.f16_round), count(&counting.fake_quantize)];
             assert_eq!(
-                got, want,
-                "{stage:?} layer {layer}: one conversion per synth"
+                dtype_kernels(),
+                want,
+                "{stage:?} layer {layer}: one encode per FP16 row, one fake-quantise per INT8 synth"
             );
             gather.gather(&ctx, &mut ws);
         }
     }
     assert!(count(&counting.normal_fill) > 0, "synthesis fills");
+
+    // SEC's attention synthesiser draws its logit noise through the
+    // stage's backend too: one fill per text row and head.
+    let fills = count(&counting.normal_fill);
+    let semantic = SemanticStage::new_on(&config, &wl, counting);
+    let all: Vec<usize> = (0..wl.image_tokens_scaled()).collect();
+    let prune_layer = config.schedule.entries()[0].0;
+    let ctx = LayerCtx {
+        workload: &wl,
+        layer: prune_layer,
+        retained: &all,
+        positions: &[],
+    };
+    assert!(
+        semantic.prune_layer(&ctx).is_some(),
+        "layer {prune_layer} prunes"
+    );
+    let att = wl.attention_synthesizer();
+    assert_eq!(
+        count(&counting.normal_fill) - fills,
+        att.heads() * att.text_tokens(),
+        "one SEC noise fill per text row and head"
+    );
     assert!(count(&counting.segment_norms) > 0, "gather norms");
     assert!(count(&counting.segment_scores) > 0, "gather scores");
 

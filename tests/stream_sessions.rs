@@ -27,6 +27,8 @@ use focus::core::pipeline::{FocusPipeline, PipelineResult};
 use focus::core::sic::TemporalCacheConfig;
 use focus::core::FocusConfig;
 use focus::sim::ArchConfig;
+use focus::tensor::DataType;
+use focus::vlm::embedding::Stage;
 use focus::vlm::scene::SceneStream;
 use focus::vlm::{DatasetKind, ModelKind, Workload, WorkloadScale};
 use proptest::prelude::*;
@@ -516,6 +518,116 @@ fn correlated_stream_carries_rows_and_skips_gathers() {
     assert_eq!(
         service_stats.temporal_gathers_skipped,
         stats.gathers_skipped
+    );
+}
+
+/// INT8 sessions stand aside from temporal carry: INT8
+/// fake-quantisation scales each row by an absmax its noisy groups take
+/// part in, so the synthesis-level carry proof does not cover INT8
+/// bytes. A temporal INT8 session on a fully correlated stream —
+/// where an FP16 session carries from frame 1 on — carries nothing
+/// and stays bit-identical to the serial per-frame loop.
+#[test]
+fn int8_temporal_sessions_carry_nothing_and_match_the_serial_loop() {
+    let service = FocusService::new(ServiceConfig::with_threads(2));
+    let stream = SceneStream {
+        seed: 11,
+        correlation: 1.0,
+    };
+    let mut pipeline = graph_pipeline();
+    pipeline.dtype = DataType::Int8;
+    let mut session = StreamSession::open(
+        &service,
+        pipeline.clone(),
+        ArchConfig::focus(),
+        temporal_config(2, Some(TemporalCacheConfig::default())),
+    );
+    let serial = pipeline.with_exec_mode(ExecMode::Serial);
+    for f in 0..3 {
+        let streamed = session.push_frame(stream_workload(stream, f)).wait();
+        let reference = serial.run(&stream_workload(stream, f), &ArchConfig::focus());
+        assert_identical(&streamed, &reference, &format!("INT8 temporal frame {f}"));
+    }
+    session.flush();
+    let stats = session.stats();
+    assert_eq!(stats.temporal_hits, 0, "INT8 must never carry: {stats:?}");
+    assert_eq!(stats.gathers_skipped, 0);
+    assert!(stats.temporal_misses > 0, "the cache was probed: {stats:?}");
+}
+
+/// The `session.scratch_bytes` gauge: the activation bytes a session's
+/// stage-scratch ring holds. Every slot is sized by the largest layer
+/// it served: ring slot `k` of a gather stage serves the measured
+/// layers whose ordinal is `k` mod depth, at `retained × stage width`
+/// elements. An FP16 stream stores 2-byte elements; the gauge equals
+/// that sum exactly, stays flat from frame 10 on, and is exactly half
+/// of the same feed's INT8 (f32) ring.
+#[test]
+fn scratch_gauge_counts_the_fp16_ring_and_stays_flat() {
+    const DEPTH: usize = 2;
+    const FRAMES: u64 = 30;
+    let service = FocusService::new(ServiceConfig::with_threads(2));
+    let stream = SceneStream {
+        seed: 5,
+        correlation: 0.9,
+    };
+    let frame = |f| {
+        Workload::stream_frame(
+            ModelKind::MiniCpmV26,
+            DatasetKind::VideoMme,
+            WorkloadScale::tiny(),
+            stream,
+            f,
+        )
+    };
+    let gauge = |session: &StreamSession<'_>| session.snapshot().u64("session.scratch_bytes");
+    let pipeline = FocusPipeline::paper().with_exec_mode(ExecMode::Graph { depth: DEPTH });
+    let mut session = StreamSession::open(
+        &service,
+        pipeline.clone(),
+        ArchConfig::focus(),
+        temporal_config(1, Some(TemporalCacheConfig::default())),
+    );
+    let mut slot_rows = [0usize; DEPTH];
+    let mut at_frame_10 = 0;
+    for f in 0..FRAMES {
+        let result = session.push_frame(frame(f)).wait();
+        let measured = result.layers.iter().filter(|l| l.measured);
+        for (ordinal, layer) in measured.enumerate() {
+            let rows = &mut slot_rows[ordinal % DEPTH];
+            *rows = (*rows).max(layer.retained_out);
+        }
+        if f == 10 {
+            session.flush();
+            at_frame_10 = gauge(&session);
+        }
+    }
+    session.flush();
+    let fp16 = gauge(&session);
+    let scaled = frame(0).scaled_model().clone();
+    let expected: usize = Stage::GATHER_POINTS
+        .iter()
+        .flat_map(|stage| slot_rows.map(|rows| rows * stage.width(&scaled) * 2))
+        .sum();
+    assert_eq!(fp16, expected as u64, "Σ slots rows × width × 2 B");
+    assert_eq!(at_frame_10, fp16, "the gauge stays flat after warm-up");
+
+    let mut int8 = pipeline;
+    int8.dtype = DataType::Int8;
+    let mut session = StreamSession::open(
+        &service,
+        int8,
+        ArchConfig::focus(),
+        temporal_config(1, None),
+    );
+    for f in 0..3 {
+        session.push_frame(frame(f)).wait();
+    }
+    session.flush();
+    assert_eq!(
+        gauge(&session),
+        2 * fp16,
+        "the f32 ring holds twice the bytes"
     );
 }
 
