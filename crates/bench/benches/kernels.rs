@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the hot kernels of the Focus stack:
-//! the similarity matcher path (gather), the streaming top-k sorter,
-//! the importance analyzer, offset coding and the numeric substrate.
+//! the similarity matcher path (gather), the synthesis normal fill, the
+//! streaming top-k sorter, the importance analyzer, offset coding and
+//! the numeric substrate.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use focus_core::sec::{ImportanceAnalyzer, OffsetEncoding, TopKSorter};
@@ -81,6 +82,27 @@ fn bench_segment_scores(c: &mut Criterion) {
     }
 }
 
+/// `Backend::normal_fill` — the activation-synthesis kernel — at the
+/// SEC noise-group width (8) and the FFN activation width (2688), on
+/// the dispatched `simd` path (whichever tier the CPU takes) and the
+/// `scalar` oracle. One sample is 100 launches, each from its own seed.
+fn bench_normal_fill(c: &mut Criterion) {
+    for width in [8usize, 2688] {
+        let mut out = vec![0.0f32; width];
+        for (name, be) in [("simd", backend::simd()), ("scalar", backend::scalar_ref())] {
+            let id = format!("synthesis/normal_fill_{name}_{width}");
+            c.bench_function(&id, |bch| {
+                bch.iter(|| {
+                    for seed in 0..100u64 {
+                        be.normal_fill(black_box(seed), &mut out);
+                    }
+                    black_box(&out);
+                })
+            });
+        }
+    }
+}
+
 fn bench_scatter(c: &mut Criterion) {
     let (acts, positions) = make_tile();
     let cfg = GatherConfig {
@@ -156,7 +178,7 @@ fn bench_layouter(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_gather, bench_segment_scores, bench_scatter, bench_topk, bench_importance,
-              bench_offset_coding, bench_layouter
+    targets = bench_gather, bench_segment_scores, bench_normal_fill, bench_scatter, bench_topk,
+              bench_importance, bench_offset_coding, bench_layouter
 }
 criterion_main!(kernels);

@@ -861,10 +861,11 @@ mod tests {
         let ran = Arc::new(AtomicU32::new(0));
         let core = Core::new(3, usize::MAX);
         with_workers(&core, || {
-            // Quiesce: all three workers must end up parked.
+            // Quiesce: all three workers must end up parked, none with
+            // a wakeup pending.
             let quiesce = || {
                 let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-                while core.parked() != 3 {
+                while !core.idle() {
                     assert!(
                         std::time::Instant::now() < deadline,
                         "workers failed to park; parked = {}",

@@ -248,6 +248,11 @@ struct CoreState {
     seq: u64,
     /// Graceful shutdown: workers exit when they would otherwise park.
     shutdown: bool,
+    /// Workers parked at the current `version`: no bump since they
+    /// went to sleep, so a wakeup sends them straight back to the
+    /// wait. A bump zeroes it — every sleeper then has a pending
+    /// rescan (it re-parks once notified).
+    settled: usize,
 }
 
 /// Arrival-ordered admission: `serving` is the ticket currently
@@ -302,8 +307,12 @@ pub(crate) struct Core {
     queued: [AtomicUsize; Priority::LEVELS],
     /// Nodes executed (or skip-drained), per priority class.
     served: [AtomicU64; Priority::LEVELS],
-    /// Workers currently blocked in the park wait.
+    /// Workers currently blocked in the park wait (settled or not).
     parked: AtomicUsize,
+    /// Mirror of `settled == threads`, written under the state lock:
+    /// every worker parked with nothing queued and no pending rescan,
+    /// so the pool stays parked until the next publish.
+    idle: AtomicBool,
     /// Cumulative park entries (a parked worker does not re-enter; a
     /// spinning one would).
     parks: AtomicU64,
@@ -322,6 +331,7 @@ impl Core {
                 ready: std::array::from_fn(|_| BinaryHeap::new()),
                 seq: 0,
                 shutdown: false,
+                settled: 0,
             }),
             work_cv: Condvar::new(),
             locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -336,6 +346,7 @@ impl Core {
             queued: Default::default(),
             served: Default::default(),
             parked: AtomicUsize::new(0),
+            idle: AtomicBool::new(false),
             parks: AtomicU64::new(0),
             jobs_done: AtomicU64::new(0),
             next_job: AtomicU64::new(0),
@@ -355,6 +366,23 @@ impl Core {
     /// Cumulative number of times a worker entered the parked state.
     pub(crate) fn parks(&self) -> u64 {
         self.parks.load(Ordering::SeqCst)
+    }
+
+    /// Whether the pool is quiescent: every worker parked since the
+    /// last publish, so none has a wakeup pending and none re-parks
+    /// until new work arrives. `parked() == threads()` is weaker: a
+    /// worker a publish has released still counts as parked until it
+    /// takes the state lock again, and then re-parks.
+    pub(crate) fn idle(&self) -> bool {
+        self.idle.load(Ordering::SeqCst)
+    }
+
+    /// Moves the wakeup version (under the state lock): every parked
+    /// worker now has a pending rescan, so the pool is not idle.
+    fn bump(&self, st: &mut CoreState) {
+        st.version += 1;
+        st.settled = 0;
+        self.idle.store(false, Ordering::SeqCst);
     }
 
     /// Nodes admitted but not yet executed or drained.
@@ -478,7 +506,7 @@ impl Core {
     /// bump is exact and nobody sleeps through work.
     fn publish(&self, new_tasks: usize) {
         let mut st = lock_clean(&self.state);
-        st.version += 1;
+        self.bump(&mut st);
         drop(st);
         let sleepers = self.parked.load(Ordering::SeqCst);
         for _ in 0..new_tasks.min(sleepers) {
@@ -566,7 +594,7 @@ impl Core {
     pub(crate) fn shutdown(&self) {
         let mut st = lock_clean(&self.state);
         st.shutdown = true;
-        st.version += 1;
+        self.bump(&mut st);
         drop(st);
         self.work_cv.notify_all();
     }
@@ -722,7 +750,17 @@ impl Core {
                 return;
             }
             self.parks.fetch_add(1, Ordering::SeqCst);
-            self.parked.fetch_add(1, Ordering::SeqCst);
+            let parked = self.parked.fetch_add(1, Ordering::SeqCst) + 1;
+            st.settled += 1;
+            self.idle
+                .store(st.settled == self.threads(), Ordering::SeqCst);
+            if parked == self.threads() && st.settled < parked {
+                // The last worker to park: sleepers a publish released
+                // without a notification would otherwise hold a stale
+                // version until the next wakeup and re-park then. Wake
+                // them now, so the pool settles and reports idle.
+                self.work_cv.notify_all();
+            }
             while st.version == seen && !st.shutdown {
                 st = wait_clean(&self.work_cv, st);
             }

@@ -97,6 +97,12 @@ pub struct ServiceStats {
     /// Cumulative park entries; stable while the pool idles (a
     /// spinning worker would keep re-entering).
     pub parks: u64,
+    /// Every worker parked since the last publish of new work: none has
+    /// a wakeup pending, so `parks` holds still until the next request.
+    /// `parked == workers` alone can still count a worker that a
+    /// publish has released and that will re-park. Wait on this flag
+    /// to quiesce the pool.
+    pub idle: bool,
     /// Jobs accepted so far.
     pub jobs_submitted: u64,
     /// Jobs fully completed (including failed ones).
@@ -353,6 +359,7 @@ impl FocusService {
         snap.set_u64("service.workers", self.core.threads() as u64);
         snap.set_u64("service.parked", self.core.parked() as u64);
         snap.set_u64("service.parks", self.core.parks());
+        snap.set_u64("service.idle", self.core.idle() as u64);
         snap.set_u64(
             "service.jobs_submitted",
             self.jobs_submitted.load(Ordering::SeqCst),
@@ -408,6 +415,7 @@ impl FocusService {
             workers: snap.u64("service.workers") as usize,
             parked: snap.u64("service.parked") as usize,
             parks: snap.u64("service.parks"),
+            idle: snap.u64("service.idle") != 0,
             jobs_submitted: snap.u64("service.jobs_submitted"),
             jobs_completed: snap.u64("service.jobs_completed"),
             inflight_nodes: snap.u64("service.inflight_nodes") as usize,
@@ -518,7 +526,7 @@ mod tests {
         // Between jobs the pool parks: both workers end up blocked on
         // the condvar, and the park counter stops moving.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while service.stats().parked != 2 {
+        while !service.stats().idle {
             assert!(
                 std::time::Instant::now() < deadline,
                 "workers failed to park: {:?}",

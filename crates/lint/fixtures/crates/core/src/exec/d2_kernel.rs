@@ -3,5 +3,5 @@
 //! through a `BackendHandle`, never straight into `math::`.
 
 pub fn synth(xs: &mut [f32]) {
-    focus_tensor::math::ln_fill(xs);
+    focus_tensor::math::box_muller_fill(7, xs);
 }

@@ -597,7 +597,7 @@ mod tests {
 
     #[test]
     fn d2_kernel_blocks_direct_math_calls_in_exec_and_sic() {
-        let src = "fn f(xs: &mut [f32]) { focus_tensor::math::ln_fill(xs); }\n";
+        let src = "fn f(xs: &mut [f32]) { focus_tensor::math::box_muller_fill(7, xs); }\n";
         assert_eq!(
             rules_of(&lint_one("crates/core/src/exec/stage.rs", src)),
             ["D2-kernel"]

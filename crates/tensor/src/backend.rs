@@ -11,7 +11,9 @@
 //! * [`ScalarRef`] — the chunked-scalar reference paths, kept as the
 //!   bit-exactness oracle;
 //! * [`Simd`] — the runtime-dispatched AVX2/F16C kernels from
-//!   [`crate::math`], extended with segment-addressed gather scoring
+//!   [`crate::math`] (the synthesis fill takes an AVX-512F+DQ tier
+//!   before AVX2 where the CPU has it, sixteen lanes a pass), extended
+//!   with segment-addressed gather scoring
 //!   and norms (eight segments of two contiguous rows per register
 //!   pass via [`crate::math::segment_dots`]; the reference tile gather's
 //!   pair launches batch eight pairs or rows the same way through
@@ -304,8 +306,8 @@ impl Backend for ScalarRef {
 }
 
 /// The runtime-dispatched fast backend: AVX2/F16C when the CPU has
-/// them, the chunked-scalar fallback otherwise — always bit-identical
-/// to [`ScalarRef`]. Gather norms and scoring batch eight segments,
+/// them (AVX-512F+DQ first for the synthesis fill), the chunked-scalar
+/// fallback otherwise — always bit-identical to [`ScalarRef`]. Gather norms and scoring batch eight segments,
 /// rows or pairs per pass and fake-quantise runs whole rows at once.
 #[derive(Debug)]
 pub struct Simd;

@@ -6,15 +6,16 @@
 //! (`BENCH_batch.json`, ROADMAP direction 2). This module replaces
 //! libm with **fixed-polynomial** evaluations whose operation order is
 //! frozen, so the same value stream can be produced one value at a
-//! time (scalar), eight lanes at a time (AVX2), or chunked through any
-//! future width — **bit-identically**.
+//! time (scalar), eight lanes at a time (AVX2), sixteen lanes at a time
+//! (AVX-512), or chunked through any future width — **bit-identically**.
 //!
 //! # Determinism contract
 //!
-//! Every path — [`box_muller_fill`]'s runtime-dispatched SIMD, its
-//! chunked-scalar fallback, and the one-value [`normal_from_raw`]
-//! reference — executes the *same* IEEE-754 single-precision
-//! operations in the *same* order on every input:
+//! Every path — [`box_muller_fill`]'s three runtime-dispatched tiers
+//! (AVX-512F+DQ, then AVX2, then the chunked-scalar fallback) and the
+//! one-value [`normal_from_raw`] reference — executes the *same*
+//! IEEE-754 single-precision operations in the *same* order on every
+//! input:
 //!
 //! * argument reduction happens in **integer space** (exponent and
 //!   mantissa bits for `ln`, quadrant/octant bits for `cos`), which is
@@ -25,10 +26,15 @@
 //!   polynomials with a frozen evaluation order;
 //! * **no FMA**: scalar Rust never contracts `a * b + c`, and the SIMD
 //!   kernels deliberately use separate multiply/add intrinsics, so
-//!   lane-wise results equal the scalar ones bit for bit.
+//!   lane-wise results equal the scalar ones bit for bit;
+//! * every lane is independent: the SplitMix words are pure `u64`
+//!   integer work (the AVX-512 tier computes them eight lanes at a time
+//!   with `vpmullq`; the AVX2 tier, which has no 64-bit multiply, in
+//!   scalar), and no value reads another lane, so the lane count and
+//!   the chunk boundaries are invisible in the output.
 //!
-//! Because of that, `scalar(out[i]) == simd(out[i])` for every index,
-//! every seed and every chunk offset — property-tested in
+//! Because of that, `scalar(out[i]) == simd(out[i])` for every tier,
+//! every index, every seed and every chunk offset — property-tested in
 //! `crates/tensor/tests/math_kernel.rs`. The kernel (not libm) is
 //! therefore *the* reference the determinism suite pins
 //! (re-baseline v2; see README "Synthesis kernel").
@@ -55,19 +61,32 @@ pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 /// post-increment state).
 #[inline]
 pub fn splitmix_mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z = (z ^ (z >> 30)).wrapping_mul(MIX_M1);
+    z = (z ^ (z >> 27)).wrapping_mul(MIX_M2);
     z ^ (z >> 31)
 }
 
+/// The two multipliers of [`splitmix_mix`], shared with the eight-lane
+/// AVX-512 mix.
+const MIX_M1: u64 = 0xBF58_476D_1CE4_E5B9;
+const MIX_M2: u64 = 0x94D0_49BB_1331_11EB;
+
+/// Whether every listed CPU feature was detected at runtime, checked
+/// once per call site and cached.
+#[cfg(target_arch = "x86_64")]
+macro_rules! detected {
+    ($($feature:tt),+) => {{
+        static HAS: OnceLock<bool> = OnceLock::new();
+        *HAS.get_or_init(|| true $(&& std::is_x86_feature_detected!($feature))+)
+    }};
+}
+
 /// Whether the dispatched kernels take a SIMD path: AVX2 detected at
-/// runtime, checked once and cached. Callers that want the scalar path
-/// regardless of the CPU pass the scalar backend
-/// ([`crate::backend::scalar_ref`]) instead.
+/// runtime. Callers that want the scalar path regardless of the CPU
+/// pass the scalar backend ([`crate::backend::scalar_ref`]) instead.
 #[cfg(target_arch = "x86_64")]
 pub fn simd_active() -> bool {
-    static AVX2: OnceLock<bool> = OnceLock::new();
-    *AVX2.get_or_init(|| std::is_x86_feature_detected!("avx2"))
+    detected!("avx2")
 }
 
 /// Whether the dispatched kernels take a SIMD path: never, off x86-64.
@@ -76,18 +95,12 @@ pub fn simd_active() -> bool {
     false
 }
 
-#[cfg(target_arch = "x86_64")]
-fn f16c_available() -> bool {
-    static F16C: OnceLock<bool> = OnceLock::new();
-    *F16C.get_or_init(|| std::is_x86_feature_detected!("f16c"))
-}
-
 /// Whether the kernels that convert FP16 on the fly (the FP16 encode
 /// and the segment kernels, which load FP16 rows through `vcvtph2ps`)
 /// take their SIMD path: AVX2 and F16C both detected.
 #[cfg(target_arch = "x86_64")]
 fn f16c_active() -> bool {
-    simd_active() && f16c_available()
+    detected!("avx2", "f16c")
 }
 
 // ---------------------------------------------------------------------
@@ -105,22 +118,28 @@ const NARROW_MANT: u32 = 0x002A_AAAB;
 /// Octant phase scale: `(π/4) / 2²¹`.
 const PHI_SCALE: f32 = core::f32::consts::FRAC_PI_4 / (1u32 << 21) as f32;
 
-// atanh-series coefficients for ln(1+z) = 2s·(1 + w/3 + w²/5 + w³/7),
-// s = z/(2+z), w = s² (|z| ≤ 1/3 ⇒ |s| ≤ 1/7, truncation ≪ f32 ulp).
-const LOG_C1: f32 = 1.0 / 3.0;
-const LOG_C2: f32 = 1.0 / 5.0;
-const LOG_C3: f32 = 1.0 / 7.0;
+// Polynomial coefficients, highest degree first: every path evaluates
+// them as the Horner chain `acc = acc·w + c` in this order.
+//
+// The atanh series ln(1+z) = 2s·(1 + w/3 + w²/5 + w³/7), s = z/(2+z),
+// w = s² (|z| ≤ 1/3 ⇒ |s| ≤ 1/7, truncation ≪ f32 ulp).
+const LOG_P: [f32; 4] = [1.0 / 7.0, 1.0 / 5.0, 1.0 / 3.0, 1.0];
+// Taylor series of cos φ and sin φ / φ in w = φ² on the reduced octant
+// [0, π/4]; the truncation error is below one f32 ulp at the edge.
+const COS_P: [f32; 5] = [1.0 / 40320.0, -1.0 / 720.0, 1.0 / 24.0, -1.0 / 2.0, 1.0];
+const SIN_P: [f32; 5] = [1.0 / 362880.0, -1.0 / 5040.0, 1.0 / 120.0, -1.0 / 6.0, 1.0];
 
-// Taylor coefficients on the reduced octant [0, π/4]; the truncation
-// error is below one f32 ulp of the result at the interval edge.
-const COS_C2: f32 = -1.0 / 2.0;
-const COS_C4: f32 = 1.0 / 24.0;
-const COS_C6: f32 = -1.0 / 720.0;
-const COS_C8: f32 = 1.0 / 40320.0;
-const SIN_C3: f32 = -1.0 / 6.0;
-const SIN_C5: f32 = 1.0 / 120.0;
-const SIN_C7: f32 = -1.0 / 5040.0;
-const SIN_C9: f32 = 1.0 / 362880.0;
+/// Horner evaluation of the coefficients `$p` at `$w` with the lane-wise
+/// `$add`, `$mul` and splat `$set1`: the scalar chain's order on any
+/// SIMD width.
+#[cfg(target_arch = "x86_64")]
+macro_rules! horner_lanes {
+    ($p:expr, $w:expr, $add:ident, $mul:ident, $set1:ident) => {
+        $p[1..]
+            .iter()
+            .fold($set1($p[0]), |acc, &c| $add($mul(acc, $w), $set1(c)))
+    };
+}
 
 // ---------------------------------------------------------------------
 // Scalar reference pipeline
@@ -132,32 +151,13 @@ const SIN_C9: f32 = 1.0 / 362880.0;
 #[inline]
 fn ln1p_core(z: f32) -> f32 {
     let s = z / (2.0 + z);
-    let w = s * s;
-    let mut t = LOG_C3;
-    t = t * w + LOG_C2;
-    t = t * w + LOG_C1;
-    t = t * w + 1.0;
-    (s + s) * t
+    (s + s) * horner(&LOG_P, s * s)
 }
 
-/// `cos φ` on the reduced octant `φ ∈ [0, π/4]`, from `w = φ²`.
+/// The frozen Horner chain over `p` (highest degree first) at `w`.
 #[inline]
-fn cos_poly(w: f32) -> f32 {
-    let mut c = COS_C8;
-    c = c * w + COS_C6;
-    c = c * w + COS_C4;
-    c = c * w + COS_C2;
-    c * w + 1.0
-}
-
-/// `sin φ / φ` on the reduced octant, from `w = φ²`.
-#[inline]
-fn sin_poly(w: f32) -> f32 {
-    let mut s = SIN_C9;
-    s = s * w + SIN_C7;
-    s = s * w + SIN_C5;
-    s = s * w + SIN_C3;
-    s * w + 1.0
+fn horner(p: &[f32], w: f32) -> f32 {
+    p[1..].iter().fold(p[0], |acc, &c| acc * w + c)
 }
 
 /// Fixed-polynomial natural log of a positive normal `f32`.
@@ -225,8 +225,8 @@ pub fn fixed_cos_phase24(p: u32) -> f32 {
     let w = phi * phi;
     // Both polynomials are evaluated and one selected, mirroring the
     // SIMD blend, so scalar and lane-wise op sequences agree exactly.
-    let c = cos_poly(w);
-    let s = phi * sin_poly(w);
+    let c = horner(&COS_P, w);
+    let s = phi * horner(&SIN_P, w);
     let v = if ((o + 1) >> 1) & 1 == 0 { c } else { s };
     if (o + 2) & 4 != 0 {
         -v
@@ -246,19 +246,34 @@ pub fn normal_from_raw(r1: u64, r2: u64) -> f32 {
 // Batched fills
 // ---------------------------------------------------------------------
 
+/// The two raw words value `i` of the fill seeded at `seed` consumes.
+#[inline]
+fn raw_words(seed: u64, i: usize) -> (u64, u64) {
+    let word = |n: u64| splitmix_mix(seed.wrapping_add(GAMMA.wrapping_mul(n)));
+    (word(2 * i as u64 + 1), word(2 * i as u64 + 2))
+}
+
+/// Value `i` of the fill seeded at `seed`: the one-value reference
+/// every tier's tail (and the chunked-scalar path) computes.
+#[inline]
+fn normal_at(seed: u64, i: usize) -> f32 {
+    let (r1, r2) = raw_words(seed, i);
+    normal_from_raw(r1, r2)
+}
+
 /// Fills `out` with standard-normal samples from the SplitMix64
 /// counter stream seeded at `seed`: value `i` consumes raw words
 /// `2i+1` and `2i+2` of the stream (see the module docs), so the fill
 /// is **position-addressable** — splitting a fill at any offset `n`
 /// and continuing with seed `seed + 2n·γ` reproduces the same values.
 ///
-/// Runtime-dispatched: AVX2 eight lanes at a time where detected,
-/// chunked scalar otherwise — bit-identical either way.
+/// Runtime-dispatched over three tiers, bit-identical on every one:
+/// AVX-512F+DQ sixteen lanes at a time (SplitMix words eight `u64`
+/// lanes per `vpmullq`), else AVX2 eight lanes at a time, else chunked
+/// scalar.
 pub fn box_muller_fill(seed: u64, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: `simd_active` implies AVX2 was detected at runtime.
-        unsafe { box_muller_fill_avx2_raw(seed, out) };
+    if box_muller_fill_avx512(seed, out) || box_muller_fill_avx2(seed, out) {
         return;
     }
     box_muller_fill_scalar(seed, out);
@@ -267,88 +282,33 @@ pub fn box_muller_fill(seed: u64, out: &mut [f32]) {
 /// The portable chunked-scalar path of [`box_muller_fill`].
 pub fn box_muller_fill_scalar(seed: u64, out: &mut [f32]) {
     for (i, o) in out.iter_mut().enumerate() {
-        let n = (2 * i + 1) as u64;
-        let r1 = splitmix_mix(seed.wrapping_add(GAMMA.wrapping_mul(n)));
-        let r2 = splitmix_mix(seed.wrapping_add(GAMMA.wrapping_mul(n + 1)));
-        *o = normal_from_raw(r1, r2);
+        *o = normal_at(seed, i);
     }
 }
 
-/// The explicit AVX2 path of [`box_muller_fill`], for the bit-identity
-/// property tests. Returns `false` (leaving `out` untouched) when the
-/// host lacks AVX2.
+/// The AVX2 tier of [`box_muller_fill`], callable directly by the
+/// bit-identity property tests. Returns `false` (leaving `out`
+/// untouched) when the host lacks AVX2.
 #[cfg(target_arch = "x86_64")]
 pub fn box_muller_fill_avx2(seed: u64, out: &mut [f32]) -> bool {
-    if !simd_active() {
-        return false;
-    }
-    // SAFETY: AVX2 detected above.
-    unsafe { box_muller_fill_avx2_raw(seed, out) };
-    true
-}
-
-/// Fills `out[i] = fixed_ln(xs[i])`, runtime-dispatched like
-/// [`box_muller_fill`]. Lengths must match.
-pub fn ln_fill(xs: &[f32], out: &mut [f32]) {
-    assert_eq!(xs.len(), out.len(), "ln_fill length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: AVX2 detected.
-        unsafe { ln_fill_avx2_raw(xs, out) };
-        return;
-    }
-    ln_fill_scalar(xs, out);
-}
-
-/// Scalar path of [`ln_fill`].
-pub fn ln_fill_scalar(xs: &[f32], out: &mut [f32]) {
-    for (o, &x) in out.iter_mut().zip(xs) {
-        *o = fixed_ln(x);
+    simd_active() && {
+        // SAFETY: AVX2 detected (the left operand).
+        unsafe { box_muller_fill_avx2_raw(seed, out) };
+        true
     }
 }
 
-/// Explicit AVX2 path of [`ln_fill`]; `false` when unavailable.
+/// The AVX-512 tier of [`box_muller_fill`], callable directly by the
+/// bit-identity property tests. Returns `false` (leaving `out`
+/// untouched) when the host lacks AVX2, AVX-512F (the f32 pipeline) or
+/// AVX-512DQ (`vpmullq`).
 #[cfg(target_arch = "x86_64")]
-pub fn ln_fill_avx2(xs: &[f32], out: &mut [f32]) -> bool {
-    assert_eq!(xs.len(), out.len(), "ln_fill length mismatch");
-    if !simd_active() {
-        return false;
+pub fn box_muller_fill_avx512(seed: u64, out: &mut [f32]) -> bool {
+    detected!("avx2", "avx512f", "avx512dq") && {
+        // SAFETY: AVX2, AVX-512F and AVX-512DQ detected (the left operand).
+        unsafe { box_muller_fill_avx512_raw(seed, out) };
+        true
     }
-    // SAFETY: AVX2 detected.
-    unsafe { ln_fill_avx2_raw(xs, out) };
-    true
-}
-
-/// Fills `out[i] = fixed_cos_phase24(ps[i])`, runtime-dispatched.
-pub fn cos_phase24_fill(ps: &[u32], out: &mut [f32]) {
-    assert_eq!(ps.len(), out.len(), "cos_phase24_fill length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: AVX2 detected.
-        unsafe { cos_fill_avx2_raw(ps, out) };
-        return;
-    }
-    cos_phase24_fill_scalar(ps, out);
-}
-
-/// Scalar path of [`cos_phase24_fill`].
-pub fn cos_phase24_fill_scalar(ps: &[u32], out: &mut [f32]) {
-    for (o, &p) in out.iter_mut().zip(ps) {
-        *o = fixed_cos_phase24(p);
-    }
-}
-
-/// Explicit AVX2 path of [`cos_phase24_fill`]; `false` when
-/// unavailable.
-#[cfg(target_arch = "x86_64")]
-pub fn cos_phase24_fill_avx2(ps: &[u32], out: &mut [f32]) -> bool {
-    assert_eq!(ps.len(), out.len(), "cos_phase24_fill length mismatch");
-    if !simd_active() {
-        return false;
-    }
-    // SAFETY: AVX2 detected.
-    unsafe { cos_fill_avx2_raw(ps, out) };
-    true
 }
 
 /// Rounds every element of `values` through IEEE binary16 and back in
@@ -901,16 +861,11 @@ mod avx2 {
     /// shared verbatim with the scalar path's per-value extraction.
     #[inline]
     fn chunk_words(seed: u64, base: usize) -> ([u32; 8], [u32; 8]) {
-        let mut k = [0u32; 8];
-        let mut p = [0u32; 8];
-        for lane in 0..8 {
-            let n = (2 * (base + lane) + 1) as u64;
-            let r1 = splitmix_mix(seed.wrapping_add(GAMMA.wrapping_mul(n)));
-            let r2 = splitmix_mix(seed.wrapping_add(GAMMA.wrapping_mul(n + 1)));
-            k[lane] = ((r1 >> 40) as u32) + 1;
-            p[lane] = (r2 >> 40) as u32;
-        }
-        (k, p)
+        let words: [(u64, u64); 8] = std::array::from_fn(|l| raw_words(seed, base + l));
+        (
+            words.map(|(r1, _)| ((r1 >> 40) as u32) + 1),
+            words.map(|(_, r2)| (r2 >> 40) as u32),
+        )
     }
 
     /// The radius pipeline on 8 lanes of `k ∈ [1, 2²⁴]`.
@@ -918,38 +873,26 @@ mod avx2 {
     /// # Safety
     /// Requires AVX2.
     #[target_feature(enable = "avx2")]
-    unsafe fn radius8(k: &[u32; 8]) -> __m256 {
-        let one = _mm256_set1_ps(1.0);
-        // SAFETY: `k` is a `[u32; 8]` — exactly 32 readable bytes, and
-        // `loadu` has no alignment requirement.
-        let kv = unsafe { _mm256_loadu_si256(k.as_ptr() as *const __m256i) };
-        let x = _mm256_cvtepi32_ps(kv); // exact: k ≤ 2²⁴ < 2³¹
-        let bits = _mm256_castps_si256(x);
+    pub(super) unsafe fn radius8(k: __m256i) -> __m256 {
+        let bits = _mm256_castps_si256(_mm256_cvtepi32_ps(k)); // exact: k ≤ 2²⁴
         let mant = _mm256_and_si256(bits, _mm256_set1_epi32(0x007F_FFFF));
         let e = _mm256_sub_epi32(_mm256_srli_epi32(bits, 23), _mm256_set1_epi32(127));
         // mant ≥ NARROW_MANT  ⇔  mant > NARROW_MANT − 1 (values < 2²³,
         // so the signed compare is exact).
         let narrow = _mm256_cmpgt_epi32(mant, _mm256_set1_epi32(NARROW_MANT as i32 - 1));
-        let expf = _mm256_blendv_epi8(
-            _mm256_set1_epi32(0x3F80_0000),
-            _mm256_set1_epi32(0x3F00_0000),
-            narrow,
-        );
+        let expf = _mm256_set1_epi32(0x3F80_0000);
+        let expf = _mm256_blendv_epi8(expf, _mm256_set1_epi32(0x3F00_0000), narrow);
         let m = _mm256_castsi256_ps(_mm256_or_si256(mant, expf));
         let e = _mm256_sub_epi32(e, narrow); // narrow mask is −1 ⇒ e+1
-        let z = _mm256_sub_ps(m, one);
+        let z = _mm256_sub_ps(m, _mm256_set1_ps(1.0));
         // ln1p_core, lane-wise in the scalar order.
         let s = _mm256_div_ps(z, _mm256_add_ps(_mm256_set1_ps(2.0), z));
         let w = _mm256_mul_ps(s, s);
-        let mut t = _mm256_set1_ps(LOG_C3);
-        t = _mm256_add_ps(_mm256_mul_ps(t, w), _mm256_set1_ps(LOG_C2));
-        t = _mm256_add_ps(_mm256_mul_ps(t, w), _mm256_set1_ps(LOG_C1));
-        t = _mm256_add_ps(_mm256_mul_ps(t, w), one);
+        let t = horner_lanes!(LOG_P, w, _mm256_add_ps, _mm256_mul_ps, _mm256_set1_ps);
         let ln1p = _mm256_mul_ps(_mm256_add_ps(s, s), t);
         let nf = _mm256_cvtepi32_ps(_mm256_sub_epi32(_mm256_set1_epi32(24), e));
         let a = _mm256_mul_ps(_mm256_set1_ps(TWO_LN2), nf);
-        let b = _mm256_add_ps(ln1p, ln1p);
-        _mm256_sqrt_ps(_mm256_sub_ps(a, b))
+        _mm256_sqrt_ps(_mm256_sub_ps(a, _mm256_add_ps(ln1p, ln1p)))
     }
 
     /// The cosine pipeline on 8 lanes of 24-bit phases.
@@ -957,50 +900,24 @@ mod avx2 {
     /// # Safety
     /// Requires AVX2.
     #[target_feature(enable = "avx2")]
-    unsafe fn cos8(p: &[u32; 8]) -> __m256 {
-        let zero = _mm256_setzero_si256();
-        // SAFETY: `p` is a `[u32; 8]` — exactly 32 readable bytes, and
-        // `loadu` has no alignment requirement.
-        let raw = unsafe { _mm256_loadu_si256(p.as_ptr() as *const __m256i) };
-        let pv = _mm256_and_si256(raw, _mm256_set1_epi32(0x00FF_FFFF));
+    pub(super) unsafe fn cos8(p: __m256i) -> __m256 {
+        let bit = |b: i32| _mm256_set1_epi32(b);
+        // All-ones in the lanes where `x & b` is nonzero (`b` < 2³¹).
+        let test = |x: __m256i, b: i32| _mm256_cmpgt_epi32(_mm256_and_si256(x, bit(b)), bit(0));
+        let pv = _mm256_and_si256(p, bit(0x00FF_FFFF));
         let o = _mm256_srli_epi32(pv, 21);
-        let h = _mm256_and_si256(o, _mm256_set1_epi32(1));
-        let f21 = _mm256_and_si256(pv, _mm256_set1_epi32(0x001F_FFFF));
-        let hmask = _mm256_cmpgt_epi32(h, zero);
-        let refl = _mm256_sub_epi32(_mm256_set1_epi32(1 << 21), f21);
-        let fi = _mm256_blendv_epi8(f21, refl, hmask);
+        let f21 = _mm256_and_si256(pv, bit(0x001F_FFFF));
+        let fi = _mm256_blendv_epi8(f21, _mm256_sub_epi32(bit(1 << 21), f21), test(o, 1));
         let phi = _mm256_mul_ps(_mm256_cvtepi32_ps(fi), _mm256_set1_ps(PHI_SCALE));
         let w = _mm256_mul_ps(phi, phi);
-        let mut c = _mm256_set1_ps(COS_C8);
-        c = _mm256_add_ps(_mm256_mul_ps(c, w), _mm256_set1_ps(COS_C6));
-        c = _mm256_add_ps(_mm256_mul_ps(c, w), _mm256_set1_ps(COS_C4));
-        c = _mm256_add_ps(_mm256_mul_ps(c, w), _mm256_set1_ps(COS_C2));
-        c = _mm256_add_ps(_mm256_mul_ps(c, w), _mm256_set1_ps(1.0));
-        let mut s = _mm256_set1_ps(SIN_C9);
-        s = _mm256_add_ps(_mm256_mul_ps(s, w), _mm256_set1_ps(SIN_C7));
-        s = _mm256_add_ps(_mm256_mul_ps(s, w), _mm256_set1_ps(SIN_C5));
-        s = _mm256_add_ps(_mm256_mul_ps(s, w), _mm256_set1_ps(SIN_C3));
-        s = _mm256_add_ps(_mm256_mul_ps(s, w), _mm256_set1_ps(1.0));
-        let sinv = _mm256_mul_ps(phi, s);
-        // Per-octant fixup, matching the scalar rules exactly:
-        // sin when ((o+1) >> 1) & 1, negate when (o+2) & 4.
-        let use_sin = _mm256_cmpgt_epi32(
-            _mm256_and_si256(
-                _mm256_srli_epi32(_mm256_add_epi32(o, _mm256_set1_epi32(1)), 1),
-                _mm256_set1_epi32(1),
-            ),
-            zero,
-        );
-        let v = _mm256_blendv_ps(c, sinv, _mm256_castsi256_ps(use_sin));
-        let neg = _mm256_cmpgt_epi32(
-            _mm256_and_si256(
-                _mm256_add_epi32(o, _mm256_set1_epi32(2)),
-                _mm256_set1_epi32(4),
-            ),
-            zero,
-        );
-        let sign = _mm256_and_ps(_mm256_castsi256_ps(neg), _mm256_set1_ps(-0.0));
-        _mm256_xor_ps(v, sign)
+        let c = horner_lanes!(COS_P, w, _mm256_add_ps, _mm256_mul_ps, _mm256_set1_ps);
+        let s = horner_lanes!(SIN_P, w, _mm256_add_ps, _mm256_mul_ps, _mm256_set1_ps);
+        // Per-octant fixup, matching the scalar rules exactly: sin when
+        // ((o+1) >> 1) & 1, that is (o+1) & 2; negate when (o+2) & 4.
+        let use_sin = _mm256_castsi256_ps(test(_mm256_add_epi32(o, bit(1)), 2));
+        let v = _mm256_blendv_ps(c, _mm256_mul_ps(phi, s), use_sin);
+        let neg = _mm256_castsi256_ps(test(_mm256_add_epi32(o, bit(2)), 4));
+        _mm256_xor_ps(v, _mm256_and_ps(neg, _mm256_set1_ps(-0.0)))
     }
 
     /// # Safety
@@ -1011,83 +928,20 @@ mod avx2 {
         for ci in 0..chunks {
             let (k, p) = chunk_words(seed, ci * 8);
             // SAFETY: `radius8`/`cos8` require AVX2 — this fn's own
-            // contract — and the store hits lanes `ci*8..ci*8+8` with
-            // `ci < out.len() / 8`, so all 8 are in bounds.
+            // contract; `k` and `p` are `[u32; 8]`, exactly 32 readable
+            // bytes each (`loadu` has no alignment requirement); and the
+            // store hits lanes `ci*8..ci*8+8` with `ci < out.len() / 8`,
+            // so all 8 are in bounds.
             unsafe {
-                let r = radius8(&k);
-                let c = cos8(&p);
+                let r = radius8(_mm256_loadu_si256(k.as_ptr() as *const __m256i));
+                let c = cos8(_mm256_loadu_si256(p.as_ptr() as *const __m256i));
                 _mm256_storeu_ps(out.as_mut_ptr().add(ci * 8), _mm256_mul_ps(r, c));
             }
         }
         // Scalar tail: bit-identical by construction, so chunk
         // boundaries are invisible in the output.
         for (i, o) in out.iter_mut().enumerate().skip(chunks * 8) {
-            let n = (2 * i + 1) as u64;
-            let r1 = splitmix_mix(seed.wrapping_add(GAMMA.wrapping_mul(n)));
-            let r2 = splitmix_mix(seed.wrapping_add(GAMMA.wrapping_mul(n + 1)));
-            *o = normal_from_raw(r1, r2);
-        }
-    }
-
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn ln_fill_avx2_raw(xs: &[f32], out: &mut [f32]) {
-        let one = _mm256_set1_ps(1.0);
-        let chunks = xs.len() / 8;
-        for ci in 0..chunks {
-            // SAFETY: `ci < xs.len() / 8`, so lanes `ci*8..ci*8+8` are
-            // in bounds of `xs`.
-            let x = unsafe { _mm256_loadu_ps(xs.as_ptr().add(ci * 8)) };
-            let bits = _mm256_castps_si256(x);
-            let mant = _mm256_and_si256(bits, _mm256_set1_epi32(0x007F_FFFF));
-            let e = _mm256_sub_epi32(_mm256_srli_epi32(bits, 23), _mm256_set1_epi32(127));
-            let narrow = _mm256_cmpgt_epi32(mant, _mm256_set1_epi32(NARROW_MANT as i32 - 1));
-            let expf = _mm256_blendv_epi8(
-                _mm256_set1_epi32(0x3F80_0000),
-                _mm256_set1_epi32(0x3F00_0000),
-                narrow,
-            );
-            let m = _mm256_castsi256_ps(_mm256_or_si256(mant, expf));
-            let e = _mm256_sub_epi32(e, narrow);
-            let z = _mm256_sub_ps(m, one);
-            let s = _mm256_div_ps(z, _mm256_add_ps(_mm256_set1_ps(2.0), z));
-            let w = _mm256_mul_ps(s, s);
-            let mut t = _mm256_set1_ps(LOG_C3);
-            t = _mm256_add_ps(_mm256_mul_ps(t, w), _mm256_set1_ps(LOG_C2));
-            t = _mm256_add_ps(_mm256_mul_ps(t, w), _mm256_set1_ps(LOG_C1));
-            t = _mm256_add_ps(_mm256_mul_ps(t, w), one);
-            let ln1p = _mm256_mul_ps(_mm256_add_ps(s, s), t);
-            let ef = _mm256_cvtepi32_ps(e);
-            let r = _mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(LN2), ef), ln1p);
-            // SAFETY: every dispatch caller passes `out` at least as
-            // long as `xs` (the shared tail below indexes it safely to
-            // `xs.len()`), so the 8 stored lanes are in bounds.
-            unsafe { _mm256_storeu_ps(out.as_mut_ptr().add(ci * 8), r) };
-        }
-        for i in chunks * 8..xs.len() {
-            out[i] = fixed_ln(xs[i]);
-        }
-    }
-
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn cos_fill_avx2_raw(ps: &[u32], out: &mut [f32]) {
-        let chunks = ps.len() / 8;
-        for ci in 0..chunks {
-            let mut p = [0u32; 8];
-            p.copy_from_slice(&ps[ci * 8..ci * 8 + 8]);
-            // SAFETY: `cos8` requires AVX2 — this fn's own contract —
-            // and every dispatch caller passes `out` at least as long
-            // as `ps`, so lanes `ci*8..ci*8+8` are in bounds.
-            unsafe {
-                let c = cos8(&p);
-                _mm256_storeu_ps(out.as_mut_ptr().add(ci * 8), c);
-            }
-        }
-        for i in chunks * 8..ps.len() {
-            out[i] = fixed_cos_phase24(ps[i]);
+            *o = normal_at(seed, i);
         }
     }
 
@@ -1378,11 +1232,145 @@ mod avx2 {
     }
 }
 
+// ---------------------------------------------------------------------
+// AVX-512 synthesis tier
+//
+// SplitMix words eight u64 lanes at a time (`vpmullq`, the 64-bit
+// multiply AVX2 lacks), narrowed with `vpmovqd`, then the AVX2 radius
+// and cosine pipelines widened to sixteen lanes op for op, with mask
+// selects in place of the vector blends: bit-identical lane for lane.
+// ---------------------------------------------------------------------
+
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::avx2::{cos8, radius8};
+    use super::*;
+    use std::arch::x86_64::*;
+
+    /// The radius integers `k` and cosine phases `p` of the eight
+    /// values whose first counter states are the lanes of `z1` (value
+    /// `i` of a fill: `seed + (2i+1)·γ`; its second word is one γ on).
+    ///
+    /// # Safety
+    /// Requires AVX-512F and AVX-512DQ.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn words8(z1: __m512i) -> (__m256i, __m256i) {
+        // `splitmix_mix` on eight lanes, then each word's top 24 bits.
+        let top24 = |z: __m512i| {
+            let z = _mm512_xor_si512(z, _mm512_srli_epi64::<30>(z));
+            let z = _mm512_mullo_epi64(z, _mm512_set1_epi64(MIX_M1 as i64));
+            let z = _mm512_xor_si512(z, _mm512_srli_epi64::<27>(z));
+            let z = _mm512_mullo_epi64(z, _mm512_set1_epi64(MIX_M2 as i64));
+            let z = _mm512_xor_si512(z, _mm512_srli_epi64::<31>(z));
+            _mm512_cvtepi64_epi32(_mm512_srli_epi64::<40>(z))
+        };
+        let k = _mm256_add_epi32(top24(z1), _mm256_set1_epi32(1));
+        (
+            k,
+            top24(_mm512_add_epi64(z1, _mm512_set1_epi64(GAMMA as i64))),
+        )
+    }
+
+    /// `radius8` on 16 lanes.
+    ///
+    /// # Safety
+    /// Requires AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn radius16(k: __m512i) -> __m512 {
+        let bits = _mm512_castps_si512(_mm512_cvtepi32_ps(k)); // exact: k ≤ 2²⁴
+        let mant = _mm512_and_si512(bits, _mm512_set1_epi32(0x007F_FFFF));
+        let e = _mm512_sub_epi32(_mm512_srli_epi32::<23>(bits), _mm512_set1_epi32(127));
+        let narrow = _mm512_cmpge_epi32_mask(mant, _mm512_set1_epi32(NARROW_MANT as i32));
+        let expf = _mm512_set1_epi32(0x3F80_0000);
+        let expf = _mm512_mask_blend_epi32(narrow, expf, _mm512_set1_epi32(0x3F00_0000));
+        let m = _mm512_castsi512_ps(_mm512_or_si512(mant, expf));
+        let e = _mm512_mask_add_epi32(e, narrow, e, _mm512_set1_epi32(1));
+        let z = _mm512_sub_ps(m, _mm512_set1_ps(1.0));
+        let s = _mm512_div_ps(z, _mm512_add_ps(_mm512_set1_ps(2.0), z));
+        let w = _mm512_mul_ps(s, s);
+        let t = horner_lanes!(LOG_P, w, _mm512_add_ps, _mm512_mul_ps, _mm512_set1_ps);
+        let ln1p = _mm512_mul_ps(_mm512_add_ps(s, s), t);
+        let nf = _mm512_cvtepi32_ps(_mm512_sub_epi32(_mm512_set1_epi32(24), e));
+        let a = _mm512_mul_ps(_mm512_set1_ps(TWO_LN2), nf);
+        _mm512_sqrt_ps(_mm512_sub_ps(a, _mm512_add_ps(ln1p, ln1p)))
+    }
+
+    /// `cos8` on 16 lanes.
+    ///
+    /// # Safety
+    /// Requires AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn cos16(p: __m512i) -> __m512 {
+        let bit = |b: i32| _mm512_set1_epi32(b);
+        let pv = _mm512_and_si512(p, bit(0x00FF_FFFF));
+        let o = _mm512_srli_epi32::<21>(pv);
+        let f21 = _mm512_and_si512(pv, bit(0x001F_FFFF));
+        let odd = _mm512_test_epi32_mask(o, bit(1));
+        let fi = _mm512_mask_blend_epi32(odd, f21, _mm512_sub_epi32(bit(1 << 21), f21));
+        let phi = _mm512_mul_ps(_mm512_cvtepi32_ps(fi), _mm512_set1_ps(PHI_SCALE));
+        let w = _mm512_mul_ps(phi, phi);
+        let c = horner_lanes!(COS_P, w, _mm512_add_ps, _mm512_mul_ps, _mm512_set1_ps);
+        let s = horner_lanes!(SIN_P, w, _mm512_add_ps, _mm512_mul_ps, _mm512_set1_ps);
+        // sin when (o+1) & 2, negate when (o+2) & 4 (as in `cos8`).
+        let use_sin = _mm512_test_epi32_mask(_mm512_add_epi32(o, bit(1)), bit(2));
+        let v = _mm512_mask_blend_ps(use_sin, c, _mm512_mul_ps(phi, s));
+        let neg = _mm512_test_epi32_mask(_mm512_add_epi32(o, bit(2)), bit(4));
+        let v = _mm512_castps_si512(v);
+        _mm512_castsi512_ps(_mm512_mask_xor_epi32(v, neg, v, bit(i32::MIN)))
+    }
+
+    /// Sixteen-lane passes, one eight-lane pass (zmm words into the
+    /// AVX2 `radius8`/`cos8`) when eight or more values remain, then
+    /// the scalar tail.
+    ///
+    /// # Safety
+    /// Requires AVX2, AVX-512F and AVX-512DQ.
+    #[target_feature(enable = "avx2,avx512f,avx512dq")]
+    pub(super) unsafe fn box_muller_fill_avx512_raw(seed: u64, out: &mut [f32]) {
+        // Lane `l` of `z` is the first counter state of value `i + l`.
+        let odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+        let gamma = _mm512_set1_epi64(GAMMA as i64);
+        let mut z = _mm512_add_epi64(
+            _mm512_set1_epi64(seed as i64),
+            _mm512_mullo_epi64(odd, gamma),
+        );
+        let step = _mm512_set1_epi64(GAMMA.wrapping_mul(16) as i64); // eight values on
+        let mut i = 0;
+        while i + 16 <= out.len() {
+            // SAFETY: the callees need a subset of this fn's features,
+            // and lanes `i..i+16` are in bounds of `out`.
+            unsafe {
+                let ((k0, p0), (k1, p1)) = (words8(z), words8(_mm512_add_epi64(z, step)));
+                let k = _mm512_inserti64x4::<1>(_mm512_castsi256_si512(k0), k1);
+                let p = _mm512_inserti64x4::<1>(_mm512_castsi256_si512(p0), p1);
+                let v = _mm512_mul_ps(radius16(k), cos16(p));
+                _mm512_storeu_ps(out.as_mut_ptr().add(i), v);
+            }
+            z = _mm512_add_epi64(z, _mm512_add_epi64(step, step));
+            i += 16;
+        }
+        if i + 8 <= out.len() {
+            // SAFETY: the callees need a subset of this fn's features,
+            // and lanes `i..i+8` are in bounds of `out`.
+            unsafe {
+                let (k, p) = words8(z);
+                _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_mul_ps(radius8(k), cos8(p)));
+            }
+            i += 8;
+        }
+        for (j, o) in out.iter_mut().enumerate().skip(i) {
+            *o = normal_at(seed, j);
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+use avx512::box_muller_fill_avx512_raw;
+
 #[cfg(target_arch = "x86_64")]
 use avx2::{
-    absmax_avx2_raw, box_muller_fill_avx2_raw, cos_fill_avx2_raw, dot8_pairs_avx2_raw,
-    dot_lanes_avx2_raw, f16_encode_f16c_raw, f16_round_fill_f16c_raw, int8_round_fill_avx2_raw,
-    ln_fill_avx2_raw, segment_dots8_avx2_raw,
+    absmax_avx2_raw, box_muller_fill_avx2_raw, dot8_pairs_avx2_raw, dot_lanes_avx2_raw,
+    f16_encode_f16c_raw, f16_round_fill_f16c_raw, int8_round_fill_avx2_raw, segment_dots8_avx2_raw,
 };
 
 #[cfg(test)]

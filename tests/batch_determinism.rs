@@ -338,10 +338,11 @@ fn shared_service_serves_staggered_mixed_priority_requests() {
         .clone()
         .with_exec_mode(ExecMode::Serial)
         .run(&jobs[0].workload, &jobs[0].arch);
-    // Quiesce: all workers park (blocked on the condvar).
+    // Quiesce: all workers park (blocked on the condvar) with no wakeup
+    // pending.
     let quiesce = || {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while service.stats().parked != 3 {
+        while !service.stats().idle {
             assert!(
                 std::time::Instant::now() < deadline,
                 "workers failed to park between jobs: {:?}",
