@@ -16,6 +16,7 @@
 //! semantically distinct tokens (its Table II accuracy dips).
 
 use focus_sim::ArchConfig;
+use focus_tensor::backend::{self, row_cosine};
 use focus_vlm::accuracy::TokenOutcome;
 use focus_vlm::embedding::Stage;
 use focus_vlm::Workload;
@@ -72,6 +73,8 @@ impl Concentrator for AdaptivBaseline {
         let m_img = workload.image_tokens_scaled();
         let per_frame = scaled.tokens_per_frame();
         let mut act_syn = workload.activation_synthesizer();
+        // Cosines run on the kernel handle the synthesiser fills with.
+        let kernels = backend::active();
         let relevance = workload.relevance();
 
         // Each surviving token may absorb neighbours; fidelity of an
@@ -109,7 +112,7 @@ impl Concentrator for AdaptivBaseline {
                     taken[i] = true;
                     taken[i + 1] = true;
                     merged_into_prev[i + 1] = true;
-                    let cos = focus_tensor::ops::cosine_similarity(acts.row(i), acts.row(i + 1));
+                    let cos = row_cosine(kernels, acts.row(i), acts.row(i + 1));
                     last_fid[alive[i + 1]] = last_fid[alive[i + 1]].min(cos.max(0.0) as f64);
                     merges += 1;
                 }

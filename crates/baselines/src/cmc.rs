@@ -16,6 +16,7 @@
 //!   ~79 % of the dense traffic.
 
 use focus_sim::ArchConfig;
+use focus_tensor::backend::{self, row_cosine};
 use focus_vlm::accuracy::TokenOutcome;
 use focus_vlm::embedding::Stage;
 use focus_vlm::scene::hash_words;
@@ -74,6 +75,8 @@ impl Concentrator for CmcBaseline {
         let scene = workload.scene();
         let relevance = workload.relevance();
         let mut act_syn = workload.activation_synthesizer();
+        // Cosines run on the kernel handle the synthesiser fills with.
+        let kernels = backend::active();
         let seed = hash_words(workload.seed(), &[0xC3C]);
         // Spurious-match probability: pixel-space block matching fails
         // more often with fast motion, frequent cuts, and coarse token
@@ -123,7 +126,7 @@ impl Concentrator for CmcBaseline {
                     // which the pixel-space codec never checked — and it
                     // compounds over the layers the token is absent
                     // (cos^1.8 ≈ per-layer drift accumulated).
-                    let cos = focus_tensor::ops::cosine_similarity(acts.row(t), acts.row(prev));
+                    let cos = row_cosine(kernels, acts.row(t), acts.row(prev));
                     // focus-lint: allow(D1-libm) — the paper's CMC fidelity model, an f64
                     // accuracy-reporting path; baselines are never bit-compared to Focus.
                     fidelity[t] = (cos.max(0.0) as f64).powf(1.8);

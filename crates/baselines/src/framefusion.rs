@@ -11,6 +11,7 @@
 //! roofline model.
 
 use focus_sim::ArchConfig;
+use focus_tensor::backend::{self, row_cosine};
 use focus_vlm::accuracy::TokenOutcome;
 use focus_vlm::embedding::Stage;
 use focus_vlm::Workload;
@@ -50,6 +51,8 @@ impl Concentrator for FrameFusionBaseline {
         let per_frame = scaled.tokens_per_frame();
         let relevance = workload.relevance();
         let mut act_syn = workload.activation_synthesizer();
+        // Cosines run on the kernel handle the synthesiser fills with.
+        let kernels = backend::active();
         let att_syn = workload.attention_synthesizer();
 
         // Rank tokens: merge candidates are those most similar to their
@@ -61,8 +64,7 @@ impl Concentrator for FrameFusionBaseline {
         let mut order: Vec<(usize, f64)> = (0..m_img)
             .map(|t| {
                 let sim = if t >= per_frame {
-                    focus_tensor::ops::cosine_similarity(acts.row(t), acts.row(t - per_frame))
-                        as f64
+                    row_cosine(kernels, acts.row(t), acts.row(t - per_frame)) as f64
                 } else {
                     -1.0
                 };
@@ -77,8 +79,7 @@ impl Concentrator for FrameFusionBaseline {
         let mut fidelity = vec![1.0f64; m_img];
         for &(t, _) in order.iter().take(k_remove) {
             let fid = if t >= per_frame {
-                focus_tensor::ops::cosine_similarity(acts.row(t), acts.row(t - per_frame))
-                    .clamp(0.0, 1.0) as f64
+                row_cosine(kernels, acts.row(t), acts.row(t - per_frame)).clamp(0.0, 1.0) as f64
             } else {
                 0.0
             };

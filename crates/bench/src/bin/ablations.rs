@@ -15,7 +15,8 @@ use focus_core::sec::SelectionPolicy;
 use focus_core::sic::{ConvLayouter, Fhw, SimilarityConcentrator};
 use focus_core::FocusConfig;
 use focus_sim::AreaModel;
-use focus_tensor::ops::{l2_norm, top_k_indices};
+use focus_tensor::backend::{self, row_norm};
+use focus_tensor::ops::top_k_indices;
 use focus_vlm::embedding::Stage;
 use focus_vlm::{DatasetKind, ModelKind};
 
@@ -65,7 +66,11 @@ fn main() {
     let k = tokens.len() / 5; // 20 % retention
     let prompt_imp = att.reference_importance(3, &tokens);
     let prompt_kept = top_k_indices(&prompt_imp, k);
-    let magnitude: Vec<f32> = tokens.iter().map(|&t| l2_norm(acts.row(t))).collect();
+    let kernels = backend::active();
+    let magnitude: Vec<f32> = tokens
+        .iter()
+        .map(|&t| row_norm(kernels, acts.row(t)))
+        .collect();
     let static_kept = top_k_indices(&magnitude, k);
     let coverage = |kept: &[usize]| -> f64 {
         let kept_mass: f64 = kept.iter().map(|&t| relevance[t]).sum();

@@ -41,9 +41,11 @@ use super::hist::Histogram;
 /// each covering the [`Backend`] methods named on its variant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum KernelFamily {
-    /// Compact-norm kernels (`segment_norms`, `row_norms`).
+    /// Norm launches (`segment_norms`): the production sweep's
+    /// per-row segment norms and every whole-row norm.
     Norms,
-    /// Gather scoring (`segment_scores`, `score_pairs`).
+    /// Cosine launches (`segment_scores`): the production sweep's
+    /// per-(row, candidate) scoring and every whole-row cosine.
     Score,
     /// INT8 fake-quantise round trips.
     FakeQuantize,
@@ -221,23 +223,6 @@ impl Backend for Timed {
         self.time(KernelFamily::Score, || {
             self.inner
                 .segment_scores(a, b, seg, segs, a_norms, b_norms, out)
-        })
-    }
-
-    fn row_norms(&self, rows: &[&[f32]], out: &mut [f32]) {
-        self.time(KernelFamily::Norms, || self.inner.row_norms(rows, out))
-    }
-
-    fn score_pairs(
-        &self,
-        a: &[&[f32]],
-        a_norms: &[f32],
-        b: &[&[f32]],
-        b_norms: &[f32],
-        scores: &mut [f32],
-    ) {
-        self.time(KernelFamily::Score, || {
-            self.inner.score_pairs(a, a_norms, b, b_norms, scores)
         })
     }
 

@@ -24,7 +24,7 @@
 use core::ops::Range;
 use std::collections::HashMap;
 
-use focus_tensor::backend::BackendHandle;
+use focus_tensor::backend::{self, BackendHandle, RowRef};
 use focus_tensor::{Element, Matrix};
 
 use crate::config::BlockSize;
@@ -99,19 +99,23 @@ impl GatherResult {
 ///
 /// Candidate neighbourhoods come from a per-call `HashMap`, independent
 /// of the flat [`PositionLookup`] plan the production sweep replays.
-/// Norms and scores are one tile-wide [`Backend::row_norms`] launch and
-/// one [`Backend::score_pairs`] launch over every live `(row, candidate)`
-/// probe; the sequential best-match walk then reads the precomputed
-/// scores. Matched rows' fidelity is a second batched launch, scored
-/// against each representative's *source* row (byte-identical to its
-/// compact copy).
+/// Each live row's norm is one single-segment [`Backend::segment_norms`]
+/// launch (the segment spans the tile's columns), and each live
+/// `(row, candidate)` probe one single-segment
+/// [`Backend::segment_scores`] launch; the sequential best-match walk
+/// then reads the precomputed scores. Matched rows' fidelity is scored
+/// the same way against each representative's *source* row
+/// (byte-identical to its compact copy). A single segment takes the
+/// chunked-scalar dot on every backend, so this reference checks the
+/// sweep's eight-segment pass with different code. In a width-0 tile
+/// every norm is 0 and every score 1.0.
 ///
 /// # Panics
 ///
 /// Panics if the row/column ranges exceed `acts` or `positions`.
 ///
-/// [`Backend::row_norms`]: focus_tensor::backend::Backend::row_norms
-/// [`Backend::score_pairs`]: focus_tensor::backend::Backend::score_pairs
+/// [`Backend::segment_norms`]: focus_tensor::backend::Backend::segment_norms
+/// [`Backend::segment_scores`]: focus_tensor::backend::Backend::segment_scores
 pub fn gather_tile(
     acts: &Matrix,
     rows: Range<usize>,
@@ -154,25 +158,33 @@ pub fn gather_tile(
     let mut carried: u64 = 0;
     let mut avoided: u64 = 0;
 
-    // Batched norms of every live (non-carried) row. Carried rows keep
-    // a 0.0 sentinel (they are never candidates, so it is never read).
+    // Norms of every live (non-carried) row. Carried rows keep a 0.0
+    // sentinel (they are never candidates, so it is never read).
     let mut norms = vec![0.0f32; row_count];
-    let live: Vec<usize> = (0..row_count)
-        .filter(|&l| carried_at(l).is_none())
-        .collect();
-    let live_rows: Vec<&[f32]> = live.iter().map(|&l| row_of(l)).collect();
-    let mut live_norms = vec![0.0f32; live.len()];
-    backend.row_norms(&live_rows, &mut live_norms);
-    for (&l, &n) in live.iter().zip(&live_norms) {
-        norms[l] = n;
+    for (local, norm) in norms.iter_mut().enumerate() {
+        if carried_at(local).is_none() {
+            *norm = backend::row_norm(backend, row_of(local));
+        }
     }
+    // One probe's cosine from the precomputed norms (1.0 when the tile
+    // is 0 wide: both norms are 0).
+    let score = |a: usize, b: usize| -> f32 {
+        let mut cos = [1.0f32];
+        if width > 0 {
+            let (ra, rb) = (RowRef::F32(row_of(a)), RowRef::F32(row_of(b)));
+            let (na, nb) = (&norms[a..=a], &norms[b..=b]);
+            backend.segment_scores(ra, rb, width, &[0], na, nb, &mut cos);
+        }
+        cos[0]
+    };
 
     // Every row's live candidate probes
-    // (`cand_offsets[local]..cand_offsets[local+1]` indexes `cand_idx`),
-    // scored in one launch. A probe is live iff neither endpoint is
+    // (`cand_offsets[local]..cand_offsets[local+1]` indexes `cand_idx`,
+    // `scores` alike). A probe is live iff neither endpoint is
     // carried; dead probes count as avoided.
     let mut cand_offsets: Vec<usize> = Vec::with_capacity(row_count + 1);
     let mut cand_idx: Vec<usize> = Vec::new();
+    let mut scores: Vec<f32> = Vec::new();
     cand_offsets.push(0);
     for local in 0..row_count {
         for cand in cands_of(local) {
@@ -180,25 +192,10 @@ pub fn gather_tile(
                 avoided += 1;
             } else {
                 cand_idx.push(cand);
+                scores.push(score(local, cand));
             }
         }
         cand_offsets.push(cand_idx.len());
-    }
-    let mut scores = vec![0.0f32; cand_idx.len()];
-    {
-        let mut pair_a: Vec<&[f32]> = Vec::with_capacity(cand_idx.len());
-        let mut pair_an: Vec<f32> = Vec::with_capacity(cand_idx.len());
-        let mut pair_b: Vec<&[f32]> = Vec::with_capacity(cand_idx.len());
-        let mut pair_bn: Vec<f32> = Vec::with_capacity(cand_idx.len());
-        for local in 0..row_count {
-            for &cand in &cand_idx[cand_offsets[local]..cand_offsets[local + 1]] {
-                pair_a.push(row_of(local));
-                pair_an.push(norms[local]);
-                pair_b.push(row_of(cand));
-                pair_bn.push(norms[cand]);
-            }
-        }
-        backend.score_pairs(&pair_a, &pair_an, &pair_b, &pair_bn, &mut scores);
     }
 
     // The sequential walk: carried replay, best-match selection over
@@ -243,18 +240,10 @@ pub fn gather_tile(
         }
     }
 
-    // Deferred fidelity of the matched rows, one batched launch.
-    if !fid_pairs.is_empty() {
-        let src = |rep: u32| rep_source[rep as usize];
-        let pair_a: Vec<&[f32]> = fid_pairs.iter().map(|&(l, _)| row_of(l)).collect();
-        let pair_an: Vec<f32> = fid_pairs.iter().map(|&(l, _)| norms[l]).collect();
-        let pair_b: Vec<&[f32]> = fid_pairs.iter().map(|&(_, r)| row_of(src(r))).collect();
-        let pair_bn: Vec<f32> = fid_pairs.iter().map(|&(_, r)| norms[src(r)]).collect();
-        let mut fid = vec![0.0f32; fid_pairs.len()];
-        backend.score_pairs(&pair_a, &pair_an, &pair_b, &pair_bn, &mut fid);
-        for (&(l, _), &f) in fid_pairs.iter().zip(&fid) {
-            fidelity[l] = f;
-        }
+    // Deferred fidelity of the matched rows, against each
+    // representative's source row.
+    for (l, rep) in fid_pairs {
+        fidelity[l] = score(l, rep_source[rep as usize]);
     }
 
     let p = compact_rows.len() / width.max(1);

@@ -588,19 +588,6 @@ mod tests {
             self.scored_segs.fetch_add(segs.len(), Ordering::Relaxed);
             backend::simd().segment_scores(a, b, seg, segs, a_norms, b_norms, out)
         }
-        fn row_norms(&self, rows: &[&[f32]], out: &mut [f32]) {
-            backend::simd().row_norms(rows, out)
-        }
-        fn score_pairs(
-            &self,
-            a: &[&[f32]],
-            a_norms: &[f32],
-            b: &[&[f32]],
-            b_norms: &[f32],
-            scores: &mut [f32],
-        ) {
-            backend::simd().score_pairs(a, a_norms, b, b_norms, scores)
-        }
         fn fake_quantize(&self, m: &mut Matrix) {
             backend::simd().fake_quantize(m)
         }
@@ -653,6 +640,23 @@ mod tests {
             counting.norm_segs.load(Ordering::Relaxed),
             40 * col_tiles,
             "one norm per live segment"
+        );
+        assert!(counting.scored_segs.load(Ordering::Relaxed) > 0);
+
+        // The reference gather runs on the same kernel family: nothing
+        // on a fully carried tile, one norm segment per live row and
+        // column tile without a carry.
+        counting.norm_segs.store(0, Ordering::Relaxed);
+        counting.scored_segs.store(0, Ordering::Relaxed);
+        let reference = conc.reference(&acts, &positions, random_masks(0, col_tiles, 4), counting);
+        assert_eq!(reference.0.carried, (40 * col_tiles) as u64);
+        assert_eq!(counting.norm_segs.load(Ordering::Relaxed), 0);
+        assert_eq!(counting.scored_segs.load(Ordering::Relaxed), 0);
+        conc.reference(&acts, &positions, |_, _, _| false, counting);
+        assert_eq!(
+            counting.norm_segs.load(Ordering::Relaxed),
+            40 * col_tiles,
+            "one reference norm per live segment"
         );
         assert!(counting.scored_segs.load(Ordering::Relaxed) > 0);
     }

@@ -125,7 +125,7 @@ mod tests {
         let g = gather_tile(&acts, 0..4, 0..4, &positions, &cfg, None, backend::active());
         let rebuilt = scatter(&g.compact, &g.map);
         for i in 0..4 {
-            let cos = focus_tensor::ops::cosine_similarity(rebuilt.row(i), acts.row(i));
+            let cos = backend::row_cosine(backend::active(), rebuilt.row(i), acts.row(i));
             assert!(cos >= 0.9, "row {i} reconstructed at cos {cos}");
         }
     }

@@ -6,7 +6,7 @@
 //! | `D1-libm`       | determinism | no float libm transcendentals (`.ln()`, `.cos()`, `.sin()`, `.exp()`, `.powf(`, `.sqrt()`) outside the allowlist |
 //! | `D1-wallclock`  | determinism | no `Instant::now` / `SystemTime` outside sim/bench/test code |
 //! | `D2-intrinsics` | kernel containment | `core::arch` intrinsics and `is_x86_feature_detected!` only in `crates/tensor/src/{math,backend}.rs` |
-//! | `D2-kernel`     | kernel containment | `exec/` and `sic/` never call `math::` kernels directly — float inner loops route through a `BackendHandle` |
+//! | `D2-kernel`     | kernel containment | no crate outside `crates/tensor` calls `math::` kernels directly — float inner loops route through a `BackendHandle`; only the non-dispatched helpers `math::normal_from_raw` and `math::GAMMA` are allowed |
 //! | `S1-safety`     | unsafe hygiene | every `unsafe` block / `unsafe fn` carries a `// SAFETY:` (or `# Safety` doc) comment immediately above |
 //! | `S1-dispatch`   | unsafe hygiene | every `#[target_feature]` fn is `unsafe` and is referenced only inside its defining dispatch module |
 //! | `L1-lock`       | lock discipline | no `.lock().unwrap()` / `.lock().expect(` in `exec/` — use `lock_clean` / `wait_clean` |
@@ -17,7 +17,7 @@
 //! is itself reported (`W1-malformed-waiver` / `W0-unused-waiver`) —
 //! waivers cannot rot.
 
-use crate::scan::{find_in_stream, Scanned};
+use crate::scan::{find_in_stream, is_ident, stream_matches, Scanned};
 use std::fmt;
 
 /// Every enforceable rule id, in report order.
@@ -111,14 +111,42 @@ fn d2_intrinsics_allowed(rel: &str) -> bool {
     rel == "crates/tensor/src/math.rs" || rel == "crates/tensor/src/backend.rs"
 }
 
-/// Scheduler / concentration orchestration layers: no open-coded
-/// kernels, no poison-unwrapping locks.
+/// Scheduler layer: no poison-unwrapping locks.
 fn is_exec(rel: &str) -> bool {
     rel.starts_with("crates/core/src/exec/")
 }
 
-fn is_exec_or_sic(rel: &str) -> bool {
-    is_exec(rel) || rel.starts_with("crates/core/src/sic/")
+/// D2 kernel scope: every first-party crate's library and binary code
+/// outside `crates/tensor`, the kernels' home. Tests, benches and
+/// examples may call `math::` kernels as oracles.
+fn d2_kernel_applies(rel: &str) -> bool {
+    let first_party = rel.starts_with("src/") || rel.starts_with("crates/");
+    first_party
+        && !rel.starts_with("crates/tensor/")
+        && !rel
+            .split('/')
+            .any(|c| c == "tests" || c == "benches" || c == "examples")
+}
+
+/// The `math::` items D2-kernel allows: scalar helpers with no kernel
+/// and no backend choice behind them.
+const D2_KERNEL_HELPERS: [&str; 2] = ["normal_from_raw", "GAMMA"];
+
+/// Lines of `math::` paths that name anything but a
+/// [`D2_KERNEL_HELPERS`] item (a grouped or glob import counts).
+fn math_kernel_lines(s: &Scanned) -> Vec<u32> {
+    const PAT: &str = "math::";
+    (0..s.stream.len())
+        .filter(|&at| stream_matches(s, at, PAT))
+        .filter(|&at| {
+            let item: String = s.stream[at + PAT.len()..]
+                .iter()
+                .take_while(|&&c| is_ident(c))
+                .collect();
+            !D2_KERNEL_HELPERS.contains(&item.as_str())
+        })
+        .map(|at| s.stream_lines[at])
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -158,7 +186,21 @@ fn push_hits(
     skip_test_lines: bool,
     out: &mut Vec<Violation>,
 ) {
-    for line in find_in_stream(&input.scanned, pat) {
+    let lines = find_in_stream(&input.scanned, pat);
+    push_lines(input, lines, pat, rule, message, skip_test_lines, out);
+}
+
+/// Reports `rule` at each of `lines`, naming the matched `pat`.
+fn push_lines(
+    input: &Input,
+    lines: Vec<u32>,
+    pat: &str,
+    rule: &str,
+    message: &str,
+    skip_test_lines: bool,
+    out: &mut Vec<Violation>,
+) {
+    for line in lines {
         if skip_test_lines && in_test_lines(input, line) {
             continue;
         }
@@ -218,12 +260,13 @@ fn check_d2(input: &Input, out: &mut Vec<Violation>) {
             );
         }
     }
-    if is_exec_or_sic(&input.rel) {
-        push_hits(
+    if d2_kernel_applies(&input.rel) {
+        push_lines(
             input,
+            math_kernel_lines(&input.scanned),
             "math::",
             "D2-kernel",
-            "exec/ and sic/ must not open-code kernel calls; route float inner loops through a BackendHandle method",
+            "only crates/tensor calls math:: kernels; route float work through a BackendHandle method",
             true,
             out,
         );
@@ -606,7 +649,48 @@ mod tests {
             rules_of(&lint_one("crates/core/src/sic/gather.rs", src)),
             ["D2-kernel"]
         );
-        assert!(lint_one("crates/core/src/sec/mod.rs", src).is_empty());
+    }
+
+    #[test]
+    fn d2_kernel_covers_every_crate_outside_tensor() {
+        let src = "fn f(a: &[f32], o: &mut [f32]) { focus_tensor::math::segment_dots(a, a, 8, &[0], o); }\n";
+        for rel in [
+            "crates/core/src/sec/mod.rs",
+            "crates/baselines/src/cmc.rs",
+            "crates/vlm/src/embedding.rs",
+            "crates/bench/src/bin/ablations.rs",
+            "src/lib.rs",
+        ] {
+            assert_eq!(rules_of(&lint_one(rel, src)), ["D2-kernel"], "{rel}");
+        }
+        // The kernels' home, and tests, benches and examples using the
+        // kernels as oracles, are out of scope.
+        for rel in [
+            "crates/tensor/src/backend.rs",
+            "crates/tensor/tests/math_kernel.rs",
+            "tests/backend_kernels.rs",
+            "crates/bench/benches/kernels.rs",
+            "examples/quickstart.rs",
+        ] {
+            assert!(lint_one(rel, src).is_empty(), "{rel}");
+        }
+        // A grouped import hides which items it takes, so it counts.
+        let grouped = "use focus_tensor::math::{normal_from_raw, GAMMA};\n";
+        assert_eq!(
+            rules_of(&lint_one("crates/vlm/src/scene.rs", grouped)),
+            ["D2-kernel"]
+        );
+    }
+
+    #[test]
+    fn d2_kernel_allows_only_the_scalar_helpers() {
+        let src = "fn f(a: u64) -> (f32, u64) {\n    (focus_tensor::math::normal_from_raw(a, a), math::GAMMA)\n}\n";
+        assert!(lint_one("crates/vlm/src/scene.rs", src).is_empty());
+        let near = "fn f(a: u64) -> f32 { math::normal_from_raw_fast(a, a) }\n";
+        assert_eq!(
+            rules_of(&lint_one("crates/vlm/src/scene.rs", near)),
+            ["D2-kernel"]
+        );
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Pluggable execution backends for the hot stage kernels.
 //!
 //! The measured phase spends its time in five kernel families: gather
-//! candidate scoring (dot + cosine-with-norms over planned candidate
-//! lists), compact-norm computation, the dtype kernels (INT8
-//! fake-quantise round trip, FP16 rounding and the FP16 store's row
-//! encode), scatter row replay, and the activation-synthesis fill.
-//! This module puts all five behind one [`Backend`] trait — the
+//! scoring (segment dot + cosine-with-norms), compact norms, the dtype
+//! kernels (INT8 fake-quantise round trip, FP16 rounding and the FP16
+//! store's row encode), scatter row replay, and the activation-synthesis
+//! fill. This module puts all five behind one [`Backend`] trait — the
 //! InfiniNN `VirtualMachine` pattern — with two implementations:
 //!
 //! * [`ScalarRef`] — the chunked-scalar reference paths, kept as the
@@ -13,16 +12,23 @@
 //! * [`Simd`] — the runtime-dispatched AVX2/F16C kernels from
 //!   [`crate::math`] (the synthesis fill takes an AVX-512F+DQ tier
 //!   before AVX2 where the CPU has it, sixteen lanes a pass), extended
-//!   with segment-addressed gather scoring
-//!   and norms (eight segments of two contiguous rows per register
-//!   pass via [`crate::math::segment_dots`]; the reference tile gather's
-//!   pair launches batch eight pairs or rows the same way through
-//!   [`crate::math::dot_pairs_chunked`] and
-//!   [`crate::math::l2_norms_chunked`]) and whole-row fake-quantise
+//!   with segment-addressed gather scoring and norms (eight segments
+//!   of two contiguous rows per register pass via
+//!   [`crate::math::segment_dots`]) and whole-row fake-quantise
 //!   ([`crate::quant::fake_quantize_in_place_batched`]). **Bit-identical
 //!   to [`ScalarRef`]** lane for lane under the frozen-op-order
 //!   discipline (proptest-enforced in `tests/backend_kernels.rs`), so
 //!   swapping backends never changes a result, only throughput.
+//!
+//! [`Backend::segment_norms`] and [`Backend::segment_scores`] are the
+//! workspace's one cosine kernel family. The production gather sweep
+//! lists many 32-wide segments per launch; every other cosine or norm
+//! — the reference tile gather, the baselines, the Fig. 2(b)
+//! similarity samples — is one segment spanning the whole row, through
+//! [`row_norm`] and [`row_cosine`] or a one-segment launch with
+//! caller-held norms. A single listed segment always takes the
+//! chunked-scalar dot on either backend, so those callers check the
+//! sweep's eight-segment AVX2 pass with different code.
 //!
 //! A [`BackendHandle`] is the one place a kernel implementation is
 //! chosen: callers that want the scalar path pass [`scalar_ref`]. The
@@ -109,36 +115,6 @@ pub trait Backend: fmt::Debug + Sync {
         out: &mut [f32],
     );
 
-    /// Batched L2 norms of equally-wide rows in one launch — the
-    /// reference tile gather's compact-norm pre-pass, where the SIMD
-    /// backend keeps eight rows' accumulator chains in flight per pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` and `out` differ in length or row widths are
-    /// mixed.
-    fn row_norms(&self, rows: &[&[f32]], out: &mut [f32]);
-
-    /// Batched cosine scores of independent equally-wide pairs:
-    /// `scores[i] = cosine(a[i], b[i])` with caller-supplied norms and
-    /// the zero-norm conventions of
-    /// [`math::cosine_with_norms_chunked`] — the reference tile
-    /// gather's scoring launch, covering every `(row, candidate)` probe
-    /// of a tile at once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the five slices disagree on pair count or any slice
-    /// differs in width from the first.
-    fn score_pairs(
-        &self,
-        a: &[&[f32]],
-        a_norms: &[f32],
-        b: &[&[f32]],
-        b_norms: &[f32],
-        scores: &mut [f32],
-    );
-
     /// In-place per-row INT8 fake-quantise round trip.
     fn fake_quantize(&self, m: &mut Matrix);
 
@@ -220,24 +196,6 @@ fn scatter_rows_copy(partial: &Matrix, reps: &[u32], out: &mut Matrix) {
     }
 }
 
-fn assert_pair_shapes(
-    a: &[&[f32]],
-    a_norms: &[f32],
-    b: &[&[f32]],
-    b_norms: &[f32],
-    scores: &[f32],
-) {
-    assert_eq!(a.len(), b.len(), "one left row per right row");
-    assert_eq!(a.len(), a_norms.len(), "one norm per left row");
-    assert_eq!(b.len(), b_norms.len(), "one norm per right row");
-    assert_eq!(a.len(), scores.len(), "one score slot per pair");
-    let n = a.first().map_or(0, |s| s.len());
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.len(), n, "pair width mismatch");
-        assert_eq!(y.len(), n, "pair width mismatch");
-    }
-}
-
 /// The explicitly-scalar reference backend: every kernel runs the
 /// chunked-scalar path regardless of CPU features. The bit-exactness
 /// oracle [`Simd`] is tested against.
@@ -266,24 +224,6 @@ impl Backend for ScalarRef {
         segment_scores_of(a, b, seg, segs, a_norms, b_norms, out, false);
     }
 
-    fn row_norms(&self, rows: &[&[f32]], out: &mut [f32]) {
-        math::l2_norms_chunked_scalar(rows, out);
-    }
-
-    fn score_pairs(
-        &self,
-        a: &[&[f32]],
-        a_norms: &[f32],
-        b: &[&[f32]],
-        b_norms: &[f32],
-        scores: &mut [f32],
-    ) {
-        assert_pair_shapes(a, a_norms, b, b_norms, scores);
-        for i in 0..a.len() {
-            scores[i] = math::cosine_with_norms_chunked_scalar(a[i], a_norms[i], b[i], b_norms[i]);
-        }
-    }
-
     fn fake_quantize(&self, m: &mut Matrix) {
         quant::fake_quantize_in_place(m);
     }
@@ -307,8 +247,9 @@ impl Backend for ScalarRef {
 
 /// The runtime-dispatched fast backend: AVX2/F16C when the CPU has
 /// them (AVX-512F+DQ first for the synthesis fill), the chunked-scalar
-/// fallback otherwise — always bit-identical to [`ScalarRef`]. Gather norms and scoring batch eight segments,
-/// rows or pairs per pass and fake-quantise runs whole rows at once.
+/// fallback otherwise — always bit-identical to [`ScalarRef`]. Gather
+/// norms and scoring batch eight segments per pass and fake-quantise
+/// runs whole rows at once.
 #[derive(Debug)]
 pub struct Simd;
 
@@ -332,28 +273,6 @@ impl Backend for Simd {
         out: &mut [f32],
     ) {
         segment_scores_of(a, b, seg, segs, a_norms, b_norms, out, true);
-    }
-
-    fn row_norms(&self, rows: &[&[f32]], out: &mut [f32]) {
-        math::l2_norms_chunked(rows, out);
-    }
-
-    fn score_pairs(
-        &self,
-        a: &[&[f32]],
-        a_norms: &[f32],
-        b: &[&[f32]],
-        b_norms: &[f32],
-        scores: &mut [f32],
-    ) {
-        assert_pair_shapes(a, a_norms, b, b_norms, scores);
-        // Batched dots first (eight independent pairs per pass), then
-        // the zero-norm conventions — for a zero norm the dot is
-        // ignored, so computing it eagerly cannot change any score.
-        math::dot_pairs_chunked(a, b, scores);
-        for (i, score) in scores.iter_mut().enumerate() {
-            *score = math::cosine_from_dot(*score, a_norms[i], b_norms[i]);
-        }
     }
 
     fn fake_quantize(&self, m: &mut Matrix) {
@@ -388,6 +307,36 @@ pub fn scalar_ref() -> BackendHandle {
 /// The runtime-dispatched [`Simd`] backend (the default).
 pub fn simd() -> BackendHandle {
     &SIMD
+}
+
+/// The L2 norm of a whole row: one [`Backend::segment_norms`] launch
+/// of a single segment spanning the row. An empty row has norm 0.
+pub fn row_norm(backend: BackendHandle, row: &[f32]) -> f32 {
+    let mut norm = [0.0f32];
+    if !row.is_empty() {
+        backend.segment_norms(RowRef::F32(row), row.len(), &[0], &mut norm);
+    }
+    norm[0]
+}
+
+/// The cosine of two equally wide rows, each taken as one segment
+/// spanning it: [`row_norm`] of both, then one
+/// [`Backend::segment_scores`] launch, with the conventions of
+/// [`math::cosine_from_dot`]. Two empty rows score 1.0, like two zero
+/// rows.
+///
+/// # Panics
+///
+/// Panics if the rows differ in length.
+pub fn row_cosine(backend: BackendHandle, a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len(), "cosine of mismatched lengths");
+    let (na, nb) = ([row_norm(backend, a)], [row_norm(backend, b)]);
+    let mut cos = [math::cosine_from_dot(0.0, 0.0, 0.0)];
+    if !a.is_empty() {
+        let (ra, rb) = (RowRef::F32(a), RowRef::F32(b));
+        backend.segment_scores(ra, rb, a.len(), &[0], &na, &nb, &mut cos);
+    }
+    cos[0]
 }
 
 /// Which backend implementation a name selects.
@@ -466,6 +415,45 @@ mod tests {
         assert_eq!(BackendKind::Scalar.handle().name(), "scalar");
         assert_eq!(BackendKind::Simd.handle().name(), "simd");
         assert_eq!(BackendKind::default(), BackendKind::Simd);
+    }
+
+    #[test]
+    fn dot_and_norm_basics() {
+        for be in [scalar_ref(), simd()] {
+            assert_eq!(row_norm(be, &[3.0, 4.0]), 5.0, "{}", be.name());
+            assert_eq!(row_norm(be, &[]), 0.0, "{}", be.name());
+            let mut e = [0.0f32; 19];
+            e[13] = 3.0;
+            assert_eq!(row_norm(be, &e), 3.0, "{}", be.name());
+        }
+    }
+
+    #[test]
+    fn cosine_handles_zero_vectors() {
+        for be in [scalar_ref(), simd()] {
+            let name = be.name();
+            assert_eq!(row_cosine(be, &[0.0, 0.0], &[0.0, 0.0]), 1.0, "{name}");
+            assert_eq!(row_cosine(be, &[0.0, 0.0], &[1.0, 0.0]), 0.0, "{name}");
+            assert_eq!(row_cosine(be, &[1.0, 0.0], &[0.0, 0.0]), 0.0, "{name}");
+            assert_eq!(row_cosine(be, &[], &[]), 1.0, "{name}: empty rows");
+            assert!((row_cosine(be, &[1.0, 1.0], &[-1.0, -1.0]) + 1.0).abs() < 1e-6);
+            assert!((row_cosine(be, &[1.0, 0.0], &[2.0, 0.0]) - 1.0).abs() < 1e-6);
+            assert!(row_cosine(be, &[1.0, 0.0], &[0.0, 1.0]).abs() < 1e-6);
+            // Norms smaller than the true ones push the quotient past
+            // ±1; the score clamps.
+            let (a, b) = (RowRef::F32(&[2.0, 2.0]), RowRef::F32(&[-2.0, -2.0]));
+            let mut cos = [0.0f32];
+            be.segment_scores(a, a, 2, &[0], &[1.0], &[1.0], &mut cos);
+            assert_eq!(cos, [1.0], "{name}: clamp from above");
+            be.segment_scores(a, b, 2, &[0], &[1.0], &[1.0], &mut cos);
+            assert_eq!(cos, [-1.0], "{name}: clamp from below");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "mismatched lengths")]
+    fn row_cosine_rejects_mismatched_widths() {
+        row_cosine(simd(), &[], &[1.0]);
     }
 
     #[test]

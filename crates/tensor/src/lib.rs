@@ -12,8 +12,8 @@
 //! * [`Matrix`] — the dense row-major activation buffer the workload
 //!   generator fills and the pipeline stages read, storing `f32` or
 //!   FP16 bits ([`Element`]);
-//! * [`ops`] — vector kernels (dot, L2 norm, cosine similarity,
-//!   softmax, top-k) that the concentrator models reuse;
+//! * [`ops`] — vector specifications and helpers (softmax, top-k,
+//!   vector ranges, geometric mean) that the concentrator models reuse;
 //! * [`math`] — the batched, bit-deterministic transcendental kernel
 //!   (fixed-polynomial `ln`/`cos`, `box_muller_fill`) behind all
 //!   activation synthesis, with a runtime-dispatched SIMD path that is
@@ -23,6 +23,8 @@
 //!   rounding and encode, scatter, synthesis fill) behind one dispatch surface,
 //!   with bit-identical `scalar`/`simd` implementations chosen by a
 //!   [`BackendHandle`] (`FOCUS_BACKEND` picks the process default).
+//!   Every cosine and norm is a segment launch; whole rows go through
+//!   [`backend::row_cosine`] and [`backend::row_norm`].
 //!
 //! Everything is deterministic: no global RNG, no time sources. Workload
 //! synthesis seeds `rand::rngs::StdRng` explicitly.
@@ -30,13 +32,15 @@
 //! # Examples
 //!
 //! ```
-//! use focus_tensor::{backend, ops, Matrix};
+//! use focus_tensor::{backend, Matrix};
 //!
 //! let a = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32);
 //! let mut b = a.clone();
-//! backend::simd().f16_round(&mut b); // small integers are exact in FP16
+//! let simd = backend::simd();
+//! simd.f16_round(&mut b); // small integers are exact in FP16
 //! assert_eq!(b, a);
-//! assert!((ops::cosine_similarity(b.row(0), a.row(0)) - 1.0).abs() < 1e-6);
+//! assert!((backend::row_cosine(simd, b.row(0), a.row(0)) - 1.0).abs() < 1e-6);
+//! assert_eq!(backend::row_cosine(simd, &[0.0; 3], &[0.0; 3]), 1.0);
 //! ```
 //!
 //! [HPCA 2026]: https://arxiv.org/abs/2512.14661

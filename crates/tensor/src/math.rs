@@ -401,10 +401,12 @@ pub fn f16_encode_fill_scalar(src: &[f32], dst: &mut [f16]) {
 // kernel *defines* a new frozen order: eight independent lane
 // accumulators (lane `j` sums the products at indices `≡ j (mod 8)`),
 // a shared scalar tail, and one fixed pairwise reduction tree. The
-// AVX2 path and the chunked-scalar fallback execute that order
-// operation for operation, so they are bit-identical on every input —
-// the same contract as the synthesis fills above (this re-ordering vs.
-// the old sequential dot is what re-baseline v3 pins).
+// segment kernels' eight-segment AVX2 pass and the chunked-scalar dot
+// execute that order operation for operation, so they are
+// bit-identical on every input — the same contract as the synthesis
+// fills above (this re-ordering vs. the old sequential dot is what
+// re-baseline v3 pins). Every cosine and norm in the workspace is a
+// segment launch: a whole row is one segment spanning it.
 // ---------------------------------------------------------------------
 
 /// Full-chunk lane accumulation of the chunked-scalar path: lane `j`
@@ -427,49 +429,14 @@ fn reduce_lanes(l: [f32; 8]) -> f32 {
     ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
 }
 
-/// Below this width the explicitly-dispatched AVX2 single-dot path
-/// loses to the auto-vectorised chunked-scalar loop: the per-call
-/// dispatch and ymm spill/`vzeroupper` overhead dominates a handful of
-/// 8-wide passes (measured crossover ≈ 256 lanes on an AVX2 host).
-/// Both paths are bit-identical, so the cutoff is pure scheduling;
-/// batched kernels ([`segment_dots`], [`dot_pairs_chunked`],
-/// [`l2_norms_chunked`]) amortise that overhead over eight rows or
-/// segments and win at every width.
-const DOT_SIMD_MIN_LEN: usize = 256;
-
-/// Lane-chunked dot product, runtime-dispatched like
-/// [`box_muller_fill`]: AVX2 where detected and the row is wide
-/// enough to pay for the dispatch (`DOT_SIMD_MIN_LEN`), chunked scalar
-/// otherwise, bit-identical either way.
+/// Lane-chunked dot product in the frozen order: the one definition
+/// every segment kernel result equals bit for bit, and the path a
+/// single listed segment takes. Over [`f16`](struct@f16) rows it widens
+/// each element on load, so it equals the f32 dot of the widened rows.
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn dot_chunked(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "dot of mismatched lengths");
-    let full = a.len() / 8 * 8;
-    let mut lanes = [0.0f32; 8];
-    #[cfg(target_arch = "x86_64")]
-    let vectorised = a.len() >= DOT_SIMD_MIN_LEN && simd_active() && {
-        // SAFETY: `simd_active` implies AVX2 was detected at runtime.
-        unsafe { dot_lanes_avx2_raw(&a[..full], &b[..full], &mut lanes) };
-        true
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let vectorised = false;
-    if !vectorised {
-        dot_lanes_scalar(&a[..full], &b[..full], &mut lanes);
-    }
-    // Shared scalar tail: element `full + j` lands in lane `j`.
-    for (j, i) in (full..a.len()).enumerate() {
-        lanes[j] += a[i] * b[i];
-    }
-    reduce_lanes(lanes)
-}
-
-/// The portable chunked-scalar path of [`dot_chunked`], for the
-/// bit-identity property tests. Over [`f16`](struct@f16) rows it widens each
-/// element on load, so it equals the f32 dot of the widened rows.
 pub fn dot_chunked_scalar<E: Element>(a: &[E], b: &[E]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot of mismatched lengths");
     let full = a.len() / 8 * 8;
@@ -481,35 +448,12 @@ pub fn dot_chunked_scalar<E: Element>(a: &[E], b: &[E]) -> f32 {
     reduce_lanes(lanes)
 }
 
-/// The explicit AVX2 path of [`dot_chunked`]; `None` when the host
-/// lacks AVX2.
-#[cfg(target_arch = "x86_64")]
-pub fn dot_chunked_avx2(a: &[f32], b: &[f32]) -> Option<f32> {
-    assert_eq!(a.len(), b.len(), "dot of mismatched lengths");
-    if !simd_active() {
-        return None;
-    }
-    let full = a.len() / 8 * 8;
-    let mut lanes = [0.0f32; 8];
-    // SAFETY: AVX2 detected above.
-    unsafe { dot_lanes_avx2_raw(&a[..full], &b[..full], &mut lanes) };
-    for (j, i) in (full..a.len()).enumerate() {
-        lanes[j] += a[i] * b[i];
-    }
-    Some(reduce_lanes(lanes))
-}
-
-/// Lane-chunked L2 norm: `sqrt(dot_chunked(a, a))`.
-pub fn l2_norm_chunked(a: &[f32]) -> f32 {
-    dot_chunked(a, a).sqrt()
-}
-
 /// The cosine of two vectors from their dot product and caller-supplied
-/// norms, with the degenerate-input conventions of
-/// [`crate::ops::cosine_similarity`]: two zero norms
-/// are perfectly similar, one zero norm is orthogonal, and the result
-/// is clamped into `[-1, 1]` (a NaN quotient stays NaN). Every scoring
-/// kernel finishes through this one function.
+/// norms, with the concentrator's degenerate-input conventions: two
+/// zero norms are perfectly similar (both vectors carry the same null
+/// information, so they may merge), one zero norm is orthogonal, and
+/// the result is clamped into `[-1, 1]` (a NaN quotient stays NaN).
+/// Every scoring kernel finishes through this one function.
 #[inline]
 pub fn cosine_from_dot(dot: f32, na: f32, nb: f32) -> f32 {
     if na == 0.0 && nb == 0.0 {
@@ -519,23 +463,6 @@ pub fn cosine_from_dot(dot: f32, na: f32, nb: f32) -> f32 {
     } else {
         (dot / (na * nb)).clamp(-1.0, 1.0)
     }
-}
-
-/// Lane-chunked cosine similarity with caller-supplied norms:
-/// [`cosine_from_dot`] of [`dot_chunked`].
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn cosine_with_norms_chunked(a: &[f32], na: f32, b: &[f32], nb: f32) -> f32 {
-    cosine_from_dot(dot_chunked(a, b), na, nb)
-}
-
-/// The explicitly chunked-scalar path of [`cosine_with_norms_chunked`]
-/// (same conventions, [`dot_chunked_scalar`] underneath) — the scalar
-/// backend's candidate-scoring reference.
-pub fn cosine_with_norms_chunked_scalar(a: &[f32], na: f32, b: &[f32], nb: f32) -> f32 {
-    cosine_from_dot(dot_chunked_scalar(a, b), na, nb)
 }
 
 /// A last group of fewer full-width segments than this takes
@@ -615,7 +542,7 @@ fn segment_map<E: Element>(
 /// Segment-addressed dot kernel. `a` and `b` are cut into `seg`-wide
 /// segments (the last one ragged when `seg` does not divide the width)
 /// and, for every listed segment index `s`,
-/// `out[s] = dot_chunked(&a[r], &b[r])` with
+/// `out[s] = dot_chunked_scalar(&a[r], &b[r])` with
 /// `r = s·seg .. min((s+1)·seg, len)`. Slots of unlisted segments are
 /// left untouched, and an index may be listed more than once.
 ///
@@ -701,88 +628,6 @@ fn cosine_finish<'a>(
     move |s, dot| cosine_from_dot(dot, a_norms[s], b_norms[s])
 }
 
-fn assert_pair_widths(pa: &[&[f32]], pb: &[&[f32]], out: &[f32]) -> usize {
-    assert_eq!(pa.len(), pb.len(), "one left slice per right slice");
-    assert_eq!(pa.len(), out.len(), "one output slot per pair");
-    let n = pa.first().map_or(0, |s| s.len());
-    for (a, b) in pa.iter().zip(pb) {
-        assert_eq!(a.len(), n, "pair width mismatch");
-        assert_eq!(b.len(), n, "pair width mismatch");
-    }
-    n
-}
-
-/// Independent-pair dot kernel: `out[i] = dot_chunked(pa[i], pb[i])`
-/// for equally-wide pairs, eight pairs per SIMD pass. The
-/// batching amortises the per-call dispatch overhead that makes the
-/// single-dot path a loss below `DOT_SIMD_MIN_LEN`, and keeps eight
-/// independent accumulator chains in flight. Every pair executes the
-/// frozen [`dot_chunked`] order (lane `j` sums indices `≡ j (mod 8)`,
-/// shared scalar tail, fixed reduction tree), so the batching is
-/// bit-invisible per pair.
-///
-/// # Panics
-///
-/// Panics if `pa`, `pb` and `out` differ in length or any slice
-/// differs in width from the first.
-pub fn dot_pairs_chunked(pa: &[&[f32]], pb: &[&[f32]], out: &mut [f32]) {
-    let n = assert_pair_widths(pa, pb, out);
-    let full = n / 8 * 8;
-    let mut idx = 0;
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        while idx + 8 <= pa.len() {
-            let ga: &[&[f32]; 8] = pa[idx..idx + 8].try_into().unwrap();
-            let gb: &[&[f32]; 8] = pb[idx..idx + 8].try_into().unwrap();
-            let mut lanes = [[0.0f32; 8]; 8];
-            // SAFETY: `simd_active` implies AVX2 was detected at
-            // runtime; widths were asserted above.
-            unsafe { dot8_pairs_avx2_raw(ga, gb, full, &mut lanes) };
-            for (p, l) in lanes.iter_mut().enumerate() {
-                let (a, b) = (ga[p], gb[p]);
-                for (j, i) in (full..n).enumerate() {
-                    l[j] += a[i] * b[i];
-                }
-                out[idx + p] = reduce_lanes(*l);
-            }
-            idx += 8;
-        }
-    }
-    for p in idx..pa.len() {
-        out[p] = dot_chunked(pa[p], pb[p]);
-    }
-}
-
-/// The chunked-scalar path of [`dot_pairs_chunked`], for the
-/// bit-identity property tests and the scalar backend. Same shape
-/// contract as the dispatched kernel.
-pub fn dot_pairs_chunked_scalar(pa: &[&[f32]], pb: &[&[f32]], out: &mut [f32]) {
-    assert_pair_widths(pa, pb, out);
-    for ((a, b), o) in pa.iter().zip(pb).zip(out) {
-        *o = dot_chunked_scalar(a, b);
-    }
-}
-
-/// Batched L2 norms of equally-wide rows: `out[i]` is the square root
-/// of `rows[i]`'s self-dot, through [`dot_pairs_chunked`] (eight rows
-/// per SIMD pass), so bit for bit `l2_norm_chunked(rows[i])`.
-///
-/// # Panics
-///
-/// Panics if `rows` and `out` differ in length or any row differs in
-/// width from the first.
-pub fn l2_norms_chunked(rows: &[&[f32]], out: &mut [f32]) {
-    dot_pairs_chunked(rows, rows, out);
-    out.iter_mut().for_each(|o| *o = o.sqrt());
-}
-
-/// The chunked-scalar path of [`l2_norms_chunked`], for the
-/// bit-identity property tests and the scalar backend.
-pub fn l2_norms_chunked_scalar(rows: &[&[f32]], out: &mut [f32]) {
-    dot_pairs_chunked_scalar(rows, rows, out);
-    out.iter_mut().for_each(|o| *o = o.sqrt());
-}
-
 // ---------------------------------------------------------------------
 // Batched INT8 fake-quantise kernel
 //
@@ -799,7 +644,7 @@ pub fn l2_norms_chunked_scalar(rows: &[&[f32]], out: &mut [f32]) {
 // ---------------------------------------------------------------------
 
 /// Absmax reduction of the per-row INT8 scale, runtime-dispatched like
-/// [`dot_chunked`]. Bit-identical to the sequential
+/// [`box_muller_fill`]. Bit-identical to the sequential
 /// `fold(0.0, |m, v| m.max(v.abs()))` reference on every input.
 pub fn quant_absmax(values: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
@@ -945,37 +790,6 @@ mod avx2 {
         }
     }
 
-    /// Lane accumulation of [`super::dot_chunked`] over whole 8-lane
-    /// chunks: one vertical multiply/add per chunk (separate
-    /// intrinsics, no FMA), the register stored back into `lanes` so
-    /// the caller's shared tail + reduction tree finish the job.
-    /// Slice lengths must be equal multiples of 8.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot_lanes_avx2_raw(a: &[f32], b: &[f32], lanes: &mut [f32; 8]) {
-        debug_assert_eq!(a.len(), b.len());
-        debug_assert_eq!(a.len() % 8, 0);
-        // SAFETY: `lanes` is a `[f32; 8]` — exactly one register of
-        // readable/writable lanes.
-        let mut acc = unsafe { _mm256_loadu_ps(lanes.as_ptr()) };
-        for ci in 0..a.len() / 8 {
-            // SAFETY: the caller passes equal-length slices whose
-            // length is a multiple of 8 (asserted above in debug), so
-            // lanes `ci*8..ci*8+8` are in bounds of both.
-            let (va, vb) = unsafe {
-                (
-                    _mm256_loadu_ps(a.as_ptr().add(ci * 8)),
-                    _mm256_loadu_ps(b.as_ptr().add(ci * 8)),
-                )
-            };
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
-        }
-        // SAFETY: same `[f32; 8]` as the load above.
-        unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), acc) };
-    }
-
     /// # Safety
     /// Requires AVX2 and F16C.
     #[target_feature(enable = "avx2", enable = "f16c")]
@@ -1109,51 +923,6 @@ mod avx2 {
             );
         }
         dots
-    }
-
-    /// Eight-pair dot batch: per pair `i`, the 8-lane partial sums of
-    /// `pa[i] · pb[i]` accumulated in the frozen `dot_chunked` lane
-    /// order. Nothing is shared between the pairs; the batching keeps eight independent accumulator
-    /// registers in flight and amortises the call overhead. The caller
-    /// finishes each pair with the shared scalar tail + reduction
-    /// tree. `len8` must be a multiple of 8 and no slice shorter.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot8_pairs_avx2_raw(
-        pa: &[&[f32]; 8],
-        pb: &[&[f32]; 8],
-        len8: usize,
-        lanes: &mut [[f32; 8]; 8],
-    ) {
-        debug_assert_eq!(len8 % 8, 0);
-        for (a, b) in pa.iter().zip(pb) {
-            debug_assert!(a.len() >= len8 && b.len() >= len8);
-        }
-        let mut acc = [_mm256_setzero_ps(); 8];
-        for (v, l) in acc.iter_mut().zip(lanes.iter()) {
-            // SAFETY: each `l` is a `[f32; 8]` — one full register.
-            *v = unsafe { _mm256_loadu_ps(l.as_ptr()) };
-        }
-        for ci in 0..len8 / 8 {
-            for ((v, a), b) in acc.iter_mut().zip(pa.iter()).zip(pb.iter()) {
-                // SAFETY: `len8` is a multiple of 8 and no slice is
-                // shorter (debug-asserted), so lanes `ci*8..ci*8+8`
-                // are in bounds of both.
-                let (va, vb) = unsafe {
-                    (
-                        _mm256_loadu_ps(a.as_ptr().add(ci * 8)),
-                        _mm256_loadu_ps(b.as_ptr().add(ci * 8)),
-                    )
-                };
-                *v = _mm256_add_ps(*v, _mm256_mul_ps(va, vb));
-            }
-        }
-        for (v, l) in acc.iter().zip(lanes.iter_mut()) {
-            // SAFETY: each `l` is a `[f32; 8]` — one full register.
-            unsafe { _mm256_storeu_ps(l.as_mut_ptr(), *v) };
-        }
     }
 
     /// Absmax reduction matching `fold(0.0, |m, v| m.max(v.abs()))` bit
@@ -1369,8 +1138,8 @@ use avx512::box_muller_fill_avx512_raw;
 
 #[cfg(target_arch = "x86_64")]
 use avx2::{
-    absmax_avx2_raw, box_muller_fill_avx2_raw, dot8_pairs_avx2_raw, dot_lanes_avx2_raw,
-    f16_encode_f16c_raw, f16_round_fill_f16c_raw, int8_round_fill_avx2_raw, segment_dots8_avx2_raw,
+    absmax_avx2_raw, box_muller_fill_avx2_raw, f16_encode_f16c_raw, f16_round_fill_f16c_raw,
+    int8_round_fill_avx2_raw, segment_dots8_avx2_raw,
 };
 
 #[cfg(test)]
@@ -1401,35 +1170,54 @@ mod tests {
         let mut e = vec![0.0f32; 19];
         e[13] = 3.0;
         assert_eq!(dot_chunked_scalar(&e, &e), 9.0);
-        assert_eq!(l2_norm_chunked(&e), 3.0);
+        let mut norm = [0.0f32];
+        segment_norms(&e, e.len(), &[0], &mut norm);
+        assert_eq!(norm, [3.0]);
     }
 
+    /// One segment spanning the row keeps the cosine conventions on the
+    /// dispatched and the chunked-scalar kernel alike.
     #[test]
     fn chunked_cosine_keeps_the_degenerate_conventions() {
         let z = [0.0f32; 12];
         let v: Vec<f32> = (0..12).map(|i| i as f32 - 4.0).collect();
-        let nv = l2_norm_chunked(&v);
-        assert_eq!(cosine_with_norms_chunked(&z, 0.0, &z, 0.0), 1.0);
-        assert_eq!(cosine_with_norms_chunked(&z, 0.0, &v, nv), 0.0);
-        let c = cosine_with_norms_chunked(&v, nv, &v, nv);
-        assert!((0.9999..=1.0).contains(&c), "{c}");
+        let mut nv = [0.0f32];
+        segment_norms(&v, 12, &[0], &mut nv);
+        let (nz, mut c) = ([0.0f32], [9.0f32]);
+        for cosines in [segment_cosines::<f32>, segment_cosines_scalar::<f32>] {
+            cosines(&z, &z, 12, &[0], &nz, &nz, &mut c);
+            assert_eq!(c, [1.0]);
+            cosines(&z, &v, 12, &[0], &nz, &nv, &mut c);
+            assert_eq!(c, [0.0]);
+            cosines(&v, &v, 12, &[0], &nv, &nv, &mut c);
+            assert!((0.9999..=1.0).contains(&c[0]), "{c:?}");
+        }
     }
 
+    /// The eight-segment AVX2 pass (eight full segments of a width that
+    /// is a multiple of 8) equals the chunked-scalar dot of each segment
+    /// bit for bit.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn chunked_dot_avx2_matches_scalar_bitwise() {
-        // Odd lengths exercise the shared tail; values span magnitudes
-        // so accumulation-order differences would show.
-        for len in [0usize, 1, 7, 8, 9, 16, 31, 32, 33, 100] {
+        if !f16c_active() {
+            return; // host without AVX2 + F16C: nothing to compare
+        }
+        // Values span magnitudes so accumulation-order differences
+        // would show; eight full segments take one pass.
+        for seg in [8usize, 16, 32, 104] {
+            let len = 8 * seg;
             let a: Vec<f32> = (0..len)
                 .map(|i| ((i as f32 + 0.5) * 0.7).sin() * (10.0f32).powi((i % 7) as i32 - 3))
                 .collect();
             let b: Vec<f32> = (0..len).map(|i| ((i as f32) * 1.3).cos()).collect();
-            let Some(simd) = dot_chunked_avx2(&a, &b) else {
-                return; // host without AVX2: nothing to compare
-            };
-            let scalar = dot_chunked_scalar(&a, &b);
-            assert_eq!(simd.to_bits(), scalar.to_bits(), "len {len}");
+            let mut simd = [0.0f32; 8];
+            segment_dots(&a, &b, seg, &[0, 1, 2, 3, 4, 5, 6, 7], &mut simd);
+            for (s, d) in simd.iter().enumerate() {
+                let r = s * seg..(s + 1) * seg;
+                let scalar = dot_chunked_scalar(&a[r.clone()], &b[r]);
+                assert_eq!(d.to_bits(), scalar.to_bits(), "seg {seg}, segment {s}");
+            }
         }
     }
 

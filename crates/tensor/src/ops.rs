@@ -1,51 +1,13 @@
-//! Vector kernels shared across the workspace.
+//! Vector specifications and helpers shared across the workspace.
 //!
-//! The similarity concentrator (paper §VI-A) compares 32-element vectors
-//! with cosine similarity computed from a dot product and two precomputed
-//! L2 norms; the semantic concentrator (paper §V-A) consumes softmax
-//! attention rows. These are the reference implementations both the
-//! algorithm pipeline and the hardware models call.
-
-/// Dot product of two equal-length slices. Delegates to the
-/// runtime-dispatched chunked kernel ([`crate::math::dot_chunked`]), so
-/// every dot in the workspace accumulates in the same frozen lane
-/// order regardless of entry point.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    crate::math::dot_chunked(a, b)
-}
-
-/// Euclidean (L2) norm of a slice, via the chunked dot kernel.
-#[inline]
-pub fn l2_norm(a: &[f32]) -> f32 {
-    crate::math::l2_norm_chunked(a)
-}
-
-/// Cosine similarity between two vectors: `a·b / (‖a‖‖b‖)`.
-///
-/// Two all-zero vectors are defined to be perfectly similar (they carry
-/// identical — null — information, so the concentrator may merge them);
-/// a zero vector against a non-zero vector has similarity 0.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-///
-/// # Examples
-///
-/// ```
-/// use focus_tensor::ops::cosine_similarity;
-///
-/// assert!((cosine_similarity(&[1.0, 0.0], &[2.0, 0.0]) - 1.0).abs() < 1e-6);
-/// assert!(cosine_similarity(&[1.0, 0.0], &[0.0, 1.0]).abs() < 1e-6);
-/// ```
-pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
-    crate::math::cosine_with_norms_chunked(a, l2_norm(a), b, l2_norm(b))
-}
+//! The semantic concentrator (paper §V-A) consumes softmax attention
+//! rows and selects tokens by top-k; the similarity concentrator (paper
+//! §VI-A) cuts rows into vectors. These are the reference definitions
+//! both the algorithm pipeline and the hardware models call. Cosine
+//! similarity and L2 norms are kernels, not helpers: they run on a
+//! [`BackendHandle`](crate::backend::BackendHandle), through
+//! [`row_cosine`](crate::backend::row_cosine) and
+//! [`row_norm`](crate::backend::row_norm) for whole rows.
 
 /// Numerically stable softmax over a slice, in place.
 ///
@@ -128,20 +90,6 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dot_and_norm_basics() {
-        assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-        assert!((l2_norm(&[3.0, 4.0]) - 5.0).abs() < 1e-6);
-        assert_eq!(l2_norm(&[]), 0.0);
-    }
-
-    #[test]
-    fn cosine_handles_zero_vectors() {
-        assert_eq!(cosine_similarity(&[0.0, 0.0], &[0.0, 0.0]), 1.0);
-        assert_eq!(cosine_similarity(&[0.0, 0.0], &[1.0, 0.0]), 0.0);
-        assert!((cosine_similarity(&[1.0, 1.0], &[-1.0, -1.0]) + 1.0).abs() < 1e-6);
-    }
 
     #[test]
     fn softmax_is_a_probability_distribution() {

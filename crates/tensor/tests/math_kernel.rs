@@ -17,11 +17,10 @@
 //! paths or across widths fails here first.
 
 use focus_tensor::math::{
-    box_muller_fill, box_muller_fill_scalar, cosine_with_norms_chunked, dot_chunked,
-    dot_chunked_scalar, dot_pairs_chunked, dot_pairs_chunked_scalar, f16_round_fill,
-    f16_round_fill_scalar, fixed_ln, int8_round_fill, int8_round_fill_scalar, l2_norm_chunked,
-    l2_norms_chunked, l2_norms_chunked_scalar, normal_from_raw, quant_absmax, quant_absmax_scalar,
-    segment_dots, segment_norms, segment_norms_scalar, splitmix_mix, GAMMA,
+    box_muller_fill, box_muller_fill_scalar, cosine_from_dot, dot_chunked_scalar, f16_round_fill,
+    f16_round_fill_scalar, fixed_ln, int8_round_fill, int8_round_fill_scalar, normal_from_raw,
+    quant_absmax, quant_absmax_scalar, segment_cosines, segment_cosines_scalar, segment_dots,
+    segment_norms, segment_norms_scalar, splitmix_mix, GAMMA,
 };
 use proptest::prelude::*;
 
@@ -152,39 +151,45 @@ proptest! {
         }
     }
 
-    /// Scalar ≡ dispatched ≡ AVX2 for the lane-chunked dot kernel the
-    /// similarity matcher scores with, across every tail length and a
-    /// wide magnitude spread (where a different accumulation order
+    /// The lane-chunked dot the similarity matcher scores with, reached
+    /// as one segment spanning the row: the dispatched and the
+    /// chunked-scalar one-segment dot, norm and cosine equal the
+    /// chunked-scalar kernel bit for bit, across every tail length and
+    /// a wide magnitude spread (where a different accumulation order
     /// would change last bits).
     #[test]
     fn dot_chunked_paths_are_bit_identical(
-        pairs in proptest::collection::vec((-8.0f32..8.0, -8.0f32..8.0), 0..70),
+        pairs in proptest::collection::vec((-8.0f32..8.0, -8.0f32..8.0), 1..70),
         exp in -20i32..20,
     ) {
         let scale = (exp as f32).exp2();
         let a: Vec<f32> = pairs.iter().map(|p| p.0 * scale).collect();
         let b: Vec<f32> = pairs.iter().map(|p| p.1).collect();
+        let n = a.len();
 
         let scalar = dot_chunked_scalar(&a, &b);
-        prop_assert_eq!(dot_chunked(&a, &b).to_bits(), scalar.to_bits());
-
-        #[cfg(target_arch = "x86_64")]
-        if let Some(simd) = focus_tensor::math::dot_chunked_avx2(&a, &b) {
-            prop_assert_eq!(simd.to_bits(), scalar.to_bits());
-        }
+        let mut one = [0.0f32];
+        segment_dots(&a, &b, n, &[0], &mut one);
+        prop_assert_eq!(one[0].to_bits(), scalar.to_bits());
 
         // The norm and cosine built on it inherit the identity; the
         // cosine stays clamped and respects the zero conventions.
-        let na = l2_norm_chunked(&a);
-        let nb = l2_norm_chunked(&b);
-        prop_assert_eq!(na.to_bits(), dot_chunked_scalar(&a, &a).sqrt().to_bits());
-        let cos = cosine_with_norms_chunked(&a, na, &b, nb);
-        if na == 0.0 && nb == 0.0 {
-            prop_assert_eq!(cos, 1.0);
-        } else if na == 0.0 || nb == 0.0 {
-            prop_assert_eq!(cos, 0.0);
-        } else {
-            prop_assert!((-1.0..=1.0).contains(&cos));
+        let (na, nb) = ([dot_chunked_scalar(&a, &a).sqrt()], [dot_chunked_scalar(&b, &b).sqrt()]);
+        for norms in [segment_norms::<f32>, segment_norms_scalar::<f32>] {
+            norms(&a, n, &[0], &mut one);
+            prop_assert_eq!(one[0].to_bits(), na[0].to_bits());
+        }
+        for cosines in [segment_cosines::<f32>, segment_cosines_scalar::<f32>] {
+            cosines(&a, &b, n, &[0], &na, &nb, &mut one);
+            let cos = one[0];
+            prop_assert_eq!(cos.to_bits(), cosine_from_dot(scalar, na[0], nb[0]).to_bits());
+            if na[0] == 0.0 && nb[0] == 0.0 {
+                prop_assert_eq!(cos, 1.0);
+            } else if na[0] == 0.0 || nb[0] == 0.0 {
+                prop_assert_eq!(cos, 0.0);
+            } else {
+                prop_assert!((-1.0..=1.0).contains(&cos));
+            }
         }
     }
 
@@ -235,58 +240,6 @@ proptest! {
         let mut norms_scalar = vec![UNTOUCHED; count];
         segment_norms_scalar(&row, seg, &segs, &mut norms_scalar);
         assert_bits_eq(&norms, &norms_scalar, "segment norms dispatched vs scalar");
-    }
-
-    /// Scalar ≡ dispatched for the independent-pair dot batch and the
-    /// batched row norms, across pair counts sweeping the 8-group
-    /// boundary and widths sweeping every SIMD tail length. Each pair
-    /// must also match its own single [`dot_chunked_scalar`] — the
-    /// batching is bit-invisible per pair.
-    #[test]
-    fn pair_kernel_paths_are_bit_identical(
-        width in 0usize..70,
-        n_pairs in 0usize..20,
-        seed in 0u32..1000,
-        exp in -20i32..20,
-    ) {
-        let scale = (exp as f32).exp2();
-        let fill = |p: usize, side: usize| -> Vec<f32> {
-            (0..width)
-                .map(|i| {
-                    let h = (p * 131 + side * 53 + i * 31 + seed as usize) % 97;
-                    (h as f32 / 48.5 - 1.0) * scale
-                })
-                .collect()
-        };
-        let left: Vec<Vec<f32>> = (0..n_pairs).map(|p| fill(p, 0)).collect();
-        let right: Vec<Vec<f32>> = (0..n_pairs).map(|p| fill(p, 1)).collect();
-        let pa: Vec<&[f32]> = left.iter().map(|r| r.as_slice()).collect();
-        let pb: Vec<&[f32]> = right.iter().map(|r| r.as_slice()).collect();
-
-        let mut scalar = vec![0.0f32; n_pairs];
-        dot_pairs_chunked_scalar(&pa, &pb, &mut scalar);
-        for (p, got) in scalar.iter().enumerate() {
-            prop_assert_eq!(got.to_bits(), dot_chunked_scalar(pa[p], pb[p]).to_bits());
-        }
-        let mut dispatched = vec![0.0f32; n_pairs];
-        dot_pairs_chunked(&pa, &pb, &mut dispatched);
-        assert_bits_eq(&dispatched, &scalar, "pair-dot dispatched vs scalar");
-
-        let mut scalar_norms = vec![0.0f32; n_pairs];
-        l2_norms_chunked_scalar(&pa, &mut scalar_norms);
-        for (p, got) in scalar_norms.iter().enumerate() {
-            prop_assert_eq!(
-                got.to_bits(),
-                dot_chunked_scalar(pa[p], pa[p]).sqrt().to_bits()
-            );
-        }
-        let mut dispatched_norms = vec![0.0f32; n_pairs];
-        l2_norms_chunked(&pa, &mut dispatched_norms);
-        assert_bits_eq(
-            &dispatched_norms,
-            &scalar_norms,
-            "batched norms dispatched vs scalar",
-        );
     }
 
     /// Scalar ≡ dispatched for the quantiser's absmax reduction and the

@@ -1,9 +1,8 @@
 //! Property tests for the numeric substrate.
 
+use focus_tensor::backend::{row_cosine, row_norm, scalar_ref, simd};
 use focus_tensor::half::round_to_f16;
-use focus_tensor::ops::{
-    cosine_similarity, geometric_mean, l2_norm, softmax_in_place, top_k_indices, vector_ranges,
-};
+use focus_tensor::ops::{geometric_mean, softmax_in_place, top_k_indices, vector_ranges};
 use focus_tensor::quant::{fake_quantize, QuantParams};
 use focus_tensor::{f16, Matrix};
 use proptest::prelude::*;
@@ -67,21 +66,25 @@ proptest! {
         prop_assert!(row.iter().all(|v| *v >= 0.0 && v.is_finite()));
     }
 
-    /// Cosine similarity is symmetric, bounded, and scale-invariant.
+    /// Cosine similarity is symmetric, bounded, and scale-invariant, on
+    /// both backends (whole rows as one segment each).
     #[test]
     fn cosine_properties(
         a in proptest::collection::vec(-10.0f32..10.0, 2..32),
         scale in 0.1f32..10.0,
     ) {
         let b: Vec<f32> = a.iter().map(|v| v * scale).collect();
-        let ab = cosine_similarity(&a, &b);
-        prop_assert!((ab - 1.0).abs() < 1e-4, "positive scaling keeps cos=1: {}", ab);
         let mut c = a.clone();
         c.rotate_left(1);
-        let ac = cosine_similarity(&a, &c);
-        let ca = cosine_similarity(&c, &a);
-        prop_assert!((ac - ca).abs() < 1e-5);
-        prop_assert!((-1.0..=1.0).contains(&ac));
+        for be in [scalar_ref(), simd()] {
+            let ab = row_cosine(be, &a, &b);
+            prop_assert!((ab - 1.0).abs() < 1e-4, "positive scaling keeps cos=1: {}", ab);
+            prop_assert!(ab <= 1.0, "the clamp holds: {}", ab);
+            let ac = row_cosine(be, &a, &c);
+            let ca = row_cosine(be, &c, &a);
+            prop_assert!((ac - ca).abs() < 1e-5);
+            prop_assert!((-1.0..=1.0).contains(&ac));
+        }
     }
 
     /// vector_ranges partitions the width exactly.
@@ -127,13 +130,15 @@ proptest! {
         prop_assert!(g >= min - 1e-9 && g <= max + 1e-9);
     }
 
-    /// L2 norm satisfies the triangle inequality.
+    /// L2 norm satisfies the triangle inequality, on both backends.
     #[test]
     fn norm_triangle(
         a in proptest::collection::vec(-10.0f32..10.0, 1..32),
     ) {
         let b: Vec<f32> = a.iter().rev().cloned().collect();
         let sum: Vec<f32> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
-        prop_assert!(l2_norm(&sum) <= l2_norm(&a) + l2_norm(&b) + 1e-4);
+        for be in [scalar_ref(), simd()] {
+            prop_assert!(row_norm(be, &sum) <= row_norm(be, &a) + row_norm(be, &b) + 1e-4);
+        }
     }
 }

@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use focus_tensor::backend::{self, BackendHandle};
+use focus_tensor::backend::{self, BackendHandle, RowRef};
 use focus_tensor::{Element, Matrix};
 
 use crate::dataset::RedundancyProfile;
@@ -577,6 +577,16 @@ impl<'a> ActivationSynthesizer<'a> {
     /// For every token of frames `1..F`, its row is compared with the
     /// same grid position in the previous frame, slice by slice of
     /// `granularity` elements; all slice similarities are returned.
+    /// Each row pair is one [`Backend::segment_norms`] launch per row
+    /// and one [`Backend::segment_scores`] launch over every slice, on
+    /// the synthesiser's backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `granularity` is 0.
+    ///
+    /// [`Backend::segment_norms`]: focus_tensor::backend::Backend::segment_norms
+    /// [`Backend::segment_scores`]: focus_tensor::backend::Backend::segment_scores
     pub fn temporal_similarity_samples(
         &mut self,
         layer: usize,
@@ -589,18 +599,22 @@ impl<'a> ActivationSynthesizer<'a> {
         let mut samples = Vec::new();
         let mut prev_row = vec![0.0f32; width];
         let mut cur_row = vec![0.0f32; width];
+        assert!(granularity > 0, "granularity must be positive");
+        let (be, g) = (self.backend, granularity);
+        let slices: Vec<usize> = (0..width.div_ceil(g)).collect();
+        let mut prev_norms = vec![0.0f32; slices.len()];
+        let mut cur_norms = vec![0.0f32; slices.len()];
+        let mut cosines = vec![0.0f32; slices.len()];
         for f in 1..cfg.frames {
             for p in 0..per_frame {
-                let cur = f * per_frame + p;
-                let prev = (f - 1) * per_frame + p;
-                self.token_row(prev, layer, stage, &mut prev_row);
-                self.token_row(cur, layer, stage, &mut cur_row);
-                for range in focus_tensor::ops::vector_ranges(width, granularity) {
-                    samples.push(focus_tensor::ops::cosine_similarity(
-                        &cur_row[range.clone()],
-                        &prev_row[range],
-                    ));
-                }
+                self.token_row((f - 1) * per_frame + p, layer, stage, &mut prev_row);
+                self.token_row(f * per_frame + p, layer, stage, &mut cur_row);
+                let (cur, prev) = (RowRef::F32(&cur_row), RowRef::F32(&prev_row));
+                be.segment_norms(prev, g, &slices, &mut prev_norms);
+                be.segment_norms(cur, g, &slices, &mut cur_norms);
+                let (cn, pn) = (&cur_norms, &prev_norms);
+                be.segment_scores(cur, prev, g, &slices, cn, pn, &mut cosines);
+                samples.extend_from_slice(&cosines);
             }
         }
         samples
@@ -777,7 +791,7 @@ mod tests {
         let mut r9 = vec![0.0; 128];
         syn.token_row(17, 3, Stage::PvOut, &mut r3);
         syn.token_row(17, 9, Stage::PvOut, &mut r9);
-        let cos = focus_tensor::ops::cosine_similarity(&r3, &r9);
+        let cos = backend::row_cosine(backend::simd(), &r3, &r9);
         assert!(cos.abs() < 0.5, "layers must have distinct latents ({cos})");
     }
 

@@ -3,7 +3,10 @@
 //!
 //! Bench targets are built with `harness = false`; under `cargo test`
 //! (no `--bench` argument) the shim exits immediately so benchmarks do
-//! not run during the test suite, mirroring real criterion.
+//! not run during the test suite, mirroring real criterion. Like real
+//! criterion, the first non-flag argument filters benchmarks by
+//! substring of their id (`cargo bench --bench kernels -- synthesis`),
+//! in measuring and in `--test` mode alike.
 
 use std::time::{Duration, Instant};
 
@@ -29,11 +32,16 @@ pub fn black_box<T>(x: T) -> T {
 #[derive(Clone, Debug)]
 pub struct Criterion {
     sample_size: usize,
+    /// Runs only benchmarks whose id contains this substring.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion { sample_size: 30 }
+        Criterion {
+            sample_size: 30,
+            filter: None,
+        }
     }
 }
 
@@ -45,11 +53,30 @@ impl Criterion {
         self
     }
 
-    /// Runs one benchmark and prints its median/min/max sample time.
+    /// Runs only the benchmarks whose id contains `filter`.
+    pub fn with_filter(mut self, filter: impl Into<String>) -> Self {
+        self.filter = Some(filter.into());
+        self
+    }
+
+    /// Applies the command line: its first non-flag argument becomes
+    /// the name filter (`criterion_group!` calls this).
+    pub fn configure_from_args(self) -> Self {
+        match name_filter(std::env::args().skip(1)) {
+            Some(filter) => self.with_filter(filter),
+            None => self,
+        }
+    }
+
+    /// Runs one benchmark and prints its median/min/max sample time;
+    /// skips it silently when its id does not match the filter.
     pub fn bench_function<F>(&mut self, id: &str, mut routine: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
+        if self.filter.as_deref().is_some_and(|f| !id.contains(f)) {
+            return self;
+        }
         let mut b = Bencher {
             sample_size: self.sample_size,
             samples: Vec::new(),
@@ -146,6 +173,12 @@ fn fmt_duration(d: Duration) -> String {
     }
 }
 
+/// The first argument that is not a flag, if any: the benchmark name
+/// filter.
+fn name_filter(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().find(|a| !a.starts_with('-'))
+}
+
 /// True when the binary was launched by `cargo bench` (which passes
 /// `--bench`); `cargo test` runs bench targets without it.
 pub fn running_under_cargo_bench() -> bool {
@@ -165,7 +198,7 @@ pub fn running_in_test_mode() -> bool {
 macro_rules! criterion_group {
     (name = $name:ident; config = $cfg:expr; targets = $($target:path),* $(,)?) => {
         pub fn $name() {
-            let mut criterion: $crate::Criterion = $cfg;
+            let mut criterion: $crate::Criterion = $cfg.configure_from_args();
             $( $target(&mut criterion); )*
         }
     };
@@ -216,6 +249,32 @@ mod tests {
         } else {
             assert!(runs >= 5);
         }
+    }
+
+    #[test]
+    fn first_non_flag_argument_filters_by_substring() {
+        let args = |xs: &[&str]| xs.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        assert_eq!(name_filter(args(&["--bench"])), None);
+        assert_eq!(
+            name_filter(args(&["--test", "synthesis", "--bench"])),
+            Some("synthesis".to_string())
+        );
+
+        let mut c = Criterion::default().sample_size(2).with_filter("synthesis");
+        let mut ran = Vec::new();
+        for id in [
+            "synthesis/normal_fill_simd_8",
+            "gather/segment_scores",
+            "sic/synthesis",
+        ] {
+            c.bench_function(id, |b| b.iter(|| ran.push(id)));
+        }
+        assert!(ran.contains(&"synthesis/normal_fill_simd_8"));
+        assert!(
+            ran.contains(&"sic/synthesis"),
+            "a substring anywhere in the id matches"
+        );
+        assert!(!ran.contains(&"gather/segment_scores"));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The [`Backend`] contract, property-tested end to end:
 //!
 //! * **Bit-identity** — the `Simd` backend must match the `ScalarRef`
-//!   oracle bit for bit on every kernel family (segment and batched
-//!   compact norms, segment and pair gather scoring, INT8
-//!   fake-quantise, FP16 rounding, scatter replay), across widths
+//!   oracle bit for bit on every kernel family (segment norms and
+//!   segment scoring, many segments a launch or one spanning a whole
+//!   row, INT8 fake-quantise, FP16 rounding, scatter replay), across widths
 //!   sweeping every SIMD tail length, segment widths, slice
 //!   alignments, counts sweeping the 8-wide group boundary, and wide
 //!   magnitude spreads. A whole measured pipeline
@@ -22,7 +22,10 @@ use focus::core::pipeline::{FocusPipeline, PipelineResult};
 use focus::core::sic::{scatter_on, ConvLayouter, Fhw, SimilarityMap};
 use focus::core::FocusConfig;
 use focus::sim::ArchConfig;
-use focus::tensor::backend::{scalar_ref, simd, Backend, RowRef, RowRef::F32};
+use focus::tensor::backend::{
+    row_cosine, row_norm, scalar_ref, simd, Backend, RowRef, RowRef::F32,
+};
+use focus::tensor::math::{cosine_from_dot, dot_chunked_scalar};
 use focus::tensor::{f16, DataType, Matrix};
 use focus::vlm::embedding::Stage;
 use focus::vlm::{DatasetKind, ModelKind, Workload, WorkloadScale};
@@ -170,8 +173,8 @@ proptest! {
     }
 
     /// The segment-addressed kernels bit for bit: `Simd` ≡ `ScalarRef`,
-    /// and every listed segment ≡ its own one-pair `row_norms` /
-    /// `score_pairs` launch (the reference gather's kernels). Covers
+    /// and every listed segment ≡ its own one-segment launch over just
+    /// that segment (the reference gather's launch shape). Covers
     /// widths 1..=300 against segment widths around the 8-lane chunk
     /// (ragged last segments, segment counts off the 8-segment group),
     /// all-zero segments on one or both sides (the 1.0 / 0.0 rules),
@@ -207,7 +210,7 @@ proptest! {
             for (i, &n) in scalar.iter().enumerate() {
                 let want = if listed(i) {
                     let mut one = [0.0f32];
-                    s.row_norms(&[&row[range(i)]], &mut one);
+                    f.segment_norms(F32(&row[range(i)]), range(i).len(), &[0], &mut one);
                     one[0]
                 } else {
                     UNTOUCHED
@@ -233,7 +236,8 @@ proptest! {
         for (i, &c) in scalar.iter().enumerate() {
             let want = if listed(i) {
                 let mut one = [0.0f32];
-                s.score_pairs(&[&a[range(i)]], &[an[i]], &[&b[range(i)]], &[bn[i]], &mut one);
+                let (ai, bi) = (F32(&a[range(i)]), F32(&b[range(i)]));
+                f.segment_scores(ai, bi, range(i).len(), &[0], &an[i..=i], &bn[i..=i], &mut one);
                 one[0]
             } else {
                 UNTOUCHED
@@ -247,59 +251,35 @@ proptest! {
         }
     }
 
-    /// `Simd` ≡ `ScalarRef` bit for bit on the tile-batched launches
-    /// (`row_norms`, `score_pairs`), which must in turn match the
-    /// one-segment launches of the segment kernels — the batching is
-    /// bit-invisible. Zero rows are
-    /// sprinkled in so the zero-norm conventions are exercised on the
-    /// batched path too.
+    /// `Simd` ≡ `ScalarRef` bit for bit on whole-row norms and cosines
+    /// of independent pairs (one segment spanning each row), and each
+    /// equals the chunked-scalar dot finished by `sqrt` /
+    /// `cosine_from_dot`, at widths from one element to beyond an FFN
+    /// row. Zero rows are sprinkled in so the zero-norm conventions are
+    /// exercised on this path too.
     #[test]
     fn pair_scoring_backends_are_bit_identical(
-        width in 1usize..70,
+        width in 1usize..=4096,
         n_pairs in 0usize..20,
         salt in 0usize..1000,
         exp in -20i32..20,
     ) {
         let scale = (exp as f32).exp2();
-        let left: Vec<Vec<f32>> = (0..n_pairs)
-            .map(|p| synth_values(width, salt + 3 * p, scale))
-            .collect();
-        let right: Vec<Vec<f32>> = (0..n_pairs)
-            .map(|p| {
-                if p % 5 == 0 {
-                    vec![0.0; width]
-                } else {
-                    synth_values(width, salt + 3 * p + 1, scale)
-                }
-            })
-            .collect();
-        let pa: Vec<&[f32]> = left.iter().map(|r| r.as_slice()).collect();
-        let pb: Vec<&[f32]> = right.iter().map(|r| r.as_slice()).collect();
-        let (s, f) = (scalar_ref(), simd());
-
-        let mut an = vec![0.0f32; n_pairs];
-        s.row_norms(&pa, &mut an);
-        let mut an_f = vec![0.0f32; n_pairs];
-        f.row_norms(&pa, &mut an_f);
-        assert_bits_eq(&an_f, &an, "row_norms simd vs scalar");
         for p in 0..n_pairs {
-            let mut one = [0.0f32];
-            s.segment_norms(F32(pa[p]), width, &[0], &mut one);
-            prop_assert_eq!(an[p].to_bits(), one[0].to_bits());
-        }
-
-        let mut bn = vec![0.0f32; n_pairs];
-        s.row_norms(&pb, &mut bn);
-        let mut scalar = vec![0.0f32; n_pairs];
-        s.score_pairs(&pa, &an, &pb, &bn, &mut scalar);
-        let mut dispatched = vec![0.0f32; n_pairs];
-        f.score_pairs(&pa, &an, &pb, &bn, &mut dispatched);
-        assert_bits_eq(&dispatched, &scalar, "score_pairs simd vs scalar");
-        for (p, &c) in scalar.iter().enumerate() {
-            prop_assert!((-1.0..=1.0).contains(&c), "cosine {c} out of range");
-            let mut one = [0.0f32];
-            s.segment_scores(F32(pa[p]), F32(pb[p]), width, &[0], &an[p..=p], &bn[p..=p], &mut one);
-            prop_assert_eq!(c.to_bits(), one[0].to_bits());
+            let a = synth_values(width, salt + 3 * p, scale);
+            let b = if p % 5 == 0 {
+                vec![0.0; width]
+            } else {
+                synth_values(width, salt + 3 * p + 1, scale)
+            };
+            let (na, nb) = (dot_chunked_scalar(&a, &a).sqrt(), dot_chunked_scalar(&b, &b).sqrt());
+            let want = cosine_from_dot(dot_chunked_scalar(&a, &b), na, nb);
+            prop_assert!((-1.0..=1.0).contains(&want), "cosine {want} out of range");
+            for be in [scalar_ref(), simd()] {
+                prop_assert_eq!(row_norm(be, &a).to_bits(), na.to_bits());
+                prop_assert_eq!(row_norm(be, &b).to_bits(), nb.to_bits());
+                prop_assert_eq!(row_cosine(be, &a, &b).to_bits(), want.to_bits());
+            }
         }
     }
 
@@ -442,9 +422,10 @@ proptest! {
     }
 }
 
-/// The zero-norm conventions survive the batched scoring paths: two
-/// zero segments are "identical" (cosine 1), one zero segment matches
-/// nothing (cosine 0), on both numeric backends and both launch shapes.
+/// The zero-norm conventions hold on every launch shape: two zero
+/// segments are "identical" (cosine 1), one zero segment matches
+/// nothing (cosine 0), on both numeric backends, for listed segments
+/// and for whole rows.
 #[test]
 fn zero_norm_conventions_hold_on_both_backends() {
     let zero = vec![0.0f32; 11];
@@ -458,15 +439,11 @@ fn zero_norm_conventions_hold_on_both_backends() {
         let mut scores = [9.0f32; 2];
         backend.segment_scores(F32(&a), F32(&b), 11, &[0, 1], &an, &bn, &mut scores);
         assert_eq!(scores, [1.0, 0.0], "{} zero-segment scores", backend.name());
-        let mut pairs = [9.0f32; 2];
-        backend.score_pairs(
-            &[&zero, &zero],
-            &[0.0; 2],
-            &[&zero, &unit],
-            &[0.0, 1.0],
-            &mut pairs,
-        );
-        assert_eq!(pairs, [1.0, 0.0], "{} zero-row pair scores", backend.name());
+        let rows = [
+            row_cosine(backend, &zero, &zero),
+            row_cosine(backend, &zero, &unit),
+        ];
+        assert_eq!(rows, [1.0, 0.0], "{} zero-row scores", backend.name());
     }
 }
 
@@ -553,19 +530,6 @@ impl Backend for Counting {
     ) {
         bump(&self.segment_scores);
         simd().segment_scores(a, b, seg, segs, a_norms, b_norms, out)
-    }
-    fn row_norms(&self, rows: &[&[f32]], out: &mut [f32]) {
-        simd().row_norms(rows, out)
-    }
-    fn score_pairs(
-        &self,
-        a: &[&[f32]],
-        a_norms: &[f32],
-        b: &[&[f32]],
-        b_norms: &[f32],
-        scores: &mut [f32],
-    ) {
-        simd().score_pairs(a, a_norms, b, b_norms, scores)
     }
     fn fake_quantize(&self, m: &mut Matrix) {
         bump(&self.fake_quantize);

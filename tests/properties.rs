@@ -93,12 +93,12 @@ proptest! {
         let rebuilt = scatter(&g.compact, &g.map);
         prop_assert_eq!(rebuilt.rows(), rows);
         for i in 0..rows {
-            let cos = focus::tensor::ops::cosine_similarity(rebuilt.row(i), acts.row(i));
+            let cos = backend::row_cosine(backend::active(), rebuilt.row(i), acts.row(i));
             prop_assert!(cos >= cfg.threshold - 1e-4, "row {} at cos {}", i, cos);
         }
         // Fidelity reporting agrees with the reconstruction.
         for (i, &f) in g.fidelity.iter().enumerate() {
-            let cos = focus::tensor::ops::cosine_similarity(rebuilt.row(i), acts.row(i));
+            let cos = backend::row_cosine(backend::active(), rebuilt.row(i), acts.row(i));
             prop_assert!((f - cos).abs() < 1e-4, "row {}", i);
         }
     }
