@@ -17,6 +17,7 @@
 
 use focus_sim::ArchConfig;
 use focus_tensor::backend::{self, row_cosine};
+use focus_tensor::BackendHandle;
 use focus_vlm::accuracy::TokenOutcome;
 use focus_vlm::embedding::Stage;
 use focus_vlm::Workload;
@@ -27,7 +28,7 @@ use crate::common::{
 };
 
 /// The AdapTiV baseline.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub struct AdaptivBaseline {
     /// Sign-agreement threshold for merge eligibility (fraction of
     /// matching bits). Zero-mean features agree on ~50 % of bits when
@@ -41,6 +42,9 @@ pub struct AdaptivBaseline {
     /// Maximum fraction of live tokens merged per evaluation (ToMe-style
     /// per-layer budget `r`).
     pub merge_budget: f64,
+    /// Kernel backend the activation synthesis and every cosine run
+    /// on (default: the process-wide [`backend::active`]).
+    pub backend: BackendHandle,
 }
 
 impl Default for AdaptivBaseline {
@@ -49,6 +53,7 @@ impl Default for AdaptivBaseline {
             sign_threshold: 0.58,
             merge_stride: 2,
             merge_budget: 0.10,
+            backend: backend::active(),
         }
     }
 }
@@ -72,9 +77,7 @@ impl Concentrator for AdaptivBaseline {
         let scaled = workload.scaled_model();
         let m_img = workload.image_tokens_scaled();
         let per_frame = scaled.tokens_per_frame();
-        let mut act_syn = workload.activation_synthesizer();
-        // Cosines run on the kernel handle the synthesiser fills with.
-        let kernels = backend::active();
+        let mut act_syn = workload.activation_synthesizer_on(self.backend);
         let relevance = workload.relevance();
 
         // Each surviving token may absorb neighbours; fidelity of an
@@ -112,7 +115,7 @@ impl Concentrator for AdaptivBaseline {
                     taken[i] = true;
                     taken[i + 1] = true;
                     merged_into_prev[i + 1] = true;
-                    let cos = row_cosine(kernels, acts.row(i), acts.row(i + 1));
+                    let cos = row_cosine(self.backend, acts.row(i), acts.row(i + 1));
                     last_fid[alive[i + 1]] = last_fid[alive[i + 1]].min(cos.max(0.0) as f64);
                     merges += 1;
                 }

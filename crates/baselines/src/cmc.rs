@@ -17,6 +17,7 @@
 
 use focus_sim::ArchConfig;
 use focus_tensor::backend::{self, row_cosine};
+use focus_tensor::BackendHandle;
 use focus_vlm::accuracy::TokenOutcome;
 use focus_vlm::embedding::Stage;
 use focus_vlm::scene::hash_words;
@@ -28,7 +29,7 @@ use crate::common::{
 };
 
 /// The CMC baseline.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub struct CmcBaseline {
     /// Probability that the codec certifies a *static-content* token as
     /// a skip block (pixel-space match). Static background almost
@@ -46,6 +47,9 @@ pub struct CmcBaseline {
     /// scene cuts and token coarseness (computed per workload); the
     /// mechanism behind CMC's Table II collapse on MiniCPM/MLVU.
     pub base_mismatch_rate: f64,
+    /// Kernel backend the activation synthesis and every cosine run
+    /// on (default: the process-wide [`backend::active`]).
+    pub backend: BackendHandle,
 }
 
 impl Default for CmcBaseline {
@@ -59,6 +63,7 @@ impl Default for CmcBaseline {
             // paper's §VII-C attributes CMC's modest speedup to.
             codec_bytes_per_cycle: 4,
             base_mismatch_rate: 0.06,
+            backend: backend::active(),
         }
     }
 }
@@ -74,9 +79,7 @@ impl Concentrator for CmcBaseline {
         let per_frame = scaled.tokens_per_frame();
         let scene = workload.scene();
         let relevance = workload.relevance();
-        let mut act_syn = workload.activation_synthesizer();
-        // Cosines run on the kernel handle the synthesiser fills with.
-        let kernels = backend::active();
+        let mut act_syn = workload.activation_synthesizer_on(self.backend);
         let seed = hash_words(workload.seed(), &[0xC3C]);
         // Spurious-match probability: pixel-space block matching fails
         // more often with fast motion, frequent cuts, and coarse token
@@ -126,7 +129,7 @@ impl Concentrator for CmcBaseline {
                     // which the pixel-space codec never checked — and it
                     // compounds over the layers the token is absent
                     // (cos^1.8 ≈ per-layer drift accumulated).
-                    let cos = row_cosine(kernels, acts.row(t), acts.row(prev));
+                    let cos = row_cosine(self.backend, acts.row(t), acts.row(prev));
                     // focus-lint: allow(D1-libm) — the paper's CMC fidelity model, an f64
                     // accuracy-reporting path; baselines are never bit-compared to Focus.
                     fidelity[t] = (cos.max(0.0) as f64).powf(1.8);

@@ -12,6 +12,7 @@
 
 use focus_sim::ArchConfig;
 use focus_tensor::backend::{self, row_cosine};
+use focus_tensor::BackendHandle;
 use focus_vlm::accuracy::TokenOutcome;
 use focus_vlm::embedding::Stage;
 use focus_vlm::Workload;
@@ -22,13 +23,16 @@ use crate::common::{
 };
 
 /// The FrameFusion baseline.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub struct FrameFusionBaseline {
     /// Fraction of image tokens removed (the paper fixes 0.70).
     pub reduction: f64,
     /// Layer at which the reduced set takes effect (FrameFusion merges
     /// within the first layers).
     pub effective_layer: usize,
+    /// Kernel backend the activation synthesis and every cosine run
+    /// on (default: the process-wide [`backend::active`]).
+    pub backend: BackendHandle,
 }
 
 impl Default for FrameFusionBaseline {
@@ -36,6 +40,7 @@ impl Default for FrameFusionBaseline {
         FrameFusionBaseline {
             reduction: 0.70,
             effective_layer: 2,
+            backend: backend::active(),
         }
     }
 }
@@ -50,10 +55,8 @@ impl Concentrator for FrameFusionBaseline {
         let m_img = workload.image_tokens_scaled();
         let per_frame = scaled.tokens_per_frame();
         let relevance = workload.relevance();
-        let mut act_syn = workload.activation_synthesizer();
-        // Cosines run on the kernel handle the synthesiser fills with.
-        let kernels = backend::active();
-        let att_syn = workload.attention_synthesizer();
+        let mut act_syn = workload.activation_synthesizer_on(self.backend);
+        let att_syn = workload.attention_synthesizer_on(self.backend);
 
         // Rank tokens: merge candidates are those most similar to their
         // previous-frame neighbour; importance protects the rest.
@@ -64,7 +67,7 @@ impl Concentrator for FrameFusionBaseline {
         let mut order: Vec<(usize, f64)> = (0..m_img)
             .map(|t| {
                 let sim = if t >= per_frame {
-                    row_cosine(kernels, acts.row(t), acts.row(t - per_frame)) as f64
+                    row_cosine(self.backend, acts.row(t), acts.row(t - per_frame)) as f64
                 } else {
                     -1.0
                 };
@@ -79,7 +82,8 @@ impl Concentrator for FrameFusionBaseline {
         let mut fidelity = vec![1.0f64; m_img];
         for &(t, _) in order.iter().take(k_remove) {
             let fid = if t >= per_frame {
-                row_cosine(kernels, acts.row(t), acts.row(t - per_frame)).clamp(0.0, 1.0) as f64
+                row_cosine(self.backend, acts.row(t), acts.row(t - per_frame)).clamp(0.0, 1.0)
+                    as f64
             } else {
                 0.0
             };

@@ -7,6 +7,7 @@ use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion
 use focus_core::sec::{ImportanceAnalyzer, OffsetEncoding, TopKSorter};
 use focus_core::sic::{gather_tile, scatter, ConvLayouter, Fhw, GatherConfig};
 use focus_core::BlockSize;
+use focus_tensor::backend::MatchTile;
 use focus_tensor::{backend, f16, Matrix, RowRef};
 
 /// A 1024×32 tile with a realistic (~35 %) duplicate rate over a
@@ -45,8 +46,8 @@ fn bench_gather(c: &mut Criterion) {
 }
 
 /// `Backend::segment_scores` over two contiguous rows with every
-/// 32-wide segment listed — the production gather sweep's
-/// per-(row, candidate) launch — at widths 512 and 2688 (an FFN
+/// 32-wide segment listed — the launch shape of the gather sweep's
+/// deferred fidelity probes — at widths 512 and 2688 (an FFN
 /// activation row at evaluation scale), on the dispatched `simd` path
 /// and the `scalar` oracle, over f32 rows and over the FP16 rows an
 /// FP16 stage stores (`_f16_` legs, widened on load). One sample is
@@ -77,6 +78,60 @@ fn bench_segment_scores(c: &mut Criterion) {
                         black_box(&out);
                     })
                 });
+            }
+        }
+    }
+}
+
+/// `Backend::segment_match` — the production gather sweep's one launch
+/// per row: the probe's 32-wide segment norms plus its cosines against
+/// 3 or 7 candidate rows (a mid-block and a last-in-block row of the
+/// 2×2×2 block) folded into each segment's best match — at widths 512
+/// and 2688, on the `simd` and `scalar` backends, over f32 rows and
+/// FP16 rows (`_f16_` legs). The id ends in `x<candidates>`. One
+/// sample is 100 launches.
+fn bench_segment_match(c: &mut Criterion) {
+    for width in [512usize, 2688] {
+        let rows: Vec<f32> = (0..8 * width)
+            .map(|i| ((i * 131 + i / width * 7) % 257) as f32 - 128.0)
+            .collect();
+        let rows16: Vec<f16> = rows.iter().map(|&x| f16::from_f32(x)).collect();
+        let segments = width / 32;
+        for (name, be) in [("simd", backend::simd()), ("scalar", backend::scalar_ref())] {
+            for (elem, rows) in [("", RowRef::F32(&rows)), ("f16_", RowRef::F16(&rows16))] {
+                let tile = MatchTile {
+                    rows,
+                    width,
+                    seg: 32,
+                    carried: &[],
+                    threshold: 0.9,
+                };
+                let mut norms = vec![0.0; 8 * segments];
+                let (mut best, mut best_cand) = (vec![0.0; segments], vec![0; segments]);
+                for probe in 0..7 {
+                    be.segment_match(&tile, probe, &[], &mut norms, &mut best, &mut best_cand);
+                }
+                for cands in [&[4u32, 5, 6][..], &[0, 1, 2, 3, 4, 5, 6]] {
+                    let id = format!(
+                        "gather/segment_match_{name}_{elem}{width}x32x{}",
+                        cands.len()
+                    );
+                    c.bench_function(&id, |bch| {
+                        bch.iter(|| {
+                            for _ in 0..100 {
+                                be.segment_match(
+                                    black_box(&tile),
+                                    7,
+                                    cands,
+                                    &mut norms,
+                                    &mut best,
+                                    &mut best_cand,
+                                );
+                            }
+                            black_box(&best);
+                        })
+                    });
+                }
             }
         }
     }
@@ -178,7 +233,7 @@ fn bench_layouter(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_gather, bench_segment_scores, bench_normal_fill, bench_scatter, bench_topk,
+    targets = bench_gather, bench_segment_scores, bench_segment_match, bench_normal_fill, bench_scatter, bench_topk,
               bench_importance, bench_offset_coding, bench_layouter
 }
 criterion_main!(kernels);

@@ -30,7 +30,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use focus_tensor::backend::{Backend, BackendHandle, RowRef};
+use focus_tensor::backend::{Backend, BackendHandle, MatchTile, RowRef};
 use focus_tensor::f16;
 use focus_tensor::matrix::Matrix;
 
@@ -41,12 +41,15 @@ use super::hist::Histogram;
 /// each covering the [`Backend`] methods named on its variant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum KernelFamily {
-    /// Norm launches (`segment_norms`): the production sweep's
-    /// per-row segment norms and every whole-row norm.
+    /// Norm launches (`segment_norms`): whole-row norms.
     Norms,
     /// Cosine launches (`segment_scores`): the production sweep's
-    /// per-(row, candidate) scoring and every whole-row cosine.
+    /// deferred fidelity probes and every whole-row cosine.
     Score,
+    /// Matcher launches (`segment_match`): the production sweep's one
+    /// launch per gathered row (segment norms, candidate cosines and
+    /// the best-match fold).
+    Match,
     /// INT8 fake-quantise round trips.
     FakeQuantize,
     /// FP16 rounding passes and FP16 row encodes (`f16_round`,
@@ -60,9 +63,10 @@ pub enum KernelFamily {
 
 impl KernelFamily {
     /// Every family, in a stable order (indexing and iteration).
-    pub const ALL: [KernelFamily; 6] = [
+    pub const ALL: [KernelFamily; 7] = [
         KernelFamily::Norms,
         KernelFamily::Score,
+        KernelFamily::Match,
         KernelFamily::FakeQuantize,
         KernelFamily::F16Round,
         KernelFamily::Scatter,
@@ -74,6 +78,7 @@ impl KernelFamily {
         match self {
             KernelFamily::Norms => "norms",
             KernelFamily::Score => "score",
+            KernelFamily::Match => "match",
             KernelFamily::FakeQuantize => "fake_quantize",
             KernelFamily::F16Round => "f16_round",
             KernelFamily::Scatter => "scatter",
@@ -85,10 +90,11 @@ impl KernelFamily {
         match self {
             KernelFamily::Norms => 0,
             KernelFamily::Score => 1,
-            KernelFamily::FakeQuantize => 2,
-            KernelFamily::F16Round => 3,
-            KernelFamily::Scatter => 4,
-            KernelFamily::NormalFill => 5,
+            KernelFamily::Match => 2,
+            KernelFamily::FakeQuantize => 3,
+            KernelFamily::F16Round => 4,
+            KernelFamily::Scatter => 5,
+            KernelFamily::NormalFill => 6,
         }
     }
 }
@@ -96,6 +102,7 @@ impl KernelFamily {
 /// Per-family launch-latency histograms, process-wide (kernel timing
 /// is a property of the process's backends, not of one service).
 static KERNEL_HISTS: [Histogram; KernelFamily::ALL.len()] = [
+    Histogram::new(),
     Histogram::new(),
     Histogram::new(),
     Histogram::new(),
@@ -223,6 +230,21 @@ impl Backend for Timed {
         self.time(KernelFamily::Score, || {
             self.inner
                 .segment_scores(a, b, seg, segs, a_norms, b_norms, out)
+        })
+    }
+
+    fn segment_match(
+        &self,
+        tile: &MatchTile<'_>,
+        probe: usize,
+        cands: &[u32],
+        norms: &mut [f32],
+        best: &mut [f32],
+        best_cand: &mut [u32],
+    ) {
+        self.time(KernelFamily::Match, || {
+            self.inner
+                .segment_match(tile, probe, cands, norms, best, best_cand)
         })
     }
 

@@ -24,7 +24,7 @@
 use core::ops::Range;
 use std::collections::HashMap;
 
-use focus_tensor::backend::{self, BackendHandle, RowRef};
+use focus_tensor::backend::{self, BackendHandle, MatchTile, RowRef};
 use focus_tensor::{Element, Matrix};
 
 use crate::config::BlockSize;
@@ -293,23 +293,17 @@ struct Sweep {
     /// Source row of each segment's representative in its column
     /// tile's walk (the row itself when the segment is unique).
     rep: Vec<u32>,
-    /// Per row: does any of its segments carry?
-    dirty: Vec<bool>,
     /// Unique count `p` per column tile.
     p: Vec<u32>,
     /// The current row's fidelity per column tile.
     fid: Vec<f32>,
-    /// The current launch's scores, per column tile.
-    scores: Vec<f32>,
-    /// The current row's best score per column tile so far, and its
-    /// candidate row. `NEG_INFINITY` marks no match yet: every score is
-    /// a clamped cosine or NaN, so any accepted score exceeds it.
+    /// The current row's best score per column tile and its candidate
+    /// row, as the match launch leaves them. `NEG_INFINITY` marks no
+    /// match: every score is a clamped cosine or NaN, so any accepted
+    /// score exceeds it.
     best_cos: Vec<f32>,
     best_cand: Vec<u32>,
-    /// Every column tile, `0..col_tiles`: a clean launch's segments.
-    all: Vec<usize>,
-    /// The live segments of a launch that skips carried ones, or the
-    /// column tiles of one fidelity launch.
+    /// The column tiles of one fidelity launch.
     live: Vec<usize>,
     /// The current row's deferred fidelity probes
     /// `(representative source row, column tile)`.
@@ -389,29 +383,27 @@ impl GatherScratch {
     /// [`GatherScratch::carry`] mask applies.
     ///
     /// Each column tile keeps its own best-match walk state: the
-    /// current row's best match so far, every row's representative (as
-    /// its source row) and the unique count `p`. Each candidate's scores
-    /// fold into every column tile's best match as soon as they land.
-    /// The walks are sequential over rows and candidates, so running
-    /// all column tiles inside the row loop takes exactly the decisions
-    /// the tile-by-tile [`gather_tile`] reference takes. Every launch is
-    /// segment-addressed over whole contiguous rows, the column tiles
-    /// being the rows' `vector_len`-wide segments: per row one
-    /// [`Backend::segment_norms`], then one [`Backend::segment_scores`]
-    /// per planned candidate, writing straight into the sweep's
-    /// per-segment norm and score buffers. A clean row lists every
-    /// segment; a row or candidate with carried segments lists only the
-    /// live ones, so carried segments launch no kernel work. Matches
-    /// whose representative is not the matched candidate itself take
-    /// one more scoring launch per distinct representative. No compact
-    /// copy or map is built: `p` and the row count give
+    /// current row's best match, every row's representative (as its
+    /// source row) and the unique count `p`. The walks are sequential
+    /// over rows and candidates, so running all column tiles inside the
+    /// row loop takes exactly the decisions the tile-by-tile
+    /// [`gather_tile`] reference takes. The column tiles are the rows'
+    /// `vector_len`-wide segments, and each row makes exactly one
+    /// [`Backend::segment_match`] launch: it norms the row's live
+    /// segments into the sweep's per-segment norm buffer and folds every
+    /// planned candidate's cosines, in plan order, into each column
+    /// tile's best match. Carried segments (from the per-row slices of
+    /// the carry mask) take no kernel work. Matches whose representative
+    /// is not the matched candidate itself take one
+    /// [`Backend::segment_scores`] launch per distinct representative.
+    /// No compact copy or map is built: `p` and the row count give
     /// `compressed_bytes` directly.
     ///
     /// # Panics
     ///
     /// Panics if the current plan is not for exactly this tile.
     ///
-    /// [`Backend::segment_norms`]: focus_tensor::backend::Backend::segment_norms
+    /// [`Backend::segment_match`]: focus_tensor::backend::Backend::segment_match
     /// [`Backend::segment_scores`]: focus_tensor::backend::Backend::segment_scores
     #[allow(clippy::too_many_arguments)] // the tile tuple + config, carry switch, backend, sink
     pub(crate) fn sweep_tile<E: Element>(
@@ -448,95 +440,58 @@ impl GatherScratch {
 
         grow(&mut sw.norms, row_count * cols);
         grow(&mut sw.rep, row_count * cols);
-        let mut dirty: Vec<bool> = std::mem::take(&mut sw.dirty);
-        dirty.clear();
         sw.p.clear();
         sw.p.resize(cols, 0);
         sw.fid.clear();
         sw.fid.resize(cols, 1.0);
-        sw.scores.clear();
-        sw.scores.resize(cols, 0.0);
-        sw.all.clear();
-        sw.all.extend(0..cols);
+        sw.best_cos.resize(cols, f32::NEG_INFINITY);
+        sw.best_cand.resize(cols, 0);
         let segments_of = |r: usize| r * cols..(r + 1) * cols;
+        let width = acts.cols();
+        let rows = &acts.as_slice()[row_start * width..(row_start + row_count) * width];
+        let tile = MatchTile {
+            rows: E::row_ref(rows),
+            width,
+            seg,
+            carried: if temporal { carry.flags() } else { &[] },
+            threshold: cfg.threshold,
+        };
+        let norms = &mut sw.norms[..row_count * cols];
 
         let (mut comparisons, mut matches, mut carried, mut avoided, mut dot_ops) =
             (0u64, 0u64, 0u64, 0u64, 0u64);
         for local in 0..row_count {
-            let row = acts.row(row_start + local);
+            let row = &rows[local * width..(local + 1) * width];
             let row_cands = &cands[offsets[local] as usize..offsets[local + 1] as usize];
             let base = local * cols;
-            dirty.push(temporal && (0..cols).any(|ct| carry.is_carried(local, ct)));
-            // Only rows with a carried segment consult the mask.
-            let carried_at = |r: usize, ct: usize| dirty[r] && carry.is_carried(r, ct);
-            let row_dirty = dirty[local];
-
-            // One norm launch over the row's live segments.
-            let live: &[usize] = if row_dirty {
-                sw.live.clear();
-                sw.live
-                    .extend((0..cols).filter(|&ct| !carried_at(local, ct)));
-                &sw.live
-            } else {
-                &sw.all
-            };
-            backend.segment_norms(
-                E::row_ref(row),
-                seg,
-                live,
-                &mut sw.norms[segments_of(local)],
+            // One launch: the row's live segment norms, and every
+            // planned candidate's scores folded in candidate order into
+            // each column tile's best match.
+            backend.segment_match(
+                &tile,
+                local,
+                row_cands,
+                norms,
+                &mut sw.best_cos,
+                &mut sw.best_cand,
             );
-
-            // One launch per planned candidate over both rows' live
-            // segments, folded at once into every column tile's walk in
-            // candidate order: a strictly better score wins, a tie keeps
-            // the earlier candidate — the streaming matcher's rule.
-            sw.best_cos.clear();
-            sw.best_cos.resize(cols, f32::NEG_INFINITY);
-            sw.best_cand.resize(cols, 0);
-            dot_ops += row.len() as u64; // per segment: the norm pass, or the carried probe slot
-            for &cand in row_cands {
-                let cand = cand as usize;
-                let clean = !row_dirty && !dirty[cand];
-                let live: &[usize] = if clean {
-                    &sw.all
-                } else {
-                    sw.live.clear();
-                    sw.live.extend(
-                        (0..cols).filter(|&ct| !carried_at(local, ct) && !carried_at(cand, ct)),
-                    );
-                    &sw.live
-                };
-                backend.segment_scores(
-                    E::row_ref(row),
-                    E::row_ref(acts.row(row_start + cand)),
-                    seg,
-                    live,
-                    &sw.norms[segments_of(local)],
-                    &sw.norms[segments_of(cand)],
-                    &mut sw.scores,
-                );
-                comparisons += live.len() as u64;
-                avoided += (cols - live.len()) as u64;
-                dot_ops += if clean {
-                    row.len() as u64
-                } else {
-                    live.iter().map(|&ct| col_ranges[ct].len() as u64).sum()
-                };
-                let fold = |cos: f32, best_cos: &mut f32, best_cand: &mut u32| {
-                    if cos >= cfg.threshold && cos > *best_cos {
-                        (*best_cos, *best_cand) = (cos, cand as u32);
-                    }
-                };
-                if clean {
-                    let best = sw.best_cos.iter_mut().zip(&mut sw.best_cand);
-                    for (&cos, (best_cos, best_cand)) in sw.scores.iter().zip(best) {
-                        fold(cos, best_cos, best_cand);
-                    }
-                } else {
-                    for &ct in live {
-                        fold(sw.scores[ct], &mut sw.best_cos[ct], &mut sw.best_cand[ct]);
-                    }
+            dot_ops += width as u64; // per segment: the norm pass, or the carried probe slot
+            let probe_carried = tile.carried_row(local);
+            if probe_carried.is_empty() {
+                comparisons += (row_cands.len() * cols) as u64;
+                dot_ops += (row_cands.len() * width) as u64;
+            } else {
+                for &cand in row_cands {
+                    let cand_carried = tile.carried_row(cand as usize);
+                    let pairs = probe_carried.iter().zip(cand_carried);
+                    let live = pairs.filter(|&(&p, &c)| !(p | c)).count();
+                    // Every live segment is `seg` wide but a ragged last one.
+                    let last = cols - 1;
+                    let last_live = !(probe_carried[last] | cand_carried[last]);
+                    comparisons += live as u64;
+                    avoided += (cols - live) as u64;
+                    dot_ops +=
+                        (live * seg - last_live as usize * (seg - col_ranges[last].len())) as u64;
                 }
             }
 
@@ -547,21 +502,25 @@ impl GatherScratch {
             // Candidates are earlier rows, so their representatives sit
             // before this row's in `rep`.
             let (earlier, reps) = sw.rep.split_at_mut(base);
-            let outcomes = reps[..cols].iter_mut().zip(&mut sw.p).zip(&mut sw.fid);
-            for (ct, ((rep, p), fid)) in outcomes.enumerate() {
-                if row_dirty && carry.is_carried(local, ct) {
-                    carried += 1;
-                    *fid = 1.0;
-                    continue;
-                }
-                let cos = sw.best_cos[ct];
+            let best = sw.best_cos.iter().zip(&sw.best_cand);
+            let outcomes = reps[..cols]
+                .iter_mut()
+                .zip(&mut sw.p)
+                .zip(&mut sw.fid)
+                .zip(best);
+            for (ct, (((rep, p), fid), (&cos, &cand))) in outcomes.enumerate() {
                 if cos == f32::NEG_INFINITY {
+                    // No match: the segment is carried, or unique. (A
+                    // carried segment's `rep` is never read: no probe
+                    // scores a carried candidate segment.)
+                    let is_carried = probe_carried.get(ct) == Some(&true);
+                    carried += is_carried as u64;
+                    *p += !is_carried as u32;
                     *rep = local as u32;
-                    *p += 1;
                     *fid = 1.0;
                     continue;
                 }
-                let cand = sw.best_cand[ct] as usize;
+                let cand = cand as usize;
                 *rep = earlier[cand * cols + ct];
                 matches += 1;
                 if *rep as usize == cand {
@@ -580,11 +539,11 @@ impl GatherScratch {
                 sw.live.extend(run.iter().map(|&(_, ct)| ct));
                 backend.segment_scores(
                     E::row_ref(row),
-                    E::row_ref(acts.row(row_start + src)),
+                    E::row_ref(&rows[src * width..(src + 1) * width]),
                     seg,
                     &sw.live,
-                    &sw.norms[segments_of(local)],
-                    &sw.norms[segments_of(src)],
+                    &norms[segments_of(local)],
+                    &norms[segments_of(src)],
                     &mut sw.fid,
                 );
             }
@@ -594,7 +553,6 @@ impl GatherScratch {
                 *fidelity += f / cols as f32;
             }
         }
-        sw.dirty = dirty;
 
         for (range, &p) in col_ranges.iter().zip(&sw.p) {
             stats.tile_p.push(p as usize);

@@ -319,7 +319,7 @@ pub fn matcher_overlap_ratio(k: usize, pe_rows: usize, block_cells: usize) -> f6
 mod tests {
     use super::*;
     use crate::config::BlockSize;
-    use focus_tensor::backend::{Backend, RowRef};
+    use focus_tensor::backend::{Backend, MatchTile, RowRef};
     use focus_tensor::{f16, Element};
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -560,11 +560,20 @@ mod tests {
     }
 
     /// Delegates to [`backend::simd`] and counts the segments the gather
-    /// hands to the norm and scoring kernels.
+    /// hands to the norm, scoring and match kernels.
     #[derive(Debug, Default)]
     struct Counting {
         norm_segs: AtomicUsize,
         scored_segs: AtomicUsize,
+        match_launches: AtomicUsize,
+        /// Live probe segments of the match launches (normed).
+        match_normed: AtomicUsize,
+        /// Live (candidate, segment) pairs of the match launches (scored).
+        match_scored: AtomicUsize,
+    }
+
+    fn count(counter: &AtomicUsize) -> usize {
+        counter.load(Ordering::Relaxed)
     }
 
     impl Backend for Counting {
@@ -587,6 +596,28 @@ mod tests {
         ) {
             self.scored_segs.fetch_add(segs.len(), Ordering::Relaxed);
             backend::simd().segment_scores(a, b, seg, segs, a_norms, b_norms, out)
+        }
+        fn segment_match(
+            &self,
+            tile: &MatchTile<'_>,
+            probe: usize,
+            cands: &[u32],
+            norms: &mut [f32],
+            best: &mut [f32],
+            best_cand: &mut [u32],
+        ) {
+            let carried = |r: usize, s: usize| tile.carried_row(r).get(s) == Some(&true);
+            let live: Vec<usize> = (0..tile.segments())
+                .filter(|&s| !carried(probe, s))
+                .collect();
+            let scored: usize = cands
+                .iter()
+                .map(|&c| live.iter().filter(|&&s| !carried(c as usize, s)).count())
+                .sum();
+            self.match_launches.fetch_add(1, Ordering::Relaxed);
+            self.match_normed.fetch_add(live.len(), Ordering::Relaxed);
+            self.match_scored.fetch_add(scored, Ordering::Relaxed);
+            backend::simd().segment_match(tile, probe, cands, norms, best, best_cand)
         }
         fn fake_quantize(&self, m: &mut Matrix) {
             backend::simd().fake_quantize(m)
@@ -619,8 +650,12 @@ mod tests {
             random_masks(0, col_tiles, 4),
             counting,
         );
-        assert_eq!(counting.norm_segs.load(Ordering::Relaxed), 0);
-        assert_eq!(counting.scored_segs.load(Ordering::Relaxed), 0);
+        // One match launch per row, which norms and scores nothing.
+        assert_eq!(count(&counting.match_launches), 40);
+        assert_eq!(count(&counting.match_normed), 0);
+        assert_eq!(count(&counting.match_scored), 0);
+        assert_eq!(count(&counting.norm_segs), 0);
+        assert_eq!(count(&counting.scored_segs), 0);
         assert_eq!(stats.carried, (40 * col_tiles) as u64);
         assert_eq!((stats.comparisons, stats.unique_vectors), (0, 0));
         // Every planned probe was avoided, exactly as the reference counts.
@@ -634,31 +669,78 @@ mod tests {
         assert_eq!(avoided, reference.1);
         assert_eq!(stats, reference.0);
 
-        // Without a carry every segment is normed once.
-        conc.sweep(&acts, &positions, &mut scratch, |_, _, _| false, counting);
+        // Without a carry every segment is normed once, and every
+        // planned comparison is scored once, all through the match
+        // family.
+        let clean = conc
+            .sweep(&acts, &positions, &mut scratch, |_, _, _| false, counting)
+            .0;
+        assert_eq!(count(&counting.match_launches), 80);
         assert_eq!(
-            counting.norm_segs.load(Ordering::Relaxed),
+            count(&counting.match_normed),
             40 * col_tiles,
             "one norm per live segment"
         );
-        assert!(counting.scored_segs.load(Ordering::Relaxed) > 0);
+        assert_eq!(count(&counting.match_scored) as u64, clean.comparisons);
+        assert!(clean.comparisons > 0);
+        assert_eq!(
+            count(&counting.norm_segs),
+            0,
+            "the sweep norms only through the match family"
+        );
 
-        // The reference gather runs on the same kernel family: nothing
-        // on a fully carried tile, one norm segment per live row and
-        // column tile without a carry.
-        counting.norm_segs.store(0, Ordering::Relaxed);
+        // The reference gather runs on the one-segment norm and score
+        // launches: nothing on a fully carried tile, one norm segment
+        // per live row and column tile without a carry.
         counting.scored_segs.store(0, Ordering::Relaxed);
         let reference = conc.reference(&acts, &positions, random_masks(0, col_tiles, 4), counting);
         assert_eq!(reference.0.carried, (40 * col_tiles) as u64);
-        assert_eq!(counting.norm_segs.load(Ordering::Relaxed), 0);
-        assert_eq!(counting.scored_segs.load(Ordering::Relaxed), 0);
+        assert_eq!(count(&counting.norm_segs), 0);
+        assert_eq!(count(&counting.scored_segs), 0);
         conc.reference(&acts, &positions, |_, _, _| false, counting);
         assert_eq!(
-            counting.norm_segs.load(Ordering::Relaxed),
+            count(&counting.norm_segs),
             40 * col_tiles,
             "one reference norm per live segment"
         );
-        assert!(counting.scored_segs.load(Ordering::Relaxed) > 0);
+        assert!(count(&counting.scored_segs) > 0);
+        assert_eq!(
+            count(&counting.match_launches),
+            80,
+            "the reference makes no match launch"
+        );
+    }
+
+    /// A traced sweep — its backend wrapped in the timing layer, as
+    /// under `FOCUS_TRACE` — makes exactly one match launch per gathered
+    /// row, counted under the `match` kernel family, with or without a
+    /// carry mask and over several m-tiles.
+    #[test]
+    fn traced_sweep_makes_one_match_launch_per_row() {
+        use crate::obs::kernels::{kernel_launches, timed};
+        use crate::obs::KernelFamily;
+        let counting: &'static Counting = Box::leak(Box::default());
+        let traced = timed(counting);
+        let (acts, positions, layouter) = redundant_case(3, 45, 70, 3, 4);
+        let conc = concentrator(16, 32);
+        let col_tiles = 70usize.div_ceil(32);
+        let mut scratch = GatherScratch::new(&layouter);
+        let family_before = kernel_launches(KernelFamily::Match);
+        let reference = conc.reference(&acts, &positions, |_, _, _| false, backend::simd());
+        let swept = conc.sweep(&acts, &positions, &mut scratch, |_, _, _| false, traced);
+        assert_eq!(swept, reference, "tracing is bit-invisible");
+        assert_eq!(count(&counting.match_launches), 45);
+        conc.sweep(
+            &acts,
+            &positions,
+            &mut scratch,
+            random_masks(3, col_tiles, 2),
+            traced,
+        );
+        assert_eq!(count(&counting.match_launches), 90);
+        // Other tests may trace concurrently: the process-wide family
+        // count grows by at least this test's launches.
+        assert!(kernel_launches(KernelFamily::Match) >= family_before + 90);
     }
 
     #[test]

@@ -214,10 +214,10 @@ impl CarryMask {
         mask
     }
 
-    /// Whether tile-local `row` is carried at `col_tile`.
+    /// Every carry flag, row-major: `flags()[row * col_tiles + col_tile]`.
     #[inline]
-    pub(crate) fn is_carried(&self, row: usize, col_tile: usize) -> bool {
-        self.carried[row * self.col_tiles + col_tile]
+    pub(crate) fn flags(&self) -> &[bool] {
+        &self.carried
     }
 
     /// The carried slot of tile-local `row` at `col_tile`, or `None`

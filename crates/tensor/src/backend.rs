@@ -1,34 +1,38 @@
 //! Pluggable execution backends for the hot stage kernels.
 //!
 //! The measured phase spends its time in five kernel families: gather
-//! scoring (segment dot + cosine-with-norms), compact norms, the dtype
-//! kernels (INT8 fake-quantise round trip, FP16 rounding and the FP16
-//! store's row encode), scatter row replay, and the activation-synthesis
-//! fill. This module puts all five behind one [`Backend`] trait — the
-//! InfiniNN `VirtualMachine` pattern — with two implementations:
+//! matching (the row-granular matcher plus the segment norm and cosine
+//! kernels), the dtype kernels (INT8 fake-quantise round trip, FP16
+//! rounding and the FP16 store's row encode), scatter row replay, and
+//! the activation-synthesis fill. This module puts all five behind one
+//! [`Backend`] trait — the InfiniNN `VirtualMachine` pattern — with two
+//! implementations:
 //!
 //! * [`ScalarRef`] — the chunked-scalar reference paths, kept as the
 //!   bit-exactness oracle;
 //! * [`Simd`] — the runtime-dispatched AVX2/F16C kernels from
 //!   [`crate::math`] (the synthesis fill takes an AVX-512F+DQ tier
 //!   before AVX2 where the CPU has it, sixteen lanes a pass), extended
-//!   with segment-addressed gather scoring and norms (eight segments
-//!   of two contiguous rows per register pass via
-//!   [`crate::math::segment_dots`]) and whole-row fake-quantise
+//!   with the row-granular matcher ([`crate::math::segment_match`]: a
+//!   probe row against up to seven candidates per register pass),
+//!   segment-addressed scoring and norms (eight segments of two
+//!   contiguous rows per register pass via [`crate::math::segment_dots`])
+//!   and whole-row fake-quantise
 //!   ([`crate::quant::fake_quantize_in_place_batched`]). **Bit-identical
 //!   to [`ScalarRef`]** lane for lane under the frozen-op-order
 //!   discipline (proptest-enforced in `tests/backend_kernels.rs`), so
 //!   swapping backends never changes a result, only throughput.
 //!
-//! [`Backend::segment_norms`] and [`Backend::segment_scores`] are the
-//! workspace's one cosine kernel family. The production gather sweep
-//! lists many 32-wide segments per launch; every other cosine or norm
-//! — the reference tile gather, the baselines, the Fig. 2(b)
-//! similarity samples — is one segment spanning the whole row, through
-//! [`row_norm`] and [`row_cosine`] or a one-segment launch with
-//! caller-held norms. A single listed segment always takes the
-//! chunked-scalar dot on either backend, so those callers check the
-//! sweep's eight-segment AVX2 pass with different code.
+//! [`Backend::segment_match`] is the production gather sweep's one
+//! launch per row: the row's segment norms, its cosines against every
+//! planned candidate and the best-match fold. [`Backend::segment_norms`]
+//! and [`Backend::segment_scores`] serve the sweep's deferred fidelity
+//! probes and every other cosine or norm — the reference tile gather,
+//! the baselines, the Fig. 2(b) similarity samples — as one segment
+//! spanning the whole row, through [`row_norm`] and [`row_cosine`] or a
+//! one-segment launch with caller-held norms. A single listed segment
+//! always takes the chunked-scalar dot on either backend, so those
+//! callers check the sweep's AVX2 passes with different code.
 //!
 //! A [`BackendHandle`] is the one place a kernel implementation is
 //! chosen: callers that want the scalar path pass [`scalar_ref`]. The
@@ -68,6 +72,44 @@ pub enum RowRef<'a> {
     F16(&'a [f16]),
 }
 
+/// The rows a [`Backend::segment_match`] launch reads: one m-tile of
+/// equally wide rows stored back to back, cut into `seg`-wide segments
+/// (the last one ragged when `seg` does not divide the width), with
+/// the tile's temporal carry flags and the match threshold.
+#[derive(Clone, Copy, Debug)]
+pub struct MatchTile<'a> {
+    /// The tile's rows, `width` elements each, one after another.
+    pub rows: RowRef<'a>,
+    /// Elements per row.
+    pub width: usize,
+    /// Segment width.
+    pub seg: usize,
+    /// `carried[r · segments + s]`: segment `s` of tile row `r` is
+    /// carried and takes no kernel work. Empty when nothing carries.
+    pub carried: &'a [bool],
+    /// The cosine a score must reach to match.
+    pub threshold: f32,
+}
+
+impl<'a> MatchTile<'a> {
+    /// Segments per row: `width / seg`, rounded up.
+    pub fn segments(&self) -> usize {
+        self.width.div_ceil(self.seg)
+    }
+
+    /// Row `r`'s carry flags, one per segment; empty when nothing
+    /// carries. Segment `s` is carried iff `flags.get(s) == Some(&true)`.
+    #[inline]
+    pub fn carried_row(&self, r: usize) -> &'a [bool] {
+        if self.carried.is_empty() {
+            &[]
+        } else {
+            let n = self.segments();
+            &self.carried[r * n..(r + 1) * n]
+        }
+    }
+}
+
 /// The stage-kernel surface. Every method is a whole kernel launch,
 /// not a helper: callers hand the backend complete rows/matrices and
 /// never open-code the inner loops, so a backend can batch however
@@ -79,8 +121,7 @@ pub trait Backend: fmt::Debug + Sync {
     /// L2 norms of the listed `seg`-wide segments of `row` (the last
     /// segment ragged when `seg` does not divide the width):
     /// `out[s] = ‖row[s·seg..(s+1)·seg]‖` for every index `s` in `segs`,
-    /// one slot per segment, unlisted slots untouched — the production
-    /// gather sweep's one norm launch per row. An FP16 row is widened
+    /// one slot per segment, unlisted slots untouched. An FP16 row is widened
     /// exactly on load, so its norms equal those of its widened f32
     /// copy. See [`math::segment_norms`].
     ///
@@ -95,8 +136,8 @@ pub trait Backend: fmt::Debug + Sync {
     /// segment s)` from the per-segment norms `a_norms[s]`,
     /// `b_norms[s]`, with the zero-norm and clamp conventions of
     /// [`math::cosine_from_dot`]. Unlisted slots stay untouched; see
-    /// [`math::segment_cosines`]. The production gather sweep's one
-    /// scoring launch per (row, candidate).
+    /// [`math::segment_cosines`]. The gather sweep's deferred fidelity
+    /// probes, one launch per (row, representative).
     ///
     /// # Panics
     ///
@@ -113,6 +154,42 @@ pub trait Backend: fmt::Debug + Sync {
         a_norms: &[f32],
         b_norms: &[f32],
         out: &mut [f32],
+    );
+
+    /// The row-granular matcher: one launch per probe row of the
+    /// production gather sweep. For every segment `s` of row `probe`
+    /// that is not carried, writes its L2 norm to
+    /// `norms[probe · segments + s]`, then folds the cosine of every
+    /// candidate row at `s` — in `cands` order, skipping a candidate
+    /// carried at `s` — into `best[s]` and `best_cand[s]`: a score
+    /// replaces the best so far when `cos >= threshold && cos > best`,
+    /// so a tie keeps the earlier candidate and a NaN never matches.
+    /// `best[s]` ends as the winning cosine (`NEG_INFINITY` when
+    /// nothing matched, and at carried segments) and `best_cand[s]` as
+    /// the winner's row index ([`math::NO_MATCH`] when nothing did).
+    ///
+    /// Candidate norms are read from `norms` (`rows × segments`,
+    /// row-major), so each candidate's live segments must have been
+    /// normed by an earlier launch; other slots stay untouched. Scores
+    /// equal [`Backend::segment_scores`] over those norms bit for bit.
+    /// A width-0 tile has no segments and the launch writes nothing.
+    /// See [`math::segment_match`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seg` is 0, the rows are not a whole number of
+    /// `width`-wide rows, `carried` is neither empty nor one flag per
+    /// segment of every row, `norms` does not hold one slot per
+    /// segment of every row, `best` or `best_cand` does not hold one
+    /// slot per segment, or a row index is out of range.
+    fn segment_match(
+        &self,
+        tile: &MatchTile<'_>,
+        probe: usize,
+        cands: &[u32],
+        norms: &mut [f32],
+        best: &mut [f32],
+        best_cand: &mut [u32],
     );
 
     /// In-place per-row INT8 fake-quantise round trip.
@@ -224,6 +301,18 @@ impl Backend for ScalarRef {
         segment_scores_of(a, b, seg, segs, a_norms, b_norms, out, false);
     }
 
+    fn segment_match(
+        &self,
+        tile: &MatchTile<'_>,
+        probe: usize,
+        cands: &[u32],
+        norms: &mut [f32],
+        best: &mut [f32],
+        best_cand: &mut [u32],
+    ) {
+        math::segment_match_scalar(tile, probe, cands, norms, best, best_cand);
+    }
+
     fn fake_quantize(&self, m: &mut Matrix) {
         quant::fake_quantize_in_place(m);
     }
@@ -247,9 +336,10 @@ impl Backend for ScalarRef {
 
 /// The runtime-dispatched fast backend: AVX2/F16C when the CPU has
 /// them (AVX-512F+DQ first for the synthesis fill), the chunked-scalar
-/// fallback otherwise — always bit-identical to [`ScalarRef`]. Gather
-/// norms and scoring batch eight segments per pass and fake-quantise
-/// runs whole rows at once.
+/// fallback otherwise — always bit-identical to [`ScalarRef`]. The
+/// matcher scores a probe against up to seven candidates per pass,
+/// segment norms and scoring batch eight segments per pass, and
+/// fake-quantise runs whole rows at once.
 #[derive(Debug)]
 pub struct Simd;
 
@@ -273,6 +363,18 @@ impl Backend for Simd {
         out: &mut [f32],
     ) {
         segment_scores_of(a, b, seg, segs, a_norms, b_norms, out, true);
+    }
+
+    fn segment_match(
+        &self,
+        tile: &MatchTile<'_>,
+        probe: usize,
+        cands: &[u32],
+        norms: &mut [f32],
+        best: &mut [f32],
+        best_cand: &mut [u32],
+    ) {
+        math::segment_match(tile, probe, cands, norms, best, best_cand);
     }
 
     fn fake_quantize(&self, m: &mut Matrix) {

@@ -19,8 +19,9 @@
 //!   activation synthesis, with a runtime-dispatched SIMD path that is
 //!   bit-identical to its scalar fallback;
 //! * [`backend`] — the pluggable [`Backend`] trait putting the hot
-//!   stage kernels (gather scoring, compact norms, fake-quantise, FP16
-//!   rounding and encode, scatter, synthesis fill) behind one dispatch surface,
+//!   stage kernels (the gather matcher, segment norms and scoring,
+//!   fake-quantise, FP16 rounding and encode, scatter, synthesis fill)
+//!   behind one dispatch surface,
 //!   with bit-identical `scalar`/`simd` implementations chosen by a
 //!   [`BackendHandle`] (`FOCUS_BACKEND` picks the process default).
 //!   Every cosine and norm is a segment launch; whole rows go through

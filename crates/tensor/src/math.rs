@@ -50,6 +50,7 @@
 #[cfg(target_arch = "x86_64")]
 use std::sync::OnceLock;
 
+use crate::backend::{MatchTile, RowRef};
 use crate::half::f16;
 use crate::matrix::Element;
 
@@ -401,12 +402,12 @@ pub fn f16_encode_fill_scalar(src: &[f32], dst: &mut [f16]) {
 // kernel *defines* a new frozen order: eight independent lane
 // accumulators (lane `j` sums the products at indices `≡ j (mod 8)`),
 // a shared scalar tail, and one fixed pairwise reduction tree. The
-// segment kernels' eight-segment AVX2 pass and the chunked-scalar dot
-// execute that order operation for operation, so they are
-// bit-identical on every input — the same contract as the synthesis
-// fills above (this re-ordering vs. the old sequential dot is what
-// re-baseline v3 pins). Every cosine and norm in the workspace is a
-// segment launch: a whole row is one segment spanning it.
+// segment kernels' eight-segment AVX2 pass, the matcher's fan pass and
+// the chunked-scalar dot execute that order operation for operation,
+// so they are bit-identical on every input — the same contract as the
+// synthesis fills above (this re-ordering vs. the old sequential dot is
+// what re-baseline v3 pins). Every cosine and norm in the workspace is
+// a segment or matcher launch: a whole row is one segment spanning it.
 // ---------------------------------------------------------------------
 
 /// Full-chunk lane accumulation of the chunked-scalar path: lane `j`
@@ -465,11 +466,12 @@ pub fn cosine_from_dot(dot: f32, na: f32, nb: f32) -> f32 {
     }
 }
 
-/// A last group of fewer full-width segments than this takes
+/// A last group of fewer full-width f32 segments than this takes
 /// single chunked-scalar dots instead of a padded eight-segment pass:
 /// one pass of 32-wide segments costs about as much as four to five
-/// single dots (measured on an AVX2 Xeon at 2.1 GHz). Both paths are
-/// bit-identical, so the cutoff is pure scheduling.
+/// single dots (measured on an AVX2 Xeon at 2.1 GHz). FP16 segments
+/// always take the pass: a single dot widens them in software. Both
+/// paths are bit-identical, so the cutoff is pure scheduling.
 const SEGMENT_GROUP_MIN: usize = 4;
 
 /// The segment kernels' shared body: checks the shape contract, then
@@ -521,7 +523,7 @@ fn segment_map<E: Element>(
                 k = 0;
             }
         }
-        if k >= SEGMENT_GROUP_MIN {
+        if k >= SEGMENT_GROUP_MIN || (E::IS_F16 && k > 0) {
             // Pad the short last group by repeating its last index.
             let last = group[k - 1];
             group[k..].fill(last);
@@ -626,6 +628,213 @@ fn cosine_finish<'a>(
     assert_eq!(a_norms.len(), count, "one left norm per segment");
     assert_eq!(b_norms.len(), count, "one right norm per segment");
     move |s, dot| cosine_from_dot(dot, a_norms[s], b_norms[s])
+}
+
+// ---------------------------------------------------------------------
+// Row-granular matcher kernel
+//
+// One launch does a probe row's whole share of the gather sweep: its
+// segment norms, the cosine against every planned candidate at every
+// live segment, and the best-match fold. The AVX2 path widens each
+// probe chunk once and multiplies it against itself and up to seven
+// candidates (eight accumulators, reduced by the `reduce_lanes` tree),
+// then finishes and folds eight segments per pass with the conventions
+// of `cosine_from_dot` — bit-identical to the chunked-scalar
+// composition the scalar backend runs.
+// ---------------------------------------------------------------------
+
+/// `best_cand` of a segment that no candidate matched.
+pub const NO_MATCH: u32 = u32::MAX;
+
+/// Candidates per AVX2 fan pass: the probe's self-dot takes the eighth
+/// accumulator. Longer candidate lists run in passes, in list order.
+#[cfg(target_arch = "x86_64")]
+const FAN_CANDS: usize = 7;
+
+/// Checks a match launch's shapes and resets its best-match outputs.
+/// Returns the segment count (0 for a width-0 tile).
+fn match_setup(
+    tile: &MatchTile<'_>,
+    probe: usize,
+    cands: &[u32],
+    norms: &[f32],
+    best: &mut [f32],
+    best_cand: &mut [u32],
+) -> usize {
+    assert!(tile.seg > 0, "segment width must be positive");
+    let segments = tile.segments();
+    assert_eq!(best.len(), segments, "one best score per segment");
+    assert_eq!(best_cand.len(), segments, "one best candidate per segment");
+    if segments == 0 {
+        return 0;
+    }
+    let len = match tile.rows {
+        RowRef::F32(r) => r.len(),
+        RowRef::F16(r) => r.len(),
+    };
+    let rows = len / tile.width;
+    assert_eq!(len, rows * tile.width, "the tile must hold whole rows");
+    let slots = rows * segments;
+    assert_eq!(norms.len(), slots, "one norm slot per segment of every row");
+    assert!(
+        tile.carried.is_empty() || tile.carried.len() == slots,
+        "one carry flag per segment of every row"
+    );
+    assert!(probe < rows, "probe row {probe} out of range ({rows} rows)");
+    for &c in cands {
+        assert!(
+            (c as usize) < rows,
+            "candidate row {c} out of range ({rows} rows)"
+        );
+    }
+    best.fill(f32::NEG_INFINITY);
+    best_cand.fill(NO_MATCH);
+    segments
+}
+
+/// The chunked-scalar matcher over the segments `segs`: per live probe
+/// segment, its norm, then every live candidate's cosine folded in list
+/// order — the composition every path equals bit for bit.
+#[allow(clippy::too_many_arguments)] // the launch's operands plus the segment range
+fn match_scalar<E: Element>(
+    rows: &[E],
+    tile: &MatchTile<'_>,
+    probe: usize,
+    cands: &[u32],
+    norms: &mut [f32],
+    best: &mut [f32],
+    best_cand: &mut [u32],
+    segs: core::ops::Range<usize>,
+) {
+    let (w, seg, segments) = (tile.width, tile.seg, tile.segments());
+    let row = |r: usize| &rows[r * w..(r + 1) * w];
+    let p = row(probe);
+    let probe_carried = tile.carried_row(probe);
+    for s in segs.filter(|&s| probe_carried.get(s) != Some(&true)) {
+        let range = s * seg..((s + 1) * seg).min(w);
+        let ps = &p[range.clone()];
+        let pn = dot_chunked_scalar(ps, ps).sqrt();
+        norms[probe * segments + s] = pn;
+        for &c in cands {
+            let c = c as usize;
+            if tile.carried_row(c).get(s) == Some(&true) {
+                continue;
+            }
+            let dot = dot_chunked_scalar(ps, &row(c)[range.clone()]);
+            let cos = cosine_from_dot(dot, pn, norms[c * segments + s]);
+            if cos >= tile.threshold && cos > best[s] {
+                (best[s], best_cand[s]) = (cos, c as u32);
+            }
+        }
+    }
+}
+
+/// The dispatched body of [`segment_match`]: AVX2 fan passes over the
+/// full-width segments when `seg` is a multiple of 8 and the CPU has
+/// AVX2 and F16C, the chunked-scalar matcher for a ragged last segment
+/// and everywhere else.
+fn match_dispatched<E: Element>(
+    rows: &[E],
+    tile: &MatchTile<'_>,
+    probe: usize,
+    cands: &[u32],
+    norms: &mut [f32],
+    best: &mut [f32],
+    best_cand: &mut [u32],
+) {
+    let segments = match_setup(tile, probe, cands, norms, best, best_cand);
+    #[cfg(not(target_arch = "x86_64"))]
+    let fanned = 0;
+    #[cfg(target_arch = "x86_64")]
+    let fanned = if tile.seg.is_multiple_of(8) && f16c_active() {
+        let fan = avx2::Fan {
+            rows,
+            tile,
+            probe,
+            segments,
+            full: tile.width / tile.seg,
+        };
+        // A row without candidates still takes one pass for its norms.
+        let passes = cands
+            .chunks(FAN_CANDS)
+            .chain(cands.is_empty().then_some(cands));
+        for batch in passes {
+            // SAFETY: `f16c_active` implies AVX2 and F16C; `seg` is a
+            // multiple of 8, `full · seg` is at most the width, and
+            // `match_setup` checked every row index and slice length.
+            unsafe { match_fan_avx2_raw(&fan, batch, norms, best, best_cand) };
+        }
+        fan.full
+    } else {
+        0
+    };
+    match_scalar(
+        rows,
+        tile,
+        probe,
+        cands,
+        norms,
+        best,
+        best_cand,
+        fanned..segments,
+    );
+}
+
+/// The row-granular matcher of [`Backend::segment_match`]: writes the
+/// probe row's live segment norms into `norms` and folds every live
+/// (candidate, segment) cosine into `best` / `best_cand` in `cands`
+/// order (`cos >= threshold && cos > best`; a tie keeps the earlier
+/// candidate, a NaN never matches). Every output equals the
+/// chunked-scalar composition — [`segment_norms`], one
+/// [`segment_cosines`] per candidate over the live segments, and the
+/// scalar fold — bit for bit.
+///
+/// With AVX2 and F16C and `seg` a multiple of 8, the full-width
+/// segments run as fan passes: each probe chunk is loaded (and widened)
+/// once and multiplied against itself and up to seven candidates in
+/// eight accumulators, reduced by the `hadd` tree of [`segment_dots`];
+/// the reduced dots are transposed so that eight segments of one row
+/// share a register, then finished (`div`, `max`/`min` clamp,
+/// zero-norm blends) and folded eight segments at a time. More than
+/// seven candidates take further passes, in list order. A ragged last
+/// segment, and every segment of a width that is not a multiple of 8,
+/// take the chunked-scalar path.
+///
+/// # Panics
+///
+/// As [`Backend::segment_match`].
+///
+/// [`Backend::segment_match`]: crate::backend::Backend::segment_match
+pub fn segment_match(
+    tile: &MatchTile<'_>,
+    probe: usize,
+    cands: &[u32],
+    norms: &mut [f32],
+    best: &mut [f32],
+    best_cand: &mut [u32],
+) {
+    match tile.rows {
+        RowRef::F32(rows) => match_dispatched(rows, tile, probe, cands, norms, best, best_cand),
+        RowRef::F16(rows) => match_dispatched(rows, tile, probe, cands, norms, best, best_cand),
+    }
+}
+
+/// The chunked-scalar path of [`segment_match`], for the scalar
+/// backend: the oracle the dispatched path is tested against.
+pub fn segment_match_scalar(
+    tile: &MatchTile<'_>,
+    probe: usize,
+    cands: &[u32],
+    norms: &mut [f32],
+    best: &mut [f32],
+    best_cand: &mut [u32],
+) {
+    let segments = match_setup(tile, probe, cands, norms, best, best_cand);
+    let all = 0..segments;
+    match tile.rows {
+        RowRef::F32(rows) => match_scalar(rows, tile, probe, cands, norms, best, best_cand, all),
+        RowRef::F16(rows) => match_scalar(rows, tile, probe, cands, norms, best, best_cand, all),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -902,6 +1111,23 @@ mod avx2 {
                 *v = _mm256_add_ps(*v, _mm256_mul_ps(va, vb));
             }
         }
+        let mut dots = [0.0f32; 8];
+        // SAFETY: AVX2 is this fn's own contract; `dots` is a `[f32; 8]`,
+        // one full register.
+        unsafe { _mm256_storeu_ps(dots.as_mut_ptr(), reduce8(&acc)) };
+        dots
+    }
+
+    /// Lane `j` of the result is `reduce_lanes` of the lanes of
+    /// `acc[j]`: `hadd` pairs lanes (0,1), (2,3), (4,5), (6,7) of two
+    /// registers, a second `hadd` adds those pairs into `(0..4)` and
+    /// `(4..8)` sums per register, and one 128-bit add joins the halves.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn reduce8(acc: &[__m256; 8]) -> __m256 {
         let q0 = _mm256_hadd_ps(
             _mm256_hadd_ps(acc[0], acc[1]),
             _mm256_hadd_ps(acc[2], acc[3]),
@@ -910,19 +1136,311 @@ mod avx2 {
             _mm256_hadd_ps(acc[4], acc[5]),
             _mm256_hadd_ps(acc[6], acc[7]),
         );
-        let mut dots = [0.0f32; 8];
-        // SAFETY: `dots` is a `[f32; 8]`: two 4-lane stores at 0 and 4.
-        unsafe {
-            _mm_storeu_ps(
-                dots.as_mut_ptr(),
-                _mm_add_ps(_mm256_castps256_ps128(q0), _mm256_extractf128_ps::<1>(q0)),
-            );
-            _mm_storeu_ps(
-                dots.as_mut_ptr().add(4),
-                _mm_add_ps(_mm256_castps256_ps128(q1), _mm256_extractf128_ps::<1>(q1)),
-            );
+        _mm256_set_m128(
+            _mm_add_ps(_mm256_castps256_ps128(q1), _mm256_extractf128_ps::<1>(q1)),
+            _mm_add_ps(_mm256_castps256_ps128(q0), _mm256_extractf128_ps::<1>(q0)),
+        )
+    }
+
+    /// Transposes eight registers as an 8×8 matrix (register `i`, lane
+    /// `j` ↦ register `j`, lane `i`). Pure data movement.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn transpose8(r: &mut [__m256; 8]) {
+        let t = [
+            _mm256_unpacklo_ps(r[0], r[1]),
+            _mm256_unpackhi_ps(r[0], r[1]),
+            _mm256_unpacklo_ps(r[2], r[3]),
+            _mm256_unpackhi_ps(r[2], r[3]),
+            _mm256_unpacklo_ps(r[4], r[5]),
+            _mm256_unpackhi_ps(r[4], r[5]),
+            _mm256_unpacklo_ps(r[6], r[7]),
+            _mm256_unpackhi_ps(r[6], r[7]),
+        ];
+        let u = [
+            _mm256_shuffle_ps::<0x44>(t[0], t[2]),
+            _mm256_shuffle_ps::<0xEE>(t[0], t[2]),
+            _mm256_shuffle_ps::<0x44>(t[1], t[3]),
+            _mm256_shuffle_ps::<0xEE>(t[1], t[3]),
+            _mm256_shuffle_ps::<0x44>(t[4], t[6]),
+            _mm256_shuffle_ps::<0xEE>(t[4], t[6]),
+            _mm256_shuffle_ps::<0x44>(t[5], t[7]),
+            _mm256_shuffle_ps::<0xEE>(t[5], t[7]),
+        ];
+        for i in 0..4 {
+            r[i] = _mm256_permute2f128_ps::<0x20>(u[i], u[i + 4]);
+            r[i + 4] = _mm256_permute2f128_ps::<0x31>(u[i], u[i + 4]);
         }
-        dots
+    }
+
+    /// The operands one fan pass of `segment_match` shares with every
+    /// other pass of its launch.
+    pub(super) struct Fan<'a, E> {
+        pub rows: &'a [E],
+        pub tile: &'a MatchTile<'a>,
+        pub probe: usize,
+        pub segments: usize,
+        /// Full-width segments: a pass covers `0..full`.
+        pub full: usize,
+    }
+
+    /// One fan pass of `segment_match`: the probe row against `batch`
+    /// (at most seven candidates) over the full-width segments, with a
+    /// candidate count fixed at compile time so the accumulators stay
+    /// in registers.
+    ///
+    /// # Safety
+    /// Requires AVX2 and F16C, `seg` a multiple of 8, `full · seg` at
+    /// most the width, and the shapes `match_setup` checks.
+    #[target_feature(enable = "avx2", enable = "f16c")]
+    pub(super) unsafe fn match_fan_avx2_raw<E: Element>(
+        fan: &Fan<'_, E>,
+        batch: &[u32],
+        norms: &mut [f32],
+        best: &mut [f32],
+        best_cand: &mut [u32],
+    ) {
+        // SAFETY: the callees share this fn's contract, and each arm
+        // passes a batch of exactly its compile-time length.
+        unsafe {
+            match batch.len() {
+                0 => fan_pass::<E, 0>(fan, batch, norms, best, best_cand),
+                1 => fan_pass::<E, 1>(fan, batch, norms, best, best_cand),
+                2 => fan_pass::<E, 2>(fan, batch, norms, best, best_cand),
+                3 => fan_pass::<E, 3>(fan, batch, norms, best, best_cand),
+                4 => fan_pass::<E, 4>(fan, batch, norms, best, best_cand),
+                5 => fan_pass::<E, 5>(fan, batch, norms, best, best_cand),
+                6 => fan_pass::<E, 6>(fan, batch, norms, best, best_cand),
+                7 => fan_pass::<E, 7>(fan, batch, norms, best, best_cand),
+                n => unreachable!("a fan pass takes at most seven candidates, got {n}"),
+            }
+        }
+    }
+
+    /// Eight elements at `ptr`, widened to f32: one 128-bit load and
+    /// `vcvtph2ps` for FP16 bits (an `f16` is a `repr(transparent)`
+    /// `u16`), one 256-bit load for f32.
+    ///
+    /// # Safety
+    /// Requires AVX2 and F16C, and eight readable elements at `ptr`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "f16c")]
+    unsafe fn load8<E: Element>(ptr: *const E) -> __m256 {
+        // SAFETY: the caller's contract; `loadu` needs no alignment.
+        unsafe {
+            if E::IS_F16 {
+                _mm256_cvtph_ps(_mm_loadu_si128(ptr as *const __m128i))
+            } else {
+                _mm256_loadu_ps(ptr as *const f32)
+            }
+        }
+    }
+
+    /// One chunk of a fan pass: the probe's eight elements at `at`
+    /// accumulated against themselves into `acc[0]` and against each
+    /// candidate's into `acc[1..=K]`, in the `dot_lanes_scalar` order.
+    ///
+    /// # Safety
+    /// Requires AVX2 and F16C, and eight readable elements at `at` of
+    /// every row in `base[..=K]`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "f16c")]
+    unsafe fn fan_chunk<E: Element, const K: usize>(
+        acc: &mut [__m256; 8],
+        base: &[*const E; 8],
+        at: usize,
+    ) {
+        // SAFETY: the caller's contract.
+        let p = unsafe { load8(base[0].add(at)) };
+        acc[0] = _mm256_add_ps(acc[0], _mm256_mul_ps(p, p));
+        for (a, b) in acc[1..=K].iter_mut().zip(&base[1..=K]) {
+            // SAFETY: the caller's contract.
+            *a = _mm256_add_ps(*a, _mm256_mul_ps(p, unsafe { load8(b.add(at)) }));
+        }
+    }
+
+    /// Up to eight 4-byte lanes of `src` (`f32` or `u32`; zero past its
+    /// end) as one register.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_lanes<T: Copy + Default>(src: &[T]) -> __m256 {
+        debug_assert!(size_of::<T>() == 4 && src.len() <= 8);
+        let mut lanes = [T::default(); 8];
+        let ptr = if src.len() == 8 {
+            src.as_ptr()
+        } else {
+            lanes[..src.len()].copy_from_slice(src);
+            lanes.as_ptr()
+        };
+        // SAFETY: `ptr` points at eight readable 4-byte lanes.
+        unsafe { _mm256_loadu_ps(ptr as *const f32) }
+    }
+
+    /// Stores the first `dst.len()` (at most eight) lanes of `v`.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store_lanes<T: Copy + Default>(dst: &mut [T], v: __m256) {
+        debug_assert!(size_of::<T>() == 4 && dst.len() <= 8);
+        if dst.len() == 8 {
+            // SAFETY: `dst` holds eight writable 4-byte lanes.
+            unsafe { _mm256_storeu_ps(dst.as_mut_ptr() as *mut f32, v) };
+        } else {
+            let mut lanes = [T::default(); 8];
+            // SAFETY: `lanes` is eight writable 4-byte lanes.
+            unsafe { _mm256_storeu_ps(lanes.as_mut_ptr() as *mut f32, v) };
+            let n = dst.len();
+            dst.copy_from_slice(&lanes[..n]);
+        }
+    }
+
+    /// All-ones in lane `i < n` where segment `g + i` of the row whose
+    /// carry flags are `carried` is live (`carried` non-empty).
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn live_lanes(carried: &[bool], g: usize, n: usize) -> __m256 {
+        // One byte per lane, 1 where the segment is dead.
+        let mut dead = [1u8; 8];
+        if n == 8 {
+            let flags: &[bool; 8] = carried[g..g + 8].try_into().expect("eight flags");
+            dead = flags.map(u8::from);
+        } else {
+            for (d, &c) in dead.iter_mut().zip(&carried[g..g + n]) {
+                *d = c as u8;
+            }
+        }
+        let v = _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(u64::from_le_bytes(dead) as i64));
+        _mm256_castsi256_ps(_mm256_cmpeq_epi32(v, _mm256_setzero_si256()))
+    }
+
+    /// `cosine_from_dot` on eight lanes: the quotient clamped by
+    /// `max(-1, q)` then `min(1, ·)` (a NaN quotient is the second
+    /// operand of both, so it stays NaN, like `f32::clamp`), then 0.0
+    /// where either norm is zero and 1.0 where both are.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn cosine8(dot: __m256, na: __m256, nb: __m256) -> __m256 {
+        let q = _mm256_div_ps(dot, _mm256_mul_ps(na, nb));
+        let one = _mm256_set1_ps(1.0);
+        let q = _mm256_min_ps(one, _mm256_max_ps(_mm256_set1_ps(-1.0), q));
+        let zero = _mm256_setzero_ps();
+        let za = _mm256_cmp_ps::<_CMP_EQ_OQ>(na, zero);
+        let zb = _mm256_cmp_ps::<_CMP_EQ_OQ>(nb, zero);
+        let q = _mm256_blendv_ps(q, zero, _mm256_or_ps(za, zb));
+        _mm256_blendv_ps(q, one, _mm256_and_ps(za, zb))
+    }
+
+    /// The body of [`match_fan_avx2_raw`] for `K` candidates. Segments
+    /// go eight to a group: per live probe segment, the probe chunk is
+    /// loaded once and accumulated against itself (register 0) and each
+    /// candidate (registers `1..=K`), and the eight registers reduce to
+    /// one register of dots; the group's registers are then transposed
+    /// so that register `j` holds row `j`'s dots over the group's
+    /// segments, finished against the norms and folded in candidate
+    /// order.
+    ///
+    /// # Safety
+    /// As [`match_fan_avx2_raw`], and `batch.len() == K`.
+    #[target_feature(enable = "avx2", enable = "f16c")]
+    unsafe fn fan_pass<E: Element, const K: usize>(
+        fan: &Fan<'_, E>,
+        batch: &[u32],
+        norms: &mut [f32],
+        best: &mut [f32],
+        best_cand: &mut [u32],
+    ) {
+        debug_assert_eq!(batch.len(), K);
+        let (tile, segments) = (fan.tile, fan.segments);
+        let (width, seg) = (tile.width, tile.seg);
+        debug_assert!(seg % 8 == 0 && fan.full * seg <= width);
+        // Row 0 is the probe, rows 1..=K the batch.
+        let row: [usize; 8] = std::array::from_fn(|j| match j {
+            0 => fan.probe,
+            j if j <= K => batch[j - 1] as usize,
+            _ => fan.probe,
+        });
+        // SAFETY: every row index is below the tile's row count
+        // (`match_setup`), so each row start is in bounds of `rows`.
+        let base: [*const E; 8] = row.map(|r| unsafe { fan.rows.as_ptr().add(r * width) });
+        let carried: [&[bool]; 8] = row.map(|r| tile.carried_row(r));
+        let threshold = _mm256_set1_ps(tile.threshold);
+        for g in (0..fan.full).step_by(8) {
+            let n = (fan.full - g).min(8);
+            // Lanes past the group's end are dead on every row.
+            let in_group = _mm256_castsi256_ps(_mm256_cmpgt_epi32(
+                _mm256_set1_epi32(n as i32),
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            ));
+            let mut live = [in_group; 8];
+            for (l, flags) in live.iter_mut().zip(carried).take(K + 1) {
+                if !flags.is_empty() {
+                    // SAFETY: AVX2 is this fn's own contract.
+                    *l = unsafe { live_lanes(flags, g, n) };
+                }
+            }
+            let probe_live = _mm256_movemask_ps(live[0]);
+            let mut dots = [_mm256_setzero_ps(); 8];
+            for (i, d) in dots.iter_mut().enumerate().take(n) {
+                if probe_live & (1 << i) == 0 {
+                    continue;
+                }
+                let mut acc = [_mm256_setzero_ps(); 8];
+                let start = (g + i) * seg;
+                for at in (start..start + seg).step_by(8) {
+                    // SAFETY: `at + 8 <= start + seg <= full · seg <=
+                    // width`, so the chunk lies inside every row; AVX2
+                    // and F16C are this fn's contract.
+                    unsafe { fan_chunk::<E, K>(&mut acc, &base, at) };
+                }
+                // SAFETY: AVX2 is this fn's own contract.
+                *d = unsafe { reduce8(&acc) };
+            }
+            // SAFETY: AVX2 is this fn's own contract.
+            unsafe { transpose8(&mut dots) };
+
+            let lanes = g..g + n;
+            let slot = |r: usize| r * segments + g..r * segments + g + n;
+            let probe_norms = _mm256_sqrt_ps(dots[0]);
+            // SAFETY: AVX2 is this fn's own contract.
+            unsafe {
+                let kept = load_lanes(&norms[slot(fan.probe)]);
+                let fresh = _mm256_blendv_ps(kept, probe_norms, live[0]);
+                store_lanes(&mut norms[slot(fan.probe)], fresh);
+
+                let mut vb = load_lanes(&best[lanes.clone()]);
+                let mut vc = load_lanes(&best_cand[lanes.clone()]);
+                for j in 1..=K {
+                    let cn = load_lanes(&norms[slot(row[j])]);
+                    let cos = cosine8(dots[j], probe_norms, cn);
+                    let take = _mm256_and_ps(
+                        _mm256_and_ps(live[0], live[j]),
+                        _mm256_and_ps(
+                            _mm256_cmp_ps::<_CMP_GE_OQ>(cos, threshold),
+                            _mm256_cmp_ps::<_CMP_GT_OQ>(cos, vb),
+                        ),
+                    );
+                    vb = _mm256_blendv_ps(vb, cos, take);
+                    let id = _mm256_castsi256_ps(_mm256_set1_epi32(row[j] as i32));
+                    vc = _mm256_blendv_ps(vc, id, take);
+                }
+                store_lanes(&mut best[lanes.clone()], vb);
+                store_lanes(&mut best_cand[lanes], vc);
+            }
+        }
     }
 
     /// Absmax reduction matching `fold(0.0, |m, v| m.max(v.abs()))` bit
@@ -1139,7 +1657,7 @@ use avx512::box_muller_fill_avx512_raw;
 #[cfg(target_arch = "x86_64")]
 use avx2::{
     absmax_avx2_raw, box_muller_fill_avx2_raw, f16_encode_f16c_raw, f16_round_fill_f16c_raw,
-    int8_round_fill_avx2_raw, segment_dots8_avx2_raw,
+    int8_round_fill_avx2_raw, match_fan_avx2_raw, segment_dots8_avx2_raw,
 };
 
 #[cfg(test)]

@@ -576,10 +576,12 @@ impl<'a> ActivationSynthesizer<'a> {
     ///
     /// For every token of frames `1..F`, its row is compared with the
     /// same grid position in the previous frame, slice by slice of
-    /// `granularity` elements; all slice similarities are returned.
-    /// Each row pair is one [`Backend::segment_norms`] launch per row
-    /// and one [`Backend::segment_scores`] launch over every slice, on
-    /// the synthesiser's backend.
+    /// `granularity` elements; all slice similarities are returned,
+    /// frame by frame in grid order. Every row is synthesised once and
+    /// takes one [`Backend::segment_norms`] launch; the previous frame's
+    /// rows and norms are kept for the next frame's one
+    /// [`Backend::segment_scores`] launch per row, on the synthesiser's
+    /// backend.
     ///
     /// # Panics
     ///
@@ -594,28 +596,37 @@ impl<'a> ActivationSynthesizer<'a> {
         width: usize,
         granularity: usize,
     ) -> Vec<f32> {
+        assert!(granularity > 0, "granularity must be positive");
         let cfg = *self.scene.config();
         let per_frame = cfg.grid_h * cfg.grid_w;
-        let mut samples = Vec::new();
-        let mut prev_row = vec![0.0f32; width];
-        let mut cur_row = vec![0.0f32; width];
-        assert!(granularity > 0, "granularity must be positive");
         let (be, g) = (self.backend, granularity);
         let slices: Vec<usize> = (0..width.div_ceil(g)).collect();
-        let mut prev_norms = vec![0.0f32; slices.len()];
-        let mut cur_norms = vec![0.0f32; slices.len()];
-        let mut cosines = vec![0.0f32; slices.len()];
-        for f in 1..cfg.frames {
+        let n = slices.len();
+        // One frame of rows and slice norms each for the previous and
+        // the current frame, swapped after every frame.
+        let (mut prev, mut cur) = (
+            vec![0.0f32; per_frame * width],
+            vec![0.0f32; per_frame * width],
+        );
+        let (mut prev_norms, mut cur_norms) =
+            (vec![0.0f32; per_frame * n], vec![0.0f32; per_frame * n]);
+        let mut cosines = vec![0.0f32; n];
+        let mut samples = Vec::new();
+        for f in 0..cfg.frames {
             for p in 0..per_frame {
-                self.token_row((f - 1) * per_frame + p, layer, stage, &mut prev_row);
-                self.token_row(f * per_frame + p, layer, stage, &mut cur_row);
-                let (cur, prev) = (RowRef::F32(&cur_row), RowRef::F32(&prev_row));
-                be.segment_norms(prev, g, &slices, &mut prev_norms);
-                be.segment_norms(cur, g, &slices, &mut cur_norms);
-                let (cn, pn) = (&cur_norms, &prev_norms);
-                be.segment_scores(cur, prev, g, &slices, cn, pn, &mut cosines);
-                samples.extend_from_slice(&cosines);
+                let row = &mut cur[p * width..(p + 1) * width];
+                self.token_row(f * per_frame + p, layer, stage, row);
+                let (row, norms) = (RowRef::F32(row), &mut cur_norms[p * n..(p + 1) * n]);
+                be.segment_norms(row, g, &slices, norms);
+                if f > 0 {
+                    let prev_row = RowRef::F32(&prev[p * width..(p + 1) * width]);
+                    let pn = &prev_norms[p * n..(p + 1) * n];
+                    be.segment_scores(row, prev_row, g, &slices, norms, pn, &mut cosines);
+                    samples.extend_from_slice(&cosines);
+                }
             }
+            std::mem::swap(&mut prev, &mut cur);
+            std::mem::swap(&mut prev_norms, &mut cur_norms);
         }
         samples
     }
@@ -924,6 +935,55 @@ mod tests {
             frac(&fine),
             frac(&coarse)
         );
+    }
+
+    /// The frame-buffered sampling returns exactly the samples of a
+    /// loop that synthesises both rows of every pair, bit for bit, on
+    /// both backends, at sub-row and whole-row granularity.
+    #[test]
+    fn temporal_samples_match_the_two_row_loop() {
+        let scene = Scene::synthesize(SceneConfig {
+            frames: 3,
+            grid_h: 3,
+            grid_w: 4,
+            redundancy: profile(),
+            seed: 5,
+        });
+        let (layer, stage, width) = (4, Stage::FfnDownOut, 48);
+        for be in [backend::scalar_ref(), backend::simd()] {
+            for granularity in [8, 20, width] {
+                let mut syn = ActivationSynthesizer::new(&scene, profile(), 28, 7).with_backend(be);
+                let got = syn.temporal_similarity_samples(layer, stage, width, granularity);
+                // The two-row loop: both rows of every pair synthesised.
+                let mut syn = ActivationSynthesizer::new(&scene, profile(), 28, 7).with_backend(be);
+                let (mut prev, mut cur) = (vec![0.0f32; width], vec![0.0f32; width]);
+                let slices: Vec<usize> = (0..width.div_ceil(granularity)).collect();
+                let (mut pn, mut cn, mut cos) = (
+                    vec![0.0f32; slices.len()],
+                    vec![0.0; slices.len()],
+                    vec![0.0; slices.len()],
+                );
+                let mut want = Vec::new();
+                for f in 1..3 {
+                    for p in 0..12 {
+                        syn.token_row((f - 1) * 12 + p, layer, stage, &mut prev);
+                        syn.token_row(f * 12 + p, layer, stage, &mut cur);
+                        be.segment_norms(RowRef::F32(&prev), granularity, &slices, &mut pn);
+                        be.segment_norms(RowRef::F32(&cur), granularity, &slices, &mut cn);
+                        let (c, p) = (RowRef::F32(&cur), RowRef::F32(&prev));
+                        be.segment_scores(c, p, granularity, &slices, &cn, &pn, &mut cos);
+                        want.extend_from_slice(&cos);
+                    }
+                }
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{} at granularity {granularity}",
+                    be.name()
+                );
+            }
+        }
     }
 
     #[test]

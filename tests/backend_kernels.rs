@@ -17,15 +17,16 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use focus::baselines::{AdaptivBaseline, CmcBaseline, Concentrator, FrameFusionBaseline};
 use focus::core::exec::{GatherStage, LayerCtx, SemanticStage, StageWorkspace};
 use focus::core::pipeline::{FocusPipeline, PipelineResult};
 use focus::core::sic::{scatter_on, ConvLayouter, Fhw, SimilarityMap};
 use focus::core::FocusConfig;
 use focus::sim::ArchConfig;
 use focus::tensor::backend::{
-    row_cosine, row_norm, scalar_ref, simd, Backend, RowRef, RowRef::F32,
+    row_cosine, row_norm, scalar_ref, simd, Backend, MatchTile, RowRef, RowRef::F32,
 };
-use focus::tensor::math::{cosine_from_dot, dot_chunked_scalar};
+use focus::tensor::math::{cosine_from_dot, dot_chunked_scalar, NO_MATCH};
 use focus::tensor::{f16, DataType, Matrix};
 use focus::vlm::embedding::Stage;
 use focus::vlm::{DatasetKind, ModelKind, Workload, WorkloadScale};
@@ -388,6 +389,117 @@ proptest! {
         }
     }
 
+    /// The row-granular matcher bit for bit: for every probe of a tile,
+    /// `Simd` ≡ `ScalarRef` ≡ the composition `segment_match` replaces
+    /// in the gather sweep (`segment_norms` over the probe's live
+    /// segments, one `segment_scores` per candidate over the live
+    /// intersection, and the scalar best-match fold), on the norm table,
+    /// the best scores and the best candidates. Covers f32 and FP16
+    /// tiles, widths 8..=2688 with ragged last segments, segment widths
+    /// off and on the 8-lane chunk, 0 to 9 candidates (two fan passes
+    /// past seven) with repeats, random carry flags, zero rows and
+    /// zero or overflowing segments (NaN scores), duplicate rows (exact
+    /// ties, which keep the earlier candidate) and thresholds of -1, 0.9,
+    /// 1 and exactly one of the probe's own scores.
+    #[test]
+    fn segment_match_matches_the_composition_it_replaces(
+        width in prop_oneof![8usize..=100, 500usize..=520, 2680usize..=2688],
+        seg_pick in 0usize..6,
+        rows in 1usize..12,
+        n_cands in 0usize..10,
+        salt in 0usize..1000,
+        exp in -20i32..20,
+        carry_level in 0usize..4,
+        half in 0usize..2,
+        thr_pick in 0usize..4,
+    ) {
+        let seg = SEG_WIDTHS[seg_pick];
+        let segments = width.div_ceil(seg);
+        let scale = (exp as f32).exp2();
+        let mix = |x: usize| (x ^ salt).wrapping_mul(2_654_435_761) % 1_000_003;
+        // Row kinds: zero, a copy of an earlier row, or fresh values.
+        let mut data: Vec<f32> = Vec::with_capacity(rows * width);
+        for r in 0..rows {
+            let row: Vec<f32> = match mix(r) % 5 {
+                0 => vec![0.0; width],
+                1 if r > 0 => data[(mix(r + 7) % r) * width..][..width].to_vec(),
+                _ => segmented_row(width, seg, salt + r, scale, 3 + r % 4),
+            };
+            data.extend(row);
+        }
+        let data16: Vec<f16> = data.iter().map(|&x| f16::from_f32(x)).collect();
+        if half == 1 {
+            data = data16.iter().map(|h| h.to_f32()).collect();
+        }
+        let carried: Vec<bool> = if carry_level == 0 {
+            Vec::new()
+        } else {
+            (0..rows * segments).map(|i| mix(3 * i + 1) % 4 < carry_level).collect()
+        };
+        let rows_ref = if half == 1 { RowRef::F16(&data16) } else { F32(&data) };
+        let row = |r: usize| match rows_ref {
+            RowRef::F16(d) => RowRef::F16(&d[r * width..(r + 1) * width]),
+            RowRef::F32(d) => F32(&d[r * width..(r + 1) * width]),
+        };
+        let is_carried = |r: usize, s: usize| !carried.is_empty() && carried[r * segments + s];
+        let slots = |r: usize| r * segments..(r + 1) * segments;
+
+        let (s, f) = (scalar_ref(), simd());
+        let mut tables = [vec![-7.25f32; rows * segments], vec![-7.25; rows * segments]];
+        let mut composed = vec![-7.25f32; rows * segments];
+        for probe in 0..rows {
+            let cands: Vec<u32> = if probe == 0 {
+                Vec::new()
+            } else {
+                (0..n_cands).map(|k| (mix(probe * 16 + k) % probe) as u32).collect()
+            };
+            let live: Vec<usize> = (0..segments).filter(|&x| !is_carried(probe, x)).collect();
+
+            // The composition: norms, one score launch per candidate.
+            let mut probe_norms = composed[slots(probe)].to_vec();
+            s.segment_norms(row(probe), seg, &live, &mut probe_norms);
+            composed[slots(probe)].copy_from_slice(&probe_norms);
+            let mut scores = Vec::new();
+            for &c in &cands {
+                let c = c as usize;
+                let pair: Vec<usize> = live.iter().copied().filter(|&x| !is_carried(c, x)).collect();
+                let mut out = vec![0.0f32; segments];
+                let cand_norms = &composed[slots(c)];
+                s.segment_scores(row(probe), row(c), seg, &pair, &probe_norms, cand_norms, &mut out);
+                scores.push((c, pair, out));
+            }
+            let threshold = match thr_pick {
+                0 => 0.9,
+                1 => -1.0,
+                2 => 1.0,
+                // Exactly one of the probe's own scores, when it has one.
+                _ => scores
+                    .iter()
+                    .flat_map(|(_, pair, out)| pair.iter().map(|&x| out[x]))
+                    .find(|c| c.is_finite())
+                    .unwrap_or(0.5),
+            };
+            let (mut best, mut best_cand) = (vec![f32::NEG_INFINITY; segments], vec![NO_MATCH; segments]);
+            for (c, pair, out) in &scores {
+                for &x in pair {
+                    if out[x] >= threshold && out[x] > best[x] {
+                        (best[x], best_cand[x]) = (out[x], *c as u32);
+                    }
+                }
+            }
+
+            let tile = MatchTile { rows: rows_ref, width, seg, carried: &carried, threshold };
+            for (be, table) in [s, f].into_iter().zip(&mut tables) {
+                let (mut got, mut got_cand) = (vec![9.0f32; segments], vec![7u32; segments]);
+                be.segment_match(&tile, probe, &cands, table, &mut got, &mut got_cand);
+                let name = be.name();
+                assert_bits_eq(table, &composed, &format!("{name} norms after probe {probe}"));
+                assert_bits_eq(&got, &best, &format!("{name} best scores of probe {probe}"));
+                prop_assert!(got_cand == best_cand, "{name} best candidates of probe {probe}");
+            }
+        }
+    }
+
     /// `Simd` ≡ `ScalarRef` bit for bit on scatter row replay, for any
     /// representative mapping.
     #[test]
@@ -495,6 +607,7 @@ fn pipeline_results_are_backend_invariant() {
 struct Counting {
     segment_norms: AtomicUsize,
     segment_scores: AtomicUsize,
+    segment_match: AtomicUsize,
     fake_quantize: AtomicUsize,
     f16_round: AtomicUsize,
     f16_encode: AtomicUsize,
@@ -531,6 +644,18 @@ impl Backend for Counting {
         bump(&self.segment_scores);
         simd().segment_scores(a, b, seg, segs, a_norms, b_norms, out)
     }
+    fn segment_match(
+        &self,
+        tile: &MatchTile<'_>,
+        probe: usize,
+        cands: &[u32],
+        norms: &mut [f32],
+        best: &mut [f32],
+        best_cand: &mut [u32],
+    ) {
+        bump(&self.segment_match);
+        simd().segment_match(tile, probe, cands, norms, best, best_cand)
+    }
     fn fake_quantize(&self, m: &mut Matrix) {
         bump(&self.fake_quantize);
         simd().fake_quantize(m)
@@ -557,10 +682,12 @@ impl Backend for Counting {
 /// two-stage walk: synthesis fills, the dtype kernels by the stage's
 /// precision — an FP16 stage encodes each synthesised row as it is
 /// stored (one `f16_encode` per row, no whole-matrix `f16_round`), an
-/// INT8 stage fake-quantises exactly once per `synth` — segment norms
-/// and scores from the gather, the SEC attention synthesiser's noise
+/// INT8 stage fake-quantises exactly once per `synth` — one match
+/// launch per gathered row, the SEC attention synthesiser's noise
 /// fills, and exactly one scatter replay per `scatter_on`. All five
-/// families dispatch through the trait.
+/// families dispatch through the trait. So do the FrameFusion, AdapTiV
+/// and CMC baselines: each, run on the counting backend, synthesises
+/// and scores its cosines through it.
 #[test]
 fn counting_backend_sees_every_stage_kernel_family() {
     let counting: &'static Counting = Box::leak(Box::default());
@@ -595,6 +722,7 @@ fn counting_backend_sees_every_stage_kernel_family() {
                 ]
             };
             let [round, encode, quantize] = dtype_kernels();
+            let matches = count(&counting.segment_match);
             gather.synth(&ctx, &mut ws);
             let want = match dtype {
                 DataType::Fp16 => [round, encode + retained.len(), quantize],
@@ -606,6 +734,11 @@ fn counting_backend_sees_every_stage_kernel_family() {
                 "{stage:?} layer {layer}: one encode per FP16 row, one fake-quantise per INT8 synth"
             );
             gather.gather(&ctx, &mut ws);
+            assert_eq!(
+                count(&counting.segment_match) - matches,
+                retained.len(),
+                "{stage:?} layer {layer}: one match launch per gathered row"
+            );
         }
     }
     assert!(count(&counting.normal_fill) > 0, "synthesis fills");
@@ -632,8 +765,58 @@ fn counting_backend_sees_every_stage_kernel_family() {
         att.heads() * att.text_tokens(),
         "one SEC noise fill per text row and head"
     );
-    assert!(count(&counting.segment_norms) > 0, "gather norms");
-    assert!(count(&counting.segment_scores) > 0, "gather scores");
+    assert_eq!(
+        count(&counting.segment_norms),
+        0,
+        "the gather norms through the match family"
+    );
+
+    // The baselines' synthesis and whole-row cosines go through their
+    // backend handle too.
+    let baselines: [(&str, &dyn Concentrator, ArchConfig); 3] = [
+        (
+            "FrameFusion",
+            &FrameFusionBaseline {
+                backend: counting,
+                ..Default::default()
+            },
+            ArchConfig::vanilla(),
+        ),
+        (
+            "AdapTiV",
+            &AdaptivBaseline {
+                backend: counting,
+                ..Default::default()
+            },
+            ArchConfig::adaptiv(),
+        ),
+        (
+            "CMC",
+            &CmcBaseline {
+                backend: counting,
+                ..Default::default()
+            },
+            ArchConfig::cmc(),
+        ),
+    ];
+    for (name, baseline, arch) in baselines {
+        let kernels = || {
+            [
+                count(&counting.normal_fill),
+                count(&counting.segment_norms),
+                count(&counting.segment_scores),
+            ]
+        };
+        let before = kernels();
+        baseline.run(&wl, &arch);
+        let after = kernels();
+        for (what, (b, a)) in ["fills", "norms", "cosines"]
+            .iter()
+            .zip(before.iter().zip(after))
+        {
+            assert!(a > *b, "{name} {what} dispatch through its backend");
+        }
+    }
 
     // Scatter replay is the fifth family; it dispatches through the
     // trait too.
