@@ -1,85 +1,57 @@
-//! Measured-phase throughput: the single-threaded reference schedule
-//! vs the production task-graph schedule, plus the sequential-vs-
-//! `BatchRunner` comparison.
+//! The two measurements the repo benchmark (`perfbench`) does not
+//! take, on the nine Fig. 9 grid cells at tiny scale:
 //!
-//! * `batch/serial_*` vs `batch/runner_*` — workload-level batching on
-//!   a batch of tiny workloads: one `FocusPipeline::run` after another
-//!   vs one `BatchRunner::run` burst, both on the graph schedule.
-//! * `measured/serial_resynthesis_fig09_grid` — the reference
-//!   schedule: a plain loop of `ExecMode::Serial` runs (serial stage
-//!   sweep, a fresh `activation_synthesizer()` and per-tile `HashMap`
-//!   per gather call) with one `Engine::new` per result.
-//! * `measured/graph_batched_fig09_grid` — the task-graph schedule:
-//!   every workload's `Sec`/`Synth`/`Gather`/`Fold`/`Lower` nodes on
-//!   **one** work-stealing scheduler (depth 2), stages interleaving
-//!   across request boundaries, simulation in the `Finish` nodes.
-//! * `synthesis/activation_synthesis_fig09_grid` — the `Synth` nodes
-//!   alone (batched fixed-polynomial Box–Muller synthesis + fp16
-//!   rounding) over the exact measured-layer walk of the grid,
-//!   isolating the formerly RNG-bound share of the measured phase
-//!   (ROADMAP item (e)).
-//! * `synthesis/activation_synthesis_fig09_grid_scalar` — the same
-//!   walk on stages and workspaces pinned to the `scalar_ref()` oracle
-//!   backend (bit-identical values, only slower): the
-//!   batched-vs-scalar comparison behind the snapshot's
-//!   `synthesis_kernel_speedup`.
-//! * `service_throughput/staggered_fig09_grid` — the serving shape:
-//!   the nine grid cells submitted one by one (mixed priorities, a
-//!   small arrival gap) into the persistent `FocusService`, measured
-//!   as jobs/sec against the batch-fused graph leg above, which
-//!   submits the same cells as one burst.
-//! * `stream/session_12_frames_window2` — the streaming shape: one
-//!   `StreamSession` pushes 12 frames of one feed through a two-frame
-//!   in-flight window (per-frame admission, blocking backpressure,
-//!   warm scratch recycling), measured as frames/sec.
-//! * `stream/temporal_12_frames_corr09` — cross-frame temporal
-//!   concentration: the same feed as a correlation-0.9 scene stream
-//!   with the per-session carry cache on, resolving provably
-//!   bit-stable column tiles to carried representatives instead of
-//!   re-scoring them. The snapshot records this leg at three
-//!   correlations plus the isolated-frame baseline on the same stream
-//!   (re-baseline v3, `temporal_*` fields).
+//! * **Kernel ratios** — the grid's measured-layer walk on gather
+//!   stages pinned to the dispatched `simd()` backend against the same
+//!   walk on the `scalar_ref()` oracle: the synthesis fill and the
+//!   gather scoring of FP16 stages, and the fake-quantise of INT8
+//!   stages. Values are bit-identical across each pair
+//!   (proptest-enforced), so a ratio measures exactly the SIMD
+//!   dispatch win.
+//! * **Tracing overhead** — the graph leg (`BatchRunner::run_sim` over
+//!   the grid on the global service) with span tracing on (per-node
+//!   span records plus the `Timed` kernel wrapper) against off.
 //!
-//! Under `cargo bench` (not `--test` smoke mode) the grid comparison
-//! also writes a `BENCH_batch.json` throughput snapshot to the repo
-//! root for the perf trajectory (schema-checked by
-//! `tests/bench_snapshot_schema.rs`).
+//! Every figure is the median of per-pair ratios over order-alternating
+//! pairs: the two runs of a pair are adjacent, so they share machine
+//! conditions and their ratio cancels drift that single runs (±5–15%
+//! here) cannot; the order flips every pair, so a monotone drift inside
+//! a pair biases half the ratios up and half down and cancels in the
+//! median.
+//!
+//! `cargo bench -p focus-bench --bench batch` measures and writes the
+//! `BENCH_batch.json` snapshot at the repo root (schema and gates in
+//! `tests/bench_snapshot_schema.rs`). With `-- --test` every leg runs
+//! once, unmeasured, and nothing is written.
 
-use std::sync::Arc;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, Criterion};
 use focus_bench::{video_grid, EVAL_SEED};
 use focus_core::exec::{
-    BatchJob, BatchRunner, ExecMode, FocusService, FrameHandle, GatherStage, JobHandle, LayerCtx,
-    LayerExecutor, Priority, SessionStats, StageWorkspace, StreamConfig, StreamSession,
+    BatchJob, BatchRunner, GatherStage, LayerCtx, LayerExecutor, StageWorkspace,
 };
-use focus_core::pipeline::{FocusPipeline, PipelineResult};
-use focus_core::sic::{ConvLayouter, Fhw, TemporalCacheConfig};
+use focus_core::obs::spans;
+use focus_core::pipeline::FocusPipeline;
+use focus_core::sic::{ConvLayouter, Fhw};
 use focus_core::FocusConfig;
-use focus_sim::{ArchConfig, Engine, SimReport};
+use focus_sim::ArchConfig;
 use focus_tensor::backend::{scalar_ref, simd, BackendHandle};
 use focus_tensor::DataType;
 use focus_vlm::embedding::Stage;
-use focus_vlm::scene::SceneStream;
-use focus_vlm::{DatasetKind, ModelKind, Workload, WorkloadScale};
+use focus_vlm::{Workload, WorkloadScale};
 
-const BATCH: u64 = 6;
+/// Order-alternating pairs per kernel ratio. The ratios sit well above
+/// 1 against a pair's spread, so a few pairs settle them.
+const KERNEL_PAIRS: usize = 11;
 
-fn workloads() -> Vec<Workload> {
-    (0..BATCH)
-        .map(|seed| {
-            Workload::new(
-                ModelKind::LlavaVideo7B,
-                DatasetKind::VideoMme,
-                WorkloadScale::tiny(),
-                seed,
-            )
-        })
-        .collect()
-}
+/// Order-alternating pairs for the tracing overhead: the tax under test
+/// (about 1%) is well below the spread of one pair's ratio (its
+/// quartiles sit about ±5% apart here), so the median needs a large
+/// pool of pairs.
+const OBS_PAIRS: usize = 81;
 
-/// The nine Fig. 9 grid cells at test scale (the acceptance workload).
+/// The nine Fig. 9 grid cells at test scale.
 fn fig09_grid_workloads() -> Vec<Workload> {
     video_grid()
         .into_iter()
@@ -87,24 +59,9 @@ fn fig09_grid_workloads() -> Vec<Workload> {
         .collect()
 }
 
-/// The reference schedule: one `ExecMode::Serial` run after another
-/// on the calling thread (every gather call resynthesises from
-/// scratch, layers are barriers), the cycle engine rebuilt and run per
-/// result.
-fn serial_resynthesis(wls: &[Workload]) -> Vec<(PipelineResult, SimReport)> {
-    let pipeline = FocusPipeline::paper().with_exec_mode(ExecMode::Serial);
-    wls.iter()
-        .map(|wl| {
-            let r = pipeline.run(wl, &ArchConfig::focus());
-            let rep = Engine::new(ArchConfig::focus()).run(&r.work_items);
-            (r, rep)
-        })
-        .collect()
-}
-
 /// One graph-schedule job per workload on the Focus architecture. The
-/// pipeline picks up the kernel backend active when this is called
-/// (the `Timed` wrapper while span recording is on).
+/// pipeline keeps the kernel backend current when this is called: the
+/// `Timed` wrapper while span recording is on.
 fn grid_jobs(wls: &[Workload]) -> Vec<BatchJob> {
     wls.iter()
         .map(|wl| BatchJob {
@@ -115,694 +72,171 @@ fn grid_jobs(wls: &[Workload]) -> Vec<BatchJob> {
         .collect()
 }
 
-/// Arrival gap between staggered submissions: small against the ~100ms
-/// of work per grid cell, large enough that requests genuinely arrive
-/// one by one while earlier ones run.
-const STAGGER: Duration = Duration::from_micros(500);
+/// One workload's measured-layer walk: every `(layer, retained,
+/// positions)` whose gathers run, with gather positions precomputed so
+/// the staged passes time kernels, not position decoding.
+type StagedWalk = Vec<(usize, Vec<usize>, Vec<Option<Fhw>>)>;
 
-/// The serving leg: the grid cells submitted **one at a time** (mixed
-/// priorities, `STAGGER` apart) into the persistent process-wide
-/// [`FocusService`] — requests land while earlier ones are still in
-/// flight, the streaming regime the batch-fused legs never exercise.
-fn staggered_service(wls: &[Workload]) -> Vec<(PipelineResult, SimReport)> {
-    let service = FocusService::global();
-    let engine = Arc::new(Engine::new(ArchConfig::focus()));
-    let priorities = [Priority::Normal, Priority::High, Priority::Low];
-    let handles: Vec<JobHandle> = wls
-        .iter()
-        .enumerate()
-        .map(|(i, wl)| {
-            std::thread::sleep(STAGGER);
-            let job = BatchJob {
-                pipeline: FocusPipeline::paper(),
-                workload: wl.clone(),
-                arch: ArchConfig::focus(),
-            };
-            service.submit_sim(job, Arc::clone(&engine), priorities[i % priorities.len()])
-        })
-        .collect();
-    handles
-        .into_iter()
-        .map(|h| {
-            let (result, report) = h.wait_sim();
-            (result, report.expect("engine attached"))
-        })
-        .collect()
-}
-
-/// Frames of the streaming leg: one feed (fixed model/dataset/scale),
-/// per-frame scenes varying by seed — the session geometry stays
-/// fixed, so warm state recycles across every admission.
-const STREAM_FRAMES: u64 = 12;
-
-/// The session's in-flight window (matches the default double-buffered
-/// stream shape).
-const STREAM_WINDOW: usize = 2;
-
-fn stream_frame_workloads() -> Vec<Workload> {
-    (0..STREAM_FRAMES)
-        .map(|frame| {
-            Workload::new(
-                ModelKind::LlavaVideo7B,
-                DatasetKind::VideoMme,
-                WorkloadScale::tiny(),
-                EVAL_SEED + frame,
-            )
-        })
-        .collect()
-}
-
-/// The streaming-session leg: one `StreamSession` against the global
-/// service pushes `STREAM_FRAMES` frames of one feed through a
-/// `STREAM_WINDOW`-deep in-flight window — per-frame admission with
-/// backpressure and warm scratch recycling, the regime the batch legs
-/// never exercise.
-fn stream_session(wls: &[Workload]) -> Vec<PipelineResult> {
-    let mut session = StreamSession::open(
-        FocusService::global(),
-        FocusPipeline::paper(),
-        ArchConfig::focus(),
-        StreamConfig {
-            window: STREAM_WINDOW,
-            priority: Priority::Normal,
-            temporal: None,
-        },
-    );
-    let handles: Vec<FrameHandle> = wls
-        .iter()
-        .map(|wl| session.push_frame(wl.clone()))
-        .collect();
-    handles.into_iter().map(FrameHandle::wait).collect()
-}
-
-/// Correlated-stream frames for the temporal legs: the same feed as a
-/// scene stream at `correlation`, where consecutive frames of one
-/// segment tile a single scene timeline (static content repeats
-/// bit-for-bit) and cuts re-seed everything.
-fn temporal_frame_workloads(correlation: f64) -> Vec<Workload> {
-    (0..STREAM_FRAMES)
-        .map(|frame| {
-            Workload::stream_frame(
-                ModelKind::LlavaVideo7B,
-                DatasetKind::VideoMme,
-                WorkloadScale::tiny(),
-                SceneStream {
-                    seed: EVAL_SEED,
-                    correlation,
-                },
-                frame,
-            )
-        })
-        .collect()
-}
-
-/// One streaming session over `wls` with cross-frame concentration on
-/// (or off, `temporal: None` — the isolated-frame baseline on the same
-/// stream). Window 1: temporal frames chain carry state and serialise
-/// anyway. Returns the session's cumulative stats with the results.
-fn temporal_session(
-    wls: &[Workload],
-    temporal: Option<TemporalCacheConfig>,
-) -> (Vec<PipelineResult>, SessionStats) {
-    let mut session = StreamSession::open(
-        FocusService::global(),
-        FocusPipeline::paper(),
-        ArchConfig::focus(),
-        StreamConfig {
-            window: 1,
-            priority: Priority::Normal,
-            temporal,
-        },
-    );
-    let handles: Vec<FrameHandle> = wls
-        .iter()
-        .map(|wl| session.push_frame(wl.clone()))
-        .collect();
-    let results = handles.into_iter().map(FrameHandle::wait).collect();
-    session.flush();
-    let stats = session.stats();
-    (results, stats)
-}
-
-/// The measured-layer walk of one workload: every `(layer, retained)`
-/// pair whose gathers actually run, captured once so the synthesis
-/// bench replays exactly the `Synth` node inputs of the grid.
-fn measured_walk(wl: &Workload) -> Vec<(usize, Vec<usize>)> {
+fn measured_walk(wl: &Workload) -> StagedWalk {
     let pipeline = FocusPipeline::paper();
     let exec = LayerExecutor::new(&pipeline, wl);
+    let scaled = wl.scaled_model();
+    let layouter = ConvLayouter::new(scaled.grid_h, scaled.grid_w);
     let mut retained: Vec<usize> = (0..wl.image_tokens_scaled()).collect();
     let mut walk = Vec::new();
     for layer in 0..exec.layers() {
-        let record = exec.run_layer(layer, &mut retained);
-        if record.measured {
-            walk.push((layer, retained.clone()));
+        if exec.run_layer(layer, &mut retained).measured {
+            let positions = retained
+                .iter()
+                .map(|&t| Some(layouter.position_of(t)))
+                .collect();
+            walk.push((layer, retained.clone(), positions));
         }
     }
     walk
 }
 
-/// Runs just the `Synth` node work — Box–Muller activation synthesis
-/// plus fp16 rounding — of one workload's measured walk.
-fn synthesis_pass(
-    wl: &Workload,
-    walk: &StagedWalk,
-    stages: &[GatherStage],
-    ws: &mut [StageWorkspace<'_>],
-) {
-    for (layer, retained, positions) in walk {
-        for (si, stage) in stages.iter().enumerate() {
-            let ctx = LayerCtx {
-                workload: wl,
-                layer: *layer,
-                retained,
-                positions,
-            };
-            stage.synth(&ctx, &mut ws[si]);
+/// The grid's measured walks replayed on the four gather stages, with
+/// one workspace set per workload, all pinned to an explicit kernel
+/// backend (so a `FOCUS_BACKEND` override cannot relabel what a leg
+/// measures) and dtype.
+struct Staged<'w> {
+    wls: &'w [Workload],
+    walks: Vec<StagedWalk>,
+    stages: Vec<GatherStage>,
+    ws: Vec<Vec<StageWorkspace<'w>>>,
+}
+
+impl<'w> Staged<'w> {
+    fn new(wls: &'w [Workload], dtype: DataType, backend: BackendHandle) -> Self {
+        let stages: Vec<GatherStage> = Stage::GATHER_POINTS
+            .iter()
+            .map(|&s| GatherStage::new_on(&FocusConfig::paper(), s, dtype, backend))
+            .collect();
+        let ws = wls
+            .iter()
+            .map(|wl| {
+                stages
+                    .iter()
+                    .map(|_| StageWorkspace::new_on(wl, backend))
+                    .collect()
+            })
+            .collect();
+        Staged {
+            wls,
+            walks: wls.iter().map(measured_walk).collect(),
+            stages,
+            ws,
         }
     }
-}
 
-/// One workload's measured walk with per-layer gather positions
-/// precomputed, so the staged passes below time kernels, not position
-/// decoding.
-type StagedWalk = Vec<(usize, Vec<usize>, Vec<Option<Fhw>>)>;
-
-/// The backend-staged fixture: measured walks with positions, the four
-/// gather stages and one workspace set per workload, all pinned to an
-/// explicit kernel `backend` (so a `FOCUS_BACKEND` override cannot
-/// relabel what a leg measures) and `dtype`.
-#[allow(clippy::type_complexity)]
-fn staged_fixture<'w>(
-    wls: &'w [Workload],
-    dtype: DataType,
-    backend: BackendHandle,
-) -> (
-    Vec<StagedWalk>,
-    Vec<GatherStage>,
-    Vec<Vec<StageWorkspace<'w>>>,
-) {
-    let walks = wls
-        .iter()
-        .map(|wl| {
-            let scaled = wl.scaled_model();
-            let layouter = ConvLayouter::new(scaled.grid_h, scaled.grid_w);
-            measured_walk(wl)
-                .into_iter()
-                .map(|(layer, retained)| {
-                    let positions = retained
-                        .iter()
-                        .map(|&t| Some(layouter.position_of(t)))
-                        .collect();
-                    (layer, retained, positions)
-                })
-                .collect()
-        })
-        .collect();
-    let stages: Vec<GatherStage> = Stage::GATHER_POINTS
-        .iter()
-        .map(|&s| GatherStage::new_on(&FocusConfig::paper(), s, dtype, backend))
-        .collect();
-    let ws = wls
-        .iter()
-        .map(|wl| {
-            stages
-                .iter()
-                .map(|_| StageWorkspace::new_on(wl, backend))
-                .collect()
-        })
-        .collect();
-    (walks, stages, ws)
-}
-
-/// Runs the grid's measured walks end to end on backend-dispatched
-/// stages, accumulating the time spent in each kernel phase:
-/// synthesis fill, dtype conversion, gather scoring.
-fn staged_grid_pass(
-    wls: &[Workload],
-    walks: &[StagedWalk],
-    stages: &[GatherStage],
-    ws: &mut [Vec<StageWorkspace<'_>>],
-) -> (Duration, Duration, Duration) {
-    let (mut synth, mut convert, mut gather) = (Duration::ZERO, Duration::ZERO, Duration::ZERO);
-    for ((wl, walk), ws) in wls.iter().zip(walks).zip(ws.iter_mut()) {
-        for (layer, retained, positions) in walk {
-            for (si, stage) in stages.iter().enumerate() {
+    /// Runs every walk once, stage by stage, and returns the time spent
+    /// in each kernel phase: `[synthesis, conversion, gather]`.
+    fn pass(&mut self) -> [Duration; 3] {
+        let mut phases = [Duration::ZERO; 3];
+        for ((wl, walk), ws) in self.wls.iter().zip(&self.walks).zip(&mut self.ws) {
+            for (layer, retained, positions) in walk {
                 let ctx = LayerCtx {
                     workload: wl,
                     layer: *layer,
                     retained,
                     positions,
                 };
-                let t = Instant::now();
-                stage.synth_raw(&ctx, &mut ws[si]);
-                synth += t.elapsed();
-                let t = Instant::now();
-                stage.convert(&mut ws[si]);
-                convert += t.elapsed();
-                let t = Instant::now();
-                criterion::black_box(stage.gather(&ctx, &mut ws[si]));
-                gather += t.elapsed();
+                for (stage, ws) in self.stages.iter().zip(ws.iter_mut()) {
+                    let t = Instant::now();
+                    stage.synth_raw(&ctx, ws);
+                    phases[0] += t.elapsed();
+                    let t = Instant::now();
+                    stage.convert(ws);
+                    phases[1] += t.elapsed();
+                    let t = Instant::now();
+                    black_box(stage.gather(&ctx, ws));
+                    phases[2] += t.elapsed();
+                }
             }
         }
+        phases
     }
-    (synth, convert, gather)
 }
 
-fn bench_serial(c: &mut Criterion) {
-    let wls = workloads();
-    let pipeline = FocusPipeline::paper();
-    let arch = ArchConfig::focus();
-    c.bench_function("batch/serial_6_tiny_pipelines", |b| {
-        b.iter(|| {
-            wls.iter()
-                .map(|wl| pipeline.run(wl, &arch))
-                .collect::<Vec<PipelineResult>>()
+/// Runs `pairs` pairs of `a` and `b`, `a` first in even pairs and `b`
+/// first in odd ones, and returns each pair's `(a, b)` results.
+fn alternating<T>(pairs: usize, mut a: impl FnMut() -> T, mut b: impl FnMut() -> T) -> Vec<(T, T)> {
+    (0..pairs)
+        .map(|i| {
+            if i % 2 == 0 {
+                let ra = a();
+                (ra, b())
+            } else {
+                let rb = b();
+                (a(), rb)
+            }
         })
-    });
+        .collect()
 }
 
-fn bench_batch_runner(c: &mut Criterion) {
-    let jobs = grid_jobs(&workloads());
-    c.bench_function("batch/runner_6_tiny_pipelines", |b| {
-        b.iter(|| BatchRunner::run(&jobs))
-    });
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
-fn bench_measured_old(c: &mut Criterion) {
-    let wls = fig09_grid_workloads();
-    c.bench_function("measured/serial_resynthesis_fig09_grid", |b| {
-        b.iter(|| serial_resynthesis(&wls))
-    });
+/// The median of `ratio` over the pairs.
+fn median_ratio<T>(pairs: &[(T, T)], ratio: impl Fn(&T, &T) -> f64) -> f64 {
+    median(pairs.iter().map(|(a, b)| ratio(a, b)).collect())
 }
 
-fn bench_measured_graph(c: &mut Criterion) {
-    let jobs = grid_jobs(&fig09_grid_workloads());
-    c.bench_function("measured/graph_batched_fig09_grid", |b| {
-        b.iter(|| BatchRunner::run_sim(&jobs))
-    });
+/// Wall time of one call of `run`.
+fn timed_run<T>(run: impl FnOnce() -> T) -> Duration {
+    let t = Instant::now();
+    black_box(run());
+    t.elapsed()
 }
 
-fn bench_service_throughput(c: &mut Criterion) {
-    let wls = fig09_grid_workloads();
-    c.bench_function("service_throughput/staggered_fig09_grid", |b| {
-        b.iter(|| staggered_service(&wls))
-    });
+/// The dispatched-vs-oracle kernel ratios, each `scalar / simd` over
+/// one phase: `[synthesis, gather, fake-quantise]`. A pair runs both
+/// precisions of one backend back to back.
+fn kernel_speedups(wls: &[Workload], pairs: usize) -> [f64; 3] {
+    let mut fast = [DataType::Fp16, DataType::Int8].map(|dt| Staged::new(wls, dt, simd()));
+    let mut oracle = [DataType::Fp16, DataType::Int8].map(|dt| Staged::new(wls, dt, scalar_ref()));
+    let both = |legs: &mut [Staged<'_>; 2]| [legs[0].pass(), legs[1].pass()];
+    let runs = alternating(pairs, || both(&mut fast), || both(&mut oracle));
+    // (dtype leg, phase) of each ratio: FP16 synthesis, FP16 gather,
+    // INT8 conversion (an FP16 stage's conversion is a no-op).
+    [(0, 0), (0, 2), (1, 1)].map(|(leg, phase)| {
+        median_ratio(&runs, |simd, scalar| {
+            scalar[leg][phase].as_secs_f64() / simd[leg][phase].as_secs_f64()
+        })
+    })
 }
 
-fn bench_stream_session(c: &mut Criterion) {
-    let wls = stream_frame_workloads();
-    c.bench_function("stream/session_12_frames_window2", |b| {
-        b.iter(|| stream_session(&wls))
-    });
-}
-
-fn bench_temporal_stream(c: &mut Criterion) {
-    let wls = temporal_frame_workloads(0.9);
-    c.bench_function("stream/temporal_12_frames_corr09", |b| {
-        b.iter(|| temporal_session(&wls, Some(TemporalCacheConfig::default())).0)
-    });
-}
-
-/// The synthesis legs: the `Synth` node work over the grid's measured
-/// walks on fp16 stages pinned to each backend. The snapshot builds
-/// its synthesis fixtures with the same `staged_fixture`, so the two
-/// can never drift apart.
-fn bench_synthesis(c: &mut Criterion) {
-    let wls = fig09_grid_workloads();
-    // The same Synth work on the dispatched backend and on the scalar
-    // oracle — values are bit-identical (proptest-enforced), so the
-    // pair measures exactly the SIMD dispatch win and nothing else.
-    for (suffix, backend) in [("", simd()), ("_scalar", scalar_ref())] {
-        let (walks, stages, mut ws) = staged_fixture(&wls, DataType::Fp16, backend);
-        c.bench_function(
-            &format!("synthesis/activation_synthesis_fig09_grid{suffix}"),
-            |b| {
-                b.iter(|| {
-                    for ((wl, walk), ws) in wls.iter().zip(&walks).zip(ws.iter_mut()) {
-                        synthesis_pass(wl, walk, &stages, ws);
-                    }
-                })
-            },
-        );
-    }
-}
-
-/// The backend-kernel micro legs, paired dispatched-vs-scalar: gather
-/// scoring re-runs over activations synthesised once in setup (the
-/// gather is read-only on the buffer and re-plans per call), and the
-/// INT8 fake-quantise re-runs on its own output (the round trip is
-/// idempotent: the absmax of a quantised row reproduces its scale).
-/// Values are bit-identical across the pair (proptest-enforced), so
-/// each pair measures exactly the SIMD dispatch win.
-fn bench_backend_kernels(c: &mut Criterion) {
-    let wls = fig09_grid_workloads();
-    let cell = std::slice::from_ref(&wls[0]);
-    for (name, backend) in [("simd", simd()), ("scalar", scalar_ref())] {
-        let (walks, stages, mut ws) = staged_fixture(cell, DataType::Fp16, backend);
-        let (layer, retained, positions) = &walks[0][0];
-        for (si, stage) in stages.iter().enumerate() {
-            let ctx = LayerCtx {
-                workload: &wls[0],
-                layer: *layer,
-                retained,
-                positions,
-            };
-            stage.synth(&ctx, &mut ws[0][si]);
-        }
-        c.bench_function(&format!("gather/scoring_fig09_cell0_{name}"), |b| {
-            b.iter(|| {
-                for (si, stage) in stages.iter().enumerate() {
-                    let ctx = LayerCtx {
-                        workload: &wls[0],
-                        layer: *layer,
-                        retained,
-                        positions,
-                    };
-                    criterion::black_box(stage.gather(&ctx, &mut ws[0][si]));
-                }
-            })
-        });
-
-        let (walks, stages, mut ws) = staged_fixture(cell, DataType::Int8, backend);
-        let (layer, retained, positions) = &walks[0][0];
-        for (si, stage) in stages.iter().enumerate() {
-            let ctx = LayerCtx {
-                workload: &wls[0],
-                layer: *layer,
-                retained,
-                positions,
-            };
-            stage.synth(&ctx, &mut ws[0][si]);
-        }
-        c.bench_function(&format!("quantize/fake_quantize_fig09_cell0_{name}"), |b| {
-            b.iter(|| {
-                for (si, stage) in stages.iter().enumerate() {
-                    stage.convert(&mut ws[0][si]);
-                }
-            })
-        });
-    }
-}
-
-criterion_group! {
-    name = batch;
-    config = Criterion::default().sample_size(10);
-    targets = bench_serial, bench_batch_runner, bench_measured_old, bench_measured_graph,
-        bench_service_throughput, bench_stream_session, bench_temporal_stream, bench_synthesis,
-        bench_backend_kernels
-}
-
-fn median_secs(samples: &mut [Duration]) -> f64 {
-    samples.sort();
-    samples[samples.len() / 2].as_secs_f64()
-}
-
-/// Times the fig09-grid comparison directly and writes the throughput
-/// snapshot the perf trajectory tracks. (The criterion shim does not
-/// expose its collected samples, so the snapshot takes a few of its
-/// own — kept to 3 to bound the duplicate work; the processes are
-/// already warm from the criterion pass.)
-///
-/// Synthesis fields (re-baseline v2, batched kernel): `synthesis_only_s`
-/// is the Synth leg on the kernel's chunked-scalar fallback,
-/// `synthesis_batched_s` the same leg under the default SIMD dispatch
-/// (the one the pipeline actually runs — `synthesis_share` uses it),
-/// and `synthesis_kernel_speedup` their ratio.
-///
-/// Backend-kernel fields (PR 8, `Backend`-dispatched stage kernels):
-/// `gather_phase_s`/`gather_phase_scalar_s` time the gather-scoring
-/// phase of the grid's measured walks on the dispatched `simd` backend
-/// vs the `scalar` oracle (bit-identical values), and
-/// `gather_kernel_speedup` is their ratio; `gather_share` is gather's
-/// fraction of the staged kernel walk. `quantize_phase_s`/
-/// `quantize_phase_scalar_s`/`quantize_kernel_speedup` are the same
-/// comparison for the whole-matrix INT8 fake-quantise.
-///
-/// Observability field (PR 10, `focus_core::obs`): `obs_overhead_pct`
-/// re-runs the graph leg with span tracing **on** (Timed kernel
-/// backend + per-node span recording) and records the median overhead
-/// as a percentage of the untraced leg. Gated `< 2%` by the schema
-/// test; small negative values are machine noise and fine.
-///
-/// `synthesis_share` is the Synth leg's fraction of the graph leg.
-/// `threads` is the machine's available parallelism, which sizes the
-/// global `FocusService` pool every graph leg runs on.
-fn write_snapshot() {
-    const SAMPLES: usize = 3;
-    let wls = fig09_grid_workloads();
-    // The traced twin of the graph leg: constructed while span
-    // recording is on, so `obs::kernel_backend()` hands its pipelines
-    // the `Timed` wrapper — exactly what a `FOCUS_TRACE=spans` run
-    // sees. Recording stays off until this leg's samples run.
-    focus_core::obs::spans::set_enabled(true);
-    let traced_graph_jobs = grid_jobs(&wls);
-    focus_core::obs::spans::set_enabled(false);
-    let graph_jobs = grid_jobs(&wls);
-    let (walks, stages, mut ws) = staged_fixture(&wls, DataType::Fp16, simd());
-    let (sc_walks, sc_stages, mut sc_ws) = staged_fixture(&wls, DataType::Fp16, scalar_ref());
-    // Backend-staged fixtures for the per-phase kernel comparison:
-    // dispatched (`simd`) vs the `scalar` oracle, at both precisions.
-    let (fp16_walks, fp16_stages, mut fp16_ws) = staged_fixture(&wls, DataType::Fp16, simd());
-    let (fp16_sc_walks, fp16_sc_stages, mut fp16_sc_ws) =
-        staged_fixture(&wls, DataType::Fp16, scalar_ref());
-    let (int8_walks, int8_stages, mut int8_ws) = staged_fixture(&wls, DataType::Int8, simd());
-    let (int8_sc_walks, int8_sc_stages, mut int8_sc_ws) =
-        staged_fixture(&wls, DataType::Int8, scalar_ref());
-
-    let stream_wls = stream_frame_workloads();
-    const TEMPORAL_CORRS: [f64; 3] = [0.0, 0.5, 0.9];
-    let temporal_wls: Vec<Vec<Workload>> = TEMPORAL_CORRS
-        .iter()
-        .map(|&c| temporal_frame_workloads(c))
-        .collect();
-
-    let mut old = Vec::with_capacity(SAMPLES);
-    let mut graph = Vec::with_capacity(SAMPLES);
-    let mut graph_traced = Vec::with_capacity(SAMPLES);
-    let mut service = Vec::with_capacity(SAMPLES);
-    let mut stream = Vec::with_capacity(SAMPLES);
-    let mut temporal: [Vec<Duration>; 3] = [(); 3].map(|_| Vec::with_capacity(SAMPLES));
-    let mut temporal_isolated = Vec::with_capacity(SAMPLES);
-    let mut temporal_stats = [SessionStats::default(); 3];
-    let mut synth = Vec::with_capacity(SAMPLES);
-    let mut synth_scalar = Vec::with_capacity(SAMPLES);
-    let mut staged_synth = Vec::with_capacity(SAMPLES);
-    let mut staged_convert = Vec::with_capacity(SAMPLES);
-    let mut gather_fast = Vec::with_capacity(SAMPLES);
-    let mut gather_scalar = Vec::with_capacity(SAMPLES);
-    let mut quant_fast = Vec::with_capacity(SAMPLES);
-    let mut quant_scalar = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        let t = Instant::now();
-        criterion::black_box(serial_resynthesis(&wls));
-        old.push(t.elapsed());
-        let t = Instant::now();
-        criterion::black_box(BatchRunner::run_sim(&graph_jobs));
-        graph.push(t.elapsed());
-        // The same graph leg with span tracing live: per-node span
-        // records into the rings plus the Timed kernel wrapper. The
-        // pair bounds the observability tax (`obs_overhead_pct`).
-        focus_core::obs::spans::set_enabled(true);
-        let t = Instant::now();
-        criterion::black_box(BatchRunner::run_sim(&traced_graph_jobs));
-        graph_traced.push(t.elapsed());
-        focus_core::obs::spans::set_enabled(false);
-        let t = Instant::now();
-        criterion::black_box(staggered_service(&wls));
-        service.push(t.elapsed());
-        let t = Instant::now();
-        criterion::black_box(stream_session(&stream_wls));
-        stream.push(t.elapsed());
-        // Cross-frame temporal concentration at three correlations,
-        // plus the isolated-frame baseline on the *same* corr-0.9
-        // stream (the only pair the fps comparison is meaningful for).
-        for (i, wls) in temporal_wls.iter().enumerate() {
-            let t = Instant::now();
-            let (results, stats) = temporal_session(wls, Some(TemporalCacheConfig::default()));
-            criterion::black_box(results);
-            temporal[i].push(t.elapsed());
-            temporal_stats[i] = stats; // deterministic across samples
-        }
-        let t = Instant::now();
-        criterion::black_box(temporal_session(&temporal_wls[2], None));
-        temporal_isolated.push(t.elapsed());
-        let t = Instant::now();
-        for ((wl, walk), ws) in wls.iter().zip(&walks).zip(ws.iter_mut()) {
-            synthesis_pass(wl, walk, &stages, ws);
-        }
-        synth.push(t.elapsed());
-        // The identical Synth work on the scalar oracle backend: the
-        // batched-vs-scalar kernel comparison.
-        let t = Instant::now();
-        for ((wl, walk), ws) in wls.iter().zip(&sc_walks).zip(sc_ws.iter_mut()) {
-            synthesis_pass(wl, walk, &sc_stages, ws);
-        }
-        synth_scalar.push(t.elapsed());
-        // Per-phase kernel times on the dispatched backend vs the
-        // scalar oracle: gather scoring (fp16 legs) and the INT8
-        // fake-quantise (int8 legs).
-        let (s, cv, g) = staged_grid_pass(&wls, &fp16_walks, &fp16_stages, &mut fp16_ws);
-        staged_synth.push(s);
-        staged_convert.push(cv);
-        gather_fast.push(g);
-        let (_, _, g) = staged_grid_pass(&wls, &fp16_sc_walks, &fp16_sc_stages, &mut fp16_sc_ws);
-        gather_scalar.push(g);
-        let (_, cv, _) = staged_grid_pass(&wls, &int8_walks, &int8_stages, &mut int8_ws);
-        quant_fast.push(cv);
-        let (_, cv, _) = staged_grid_pass(&wls, &int8_sc_walks, &int8_sc_stages, &mut int8_sc_ws);
-        quant_scalar.push(cv);
-    }
-    // The obs pair alone gets extra interleaved samples: the overhead
-    // under test (~1%) is an order of magnitude below this machine's
-    // single-run noise (±5–15%), so only a pool of adjacent pairs
-    // separates the two reliably. Within-pair order ALTERNATES —
-    // traced-second on even iterations, traced-first on odd — so any
-    // monotone drift inside a pair (frequency scaling, cache warmth)
-    // biases half the ratios up and half down and cancels in the
-    // median. The extra untraced runs also feed the (median) graph
-    // leg, which is strictly more data.
-    const OBS_SAMPLES: usize = 13;
-    for i in SAMPLES..OBS_SAMPLES {
-        let run_untraced = |samples: &mut Vec<Duration>| {
-            let t = Instant::now();
-            criterion::black_box(BatchRunner::run_sim(&graph_jobs));
-            samples.push(t.elapsed());
-        };
-        let run_traced = |samples: &mut Vec<Duration>| {
-            focus_core::obs::spans::set_enabled(true);
-            let t = Instant::now();
-            criterion::black_box(BatchRunner::run_sim(&traced_graph_jobs));
-            samples.push(t.elapsed());
-            focus_core::obs::spans::set_enabled(false);
-        };
-        if i % 2 == 0 {
-            run_untraced(&mut graph);
-            run_traced(&mut graph_traced);
-        } else {
-            run_traced(&mut graph_traced);
-            run_untraced(&mut graph);
-        }
-    }
-    // The observability tax, from PAIRED ratios: each traced run is
-    // divided by the untraced run adjacent to it in the loop, and the
-    // median of those ratios is the estimate. Single-run noise on this
-    // class of machine is ±5–15% — an order of magnitude above the
-    // ~1% overhead under test — but adjacent runs share machine
-    // conditions, so the ratio cancels the drift. Computed before
-    // `median_secs` sorts the sample vectors (sorting destroys the
-    // pairing). Slightly negative values are noise.
-    let mut obs_ratios: Vec<f64> = graph_traced
-        .iter()
-        .zip(&graph)
-        .map(|(t, u)| t.as_secs_f64() / u.as_secs_f64())
-        .collect();
-    obs_ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-    let obs_overhead_pct = 100.0 * (obs_ratios[obs_ratios.len() / 2] - 1.0);
-    let old_s = median_secs(&mut old);
-    let (graph_s, synth_s) = (median_secs(&mut graph), median_secs(&mut synth));
-    let graph_traced_s = median_secs(&mut graph_traced);
-    let synth_scalar_s = median_secs(&mut synth_scalar);
-    let synthesis_kernel_speedup = synth_scalar_s / synth_s;
-    let staged_synth_s = median_secs(&mut staged_synth);
-    let staged_convert_s = median_secs(&mut staged_convert);
-    let gather_phase_s = median_secs(&mut gather_fast);
-    let gather_phase_scalar_s = median_secs(&mut gather_scalar);
-    let gather_kernel_speedup = gather_phase_scalar_s / gather_phase_s;
-    // Gather's share of the staged kernel walk (synth + convert +
-    // gather), all on the dispatched backend.
-    let gather_share = gather_phase_s / (staged_synth_s + staged_convert_s + gather_phase_s);
-    let quantize_phase_s = median_secs(&mut quant_fast);
-    let quantize_phase_scalar_s = median_secs(&mut quant_scalar);
-    let quantize_kernel_speedup = quantize_phase_scalar_s / quantize_phase_s;
-    let service_s = median_secs(&mut service);
-    let stream_s = median_secs(&mut stream);
-    let graph_vs_serial = old_s / graph_s;
-    let service_jobs_per_s = wls.len() as f64 / service_s;
-    let stream_frames_per_s = STREAM_FRAMES as f64 / stream_s;
-    let [t00, t05, t09] = temporal.map(|mut s| STREAM_FRAMES as f64 / median_secs(&mut s));
-    let temporal_isolated_frames_per_s = STREAM_FRAMES as f64 / median_secs(&mut temporal_isolated);
-    let hit_rate = |s: &SessionStats| {
-        let probes = s.temporal_hits + s.temporal_misses;
-        if probes == 0 {
-            0.0
-        } else {
-            s.temporal_hits as f64 / probes as f64
-        }
-    };
-    let [h00, h05, h09] = [
-        hit_rate(&temporal_stats[0]),
-        hit_rate(&temporal_stats[1]),
-        hit_rate(&temporal_stats[2]),
-    ];
-    let temporal_skipped_c09 = temporal_stats[2].gathers_skipped;
-    // Service counters read **through the unified metrics registry**
-    // (`FocusService::snapshot()` — the same keys `stats()` itself is
-    // derived from), so the snapshot file and the registry naming can
-    // never drift apart. Cumulative fair-queue service per class
-    // across every leg above: the staggered leg cycles all three
-    // priorities and the stream leg runs Normal, so all three
-    // counters are live.
-    let service_snap = FocusService::global().snapshot();
-    let service_workers = service_snap.u64("service.workers");
-    let [served_high, served_normal, served_low] = [
-        service_snap.u64("service.served.high"),
-        service_snap.u64("service.served.normal"),
-        service_snap.u64("service.served.low"),
-    ];
-    let json = format!(
-        "{{\n  \"bench\": \"measured_phase_fig09_grid_tiny\",\n  \"cells\": {},\n  \"threads\": {},\n  \"serial_resynthesis_s\": {:.6},\n  \"graph_batched_s\": {:.6},\n  \"graph_traced_s\": {:.6},\n  \"obs_overhead_pct\": {:.3},\n  \"service_staggered_s\": {:.6},\n  \"service_jobs_per_s\": {:.3},\n  \"service_workers\": {},\n  \"stream_session_s\": {:.6},\n  \"stream_frames\": {},\n  \"stream_window\": {},\n  \"stream_frames_per_s\": {:.3},\n  \"temporal_frames_per_s_c00\": {:.3},\n  \"temporal_frames_per_s_c05\": {:.3},\n  \"temporal_frames_per_s_c09\": {:.3},\n  \"temporal_isolated_frames_per_s\": {:.3},\n  \"temporal_hit_rate_c00\": {:.4},\n  \"temporal_hit_rate_c05\": {:.4},\n  \"temporal_hit_rate_c09\": {:.4},\n  \"temporal_gathers_skipped_c09\": {},\n  \"fair_served_high\": {},\n  \"fair_served_normal\": {},\n  \"fair_served_low\": {},\n  \"synthesis_only_s\": {:.6},\n  \"synthesis_batched_s\": {:.6},\n  \"synthesis_kernel_speedup\": {:.3},\n  \"gather_phase_s\": {:.6},\n  \"gather_phase_scalar_s\": {:.6},\n  \"gather_kernel_speedup\": {:.3},\n  \"gather_share\": {:.4},\n  \"quantize_phase_s\": {:.6},\n  \"quantize_phase_scalar_s\": {:.6},\n  \"quantize_kernel_speedup\": {:.3},\n  \"synthesis_share\": {:.3}\n}}\n",
-        wls.len(),
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        old_s,
-        graph_s,
-        graph_traced_s,
-        obs_overhead_pct,
-        service_s,
-        service_jobs_per_s,
-        service_workers,
-        stream_s,
-        STREAM_FRAMES,
-        STREAM_WINDOW,
-        stream_frames_per_s,
-        t00,
-        t05,
-        t09,
-        temporal_isolated_frames_per_s,
-        h00,
-        h05,
-        h09,
-        temporal_skipped_c09,
-        served_high,
-        served_normal,
-        served_low,
-        synth_scalar_s,
-        synth_s,
-        synthesis_kernel_speedup,
-        gather_phase_s,
-        gather_phase_scalar_s,
-        gather_kernel_speedup,
-        gather_share,
-        quantize_phase_s,
-        quantize_phase_scalar_s,
-        quantize_kernel_speedup,
-        synth_s / graph_s,
+/// The traced and untraced graph legs over `pairs` order-alternating
+/// pairs: `(median untraced s, median traced s, median overhead %)`.
+fn obs_overhead(wls: &[Workload], pairs: usize) -> (f64, f64, f64) {
+    // The traced twin is built while span recording is on, so its
+    // pipelines hold the `Timed` wrapper, exactly what a
+    // `FOCUS_TRACE=spans` run sees. Recording stays off outside the
+    // traced runs.
+    spans::set_enabled(true);
+    let traced_jobs = grid_jobs(wls);
+    spans::set_enabled(false);
+    let jobs = grid_jobs(wls);
+    let runs = alternating(
+        pairs,
+        || timed_run(|| BatchRunner::run_sim(&jobs)),
+        || {
+            spans::set_enabled(true);
+            let d = timed_run(|| BatchRunner::run_sim(&traced_jobs));
+            spans::set_enabled(false);
+            d
+        },
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_batch.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!(
-            "\nBENCH_batch.json snapshot: graph vs serial {graph_vs_serial:.2}x, \
-             kernel batched vs scalar {synthesis_kernel_speedup:.2}x, \
-             gather kernel {gather_kernel_speedup:.2}x, \
-             quantize kernel {quantize_kernel_speedup:.2}x, \
-             obs overhead {obs_overhead_pct:.2}%, \
-             service {service_jobs_per_s:.1} jobs/s, \
-             stream {stream_frames_per_s:.1} frames/s, \
-             temporal c0.9 {t09:.1} vs isolated \
-             {temporal_isolated_frames_per_s:.1} frames/s \
-             (hit rate {h09:.3})\n{json}"
-        ),
-        Err(e) => eprintln!("could not write BENCH_batch.json: {e}"),
-    }
+    let secs = |pick: fn(&(Duration, Duration)) -> Duration| {
+        median(runs.iter().map(|r| pick(r).as_secs_f64()).collect())
+    };
+    let overhead = median_ratio(&runs, |untraced, traced| {
+        traced.as_secs_f64() / untraced.as_secs_f64()
+    });
+    (secs(|r| r.0), secs(|r| r.1), 100.0 * (overhead - 1.0))
 }
 
 fn main() {
@@ -812,8 +246,37 @@ fn main() {
         println!("(criterion shim: skipping benchmarks outside `cargo bench`)");
         return;
     }
-    batch();
-    if !criterion::running_in_test_mode() {
-        write_snapshot();
+    let smoke = criterion::running_in_test_mode();
+    let (kernel_pairs, obs_pairs) = if smoke {
+        (1, 1)
+    } else {
+        (KERNEL_PAIRS, OBS_PAIRS)
+    };
+    let wls = fig09_grid_workloads();
+    let [synthesis, gather, quantize] = kernel_speedups(&wls, kernel_pairs);
+    let (graph_s, traced_s, obs_pct) = obs_overhead(&wls, obs_pairs);
+    println!(
+        "kernel speedups over {kernel_pairs} pairs: synthesis {synthesis:.3}x, \
+         gather {gather:.3}x, quantize {quantize:.3}x; tracing overhead over \
+         {obs_pairs} pairs: {obs_pct:.3}% ({graph_s:.6} s untraced, {traced_s:.6} s traced)"
+    );
+    if smoke {
+        return;
+    }
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let json = format!(
+        "{{\n  \"bench\": \"fig09_grid_tiny\",\n  \"version\": 5,\n  \"cells\": {},\n  \
+         \"threads\": {threads},\n  \"kernel_pairs\": {kernel_pairs},\n  \
+         \"synthesis_kernel_speedup\": {synthesis:.3},\n  \
+         \"gather_kernel_speedup\": {gather:.3},\n  \
+         \"quantize_kernel_speedup\": {quantize:.3},\n  \"obs_pairs\": {obs_pairs},\n  \
+         \"graph_batched_s\": {graph_s:.6},\n  \"graph_traced_s\": {traced_s:.6},\n  \
+         \"obs_overhead_pct\": {obs_pct:.3}\n}}\n",
+        wls.len(),
+    );
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_batch.json");
+    match std::fs::write(path, &json) {
+        Ok(()) => println!("BENCH_batch.json:\n{json}"),
+        Err(e) => eprintln!("could not write BENCH_batch.json: {e}"),
     }
 }

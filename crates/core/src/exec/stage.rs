@@ -154,17 +154,19 @@ impl<'w> StageWorkspace<'w> {
 
     /// A workspace pairing `workload`'s synthesiser with donated
     /// `scratch` — the warm-reuse path of streaming sessions — on an
-    /// explicit kernel backend: the synthesiser's noise-fill kernel
-    /// dispatches through `backend`. The scratch must have been built
-    /// for the same frame grid (the session enforces geometry
-    /// compatibility at `push_frame`).
+    /// explicit kernel backend: the synthesiser's kernels dispatch
+    /// through `backend`, or through the backend it forwards to when
+    /// `backend` is the launch-timing wrapper (see
+    /// [`crate::obs::kernels`] for why synthesis runs untimed). The
+    /// scratch must have been built for the same frame grid (the
+    /// session enforces geometry compatibility at `push_frame`).
     pub fn with_scratch_on(
         workload: &'w Workload,
         scratch: StageScratch,
         backend: BackendHandle,
     ) -> Self {
         StageWorkspace {
-            syn: workload.activation_synthesizer_on(backend),
+            syn: workload.activation_synthesizer_on(crate::obs::kernels::untimed(backend)),
             scratch,
         }
     }

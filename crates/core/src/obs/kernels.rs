@@ -9,18 +9,28 @@
 //! the numeric work verbatim, a `Timed(Simd)` run is bit-identical to a
 //! bare `Simd` run — timing is observation only.
 //!
-//! Timing is **sampled**, not exhaustive: a traced run executes
-//! hundreds of thousands of kernel launches per frame (the synthesis
-//! fill runs once per row group), and paying two clock reads plus
-//! shared-cache-line histogram traffic on every one measured at ~25%
-//! of the whole graph leg. Each thread instead times the first of
-//! every [`SAMPLE_EVERY`] launches of each family — the skip path is
-//! one thread-local counter increment — which keeps the observability
-//! tax under the snapshot's 2% gate while the hot families still collect
-//! thousands of latency samples. Histogram `count()` therefore counts
-//! *samples*, not launches; [`kernel_launches`] counts every launch, so
-//! a family's total kernel time can be estimated as its sampled mean
-//! times its launches.
+//! Timing is **sampled**, not exhaustive: a traced run executes tens
+//! of thousands of kernel launches per frame (the gather's row matcher
+//! runs once per gathered row), and timing every one (two clock reads
+//! plus shared-cache-line histogram traffic) once cost ~25% of the
+//! whole graph leg. Each thread instead times the first of every
+//! [`SAMPLE_EVERY`] launches of each family — the skip path is one
+//! thread-local counter increment — which keeps the observability tax
+//! under the snapshot's 2% gate while the hot families still collect
+//! dozens of latency samples per traced tiny grid run. Histogram
+//! `count()` therefore counts *samples*, not launches;
+//! [`kernel_launches`] counts every launch, so a family's total kernel
+//! time can be estimated as its sampled mean times its launches.
+//!
+//! The activation synthesiser runs on the bare backend even in a
+//! traced run: a stage workspace hands it [`untimed`]`(backend)`. It
+//! generates the synthetic workload's activations, so its kernels are
+//! not the concentration kernels this record is for, and they made
+//! 573k of the 653k launches of a traced tiny fig09 grid run, most of
+//! them 8-value noise fills of about 40 ns (below the microsecond
+//! histograms' resolution). Wrapped, each launch paid the counting and
+//! the extra dispatch, about 8 ns in situ. The `Synth` node spans still
+//! time synthesis as a whole.
 //!
 //! The stage workspaces pick their backend through
 //! [`super::kernel_backend`], which returns `timed(active())` when span
@@ -119,14 +129,22 @@ pub fn kernel_histogram(family: KernelFamily) -> &'static Histogram {
 }
 
 /// Each thread times the first of every `SAMPLE_EVERY` launches of a
-/// family. Power of two so the modulo is a mask; 64 bounds the timing
-/// overhead at ~1/64 of the exhaustive cost.
-pub const SAMPLE_EVERY: u64 = 64;
+/// family. Power of two so the modulo is a mask. At 64, the samples'
+/// clock reads and contended histogram updates cost about 1–2% of the
+/// tiny fig09 graph leg (paired medians, `benches/batch.rs`); at 1024
+/// that share is negligible, and the match family (63k launches per
+/// traced grid run) still collects about 60 samples per run.
+pub const SAMPLE_EVERY: u64 = 1024;
 
 /// One thread's launch counters, one per family. Only the owning
-/// thread writes them (a plain load and store, never a read-modify-write
-/// on a shared cache line); [`kernel_launches`] sums every thread's.
-type LaunchCounters = [AtomicU64; KernelFamily::ALL.len()];
+/// thread writes them (a plain load and store, never a read-modify-write);
+/// [`kernel_launches`] sums every thread's. Aligned past a cache line
+/// pair so two threads' counters never share a line: every launch
+/// stores to its thread's counter, and a shared line would bounce
+/// between the workers' cores on each one.
+#[derive(Default)]
+#[repr(align(128))]
+struct LaunchCounters([AtomicU64; KernelFamily::ALL.len()]);
 
 /// Every thread's counters, registered at its first timed launch. The
 /// counters are leaked, so a finished thread's launches stay counted.
@@ -162,7 +180,7 @@ pub fn kernel_launches(family: KernelFamily) -> u64 {
         .lock()
         .unwrap_or_else(|p| p.into_inner())
         .iter()
-        .map(|counters| counters[family.index()].load(Ordering::Relaxed))
+        .map(|counters| counters.0[family.index()].load(Ordering::Relaxed))
         .sum()
 }
 
@@ -188,7 +206,7 @@ impl Timed {
 
     fn time<R>(&self, family: KernelFamily, launch: impl FnOnce() -> R) -> R {
         let sampled = LAUNCH_TICKS.with(|ticks| {
-            let tick = &ticks[family.index()];
+            let tick = &ticks.0[family.index()];
             let n = tick.load(Ordering::Relaxed);
             tick.store(n.wrapping_add(1), Ordering::Relaxed);
             n % SAMPLE_EVERY == 0
@@ -273,12 +291,14 @@ impl Backend for Timed {
     }
 }
 
+/// Every [`Timed`] wrapper made so far, with the backend it wraps.
+static WRAPPERS: Mutex<Vec<(BackendHandle, &'static Timed)>> = Mutex::new(Vec::new());
+
 /// A `'static` [`Timed`] wrapper around `inner`, deduplicated by the
 /// wrapped backend's pointer identity so repeated calls never leak more
 /// than one wrapper per distinct backend (the process has a handful of
 /// backends, so the registry stays tiny).
 pub fn timed(inner: BackendHandle) -> BackendHandle {
-    static WRAPPERS: Mutex<Vec<(BackendHandle, &'static Timed)>> = Mutex::new(Vec::new());
     let mut wrappers = WRAPPERS.lock().unwrap_or_else(|p| p.into_inner());
     if let Some((_, wrapper)) = wrappers
         .iter()
@@ -289,6 +309,17 @@ pub fn timed(inner: BackendHandle) -> BackendHandle {
     let wrapper: &'static Timed = Box::leak(Box::new(Timed::new(inner)));
     wrappers.push((inner, wrapper));
     wrapper
+}
+
+/// The backend a [`timed`] wrapper forwards to, or `handle` itself
+/// when it is no such wrapper.
+pub fn untimed(handle: BackendHandle) -> BackendHandle {
+    WRAPPERS
+        .lock()
+        .unwrap_or_else(|p| p.into_inner())
+        .iter()
+        .find(|(_, wrapper)| std::ptr::addr_eq(*wrapper as *const Timed, handle))
+        .map_or(handle, |(inner, _)| *inner)
 }
 
 #[cfg(test)]
@@ -310,6 +341,20 @@ mod tests {
             "same inner backend must reuse one wrapper"
         );
         assert_eq!(a.name(), inner.name(), "timing must not rename a backend");
+    }
+
+    #[test]
+    fn untimed_unwraps_only_timed_wrappers() {
+        let inner = backend::active();
+        let wrapper = timed(inner);
+        let same = |a: BackendHandle, b: BackendHandle| {
+            std::ptr::addr_eq(a as *const dyn Backend, b as *const dyn Backend)
+        };
+        assert!(
+            same(untimed(wrapper), inner),
+            "a wrapper unwraps to its backend"
+        );
+        assert!(same(untimed(inner), inner), "a bare backend is its own");
     }
 
     #[test]

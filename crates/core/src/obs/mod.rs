@@ -17,7 +17,8 @@
 //! * [`hist`] — fixed-bucket log2 latency histograms with
 //!   p50/p99/max, one per node kind and one per kernel family.
 //! * [`kernels`] — the [`kernels::Timed`] backend wrapper timing
-//!   every kernel launch into its family histogram.
+//!   every stage kernel launch into its family histogram (the
+//!   activation synthesiser runs untimed).
 //! * [`registry`] — the flat `name → value` [`Snapshot`] that
 //!   `FocusService::stats()`, `StreamSession::stats()` and the bench
 //!   serializer all read through.
@@ -38,10 +39,11 @@ pub use spans::{Span, SpanKind, SpanLabel, TraceConfig};
 
 use focus_tensor::backend::{self, BackendHandle};
 
-/// The backend stage workspaces should run kernels on: the process
-/// default, wrapped in the launch-timing [`kernels::Timed`] shim when
-/// span tracing is on. The untraced path is `spans::enabled()`'s single
-/// relaxed load plus the bare handle — no wrapper, no indirection.
+/// The backend stages should run kernels on: the process default,
+/// wrapped in the launch-timing [`kernels::Timed`] shim when span
+/// tracing is on (a stage workspace unwraps it for its synthesiser).
+/// The untraced path is `spans::enabled()`'s single relaxed load plus
+/// the bare handle — no wrapper, no indirection.
 pub fn kernel_backend() -> BackendHandle {
     let active = backend::active();
     if spans::enabled() {

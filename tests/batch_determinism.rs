@@ -352,7 +352,15 @@ fn shared_service_serves_staggered_mixed_priority_requests() {
         }
     };
     quiesce();
-    assert_eq!(service.stats().jobs_completed, cells.len() as u64);
+    let stats = service.stats();
+    assert_eq!(stats.jobs_completed, cells.len() as u64);
+    // The requests cycle High, Normal and Low: the weighted fair queue
+    // must have served every class.
+    assert!(
+        stats.served_by_priority.iter().all(|&served| served > 0),
+        "every priority class must be served: {:?}",
+        stats.served_by_priority
+    );
     // Start the park-counter check from a parked pool: one tiny request
     // whose wakeups go to the workers that run it, then quiesce again,
     // so no notification from the staggered burst is still in flight

@@ -521,6 +521,45 @@ fn correlated_stream_carries_rows_and_skips_gathers() {
     );
 }
 
+/// The carry hit rate orders with scene correlation: on 12-frame
+/// streams of one feed (seed 42, window 1), a correlation-0 stream cuts
+/// every frame and carries nothing, while correlated streams carry, and
+/// more so as correlation rises (0, 0.1194 and 0.2090 when first
+/// pinned).
+#[test]
+fn temporal_hit_rate_grows_with_scene_correlation() {
+    let service = FocusService::new(ServiceConfig::with_threads(2));
+    let hit_rate = |correlation: f64| {
+        let stream = SceneStream {
+            seed: 42,
+            correlation,
+        };
+        let mut session = StreamSession::open(
+            &service,
+            graph_pipeline(),
+            ArchConfig::focus(),
+            temporal_config(1, Some(TemporalCacheConfig::default())),
+        );
+        let handles: Vec<FrameHandle> = (0..12)
+            .map(|f| session.push_frame(stream_workload(stream, f)))
+            .collect();
+        for handle in handles {
+            handle.wait();
+        }
+        session.flush();
+        let stats = session.stats();
+        let probes = stats.temporal_hits + stats.temporal_misses;
+        assert!(probes > 0, "the cache was probed: {stats:?}");
+        stats.temporal_hits as f64 / probes as f64
+    };
+    let [h00, h05, h09] = [0.0, 0.5, 0.9].map(hit_rate);
+    assert_eq!(h00, 0.0, "a correlation-0 stream cuts every frame");
+    assert!(
+        0.0 < h05 && h05 <= h09,
+        "hit rate must be positive and grow with correlation: c05={h05} c09={h09}"
+    );
+}
+
 /// INT8 sessions stand aside from temporal carry: INT8
 /// fake-quantisation scales each row by an absmax its noisy groups take
 /// part in, so the synthesis-level carry proof does not cover INT8
