@@ -447,8 +447,8 @@ impl PipelineGraph {
         let scratch = lock_clean(cell)
             .take()
             .expect("ring slot holds its scratch");
-        let mut ws =
-            StageWorkspace::with_scratch_on(&self.job.workload, scratch, self.job.pipeline.backend);
+        let backend = self.gathers[stage].synth_backend();
+        let mut ws = StageWorkspace::with_scratch_on(&self.job.workload, scratch, backend);
         let out = f(&mut ws);
         *lock_clean(cell) = Some(ws.scratch);
         out

@@ -154,19 +154,17 @@ impl<'w> StageWorkspace<'w> {
 
     /// A workspace pairing `workload`'s synthesiser with donated
     /// `scratch` — the warm-reuse path of streaming sessions — on an
-    /// explicit kernel backend: the synthesiser's kernels dispatch
-    /// through `backend`, or through the backend it forwards to when
-    /// `backend` is the launch-timing wrapper (see
-    /// [`crate::obs::kernels`] for why synthesis runs untimed). The
-    /// scratch must have been built for the same frame grid (the
-    /// session enforces geometry compatibility at `push_frame`).
+    /// explicit kernel backend: the synthesiser's noise-fill kernel
+    /// dispatches through `backend`. The scratch must have been built
+    /// for the same frame grid (the session enforces geometry
+    /// compatibility at `push_frame`).
     pub fn with_scratch_on(
         workload: &'w Workload,
         scratch: StageScratch,
         backend: BackendHandle,
     ) -> Self {
         StageWorkspace {
-            syn: workload.activation_synthesizer_on(crate::obs::kernels::untimed(backend)),
+            syn: workload.activation_synthesizer_on(backend),
             scratch,
         }
     }
@@ -249,6 +247,7 @@ pub struct GatherStage {
     concentrator: SimilarityConcentrator,
     dtype: DataType,
     backend: BackendHandle,
+    synth_backend: BackendHandle,
 }
 
 impl GatherStage {
@@ -267,7 +266,9 @@ impl GatherStage {
 
     /// [`GatherStage::new`] on an explicit kernel backend: every hot
     /// kernel the stage launches (gather scoring, dtype conversion,
-    /// synthesis fill) dispatches through `backend`.
+    /// synthesis fill) dispatches through `backend`, except that
+    /// synthesis runs on the backend a launch-timing wrapper forwards
+    /// to (see [`crate::obs::kernels`] for why synthesis runs untimed).
     pub fn new_on(
         config: &FocusConfig,
         stage: Stage,
@@ -286,12 +287,19 @@ impl GatherStage {
             },
             dtype,
             backend,
+            synth_backend: crate::obs::kernels::untimed(backend),
         }
     }
 
     /// The kernel backend this stage dispatches through.
     pub fn backend(&self) -> BackendHandle {
         self.backend
+    }
+
+    /// The kernel backend this stage's activation synthesiser runs on:
+    /// [`GatherStage::backend`] with any launch-timing wrapper removed.
+    pub(crate) fn synth_backend(&self) -> BackendHandle {
+        self.synth_backend
     }
 
     /// The pre-workspace reference path: a fresh synthesiser, a fresh
@@ -303,7 +311,7 @@ impl GatherStage {
     /// writes.
     pub fn run_fresh(&self, ctx: &LayerCtx<'_>) -> MatrixGatherStats {
         let width = self.stage.width(ctx.workload.scaled_model());
-        let mut syn = ctx.workload.activation_synthesizer_on(self.backend);
+        let mut syn = ctx.workload.activation_synthesizer_on(self.synth_backend);
         let mut acts = syn.activations(ctx.retained, ctx.layer, self.stage, width);
         match self.dtype {
             DataType::Fp16 => self.backend.f16_round(&mut acts),

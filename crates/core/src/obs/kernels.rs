@@ -23,14 +23,15 @@
 //! time can be estimated as its sampled mean times its launches.
 //!
 //! The activation synthesiser runs on the bare backend even in a
-//! traced run: a stage workspace hands it [`untimed`]`(backend)`. It
-//! generates the synthetic workload's activations, so its kernels are
-//! not the concentration kernels this record is for, and they made
-//! 573k of the 653k launches of a traced tiny fig09 grid run, most of
-//! them 8-value noise fills of about 40 ns (below the microsecond
-//! histograms' resolution). Wrapped, each launch paid the counting and
-//! the extra dispatch, about 8 ns in situ. The `Synth` node spans still
-//! time synthesis as a whole.
+//! traced run: a gather stage hands it [`untimed`]`(backend)`, looked
+//! up once when the stage is built, in the task graph and the serial
+//! walk alike. It generates the synthetic workload's activations, so
+//! its kernels are not the concentration kernels this record is for,
+//! and they made 573k of the 653k launches of a traced tiny fig09 grid
+//! run, most of them 8-value noise fills of about 40 ns (below the
+//! microsecond histograms' resolution). Wrapped, each launch paid the
+//! counting and the extra dispatch, about 8 ns in situ. The `Synth`
+//! node spans still time synthesis as a whole.
 //!
 //! The stage workspaces pick their backend through
 //! [`super::kernel_backend`], which returns `timed(active())` when span

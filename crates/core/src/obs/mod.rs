@@ -41,7 +41,7 @@ use focus_tensor::backend::{self, BackendHandle};
 
 /// The backend stages should run kernels on: the process default,
 /// wrapped in the launch-timing [`kernels::Timed`] shim when span
-/// tracing is on (a stage workspace unwraps it for its synthesiser).
+/// tracing is on (a gather stage unwraps it for its synthesiser).
 /// The untraced path is `spans::enabled()`'s single relaxed load plus
 /// the bare handle — no wrapper, no indirection.
 pub fn kernel_backend() -> BackendHandle {

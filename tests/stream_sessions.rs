@@ -522,10 +522,10 @@ fn correlated_stream_carries_rows_and_skips_gathers() {
 }
 
 /// The carry hit rate orders with scene correlation: on 12-frame
-/// streams of one feed (seed 42, window 1), a correlation-0 stream cuts
-/// every frame and carries nothing, while correlated streams carry, and
-/// more so as correlation rises (0, 0.1194 and 0.2090 when first
-/// pinned).
+/// streams of one feed (seed 42, window 1), correlated streams carry,
+/// and more so as correlation rises (0.1194 at 0.5 and 0.2090 at 0.9
+/// when first pinned). The correlation-0 case, which carries nothing,
+/// is `temporal_off_or_uncorrelated_matches_the_serial_loop`'s.
 #[test]
 fn temporal_hit_rate_grows_with_scene_correlation() {
     let service = FocusService::new(ServiceConfig::with_threads(2));
@@ -552,8 +552,7 @@ fn temporal_hit_rate_grows_with_scene_correlation() {
         assert!(probes > 0, "the cache was probed: {stats:?}");
         stats.temporal_hits as f64 / probes as f64
     };
-    let [h00, h05, h09] = [0.0, 0.5, 0.9].map(hit_rate);
-    assert_eq!(h00, 0.0, "a correlation-0 stream cuts every frame");
+    let [h05, h09] = [0.5, 0.9].map(hit_rate);
     assert!(
         0.0 < h05 && h05 <= h09,
         "hit rate must be positive and grow with correlation: c05={h05} c09={h09}"
