@@ -48,7 +48,7 @@ fn main() {
             tile_m,
             ..SimilarityConcentrator::from_config(&FocusConfig::paper())
         };
-        let stats = sic.gather_matrix(&acts, &positions);
+        let stats = sic.gather_matrix_on(&acts, &positions, backend::active());
         vec![
             label.to_string(),
             format!("{:.1}%", 100.0 * (1.0 - stats.retained_ratio())),

@@ -432,40 +432,40 @@ impl PipelineGraph {
         }
     }
 
-    /// Runs `f` on a workspace pairing the workload's synthesiser with
-    /// the scratch of ring slot (`stage`, `slot`), then returns the
-    /// scratch to its slot. Only the scratch carries over between
-    /// calls: a fresh synthesiser is bit-identical, because each call
-    /// is a new (layer, stage) context, which flushes its memo anyway.
-    fn with_workspace<R>(
+    /// Takes the scratch out of ring slot (`stage`, `slot`); the node
+    /// puts it back into the returned cell when it is done with it.
+    fn take_scratch(
         &self,
         stage: usize,
         slot: usize,
-        f: impl FnOnce(&mut StageWorkspace<'_>) -> R,
-    ) -> R {
+    ) -> (&Mutex<Option<StageScratch>>, StageScratch) {
         let cell = &self.ring[stage * self.depth + slot];
         let scratch = lock_clean(cell)
             .take()
             .expect("ring slot holds its scratch");
-        let backend = self.gathers[stage].synth_backend();
-        let mut ws = StageWorkspace::with_scratch_on(&self.job.workload, scratch, backend);
-        let out = f(&mut ws);
-        *lock_clean(cell) = Some(ws.scratch);
-        out
+        (cell, scratch)
     }
 
+    /// Synthesises into the slot's scratch through a fresh synthesiser.
+    /// Only the scratch carries over between calls: a fresh synthesiser
+    /// is bit-identical, because each call is a new (layer, stage)
+    /// context, which flushes its memo anyway.
     fn synth_task(&self, layer: usize, stage: usize, slot: usize) {
         let ctx = self.ctx(layer);
-        self.with_workspace(stage, slot, |ws| self.gathers[stage].synth(&ctx, ws));
+        let (cell, scratch) = self.take_scratch(stage, slot);
+        let gather = &self.gathers[stage];
+        let mut ws =
+            StageWorkspace::with_scratch_on(&self.job.workload, scratch, gather.synth_backend());
+        gather.synth(&ctx, &mut ws);
+        *lock_clean(cell) = Some(ws.scratch);
     }
 
     fn gather_task(&self, layer: usize, stage: usize, slot: usize) {
         let ctx = self.ctx(layer);
-        let gather = &self.gathers[stage];
-        let stats = self.with_workspace(stage, slot, |ws| match &self.temporal {
-            Some(cache) => gather.gather_temporal(&ctx, ws, cache, stage),
-            None => gather.gather(&ctx, ws),
-        });
+        let (cell, mut scratch) = self.take_scratch(stage, slot);
+        let temporal = self.temporal.as_deref().map(|cache| (cache, stage));
+        let stats = self.gathers[stage].sweep(&ctx, &mut scratch, temporal);
+        *lock_clean(cell) = Some(scratch);
         *lock_clean(&self.gathered[layer * self.gathers.len() + stage]) = Some(stats);
     }
 
@@ -694,6 +694,27 @@ mod tests {
         assert_eq!(order[3], 3);
     }
 
+    /// Released dependents go through the fair queue like every other
+    /// ready node: one worker runs a root's fan-out in the order the
+    /// dependents were added, since their tags are issued in that
+    /// order.
+    #[test]
+    fn single_worker_runs_released_dependents_in_tag_order() {
+        let order = Arc::new(Mutex::new(Vec::<u32>::new()));
+        let push = |v: u32| {
+            let order = Arc::clone(&order);
+            move || order.lock().unwrap().push(v)
+        };
+        let mut job = ClosureJob::default();
+        let root = job.add(&[], push(0));
+        job.add(&[root], push(1));
+        job.add(&[root], push(2));
+        job.add(&[root], push(3));
+        let core = Core::new(1, usize::MAX);
+        with_workers(&core, || job.inject(&core, Priority::Normal).wait_done());
+        assert_eq!(*order.lock().unwrap(), [0, 1, 2, 3]);
+    }
+
     #[test]
     fn scheduler_interleaves_many_graphs() {
         let counters: Vec<Arc<AtomicU32>> = (0..5).map(|_| Arc::new(AtomicU32::new(0))).collect();
@@ -771,8 +792,7 @@ mod tests {
     fn poisoned_queue_mutexes_do_not_mask_the_panic_payload() {
         let ran = Arc::new(AtomicU32::new(0));
         let core = Core::new(2, usize::MAX);
-        // Poison a worker deque and the state mutex the way a panicking
-        // holder would.
+        // Poison the state mutex the way a panicking holder would.
         core.poison_internal_locks();
 
         // A healthy job still runs to completion through the poisoned

@@ -26,7 +26,7 @@
 //!   dispatches a node by its kind;
 //! * the scheduler core (`scheduler` module) — admits a job as a
 //!   shared topology plus one dispatch `run(node)` and runs it on
-//!   work-stealing workers, overlapping layer *l*'s fold/lowering with
+//!   workers that pop one weighted fair ready queue, overlapping layer *l*'s fold/lowering with
 //!   layer *l+1*'s synthesis and SEC at any pipeline depth — across
 //!   workload boundaries when several jobs are in flight;
 //! * [`BatchRunner`] — the one batch entry point: [`BatchRunner::run`]

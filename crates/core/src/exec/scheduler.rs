@@ -9,26 +9,27 @@
 //! slot and the done flag. Admission inverts no edges and boxes no
 //! per-node closure.
 //!
-//! Workers keep per-worker LIFO deques with FIFO stealing, a
-//! **weighted fair** global ready queue, and a version-counter
-//! park/unpark protocol whose sleep decision happens **under the
-//! state lock** (no lost-wakeup window — every producer publishes its
-//! push by bumping the version under the same lock a parking worker
-//! re-checks before it waits). All internal locking recovers from
-//! poisoning, so the first panic payload of a node body is always
-//! what propagates — never an opaque `PoisonError`. A panicked job is
-//! *skip-drained*: its remaining nodes release their dependents
-//! without running, so sibling jobs keep executing and the failed
-//! job's waiter gets the original payload.
+//! Every ready node — a new job's roots and every released dependent
+//! — goes through one **weighted fair** ready queue under the state
+//! lock. A worker pops and, when the pop comes back empty, parks
+//! within the same hold of that lock, so no push can slip between the
+//! scan and the sleep: every producer pushes and bumps a version
+//! counter under that lock, and a parked worker waits for the version
+//! to move. All internal locking recovers from poisoning, so the
+//! first panic payload of a node body is always what propagates —
+//! never an opaque `PoisonError`. A panicked job is *skip-drained*:
+//! its remaining nodes release their dependents without running, so
+//! sibling jobs keep executing and the failed job's waiter gets the
+//! original payload.
 //!
 //! # Fair queueing (no starvation)
 //!
-//! The global ready queue is a deficit-weighted fair queue over
+//! The ready queue is a deficit-weighted fair queue over
 //! **per-job virtual finish times**. Each [`Priority`] is a *weight*;
 //! every task carries a tag
 //! `tag = max(virtual_time, job.finish_tag) + quantum(priority)` where
-//! the quantum is inversely proportional to the weight, and the global
-//! queue pops the **lowest tag first**. Executing any task advances
+//! the quantum is inversely proportional to the weight, and the queue
+//! pops the **lowest tag first**. Executing any task advances
 //! the core's virtual time to that task's tag, so:
 //!
 //! * a high-weight arrival gets a tag barely above the current virtual
@@ -41,13 +42,13 @@
 //!   bound), independent of the arrival rate — the
 //!   `low_job_ages_past_a_saturating_high_flood` test pins the bound.
 //!
-//! Worker locality survives fairness: released dependents go to the
-//! executing worker's LIFO deque, and the deque is preferred whenever
-//! its newest task's tag does not trail the global minimum (one atomic
-//! load on the fast path).
+//! Tags within a job are issued in release order, so the dependents
+//! one node releases start in the order the topology lists them —
+//! the `single_worker_runs_released_dependents_in_tag_order` test pins
+//! it.
 
 use std::any::Any;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -196,7 +197,7 @@ struct Task {
     tag: u64,
 }
 
-/// A task in the global fair queue, ordered ascending by
+/// A task in the fair queue, ordered ascending by
 /// `(tag, seq)` — `seq` is a monotone tiebreak so equal tags stay
 /// FIFO. (`Ord` is inverted because [`BinaryHeap`] is a max-heap.)
 struct QueuedTask {
@@ -227,22 +228,18 @@ impl Ord for QueuedTask {
 }
 
 /// State every producer and every parking worker agrees on under one
-/// lock: the global fair queue and the wakeup version counter.
+/// lock: the fair ready queue and the wakeup version counter.
 struct CoreState {
-    /// Bumped (under this lock) whenever a task is made visible in
-    /// *any* queue — global or a worker's local deque — or the core
-    /// shuts down. A worker about to park re-reads it under the same
-    /// lock, so a push between its queue scan and its wait cannot be
-    /// lost: either the version moved (rescan) or the wait starts
-    /// before the bump and the accompanying `notify_all` lands on it.
+    /// Bumped (under this lock) whenever tasks are pushed or the core
+    /// shuts down. A worker whose pop came back empty parks at the
+    /// version it read in the same hold, and sleeps until it moves.
     version: u64,
     /// The weighted fair ready queue, one heap per priority class:
     /// the pop takes the lowest `(tag, seq)` across the (≤ 3) lane
     /// heads, which is exactly the order a single merged heap would
     /// yield — but keeps each class's oldest tag readable at its head,
     /// so the per-class min-tag mirrors (and with them the stats-path
-    /// deficit readout) stay O(1). Roots of newly injected jobs land
-    /// here.
+    /// deficit readout) stay O(1).
     ready: [BinaryHeap<QueuedTask>; Priority::LEVELS],
     /// Monotone enqueue counter, the FIFO tiebreak for equal tags.
     seq: u64,
@@ -273,8 +270,8 @@ pub(crate) struct Core {
     /// Parked workers wait here; producers notify after bumping
     /// `CoreState::version`.
     work_cv: Condvar,
-    /// Per-worker deques: own pops are LIFO (data-hot), steals FIFO.
-    locals: Vec<Mutex<VecDeque<Task>>>,
+    /// Worker slots.
+    threads: usize,
     /// Nodes admitted but not yet executed/drained, across all jobs.
     inflight: AtomicUsize,
     /// Admission bound: [`Core::inject`] blocks while the batch would
@@ -292,18 +289,13 @@ pub(crate) struct Core {
     /// task's tag. A queued task's tag is fixed, so advancing virtual
     /// time is what ages it to the front.
     virtual_time: AtomicU64,
-    /// Lowest tag currently in the global fair queue (`u64::MAX` when
-    /// empty) — the lock-free fast path a worker probes to decide
-    /// whether its own deque may run ahead of the global queue.
-    /// Maintained under the state lock on every push/pop.
-    global_min_tag: AtomicU64,
     /// Lowest tag queued per priority class (`u64::MAX` for an empty
     /// lane), mirroring the lane heap heads. Maintained under the
     /// state lock on every push/pop so `deficit_by_priority` is a
     /// plain atomic read — a kHz-polling stats consumer never touches
     /// the state lock, let alone scans the queue under it.
     class_min_tag: [AtomicU64; Priority::LEVELS],
-    /// Tasks currently in the global fair queue, per priority class.
+    /// Tasks currently in the fair queue, per priority class.
     queued: [AtomicUsize; Priority::LEVELS],
     /// Nodes executed (or skip-drained), per priority class.
     served: [AtomicU64; Priority::LEVELS],
@@ -324,7 +316,6 @@ pub(crate) struct Core {
 impl Core {
     /// A core with `threads` worker slots and an in-flight node bound.
     pub(crate) fn new(threads: usize, max_inflight: usize) -> Self {
-        let threads = threads.max(1);
         Core {
             state: Mutex::new(CoreState {
                 version: 0,
@@ -334,14 +325,13 @@ impl Core {
                 settled: 0,
             }),
             work_cv: Condvar::new(),
-            locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
+            threads: threads.max(1),
             inflight: AtomicUsize::new(0),
             max_inflight: max_inflight.max(1),
             admission: Mutex::new(AdmissionTickets::default()),
             space_cv: Condvar::new(),
             admission_waiters: AtomicUsize::new(0),
             virtual_time: AtomicU64::new(0),
-            global_min_tag: AtomicU64::new(u64::MAX),
             class_min_tag: std::array::from_fn(|_| AtomicU64::new(u64::MAX)),
             queued: Default::default(),
             served: Default::default(),
@@ -355,7 +345,7 @@ impl Core {
 
     /// Worker slots.
     pub(crate) fn threads(&self) -> usize {
-        self.locals.len()
+        self.threads
     }
 
     /// Workers currently parked on the wakeup condvar.
@@ -405,7 +395,7 @@ impl Core {
         std::array::from_fn(|i| self.served[i].load(Ordering::SeqCst))
     }
 
-    /// Tasks currently in the global fair queue per priority class.
+    /// Tasks currently in the fair queue per priority class.
     pub(crate) fn queued_by_priority(&self) -> [usize; Priority::LEVELS] {
         std::array::from_fn(|i| self.queued[i].load(Ordering::SeqCst))
     }
@@ -448,31 +438,22 @@ impl Core {
         }
     }
 
-    /// Re-publishes the min-tag mirrors of lane `lane` and the global
-    /// fast path from the lane heap heads (state lock held).
-    fn refresh_min_tags(&self, st: &CoreState, lane: usize) {
+    /// Re-publishes the min-tag mirror of lane `lane` from its heap
+    /// head (state lock held).
+    fn refresh_min_tag(&self, st: &CoreState, lane: usize) {
         let lane_min = st.ready[lane].peek().map_or(u64::MAX, |e| e.task.tag);
         self.class_min_tag[lane].store(lane_min, Ordering::SeqCst);
-        let global = st
-            .ready
-            .iter()
-            .filter_map(|heap| heap.peek())
-            .map(|e| e.task.tag)
-            .min()
-            .unwrap_or(u64::MAX);
-        self.global_min_tag.store(global, Ordering::SeqCst);
     }
 
-    /// Pushes a task into the global fair queue (state lock held),
-    /// keeping the min-tag fast paths and the per-priority depth in
-    /// sync.
+    /// Pushes a task into the fair queue (state lock held), keeping the
+    /// lane's min-tag mirror and the per-priority depth in sync.
     fn push_global(&self, st: &mut CoreState, task: Task) {
         let lane = task.job.priority.index();
         self.queued[lane].fetch_add(1, Ordering::SeqCst);
         let seq = st.seq;
         st.seq += 1;
         st.ready[lane].push(QueuedTask { seq, task });
-        self.refresh_min_tags(st, lane);
+        self.refresh_min_tag(st, lane);
     }
 
     /// Pops the lowest-`(tag, seq)` task across the lane heaps (state
@@ -491,25 +472,23 @@ impl Core {
         let (_, _, lane) = best?;
         let entry = st.ready[lane].pop().expect("lane head just peeked");
         self.queued[lane].fetch_sub(1, Ordering::SeqCst);
-        self.refresh_min_tags(st, lane);
+        self.refresh_min_tag(st, lane);
         Some(entry.task)
     }
 
-    /// Makes `new_tasks` queued tasks visible to parked workers: the
-    /// version bump happens under the state lock **after** the tasks
-    /// are already in queues, so a worker that re-checks the version
-    /// before sleeping either sees the bump (and rescans) or is
-    /// already inside the wait when a notification lands. Wakes at
-    /// most `new_tasks` sleepers instead of the whole pool — a worker
+    /// Makes the tasks just pushed under `st` visible to parked
+    /// workers and wakes at most `wake` of them, not the whole pool.
+    /// The version bump happens in the same hold of the state lock as
+    /// the pushes, so a worker is either still to pop (and finds them)
+    /// or already parked at the old version (and wakes). A worker
     /// counted in `parked` is committed to the wait (the counter is
-    /// incremented under the same lock), so the readout after the
-    /// bump is exact and nobody sleeps through work.
-    fn publish(&self, new_tasks: usize) {
-        let mut st = lock_clean(&self.state);
+    /// incremented under the same lock), so the readout after the bump
+    /// is exact and nobody sleeps through work.
+    fn publish(&self, mut st: MutexGuard<'_, CoreState>, wake: usize) {
         self.bump(&mut st);
         drop(st);
         let sleepers = self.parked.load(Ordering::SeqCst);
-        for _ in 0..new_tasks.min(sleepers) {
+        for _ in 0..wake.min(sleepers) {
             self.work_cv.notify_one();
         }
     }
@@ -571,21 +550,19 @@ impl Core {
         self.admit(total);
         let roots = job.topology.roots();
         debug_assert!(!roots.is_empty(), "a topology has a root");
-        {
-            let mut st = lock_clean(&self.state);
-            for &r in roots {
-                let tag = self.next_tag(&job);
-                self.push_global(
-                    &mut st,
-                    Task {
-                        job: job.clone(),
-                        node: r,
-                        tag,
-                    },
-                );
-            }
+        let mut st = lock_clean(&self.state);
+        for &r in roots {
+            let tag = self.next_tag(&job);
+            self.push_global(
+                &mut st,
+                Task {
+                    job: job.clone(),
+                    node: r,
+                    tag,
+                },
+            );
         }
-        self.publish(roots.len());
+        self.publish(st, roots.len());
         job
     }
 
@@ -597,42 +574,6 @@ impl Core {
         self.bump(&mut st);
         drop(st);
         self.work_cv.notify_all();
-    }
-
-    fn pop_local(&self, worker: usize) -> Option<Task> {
-        lock_clean(&self.locals[worker]).pop_back()
-    }
-
-    /// The fairness-ordered fast path: the worker's own LIFO deque
-    /// when its newest task is at least as due as the global minimum
-    /// tag (one atomic load — locality wins whenever fairness permits),
-    /// the global fair queue otherwise.
-    fn next_ready(&self, worker: usize) -> Option<Task> {
-        let global_min = self.global_min_tag.load(Ordering::SeqCst);
-        {
-            let mut dq = lock_clean(&self.locals[worker]);
-            if let Some(task) = dq.back() {
-                if task.tag <= global_min {
-                    return dq.pop_back();
-                }
-            }
-        }
-        if global_min != u64::MAX {
-            let mut st = lock_clean(&self.state);
-            if let Some(task) = self.pop_global(&mut st) {
-                return Some(task);
-            }
-        }
-        // The global pop raced empty (or the min-tag read was stale):
-        // fall back to whatever the local deque holds.
-        self.pop_local(worker)
-    }
-
-    /// Steals FIFO from peers' deques (their oldest — and roughly
-    /// lowest-tagged — task).
-    fn steal(&self, worker: usize) -> Option<Task> {
-        let n = self.locals.len();
-        (1..n).find_map(|i| lock_clean(&self.locals[(worker + i) % n]).pop_front())
     }
 
     /// Runs (or skip-drains) one node, releases its dependents, and
@@ -677,20 +618,26 @@ impl Core {
             }
         }
 
-        let mut released = 0;
+        // The released dependents join the fair queue in one hold of
+        // the state lock and are published together.
+        let mut batch: Option<(MutexGuard<'_, CoreState>, usize)> = None;
         for &d in job.topology.dependents(node) {
             if job.pending[d].fetch_sub(1, Ordering::SeqCst) == 1 {
                 let tag = self.next_tag(&job);
-                lock_clean(&self.locals[worker]).push_back(Task {
-                    job: job.clone(),
-                    node: d,
-                    tag,
-                });
-                released += 1;
+                let (st, released) = batch.get_or_insert_with(|| (lock_clean(&self.state), 0));
+                self.push_global(
+                    st,
+                    Task {
+                        job: job.clone(),
+                        node: d,
+                        tag,
+                    },
+                );
+                *released += 1;
             }
         }
-        if released > 0 {
-            self.publish(released);
+        if let Some((st, released)) = batch {
+            self.publish(st, released);
         }
 
         self.inflight.fetch_sub(1, Ordering::SeqCst);
@@ -710,45 +657,24 @@ impl Core {
         }
     }
 
-    /// The worker loop: the fairness-ordered fast path first (own
-    /// deque LIFO while its newest tag does not trail the global
-    /// minimum — so a latency-sensitive high-weight arrival, whose tag
-    /// lands just past the virtual clock, is picked up within about
-    /// one node), then an authoritative global pop, then the own deque
-    /// again, then FIFO steals — and when all run dry, park on the
-    /// condvar until a producer publishes. The park decision re-checks
-    /// the version **under the state lock**, closing the
-    /// scan-then-sleep race. Exits only on [`Core::shutdown`] (and
-    /// only once there is nothing left to do).
+    /// The worker loop: pop the lowest-tagged task and run it; when the
+    /// pop comes back empty, park on the condvar — in the same hold of
+    /// the state lock, so a push cannot slip between the empty pop and
+    /// the wait — until a producer publishes. Exits only on
+    /// [`Core::shutdown`], and only once the queue is empty.
     pub(crate) fn worker(&self, worker: usize) {
+        let mut st = lock_clean(&self.state);
         loop {
-            if let Some(task) = self.next_ready(worker) {
+            if let Some(task) = self.pop_global(&mut st) {
+                drop(st);
                 self.exec(worker, task);
+                st = lock_clean(&self.state);
                 continue;
-            }
-            let (global, seen) = {
-                let mut st = lock_clean(&self.state);
-                (self.pop_global(&mut st), st.version)
-            };
-            if let Some(task) = global {
-                self.exec(worker, task);
-                continue;
-            }
-            if let Some(task) = self.pop_local(worker) {
-                self.exec(worker, task);
-                continue;
-            }
-            if let Some(task) = self.steal(worker) {
-                self.exec(worker, task);
-                continue;
-            }
-            let mut st = lock_clean(&self.state);
-            if st.version != seen {
-                continue; // work appeared since the scan — rescan
             }
             if st.shutdown {
                 return;
             }
+            let seen = st.version;
             self.parks.fetch_add(1, Ordering::SeqCst);
             let parked = self.parked.fetch_add(1, Ordering::SeqCst) + 1;
             st.settled += 1;
@@ -774,22 +700,13 @@ impl Core {
 /// it in the `graph` module).
 #[cfg(test)]
 impl Core {
-    /// Poisons a worker deque and the state mutex the way a panicking
-    /// holder would.
+    /// Poisons the state mutex the way a panicking holder would.
     pub(crate) fn poison_internal_locks(&self) {
-        for poison in [
-            catch_unwind(AssertUnwindSafe(|| {
-                let _guard = self.locals[0].lock().unwrap();
-                panic!("poison the deque");
-            })),
-            catch_unwind(AssertUnwindSafe(|| {
-                let _guard = self.state.lock().unwrap();
-                panic!("poison the state");
-            })),
-        ] {
-            assert!(poison.is_err());
-        }
-        assert!(self.locals[0].lock().is_err(), "deque must be poisoned");
+        let poison = catch_unwind(AssertUnwindSafe(|| {
+            let _guard = self.state.lock().unwrap();
+            panic!("poison the state");
+        }));
+        assert!(poison.is_err());
         assert!(self.state.lock().is_err(), "state must be poisoned");
     }
 

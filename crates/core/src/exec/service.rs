@@ -111,7 +111,7 @@ pub struct ServiceStats {
     pub inflight_nodes: usize,
     /// The admission bound.
     pub max_inflight_nodes: usize,
-    /// Tasks currently waiting in the global fair queue, per priority
+    /// Ready tasks currently waiting in the fair queue, per priority
     /// class, indexed High, Normal, Low (`Priority::ALL` reversed).
     pub queued_by_priority: [usize; Priority::LEVELS],
     /// Nodes executed (or skip-drained) per priority class, cumulative

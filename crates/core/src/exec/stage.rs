@@ -131,8 +131,9 @@ impl StageScratch {
 /// task graph keeps only the [`StageScratch`] half resident — one per
 /// gather stage and ring slot, so the four gather stages run
 /// concurrently without sharing mutable state — and pairs it with a
-/// fresh synthesiser per node; streaming sessions additionally recycle
-/// that half across frames.
+/// fresh synthesiser per *Synth* node (a *Gather* node takes the
+/// scratch alone); streaming sessions additionally recycle that half
+/// across frames.
 pub struct StageWorkspace<'w> {
     /// The resident activation synthesiser.
     pub syn: ActivationSynthesizer<'w>,
@@ -375,7 +376,7 @@ impl GatherStage {
     /// scheduler can overlap one layer's gathers with another layer's
     /// synthesis at any pipeline depth.
     pub fn gather(&self, ctx: &LayerCtx<'_>, ws: &mut StageWorkspace<'_>) -> MatrixGatherStats {
-        self.sweep(ctx, ws, None)
+        self.sweep(ctx, &mut ws.scratch, None)
     }
 
     /// [`GatherStage::gather`] with a cross-frame temporal probe:
@@ -392,20 +393,22 @@ impl GatherStage {
         cache: &TemporalCache,
         stage_index: usize,
     ) -> MatrixGatherStats {
-        self.sweep(ctx, ws, Some((cache, stage_index)))
+        self.sweep(ctx, &mut ws.scratch, Some((cache, stage_index)))
     }
 
-    /// The production gather over the buffer's element type, with the
-    /// temporal probe when `temporal` names a cache and its plane.
-    fn sweep(
+    /// The production gather over the element type of `scratch`'s
+    /// activation buffer, with the temporal probe when `temporal` names
+    /// a cache and its plane. It needs no synthesiser, so the graph's
+    /// *Gather* nodes call it on their ring slot's scratch alone.
+    pub(crate) fn sweep(
         &self,
         ctx: &LayerCtx<'_>,
-        ws: &mut StageWorkspace<'_>,
+        scratch: &mut StageScratch,
         temporal: Option<(&TemporalCache, usize)>,
     ) -> MatrixGatherStats {
-        match &ws.scratch.acts {
-            StageActs::F32(acts) => self.sweep_on(acts, ctx, &mut ws.scratch.gather, temporal),
-            StageActs::F16(acts) => self.sweep_on(acts, ctx, &mut ws.scratch.gather, temporal),
+        match &scratch.acts {
+            StageActs::F32(acts) => self.sweep_on(acts, ctx, &mut scratch.gather, temporal),
+            StageActs::F16(acts) => self.sweep_on(acts, ctx, &mut scratch.gather, temporal),
         }
     }
 

@@ -66,21 +66,18 @@ pub enum KernelFamily {
     /// FP16 rounding passes and FP16 row encodes (`f16_round`,
     /// `f16_encode`).
     F16Round,
-    /// Scatter row replay.
-    Scatter,
     /// Deterministic-normal synthesis fill.
     NormalFill,
 }
 
 impl KernelFamily {
     /// Every family, in a stable order (indexing and iteration).
-    pub const ALL: [KernelFamily; 7] = [
+    pub const ALL: [KernelFamily; 6] = [
         KernelFamily::Norms,
         KernelFamily::Score,
         KernelFamily::Match,
         KernelFamily::FakeQuantize,
         KernelFamily::F16Round,
-        KernelFamily::Scatter,
         KernelFamily::NormalFill,
     ];
 
@@ -92,7 +89,6 @@ impl KernelFamily {
             KernelFamily::Match => "match",
             KernelFamily::FakeQuantize => "fake_quantize",
             KernelFamily::F16Round => "f16_round",
-            KernelFamily::Scatter => "scatter",
             KernelFamily::NormalFill => "normal_fill",
         }
     }
@@ -104,8 +100,7 @@ impl KernelFamily {
             KernelFamily::Match => 2,
             KernelFamily::FakeQuantize => 3,
             KernelFamily::F16Round => 4,
-            KernelFamily::Scatter => 5,
-            KernelFamily::NormalFill => 6,
+            KernelFamily::NormalFill => 5,
         }
     }
 }
@@ -113,7 +108,6 @@ impl KernelFamily {
 /// Per-family launch-latency histograms, process-wide (kernel timing
 /// is a property of the process's backends, not of one service).
 static KERNEL_HISTS: [Histogram; KernelFamily::ALL.len()] = [
-    Histogram::new(),
     Histogram::new(),
     Histogram::new(),
     Histogram::new(),
@@ -277,12 +271,6 @@ impl Backend for Timed {
 
     fn f16_encode(&self, src: &[f32], dst: &mut [f16]) {
         self.time(KernelFamily::F16Round, || self.inner.f16_encode(src, dst))
-    }
-
-    fn scatter_rows(&self, partial: &Matrix, reps: &[u32], out: &mut Matrix) {
-        self.time(KernelFamily::Scatter, || {
-            self.inner.scatter_rows(partial, reps, out)
-        })
     }
 
     fn normal_fill(&self, seed: u64, out: &mut [f32]) {

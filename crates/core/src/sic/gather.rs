@@ -14,7 +14,7 @@
 //! * [`gather_tile`] — the reference: one `(m-tile, column-tile)` pair
 //!   at a time, materialising the compact buffer and the map (scatter
 //!   consumes both). The matrix-level reference loop
-//!   ([`SimilarityConcentrator::gather_matrix`](crate::sic::SimilarityConcentrator::gather_matrix))
+//!   ([`SimilarityConcentrator::gather_matrix_on`](crate::sic::SimilarityConcentrator::gather_matrix_on))
 //!   runs it tile by tile.
 //! * [`GatherScratch`]'s row-major sweep — the production matrix
 //!   gather. It walks each m-tile's rows once, scoring every column

@@ -25,14 +25,14 @@ pub mod temporal;
 pub use gather::{gather_tile, GatherConfig, GatherResult, GatherScratch};
 pub use layout::{BankAddress, ConvLayouter, Fhw, PositionLookup};
 pub use map::SimilarityMap;
-pub use scatter::{scatter, scatter_cycles, scatter_on, scatter_ops};
+pub use scatter::{scatter, scatter_cycles, scatter_ops};
 pub use temporal::{
     CarryMask, TemporalCache, TemporalCacheConfig, TemporalCounters, TemporalSnapshot,
 };
 
 use core::ops::Range;
 
-use focus_tensor::backend::{self, BackendHandle};
+use focus_tensor::backend::BackendHandle;
 use focus_tensor::ops::vector_ranges;
 use focus_tensor::{Element, Matrix};
 
@@ -121,19 +121,13 @@ impl SimilarityConcentrator {
 
     /// The reference matrix gather: tiles rows by `tile_m` and columns
     /// by `vector_len` and runs the [`gather_tile`] reference on every
-    /// `(m-tile, column-tile)` pair in turn, on the process-wide
-    /// backend. `positions[row]` is each row's decoded (F,H,W) position
-    /// (`None` for text tokens).
+    /// `(m-tile, column-tile)` pair in turn, on the kernel [`Backend`]
+    /// `backend`. `positions[row]` is each row's decoded (F,H,W)
+    /// position (`None` for text tokens).
     ///
     /// The production sweep ([`SimilarityConcentrator::gather_matrix_with_on`])
     /// is pinned to this loop field by field; the serial executor mode
     /// and the ablation study run it.
-    pub fn gather_matrix(&self, acts: &Matrix, positions: &[Option<Fhw>]) -> MatrixGatherStats {
-        self.gather_matrix_on(acts, positions, backend::active())
-    }
-
-    /// [`SimilarityConcentrator::gather_matrix`] on an explicit kernel
-    /// [`Backend`].
     ///
     /// [`Backend`]: focus_tensor::backend::Backend
     pub fn gather_matrix_on(
@@ -319,7 +313,7 @@ pub fn matcher_overlap_ratio(k: usize, pe_rows: usize, block_cells: usize) -> f6
 mod tests {
     use super::*;
     use crate::config::BlockSize;
-    use focus_tensor::backend::{Backend, MatchTile, RowRef};
+    use focus_tensor::backend::{self, Backend, MatchTile, RowRef};
     use focus_tensor::{f16, Element};
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -352,7 +346,7 @@ mod tests {
         // Every token identical → only block-unreachable rows stay.
         let positions = grid_positions(2, 4, 4);
         let acts = Matrix::from_fn(32, 64, |_, c| (c as f32).sin());
-        let stats = concentrator(1024, 32).gather_matrix(&acts, &positions);
+        let stats = concentrator(1024, 32).gather_matrix_on(&acts, &positions, backend::active());
         assert!(stats.retained_ratio() < 0.1, "{}", stats.retained_ratio());
         assert!(stats.compression() > 5.0);
         assert_eq!(stats.tile_p.len(), 2); // one m-tile × two col tiles
@@ -363,7 +357,7 @@ mod tests {
     fn random_matrix_stays_dense() {
         let positions = grid_positions(2, 4, 4);
         let acts = Matrix::from_fn(32, 64, |r, c| ((r * 97 + c * 31) % 64) as f32 - 31.0);
-        let stats = concentrator(1024, 32).gather_matrix(&acts, &positions);
+        let stats = concentrator(1024, 32).gather_matrix_on(&acts, &positions, backend::active());
         assert_eq!(stats.retained_ratio(), 1.0);
         assert_eq!(stats.matches, 0);
     }
@@ -373,8 +367,8 @@ mod tests {
         // The Fig. 10(a) mechanism: tile boundaries hide candidates.
         let positions = grid_positions(4, 4, 4);
         let acts = Matrix::from_fn(64, 32, |_, c| (c as f32).cos());
-        let big = concentrator(64, 32).gather_matrix(&acts, &positions);
-        let small = concentrator(8, 32).gather_matrix(&acts, &positions);
+        let big = concentrator(64, 32).gather_matrix_on(&acts, &positions, backend::active());
+        let small = concentrator(8, 32).gather_matrix_on(&acts, &positions, backend::active());
         assert!(small.unique_vectors > big.unique_vectors);
     }
 
@@ -392,8 +386,9 @@ mod tests {
                 0.0
             }
         });
-        let fine = concentrator(1024, 32).gather_matrix(&acts, &positions);
-        let coarse = concentrator(1024, usize::MAX).gather_matrix(&acts, &positions);
+        let fine = concentrator(1024, 32).gather_matrix_on(&acts, &positions, backend::active());
+        let coarse =
+            concentrator(1024, usize::MAX).gather_matrix_on(&acts, &positions, backend::active());
         assert!(fine.matches > 0, "shared half must deduplicate");
         assert_eq!(coarse.matches, 0, "full-token similarity is too coarse");
     }
@@ -402,7 +397,7 @@ mod tests {
     fn tile_p_aligns_with_gemm_subtile_layout() {
         let positions = grid_positions(2, 4, 4);
         let acts = Matrix::from_fn(32, 96, |_, c| (c as f32).sin());
-        let stats = concentrator(16, 32).gather_matrix(&acts, &positions);
+        let stats = concentrator(16, 32).gather_matrix_on(&acts, &positions, backend::active());
         // 2 m-tiles × 3 col tiles.
         assert_eq!(stats.tile_p.len(), 6);
         assert_eq!(stats.tile_heights, vec![16, 16]);
@@ -412,7 +407,7 @@ mod tests {
     fn fidelity_is_one_for_unique_rows() {
         let positions = grid_positions(1, 2, 2);
         let acts = Matrix::from_fn(4, 4, |r, c| (r == c) as u32 as f32);
-        let stats = concentrator(1024, 4).gather_matrix(&acts, &positions);
+        let stats = concentrator(1024, 4).gather_matrix_on(&acts, &positions, backend::active());
         assert!(stats.row_fidelity.iter().all(|&f| (f - 1.0).abs() < 1e-6));
     }
 
@@ -427,7 +422,7 @@ mod tests {
         for seed in 0..3 {
             let positions = grid_positions(2, 4, 4);
             let acts = Matrix::from_fn(32, 64, |r, c| ((r * 3 + c + seed) as f32 * 0.7).sin());
-            let reference = conc.gather_matrix(&acts, &positions);
+            let reference = conc.gather_matrix_on(&acts, &positions, backend::active());
             let reused =
                 conc.gather_matrix_with_on(&acts, &positions, &mut scratch, backend::active());
             assert_eq!(reused, reference);
@@ -627,9 +622,6 @@ mod tests {
         }
         fn f16_encode(&self, src: &[f32], dst: &mut [f16]) {
             backend::simd().f16_encode(src, dst)
-        }
-        fn scatter_rows(&self, partial: &Matrix, reps: &[u32], out: &mut Matrix) {
-            backend::simd().scatter_rows(partial, reps, out)
         }
         fn normal_fill(&self, seed: u64, out: &mut [f32]) {
             backend::simd().normal_fill(seed, out)

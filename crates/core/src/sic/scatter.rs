@@ -6,7 +6,6 @@
 //! accumulation. A bank of `2a` accumulators (Table I: 64) absorbs the
 //! reconstructed stream; Fig. 10(d) sweeps that width.
 
-use focus_tensor::backend::{self, BackendHandle};
 use focus_tensor::Matrix;
 
 use crate::sic::map::SimilarityMap;
@@ -20,15 +19,6 @@ use crate::sic::map::SimilarityMap;
 /// sums live in the previous frame's replay, not in `partial` (the
 /// `representative` resolution below enforces this).
 pub fn scatter(partial: &Matrix, map: &SimilarityMap) -> Matrix {
-    scatter_on(partial, map, backend::active())
-}
-
-/// [`scatter`] on an explicit kernel [`Backend`]: the map is resolved
-/// to a flat representative list here, and the row replay itself is
-/// the backend's scatter kernel.
-///
-/// [`Backend`]: focus_tensor::backend::Backend
-pub fn scatter_on(partial: &Matrix, map: &SimilarityMap, backend: BackendHandle) -> Matrix {
     assert_eq!(
         map.compact_len(),
         partial.rows(),
@@ -36,9 +26,11 @@ pub fn scatter_on(partial: &Matrix, map: &SimilarityMap, backend: BackendHandle)
         map.compact_len(),
         partial.rows()
     );
-    let reps: Vec<u32> = (0..map.len()).map(|i| map.representative(i)).collect();
     let mut out = Matrix::zeros(map.len(), partial.cols());
-    backend.scatter_rows(partial, &reps, &mut out);
+    for i in 0..map.len() {
+        out.row_mut(i)
+            .copy_from_slice(partial.row(map.representative(i) as usize));
+    }
     out
 }
 
@@ -62,6 +54,7 @@ mod tests {
     use crate::config::BlockSize;
     use crate::sic::gather::{gather_tile, GatherConfig};
     use crate::sic::layout::Fhw;
+    use focus_tensor::backend;
 
     #[test]
     fn scatter_replays_partial_rows() {

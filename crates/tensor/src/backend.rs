@@ -1,10 +1,10 @@
 //! Pluggable execution backends for the hot stage kernels.
 //!
-//! The measured phase spends its time in five kernel families: gather
-//! matching (the row-granular matcher plus the segment norm and cosine
-//! kernels), the dtype kernels (INT8 fake-quantise round trip, FP16
-//! rounding and the FP16 store's row encode), scatter row replay, and
-//! the activation-synthesis fill. This module puts all five behind one
+//! The measured phase spends its time in three groups of kernels:
+//! gather matching (the row-granular matcher plus the segment norm and
+//! cosine kernels), the dtype kernels (INT8 fake-quantise round trip,
+//! FP16 rounding and the FP16 store's row encode), and the
+//! activation-synthesis fill. This module puts all of them behind one
 //! [`Backend`] trait — the InfiniNN `VirtualMachine` pattern — with two
 //! implementations:
 //!
@@ -209,15 +209,6 @@ pub trait Backend: fmt::Debug + Sync {
     /// Panics if the lengths differ.
     fn f16_encode(&self, src: &[f32], dst: &mut [f16]);
 
-    /// Replays compact rows to full positions: row `i` of `out` becomes
-    /// row `reps[i]` of `partial`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reps` and `out` disagree on row count, any index is
-    /// out of bounds of `partial`, or the column counts differ.
-    fn scatter_rows(&self, partial: &Matrix, reps: &[u32], out: &mut Matrix);
-
     /// Fills `out` with the deterministic standard normals of the
     /// stream seeded at `seed` (the synthesis noise kernel).
     fn normal_fill(&self, seed: u64, out: &mut [f32]);
@@ -262,14 +253,6 @@ fn segment_scores_of(
             math::segment_cosines_scalar(a, b, seg, segs, an, bn, out)
         }
         _ => panic!("segment scores of mixed element types"),
-    }
-}
-
-fn scatter_rows_copy(partial: &Matrix, reps: &[u32], out: &mut Matrix) {
-    assert_eq!(reps.len(), out.rows(), "one representative per output row");
-    assert_eq!(partial.cols(), out.cols(), "scatter of mismatched widths");
-    for (i, &rep) in reps.iter().enumerate() {
-        out.row_mut(i).copy_from_slice(partial.row(rep as usize));
     }
 }
 
@@ -323,10 +306,6 @@ impl Backend for ScalarRef {
 
     fn f16_encode(&self, src: &[f32], dst: &mut [f16]) {
         math::f16_encode_fill_scalar(src, dst);
-    }
-
-    fn scatter_rows(&self, partial: &Matrix, reps: &[u32], out: &mut Matrix) {
-        scatter_rows_copy(partial, reps, out);
     }
 
     fn normal_fill(&self, seed: u64, out: &mut [f32]) {
@@ -387,10 +366,6 @@ impl Backend for Simd {
 
     fn f16_encode(&self, src: &[f32], dst: &mut [f16]) {
         math::f16_encode_fill(src, dst);
-    }
-
-    fn scatter_rows(&self, partial: &Matrix, reps: &[u32], out: &mut Matrix) {
-        scatter_rows_copy(partial, reps, out);
     }
 
     fn normal_fill(&self, seed: u64, out: &mut [f32]) {

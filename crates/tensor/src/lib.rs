@@ -20,7 +20,7 @@
 //!   bit-identical to its scalar fallback;
 //! * [`backend`] — the pluggable [`Backend`] trait putting the hot
 //!   stage kernels (the gather matcher, segment norms and scoring,
-//!   fake-quantise, FP16 rounding and encode, scatter, synthesis fill)
+//!   fake-quantise, FP16 rounding and encode, synthesis fill)
 //!   behind one dispatch surface,
 //!   with bit-identical `scalar`/`simd` implementations chosen by a
 //!   [`BackendHandle`] (`FOCUS_BACKEND` picks the process default).

@@ -3,8 +3,8 @@
 //! * **Bit-identity** — the `Simd` backend must match the `ScalarRef`
 //!   oracle bit for bit on every kernel family (segment norms and
 //!   segment scoring, many segments a launch or one spanning a whole
-//!   row, INT8 fake-quantise, FP16 rounding, scatter replay), across widths
-//!   sweeping every SIMD tail length, segment widths, slice
+//!   row, INT8 fake-quantise, FP16 rounding), across widths sweeping
+//!   every SIMD tail length, segment widths, slice
 //!   alignments, counts sweeping the 8-wide group boundary, and wide
 //!   magnitude spreads. A whole measured pipeline
 //!   run on either backend must therefore produce identical results,
@@ -12,7 +12,7 @@
 //! * **Dispatch completeness** — a counting backend that forwards to
 //!   `Simd` sees every stage-level kernel family launched through the
 //!   trait, SEC's attention noise included, proving the stage graph
-//!   routes all five through it (nothing is open-coded behind its
+//!   routes all of them through it (nothing is open-coded behind its
 //!   back).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use focus::baselines::{AdaptivBaseline, CmcBaseline, Concentrator, FrameFusionBaseline};
 use focus::core::exec::{GatherStage, LayerCtx, SemanticStage, StageWorkspace};
 use focus::core::pipeline::{FocusPipeline, PipelineResult};
-use focus::core::sic::{scatter_on, ConvLayouter, Fhw, SimilarityMap};
+use focus::core::sic::{ConvLayouter, Fhw};
 use focus::core::FocusConfig;
 use focus::sim::ArchConfig;
 use focus::tensor::backend::{
@@ -500,26 +500,6 @@ proptest! {
         }
     }
 
-    /// `Simd` ≡ `ScalarRef` bit for bit on scatter row replay, for any
-    /// representative mapping.
-    #[test]
-    fn scatter_backends_are_bit_identical(
-        p in 1usize..6,
-        cols in 1usize..40,
-        reps in proptest::collection::vec(0u32..6, 1..24),
-        salt in 0usize..1000,
-    ) {
-        let reps: Vec<u32> = reps.into_iter().map(|r| r % p as u32).collect();
-        let partial = Matrix::from_fn(p, cols, |r, c| {
-            synth_values(1, salt + r * 97 + c, 1.0)[0]
-        });
-        let mut scalar = Matrix::zeros(reps.len(), cols);
-        scalar_ref().scatter_rows(&partial, &reps, &mut scalar);
-        let mut dispatched = Matrix::zeros(reps.len(), cols);
-        simd().scatter_rows(&partial, &reps, &mut dispatched);
-        assert_matrix_bits_eq(&dispatched, &scalar, "scatter simd vs scalar");
-    }
-
     /// `Simd` ≡ `ScalarRef` bit for bit on the synthesis noise fill.
     #[test]
     fn normal_fill_backends_are_bit_identical(
@@ -611,7 +591,6 @@ struct Counting {
     fake_quantize: AtomicUsize,
     f16_round: AtomicUsize,
     f16_encode: AtomicUsize,
-    scatter_rows: AtomicUsize,
     normal_fill: AtomicUsize,
 }
 
@@ -668,10 +647,6 @@ impl Backend for Counting {
         bump(&self.f16_encode);
         simd().f16_encode(src, dst)
     }
-    fn scatter_rows(&self, partial: &Matrix, reps: &[u32], out: &mut Matrix) {
-        bump(&self.scatter_rows);
-        simd().scatter_rows(partial, reps, out)
-    }
     fn normal_fill(&self, seed: u64, out: &mut [f32]) {
         bump(&self.normal_fill);
         simd().normal_fill(seed, out)
@@ -684,8 +659,8 @@ impl Backend for Counting {
 /// stored (one `f16_encode` per row, no whole-matrix `f16_round`), an
 /// INT8 stage fake-quantises exactly once per `synth` — one match
 /// launch per gathered row, the SEC attention synthesiser's noise
-/// fills, and exactly one scatter replay per `scatter_on`. All five
-/// families dispatch through the trait. So do the FrameFusion, AdapTiV
+/// fills. Every family dispatches through the trait. So do the
+/// FrameFusion, AdapTiV
 /// and CMC baselines: each, run on the counting backend, synthesises
 /// and scores its cosines through it.
 #[test]
@@ -817,16 +792,4 @@ fn counting_backend_sees_every_stage_kernel_family() {
             assert!(a > *b, "{name} {what} dispatch through its backend");
         }
     }
-
-    // Scatter replay is the fifth family; it dispatches through the
-    // trait too.
-    assert_eq!(count(&counting.scatter_rows), 0);
-    let partial = Matrix::zeros(2, 3);
-    let map = SimilarityMap::new(vec![0, 1, 0], 2);
-    scatter_on(&partial, &map, counting);
-    assert_eq!(
-        count(&counting.scatter_rows),
-        1,
-        "one replay per scatter_on"
-    );
 }
