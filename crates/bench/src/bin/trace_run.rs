@@ -43,11 +43,10 @@ fn frame(seed: u64) -> Workload {
 fn main() {
     // Honour `FOCUS_TRACE=spans[:capacity]` when set; trace by default
     // otherwise — this bin exists to produce a trace.
-    let trace = TraceConfig::from_env().unwrap_or_default();
+    spans::activate(TraceConfig::from_env().unwrap_or_default());
     let service = FocusService::new(ServiceConfig {
         threads: THREADS,
         max_inflight_nodes: 4096,
-        trace: Some(trace),
     });
     let pipeline = FocusPipeline::paper().with_exec_mode(ExecMode::Graph { depth: DEPTH });
     let arch = ArchConfig::focus();

@@ -51,7 +51,7 @@ use crate::exec::scheduler::lock_clean;
 use crate::exec::stage::{GatherStage, LayerCtx, SemanticStage, StageScratch, StageWorkspace};
 use crate::obs::spans::{SpanKind, SpanLabel};
 use crate::pipeline::lower::LayerLowered;
-use crate::pipeline::measure::{MeasureAccum, MeasureBuffers};
+use crate::pipeline::measure::MeasureAccum;
 use crate::pipeline::{PipelineResult, SecLayerStats};
 use crate::session::{FrameWarm, RetentionPlan, SessionGeometry, SharedPlan};
 use crate::sic::{Fhw, MatrixGatherStats};
@@ -295,9 +295,6 @@ pub(crate) struct PipelineGraph {
     accum: Mutex<Option<MeasureAccum>>,
     lowered: Vec<Mutex<Option<LayerLowered>>>,
     result: Mutex<Option<(PipelineResult, Option<SimReport>)>>,
-    /// Measure-accumulator buffers deposited by `Finish`, for the
-    /// owning session to reclaim into the next frame.
-    recycled: Mutex<Option<MeasureBuffers>>,
     /// The owning session's cross-frame temporal cache, when temporal
     /// concentration is enabled: gather nodes probe/commit through it.
     /// The session retains its own `Arc` (no reclaim needed).
@@ -308,18 +305,13 @@ impl PipelineGraph {
     /// Prepares the state of one run of `job` at its pipeline's graph
     /// depth (`ExecMode::graph_depth`), over session-donated warm state
     /// when given: the shared retention plan and topology plus recycled
-    /// stage scratch and measure buffers. Bit-identical to a cold build
-    /// — warm state is allocation/plan reuse only.
+    /// stage scratch. Bit-identical to a cold build — warm state is
+    /// allocation/plan reuse only.
     pub(crate) fn new(job: BatchJob, engine: Option<Arc<Engine>>, warm: Option<FrameWarm>) -> Self {
         let depth = job.pipeline.exec_mode.graph_depth();
-        let (shared, scratch, measure, temporal) = match warm {
-            Some(warm) => (warm.shared, warm.scratch, warm.measure, warm.temporal),
-            None => (
-                SharedPlan::derive(&job.pipeline, &job.workload),
-                None,
-                None,
-                None,
-            ),
+        let (shared, scratch, temporal) = match warm {
+            Some(warm) => (warm.shared, warm.scratch, warm.temporal),
+            None => (SharedPlan::derive(&job.pipeline, &job.workload), None, None),
         };
         let SharedPlan { plan, topology } = shared;
         assert_eq!(
@@ -342,7 +334,7 @@ impl PipelineGraph {
         );
         let layers_n = plan.geometry().layers;
         let m_img = plan.geometry().m_img;
-        let accum = MeasureAccum::with_buffers(m_img, layers_n, measure.unwrap_or_default());
+        let accum = MeasureAccum::new(m_img, layers_n);
         PipelineGraph {
             engine,
             depth,
@@ -355,7 +347,6 @@ impl PipelineGraph {
             accum: Mutex::new(Some(accum)),
             lowered: (0..layers_n).map(|_| Mutex::new(None)).collect(),
             result: Mutex::new(None),
-            recycled: Mutex::new(None),
             temporal,
             plan,
             topology,
@@ -538,8 +529,7 @@ impl PipelineGraph {
             arch,
         } = &self.job;
         let accum = lock_clean(&self.accum).take().expect("finish runs once");
-        let (run, buffers) = accum.finish_recycling(workload);
-        *lock_clean(&self.recycled) = Some(buffers);
+        let run = accum.finish(workload);
         let per_layer: Vec<LayerLowered> = self
             .lowered
             .iter()
@@ -571,25 +561,21 @@ impl PipelineGraph {
             .sum()
     }
 
-    /// Reclaims the frame's recyclable warm state once the job has
-    /// completed (executed **or** skip-drained): the stage scratch of
-    /// every ring slot (stage-major, slot-minor — the donation order
-    /// [`PipelineGraph::new`] expects) and — when `Finish` actually
-    /// ran — the measure buffers. A slot a panicking node left empty
-    /// is refilled fresh, so a failed frame still donates a full set;
-    /// scratch is re-planned from zero by its next frame, so
-    /// mid-write contents are harmless.
-    pub(crate) fn reclaim_warm(&self) -> (Vec<StageScratch>, Option<MeasureBuffers>) {
-        let scratch = self
-            .ring
+    /// Reclaims the frame's stage scratch once the job has completed
+    /// (executed **or** skip-drained): every ring slot, stage-major,
+    /// slot-minor — the donation order [`PipelineGraph::new`] expects.
+    /// A slot a panicking node left empty is refilled fresh, so a
+    /// failed frame still donates a full set; scratch is re-planned
+    /// from zero by its next frame, so mid-write contents are harmless.
+    pub(crate) fn reclaim_scratch(&self) -> Vec<StageScratch> {
+        self.ring
             .iter()
             .map(|cell| {
                 lock_clean(cell)
                     .take()
                     .unwrap_or_else(|| StageScratch::for_workload(&self.job.workload))
             })
-            .collect();
-        (scratch, lock_clean(&self.recycled).take())
+            .collect()
     }
 }
 
@@ -605,7 +591,7 @@ mod tests {
     use crate::FocusConfig;
     use focus_vlm::{DatasetKind, ModelKind, Workload, WorkloadScale};
     use std::panic::resume_unwind;
-    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
     /// A test job over closures: a topology built from dependency
     /// lists (every node labelled `Finish` — the kind only names its
@@ -960,97 +946,88 @@ mod tests {
         );
     }
 
+    /// A closed-loop flood of two-node High jobs on one core: each
+    /// job's first node submits its successor before it finishes, so
+    /// High work is queued whenever the worker pops, until `stop` is
+    /// set or `LIMIT` High nodes were served while a Low node was
+    /// queued (a starvation bug then fails the bound instead of
+    /// hanging the suite).
+    struct HighFlood {
+        core: Arc<Core>,
+        stop: AtomicBool,
+        /// Second nodes served while a Low node sat in the queue.
+        served_while_low_queued: AtomicU64,
+    }
+
+    impl HighFlood {
+        const LIMIT: u64 = 600;
+
+        fn submit(self: &Arc<Self>) {
+            if self.stop.load(Ordering::SeqCst)
+                || self.served_while_low_queued.load(Ordering::SeqCst) >= HighFlood::LIMIT
+            {
+                return;
+            }
+            let mut job = ClosureJob::default();
+            let flood = Arc::clone(self);
+            let root = job.add(&[], move || flood.submit());
+            let flood = Arc::clone(self);
+            job.add(&[root], move || {
+                // The one worker runs a body only between pops, and the
+                // Low root and each released Low node are pushed under
+                // the state lock, so this window opens when the Low job
+                // is queued and closes when its last node is popped.
+                if flood.core.queued_by_priority()[Priority::Low.index()] > 0 {
+                    flood.served_while_low_queued.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+            job.inject(&self.core, Priority::High);
+        }
+    }
+
     /// The anti-starvation half of the fair queue: under a saturating
-    /// flood of High jobs (a producer keeps the global queue stocked
-    /// for as long as the Low job lives), a Low job still completes,
-    /// and the number of High nodes served while it waited stays
-    /// within the weight-ratio aging bound. Strict-priority lanes would
-    /// run the Low job only after the *entire* flood drained.
+    /// flood of High jobs, a Low job still completes, and the number
+    /// of High nodes served while it was queued stays within the
+    /// weight-ratio aging bound. A strict-priority pop would run the
+    /// Low job only after the *entire* flood drained.
     #[test]
     fn low_job_ages_past_a_saturating_high_flood() {
         let low_nodes = 6u64;
-        let high_done = Arc::new(AtomicU32::new(0));
-        // High nodes served by the time the Low job's last node runs.
-        let high_at_low_finish = Arc::new(AtomicU32::new(0));
-        let low_done = AtomicBool::new(false);
         let low_ran = Arc::new(AtomicU32::new(0));
-        let core = Core::new(1, usize::MAX);
-        with_workers(&core, || {
-            std::thread::scope(|s| {
-                let core = &core;
-                // Prime the flood before the Low job arrives, then keep
-                // it saturated: never fewer than 4 High jobs queued
-                // until the Low job finishes (bounded at 600 so a
-                // starvation bug fails the assertion instead of hanging
-                // the suite).
-                let producer = s.spawn(|| {
-                    let mut injected = 0u64;
-                    let mut handles = Vec::new();
-                    while !low_done.load(Ordering::SeqCst) && injected < 600 {
-                        // Keep 4–8 High jobs outstanding (jobs_done also
-                        // counts the Low job once it lands — harmless).
-                        while injected.saturating_sub(core.jobs_done()) > 8 {
-                            if low_done.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                        let mut g = ClosureJob::default();
-                        let a = g.add(&[], || {});
-                        g.add(&[a], bump(&high_done));
-                        handles.push(g.inject(core, Priority::High));
-                        injected += 1;
-                    }
-                    handles
-                });
-
-                // Let the flood establish itself, then submit the Low
-                // job.
-                while core.jobs_done() < 8 {
-                    std::thread::yield_now();
-                }
-                let mut low = ClosureJob::default();
-                let mut prev: Option<usize> = None;
-                for i in 0..low_nodes {
-                    let (high_done, high_at_low_finish) =
-                        (Arc::clone(&high_done), Arc::clone(&high_at_low_finish));
-                    let low_ran = Arc::clone(&low_ran);
-                    prev = Some(low.add(prev.as_slice(), move || {
-                        low_ran.fetch_add(1, Ordering::SeqCst);
-                        if i + 1 == low_nodes {
-                            let served = high_done.load(Ordering::SeqCst);
-                            high_at_low_finish.store(served, Ordering::SeqCst);
-                        }
-                    }));
-                }
-                let high_before = high_done.load(Ordering::SeqCst) as u64;
-                let low_job = low.inject(core, Priority::Low);
-                low_job.wait_done();
-                // Counted where the Low job finishes, not where this
-                // thread wakes up: under CPU load the waiter can lag the
-                // worker by many High nodes that were not served while
-                // Low waited.
-                let high_during = high_at_low_finish.load(Ordering::SeqCst) as u64 - high_before;
-                low_done.store(true, Ordering::SeqCst);
-                let handles = producer.join().unwrap();
-                for h in &handles {
-                    h.wait_done();
-                }
-                assert_eq!(low_ran.load(Ordering::SeqCst) as u64, low_nodes);
-                // Aging bound: each Low node (quantum 4) lets roughly
-                // weight-ratio High nodes (quantum 1) pass, plus the
-                // already-admitted backlog. Generous 4x slack keeps the
-                // bound scheduling-jitter-proof while still catching
-                // strict-priority starvation (which serves the full
-                // 600-job flood first).
-                let ratio = Priority::Low.quantum() / Priority::High.quantum();
-                let bound = 4 * (ratio * (low_nodes + 2) + 16);
-                assert!(
-                    high_during <= bound,
-                    "Low job waited through {high_during} High nodes (bound {bound})"
-                );
-            });
+        let core = Arc::new(Core::new(1, usize::MAX));
+        let flood = Arc::new(HighFlood {
+            core: Arc::clone(&core),
+            stop: AtomicBool::new(false),
+            served_while_low_queued: AtomicU64::new(0),
         });
+        with_workers(&core, || {
+            // Two High jobs in flight, each replacing itself as it
+            // starts; let the flood establish itself, then submit the
+            // Low job.
+            for _ in 0..2 {
+                flood.submit();
+            }
+            while core.jobs_done() < 8 {
+                std::thread::yield_now();
+            }
+            ClosureJob::chain(low_nodes as usize, bump(&low_ran))
+                .inject(&core, Priority::Low)
+                .wait_done();
+            flood.stop.store(true, Ordering::SeqCst);
+        });
+        assert_eq!(low_ran.load(Ordering::SeqCst) as u64, low_nodes);
+        // Aging bound: each Low node (quantum 4) lets roughly
+        // weight-ratio High nodes (quantum 1) pass, plus the
+        // already-admitted backlog. Generous 4x slack keeps the bound
+        // scheduling-jitter-proof while still catching strict-priority
+        // starvation (which serves the flood up to its limit first).
+        let ratio = Priority::Low.quantum() / Priority::High.quantum();
+        let bound = 4 * (ratio * (low_nodes + 2) + 16);
+        let high_during = flood.served_while_low_queued.load(Ordering::SeqCst);
+        assert!(
+            high_during <= bound,
+            "Low job waited through {high_during} High nodes (bound {bound})"
+        );
     }
 
     /// The in-flight node bound is live: submissions past the bound

@@ -25,12 +25,14 @@
 //! # Fair queueing (no starvation)
 //!
 //! The ready queue is a deficit-weighted fair queue over
-//! **per-job virtual finish times**. Each [`Priority`] is a *weight*;
-//! every task carries a tag
+//! **per-job virtual finish times**, held in one binary heap for every
+//! class. Each [`Priority`] is a *weight*; every task carries a tag
 //! `tag = max(virtual_time, job.finish_tag) + quantum(priority)` where
-//! the quantum is inversely proportional to the weight, and the queue
-//! pops the **lowest tag first**. Executing any task advances
-//! the core's virtual time to that task's tag, so:
+//! the quantum is inversely proportional to the weight, and the heap
+//! pops the **lowest `(tag, seq)` first** (`seq` is the enqueue
+//! order, so equal tags stay FIFO); a task's class enters the order
+//! only through its tag. Executing any task advances the core's
+//! virtual time to that task's tag, so:
 //!
 //! * a high-weight arrival gets a tag barely above the current virtual
 //!   time and still jumps ahead of lower-weight backlogs within about
@@ -234,13 +236,9 @@ struct CoreState {
     /// shuts down. A worker whose pop came back empty parks at the
     /// version it read in the same hold, and sleeps until it moves.
     version: u64,
-    /// The weighted fair ready queue, one heap per priority class:
-    /// the pop takes the lowest `(tag, seq)` across the (≤ 3) lane
-    /// heads, which is exactly the order a single merged heap would
-    /// yield — but keeps each class's oldest tag readable at its head,
-    /// so the per-class min-tag mirrors (and with them the stats-path
-    /// deficit readout) stay O(1).
-    ready: [BinaryHeap<QueuedTask>; Priority::LEVELS],
+    /// The weighted fair ready queue: one heap over every class,
+    /// popped lowest `(tag, seq)` first.
+    ready: BinaryHeap<QueuedTask>,
     /// Monotone enqueue counter, the FIFO tiebreak for equal tags.
     seq: u64,
     /// Graceful shutdown: workers exit when they would otherwise park.
@@ -289,12 +287,6 @@ pub(crate) struct Core {
     /// task's tag. A queued task's tag is fixed, so advancing virtual
     /// time is what ages it to the front.
     virtual_time: AtomicU64,
-    /// Lowest tag queued per priority class (`u64::MAX` for an empty
-    /// lane), mirroring the lane heap heads. Maintained under the
-    /// state lock on every push/pop so `deficit_by_priority` is a
-    /// plain atomic read — a kHz-polling stats consumer never touches
-    /// the state lock, let alone scans the queue under it.
-    class_min_tag: [AtomicU64; Priority::LEVELS],
     /// Tasks currently in the fair queue, per priority class.
     queued: [AtomicUsize; Priority::LEVELS],
     /// Nodes executed (or skip-drained), per priority class.
@@ -319,7 +311,7 @@ impl Core {
         Core {
             state: Mutex::new(CoreState {
                 version: 0,
-                ready: std::array::from_fn(|_| BinaryHeap::new()),
+                ready: BinaryHeap::new(),
                 seq: 0,
                 shutdown: false,
                 settled: 0,
@@ -332,7 +324,6 @@ impl Core {
             space_cv: Condvar::new(),
             admission_waiters: AtomicUsize::new(0),
             virtual_time: AtomicU64::new(0),
-            class_min_tag: std::array::from_fn(|_| AtomicU64::new(u64::MAX)),
             queued: Default::default(),
             served: Default::default(),
             parked: AtomicUsize::new(0),
@@ -400,25 +391,6 @@ impl Core {
         std::array::from_fn(|i| self.queued[i].load(Ordering::SeqCst))
     }
 
-    /// Per-priority *deficit*: how far (in virtual time) each class's
-    /// oldest queued task trails the virtual clock — the live aging
-    /// debt the fair queue owes that class. Zero for classes with
-    /// nothing queued or whose head is not yet due. O(1): reads the
-    /// per-class min-tag mirrors maintained by every push/pop, so even
-    /// a kHz-polling stats consumer never contends with workers for
-    /// the state lock.
-    pub(crate) fn deficit_by_priority(&self) -> [u64; Priority::LEVELS] {
-        let vt = self.virtual_time.load(Ordering::SeqCst);
-        std::array::from_fn(|i| {
-            let oldest = self.class_min_tag[i].load(Ordering::SeqCst);
-            if oldest == u64::MAX {
-                0
-            } else {
-                vt.saturating_sub(oldest)
-            }
-        })
-    }
-
     /// Issues the next virtual finish tag for a task of `job`:
     /// `max(virtual_time, job.finish_tag) + quantum`. Lock-free (CAS
     /// on the job's finish tag) so dependent release on the execution
@@ -438,42 +410,20 @@ impl Core {
         }
     }
 
-    /// Re-publishes the min-tag mirror of lane `lane` from its heap
-    /// head (state lock held).
-    fn refresh_min_tag(&self, st: &CoreState, lane: usize) {
-        let lane_min = st.ready[lane].peek().map_or(u64::MAX, |e| e.task.tag);
-        self.class_min_tag[lane].store(lane_min, Ordering::SeqCst);
-    }
-
-    /// Pushes a task into the fair queue (state lock held), keeping the
-    /// lane's min-tag mirror and the per-priority depth in sync.
+    /// Pushes a task into the fair queue (state lock held), counting
+    /// it in its class's queue depth.
     fn push_global(&self, st: &mut CoreState, task: Task) {
-        let lane = task.job.priority.index();
-        self.queued[lane].fetch_add(1, Ordering::SeqCst);
+        self.queued[task.job.priority.index()].fetch_add(1, Ordering::SeqCst);
         let seq = st.seq;
         st.seq += 1;
-        st.ready[lane].push(QueuedTask { seq, task });
-        self.refresh_min_tag(st, lane);
+        st.ready.push(QueuedTask { seq, task });
     }
 
-    /// Pops the lowest-`(tag, seq)` task across the lane heaps (state
-    /// lock held) — the exact order one merged heap would yield, since
-    /// `seq` is globally unique — maintaining the same bookkeeping.
+    /// Pops the lowest-`(tag, seq)` task (state lock held).
     fn pop_global(&self, st: &mut CoreState) -> Option<Task> {
-        let mut best: Option<(u64, u64, usize)> = None;
-        for (lane, heap) in st.ready.iter().enumerate() {
-            if let Some(head) = heap.peek() {
-                let key = (head.task.tag, head.seq);
-                if best.is_none_or(|(tag, seq, _)| key < (tag, seq)) {
-                    best = Some((key.0, key.1, lane));
-                }
-            }
-        }
-        let (_, _, lane) = best?;
-        let entry = st.ready[lane].pop().expect("lane head just peeked");
-        self.queued[lane].fetch_sub(1, Ordering::SeqCst);
-        self.refresh_min_tag(st, lane);
-        Some(entry.task)
+        let task = st.ready.pop()?.task;
+        self.queued[task.job.priority.index()].fetch_sub(1, Ordering::SeqCst);
+        Some(task)
     }
 
     /// Makes the tasks just pushed under `st` visible to parked

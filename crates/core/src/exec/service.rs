@@ -40,7 +40,6 @@ use crate::exec::graph::PipelineGraph;
 use crate::exec::scheduler::{lock_clean, Core, JobRun, Priority};
 use crate::pipeline::PipelineResult;
 use crate::session::FrameWarm;
-use crate::sic::TemporalSnapshot;
 
 /// Sizing of a [`FocusService`].
 #[derive(Clone, Copy, Debug)]
@@ -52,12 +51,6 @@ pub struct ServiceConfig {
     /// until space frees. A request larger than the bound is still
     /// admitted when the service is idle.
     pub max_inflight_nodes: usize,
-    /// When set, [`FocusService::new`] activates span tracing
-    /// ([`crate::obs::spans`]) with this config — the programmatic
-    /// equivalent of `FOCUS_TRACE=spans[:capacity]`, which applies
-    /// regardless of this field. `None` leaves tracing as the
-    /// environment selected it (off by default).
-    pub trace: Option<crate::obs::TraceConfig>,
 }
 
 impl ServiceConfig {
@@ -73,7 +66,6 @@ impl ServiceConfig {
         ServiceConfig {
             threads,
             max_inflight_nodes: threads * ServiceConfig::DEFAULT_NODES_PER_WORKER,
-            trace: None,
         }
     }
 }
@@ -119,31 +111,8 @@ pub struct ServiceStats {
     /// under sustained mixed load the per-class rates track the
     /// [`Priority::weight`] ratios.
     pub served_by_priority: [u64; Priority::LEVELS],
-    /// Per-class fair-queue *deficit*: how far (in virtual time) each
-    /// class's oldest queued task trails the virtual clock — the live
-    /// aging debt owed to that class (High, Normal, Low). Zero
-    /// when the class has nothing queued; bounded by the weight ratios
-    /// times the admitted backlog, never unbounded (that's the
-    /// no-starvation guarantee). Read from per-class min-tag counters
-    /// the scheduler maintains incrementally — O(1), off the state
-    /// lock, so polling stats at kHz rates never contends with
-    /// workers. Published in the metrics registry as
-    /// `service.deficit.{high,normal,low}`.
-    pub deficit_by_priority: [u64; Priority::LEVELS],
     /// Streaming sessions currently open against this service.
     pub sessions_open: usize,
-    /// Temporal-cache probes that carried a row from a prior frame,
-    /// summed over every session served (open or closed). Sessions
-    /// push deltas on frame retirement and on close, so the snapshot
-    /// trails in-flight frames but never loses counts.
-    pub temporal_hits: u64,
-    /// Temporal-cache probes that fell through to the per-frame path.
-    pub temporal_misses: u64,
-    /// Temporal-cache entries evicted (age-out or capacity).
-    pub temporal_evictions: u64,
-    /// Per-row gather probes skipped because a carried row left the
-    /// candidate set.
-    pub temporal_gathers_skipped: u64,
 }
 
 /// Completion handle of a submitted request.
@@ -243,21 +212,12 @@ pub struct FocusService {
     /// Streaming sessions currently open ([`crate::exec::StreamSession`]
     /// increments on open, decrements on drop).
     sessions_open: AtomicUsize,
-    /// Service-wide temporal-concentration counters, accumulated from
-    /// session deltas ([`FocusService::add_temporal`]).
-    temporal_hits: AtomicU64,
-    temporal_misses: AtomicU64,
-    temporal_evictions: AtomicU64,
-    temporal_gathers_skipped: AtomicU64,
 }
 
 impl FocusService {
     /// Starts a service: spawns `config.threads` workers, which park
     /// immediately and live until the service is dropped.
     pub fn new(config: ServiceConfig) -> Self {
-        if let Some(trace) = config.trace {
-            crate::obs::spans::activate(trace);
-        }
         let core = Arc::new(Core::new(config.threads, config.max_inflight_nodes));
         let workers = (0..core.threads())
             .map(|w| {
@@ -273,10 +233,6 @@ impl FocusService {
             workers: Mutex::new(workers),
             jobs_submitted: AtomicU64::new(0),
             sessions_open: AtomicUsize::new(0),
-            temporal_hits: AtomicU64::new(0),
-            temporal_misses: AtomicU64::new(0),
-            temporal_evictions: AtomicU64::new(0),
-            temporal_gathers_skipped: AtomicU64::new(0),
         }
     }
 
@@ -372,31 +328,13 @@ impl FocusService {
         );
         let queued = self.core.queued_by_priority();
         let served = self.core.served_by_priority();
-        let deficit = self.core.deficit_by_priority();
         for (i, class) in CLASS.iter().enumerate() {
             snap.set_u64(format!("service.queued.{class}"), queued[i] as u64);
             snap.set_u64(format!("service.served.{class}"), served[i]);
-            snap.set_u64(format!("service.deficit.{class}"), deficit[i]);
         }
         snap.set_u64(
             "service.sessions_open",
             self.sessions_open.load(Ordering::SeqCst) as u64,
-        );
-        snap.set_u64(
-            "service.temporal.hits",
-            self.temporal_hits.load(Ordering::SeqCst),
-        );
-        snap.set_u64(
-            "service.temporal.misses",
-            self.temporal_misses.load(Ordering::SeqCst),
-        );
-        snap.set_u64(
-            "service.temporal.evictions",
-            self.temporal_evictions.load(Ordering::SeqCst),
-        );
-        snap.set_u64(
-            "service.temporal.gathers_skipped",
-            self.temporal_gathers_skipped.load(Ordering::SeqCst),
         );
         crate::obs::publish_obs(&mut snap);
         snap
@@ -422,26 +360,8 @@ impl FocusService {
             max_inflight_nodes: snap.u64("service.max_inflight_nodes") as usize,
             queued_by_priority: queued.map(|q| q as usize),
             served_by_priority: per_class("service.served"),
-            deficit_by_priority: per_class("service.deficit"),
             sessions_open: snap.u64("service.sessions_open") as usize,
-            temporal_hits: snap.u64("service.temporal.hits"),
-            temporal_misses: snap.u64("service.temporal.misses"),
-            temporal_evictions: snap.u64("service.temporal.evictions"),
-            temporal_gathers_skipped: snap.u64("service.temporal.gathers_skipped"),
         }
-    }
-
-    /// Folds one session's temporal-counter delta into the
-    /// service-wide totals (called by
-    /// [`crate::exec::StreamSession`] on frame retirement and close).
-    pub(crate) fn add_temporal(&self, delta: TemporalSnapshot) {
-        self.temporal_hits.fetch_add(delta.hits, Ordering::SeqCst);
-        self.temporal_misses
-            .fetch_add(delta.misses, Ordering::SeqCst);
-        self.temporal_evictions
-            .fetch_add(delta.evictions, Ordering::SeqCst);
-        self.temporal_gathers_skipped
-            .fetch_add(delta.gathers_skipped, Ordering::SeqCst);
     }
 
     /// Session open/close accounting (called by
@@ -499,7 +419,6 @@ mod tests {
         let service = FocusService::new(ServiceConfig {
             threads: 2,
             max_inflight_nodes: 4096,
-            trace: None,
         });
         // Mixed priorities, three distinct architectures, one pool.
         let jobs = [

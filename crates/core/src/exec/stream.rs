@@ -22,11 +22,10 @@
 //!   table) and the node topology over it are built once per feed
 //!   geometry (once per session on a well-formed single-shape feed)
 //!   and shared by every frame of that geometry, and each retired
-//!   frame's workload-independent allocations — stage workspaces'
-//!   [`StageScratch`] and the measure accumulator's buffers — are
-//!   reclaimed into a pool the next admitted frame draws from, so
-//!   frame *t+1* skips re-deriving and re-allocating what frame *t*
-//!   already established.
+//!   frame's scratch ring — the stage workspaces' workload-independent
+//!   [`StageScratch`] — is reclaimed into a pool the next admitted
+//!   frame draws from, so frame *t+1* skips re-deriving and
+//!   re-allocating what frame *t* already established.
 //!
 //! **Determinism:** every frame's result is bit-identical to running
 //! that frame's workload alone under
@@ -49,7 +48,6 @@ use crate::exec::graph::PipelineGraph;
 use crate::exec::scheduler::{JobRun, Priority};
 use crate::exec::service::{FocusService, JobHandle};
 use crate::exec::stage::StageScratch;
-use crate::pipeline::measure::MeasureBuffers;
 use crate::pipeline::{FocusPipeline, PipelineResult};
 use crate::session::{FrameWarm, SessionGeometry, SharedPlan};
 use crate::sic::{TemporalCache, TemporalCacheConfig, TemporalSnapshot};
@@ -111,9 +109,9 @@ pub struct SessionStats {
     pub frames_inflight: usize,
     /// The in-flight window bound.
     pub window: usize,
-    /// Frames admitted with recycled warm allocations (everything
-    /// after the pool warms up — the first `window` frames allocate
-    /// fresh and seed it).
+    /// Frames admitted with a recycled scratch ring (everything after
+    /// the pool warms up — the first `window` frames allocate fresh
+    /// and seed it).
     pub warm_reuses: u64,
     /// Times the feed's geometry diverged mid-session to a shape the
     /// session had **not** seen before, forcing a fresh retention-plan
@@ -145,12 +143,6 @@ pub struct SessionStats {
 struct InflightFrame {
     graph: Arc<PipelineGraph>,
     run: Arc<JobRun>,
-}
-
-/// One retired frame's recyclable allocations.
-struct FrameAllocs {
-    scratch: Vec<StageScratch>,
-    measure: Option<MeasureBuffers>,
 }
 
 /// Completion handle of one admitted frame. Wait on it, poll it with
@@ -226,10 +218,9 @@ pub struct StreamSession<'s> {
     temporal: Option<Arc<TemporalCache>>,
     /// Totals folded out of dropped temporal caches.
     temporal_acc: TemporalSnapshot,
-    /// Totals already pushed to the service's global counters.
-    temporal_reported: TemporalSnapshot,
     inflight: VecDeque<InflightFrame>,
-    pool: Vec<FrameAllocs>,
+    /// Retired frames' scratch rings, one entry per frame.
+    pool: Vec<Vec<StageScratch>>,
     frames_pushed: u64,
     frames_retired: u64,
     warm_reuses: u64,
@@ -262,7 +253,6 @@ impl<'s> StreamSession<'s> {
             plans: Vec::new(),
             temporal: None,
             temporal_acc: TemporalSnapshot::default(),
-            temporal_reported: TemporalSnapshot::default(),
             inflight: VecDeque::new(),
             pool: Vec::new(),
             frames_pushed: 0,
@@ -314,7 +304,7 @@ impl<'s> StreamSession<'s> {
         let pooled: usize = self
             .pool
             .iter()
-            .flat_map(|allocs| &allocs.scratch)
+            .flatten()
             .map(|scratch| scratch.acts.held_bytes())
             .sum();
         let inflight: usize = self
@@ -362,17 +352,6 @@ impl<'s> StreamSession<'s> {
         }
     }
 
-    /// Pushes the counter movement since the last sync into the
-    /// service's global temporal statistics.
-    fn sync_temporal(&mut self) {
-        let totals = self.temporal_totals();
-        let delta = totals.since(&self.temporal_reported);
-        if delta != TemporalSnapshot::default() {
-            self.service.add_temporal(delta);
-            self.temporal_reported = totals;
-        }
-    }
-
     /// Folds the live cache's totals into the accumulator and drops it
     /// (geometry divergence: the plane shapes no longer fit).
     fn drop_temporal(&mut self) {
@@ -385,7 +364,7 @@ impl<'s> StreamSession<'s> {
     ///
     /// Blocks only for backpressure: when `window` frames are already
     /// in flight, the call waits for the oldest to complete (then
-    /// reclaims its warm allocations for this admission). The frame's
+    /// reclaims its scratch ring for this admission). The frame's
     /// result — through the returned handle — is bit-identical to
     /// running `workload` alone under
     /// [`ExecMode::Serial`](crate::exec::ExecMode::Serial).
@@ -488,17 +467,13 @@ impl<'s> StreamSession<'s> {
             self.retire(oldest);
         }
 
-        let (scratch, measure) = match self.pool.pop() {
-            Some(allocs) => {
-                self.warm_reuses += 1;
-                (Some(allocs.scratch), allocs.measure)
-            }
-            None => (None, None),
-        };
+        let scratch = self.pool.pop();
+        if scratch.is_some() {
+            self.warm_reuses += 1;
+        }
         let warm = FrameWarm {
             shared,
             scratch,
-            measure,
             temporal,
         };
         let job = BatchJob {
@@ -517,7 +492,7 @@ impl<'s> StreamSession<'s> {
     }
 
     /// Blocks until every in-flight frame has completed, reclaiming
-    /// their warm allocations. (Results are untouched — the caller's
+    /// their scratch rings. (Results are untouched — the caller's
     /// [`FrameHandle`]s still deliver them.)
     pub fn flush(&mut self) {
         while let Some(oldest) = self.inflight.pop_front() {
@@ -525,28 +500,24 @@ impl<'s> StreamSession<'s> {
         }
     }
 
-    /// Waits for one frame and pulls its recyclable allocations into
-    /// the warm pool. Completion includes skip-drained (panicked)
+    /// Waits for one frame and pulls its scratch ring into the warm
+    /// pool. Completion includes skip-drained (panicked)
     /// frames: their scratch is reclaimed too — a slot the panicking
     /// node held is refilled fresh, and the rest is re-planned from
     /// zero by the next frame — so one bad frame never cools the
     /// session down.
     fn retire(&mut self, frame: InflightFrame) {
         frame.run.wait_done();
-        let (scratch, measure) = frame.graph.reclaim_warm();
-        self.pool.push(FrameAllocs { scratch, measure });
+        self.pool.push(frame.graph.reclaim_scratch());
         self.frames_retired += 1;
-        self.sync_temporal();
     }
 }
 
 impl Drop for StreamSession<'_> {
     /// Closing a session drains its window (frames already admitted
-    /// run to completion), reports any unsynced temporal counters and
-    /// releases its service registration.
+    /// run to completion) and releases its service registration.
     fn drop(&mut self) {
         self.flush();
-        self.sync_temporal();
         self.service.session_closed();
     }
 }

@@ -8,7 +8,7 @@
 //! * [`spans`] — per-worker lock-free ring buffers recording every
 //!   scheduler node execution (`{job, kind, layer, worker, priority,
 //!   tag, t_start, t_end}`), activated by `FOCUS_TRACE=spans[:cap]` or
-//!   `ServiceConfig::trace`; the disabled path is one relaxed atomic
+//!   [`spans::activate`]; the disabled path is one relaxed atomic
 //!   load, and tracing is bit-invisible (proptest-proven in
 //!   `tests/obs_trace.rs`).
 //! * [`chrome_trace`] — drains the rings into Perfetto-loadable

@@ -9,8 +9,8 @@
 //! `trace_run` report, the planned per-shard rollups of ROADMAP
 //! direction 4) read the one tree:
 //!
-//! * `service.*` — scheduler-wide counters (`service.jobs_done`,
-//!   `service.queued.high`, `service.deficit.low`, …);
+//! * `service.*` — scheduler-wide counters (`service.jobs_completed`,
+//!   `service.queued.high`, `service.served.low`, …);
 //! * `session.*` — per-stream-session counters and gauges
 //!   (`session.frames_pushed`, `session.temporal.hits`,
 //!   `session.scratch_bytes`, …);

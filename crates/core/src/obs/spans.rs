@@ -13,9 +13,9 @@
 //! **Activation.** Tracing is compiled in but off: the disabled path
 //! is the single relaxed atomic load in [`enabled`]. It turns on via
 //! `FOCUS_TRACE=spans` (or `spans:CAPACITY` for a per-worker ring
-//! capacity), via
-//! [`ServiceConfig::trace`](crate::exec::ServiceConfig::trace), or programmatically with
-//! [`activate`]/[`set_enabled`] (the bench's traced-vs-untraced leg).
+//! capacity), or programmatically with [`activate`]/[`set_enabled`]
+//! (the bench's traced-vs-untraced leg). Either switch is process-wide:
+//! every service in the process records once it is on.
 //!
 //! **Bit-invisibility.** Recording is pure metadata — no numeric path
 //! reads a span or a clock — so a traced run is bit-identical to an

@@ -18,17 +18,6 @@ use crate::exec::{LayerExecutor, LayerRecord};
 use crate::pipeline::stats::{LayerStats, MeasuredRun};
 use crate::pipeline::FocusPipeline;
 
-/// The recyclable allocations of a [`MeasureAccum`]: the per-token
-/// fidelity accumulators. A streaming session carries them from frame
-/// `t` into frame `t+1`'s accumulator — the values are fully reset, so
-/// results stay bit-identical to a fresh build; only the allocations
-/// (two `m_img`-sized `f64` vectors per frame) are reused.
-#[derive(Debug, Default)]
-pub(crate) struct MeasureBuffers {
-    fid_accum: Vec<f64>,
-    last_fid: Vec<f64>,
-}
-
 /// Ordered accumulator of per-layer [`LayerRecord`]s into the
 /// [`MeasuredRun`] the lowering phase consumes.
 ///
@@ -58,26 +47,11 @@ impl MeasureAccum {
     /// An empty accumulator for a run of `layers_n` layers over
     /// `m_img` scaled image tokens.
     pub(crate) fn new(m_img: usize, layers_n: usize) -> Self {
-        MeasureAccum::with_buffers(m_img, layers_n, MeasureBuffers::default())
-    }
-
-    /// [`MeasureAccum::new`] over recycled buffers (a prior frame's
-    /// allocations). Every element is reset, so the accumulator is
-    /// indistinguishable from a fresh one.
-    pub(crate) fn with_buffers(m_img: usize, layers_n: usize, bufs: MeasureBuffers) -> Self {
-        let MeasureBuffers {
-            mut fid_accum,
-            mut last_fid,
-        } = bufs;
-        fid_accum.clear();
-        fid_accum.resize(m_img, 0.0f64);
-        last_fid.clear();
-        last_fid.resize(m_img, 1.0f64);
         MeasureAccum {
             m_img,
             layers_n,
-            fid_accum,
-            last_fid,
+            fid_accum: vec![0.0f64; m_img],
+            last_fid: vec![1.0f64; m_img],
             layer_stats: Vec::with_capacity(layers_n),
             sec_layers: Vec::new(),
             sic_comparisons: 0,
@@ -133,13 +107,6 @@ impl MeasureAccum {
 
     /// Closes the run: token outcomes from accrued fidelity.
     pub(crate) fn finish(self, workload: &Workload) -> MeasuredRun {
-        self.finish_recycling(workload).0
-    }
-
-    /// [`MeasureAccum::finish`] that also hands back the recyclable
-    /// buffers, for streaming sessions to seed the next frame's
-    /// accumulator with.
-    pub(crate) fn finish_recycling(self, workload: &Workload) -> (MeasuredRun, MeasureBuffers) {
         let relevance = workload.relevance();
         let outcomes: Vec<TokenOutcome> = (0..self.m_img)
             .map(|t| TokenOutcome {
@@ -147,19 +114,14 @@ impl MeasureAccum {
                 fidelity: self.fid_accum[t] / self.layers_n as f64,
             })
             .collect();
-        let run = MeasuredRun {
+        MeasuredRun {
             layer_stats: self.layer_stats,
             sec_layers: self.sec_layers,
             outcomes,
             sic_comparisons: self.sic_comparisons,
             sic_matches: self.sic_matches,
             m_img_scaled: self.m_img,
-        };
-        let buffers = MeasureBuffers {
-            fid_accum: self.fid_accum,
-            last_fid: self.last_fid,
-        };
-        (run, buffers)
+        }
     }
 }
 

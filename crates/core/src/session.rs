@@ -19,10 +19,9 @@
 //!   geometry and shared by `Arc` — together with the node topology
 //!   the scheduler runs over it.
 //! * `FrameWarm` — what the next admitted frame receives: the shared
-//!   plan and topology plus the recycled allocations, the
+//!   plan and topology plus the recycled scratch ring, the
 //!   workload-independent halves of the stage workspaces
-//!   ([`StageScratch`]: activation matrices + gather lookups/plans)
-//!   and the measure-phase accumulator buffers.
+//!   ([`StageScratch`]: activation matrices + gather lookups/plans).
 //!
 //! **Determinism contract:** warm state is allocation + plan reuse
 //! only — every value is reset or re-derived per frame — so a frame
@@ -37,7 +36,6 @@ use focus_vlm::Workload;
 
 use crate::config::FocusConfig;
 use crate::exec::{StageScratch, Topology};
-use crate::pipeline::measure::MeasureBuffers;
 use crate::pipeline::FocusPipeline;
 use crate::sic::{ConvLayouter, Fhw, TemporalCache};
 
@@ -170,7 +168,7 @@ impl SharedPlan {
 }
 
 /// Warm state donated to one admitted frame: the shared plan and
-/// topology plus whatever recycled allocations the session has reclaimed from
+/// topology plus the stage scratch the session has reclaimed from
 /// completed frames (absent for the first `window` frames, which
 /// allocate fresh and seed the pool).
 pub(crate) struct FrameWarm {
@@ -179,8 +177,6 @@ pub(crate) struct FrameWarm {
     /// Recycled workload-independent stage scratch, one entry per
     /// `(gather stage, ring slot)` — or `None` to allocate fresh.
     pub(crate) scratch: Option<Vec<StageScratch>>,
-    /// Recycled measure-accumulator buffers, or `None` for fresh.
-    pub(crate) measure: Option<MeasureBuffers>,
     /// The session's cross-frame temporal cache, when temporal
     /// concentration is enabled. The session keeps its own `Arc`
     /// clone; the graph only borrows it for the frame's gathers.

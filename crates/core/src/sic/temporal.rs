@@ -97,8 +97,8 @@ impl Default for TemporalCacheConfig {
     }
 }
 
-/// Cumulative cache event counters (shared with the owning session via
-/// the cache itself; the service aggregates deltas at frame retire).
+/// Cumulative cache event counters, read by the owning session through
+/// the cache itself.
 #[derive(Debug, Default)]
 pub struct TemporalCounters {
     hits: AtomicU64,
@@ -122,16 +122,6 @@ pub struct TemporalSnapshot {
 }
 
 impl TemporalSnapshot {
-    /// Element-wise `self - earlier` (counters are monotone).
-    pub fn since(&self, earlier: &TemporalSnapshot) -> TemporalSnapshot {
-        TemporalSnapshot {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            evictions: self.evictions - earlier.evictions,
-            gathers_skipped: self.gathers_skipped - earlier.gathers_skipped,
-        }
-    }
-
     /// Element-wise sum (folding a dropped cache's totals into a
     /// session accumulator).
     pub fn plus(&self, other: &TemporalSnapshot) -> TemporalSnapshot {
@@ -870,7 +860,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_delta_and_hit_rate() {
+    fn snapshot_sum_and_hit_rate() {
         let a = TemporalSnapshot {
             hits: 3,
             misses: 1,
@@ -883,9 +873,9 @@ mod tests {
             evictions: 2,
             gathers_skipped: 30,
         };
-        let d = b.since(&a);
-        assert_eq!(d.hits, 6);
-        assert_eq!(d.gathers_skipped, 20);
+        let sum = a.plus(&b);
+        assert_eq!(sum.hits, 12);
+        assert_eq!(sum.gathers_skipped, 40);
         assert!((b.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(TemporalSnapshot::default().hit_rate(), 0.0);
     }

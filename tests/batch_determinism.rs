@@ -289,7 +289,6 @@ fn shared_service_serves_staggered_mixed_priority_requests() {
     let service = FocusService::new(ServiceConfig {
         threads: 3,
         max_inflight_nodes: 1024,
-        trace: None,
     });
     let cells = [
         (ArchConfig::focus(), Priority::Normal, 1u64),

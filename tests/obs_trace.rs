@@ -55,7 +55,6 @@ fn run_once(mode: ExecMode, threads: usize, seed: u64) -> PipelineResult {
             let service = FocusService::new(ServiceConfig {
                 threads,
                 max_inflight_nodes: 4096,
-                trace: None,
             });
             let job = BatchJob {
                 pipeline,
@@ -128,11 +127,10 @@ fn traced_session_matches_untraced_and_spans_satisfy_invariants() {
     let _guard = lock_trace();
 
     let pipeline = || FocusPipeline::paper().with_exec_mode(ExecMode::Graph { depth: DEPTH });
-    let run_session = |trace: Option<TraceConfig>| {
+    let run_session = || {
         let service = FocusService::new(ServiceConfig {
             threads: THREADS,
             max_inflight_nodes: 4096,
-            trace,
         });
         let mut session = StreamSession::open(
             &service,
@@ -154,13 +152,14 @@ fn traced_session_matches_untraced_and_spans_satisfy_invariants() {
     };
 
     spans::set_enabled(false);
-    let (untraced, untraced_stats) = run_session(None);
+    let (untraced, untraced_stats) = run_session();
 
     // Everything recorded from here on belongs to the traced session
     // (the ring drain below filters by this timestamp — rings
     // accumulate process-wide).
     let t0 = clock::now_micros();
-    let (traced, traced_stats) = run_session(Some(TraceConfig::default()));
+    spans::activate(TraceConfig::default());
+    let (traced, traced_stats) = run_session();
     spans::set_enabled(false);
 
     for (f, (t, u)) in traced.iter().zip(&untraced).enumerate() {

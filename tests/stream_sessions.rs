@@ -86,7 +86,6 @@ proptest! {
             let service = FocusService::new(ServiceConfig {
             threads,
             max_inflight_nodes: 4096,
-            trace: None,
         });
         let mut sessions: Vec<StreamSession<'_>> = (0..frame_counts.len())
             .map(|_| {
@@ -145,7 +144,6 @@ fn warm_scratch_recycles_across_frames() {
     let service = FocusService::new(ServiceConfig {
         threads: 2,
         max_inflight_nodes: 4096,
-        trace: None,
     });
     let mut session = StreamSession::open(
         &service,
@@ -273,7 +271,6 @@ fn geometry_divergence_rederives_warm_state() {
     let service = FocusService::new(ServiceConfig {
         threads: 2,
         max_inflight_nodes: 4096,
-        trace: None,
     });
     let mut session = StreamSession::open(
         &service,
@@ -329,7 +326,6 @@ fn stride_divergence_rederives_and_drops_the_pool() {
     let service = FocusService::new(ServiceConfig {
         threads: 2,
         max_inflight_nodes: 4096,
-        trace: None,
     });
     let mut session = StreamSession::open(
         &service,
@@ -418,7 +414,6 @@ proptest! {
             let service = FocusService::new(ServiceConfig {
             threads: 2,
             max_inflight_nodes: 4096,
-            trace: None,
         });
 
         // Leg 1: cache on, correlation 0.
@@ -470,14 +465,12 @@ proptest! {
 
 /// The payoff path: on a fully correlated stream (one scene timeline,
 /// static content re-synthesising bit-identically) the cache carries
-/// rows from frame 2 on, skips their in-frame candidate comparisons,
-/// and the per-session counters surface through the service snapshot.
+/// rows from frame 2 on and skips their in-frame candidate comparisons.
 #[test]
 fn correlated_stream_carries_rows_and_skips_gathers() {
     let service = FocusService::new(ServiceConfig {
         threads: 2,
         max_inflight_nodes: 4096,
-        trace: None,
     });
     let stream = SceneStream {
         seed: 42,
@@ -510,14 +503,76 @@ fn correlated_stream_carries_rows_and_skips_gathers() {
         stats.gathers_skipped > 0,
         "carried rows must skip in-frame comparisons: {stats:?}"
     );
-    // Satellite plumbing: the session's totals reach the service-wide
-    // snapshot on retirement (this service serves only this session).
-    let service_stats = service.stats();
-    assert_eq!(service_stats.temporal_hits, stats.temporal_hits);
-    assert_eq!(service_stats.temporal_misses, stats.temporal_misses);
+}
+
+/// A geometry divergence drops the session's temporal cache, and the
+/// session's totals must keep what that cache counted: across a
+/// mid-feed stride switch on a correlated FP16 stream the reported
+/// hits and misses never decrease, and after the switch they equal the
+/// dropped cache's counters plus the new cache's.
+#[test]
+fn temporal_totals_survive_a_geometry_divergence() {
+    let service = FocusService::new(ServiceConfig::with_threads(2));
+    let stream = SceneStream {
+        seed: 42,
+        correlation: 0.9,
+    };
+    let mut session = StreamSession::open(
+        &service,
+        graph_pipeline(),
+        ArchConfig::focus(),
+        temporal_config(1, Some(TemporalCacheConfig::default())),
+    );
+    let mut dense_scale = WorkloadScale::tiny();
+    dense_scale.measured_layer_stride = 1;
+    let frame_at = |scale: WorkloadScale, index: u64| {
+        Workload::stream_frame(
+            ModelKind::LlavaVideo7B,
+            DatasetKind::VideoMme,
+            scale,
+            stream,
+            index,
+        )
+    };
+
+    let mut last = (0, 0);
+    let mut push = |session: &mut StreamSession<'_>, workload: Workload| {
+        session.push_frame(workload).wait();
+        session.flush();
+        let stats = session.stats();
+        let now = (stats.temporal_hits, stats.temporal_misses);
+        assert!(
+            now.0 >= last.0 && now.1 >= last.1,
+            "temporal totals went backwards: {last:?} -> {now:?}"
+        );
+        last = now;
+    };
+
+    for f in 0..4 {
+        push(&mut session, frame_at(WorkloadScale::tiny(), f));
+    }
+    let dropped = session
+        .temporal_cache()
+        .expect("temporal session")
+        .counters()
+        .snapshot();
+    assert!(dropped.hits > 0, "the first geometry carried: {dropped:?}");
+
+    for f in 4..8 {
+        push(&mut session, frame_at(dense_scale, f));
+    }
+    let stats = session.stats();
+    assert_eq!(stats.warm_rederives, 1, "one divergence: {stats:?}");
+    let live = session
+        .temporal_cache()
+        .expect("temporal session")
+        .counters()
+        .snapshot();
+    assert!(live.hits > 0, "the second geometry carried: {live:?}");
     assert_eq!(
-        service_stats.temporal_gathers_skipped,
-        stats.gathers_skipped
+        (stats.temporal_hits, stats.temporal_misses),
+        (dropped.hits + live.hits, dropped.misses + live.misses),
+        "session totals = dropped cache + live cache"
     );
 }
 
@@ -677,7 +732,6 @@ fn temporal_cache_memory_stays_bounded() {
     let service = FocusService::new(ServiceConfig {
         threads: 2,
         max_inflight_nodes: 4096,
-        trace: None,
     });
     let cfg = TemporalCacheConfig {
         capacity: 16,
@@ -733,7 +787,6 @@ fn returning_to_a_seen_geometry_hits_the_plan_cache() {
     let service = FocusService::new(ServiceConfig {
         threads: 2,
         max_inflight_nodes: 4096,
-        trace: None,
     });
     let mut session = StreamSession::open(
         &service,
@@ -779,7 +832,6 @@ fn high_flood_does_not_starve_a_low_job() {
     let service = FocusService::new(ServiceConfig {
         threads: 2,
         max_inflight_nodes: 4096,
-        trace: None,
     });
     let job = |seed: u64| BatchJob {
         pipeline: graph_pipeline(),
