@@ -8,7 +8,7 @@
 //!   stages. Values are bit-identical across each pair
 //!   (proptest-enforced), so a ratio measures exactly the SIMD
 //!   dispatch win.
-//! * **Tracing overhead** — the graph leg (`BatchRunner::run_sim` over
+//! * **Tracing overhead** — the graph leg (`BatchRunner::run` over
 //!   the grid on the global service) with span tracing on (per-node
 //!   span records plus the `Timed` kernel wrapper) against off.
 //!
@@ -223,10 +223,10 @@ fn obs_overhead(wls: &[Workload], pairs: usize) -> (f64, f64, f64) {
     let jobs = grid_jobs(wls);
     let runs = alternating(
         pairs,
-        || timed_run(|| BatchRunner::run_sim(&jobs)),
+        || timed_run(|| BatchRunner::run(&jobs)),
         || {
             spans::set_enabled(true);
-            let d = timed_run(|| BatchRunner::run_sim(&traced_jobs));
+            let d = timed_run(|| BatchRunner::run(&traced_jobs));
             spans::set_enabled(false);
             d
         },

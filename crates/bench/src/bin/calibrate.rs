@@ -23,7 +23,7 @@ fn main() {
         })
         .collect();
     let results = BatchRunner::run(&jobs);
-    for ((model, dataset), r) in cells.iter().zip(results) {
+    for ((model, dataset), (r, _)) in cells.iter().zip(results) {
         println!(
             "{:10} {:6}  sparsity {:5.2}%  acc {:6.2} (dense {:6.2})  sic_match_rate {:.3}",
             model.to_string(),

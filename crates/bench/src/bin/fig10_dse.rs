@@ -99,7 +99,7 @@ fn main() {
     let rows: Vec<Vec<String>> = vectors
         .iter()
         .zip(&results)
-        .map(|(&v, r)| {
+        .map(|(&v, (r, _))| {
             // Scatter accumulator ops: one accumulation per original
             // output element per K sub-tile; K sub-tiles scale with 1/v
             // when the sub-tile depth tracks the vector size.

@@ -42,7 +42,10 @@ fn main() {
             })
         })
         .collect();
-    let results = BatchRunner::run(&jobs);
+    let results: Vec<_> = BatchRunner::run(&jobs)
+        .into_iter()
+        .map(|(r, _)| r)
+        .collect();
 
     for (i, (model, dataset)) in grid.iter().enumerate() {
         let (fp16, int8, dense8) = (&results[3 * i], &results[3 * i + 1], &results[3 * i + 2]);

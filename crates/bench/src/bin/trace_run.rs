@@ -44,10 +44,7 @@ fn main() {
     // Honour `FOCUS_TRACE=spans[:capacity]` when set; trace by default
     // otherwise — this bin exists to produce a trace.
     spans::activate(TraceConfig::from_env().unwrap_or_default());
-    let service = FocusService::new(ServiceConfig {
-        threads: THREADS,
-        max_inflight_nodes: 4096,
-    });
+    let service = FocusService::new(ServiceConfig::with_threads(THREADS));
     let pipeline = FocusPipeline::paper().with_exec_mode(ExecMode::Graph { depth: DEPTH });
     let arch = ArchConfig::focus();
     let inventory = node_inventory(&pipeline, &frame(0), DEPTH);

@@ -188,7 +188,7 @@ pub fn run_focus_many(workloads: &[Workload]) -> Vec<MethodOutcome> {
 /// architecture shared across the batch. Config sweeps — many
 /// pipeline variants over one workload — batch through here.
 pub fn run_focus_jobs(jobs: Vec<BatchJob>) -> Vec<MethodOutcome> {
-    BatchRunner::run_sim(&jobs)
+    BatchRunner::run(&jobs)
         .into_iter()
         .map(outcome_from_sim)
         .collect()

@@ -52,23 +52,13 @@ impl BatchJob {
 pub struct BatchRunner;
 
 impl BatchRunner {
-    /// Runs every job, returning results in input order — element `i`
-    /// is exactly what `jobs[i].run()` returns.
-    pub fn run(jobs: &[BatchJob]) -> Vec<PipelineResult> {
-        let service = FocusService::global();
-        let handles: Vec<JobHandle> = jobs
-            .iter()
-            .map(|job| service.submit(job.clone(), Priority::Normal))
-            .collect();
-        handles.into_iter().map(JobHandle::wait).collect()
-    }
-
-    /// [`BatchRunner::run`] with the cycle simulation carried through
-    /// the batch: one [`Engine`] is built per *distinct*
-    /// [`ArchConfig`] in the job list (config sweeps share one arch
-    /// across hundreds of jobs), and each job's `Finish` node runs its
-    /// engine.
-    pub fn run_sim(jobs: &[BatchJob]) -> Vec<(PipelineResult, SimReport)> {
+    /// Runs every job with its cycle simulation, returning
+    /// `(result, report)` pairs in input order — element `i`'s result
+    /// is exactly what `jobs[i].run()` returns. One [`Engine`] is built
+    /// per *distinct* [`ArchConfig`] in the job list (config sweeps
+    /// share one arch across hundreds of jobs), and each job's `Finish`
+    /// node runs its engine. Callers that only need results take `.0`.
+    pub fn run(jobs: &[BatchJob]) -> Vec<(PipelineResult, SimReport)> {
         let service = FocusService::global();
         let mut engines: Vec<Arc<Engine>> = Vec::new();
         let handles: Vec<JobHandle> = jobs
@@ -154,9 +144,9 @@ mod tests {
                 arch: ArchConfig::focus(),
             })
             .collect();
-        let batched = BatchRunner::run_sim(&jobs);
-        let plain = BatchRunner::run(&jobs);
-        for ((r, rep), serial) in batched.iter().zip(&plain) {
+        let batched = BatchRunner::run(&jobs);
+        for ((r, rep), job) in batched.iter().zip(&jobs) {
+            let serial = job.run();
             let serial_rep = Engine::new(ArchConfig::focus()).run(&serial.work_items);
             assert_eq!(r.work_items, serial.work_items);
             assert_eq!(*rep, serial_rep, "shared engine must match a fresh one");
@@ -181,7 +171,7 @@ mod tests {
             arch,
         })
         .collect();
-        let batched = BatchRunner::run_sim(&jobs);
+        let batched = BatchRunner::run(&jobs);
         assert_eq!(batched.len(), jobs.len());
         for (job, (r, rep)) in jobs.iter().zip(&batched) {
             let serial = job.run();

@@ -30,9 +30,9 @@
 //!   layer *l+1*'s synthesis and SEC at any pipeline depth — across
 //!   workload boundaries when several jobs are in flight;
 //! * [`BatchRunner`] — the one batch entry point: [`BatchRunner::run`]
-//!   (and [`BatchRunner::run_sim`], which carries the cycle
-//!   simulation) submits every job into the shared service, results
-//!   in submission order and bit-identical to running each alone;
+//!   submits every job into the shared service with its cycle
+//!   simulation, results in submission order and bit-identical to
+//!   running each alone;
 //! * [`par_map`] — an order-preserving parallel map over scoped
 //!   threads, for sweeps that batch something other than whole
 //!   pipeline runs;

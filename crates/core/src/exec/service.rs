@@ -10,9 +10,10 @@
 //! a request needs no borrow of the submitting stack frame. Tests
 //! that need a particular width start an owned pool with
 //! [`ServiceConfig::with_threads`].
-//! Admission control bounds the in-flight node count — a submission
-//! past the bound blocks until running requests retire nodes
-//! (backpressure), so a burst of large requests cannot queue
+//! Admission control bounds the in-flight node count at
+//! [`ServiceConfig::DEFAULT_NODES_PER_WORKER`] nodes per worker — a
+//! submission past the bound blocks until running requests retire
+//! nodes (backpressure), so a burst of large requests cannot queue
 //! unboundedly ahead of the workers.
 //!
 //! [`JobHandle::wait`] returns the same bit-identical
@@ -38,6 +39,7 @@ use focus_sim::{Engine, SimReport};
 use crate::exec::batch::BatchJob;
 use crate::exec::graph::PipelineGraph;
 use crate::exec::scheduler::{lock_clean, Core, JobRun, Priority};
+use crate::obs::Snapshot;
 use crate::pipeline::PipelineResult;
 use crate::session::FrameWarm;
 
@@ -46,26 +48,21 @@ use crate::session::FrameWarm;
 pub struct ServiceConfig {
     /// Worker threads in the pool (≥ 1).
     pub threads: usize,
-    /// In-flight node bound for admission control (≥ 1): submissions
-    /// that would push the queued+running node count past this block
-    /// until space frees. A request larger than the bound is still
-    /// admitted when the service is idle.
-    pub max_inflight_nodes: usize,
 }
 
 impl ServiceConfig {
-    /// Node budget per worker when none is given: deep enough to keep
+    /// The admission bound's node budget per worker: submissions that
+    /// would push the queued+running node count past `threads ×` this
+    /// block until space frees (a request larger than the bound is
+    /// still admitted when the service is idle). Deep enough to keep
     /// cross-request interleaving alive, small enough that a burst of
     /// requests feels backpressure instead of queueing unboundedly.
     pub const DEFAULT_NODES_PER_WORKER: usize = 512;
 
-    /// A config with an explicit worker count and the default
-    /// admission bound.
+    /// A config with an explicit worker count.
     pub fn with_threads(threads: usize) -> Self {
-        let threads = threads.max(1);
         ServiceConfig {
-            threads,
-            max_inflight_nodes: threads * ServiceConfig::DEFAULT_NODES_PER_WORKER,
+            threads: threads.max(1),
         }
     }
 }
@@ -162,13 +159,8 @@ impl JobHandle {
     /// work }`. Like [`JobHandle::wait`], re-raises the request's
     /// panic payload on a completed-but-failed request.
     pub fn try_wait(self) -> Result<PipelineResult, JobHandle> {
-        self.try_wait_sim().map(|(result, _)| result)
-    }
-
-    /// [`JobHandle::try_wait`] for simulation-carrying submissions.
-    pub fn try_wait_sim(self) -> Result<(PipelineResult, Option<SimReport>), JobHandle> {
         if self.is_done() {
-            Ok(self.wait_sim())
+            Ok(self.wait())
         } else {
             Err(self)
         }
@@ -218,7 +210,11 @@ impl FocusService {
     /// Starts a service: spawns `config.threads` workers, which park
     /// immediately and live until the service is dropped.
     pub fn new(config: ServiceConfig) -> Self {
-        let core = Arc::new(Core::new(config.threads, config.max_inflight_nodes));
+        let threads = config.threads.max(1);
+        let core = Arc::new(Core::new(
+            threads,
+            threads * ServiceConfig::DEFAULT_NODES_PER_WORKER,
+        ));
         let workers = (0..core.threads())
             .map(|w| {
                 let core = Arc::clone(&core);
@@ -267,21 +263,12 @@ impl FocusService {
         self.submit_with(job, priority, Some(engine), None)
     }
 
-    /// Like [`FocusService::submit`], additionally threading a
-    /// session's warm frame state (shared retention plan, recycled
-    /// scratch) into the request's graph — the admission path of
-    /// [`crate::exec::StreamSession::push_frame`].
-    pub(crate) fn submit_warm(
-        &self,
-        job: BatchJob,
-        priority: Priority,
-        engine: Option<Arc<Engine>>,
-        warm: FrameWarm,
-    ) -> JobHandle {
-        self.submit_with(job, priority, engine, Some(warm))
-    }
-
-    fn submit_with(
+    /// The one submission body: [`FocusService::submit`] and
+    /// [`FocusService::submit_sim`] call it without warm state, and
+    /// [`crate::exec::StreamSession::push_frame`] threads a session's
+    /// warm frame state (shared retention plan, recycled scratch) into
+    /// the request's graph.
+    pub(crate) fn submit_with(
         &self,
         job: BatchJob,
         priority: Priority,
@@ -303,64 +290,56 @@ impl FocusService {
         }
     }
 
-    /// The unified metrics snapshot of this service: every counter
-    /// under `service.*` (the per-priority arrays fanned out as
-    /// `.high`/`.normal`/`.low`), plus the observability layer's own
-    /// `obs.*` entries (span totals, per-node-kind and
-    /// per-kernel-family latency summaries). [`FocusService::stats`]
-    /// and the bench serializer both read it.
-    pub fn snapshot(&self) -> crate::obs::Snapshot {
+    /// The unified metrics snapshot of this service: every
+    /// [`ServiceStats`] field under `service.*` (the per-priority
+    /// arrays fanned out as `.high`/`.normal`/`.low`), plus the
+    /// observability layer's own `obs.*` entries (span totals,
+    /// per-node-kind and per-kernel-family latency summaries).
+    pub fn snapshot(&self) -> Snapshot {
         const CLASS: [&str; Priority::LEVELS] = ["high", "normal", "low"];
-        let mut snap = crate::obs::Snapshot::new();
-        snap.set_u64("service.workers", self.core.threads() as u64);
-        snap.set_u64("service.parked", self.core.parked() as u64);
-        snap.set_u64("service.parks", self.core.parks());
-        snap.set_u64("service.idle", self.core.idle() as u64);
-        snap.set_u64(
-            "service.jobs_submitted",
-            self.jobs_submitted.load(Ordering::SeqCst),
-        );
-        snap.set_u64("service.jobs_completed", self.core.jobs_done());
-        snap.set_u64("service.inflight_nodes", self.core.inflight() as u64);
+        let stats = self.stats();
+        let mut snap = Snapshot::new();
+        snap.set_u64("service.workers", stats.workers as u64);
+        snap.set_u64("service.parked", stats.parked as u64);
+        snap.set_u64("service.parks", stats.parks);
+        snap.set_u64("service.idle", stats.idle as u64);
+        snap.set_u64("service.jobs_submitted", stats.jobs_submitted);
+        snap.set_u64("service.jobs_completed", stats.jobs_completed);
+        snap.set_u64("service.inflight_nodes", stats.inflight_nodes as u64);
         snap.set_u64(
             "service.max_inflight_nodes",
-            self.core.max_inflight() as u64,
+            stats.max_inflight_nodes as u64,
         );
-        let queued = self.core.queued_by_priority();
-        let served = self.core.served_by_priority();
         for (i, class) in CLASS.iter().enumerate() {
-            snap.set_u64(format!("service.queued.{class}"), queued[i] as u64);
-            snap.set_u64(format!("service.served.{class}"), served[i]);
+            snap.set_u64(
+                format!("service.queued.{class}"),
+                stats.queued_by_priority[i] as u64,
+            );
+            snap.set_u64(
+                format!("service.served.{class}"),
+                stats.served_by_priority[i],
+            );
         }
-        snap.set_u64(
-            "service.sessions_open",
-            self.sessions_open.load(Ordering::SeqCst) as u64,
-        );
+        snap.set_u64("service.sessions_open", stats.sessions_open as u64);
         crate::obs::publish_obs(&mut snap);
         snap
     }
 
-    /// A point-in-time observability snapshot, read through the
-    /// unified registry ([`FocusService::snapshot`]) — the typed view
-    /// and the registry can never disagree.
+    /// A point-in-time reading of the service's counters, taken
+    /// straight from the scheduler's atomics (no lock, no registry).
     pub fn stats(&self) -> ServiceStats {
-        let snap = self.snapshot();
-        let per_class = |prefix: &str| {
-            ["high", "normal", "low"].map(|class| snap.u64(&format!("{prefix}.{class}")))
-        };
-        let queued = per_class("service.queued");
         ServiceStats {
-            workers: snap.u64("service.workers") as usize,
-            parked: snap.u64("service.parked") as usize,
-            parks: snap.u64("service.parks"),
-            idle: snap.u64("service.idle") != 0,
-            jobs_submitted: snap.u64("service.jobs_submitted"),
-            jobs_completed: snap.u64("service.jobs_completed"),
-            inflight_nodes: snap.u64("service.inflight_nodes") as usize,
-            max_inflight_nodes: snap.u64("service.max_inflight_nodes") as usize,
-            queued_by_priority: queued.map(|q| q as usize),
-            served_by_priority: per_class("service.served"),
-            sessions_open: snap.u64("service.sessions_open") as usize,
+            workers: self.core.threads(),
+            parked: self.core.parked(),
+            parks: self.core.parks(),
+            idle: self.core.idle(),
+            jobs_submitted: self.jobs_submitted.load(Ordering::SeqCst),
+            jobs_completed: self.core.jobs_done(),
+            inflight_nodes: self.core.inflight(),
+            max_inflight_nodes: self.core.max_inflight(),
+            queued_by_priority: self.core.queued_by_priority(),
+            served_by_priority: self.core.served_by_priority(),
+            sessions_open: self.sessions_open.load(Ordering::SeqCst),
         }
     }
 
@@ -384,12 +363,6 @@ impl Drop for FocusService {
         for handle in lock_clean(&self.workers).drain(..) {
             let _ = handle.join();
         }
-        // With every worker joined, the rings are quiescent: flush the
-        // Chrome trace if `FOCUS_TRACE_OUT` asks for one. (A process
-        // with several services exports on each teardown; the last
-        // write wins with a superset of the earlier spans, since
-        // draining is non-destructive.)
-        crate::obs::chrome_trace::export_if_configured();
     }
 }
 
@@ -416,10 +389,7 @@ mod tests {
 
     #[test]
     fn owned_service_serves_and_parks_between_jobs() {
-        let service = FocusService::new(ServiceConfig {
-            threads: 2,
-            max_inflight_nodes: 4096,
-        });
+        let service = FocusService::new(ServiceConfig::with_threads(2));
         // Mixed priorities, three distinct architectures, one pool.
         let jobs = [
             (tiny_job(1, ArchConfig::focus()), Priority::Low),
@@ -502,6 +472,47 @@ mod tests {
         // Not a timing assertion — just visibility that polling
         // happened at all on slow machines (0 is fine on fast ones).
         let _ = polls;
+    }
+
+    /// The typed stats and the registry agree: after real work at two
+    /// priorities, every [`ServiceStats`] field equals its `service.*`
+    /// key. The pool is idle first, so no counter moves between the
+    /// two readings.
+    #[test]
+    fn typed_stats_equal_their_registry_keys() {
+        let service = FocusService::new(ServiceConfig::with_threads(2));
+        for (seed, priority) in [(11, Priority::High), (12, Priority::Low)] {
+            service
+                .submit(tiny_job(seed, ArchConfig::focus()), priority)
+                .wait();
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !service.stats().idle {
+            assert!(std::time::Instant::now() < deadline, "pool never idled");
+            std::thread::yield_now();
+        }
+        let stats = service.stats();
+        let snap = service.snapshot();
+        let key = |name: &str| snap.u64(&format!("service.{name}"));
+        let class = |prefix: &str| ["high", "normal", "low"].map(|c| key(&format!("{prefix}.{c}")));
+        assert_eq!(stats.workers as u64, key("workers"));
+        assert_eq!(stats.parked as u64, key("parked"));
+        assert_eq!(stats.parks, key("parks"));
+        assert_eq!(stats.idle as u64, key("idle"));
+        assert_eq!(stats.jobs_submitted, key("jobs_submitted"));
+        assert_eq!(stats.jobs_completed, key("jobs_completed"));
+        assert_eq!(stats.inflight_nodes as u64, key("inflight_nodes"));
+        assert_eq!(stats.max_inflight_nodes as u64, key("max_inflight_nodes"));
+        assert_eq!(stats.queued_by_priority.map(|q| q as u64), class("queued"));
+        assert_eq!(stats.served_by_priority, class("served"));
+        assert_eq!(stats.sessions_open as u64, key("sessions_open"));
+        // Real work, at the default admission bound.
+        assert_eq!((stats.jobs_submitted, stats.jobs_completed), (2, 2));
+        assert!(stats.served_by_priority[0] > 0 && stats.served_by_priority[2] > 0);
+        assert_eq!(
+            stats.max_inflight_nodes,
+            2 * ServiceConfig::DEFAULT_NODES_PER_WORKER
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use focus_tensor::backend::BackendHandle;
 use focus_tensor::quant::DataType;
-use focus_tensor::{f16, Element, Matrix};
+use focus_tensor::{f16, Matrix};
 use focus_vlm::attention::AttentionSynthesizer;
 use focus_vlm::embedding::{ActivationSynthesizer, Stage};
 use focus_vlm::Workload;
@@ -142,13 +142,8 @@ pub struct StageWorkspace<'w> {
 }
 
 impl<'w> StageWorkspace<'w> {
-    /// A workspace for one stage of `workload`'s stage graph, on the
-    /// process-wide active kernel backend.
-    pub fn new(workload: &'w Workload) -> Self {
-        StageWorkspace::new_on(workload, crate::obs::kernel_backend())
-    }
-
-    /// [`StageWorkspace::new`] on an explicit kernel backend.
+    /// A workspace for one stage of `workload`'s stage graph, on an
+    /// explicit kernel backend.
     pub fn new_on(workload: &'w Workload, backend: BackendHandle) -> Self {
         StageWorkspace::with_scratch_on(workload, StageScratch::for_workload(workload), backend)
     }
@@ -252,8 +247,12 @@ pub struct GatherStage {
 }
 
 impl GatherStage {
-    /// Builds the stage for one gather point, on the process-wide
-    /// active kernel backend.
+    /// Builds the stage for one gather point on an explicit kernel
+    /// backend: every hot kernel the stage launches (gather scoring,
+    /// dtype conversion, synthesis fill) dispatches through `backend`,
+    /// except that synthesis runs on the backend a launch-timing
+    /// wrapper forwards to (see [`crate::obs::kernels`] for why
+    /// synthesis runs untimed).
     ///
     /// The tile height is NOT scaled down with the frame count: what
     /// governs boundary statistics is the tile span measured in frames
@@ -261,15 +260,6 @@ impl GatherStage {
     /// identical at both scales. A scaled-down tile would hide the
     /// temporal twin (one frame-stride away in the packed stream) from
     /// most keys and destroy the match rate.
-    pub fn new(config: &FocusConfig, stage: Stage, dtype: DataType) -> Self {
-        GatherStage::new_on(config, stage, dtype, crate::obs::kernel_backend())
-    }
-
-    /// [`GatherStage::new`] on an explicit kernel backend: every hot
-    /// kernel the stage launches (gather scoring, dtype conversion,
-    /// synthesis fill) dispatches through `backend`, except that
-    /// synthesis runs on the backend a launch-timing wrapper forwards
-    /// to (see [`crate::obs::kernels`] for why synthesis runs untimed).
     pub fn new_on(
         config: &FocusConfig,
         stage: Stage,
@@ -278,14 +268,7 @@ impl GatherStage {
     ) -> Self {
         GatherStage {
             stage,
-            concentrator: SimilarityConcentrator {
-                gather: crate::sic::GatherConfig {
-                    threshold: config.threshold,
-                    block: config.block,
-                },
-                vector_len: config.vector_len,
-                tile_m: config.tile_m,
-            },
+            concentrator: SimilarityConcentrator::from_config(config),
             dtype,
             backend,
             synth_backend: crate::obs::kernels::untimed(backend),
@@ -406,32 +389,15 @@ impl GatherStage {
         scratch: &mut StageScratch,
         temporal: Option<(&TemporalCache, usize)>,
     ) -> MatrixGatherStats {
+        let probe = temporal.map(|(cache, stage)| (cache, ctx.retained, ctx.layer, stage));
+        let (conc, gather) = (&self.concentrator, &mut scratch.gather);
         match &scratch.acts {
-            StageActs::F32(acts) => self.sweep_on(acts, ctx, &mut scratch.gather, temporal),
-            StageActs::F16(acts) => self.sweep_on(acts, ctx, &mut scratch.gather, temporal),
-        }
-    }
-
-    fn sweep_on<E: Element>(
-        &self,
-        acts: &Matrix<E>,
-        ctx: &LayerCtx<'_>,
-        scratch: &mut GatherScratch,
-        temporal: Option<(&TemporalCache, usize)>,
-    ) -> MatrixGatherStats {
-        let conc = &self.concentrator;
-        match temporal {
-            Some((cache, stage_index)) => conc.gather_matrix_temporal_on(
-                acts,
-                ctx.positions,
-                ctx.retained,
-                scratch,
-                cache,
-                ctx.layer,
-                stage_index,
-                self.backend,
-            ),
-            None => conc.gather_matrix_with_on(acts, ctx.positions, scratch, self.backend),
+            StageActs::F32(acts) => {
+                conc.gather_matrix_with_on(acts, ctx.positions, gather, probe, self.backend)
+            }
+            StageActs::F16(acts) => {
+                conc.gather_matrix_with_on(acts, ctx.positions, gather, probe, self.backend)
+            }
         }
     }
 }

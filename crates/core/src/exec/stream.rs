@@ -275,23 +275,24 @@ impl<'s> StreamSession<'s> {
         self.plan.as_ref().map(|shared| shared.plan.geometry())
     }
 
-    /// The unified metrics snapshot of this session: every counter
-    /// under `session.*`, through the same registry seam as
+    /// The unified metrics snapshot of this session: every
+    /// [`SessionStats`] field under `session.*`, plus the
+    /// `session.scratch_bytes` gauge, through the same registry seam as
     /// [`FocusService::snapshot`].
     pub fn snapshot(&self) -> crate::obs::Snapshot {
-        let t = self.temporal_totals();
+        let stats = self.stats();
         let mut snap = crate::obs::Snapshot::new();
-        snap.set_u64("session.frames_pushed", self.frames_pushed);
-        snap.set_u64("session.frames_retired", self.frames_retired);
-        snap.set_u64("session.frames_inflight", self.inflight.len() as u64);
-        snap.set_u64("session.window", self.config.window as u64);
-        snap.set_u64("session.warm_reuses", self.warm_reuses);
-        snap.set_u64("session.warm_rederives", self.warm_rederives);
-        snap.set_u64("session.plan_cache_hits", self.plan_cache_hits);
-        snap.set_u64("session.temporal.hits", t.hits);
-        snap.set_u64("session.temporal.misses", t.misses);
-        snap.set_u64("session.temporal.evictions", t.evictions);
-        snap.set_u64("session.temporal.gathers_skipped", t.gathers_skipped);
+        snap.set_u64("session.frames_pushed", stats.frames_pushed);
+        snap.set_u64("session.frames_retired", stats.frames_retired);
+        snap.set_u64("session.frames_inflight", stats.frames_inflight as u64);
+        snap.set_u64("session.window", stats.window as u64);
+        snap.set_u64("session.warm_reuses", stats.warm_reuses);
+        snap.set_u64("session.warm_rederives", stats.warm_rederives);
+        snap.set_u64("session.plan_cache_hits", stats.plan_cache_hits);
+        snap.set_u64("session.temporal.hits", stats.temporal_hits);
+        snap.set_u64("session.temporal.misses", stats.temporal_misses);
+        snap.set_u64("session.temporal.evictions", stats.temporal_evictions);
+        snap.set_u64("session.temporal.gathers_skipped", stats.gathers_skipped);
         snap.set_u64("session.scratch_bytes", self.scratch_bytes() as u64);
         snap
     }
@@ -316,23 +317,22 @@ impl<'s> StreamSession<'s> {
     }
 
     /// Session statistics (window occupancy, warm-reuse and temporal
-    /// counters), read through the unified registry
-    /// ([`StreamSession::snapshot`]) so the typed view and the
-    /// registry can never disagree.
+    /// counters), read straight from the session's counters and its
+    /// temporal caches. Locks no in-flight frame's scratch ring.
     pub fn stats(&self) -> SessionStats {
-        let snap = self.snapshot();
+        let t = self.temporal_totals();
         SessionStats {
-            frames_pushed: snap.u64("session.frames_pushed"),
-            frames_retired: snap.u64("session.frames_retired"),
-            frames_inflight: snap.u64("session.frames_inflight") as usize,
-            window: snap.u64("session.window") as usize,
-            warm_reuses: snap.u64("session.warm_reuses"),
-            warm_rederives: snap.u64("session.warm_rederives"),
-            plan_cache_hits: snap.u64("session.plan_cache_hits"),
-            temporal_hits: snap.u64("session.temporal.hits"),
-            temporal_misses: snap.u64("session.temporal.misses"),
-            temporal_evictions: snap.u64("session.temporal.evictions"),
-            gathers_skipped: snap.u64("session.temporal.gathers_skipped"),
+            frames_pushed: self.frames_pushed,
+            frames_retired: self.frames_retired,
+            frames_inflight: self.inflight.len(),
+            window: self.config.window,
+            warm_reuses: self.warm_reuses,
+            warm_rederives: self.warm_rederives,
+            plan_cache_hits: self.plan_cache_hits,
+            temporal_hits: t.hits,
+            temporal_misses: t.misses,
+            temporal_evictions: t.evictions,
+            gathers_skipped: t.gathers_skipped,
         }
     }
 
@@ -483,7 +483,7 @@ impl<'s> StreamSession<'s> {
         };
         let handle = self
             .service
-            .submit_warm(job, self.config.priority, None, warm);
+            .submit_with(job, self.config.priority, None, Some(warm));
         let (graph, run) = handle.parts();
         self.inflight.push_back(InflightFrame { graph, run });
         let frame = self.frames_pushed;
@@ -575,5 +575,47 @@ mod tests {
         for handle in handles {
             handle.wait();
         }
+    }
+
+    /// The typed stats and the registry agree: after a temporal stream
+    /// with a geometry switch and a return, every [`SessionStats`]
+    /// field equals its `session.*` key.
+    #[test]
+    fn typed_stats_equal_their_registry_keys() {
+        let service = FocusService::new(ServiceConfig::with_threads(2));
+        let config = StreamConfig {
+            temporal: Some(TemporalCacheConfig::default()),
+            ..StreamConfig::default()
+        };
+        let mut session = StreamSession::open(
+            &service,
+            FocusPipeline::paper(),
+            ArchConfig::focus(),
+            config,
+        );
+        for (stride, seed) in [(7, 0), (7, 0), (3, 1), (7, 0)] {
+            session.push_frame(frame(stride, seed));
+        }
+        session.flush();
+        let stats = session.stats();
+        let snap = session.snapshot();
+        let key = |name: &str| snap.u64(&format!("session.{name}"));
+        assert_eq!(stats.frames_pushed, key("frames_pushed"));
+        assert_eq!(stats.frames_retired, key("frames_retired"));
+        assert_eq!(stats.frames_inflight as u64, key("frames_inflight"));
+        assert_eq!(stats.window as u64, key("window"));
+        assert_eq!(stats.warm_reuses, key("warm_reuses"));
+        assert_eq!(stats.warm_rederives, key("warm_rederives"));
+        assert_eq!(stats.plan_cache_hits, key("plan_cache_hits"));
+        assert_eq!(stats.temporal_hits, key("temporal.hits"));
+        assert_eq!(stats.temporal_misses, key("temporal.misses"));
+        assert_eq!(stats.temporal_evictions, key("temporal.evictions"));
+        assert_eq!(stats.gathers_skipped, key("temporal.gathers_skipped"));
+        // Real work: every frame retired, one fresh derivation and one
+        // plan-cache return, and temporal probes on both geometries.
+        assert_eq!((stats.frames_pushed, stats.frames_retired), (4, 4));
+        assert_eq!((stats.warm_rederives, stats.plan_cache_hits), (1, 1));
+        assert!(stats.temporal_hits > 0 && stats.temporal_misses > 0);
+        assert!(key("scratch_bytes") > 0);
     }
 }

@@ -29,11 +29,12 @@
 //!   decomposed into `Sec`/`Synth`/`Gather`/`FoldStats`/`Absorb`/`Lower`
 //!   nodes of one shared topology, built once per retention plan; each
 //!   run is that topology plus a pipeline graph owning the run's state,
-//!   on a work-stealing scheduler with cross-layer and cross-workload
+//!   on one weighted fair queue with cross-layer and cross-workload
 //!   overlap at any depth), the [`exec::LayerExecutor`] (the
 //!   single-threaded reference loop behind [`exec::ExecMode::Serial`]),
 //!   and [`exec::BatchRunner::run`] (submits a batch of jobs into the
-//!   shared serving pool, results bit-identical to serial execution);
+//!   shared serving pool with their cycle simulation, results
+//!   bit-identical to serial execution);
 //! * [`session`] — per-session warm state for streaming feeds: the
 //!   shared retention plan and topology and the recycled frame
 //!   allocations behind [`exec::StreamSession`]'s per-frame admission;
@@ -44,10 +45,9 @@
 //!   schedule streams it), `stats` (the per-layer records and
 //!   [`pipeline::PipelineResult`]);
 //! * [`obs`] — the observability layer: per-node span tracing into
-//!   lock-free rings (`FOCUS_TRACE=spans`), Chrome-trace export
-//!   (`FOCUS_TRACE_OUT=path`), per-phase and per-kernel latency
-//!   histograms, and the unified metrics registry every `stats()`
-//!   surface reads through;
+//!   lock-free rings (`FOCUS_TRACE=spans`), Chrome-trace export on
+//!   request, per-phase and per-kernel latency histograms, and the
+//!   unified metrics registry every `snapshot()` publishes to;
 //! * [`unit`](mod@unit) — the hardware inventory (area shares, overlap
 //!   guarantees).
 //!
@@ -92,7 +92,7 @@
 //!         arch: ArchConfig::focus(),
 //!     })
 //!     .collect();
-//! let results = BatchRunner::run(&jobs);
+//! let results: Vec<_> = BatchRunner::run(&jobs).into_iter().map(|(r, _)| r).collect();
 //! assert_eq!(results.len(), 4);
 //! ```
 

@@ -16,8 +16,10 @@
 //!
 //! Export hooks: [`export_to`] writes the current recorder contents to
 //! a path, and [`export_if_configured`] does so only when
-//! [`super::spans::TRACE_OUT_ENV`] (`FOCUS_TRACE_OUT`) names one — the
-//! hook `FocusService` teardown and the `trace_run` bin call.
+//! [`super::spans::TRACE_OUT_ENV`] (`FOCUS_TRACE_OUT`) names one. Only
+//! a binary that calls a hook writes a trace (today `trace_run`);
+//! nothing exports implicitly, and a service's teardown writes no
+//! file.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};

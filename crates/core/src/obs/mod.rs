@@ -13,15 +13,16 @@
 //!   `tests/obs_trace.rs`).
 //! * [`chrome_trace`] — drains the rings into Perfetto-loadable
 //!   `trace_event` JSON (workers as tids, jobs as async arrows),
-//!   written on demand or via `FOCUS_TRACE_OUT=path`.
+//!   written where a binary asks for it (`trace_run` honours
+//!   `FOCUS_TRACE_OUT=path`).
 //! * [`hist`] — fixed-bucket log2 latency histograms with
 //!   p50/p99/max, one per node kind and one per kernel family.
 //! * [`kernels`] — the [`kernels::Timed`] backend wrapper timing
 //!   every stage kernel launch into its family histogram (the
 //!   activation synthesiser runs untimed).
 //! * [`registry`] — the flat `name → value` [`Snapshot`] that
-//!   `FocusService::stats()`, `StreamSession::stats()` and the bench
-//!   serializer all read through.
+//!   `FocusService::snapshot()` and `StreamSession::snapshot()` publish
+//!   their typed stats into, with the `obs.*` entries alongside.
 //! * [`clock`] — the single `Instant::now` seam (the only first-party
 //!   non-test file the D1-wallclock lint allowlists).
 

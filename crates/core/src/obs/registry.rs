@@ -1,13 +1,12 @@
 //! The unified metrics registry: one flat, insertion-ordered
-//! `name → value` snapshot that every stats surface reads through.
+//! `name → value` snapshot that every stats surface publishes into.
 //!
-//! Before this module, `FocusService::stats()`, `StreamSession::stats()`
-//! and the bench serializer each hand-rolled their own counter
-//! plumbing; a new counter meant touching every consumer. Now each
-//! producer publishes into a [`Snapshot`] under a dotted-name
-//! convention and consumers (typed stats structs, the bench JSON, the
-//! `trace_run` report, the planned per-shard rollups of ROADMAP
-//! direction 4) read the one tree:
+//! Each producer publishes into a [`Snapshot`] under a dotted-name
+//! convention: `FocusService::snapshot()` and `StreamSession::snapshot()`
+//! publish every field of their typed stats struct (built straight
+//! from the counters) plus the gauges and `obs.*` entries no struct
+//! carries, and readers such as the `trace_run` report take the one
+//! tree:
 //!
 //! * `service.*` — scheduler-wide counters (`service.jobs_completed`,
 //!   `service.queued.high`, `service.served.low`, …);

@@ -32,8 +32,9 @@ use super::hist::Histogram;
 pub const TRACE_ENV: &str = "FOCUS_TRACE";
 
 /// Environment variable naming the Chrome-trace JSON output path,
-/// honoured by the `trace_run` bin and by [`crate::exec::FocusService`]
-/// teardown (see [`super::chrome_trace::export_if_configured`]).
+/// honoured by binaries that call
+/// [`super::chrome_trace::export_if_configured`] (the `trace_run`
+/// bin).
 pub const TRACE_OUT_ENV: &str = "FOCUS_TRACE_OUT";
 
 /// Span-tracing activation parameters.

@@ -147,45 +147,35 @@ impl SimilarityConcentrator {
     /// by field — also over an FP16 store, whose rows the kernels
     /// widen to exactly the values an f32 buffer rounded through FP16
     /// holds.
+    ///
+    /// `temporal` is the optional cross-frame probe `(cache, tokens,
+    /// layer, stage)`: each m-tile is settled against the cache's
+    /// `(layer, stage)` plane in one [`TemporalCache::reconcile`] pass
+    /// — the plane is locked once per m-tile, byte-identical rows
+    /// become **carried** entries and moved rows are re-committed — and
+    /// the sweep then reads the resulting carry mask without touching
+    /// the cache (see [`temporal`]). `tokens[row]` keys each row to its
+    /// absolute token index across frames. With a cold or never-hitting
+    /// cache the statistics are identical to the probe-less call; only
+    /// the cache's counters move.
     pub fn gather_matrix_with_on<E: Element>(
         &self,
         acts: &Matrix<E>,
         positions: &[Option<Fhw>],
         scratch: &mut GatherScratch,
+        temporal: Option<(&TemporalCache, &[usize], usize, usize)>,
         backend: BackendHandle,
     ) -> MatrixGatherStats {
-        self.sweep(acts, positions, scratch, |_, _, _| false, backend)
-            .0
-    }
-
-    /// [`SimilarityConcentrator::gather_matrix_with_on`] with a
-    /// cross-frame temporal probe: each m-tile is settled against the
-    /// cache's `(layer, stage)` plane in one
-    /// [`TemporalCache::reconcile`] pass — the plane is locked once
-    /// per m-tile, byte-identical rows become **carried** entries and
-    /// moved rows are re-committed — and the sweep then reads the
-    /// resulting carry mask without touching the cache (see
-    /// [`temporal`]). `tokens[row]` keys each row to its absolute token
-    /// index across frames. With a cold or never-hitting cache the
-    /// statistics are identical to the per-frame path except for the
-    /// probe counters.
-    #[allow(clippy::too_many_arguments)]
-    pub fn gather_matrix_temporal_on<E: Element>(
-        &self,
-        acts: &Matrix<E>,
-        positions: &[Option<Fhw>],
-        tokens: &[usize],
-        scratch: &mut GatherScratch,
-        cache: &TemporalCache,
-        layer: usize,
-        stage: usize,
-        backend: BackendHandle,
-    ) -> MatrixGatherStats {
+        let Some((cache, tokens, layer, stage)) = temporal else {
+            return self
+                .sweep(acts, positions, scratch, |_, _, _| false, backend)
+                .0;
+        };
         assert!(tokens.len() >= acts.rows(), "tokens shorter than matrix");
-        let v_len = self.v_len(acts.cols());
+        let (width, v_len) = (acts.cols(), self.v_len(acts.cols()));
         let settle = |row_start, row_count, mask: &mut CarryMask| {
             cache.reconcile(
-                layer, stage, acts, row_start, row_count, v_len, tokens, mask,
+                layer, stage, width, row_start, row_count, v_len, tokens, mask,
             );
             true
         };
@@ -423,10 +413,39 @@ mod tests {
             let positions = grid_positions(2, 4, 4);
             let acts = Matrix::from_fn(32, 64, |r, c| ((r * 3 + c + seed) as f32 * 0.7).sin());
             let reference = conc.gather_matrix_on(&acts, &positions, backend::active());
-            let reused =
-                conc.gather_matrix_with_on(&acts, &positions, &mut scratch, backend::active());
+            let reused = conc.gather_matrix_with_on(
+                &acts,
+                &positions,
+                &mut scratch,
+                None,
+                backend::active(),
+            );
             assert_eq!(reused, reference);
         }
+    }
+
+    /// The optional temporal probe through the single production call:
+    /// a never-signed cache has no carry proof, so the probed gather
+    /// returns the probe-less statistics field by field, carries
+    /// nothing, and the cache counts one miss per row and column tile.
+    #[test]
+    fn unsigned_probe_matches_the_probe_less_gather() {
+        let (acts, positions, layouter) = redundant_case(5, 40, 50, 2, 0);
+        let conc = concentrator(16, 16);
+        let col_tiles = 50usize.div_ceil(16);
+        let tokens: Vec<usize> = (0..40).collect();
+        let cache = TemporalCache::new(TemporalCacheConfig::default(), 1, 1, 64);
+        cache.begin_frame();
+        let mut scratch = GatherScratch::new(&layouter);
+        let be = backend::active();
+        let plain = conc.gather_matrix_with_on(&acts, &positions, &mut scratch, None, be);
+        let probe = Some((&cache, tokens.as_slice(), 0, 0));
+        let probed = conc.gather_matrix_with_on(&acts, &positions, &mut scratch, probe, be);
+        assert_eq!(probed, plain);
+        assert_eq!(probed.carried, 0);
+        let counters = cache.counters().snapshot();
+        assert_eq!(counters.misses, (40 * col_tiles) as u64);
+        assert_eq!((counters.hits, counters.gathers_skipped), (0, 0));
     }
 
     /// SplitMix64 finaliser: a deterministic hash for test inputs.

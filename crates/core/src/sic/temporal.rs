@@ -61,7 +61,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
-use focus_tensor::{Element, Matrix};
 use focus_vlm::embedding::{StabilityModel, Stage};
 use focus_vlm::scene::{ContentKey, TokenSig};
 
@@ -443,11 +442,11 @@ impl TemporalCache {
             .unwrap_or(0)
     }
 
-    /// Settles one m-tile of `acts` (rows `row_start ..
-    /// row_start + row_count`, column tiles of `v_len`) against the
-    /// `(layer, stage)` plane in a single locked pass and fills `mask`
-    /// with the carry decisions. The activation bytes are never read —
-    /// `acts` only shapes the plane.
+    /// Settles one m-tile of a `width`-wide activation matrix (rows
+    /// `row_start .. row_start + row_count`, column tiles of `v_len`)
+    /// against the `(layer, stage)` plane in a single locked pass and
+    /// fills `mask` with the carry decisions. No activation byte is
+    /// read: the width only shapes the plane.
     ///
     /// Per row: the slot is resolved **once** (allocating, and possibly
     /// evicting the LRU entry, on first sight of the token). A row
@@ -461,23 +460,18 @@ impl TemporalCache {
     /// Counters are batched locally and folded into the shared atomics
     /// once per call.
     #[allow(clippy::too_many_arguments)]
-    pub fn reconcile<E: Element>(
+    pub fn reconcile(
         &self,
         layer: usize,
         stage: usize,
-        acts: &Matrix<E>,
+        width: usize,
         row_start: usize,
         row_count: usize,
         v_len: usize,
         tokens: &[usize],
         mask: &mut CarryMask,
     ) {
-        let width = acts.cols();
         let col_tiles = width.div_ceil(v_len.max(1)).max(1);
-        assert!(
-            row_start + row_count <= acts.rows(),
-            "row range out of bounds"
-        );
         assert!(tokens.len() >= row_start + row_count, "tokens too short");
         mask.reset(row_count, col_tiles);
 
@@ -643,9 +637,8 @@ mod tests {
     /// Reconciles one width-[`GROUP`] row per token at plane (0, 0)
     /// and returns the mask.
     fn settle(c: &TemporalCache, tokens: &[usize]) -> CarryMask {
-        let m = Matrix::zeros(tokens.len(), GROUP);
         let mut mask = CarryMask::new();
-        c.reconcile(0, 0, &m, 0, tokens.len(), GROUP, tokens, &mut mask);
+        c.reconcile(0, 0, GROUP, 0, tokens.len(), GROUP, tokens, &mut mask);
         mask
     }
 
@@ -701,9 +694,8 @@ mod tests {
         let sigs = vec![sig(epoch); 64];
         c.begin_frame_with(1, &sigs, model());
         let settle2 = |c: &TemporalCache| {
-            let acts = Matrix::zeros(1, 2 * GROUP);
             let mut mask = CarryMask::new();
-            c.reconcile(0, 0, &acts, 0, 1, GROUP, &[3], &mut mask);
+            c.reconcile(0, 0, 2 * GROUP, 0, 1, GROUP, &[3], &mut mask);
             mask
         };
         settle2(&c);
@@ -787,9 +779,8 @@ mod tests {
         let c = TemporalCache::new(TemporalCacheConfig::default(), 2, 2, 8);
         let sigs = vec![sig(epoch); 8];
         let settle_at = |layer: usize, stage: usize| {
-            let acts = Matrix::zeros(1, GROUP);
             let mut mask = CarryMask::new();
-            c.reconcile(layer, stage, &acts, 0, 1, GROUP, &[0], &mut mask);
+            c.reconcile(layer, stage, GROUP, 0, 1, GROUP, &[0], &mut mask);
             mask.carried(0, 0).is_some()
         };
         c.begin_frame_with(1, &sigs, model());

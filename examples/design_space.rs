@@ -3,9 +3,10 @@
 //! a deployment would actually tune (Table I ships 0.9).
 //!
 //! The six threshold variants are independent pipeline runs, so they
-//! batch through [`BatchRunner::run_sim`] — cycle simulation included,
-//! one engine shared by every job — and sweep at machine width;
-//! results come back in sweep order, identical to a serial loop.
+//! batch through [`BatchRunner::run`] — cycle simulation included, one
+//! engine shared by every job — and sweep at machine width; results
+//! come back in sweep order, identical to a serial loop. The output is
+//! pinned byte for byte by `tests/golden/design_space.txt`.
 //!
 //! ```sh
 //! cargo run --release --example design_space
@@ -43,7 +44,7 @@ fn main() {
             }
         })
         .collect();
-    let results = BatchRunner::run_sim(&jobs);
+    let results = BatchRunner::run(&jobs);
 
     let mut base_seconds = None;
     for (&threshold, (result, rep)) in thresholds.iter().zip(&results) {

@@ -91,7 +91,7 @@ fn run_many_matches_sequential_over_seeds_and_models() {
     assert_eq!(batched.len(), jobs.len());
     for (i, job) in jobs.iter().enumerate() {
         assert_identical(
-            &batched[i],
+            &batched[i].0,
             &serial_reference(job),
             &format!("cell {i} (seed {})", job.workload.seed()),
         );
@@ -113,13 +113,11 @@ fn serial_mode_jobs_batch_like_their_own_runs() {
         })
         .collect();
     let batched = BatchRunner::run(&jobs);
-    let simulated = BatchRunner::run_sim(&jobs);
     for (i, job) in jobs.iter().enumerate() {
         let own = job.pipeline.run(&job.workload, &job.arch);
-        assert_identical(&batched[i], &own, &format!("serial-mode job {i}"));
-        assert_identical(&simulated[i].0, &own, &format!("serial-mode sim job {i}"));
+        assert_identical(&batched[i].0, &own, &format!("serial-mode job {i}"));
         let own_rep = focus::sim::Engine::new(job.arch.clone()).run(&own.work_items);
-        assert_eq!(simulated[i].1, own_rep, "serial-mode job report {i}");
+        assert_eq!(batched[i].1, own_rep, "serial-mode job report {i}");
     }
 }
 
@@ -153,7 +151,11 @@ fn run_jobs_matches_sequential_over_configs() {
     let batched = BatchRunner::run(&jobs);
     assert_eq!(batched.len(), jobs.len());
     for (i, job) in jobs.iter().enumerate() {
-        assert_identical(&batched[i], &serial_reference(job), &format!("config {i}"));
+        assert_identical(
+            &batched[i].0,
+            &serial_reference(job),
+            &format!("config {i}"),
+        );
     }
 }
 
@@ -286,10 +288,7 @@ proptest! {
 fn shared_service_serves_staggered_mixed_priority_requests() {
     // An owned service so the parked/completion counters are not
     // shared with concurrently running tests.
-    let service = FocusService::new(ServiceConfig {
-        threads: 3,
-        max_inflight_nodes: 1024,
-    });
+    let service = FocusService::new(ServiceConfig::with_threads(3));
     let cells = [
         (ArchConfig::focus(), Priority::Normal, 1u64),
         (ArchConfig::vanilla(), Priority::High, 2),
@@ -399,19 +398,13 @@ fn graph_batch_matches_sequential_runs() {
         .collect();
     let jobs = paper_jobs(&workloads);
 
-    let batched = BatchRunner::run_sim(&jobs);
+    let batched = BatchRunner::run(&jobs);
     assert_eq!(batched.len(), jobs.len());
     for (i, job) in jobs.iter().enumerate() {
         let serial = serial_reference(job);
         let serial_rep = focus::sim::Engine::new(ArchConfig::focus()).run(&serial.work_items);
         assert_identical(&batched[i].0, &serial, &format!("graph batch cell {i}"));
         assert_eq!(batched[i].1, serial_rep, "graph batch report {i}");
-    }
-
-    // The sim-less path agrees too.
-    let plain = BatchRunner::run(&jobs);
-    for (i, (r, _)) in batched.iter().enumerate() {
-        assert_identical(&plain[i], r, &format!("graph batch cell {i}, no sim"));
     }
 
     // And jobs at different graph depths share the one service.
@@ -424,7 +417,7 @@ fn graph_batch_matches_sequential_runs() {
             arch: ArchConfig::focus(),
         })
         .collect();
-    let job_results = BatchRunner::run_sim(&jobs);
+    let job_results = BatchRunner::run(&jobs);
     for (i, (job, (r, rep))) in jobs.iter().zip(&job_results).enumerate() {
         let serial = serial_reference(job);
         let serial_rep = focus::sim::Engine::new(job.arch.clone()).run(&serial.work_items);
@@ -450,10 +443,11 @@ fn workspace_reuse_matches_fresh_synthesizer_stats() {
     let m_img = wl.image_tokens_scaled();
     for dtype in [DataType::Fp16, DataType::Int8] {
         for stage in Stage::GATHER_POINTS {
-            let gather = GatherStage::new(&FocusConfig::paper(), stage, dtype);
+            let backend = focus::core::obs::kernel_backend();
+            let gather = GatherStage::new_on(&FocusConfig::paper(), stage, dtype, backend);
             // ONE workspace serves every layer; the reference path
             // builds everything fresh per call.
-            let mut ws = StageWorkspace::new(&wl);
+            let mut ws = StageWorkspace::new_on(&wl, backend);
             for (layer, keep_every) in [(0usize, 1usize), (3, 2), (7, 3), (14, 5), (27, 2)] {
                 let retained: Vec<usize> = (0..m_img).step_by(keep_every).collect();
                 let positions: Vec<Option<Fhw>> = retained
@@ -494,7 +488,8 @@ fn repeated_parallel_runs_are_stable() {
     let first = BatchRunner::run(&jobs);
     let second = BatchRunner::run(&jobs);
     for (i, (a, b)) in first.iter().zip(&second).enumerate() {
-        assert_identical(a, b, &format!("repeat {i}"));
+        assert_identical(&a.0, &b.0, &format!("repeat {i}"));
+        assert_eq!(a.1, b.1, "repeat {i} report");
     }
 }
 

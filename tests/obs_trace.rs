@@ -52,10 +52,7 @@ fn run_once(mode: ExecMode, threads: usize, seed: u64) -> PipelineResult {
     let arch = ArchConfig::focus();
     match mode {
         ExecMode::Graph { .. } => {
-            let service = FocusService::new(ServiceConfig {
-                threads,
-                max_inflight_nodes: 4096,
-            });
+            let service = FocusService::new(ServiceConfig::with_threads(threads));
             let job = BatchJob {
                 pipeline,
                 workload: workload(seed),
@@ -128,10 +125,7 @@ fn traced_session_matches_untraced_and_spans_satisfy_invariants() {
 
     let pipeline = || FocusPipeline::paper().with_exec_mode(ExecMode::Graph { depth: DEPTH });
     let run_session = || {
-        let service = FocusService::new(ServiceConfig {
-            threads: THREADS,
-            max_inflight_nodes: 4096,
-        });
+        let service = FocusService::new(ServiceConfig::with_threads(THREADS));
         let mut session = StreamSession::open(
             &service,
             pipeline(),

@@ -83,10 +83,7 @@ proptest! {
         threads in 1usize..4,
         priority_pick in 0usize..3,
     ) {
-            let service = FocusService::new(ServiceConfig {
-            threads,
-            max_inflight_nodes: 4096,
-        });
+            let service = FocusService::new(ServiceConfig::with_threads(threads));
         let mut sessions: Vec<StreamSession<'_>> = (0..frame_counts.len())
             .map(|_| {
                 StreamSession::open(
@@ -141,10 +138,7 @@ proptest! {
 /// bit-identical to the serial loop.
 #[test]
 fn warm_scratch_recycles_across_frames() {
-    let service = FocusService::new(ServiceConfig {
-        threads: 2,
-        max_inflight_nodes: 4096,
-    });
+    let service = FocusService::new(ServiceConfig::with_threads(2));
     let mut session = StreamSession::open(
         &service,
         graph_pipeline(),
@@ -268,10 +262,7 @@ fn panicking_frames_keep_the_session_warm() {
 /// divergent frame's result is still bit-identical to the serial loop.
 #[test]
 fn geometry_divergence_rederives_warm_state() {
-    let service = FocusService::new(ServiceConfig {
-        threads: 2,
-        max_inflight_nodes: 4096,
-    });
+    let service = FocusService::new(ServiceConfig::with_threads(2));
     let mut session = StreamSession::open(
         &service,
         graph_pipeline(),
@@ -323,10 +314,7 @@ fn geometry_divergence_rederives_warm_state() {
 /// (`warm_reuses` restarts from a cold pool).
 #[test]
 fn stride_divergence_rederives_and_drops_the_pool() {
-    let service = FocusService::new(ServiceConfig {
-        threads: 2,
-        max_inflight_nodes: 4096,
-    });
+    let service = FocusService::new(ServiceConfig::with_threads(2));
     let mut session = StreamSession::open(
         &service,
         graph_pipeline(),
@@ -411,10 +399,7 @@ proptest! {
         seed in 1u64..1_000,
         corr_pick in 0usize..3,
     ) {
-            let service = FocusService::new(ServiceConfig {
-            threads: 2,
-            max_inflight_nodes: 4096,
-        });
+            let service = FocusService::new(ServiceConfig::with_threads(2));
 
         // Leg 1: cache on, correlation 0.
         let stream = SceneStream { seed, correlation: 0.0 };
@@ -468,10 +453,7 @@ proptest! {
 /// rows from frame 2 on and skips their in-frame candidate comparisons.
 #[test]
 fn correlated_stream_carries_rows_and_skips_gathers() {
-    let service = FocusService::new(ServiceConfig {
-        threads: 2,
-        max_inflight_nodes: 4096,
-    });
+    let service = FocusService::new(ServiceConfig::with_threads(2));
     let stream = SceneStream {
         seed: 42,
         correlation: 1.0,
@@ -729,10 +711,7 @@ fn scratch_gauge_counts_the_fp16_ring_and_stays_flat() {
 /// frames stream through — overflow shows up as evictions, not growth.
 #[test]
 fn temporal_cache_memory_stays_bounded() {
-    let service = FocusService::new(ServiceConfig {
-        threads: 2,
-        max_inflight_nodes: 4096,
-    });
+    let service = FocusService::new(ServiceConfig::with_threads(2));
     let cfg = TemporalCacheConfig {
         capacity: 16,
         max_age: 4,
@@ -784,10 +763,7 @@ fn temporal_cache_memory_stays_bounded() {
 /// `plan_cache_hits`, not another `warm_rederives`.
 #[test]
 fn returning_to_a_seen_geometry_hits_the_plan_cache() {
-    let service = FocusService::new(ServiceConfig {
-        threads: 2,
-        max_inflight_nodes: 4096,
-    });
+    let service = FocusService::new(ServiceConfig::with_threads(2));
     let mut session = StreamSession::open(
         &service,
         graph_pipeline(),
@@ -829,10 +805,7 @@ fn returning_to_a_seen_geometry_hits_the_plan_cache() {
 /// trips the bound assertion.
 #[test]
 fn high_flood_does_not_starve_a_low_job() {
-    let service = FocusService::new(ServiceConfig {
-        threads: 2,
-        max_inflight_nodes: 4096,
-    });
+    let service = FocusService::new(ServiceConfig::with_threads(2));
     let job = |seed: u64| BatchJob {
         pipeline: graph_pipeline(),
         workload: Workload::new(
