@@ -17,9 +17,10 @@
 //!   harness; token-level methods have no cross-frame state to use.
 //!
 //! At correlation 0 the temporal column must match the isolated one
-//! (zero hits by byte inequality); as correlation rises the hit rate
-//! and the skipped-gather share climb while the baselines stay flat —
-//! the temporal-concentration figure of merit.
+//! (zero hits: every frame re-keys its signatures, so no row has the
+//! carry proof); as correlation rises the hit rate and the
+//! skipped-gather share climb while the baselines stay flat — the
+//! temporal-concentration figure of merit.
 
 use std::time::Instant;
 

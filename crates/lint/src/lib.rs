@@ -28,9 +28,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Directories under the workspace root that hold first-party source.
-/// `shims/` is deliberately absent: those crates are offline stand-ins
-/// for third-party code (proptest/criterion) and carry the
-/// upstream idioms, not ours.
+/// `shims/` is deliberately absent: it holds an offline stand-in for
+/// third-party code (proptest) that carries the upstream idioms, not
+/// ours.
 const WALK_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 
 /// Directory names never descended into: build output and the lint's

@@ -669,7 +669,7 @@ mod tests {
             "crates/tensor/src/backend.rs",
             "crates/tensor/tests/math_kernel.rs",
             "tests/backend_kernels.rs",
-            "crates/bench/benches/kernels.rs",
+            "crates/bench/benches/batch.rs",
             "examples/quickstart.rs",
         ] {
             assert!(lint_one(rel, src).is_empty(), "{rel}");

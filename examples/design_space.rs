@@ -29,7 +29,7 @@ fn main() {
     println!("similarity threshold sweep (Llava-Video-7B, VideoMME)\n");
     println!(
         "{:>9} {:>10} {:>12} {:>10} {:>9}",
-        "threshold", "sparsity", "match rate", "accuracy", "latency"
+        "threshold", "sparsity", "match rate", "accuracy", "speedup"
     );
     let thresholds = [0.999f32, 0.95, 0.9, 0.85, 0.8, 0.7];
     let jobs: Vec<BatchJob> = thresholds

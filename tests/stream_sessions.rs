@@ -387,9 +387,10 @@ proptest! {
     ///
     /// 1. Temporal concentration **enabled** on an *uncorrelated*
     ///    stream (`correlation = 0`): every frame is an independent
-    ///    clip, so every cache probe misses on byte inequality and
-    ///    each frame stays bit-identical to the serial per-frame loop
-    ///    — the cache can only ever carry perfect replays.
+    ///    clip that re-keys its content signatures, so no row has the
+    ///    carry proof, every probe misses and each frame stays
+    ///    bit-identical to the serial per-frame loop — the cache can
+    ///    only ever carry provable replays.
     /// 2. Temporal concentration **disabled** on a *correlated*
     ///    stream: the stateless loop must not care how correlated the
     ///    feed is.
@@ -485,6 +486,52 @@ fn correlated_stream_carries_rows_and_skips_gathers() {
         stats.gathers_skipped > 0,
         "carried rows must skip in-frame comparisons: {stats:?}"
     );
+}
+
+/// Carried frames are schedule-invariant: an 8-frame correlation-0.9
+/// stream with the cache on (window 2) yields the same frames, bit for
+/// bit, and the same carry counters at every worker count and graph
+/// depth as on one worker at depth 1 — carry decisions depend on the
+/// feed alone, never on which frame or tile a worker reached first.
+#[test]
+fn carried_frames_match_across_worker_counts_and_depths() {
+    let stream = SceneStream {
+        seed: 7,
+        correlation: 0.9,
+    };
+    let run = |threads: usize, depth: usize| {
+        let service = FocusService::new(ServiceConfig::with_threads(threads));
+        let mut session = StreamSession::open(
+            &service,
+            FocusPipeline::paper().with_exec_mode(ExecMode::Graph { depth }),
+            ArchConfig::focus(),
+            temporal_config(2, Some(TemporalCacheConfig::default())),
+        );
+        let handles: Vec<FrameHandle> = (0..8)
+            .map(|f| session.push_frame(stream_workload(stream, f)))
+            .collect();
+        let frames: Vec<PipelineResult> = handles.into_iter().map(FrameHandle::wait).collect();
+        session.flush();
+        let stats = session.stats();
+        let counters = (
+            stats.temporal_hits,
+            stats.temporal_misses,
+            stats.gathers_skipped,
+        );
+        (frames, counters)
+    };
+    let (reference, counters) = run(1, 1);
+    assert!(
+        counters.0 > 0,
+        "a correlated stream must carry: {counters:?}"
+    );
+    for (threads, depth) in [(2, 2), (2, 3), (3, 1)] {
+        let (frames, other) = run(threads, depth);
+        for (f, (frame, want)) in frames.iter().zip(&reference).enumerate() {
+            assert_identical(frame, want, &format!("{threads}x{depth} frame {f}"));
+        }
+        assert_eq!(other, counters, "{threads}x{depth}: carry counters");
+    }
 }
 
 /// A geometry divergence drops the session's temporal cache, and the
